@@ -28,10 +28,8 @@ from .fade_states import (
     truncate_catalog,
 )
 from .mapping import (
-    MappingAssignment,
     MappingQuality,
     SuperimposedConstellation,
-    build_assignment,
     coincident_partition,
     evaluate_mapping,
     min_cardinality_t,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._artifact import check_count, opt_int, read_v1, write_v1
 from .mapping import COINCIDENCE_EPS, coincident_partition, superimpose
 from .modulation import Constellation, make_constellation
 
@@ -218,58 +219,45 @@ def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def save_catalog(cat: SfsCatalog, path: str) -> None:
-    lines = [
-        "pnclab-sfs-catalog v1",
-        f"modulation={cat.modulation}",
-        f"bits_per_symbol={cat.bits_per_symbol}",
-        f"eps={cat.eps:g}",
-        f"labeling={cat.labeling_version}",
-        f"raw_states={cat.n_raw_states}",
-        f"rank_seed={'none' if cat.rank_seed is None else cat.rank_seed}",
-        f"rank_trials={'none' if cat.rank_trials is None else cat.rank_trials}",
-        f"entries={len(cat.entries)}",
-    ]
-    for i, e in enumerate(cat.entries):
-        lines.append(f"{i}; {e.state.to_text()}; {e.weight:g}; {_format_partition(e.partition)}")
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+    header = {
+        "modulation": cat.modulation,
+        "bits_per_symbol": cat.bits_per_symbol,
+        "eps": f"{cat.eps:g}",
+        "labeling": cat.labeling_version,
+        "raw_states": cat.n_raw_states,
+        "rank_seed": cat.rank_seed,
+        "rank_trials": cat.rank_trials,
+        "entries": len(cat.entries),
+    }
+    body = (
+        f"{i}; {e.state.to_text()}; {e.weight:g}; {_format_partition(e.partition)}"
+        for i, e in enumerate(cat.entries)
+    )
+    write_v1(path, "sfs-catalog", header, body)
+
+
+def _parse_sfs_entry(line: str) -> SfsEntry:
+    _, state_txt, weight_txt, part_txt = (s.strip() for s in line.split(";", 3))
+    return SfsEntry(
+        state=FadeState.from_text(state_txt),
+        partition=_parse_partition(part_txt),
+        weight=float(weight_txt),
+    )
 
 
 def load_catalog(path: str) -> SfsCatalog:
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if lines[0] != "pnclab-sfs-catalog v1":
-        raise ValueError(f"not a catalog file: {path}")
-    header: dict[str, str] = {}
-    body_start = 1
-    for ln in lines[1:]:
-        if "=" not in ln or ";" in ln:
-            break
-        k, _, v = ln.partition("=")
-        header[k] = v
-        body_start += 1
-    entries = []
-    for ln in lines[body_start:]:
-        _, state_txt, weight_txt, part_txt = (s.strip() for s in ln.split(";", 3))
-        entries.append(
-            SfsEntry(
-                state=FadeState.from_text(state_txt),
-                partition=_parse_partition(part_txt),
-                weight=float(weight_txt),
-            )
-        )
-    def _opt(key: str) -> int | None:
-        return None if header[key] == "none" else int(header[key])
-
+    with read_v1(path, "sfs-catalog") as (header, body):
+        entries = tuple(_parse_sfs_entry(ln) for ln in body)
+    check_count(path, "entries", int(header["entries"]), len(entries))
     return SfsCatalog(
         modulation=header["modulation"],
         bits_per_symbol=int(header["bits_per_symbol"]),
         eps=float(header["eps"]),
         labeling_version=header["labeling"],
-        entries=tuple(entries),
+        entries=entries,
         n_raw_states=int(header["raw_states"]),
-        rank_seed=_opt("rank_seed"),
-        rank_trials=_opt("rank_trials"),
+        rank_seed=opt_int(header["rank_seed"]),
+        rank_trials=opt_int(header["rank_trials"]),
     )
 
 

@@ -305,13 +305,6 @@ def span(basis: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def in_span(basis: Sequence[int], v: int) -> bool:
-    x = v
-    for b in sorted(basis, reverse=True):
-        x = min(x, x ^ b)
-    return x == 0
-
-
 def enumerate_subspaces(basis: Sequence[int], dim: int) -> Iterator[tuple[int, ...]]:
     """Yield every ``dim``-dimensional subspace of span(basis).
 

@@ -123,17 +123,6 @@ def ncv_table(matrix: BitMatrix, m: int) -> np.ndarray:
 class MappingQuality:
     d_min: float
     clash_consistent: bool
-    d_alpha: float
-
-
-@dataclass(frozen=True)
-class MappingAssignment:
-    """A mapping matrix together with its induced clusters under one channel."""
-
-    matrix: BitMatrix
-    ncv_of: tuple[int, ...]
-    clusters: tuple[tuple[int, ...], ...]
-    d_min: float
 
 
 def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, separated_only: bool = False) -> float:
@@ -158,7 +147,6 @@ def evaluate_mapping(
     matrix: BitMatrix,
     sc: SuperimposedConstellation,
     clash: tuple[tuple[int, ...], ...] | None = None,
-    d_alpha: float = 0.0,
 ) -> MappingQuality:
     """Score a candidate matrix against a channel.
 
@@ -174,21 +162,7 @@ def evaluate_mapping(
     table = ncv_table(matrix, sc.constellation.bits_per_symbol)
     consistent = all(len({int(table[t]) for t in block}) == 1 for block in clash)
     d_min = mapping_d_min(matrix.rows, sc)
-    return MappingQuality(d_min=d_min, clash_consistent=consistent, d_alpha=d_alpha)
-
-
-def build_assignment(matrix: BitMatrix, sc: SuperimposedConstellation) -> MappingAssignment:
-    table = ncv_table(matrix, sc.constellation.bits_per_symbol)
-    groups: dict[int, list[int]] = {}
-    for tau, x in enumerate(table):
-        groups.setdefault(int(x), []).append(tau)
-    clusters = tuple(sorted(tuple(g) for g in groups.values()))
-    return MappingAssignment(
-        matrix=matrix,
-        ncv_of=tuple(int(x) for x in table),
-        clusters=clusters,
-        d_min=mapping_d_min(matrix.rows, sc),
-    )
+    return MappingQuality(d_min=d_min, clash_consistent=consistent)
 
 
 def clash_difference_basis(clash: tuple[tuple[int, ...], ...], m: int) -> tuple[int, ...]:

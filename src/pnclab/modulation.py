@@ -18,6 +18,8 @@ LABELING_VERSION = "gray-v1"
 
 _GRAY_AXIS = {(0, 0): -3, (0, 1): -1, (1, 1): 1, (1, 0): 3}
 
+BITS_PER_SYMBOL = {"qam4": 2, "qam16": 4}
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -55,7 +57,6 @@ def make_constellation(name: str) -> Constellation:
             [complex(1 - 2 * b1, 1 - 2 * b2) for b1 in (0, 1) for b2 in (0, 1)]
         )
         scale = np.sqrt(2.0)
-        m = 2
     elif key == "qam16":
         # (b1, b2) Gray-codes the real axis, (b3, b4) the imaginary axis
         lattice = np.array(
@@ -68,12 +69,11 @@ def make_constellation(name: str) -> Constellation:
             ]
         )
         scale = np.sqrt(10.0)
-        m = 4
     else:
         raise ValueError(f"unknown modulation {name!r}; expected qam4 or qam16")
     return Constellation(
         name=key,
-        bits_per_symbol=m,
+        bits_per_symbol=BITS_PER_SYMBOL[key],
         points=lattice / scale,
         lattice_points=lattice,
         scale=float(scale),
@@ -85,16 +85,8 @@ def modulate(c: Constellation, w) -> complex:
     return complex(c.points[c.label_index(w)])
 
 
-def modulate_indices(c: Constellation, idx: np.ndarray) -> np.ndarray:
-    return c.points[idx]
-
-
 def demodulate_hard(c: Constellation, y: complex) -> BitVector:
     """Label of the Euclidean-nearest point; ties break to the lowest index."""
     idx = int(np.argmin(np.abs(np.asarray(y) - c.points) ** 2))
     return BitVector.from_bits(c.index_label(idx))
 
-
-def demodulate_hard_indices(c: Constellation, y: np.ndarray) -> np.ndarray:
-    d2 = np.abs(np.asarray(y).reshape(-1, 1) - c.points[None, :]) ** 2
-    return d2.argmin(axis=1)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._artifact import check_count, opt_int, read_v1, write_v1
 from .fade_states import FadeState, SfsCatalog, nearest_sfs
 from .gf2 import (
     BitMatrix,
@@ -190,7 +191,6 @@ class CandidateStore:
     mu: int
     k_per_state: int
     eps: float
-    d_alpha: float
     rank_seed: int | None
     rank_trials: int | None
     states: tuple[FadeState, ...]
@@ -229,7 +229,6 @@ def assemble_store(
     rankings: tuple[SfsCandidates, ...],
     t: int,
     k_per_state: int,
-    d_alpha: float = 0.0,
 ) -> CandidateStore:
     """Per-state lists: top-ranked candidates plus two universal extractors.
 
@@ -269,7 +268,6 @@ def assemble_store(
         mu=mu,
         k_per_state=k_per_state,
         eps=cat.eps,
-        d_alpha=d_alpha,
         rank_seed=cat.rank_seed,
         rank_trials=cat.rank_trials,
         states=tuple(e.state for e in cat.entries),
@@ -332,23 +330,34 @@ def build_store(
     t: int,
     k_per_state: int,
     n_aps: int = 2,
-    d_alpha: float = 0.0,
 ) -> CandidateStore:
     """Mine, assemble, and certify in one call."""
     rankings = mine_candidates(cat, t, limit=k_per_state)
-    return certify_store(assemble_store(cat, rankings, t, k_per_state, d_alpha), n_aps)
+    return certify_store(assemble_store(cat, rankings, t, k_per_state), n_aps)
+
+
+def _check_same_states(a: tuple[FadeState, ...], b: tuple[FadeState, ...], eps: float, what: str) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"{what} cover different state sets")
+    for s, e in zip(a, b):
+        if s.infinite != e.infinite:
+            raise ValueError(f"{what} states are ordered differently")
+        if not s.infinite and abs(s.value - e.value) > eps:
+            raise ValueError(f"{what} states disagree in value")
 
 
 def _check_store_matches_catalog(store: CandidateStore, cat: SfsCatalog) -> None:
     if store.modulation != cat.modulation or store.labeling_version != cat.labeling_version:
         raise ValueError("store and catalog disagree on modulation or labeling")
-    if len(store.states) != len(cat.entries):
-        raise ValueError("store and catalog cover different state sets")
-    for s, e in zip(store.states, cat.entries):
-        if s.infinite != e.state.infinite:
-            raise ValueError("store and catalog states are ordered differently")
-        if not s.infinite and abs(s.value - e.state.value) > cat.eps:
-            raise ValueError("store and catalog states disagree in value")
+    _check_same_states(store.states, tuple(e.state for e in cat.entries), cat.eps, "store and catalog")
+
+
+def _check_table_matches_store(table: SelectionTable, store: CandidateStore) -> None:
+    if (table.modulation, table.labeling_version, table.t, table.mu) != (
+        store.modulation, store.labeling_version, store.t, store.mu
+    ):
+        raise ValueError("table and store disagree on modulation, labeling or matrix shape")
+    _check_same_states(table.states, store.states, store.eps, "table and store")
 
 
 @dataclass(frozen=True)
@@ -529,55 +538,36 @@ def _parse_entry(text: str) -> CandidateEntry:
 
 
 def save_store(store: CandidateStore, path: str) -> None:
-    lines = [
-        "pnclab-store v1",
-        f"modulation={store.modulation}",
-        f"labeling={store.labeling_version}",
-        f"t={store.t}",
-        f"mu={store.mu}",
-        f"K={store.k_per_state}",
-        f"eps={store.eps:g}",
-        f"d_alpha={store.d_alpha:g}",
-        f"rank_seed={'none' if store.rank_seed is None else store.rank_seed}",
-        f"rank_trials={'none' if store.rank_trials is None else store.rank_trials}",
-        f"certified_n={'none' if store.certified_n is None else store.certified_n}",
-        f"infeasible={';'.join(','.join(map(str, t)) for t in store.infeasible)}",
-        f"states={len(store.states)}",
-    ]
-    for i, (state, entries) in enumerate(zip(store.states, store.lists)):
-        parts = " ".join(_format_entry(e) for e in entries)
-        lines.append(f"{i} @ {state.to_text()} @ {parts}")
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+    header = {
+        "modulation": store.modulation,
+        "labeling": store.labeling_version,
+        "t": store.t,
+        "mu": store.mu,
+        "K": store.k_per_state,
+        "eps": f"{store.eps:g}",
+        "rank_seed": store.rank_seed,
+        "rank_trials": store.rank_trials,
+        "certified_n": store.certified_n,
+        "infeasible": ";".join(",".join(map(str, t)) for t in store.infeasible),
+        "states": len(store.states),
+    }
+    body = (
+        f"{i} @ {state.to_text()} @ " + " ".join(_format_entry(e) for e in entries)
+        for i, (state, entries) in enumerate(zip(store.states, store.lists))
+    )
+    write_v1(path, "store", header, body)
 
 
 def load_store(path: str) -> CandidateStore:
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if lines[0] != "pnclab-store v1":
-        raise ValueError(f"not a store file: {path}")
-    header: dict[str, str] = {}
-    body = []
-    for ln in lines[1:]:
-        if " @ " in ln:
-            body.append(ln)
-        else:
-            k, _, v = ln.partition("=")
-            header[k] = v
+    """Read a store file; a ``d_alpha=`` header line of older files is ignored."""
     states = []
     lists = []
-    for ln in body:
-        _, state_txt, entries_txt = (s.strip() for s in ln.split(" @ ", 2))
-        states.append(FadeState.from_text(state_txt))
-        lists.append(tuple(_parse_entry(e) for e in entries_txt.split()) if entries_txt else ())
-    def _opt(key: str) -> int | None:
-        return None if header[key] == "none" else int(header[key])
-
-    infeasible = tuple(
-        tuple(int(x) for x in part.split(","))
-        for part in header["infeasible"].split(";")
-        if part
-    )
+    with read_v1(path, "store") as (header, body):
+        for ln in body:
+            _, state_txt, entries_txt = (s.strip() for s in ln.split(" @ ", 2))
+            states.append(FadeState.from_text(state_txt))
+            lists.append(tuple(_parse_entry(e) for e in entries_txt.split()))
+    check_count(path, "states", int(header["states"]), len(states))
     store = CandidateStore(
         modulation=header["modulation"],
         labeling_version=header["labeling"],
@@ -585,13 +575,12 @@ def load_store(path: str) -> CandidateStore:
         mu=int(header["mu"]),
         k_per_state=int(header["K"]),
         eps=float(header["eps"]),
-        d_alpha=float(header["d_alpha"]),
-        rank_seed=_opt("rank_seed"),
-        rank_trials=_opt("rank_trials"),
+        rank_seed=opt_int(header["rank_seed"]),
+        rank_trials=opt_int(header["rank_trials"]),
         states=tuple(states),
         lists=tuple(lists),
-        certified_n=_opt("certified_n"),
-        infeasible=infeasible,
+        certified_n=opt_int(header["certified_n"]),
+        infeasible=tuple(tuple(map(int, part.split(","))) for part in header["infeasible"].split(";") if part),
     )
     for entries in store.lists:
         for e in entries:
@@ -601,66 +590,54 @@ def load_store(path: str) -> CandidateStore:
 
 
 def save_table(table: SelectionTable, path: str) -> None:
-    lines = [
-        "pnclab-table v1",
-        f"modulation={table.modulation}",
-        f"labeling={table.labeling_version}",
-        f"t={table.t}",
-        f"mu={table.mu}",
-        f"n={table.n_aps}",
-        f"states={len(table.states)}",
-    ]
-    for i, state in enumerate(table.states):
-        lines.append(f"state {i} @ {state.to_text()}")
-    for tup in sorted(table.entries):
-        encs = table.entries[tup]
-        key = ",".join(map(str, tup))
-        if encs is None:
-            lines.append(f"{key} -> fallback")
-        else:
-            lines.append(f"{key} -> " + " ".join(format(e, 'x') for e in encs))
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+    header = {
+        "modulation": table.modulation,
+        "labeling": table.labeling_version,
+        "t": table.t,
+        "mu": table.mu,
+        "n": table.n_aps,
+        "states": len(table.states),
+    }
+    states = (f"state {i} @ {state.to_text()}" for i, state in enumerate(table.states))
+    entries = (
+        ",".join(map(str, tup)) + " -> "
+        + ("fallback" if encs is None else " ".join(format(e, "x") for e in encs))
+        for tup, encs in sorted(table.entries.items())
+    )
+    write_v1(path, "table", header, itertools.chain(states, entries))
 
 
 def load_table(path: str) -> SelectionTable:
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if lines[0] != "pnclab-table v1":
-        raise ValueError(f"not a table file: {path}")
-    header: dict[str, str] = {}
+    """Read a table file: every ``n``-tuple of state indices must be present
+    once, and every entry must stack to an invertible global matrix."""
     states: list[FadeState] = []
     entries: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    for ln in lines[1:]:
-        if ln.startswith("state "):
-            _, _, rest = ln.partition(" ")
-            _, state_txt = (s.strip() for s in rest.split(" @ ", 1))
-            states.append(FadeState.from_text(state_txt))
-        elif " -> " in ln:
+    with read_v1(path, "table") as (header, body):
+        t, mu, n, n_states = (int(header[k]) for k in ("t", "mu", "n", "states"))
+        for ln in body:
+            if ln.startswith("state "):
+                states.append(FadeState.from_text(ln.partition(" @ ")[2]))
+                continue
             key, _, val = ln.partition(" -> ")
-            tup = tuple(int(x) for x in key.split(","))
+            tup = tuple(map(int, key.split(",")))
+            if len(tup) != n or min(tup) < 0 or max(tup) >= n_states:
+                raise ValueError(f"{path}: table key {key!r} is not a {n}-tuple of state indices")
             if val.strip() == "fallback":
                 entries[tup] = None
-            else:
-                entries[tup] = tuple(int(x, 16) for x in val.split())
-        else:
-            k, _, v = ln.partition("=")
-            header[k] = v
-    t, mu = int(header["t"]), int(header["mu"])
-    for tup, encs in entries.items():
-        if encs is None:
-            continue
-        rows: list[int] = []
-        for e in encs:
-            rows.extend(BitMatrix.from_encoding(e, t, mu).rows)
-        if rank_rows(rows) != mu:
-            raise ValueError(f"table entry {tup} stacks to a singular global matrix")
+                continue
+            encs = tuple(int(x, 16) for x in val.split())
+            rows = [r for e in encs for r in BitMatrix.from_encoding(e, t, mu).rows]
+            if rank_rows(rows) != mu:
+                raise ValueError(f"table entry {tup} stacks to a singular global matrix")
+            entries[tup] = encs
+    check_count(path, "states", n_states, len(states))
+    check_count(path, "state tuples", n_states**n, len(entries))
     return SelectionTable(
         modulation=header["modulation"],
         labeling_version=header["labeling"],
         t=t,
         mu=mu,
-        n_aps=int(header["n"]),
+        n_aps=n,
         states=tuple(states),
         entries=entries,
     )

@@ -16,20 +16,22 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import link
-from .fade_states import SfsCatalog, build_catalog, load_catalog
+from .fade_states import SfsCatalog, build_catalog, load_catalog, truncate_catalog
 from .link import QuantizerSpec
 from .mapping import joint_vector_table
-from .modulation import make_constellation
+from .modulation import BITS_PER_SYMBOL, make_constellation
 from .search import (
     CandidateStore,
     Selection,
     SelectionTable,
+    _check_store_matches_catalog,
+    _check_table_matches_store,
     build_selection_table,
     build_store,
     load_store,
@@ -39,6 +41,7 @@ from .search import (
 )
 
 SCHEMES = ("bmas", "rbmas", "comp_ideal", "comp_nonideal")
+PNC_SCHEMES = ("bmas", "rbmas")
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,19 @@ class ExperimentConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.n_terminals != 2:
             raise ValueError("only the two-terminal uplink is supported")
+        if self.modulation.lower() not in BITS_PER_SYMBOL:
+            raise ValueError(f"unknown modulation {self.modulation!r}; expected one of {tuple(BITS_PER_SYMBOL)}")
+        QuantizerSpec(bits=self.quantizer_bits, clip=self.quantizer_clip)  # raises on bad bits/clip
+        if self.scheme in PNC_SCHEMES:
+            m = BITS_PER_SYMBOL[self.modulation.lower()]
+            t = self.ncv_len or m
+            if not m <= t <= 2 * m:
+                raise ValueError(f"ncv_len must be in [{m}, {2 * m}] for {self.modulation}")
+            if self.n_aps * t != 2 * m:
+                raise ValueError(
+                    f"{self.n_aps} APs of {t} rows stack to a {self.n_aps * t}x{2 * m} global matrix; "
+                    f"recovery needs it square (n_aps * ncv_len == {2 * m})"
+                )
 
     @property
     def config_hash(self) -> str:
@@ -106,6 +122,7 @@ class _Context:
 
     cfg: ExperimentConfig
     constellation: object
+    quantizer: QuantizerSpec | None = None
     catalog: SfsCatalog | None = None
     store: CandidateStore | None = None
     table: SelectionTable | None = None
@@ -115,42 +132,43 @@ class _Context:
 def _prepare(cfg: ExperimentConfig) -> _Context:
     c = make_constellation(cfg.modulation)
     ctx = _Context(cfg=cfg, constellation=c)
+    if cfg.scheme == "comp_nonideal":
+        ctx.quantizer = QuantizerSpec(bits=cfg.quantizer_bits, clip=cfg.quantizer_clip)
+    if cfg.scheme not in PNC_SCHEMES:
+        return ctx
     ctx.w_of_tau = joint_vector_table(c.bits_per_symbol)[0]
-    if cfg.scheme in ("bmas", "rbmas"):
-        if cfg.catalog_path:
-            cat = load_catalog(cfg.catalog_path)
-            if cat.modulation != cfg.modulation or cat.labeling_version != c.labeling_version:
-                raise ValueError("catalog does not match the configured modulation/labeling")
-            if cfg.n_principal is not None:
-                cat = replace(cat, entries=cat.entries[: cfg.n_principal])
+    if cfg.catalog_path:
+        cat = load_catalog(cfg.catalog_path)
+        if cat.modulation != cfg.modulation or cat.labeling_version != c.labeling_version:
+            raise ValueError("catalog does not match the configured modulation/labeling")
+        if cfg.n_principal is not None:
+            cat = truncate_catalog(cat, cfg.n_principal)
+    else:
+        cat = build_catalog(
+            cfg.modulation,
+            n_trials=cfg.rank_trials,
+            rng_seed=cfg.seed,
+            n_principal=cfg.n_principal,
+        )
+    ctx.catalog = cat
+    t = cfg.ncv_len or c.bits_per_symbol
+    if cfg.store_path:
+        store = load_store(cfg.store_path)
+        _check_store_matches_catalog(store, cat)
+        if store.t != t:
+            raise ValueError(f"store has NCV length t={store.t}, the config needs {t}")
+    else:
+        store = build_store(cat, t=t, k_per_state=cfg.k_per_state, n_aps=cfg.n_aps)
+    ctx.store = store
+    if cfg.scheme == "rbmas":
+        if cfg.table_path:
+            table = load_table(cfg.table_path)
+            _check_table_matches_store(table, store)
+            if table.n_aps != cfg.n_aps:
+                raise ValueError(f"table was built for {table.n_aps} APs, the config has {cfg.n_aps}")
         else:
-            cat = build_catalog(
-                cfg.modulation,
-                n_trials=cfg.rank_trials,
-                rng_seed=cfg.seed,
-                n_principal=cfg.n_principal,
-            )
-        ctx.catalog = cat
-        t = cfg.ncv_len or c.bits_per_symbol
-        if cfg.store_path:
-            store = load_store(cfg.store_path)
-            if store.modulation != cfg.modulation or store.labeling_version != c.labeling_version:
-                raise ValueError("store does not match the configured modulation/labeling")
-            if len(store.states) != len(cat.entries):
-                raise ValueError("store was built over a different catalog truncation")
-        else:
-            store = build_store(cat, t=t, k_per_state=cfg.k_per_state, n_aps=cfg.n_aps)
-        ctx.store = store
-        if cfg.scheme == "rbmas":
-            if cfg.table_path:
-                table = load_table(cfg.table_path)
-                if table.modulation != cfg.modulation or table.labeling_version != c.labeling_version:
-                    raise ValueError("table does not match the configured modulation/labeling")
-                if len(table.states) != len(store.states):
-                    raise ValueError("table was built over a different catalog truncation")
-            else:
-                table = build_selection_table(store, cat, cfg.n_aps)
-            ctx.table = table
+            table = build_selection_table(store, cat, cfg.n_aps)
+        ctx.table = table
     return ctx
 
 
@@ -164,77 +182,59 @@ def _frame_rng(cfg: ExperimentConfig, point: int, frame: int) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, point, frame)))
 
 
-def _run_frame_pnc(ctx: _Context, noise_var: float, rng: np.random.Generator) -> tuple[bool, bool, int]:
-    """One block-fading frame of the network-coded pipeline.
+def _front_end(ctx: _Context, noise_var: float, rng: np.random.Generator):
+    """Channel, data, received samples and receiver CSI of one frame.
 
-    Returns (outage, mismap, backhaul bits per use).
+    Every scheme draws from the frame's stream in this order: channel, data
+    indices, data noise, then pilot noise.  Returns (H, H_hat, idx, y);
+    H_hat is H itself under perfect CSI.
     """
     cfg = ctx.cfg
     c = ctx.constellation
-    m = c.bits_per_symbol
-    H = link.draw_channel(rng, cfg.n_aps, 2)
-    idx = rng.integers(0, c.size, size=(2, cfg.frame_len))
+    H = link.draw_channel(rng, cfg.n_aps, cfg.n_terminals)
+    idx = rng.integers(0, c.size, size=(cfg.n_terminals, cfg.frame_len))
     y = link.transmit(H, noise_var, c.points[idx], rng)
-
     if cfg.pilot_len is None:
-        H_hat = H
-        mismap = False
-        sel = _select(ctx, H)
-    else:
-        y_pilots = link.transmit_pilots(H, noise_var, cfg.pilot_len, rng)
-        H_hat = link.estimate_channel(y_pilots, cfg.pilot_len)
-        sel = _select(ctx, H_hat)
-        sel_true = _select(ctx, H)
-        mismap = tuple(mm.encoding for mm in sel.per_ap) != tuple(
-            mm.encoding for mm in sel_true.per_ap
-        )
+        return H, H, idx, y
+    H_hat = link.estimate_channel(link.transmit_pilots(H, noise_var, cfg.pilot_len, rng), cfg.pilot_len)
+    return H, H_hat, idx, y
 
-    bits = []
-    for j in range(cfg.n_aps):
-        llrs = link.detect_ncv(
-            y[j], (H_hat[j, 0], H_hat[j, 1]), sel.per_ap[j], c, noise_var,
-            max_log=cfg.max_log_detection,
-        )
-        bits.append(link.llrs_to_bits(llrs))
-    x_bits = np.concatenate(bits, axis=1)
-    w_bits = link.recover_batch(sel.global_matrix, x_bits)
+
+# Back ends: (ctx, noise_var, H, H_hat, idx, y) -> (outage, mismap).
+
+def _back_end_pnc(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[bool, bool]:
+    """Select, detect the NCV at every AP, recover the joint message."""
+    cfg = ctx.cfg
+    c = ctx.constellation
+    m = c.bits_per_symbol
+    sel = _select(ctx, H_hat)
+    mismap = H_hat is not H and (
+        tuple(mm.encoding for mm in sel.per_ap) != tuple(mm.encoding for mm in _select(ctx, H).per_ap)
+    )
+    bits = [
+        link.llrs_to_bits(link.detect_ncv(
+            y[j], (H_hat[j, 0], H_hat[j, 1]), sel.per_ap[j], c, noise_var, max_log=cfg.max_log_detection,
+        ))
+        for j in range(cfg.n_aps)
+    ]
+    w_bits = link.recover_batch(sel.global_matrix, np.concatenate(bits, axis=1))
     w_hat = (w_bits * (1 << np.arange(2 * m))[None, :]).sum(axis=1)
     w_true = ctx.w_of_tau[(idx[0] << m) | idx[1]]
-    outage = bool(np.any(w_hat != w_true))
-    backhaul = sum(mm.n_rows for mm in sel.per_ap)
-    return outage, mismap, backhaul
+    return bool(np.any(w_hat != w_true)), mismap
 
 
-def _run_frame_comp_ideal(ctx: _Context, noise_var: float, rng: np.random.Generator) -> bool:
-    cfg = ctx.cfg
+def _back_end_comp_ideal(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[bool, bool]:
+    m = ctx.constellation.bits_per_symbol
+    joint = link.comp_ideal(y, H_hat, ctx.constellation)
+    return bool(np.any(joint != ((idx[0] << m) | idx[1]))), False
+
+
+def _back_end_comp_nonideal(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[bool, bool]:
     c = ctx.constellation
     m = c.bits_per_symbol
-    H = link.draw_channel(rng, cfg.n_aps, 2)
-    idx = rng.integers(0, c.size, size=(2, cfg.frame_len))
-    y = link.transmit(H, noise_var, c.points[idx], rng)
-    if cfg.pilot_len is None:
-        H_hat = H
-    else:
-        H_hat = link.estimate_channel(link.transmit_pilots(H, noise_var, cfg.pilot_len, rng), cfg.pilot_len)
-    joint = link.comp_ideal(y, H_hat, c)
-    truth = (idx[0] << m) | idx[1]
-    return bool(np.any(joint != truth))
-
-
-def _run_frame_comp_nonideal(ctx: _Context, noise_var: float, rng: np.random.Generator) -> bool:
-    cfg = ctx.cfg
-    c = ctx.constellation
-    m = c.bits_per_symbol
-    spec = QuantizerSpec(bits=cfg.quantizer_bits, clip=cfg.quantizer_clip)
-    H = link.draw_channel(rng, cfg.n_aps, 2)
-    idx = rng.integers(0, c.size, size=(2, cfg.frame_len))
-    y = link.transmit(H, noise_var, c.points[idx], rng)
-    if cfg.pilot_len is None:
-        H_hat = H
-    else:
-        H_hat = link.estimate_channel(link.transmit_pilots(H, noise_var, cfg.pilot_len, rng), cfg.pilot_len)
-    deq = np.empty((cfg.n_aps, 2, m, cfg.frame_len))
-    for j in range(cfg.n_aps):
+    spec = ctx.quantizer
+    deq = np.empty((ctx.cfg.n_aps, 2, m, ctx.cfg.frame_len))
+    for j in range(ctx.cfg.n_aps):
         llrs = link.comp_nonideal_llrs(y[j], (H_hat[j, 0], H_hat[j, 1]), c, noise_var)
         deq[j] = link.dequantize_llr(link.quantize_llr(llrs, spec), spec)
     bits = link.comp_combine(deq)
@@ -242,46 +242,44 @@ def _run_frame_comp_nonideal(ctx: _Context, noise_var: float, rng: np.random.Gen
     for term in range(2):
         for i in range(m):
             true_bits[term, i] = (idx[term] >> (m - 1 - i)) & 1
-    return bool(np.any(bits != true_bits))
+    return bool(np.any(bits != true_bits)), False
 
 
-def _run_point(ctx: _Context, point: int, ebn0_db: float, frame_range: range) -> tuple[int, int, float]:
-    """Accumulate (outage frames, mismap frames, backhaul bit-sum) over a range."""
+_BACK_ENDS = {
+    "bmas": _back_end_pnc,
+    "rbmas": _back_end_pnc,
+    "comp_ideal": _back_end_comp_ideal,
+    "comp_nonideal": _back_end_comp_nonideal,
+}
+
+
+def _run_point(ctx: _Context, point: int, ebn0_db: float, frame_range: range) -> tuple[int, int]:
+    """Count (outage frames, mismap frames) over a range of frames."""
     cfg = ctx.cfg
     noise_var = link.noise_variance(ebn0_db, ctx.constellation.bits_per_symbol)
+    back_end = _BACK_ENDS[cfg.scheme]
     outages = 0
     mismaps = 0
-    backhaul_sum = 0.0
     for f in frame_range:
         rng = _frame_rng(cfg, point, f)
-        if cfg.scheme in ("bmas", "rbmas"):
-            out, mm, bh = _run_frame_pnc(ctx, noise_var, rng)
-            outages += out
-            mismaps += mm
-            backhaul_sum += bh
-        elif cfg.scheme == "comp_ideal":
-            outages += _run_frame_comp_ideal(ctx, noise_var, rng)
-            backhaul_sum += math.inf
-        else:
-            outages += _run_frame_comp_nonideal(ctx, noise_var, rng)
-            backhaul_sum += cfg.n_aps * 2 * ctx.constellation.bits_per_symbol * cfg.quantizer_bits
-    return outages, mismaps, backhaul_sum
+        outage, mismap = back_end(ctx, noise_var, *_front_end(ctx, noise_var, rng))
+        outages += outage
+        mismaps += mismap
+    return outages, mismaps
 
 
-def backhaul_accounting(cfg: ExperimentConfig, selections=None) -> float:
+def backhaul_accounting(cfg: ExperimentConfig) -> float:
     """Backhaul bits per channel use for the configured scheme.
 
     Network-coded schemes forward one bit per mapping-matrix row per use;
     the quantized baseline sends n*u*m*q; the unquantized baseline is an
     unbounded marker.
     """
-    c = make_constellation(cfg.modulation)
-    if cfg.scheme in ("bmas", "rbmas"):
-        if selections:
-            return float(np.mean([sum(m.n_rows for m in s.per_ap) for s in selections]))
-        return float(cfg.n_aps * (cfg.ncv_len or c.bits_per_symbol))
+    m = BITS_PER_SYMBOL[cfg.modulation.lower()]
+    if cfg.scheme in PNC_SCHEMES:
+        return float(cfg.n_aps * (cfg.ncv_len or m))
     if cfg.scheme == "comp_nonideal":
-        return float(cfg.n_aps * cfg.n_terminals * c.bits_per_symbol * cfg.quantizer_bits)
+        return float(cfg.n_aps * cfg.n_terminals * m * cfg.quantizer_bits)
     return math.inf
 
 
@@ -292,6 +290,7 @@ def run_experiment(cfg: ExperimentConfig) -> Iterator[MetricsRecord]:
     results are identical for any worker count.
     """
     ctx = _prepare(cfg)
+    backhaul = backhaul_accounting(cfg)
     workers = int(os.environ.get("PNCLAB_WORKERS", "1"))
     for point, ebn0 in enumerate(cfg.ebn0_db):
         start = time.perf_counter()
@@ -305,17 +304,16 @@ def run_experiment(cfg: ExperimentConfig) -> Iterator[MetricsRecord]:
                 parts = list(pool.map(_run_point_star, [(ctx, point, ebn0, ch) for ch in chunks]))
             outages = sum(p[0] for p in parts)
             mismaps = sum(p[1] for p in parts)
-            backhaul_sum = sum(p[2] for p in parts)
         else:
-            outages, mismaps, backhaul_sum = _run_point(ctx, point, ebn0, range(n))
-        pnc = cfg.scheme in ("bmas", "rbmas")
+            outages, mismaps = _run_point(ctx, point, ebn0, range(n))
+        pnc = cfg.scheme in PNC_SCHEMES
         mismap_rate = (mismaps / n) if (pnc and cfg.pilot_len is not None) else math.nan
         yield MetricsRecord(
             ebn0_db=ebn0,
             scheme=cfg.scheme,
             outage=outages / n,
             mismap_rate=mismap_rate,
-            backhaul_bits=backhaul_sum / n,
+            backhaul_bits=backhaul,
             frames=n,
             runtime_s=time.perf_counter() - start,
             seed=cfg.seed,

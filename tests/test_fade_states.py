@@ -176,3 +176,12 @@ def test_catalog_rejects_other_files(tmp_path):
     p.write_text("something else\n")
     with pytest.raises(ValueError):
         load_catalog(str(p))
+
+
+def test_catalog_truncated_file_refused(tmp_path, cat4):
+    path = tmp_path / "cat.txt"
+    save_catalog(cat4, str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="entries"):
+        load_catalog(str(path))

@@ -229,6 +229,48 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_table(str(tmp_path / "bad.tab"))
 
+    def test_store_with_legacy_d_alpha_line_loads(self, store4, tmp_path):
+        path = tmp_path / "store.cat"
+        save_store(store4, str(path))
+        lines = path.read_text().splitlines()
+        assert not any(ln.startswith("d_alpha=") for ln in lines)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("eps="))
+        lines.insert(at + 1, "d_alpha=0")   # the line older writers put after eps
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_store(str(path))
+        assert loaded.states == store4.states
+        assert [[e.matrix for e in l] for l in loaded.lists] == [[e.matrix for e in l] for l in store4.lists]
+
+    def test_truncated_store_refused(self, store4, tmp_path):
+        path = tmp_path / "store.cat"
+        save_store(store4, str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="states"):
+            load_store(str(path))
+
+    @pytest.mark.parametrize("cut", ["last_tuple", "last_state"])
+    def test_truncated_table_refused(self, store4, cat4, tmp_path, cut):
+        path = tmp_path / "table.tab"
+        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        lines = path.read_text().splitlines()
+        if cut == "last_tuple":
+            del lines[-1]
+        else:
+            del lines[max(i for i, ln in enumerate(lines) if ln.startswith("state "))]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            load_table(str(path))
+
+    def test_table_keys_must_be_state_tuples(self, store4, cat4, tmp_path):
+        path = tmp_path / "table.tab"
+        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        n = len(store4.states)
+        text = path.read_text().replace(f"\n0,0 -> ", f"\n0,{n} -> ", 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match="state indices"):
+            load_table(str(path))
+
 
 def test_selection_infeasible_raises(cat4):
     rankings = mine_candidates(cat4, t=2, limit=1)

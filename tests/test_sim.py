@@ -34,6 +34,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n_terminals=3)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(scheme="bmas", n_aps=3),                 # 6 rows over 4 message bits
+            dict(scheme="rbmas", ncv_len=3),              # 6 rows over 4 message bits
+            dict(scheme="bmas", n_aps=4, ncv_len=1),      # square, but t below bits per symbol
+            dict(scheme="comp_nonideal", quantizer_bits=3),
+            dict(scheme="comp_ideal", quantizer_clip=0.0),
+            dict(modulation="qam64"),
+        ],
+        ids=["bmas-3aps", "rbmas-ncv3", "t-below-bits", "quantizer-bits", "quantizer-clip", "modulation"],
+    )
+    def test_rejects_unrunnable_config(self, fields):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{"modulation": "qam4", **fields})
+
+    def test_comp_schemes_take_any_stack_shape(self):
+        ExperimentConfig(modulation="qam4", scheme="comp_ideal", n_aps=3, ncv_len=3)
+
 
 class TestBackhaul:
     def test_pnc_load_equals_total_rate(self):
@@ -150,6 +169,62 @@ class TestRuns:
             catalog_path=cat_path, table_path=table_path, **FAST,
         )
         with pytest.raises(ValueError):
+            list(run_experiment(cfg))
+
+    @pytest.fixture(scope="class")
+    def qam4_files(self, tmp_path_factory):
+        """qam4 catalog, a t=2 store and its two-AP table, written to files."""
+        from pnclab.fade_states import build_catalog, save_catalog
+        from pnclab.search import build_selection_table, build_store, save_store, save_table
+
+        d = tmp_path_factory.mktemp("qam4")
+        cat = build_catalog("qam4", n_trials=10**4, rng_seed=0)
+        store = build_store(cat, t=2, k_per_state=5, n_aps=2)
+        paths = {k: str(d / k) for k in ("catalog", "store", "table")}
+        save_catalog(cat, paths["catalog"])
+        save_store(store, paths["store"])
+        save_table(build_selection_table(store, cat, n_aps=2), paths["table"])
+        return cat, store, paths
+
+    def test_store_ncv_length_mismatch_refused(self, qam4_files, tmp_path):
+        from pnclab.search import build_store, save_store
+
+        cat, _, paths = qam4_files
+        store_t4 = str(tmp_path / "t4.store")
+        save_store(build_store(cat, t=4, k_per_state=3, n_aps=1), store_t4)
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="bmas", catalog_path=paths["catalog"], store_path=store_t4, **FAST
+        )
+        with pytest.raises(ValueError, match="t=4"):
+            list(run_experiment(cfg))
+
+    def test_table_ap_count_mismatch_refused(self, qam4_files, tmp_path):
+        from pnclab.search import build_selection_table, save_table
+
+        cat, store, paths = qam4_files
+        one_ap = str(tmp_path / "one_ap.tab")
+        save_table(build_selection_table(store, cat, n_aps=1), one_ap)
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
+            store_path=paths["store"], table_path=one_ap, **FAST,
+        )
+        with pytest.raises(ValueError, match="1 APs"):
+            list(run_experiment(cfg))
+
+    def test_table_state_values_checked_against_store(self, qam4_files, tmp_path):
+        _, store, paths = qam4_files
+        state = store.states[0]
+        assert not state.infinite
+        text = open(paths["table"]).read()
+        moved = f"state 0 @ {state.value.real + 0.01:.12g},{state.value.imag:.12g}\n"
+        bad = str(tmp_path / "moved.tab")
+        with open(bad, "w") as f:
+            f.write(text.replace(f"state 0 @ {state.to_text()}\n", moved, 1))
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
+            store_path=paths["store"], table_path=bad, **FAST,
+        )
+        with pytest.raises(ValueError, match="disagree in value"):
             list(run_experiment(cfg))
 
 
