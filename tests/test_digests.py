@@ -1,12 +1,17 @@
-"""Byte identity of the CSV for one small fixed config per frame back end.
+"""Byte identity of the CSV for one small fixed config per frame back end,
+and of the off-line artifacts (certified store, selection table) for two
+small builds.
 
-The digests were recorded before the frame engine was restructured; a change
-that alters any of them changes published numbers and has to say so.
+The digests were recorded before the frame engine was restructured and
+before selection memoized its rank checks; a change that alters any of them
+changes published numbers or files and has to say so.
 """
 import hashlib
 
 import pytest
 
+from pnclab.fade_states import build_catalog
+from pnclab.search import build_selection_table, build_store, save_store, save_table
 from pnclab.sim import ExperimentConfig, results_csv_text, run_experiment
 
 SMALL = dict(modulation="qam4", frames_per_point=60, frame_len=24, rank_trials=10**4, seed=11)
@@ -39,3 +44,29 @@ def test_csv_digest(name):
     cfg, expected = CASES[name]
     text = results_csv_text(run_experiment(cfg))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == expected
+
+
+ARTIFACT_CASES = {
+    "qam16-psfs24": (
+        ("qam16", dict(n_trials=10**4, rng_seed=0, n_principal=24), 4),
+        "dec6d6c90e58cb46cf9fcc10967df3979788d2ec06333d2730e8d6b2cfe136bc",
+        "b0790c595dd5158e140ae6a966c3a6317bd2c2b796ce40ab9bc7713513f8ba1f",
+    ),
+    "qam4-full": (
+        ("qam4", dict(n_trials=10**4, rng_seed=0), 2),
+        "ddfd92a5e982d6dacc84ca1196c4e9df1bae49b0e8145bfd7091f6128a16cdea",
+        "5572edf7fd288ca437b1f54a71686c22a29bd680468a39d00e22ab339cf6ef16",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_CASES))
+def test_artifact_digest(name, tmp_path):
+    """Byte identity of the certified store and the selection table (K=5, n=2)."""
+    (modulation, catalog_kw, t), store_sha, table_sha = ARTIFACT_CASES[name]
+    cat = build_catalog(modulation, **catalog_kw)
+    store = build_store(cat, t=t, k_per_state=5, n_aps=2)
+    save_store(store, tmp_path / "store")
+    save_table(build_selection_table(store, cat, 2), tmp_path / "table")
+    assert hashlib.sha256((tmp_path / "store").read_bytes()).hexdigest() == store_sha
+    assert hashlib.sha256((tmp_path / "table").read_bytes()).hexdigest() == table_sha
