@@ -14,7 +14,7 @@ count covers ratio values only, so infinity is listed but not counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +66,16 @@ class SfsCatalog:
     n_raw_states: int
     rank_seed: int | None = None
     rank_trials: int | None = None
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # nearest_sfs reads these on every call; replace() recomputes them
+        values = np.array(
+            [e.state.value if not e.state.infinite else np.nan for e in self.entries],
+            dtype=complex,
+        )
+        values.flags.writeable = False
+        object.__setattr__(self, "_values", values)
 
     @property
     def n_states(self) -> int:
@@ -73,10 +83,8 @@ class SfsCatalog:
         return sum(1 for e in self.entries if not e.state.infinite)
 
     def finite_values(self) -> np.ndarray:
-        return np.array(
-            [e.state.value if not e.state.infinite else np.nan for e in self.entries],
-            dtype=complex,
-        )
+        """State values in entry order, NaN at infinity (read-only)."""
+        return self._values
 
     def infinite_index(self) -> int | None:
         for i, e in enumerate(self.entries):

@@ -83,6 +83,24 @@ def coincident_partition(sc: SuperimposedConstellation, eps: float = COINCIDENCE
     return tuple(sorted(tuple(g) for g in groups.values()))
 
 
+@lru_cache(maxsize=8)
+def _half_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Joint indices (a, b) of every unordered message pair, by difference.
+
+    Row ``d - 1`` lists, for each ``w`` with the top bit of ``d`` clear, the
+    joint indices of ``w`` and ``w xor d``: each unordered pair at
+    difference ``d`` exactly once.
+    """
+    _, tau_of_w = joint_vector_table(m)
+    n = len(tau_of_w)
+    low = np.array([[w for w in range(n) if not w & (1 << (d.bit_length() - 1))] for d in range(1, n)])
+    a = tau_of_w[low]
+    b = tau_of_w[low ^ np.arange(1, n)[:, None]]
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
+
+
 def difference_profiles(sc: SuperimposedConstellation, eps: float = COINCIDENCE_EPS) -> tuple[np.ndarray, np.ndarray]:
     """Per-difference minimum squared distances.
 
@@ -90,22 +108,28 @@ def difference_profiles(sc: SuperimposedConstellation, eps: float = COINCIDENCE_
     the first profile is the plain minimum, the second excludes coincident
     pairs (+inf when every pair at that difference coincides).  Index 0 is
     +inf by convention.
+
+    Each unordered pair is evaluated once: ``x - y`` and ``y - x`` are exact
+    negations in IEEE arithmetic, so both orders give the same distance bit
+    for bit.  The coincidence pass on the lattice is skipped when every
+    plain distance exceeds ``4 * eps**2``: normalized points are the lattice
+    ones divided by a scale of at least sqrt(2), so a pair within ``eps`` on
+    the lattice lies within ``eps / sqrt(2)`` (with rounding, well within
+    ``2 * eps``) in normalized coordinates, and no pair can be coincident.
+    The second profile then equals the first.
     """
     if sc._profiles is not None:
         return sc._profiles
-    m = sc.constellation.bits_per_symbol
-    w_of_tau, tau_of_w = joint_vector_table(m)
-    pts_w = sc.points[tau_of_w]
-    lat_w = sc.lattice_points[tau_of_w]
-    n = len(pts_w)
-    idx = np.arange(n)
-    partner = idx[:, None] ^ idx[None, :]          # [w, d] -> w xor d
-    dist = np.abs(pts_w[:, None] - pts_w[partner]) ** 2
-    coincident = np.abs(lat_w[:, None] - lat_w[partner]) <= eps
-    plain = dist.min(axis=0)
-    separated = np.where(coincident, np.inf, dist).min(axis=0)
-    plain[0] = np.inf
-    separated[0] = np.inf
+    a, b = _half_pairs(sc.constellation.bits_per_symbol)
+    dist = np.abs(sc.points[a] - sc.points[b]) ** 2
+    plain = np.full(len(a) + 1, np.inf)
+    plain[1:] = dist.min(axis=1)
+    if plain[1:].min() > 4 * eps**2:
+        separated = plain.copy()
+    else:
+        coincident = np.abs(sc.lattice_points[a] - sc.lattice_points[b]) <= eps
+        separated = np.full_like(plain, np.inf)
+        separated[1:] = np.where(coincident, np.inf, dist).min(axis=1)
     sc._profiles = (plain, separated)
     return sc._profiles
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -275,18 +277,22 @@ def assemble_store(
     )
 
 
-def _stack_rank(matrices: tuple[BitMatrix, ...]) -> int:
-    rows: list[int] = []
-    for m in matrices:
-        rows.extend(m.rows)
-    return rank_rows(rows)
+@lru_cache(maxsize=1 << 15)
+def _stacks_full_rank(encodings: tuple[int, ...], t: int, mu: int) -> bool:
+    """Whether the t x mu matrices with these encodings stack to rank mu.
+
+    A store holds a few distinct matrices (109 for the full qam16 catalog at
+    K=5), so certification, table building, on-line selection and table
+    loading ask the same few thousand questions over and over; the verdict
+    depends on the encodings alone.  ``certify_store`` clears the memo, so
+    it holds one store's verdicts and every build does the same rank work
+    whatever ran before it in the process.
+    """
+    return rank_rows([r for e in encodings for r in BitMatrix.from_encoding(e, t, mu).rows]) == mu
 
 
-def _tuple_feasible(lists, tup, mu) -> bool:
-    for combo in itertools.product(*(lists[i] for i in tup)):
-        if _stack_rank(tuple(e.matrix for e in combo)) == mu:
-            return True
-    return False
+def _tuple_feasible(encodings, tup, t, mu) -> bool:
+    return any(_stacks_full_rank(combo, t, mu) for combo in itertools.product(*(encodings[i] for i in tup)))
 
 
 def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
@@ -298,30 +304,30 @@ def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
     pair with no other stored entry to full rank (and so participate in no
     feasible stack) are pruned, keeping at least one entry per state.
     """
-    mu = store.mu
-    if n_aps * store.t < mu:
-        raise ValueError(f"{n_aps} APs of {store.t} rows cannot reach rank {mu}")
-    lists = [list(l) for l in store.lists]
+    t, mu = store.t, store.mu
+    if n_aps * t < mu:
+        raise ValueError(f"{n_aps} APs of {t} rows cannot reach rank {mu}")
+    _stacks_full_rank.cache_clear()
+    lists = store.lists
+    encodings = [tuple(e.matrix.encoding for e in l) for l in lists]
     n_states = len(store.states)
     all_tuples = itertools.product(range(n_states), repeat=n_aps)
-    remaining = tuple(tup for tup in all_tuples if not _tuple_feasible(lists, tup, mu))
+    remaining = tuple(tup for tup in all_tuples if not _tuple_feasible(encodings, tup, t, mu))
 
     if n_aps >= 2:
-        flat = [(i, j, e) for i, l in enumerate(lists) for j, e in enumerate(l)]
+        flat = [(i, j, enc) for i, l in enumerate(encodings) for j, enc in enumerate(l)]
         used: list[set[int]] = [set() for _ in range(n_states)]
-        for a, (i1, j1, e1) in enumerate(flat):
-            for i2, j2, e2 in flat[a:]:
-                if _stack_rank((e1.matrix, e2.matrix)) == mu:
+        for a, (i1, j1, enc1) in enumerate(flat):
+            for i2, j2, enc2 in flat[a:]:
+                if _stacks_full_rank((enc1, enc2), t, mu):
                     used[i1].add(j1)
                     used[i2].add(j2)
-        pruned = tuple(
-            tuple(e for j, e in enumerate(lists[i]) if j in used[i]) or tuple(lists[i][:1])
-            for i in range(n_states)
-        )
     else:
-        pruned = tuple(
-            tuple(e for e in l if rank_rows(e.matrix.rows) == mu) or tuple(l[:1]) for l in lists
-        )
+        used = [{j for j, enc in enumerate(l) if _stacks_full_rank((enc,), t, mu)} for l in encodings]
+    pruned = tuple(
+        tuple(e for j, e in enumerate(lists[i]) if j in used[i]) or tuple(lists[i][:1])
+        for i in range(n_states)
+    )
     return replace(store, lists=pruned, certified_n=n_aps, infeasible=remaining)
 
 
@@ -375,26 +381,28 @@ class Selection:
 
 
 def _pick_best(
-    lists: tuple[tuple[BitMatrix, ...], ...],
+    encodings: tuple[tuple[int, ...], ...],
     d_values: tuple[tuple[float, ...], ...],
+    t: int,
     mu: int,
-) -> tuple[tuple[int, ...], float] | None:
+) -> tuple[int, ...] | None:
     """Lexicographic best over candidate combinations with full-rank stack.
 
-    Maximizes the worst per-AP distance, then the sum, then breaks ties by
-    the lowest tuple of matrix encodings.  Returns (indices per AP, min d).
+    ``encodings[j]`` lists AP j's candidate matrices by encoding.  Maximizes
+    the worst per-AP distance, then the sum, then breaks ties by the lowest
+    tuple of matrix encodings.  Returns the chosen index per AP.
     """
     best = None
     best_key = None
-    for combo in itertools.product(*(range(len(l)) for l in lists)):
-        mats = tuple(lists[j][i] for j, i in enumerate(combo))
-        if _stack_rank(mats) != mu:
+    for combo in itertools.product(*(range(len(l)) for l in encodings)):
+        encs = tuple(map(operator.getitem, encodings, combo))
+        if not _stacks_full_rank(encs, t, mu):
             continue
-        ds = tuple(d_values[j][i] for j, i in enumerate(combo))
-        key = (-min(ds), -sum(ds), tuple(m.encoding for m in mats))
+        ds = tuple(map(operator.getitem, d_values, combo))
+        key = (-min(ds), -sum(ds), encs)
         if best_key is None or key < best_key:
             best_key = key
-            best = (combo, min(ds))
+            best = combo
     return best
 
 
@@ -422,12 +430,12 @@ def select_mappings(
         mats = store.matrices_for(idx)
         mat_lists.append(mats)
         d_lists.append(tuple(mapping_d_min(m.rows, sc) for m in mats))
-    best = _pick_best(tuple(mat_lists), tuple(d_lists), store.mu)
-    if best is None:
+    encodings = tuple(tuple(m.encoding for m in mats) for mats in mat_lists)
+    combo = _pick_best(encodings, tuple(d_lists), store.t, store.mu)
+    if combo is None:
         raise SelectionInfeasibleError(
             f"no invertible stack for state tuple {tuple(state_idx)}; store contract violated"
         )
-    combo, _ = best
     mats = tuple(mat_lists[j][i] for j, i in enumerate(combo))
     g = mats[0]
     for m in mats[1:]:
@@ -470,17 +478,13 @@ def build_selection_table(
     """
     if cat is not None:
         _check_store_matches_catalog(store, cat)
-    n_states = len(store.states)
+    encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
+    d_values = [tuple(e.d_min for e in l) for l in store.lists]
     entries: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    for tup in itertools.product(range(n_states), repeat=n_aps):
-        mat_lists = tuple(store.matrices_for(i) for i in tup)
-        d_lists = tuple(tuple(e.d_min for e in store.lists[i]) for i in tup)
-        best = _pick_best(mat_lists, d_lists, store.mu)
-        if best is None:
-            entries[tup] = None
-        else:
-            combo, _ = best
-            entries[tup] = tuple(mat_lists[j][i].encoding for j, i in enumerate(combo))
+    for tup in itertools.product(range(len(store.states)), repeat=n_aps):
+        encs = tuple(encodings[i] for i in tup)
+        combo = _pick_best(encs, tuple(d_values[i] for i in tup), store.t, store.mu)
+        entries[tup] = None if combo is None else tuple(map(operator.getitem, encs, combo))
     return SelectionTable(
         modulation=store.modulation,
         labeling_version=store.labeling_version,
@@ -626,8 +630,7 @@ def load_table(path: str) -> SelectionTable:
                 entries[tup] = None
                 continue
             encs = tuple(int(x, 16) for x in val.split())
-            rows = [r for e in encs for r in BitMatrix.from_encoding(e, t, mu).rows]
-            if rank_rows(rows) != mu:
+            if not _stacks_full_rank(encs, t, mu):
                 raise ValueError(f"table entry {tup} stacks to a singular global matrix")
             entries[tup] = encs
     check_count(path, "states", n_states, len(states))

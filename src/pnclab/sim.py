@@ -76,6 +76,12 @@ class ExperimentConfig:
         if self.modulation.lower() not in BITS_PER_SYMBOL:
             raise ValueError(f"unknown modulation {self.modulation!r}; expected one of {tuple(BITS_PER_SYMBOL)}")
         QuantizerSpec(bits=self.quantizer_bits, clip=self.quantizer_clip)  # raises on bad bits/clip
+        if not self.ebn0_db:
+            raise ValueError("ebn0_db needs at least one point")
+        if self.frames_per_point < 1 or self.frame_len < 1:
+            raise ValueError("frames_per_point and frame_len must be >= 1")
+        if self.pilot_len is not None and self.pilot_len < 1:
+            raise ValueError("pilot_len must be >= 1, or None for perfect CSI")
         if self.scheme in PNC_SCHEMES:
             m = BITS_PER_SYMBOL[self.modulation.lower()]
             t = self.ncv_len or m

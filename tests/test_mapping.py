@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pnclab.fade_states import enumerate_sfs
 from pnclab.gf2 import BitMatrix, mul_int, rank_f2
 from pnclab.mapping import (
+    COINCIDENCE_EPS,
     coincident_partition,
     difference_profiles,
     evaluate_mapping,
@@ -37,6 +41,75 @@ def brute_force_d_min(sc, matrix):
             if table[a] != table[b]:
                 best = min(best, abs(sc.points[a] - sc.points[b]) ** 2)
     return best
+
+
+def all_pairs_profiles(sc, eps=COINCIDENCE_EPS):
+    """Oracle: every ordered pair of message vectors at every difference."""
+    _, tau_of_w = joint_vector_table(sc.constellation.bits_per_symbol)
+    pts_w = sc.points[tau_of_w]
+    lat_w = sc.lattice_points[tau_of_w]
+    idx = np.arange(len(pts_w))
+    partner = idx[:, None] ^ idx[None, :]          # [w, d] -> w xor d
+    dist = np.abs(pts_w[:, None] - pts_w[partner]) ** 2
+    coincident = np.abs(lat_w[:, None] - lat_w[partner]) <= eps
+    plain = dist.min(axis=0)
+    separated = np.where(coincident, np.inf, dist).min(axis=0)
+    plain[0] = np.inf
+    separated[0] = np.inf
+    return plain, separated
+
+
+def assert_profiles_bit_exact(c, h):
+    got = difference_profiles(superimpose(c, h))
+    want = all_pairs_profiles(superimpose(c, h))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def state_channel_of(entry):
+    return (0.0, 1.0) if entry.state.infinite else (1.0, entry.state.value)
+
+
+coefficient = st.builds(
+    complex,
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+# singular qam16 ratios: the two single-terminal states, a unit rotation,
+# and 6 / (2 - 6j), a ratio of symbol differences
+QAM16_SINGULAR = ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1j), (1.0, 0.3 + 0.9j))
+
+
+class TestProfilesBitExact:
+    """The half-pair profiles equal the all-pairs formula bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(h1=coefficient, h2=coefficient)
+    def test_random_channels_qam4(self, qam4, h1, h2):
+        assert_profiles_bit_exact(qam4, (h1, h2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(h1=coefficient, h2=coefficient)
+    def test_random_channels_qam16(self, qam16, h1, h2):
+        assert_profiles_bit_exact(qam16, (h1, h2))
+
+    def test_every_qam4_catalog_state(self, qam4):
+        for entry in enumerate_sfs(qam4).entries:
+            assert_profiles_bit_exact(qam4, state_channel_of(entry))
+
+    @pytest.mark.parametrize("offset", [1e-12, 1e-12j, -1e-12 + 1e-12j, 1e-9, 3e-9j])
+    def test_near_singular_channels(self, qam4, qam16, offset):
+        # 1e-12 keeps the clashes coincident on the lattice while lifting
+        # their distance off zero; 1e-9 and 3e-9 separate them on the
+        # lattice, with normalized distances either side of 4 * eps**2
+        for entry in enumerate_sfs(qam4).entries:
+            h1, h2 = state_channel_of(entry)
+            assert_profiles_bit_exact(qam4, (h1, h2 + offset))
+            assert_profiles_bit_exact(qam4, (h1 + offset, h2))
+        for h1, h2 in QAM16_SINGULAR:
+            assert_profiles_bit_exact(qam16, (h1, h2 + offset))
+            assert_profiles_bit_exact(qam16, (h1 + offset, h2))
 
 
 class TestSuperimpose:
@@ -164,8 +237,6 @@ class TestEvaluateMapping:
 
 class TestMinCardinality:
     def test_all_4qam_states_need_only_two_rows(self, qam4):
-        from pnclab.fade_states import enumerate_sfs
-
         cat = enumerate_sfs(qam4)
         for entry in cat.entries:
             h = (0.0, 1.0) if entry.state.infinite else (1.0, entry.state.value)

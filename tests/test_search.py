@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from pnclab.fade_states import enumerate_sfs, rank_principal_sfs, truncate_catalog
+from pnclab import search
+from pnclab.fade_states import build_catalog, enumerate_sfs, rank_principal_sfs, truncate_catalog
 from pnclab.gf2 import BitMatrix, rank_rows, span
 from pnclab.link import draw_channel
 from pnclab.mapping import superimpose, mapping_d_min
@@ -281,3 +282,35 @@ def test_selection_infeasible_raises(cat4):
     H = np.array([[1.0, v], [1.0, v]])
     with pytest.raises(SelectionInfeasibleError):
         select_mappings(store, cat4, H)
+
+
+def test_rank_checks_are_memoized(monkeypatch, tmp_path):
+    """Certification, table building and table loading share one verdict
+    per distinct stack: at most (distinct matrices)^2 rank computations."""
+    cat = build_catalog("qam16", n_trials=10**4, rng_seed=0, n_principal=24)
+    store = assemble_store(cat, mine_candidates(cat, t=4, limit=5), t=4, k_per_state=5)
+    distinct = len({e.matrix for l in store.lists for e in l})
+    calls = []
+
+    def counting_rank_rows(rows):
+        calls.append(1)
+        return rank_rows(rows)
+
+    monkeypatch.setattr(search, "rank_rows", counting_rank_rows)
+    store = certify_store(store, 2)
+    table = build_selection_table(store, cat, n_aps=2)
+    built = len(calls)
+    assert 0 < built <= distinct**2
+
+    path = tmp_path / "table.tab"
+    save_table(table, str(path))
+    assert load_table(str(path)).entries == table.entries
+    assert len(calls) == built
+
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if " -> " in ln and "fallback" not in ln)
+    key, _, val = lines[at].partition(" -> ")
+    lines[at] = f"{key} -> {val.split()[0]} {val.split()[0]}"   # repeated rows: singular
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="singular"):
+        load_table(str(path))

@@ -43,8 +43,16 @@ class TestConfig:
             dict(scheme="comp_nonideal", quantizer_bits=3),
             dict(scheme="comp_ideal", quantizer_clip=0.0),
             dict(modulation="qam64"),
+            dict(scheme="comp_ideal", frames_per_point=0),
+            dict(scheme="comp_ideal", frame_len=0),
+            dict(scheme="comp_ideal", pilot_len=0),
+            dict(scheme="comp_ideal", pilot_len=-1),
+            dict(scheme="comp_ideal", ebn0_db=()),
         ],
-        ids=["bmas-3aps", "rbmas-ncv3", "t-below-bits", "quantizer-bits", "quantizer-clip", "modulation"],
+        ids=[
+            "bmas-3aps", "rbmas-ncv3", "t-below-bits", "quantizer-bits", "quantizer-clip", "modulation",
+            "no-frames", "empty-frame", "no-pilots", "negative-pilots", "no-points",
+        ],
     )
     def test_rejects_unrunnable_config(self, fields):
         with pytest.raises(ValueError):
