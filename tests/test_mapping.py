@@ -17,6 +17,7 @@ from pnclab.mapping import (
     superimpose,
 )
 from pnclab.modulation import make_constellation
+from pnclab.search import state_channel
 
 XOR_MAP = BitMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
 
@@ -66,10 +67,6 @@ def assert_profiles_bit_exact(c, h):
     assert np.array_equal(got[1], want[1])
 
 
-def state_channel_of(entry):
-    return (0.0, 1.0) if entry.state.infinite else (1.0, entry.state.value)
-
-
 coefficient = st.builds(
     complex,
     st.floats(-4.0, 4.0, allow_nan=False),
@@ -96,7 +93,7 @@ class TestProfilesBitExact:
 
     def test_every_qam4_catalog_state(self, qam4):
         for entry in enumerate_sfs(qam4).entries:
-            assert_profiles_bit_exact(qam4, state_channel_of(entry))
+            assert_profiles_bit_exact(qam4, state_channel(entry.state))
 
     @pytest.mark.parametrize("offset", [1e-12, 1e-12j, -1e-12 + 1e-12j, 1e-9, 3e-9j])
     def test_near_singular_channels(self, qam4, qam16, offset):
@@ -104,7 +101,7 @@ class TestProfilesBitExact:
         # their distance off zero; 1e-9 and 3e-9 separate them on the
         # lattice, with normalized distances either side of 4 * eps**2
         for entry in enumerate_sfs(qam4).entries:
-            h1, h2 = state_channel_of(entry)
+            h1, h2 = state_channel(entry.state)
             assert_profiles_bit_exact(qam4, (h1, h2 + offset))
             assert_profiles_bit_exact(qam4, (h1 + offset, h2))
         for h1, h2 in QAM16_SINGULAR:
