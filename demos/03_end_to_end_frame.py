@@ -10,7 +10,7 @@ import numpy as np
 
 from pnclab import build_catalog, build_store, detect_ncv, select_mappings, transmit
 from pnclab.link import draw_channel, llrs_to_bits, noise_variance, recover_batch
-from pnclab.mapping import joint_vector_table
+from pnclab.mapping import joint_vector_table, mapping_d_min, superimpose
 from pnclab.modulation import make_constellation
 
 rng = np.random.default_rng(42)
@@ -31,8 +31,9 @@ for j in range(2):
 sel = select_mappings(store, cat, H)
 for j in range(2):
     state = cat.entries[sel.state_indices[j]].state
+    d_min = mapping_d_min(sel.per_ap[j].rows, superimpose(qam4, (H[j, 0], H[j, 1])))
     print(f"  AP{j} resolves to state {state.to_text()} and uses "
-          f"{sel.per_ap[j].to_lists()} (d_min {sel.per_ap_d_min[j]:.3f})")
+          f"{sel.per_ap[j].to_lists()} (d_min {d_min:.3f})")
 print(f"stacked matrix invertible: rank {sel.global_matrix.n_rows}")
 print(f"backhaul: {sum(m.n_rows for m in sel.per_ap)} bits per channel use")
 

@@ -149,22 +149,27 @@ class MappingQuality:
     clash_consistent: bool
 
 
+@lru_cache(maxsize=4)
+def _parity_table(mu: int) -> np.ndarray:
+    """``table[r, d]``: whether row ``r`` has odd parity against difference ``d``."""
+    v = np.arange(1 << mu)
+    table = (np.bitwise_count(v[:, None] & v[None, :]) & 1).astype(bool)
+    table.flags.writeable = False
+    return table
+
+
 def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, separated_only: bool = False) -> float:
     """Minimum squared distance between different-NCV points.
 
     Exploits XOR-translation invariance: two messages get different NCVs iff
     the matrix does not annihilate their difference, so the scan runs over
-    the 2^mu - 1 difference classes instead of all pairs.
+    the 2^mu - 1 difference classes instead of all pairs.  With
+    ``separated_only`` coincident pairs are ignored.
     """
     plain, separated = difference_profiles(sc)
     profile = separated if separated_only else plain
-    d = np.arange(len(profile))
-    split = np.zeros(len(profile), dtype=bool)
-    for row in matrix_rows:
-        split |= (np.bitwise_count(d & row) & 1).astype(bool)
-    if not split.any():
-        return float(np.inf)
-    return float(profile[split].min())
+    split = _parity_table(sc.mu).take(matrix_rows, axis=0).any(axis=0)
+    return float(np.where(split, profile, np.inf).min())
 
 
 def evaluate_mapping(

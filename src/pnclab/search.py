@@ -20,14 +20,17 @@ small sizes.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from ._artifact import check_count, opt_int, read_v1, write_v1
+# The layer tracer (perfbench/tracer.py) wraps these names as attributes of
+# this module: rank_rows, nearest_sfs, difference_profiles, mapping_d_min,
+# superimpose and make_constellation.  Keep each bound here, including
+# difference_profiles, which this module no longer calls.
 from .fade_states import FadeState, SfsCatalog, nearest_sfs
 from .gf2 import (
     BitMatrix,
@@ -36,7 +39,6 @@ from .gf2 import (
     nullspace,
     rank_rows,
     rref_rows,
-    span,
 )
 from .mapping import (
     SuperimposedConstellation,
@@ -87,31 +89,12 @@ def _complement_basis(d_basis: tuple[int, ...], mu: int) -> tuple[int, ...]:
     return tuple(1 << c for c in range(mu) if c not in taken)
 
 
-def _kernel_scores(
-    kernel_basis: tuple[int, ...],
-    plain: np.ndarray,
-    separated: np.ndarray,
-    plain_order: np.ndarray,
-    separated_order: np.ndarray,
-) -> tuple[float, float]:
-    members = set(span(kernel_basis))
-    primary = next((float(plain[d]) for d in plain_order if d not in members), math.inf)
-    secondary = next((float(separated[d]) for d in separated_order if d not in members), math.inf)
-    return primary, secondary
-
-
-def _entry_from_kernel(
-    kernel_basis: tuple[int, ...],
-    mu: int,
-    consistent: bool,
-    scores: tuple[float, float],
-) -> CandidateEntry:
-    rows = rref_rows(nullspace(kernel_basis, mu), mu)[0]
+def _scored_entry(rows: tuple[int, ...], sc: SuperimposedConstellation, consistent: bool) -> CandidateEntry:
     return CandidateEntry(
-        matrix=BitMatrix.from_row_ints(rows, mu),
-        d_min=scores[0],
+        matrix=BitMatrix.from_row_ints(rows, sc.mu),
+        d_min=mapping_d_min(rows, sc),
         clash_consistent=consistent,
-        separated_d_min=scores[1],
+        separated_d_min=mapping_d_min(rows, sc, separated_only=True),
     )
 
 
@@ -135,25 +118,19 @@ def mine_candidates(
     out = []
     for idx, entry in enumerate(cat.entries):
         sc = superimpose(c, state_channel(entry.state))
-        plain, separated = difference_profiles(sc)
-        plain_order = np.argsort(plain, kind="stable")
-        separated_order = np.argsort(separated, kind="stable")
         d_basis = clash_difference_basis(entry.partition, m)
         kernel_dim = mu - t
         resolvable = len(d_basis) <= kernel_dim
-        candidates: list[CandidateEntry] = []
         if resolvable:
             comp = _complement_basis(d_basis, mu)
-            for extra in enumerate_subspaces(comp, kernel_dim - len(d_basis)):
-                kb = d_basis + extra
-                scores = _kernel_scores(kb, plain, separated, plain_order, separated_order)
-                candidates.append(_entry_from_kernel(kb, mu, True, scores))
+            kernels = (d_basis + extra for extra in enumerate_subspaces(comp, kernel_dim - len(d_basis)))
         else:
             # kernels inside the clash-difference span absorb the most clashes
-            for kb in enumerate_subspaces(d_basis, kernel_dim):
-                scores = _kernel_scores(kb, plain, separated, plain_order, separated_order)
-                candidates.append(_entry_from_kernel(kb, mu, False, scores))
-        candidates.sort(key=lambda e: e.sort_key)
+            kernels = enumerate_subspaces(d_basis, kernel_dim)
+        candidates = sorted(
+            (_scored_entry(rref_rows(nullspace(kb, mu), mu)[0], sc, resolvable) for kb in kernels),
+            key=lambda e: e.sort_key,
+        )
         if limit is not None:
             candidates = candidates[:limit]
         out.append(SfsCandidates(state_index=idx, resolvable=resolvable, entries=tuple(candidates)))
@@ -208,22 +185,11 @@ def _coordinate_entry(
     cols: tuple[int, ...],
     state: FadeState,
     modulation: str,
-    mu: int,
 ) -> CandidateEntry:
     """Row space spanned by standard vectors on ``cols``, scored at the state."""
-    c = make_constellation(modulation)
-    sc = superimpose(c, state_channel(state))
-    plain, separated = difference_profiles(sc)
-    plain_order = np.argsort(plain, kind="stable")
-    separated_order = np.argsort(separated, kind="stable")
-    kernel = tuple(1 << c2 for c2 in range(mu) if c2 not in cols)
-    scores = _kernel_scores(kernel, plain, separated, plain_order, separated_order)
-    return CandidateEntry(
-        matrix=BitMatrix.from_row_ints(tuple(1 << c2 for c2 in cols), mu),
-        d_min=scores[0],
-        clash_consistent=scores[0] > 0,
-        separated_d_min=scores[1],
-    )
+    sc = superimpose(make_constellation(modulation), state_channel(state))
+    entry = _scored_entry(tuple(1 << c for c in cols), sc, False)
+    return replace(entry, clash_consistent=entry.d_min > 0)
 
 
 def assemble_store(
@@ -252,7 +218,7 @@ def assemble_store(
         have = {e.matrix for e in chosen}
         if k_per_state >= 2:
             for cols in (head, tail):
-                cand = _coordinate_entry(cols, entry.state, cat.modulation, mu)
+                cand = _coordinate_entry(cols, entry.state, cat.modulation)
                 if cand.matrix not in have and len(chosen) < k_per_state:
                     chosen.append(cand)
                     have.add(cand.matrix)
@@ -368,16 +334,15 @@ def _check_table_matches_store(table: SelectionTable, store: CandidateStore) -> 
 
 @dataclass(frozen=True)
 class Selection:
-    """Chosen per-AP matrices and their invertible stack."""
+    """Chosen per-AP matrices and the nearest state of each AP's channel."""
 
     per_ap: tuple[BitMatrix, ...]
-    global_matrix: BitMatrix
     state_indices: tuple[int, ...]
-    per_ap_d_min: tuple[float, ...]
 
     @property
-    def min_d_min(self) -> float:
-        return min(self.per_ap_d_min)
+    def global_matrix(self) -> BitMatrix:
+        """The per-AP matrices stacked in AP order (invertible)."""
+        return reduce(BitMatrix.stack, self.per_ap)
 
 
 def _pick_best(
@@ -436,16 +401,7 @@ def select_mappings(
         raise SelectionInfeasibleError(
             f"no invertible stack for state tuple {tuple(state_idx)}; store contract violated"
         )
-    mats = tuple(mat_lists[j][i] for j, i in enumerate(combo))
-    g = mats[0]
-    for m in mats[1:]:
-        g = g.stack(m)
-    return Selection(
-        per_ap=mats,
-        global_matrix=g,
-        state_indices=tuple(state_idx),
-        per_ap_d_min=tuple(d_lists[j][i] for j, i in enumerate(combo)),
-    )
+    return Selection(per_ap=tuple(map(operator.getitem, mat_lists, combo)), state_indices=tuple(state_idx))
 
 
 @dataclass(frozen=True)
@@ -471,10 +427,11 @@ def build_selection_table(
 ) -> SelectionTable:
     """Evaluate every ordered state tuple at its fade-state channel points.
 
-    Uses the same objective and tie-breaks as the on-line search; tuples
-    with no invertible stack (possible only when certification reported
-    them infeasible) carry a fallback marker.  When ``cat`` is given, the
-    store is checked against it first.
+    Uses the same objective and tie-breaks as the on-line search, scored
+    with the distances the store holds for each state.  Tuples with no
+    invertible stack (possible only when certification reported them
+    infeasible) carry a marker, on which ``table_lookup`` raises.  When
+    ``cat`` is given, the store is checked against it first.
     """
     if cat is not None:
         _check_store_matches_catalog(store, cat)
@@ -498,29 +455,21 @@ def build_selection_table(
 
 def table_lookup(
     table: SelectionTable,
-    store: CandidateStore,
     cat: SfsCatalog,
     channels: np.ndarray,
 ) -> Selection:
     """Regulated selection: nearest states, then a table read.
 
-    Falls back to the on-line search when the tuple carries the marker.
+    Raises ``SelectionInfeasibleError`` on a tuple that carries the marker:
+    the table was built from the store's lists for that tuple, and the
+    on-line search over the same lists finds no invertible stack either.
     """
     H = np.asarray(channels, dtype=complex)
-    c = make_constellation(store.modulation)
     tup = tuple(nearest_sfs(cat, (H[j, 0], H[j, 1]))[0] for j in range(H.shape[0]))
-    encs = table.entries.get(tup)
+    encs = table.entries[tup]
     if encs is None:
-        return select_mappings(store, cat, channels)
-    mats = tuple(BitMatrix.from_encoding(e, table.t, table.mu) for e in encs)
-    g = mats[0]
-    for m in mats[1:]:
-        g = g.stack(m)
-    d_values = tuple(
-        mapping_d_min(mats[j].rows, superimpose(c, (H[j, 0], H[j, 1])))
-        for j in range(len(mats))
-    )
-    return Selection(per_ap=mats, global_matrix=g, state_indices=tup, per_ap_d_min=d_values)
+        raise SelectionInfeasibleError(f"no invertible stack for state tuple {tup}; the table marks it infeasible")
+    return Selection(per_ap=tuple(BitMatrix.from_encoding(e, table.t, table.mu) for e in encs), state_indices=tup)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +579,8 @@ def load_table(path: str) -> SelectionTable:
                 entries[tup] = None
                 continue
             encs = tuple(int(x, 16) for x in val.split())
+            if len(encs) != n:
+                raise ValueError(f"{path}: table entry {tup} lists {len(encs)} matrices, not {n}")
             if not _stacks_full_rank(encs, t, mu):
                 raise ValueError(f"table entry {tup} stacks to a singular global matrix")
             entries[tup] = encs

@@ -82,7 +82,16 @@ class ExperimentConfig:
             raise ValueError("frames_per_point and frame_len must be >= 1")
         if self.pilot_len is not None and self.pilot_len < 1:
             raise ValueError("pilot_len must be >= 1, or None for perfect CSI")
+        if self.k_per_state < 1 or self.rank_trials < 1:
+            raise ValueError("k_per_state and rank_trials must be >= 1")
+        if self.n_principal is not None and self.n_principal < 1:
+            raise ValueError("n_principal must be >= 1, or None for the full catalog")
         if self.scheme in PNC_SCHEMES:
+            if self.n_aps >= 2 and self.k_per_state < 2:
+                raise ValueError(
+                    "k_per_state must be >= 2 with several APs: one matrix per state cannot stack "
+                    "to full rank when two APs share a fade state"
+                )
             m = BITS_PER_SYMBOL[self.modulation.lower()]
             t = self.ncv_len or m
             if not m <= t <= 2 * m:
@@ -180,7 +189,7 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
 
 def _select(ctx: _Context, H: np.ndarray) -> Selection:
     if ctx.cfg.scheme == "rbmas":
-        return table_lookup(ctx.table, ctx.store, ctx.catalog, H)
+        return table_lookup(ctx.table, ctx.catalog, H)
     return select_mappings(ctx.store, ctx.catalog, H)
 
 

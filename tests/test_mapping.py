@@ -32,16 +32,15 @@ def qam16():
     return make_constellation("qam16")
 
 
-def brute_force_d_min(sc, matrix):
-    """Oracle: pairwise scan over all joint messages."""
+def brute_force_d_min(sc, matrix, separated_only=False, eps=COINCIDENCE_EPS):
+    """Oracle: scan of every pair of joint messages on different NCVs,
+    skipping pairs that coincide on the lattice when ``separated_only``."""
     table = ncv_table(matrix, sc.constellation.bits_per_symbol)
-    n = len(sc.points)
-    best = np.inf
-    for a in range(n):
-        for b in range(a + 1, n):
-            if table[a] != table[b]:
-                best = min(best, abs(sc.points[a] - sc.points[b]) ** 2)
-    return best
+    dist = np.abs(sc.points[:, None] - sc.points[None, :]) ** 2
+    keep = table[:, None] != table[None, :]
+    if separated_only:
+        keep &= np.abs(sc.lattice_points[:, None] - sc.lattice_points[None, :]) > eps
+    return float(dist[keep].min()) if keep.any() else np.inf
 
 
 def all_pairs_profiles(sc, eps=COINCIDENCE_EPS):
@@ -162,15 +161,21 @@ class TestEvaluateMapping:
         assert q.clash_consistent == verdict
         assert (q.d_min > 0) == verdict
 
-    def test_d_min_matches_bruteforce(self, qam4):
+    def test_d_min_matches_bruteforce(self, qam4, qam16):
+        """Random channels and singular fade states, both profiles."""
         rng = np.random.default_rng(8)
-        for _ in range(25):
-            h = tuple((rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2))
-            sc = superimpose(qam4, h)
-            mat = BitMatrix.from_encoding(int(rng.integers(1, 256)), 2, 4)
-            assert evaluate_mapping(mat, sc).d_min == pytest.approx(
-                brute_force_d_min(sc, mat), rel=1e-12
-            )
+        for c in (qam4, qam16):
+            m = c.bits_per_symbol
+            states = enumerate_sfs(c).entries
+            singular = [state_channel(states[i].state) for i in rng.choice(len(states), 10, replace=False)]
+            random = [tuple((rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2)) for _ in range(15)]
+            for h in singular + random:
+                sc = superimpose(c, h)
+                mat = BitMatrix.from_encoding(int(rng.integers(1, 1 << (2 * m * m))), m, 2 * m)
+                assert evaluate_mapping(mat, sc).d_min == pytest.approx(brute_force_d_min(sc, mat), rel=1e-12)
+                assert mapping_d_min(mat.rows, sc, separated_only=True) == pytest.approx(
+                    brute_force_d_min(sc, mat, separated_only=True), rel=1e-12
+                )
 
     def test_zero_row_merges_clusters(self, qam4):
         mat = BitMatrix.from_rows([[1, 0, 1, 0], [0, 0, 0, 0]])

@@ -1,13 +1,15 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from pnclab import search
 from pnclab.fade_states import build_catalog, enumerate_sfs, rank_principal_sfs, truncate_catalog
-from pnclab.gf2 import BitMatrix, rank_rows, span
+from pnclab.gf2 import BitMatrix, nullspace, rank_rows, span
 from pnclab.link import draw_channel
-from pnclab.mapping import superimpose, mapping_d_min
+from pnclab.mapping import difference_profiles, mapping_d_min, superimpose
 from pnclab.modulation import make_constellation
 from pnclab.search import (
     SelectionInfeasibleError,
@@ -42,6 +44,25 @@ def store4(cat4):
     return build_store(cat4, t=2, k_per_state=5, n_aps=2)
 
 
+@pytest.fixture(scope="module")
+def cat16():
+    return build_catalog("qam16", n_trials=10**4, rng_seed=0, n_principal=24)
+
+
+def kernel_span_scores(kernel_basis, sc):
+    """Oracle: (d_min, separated d_min) of the row space with this kernel.
+
+    A difference splits two messages iff it lies outside the kernel span, so
+    each score is the first profile entry off the span, in ascending order.
+    """
+    members = set(span(kernel_basis))
+    scores = []
+    for profile in difference_profiles(sc):
+        order = np.argsort(profile, kind="stable")
+        scores.append(next((float(profile[d]) for d in order if d not in members), math.inf))
+    return tuple(scores)
+
+
 class TestMining:
     def test_all_4qam_states_resolvable(self, cat4):
         rankings = mine_candidates(cat4, t=2)
@@ -69,12 +90,19 @@ class TestMining:
             for e in lst:
                 assert rank_rows(e.matrix.rows) == store4.t
 
-    def test_mined_scores_match_channel_evaluation(self, cat4, qam4):
-        rankings = mine_candidates(cat4, t=2)
-        for entry, r in zip(cat4.entries, rankings):
-            sc = superimpose(qam4, state_channel(entry.state))
+    @pytest.mark.parametrize(
+        "cat_name, t", [("cat4", 2), ("cat4", 3), ("cat16", 4)], ids=["qam4-t2", "qam4-t3", "qam16-t4"]
+    )
+    def test_mined_scores_match_kernel_oracle(self, request, cat_name, t):
+        cat = request.getfixturevalue(cat_name)
+        c = make_constellation(cat.modulation)
+        mu = 2 * c.bits_per_symbol
+        for entry, r in zip(cat.entries, mine_candidates(cat, t)):
+            sc = superimpose(c, state_channel(entry.state))
+            assert r.entries
             for e in r.entries:
-                assert mapping_d_min(e.matrix.rows, sc) == pytest.approx(e.d_min, rel=1e-12)
+                kernel = nullspace(e.matrix.rows, mu)
+                assert (e.d_min, e.separated_d_min) == kernel_span_scores(kernel, sc)
 
 
 class TestCertification:
@@ -156,32 +184,30 @@ class TestSelectionTable:
             H = np.array(
                 [state_channel(store4.states[a]), state_channel(store4.states[b])]
             )
-            looked = table_lookup(table, store4, cat4, H)
+            looked = table_lookup(table, cat4, H)
             online = select_mappings(store4, cat4, H)
             assert [m.encoding for m in looked.per_ap] == [m.encoding for m in online.per_ap]
 
-    def test_fallback_delegates(self, store4, cat4):
+    def test_marker_raises_infeasible(self, store4, cat4):
         table = build_selection_table(store4, cat4, n_aps=2)
-        entries = dict(table.entries)
-        probe = (0, 1)
-        entries[probe] = None
-        import dataclasses
-
-        patched = dataclasses.replace(table, entries=entries)
+        patched = dataclasses.replace(table, entries={**table.entries, (0, 1): None})
         H = np.array([state_channel(store4.states[0]), state_channel(store4.states[1])])
-        looked = table_lookup(patched, store4, cat4, H)
-        online = select_mappings(store4, cat4, H)
-        assert [m.encoding for m in looked.per_ap] == [m.encoding for m in online.per_ap]
+        with pytest.raises(SelectionInfeasibleError):
+            table_lookup(patched, cat4, H)
 
-    def test_online_dominates_table(self, store4, cat4):
+    def test_online_dominates_table(self, store4, cat4, qam4):
         """The table combo lives in the on-line search space."""
         table = build_selection_table(store4, cat4, n_aps=2)
+
+        def worst_ap_d_min(sel, H):
+            return min(mapping_d_min(m.rows, superimpose(qam4, tuple(h))) for m, h in zip(sel.per_ap, H))
+
         rng = np.random.default_rng(21)
         for _ in range(100):
             H = draw_channel(rng)
             online = select_mappings(store4, cat4, H)
-            looked = table_lookup(table, store4, cat4, H)
-            assert online.min_d_min >= looked.min_d_min - 1e-12
+            looked = table_lookup(table, cat4, H)
+            assert worst_ap_d_min(online, H) >= worst_ap_d_min(looked, H) - 1e-12
 
 
 class TestPersistence:
@@ -229,6 +255,17 @@ class TestPersistence:
         (tmp_path / "bad.tab").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             load_table(str(tmp_path / "bad.tab"))
+
+    def test_table_entry_needs_one_matrix_per_ap(self, store4, cat4, tmp_path):
+        path = tmp_path / "table.tab"
+        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("0,0 -> "))
+        first = lines[at].split()[2]
+        lines[at] += f" {first}"   # three encodings; the first two still stack to full rank
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="lists 3 matrices"):
+            load_table(str(path))
 
     def test_store_with_legacy_d_alpha_line_loads(self, store4, tmp_path):
         path = tmp_path / "store.cat"
@@ -284,10 +321,10 @@ def test_selection_infeasible_raises(cat4):
         select_mappings(store, cat4, H)
 
 
-def test_rank_checks_are_memoized(monkeypatch, tmp_path):
+def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
     """Certification, table building and table loading share one verdict
     per distinct stack: at most (distinct matrices)^2 rank computations."""
-    cat = build_catalog("qam16", n_trials=10**4, rng_seed=0, n_principal=24)
+    cat = cat16
     store = assemble_store(cat, mine_candidates(cat, t=4, limit=5), t=4, k_per_state=5)
     distinct = len({e.matrix for l in store.lists for e in l})
     calls = []

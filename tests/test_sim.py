@@ -48,10 +48,15 @@ class TestConfig:
             dict(scheme="comp_ideal", pilot_len=0),
             dict(scheme="comp_ideal", pilot_len=-1),
             dict(scheme="comp_ideal", ebn0_db=()),
+            dict(scheme="bmas", k_per_state=0),
+            dict(scheme="rbmas", k_per_state=1),           # two APs in one fade stack to rank 2 < 4
+            dict(scheme="bmas", n_principal=0),
+            dict(scheme="bmas", rank_trials=0),
         ],
         ids=[
             "bmas-3aps", "rbmas-ncv3", "t-below-bits", "quantizer-bits", "quantizer-clip", "modulation",
             "no-frames", "empty-frame", "no-pilots", "negative-pilots", "no-points",
+            "no-candidates", "one-candidate", "no-principal-states", "no-rank-trials",
         ],
     )
     def test_rejects_unrunnable_config(self, fields):
@@ -60,6 +65,9 @@ class TestConfig:
 
     def test_comp_schemes_take_any_stack_shape(self):
         ExperimentConfig(modulation="qam4", scheme="comp_ideal", n_aps=3, ncv_len=3)
+
+    def test_single_ap_takes_one_candidate(self):
+        ExperimentConfig(modulation="qam4", scheme="bmas", n_aps=1, ncv_len=4, k_per_state=1)
 
 
 class TestBackhaul:
