@@ -29,8 +29,8 @@ import numpy as np
 from ._artifact import check_count, opt_int, read_v1, write_v1
 # The layer tracer (perfbench/tracer.py) wraps these names as attributes of
 # this module: rank_rows, nearest_sfs, difference_profiles, mapping_d_min,
-# superimpose and make_constellation.  Keep each bound here, including
-# difference_profiles, which this module no longer calls.
+# superimpose and make_constellation.  Keep each bound here, difference_profiles
+# included, though nothing in this module calls it.
 from .fade_states import FadeState, SfsCatalog, nearest_sfs
 from .gf2 import (
     BitMatrix,
@@ -468,8 +468,9 @@ def table_lookup(
     tup = tuple(nearest_sfs(cat, (H[j, 0], H[j, 1]))[0] for j in range(H.shape[0]))
     encs = table.entries[tup]
     if encs is None:
-        raise SelectionInfeasibleError(f"no invertible stack for state tuple {tup}; the table marks it infeasible")
-    return Selection(per_ap=tuple(BitMatrix.from_encoding(e, table.t, table.mu) for e in encs), state_indices=tup)
+        raise SelectionInfeasibleError(f"no invertible stack for state tuple {tup}; the table marks it")
+    mats = tuple(BitMatrix.from_encoding(e, table.t, table.mu) for e in encs)
+    return Selection(per_ap=mats, state_indices=tup)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +563,8 @@ def save_table(table: SelectionTable, path: str) -> None:
 
 def load_table(path: str) -> SelectionTable:
     """Read a table file: every ``n``-tuple of state indices must be present
-    once, and every entry must stack to an invertible global matrix."""
+    once, and every entry must list ``n`` matrices that stack to an
+    invertible global matrix."""
     states: list[FadeState] = []
     entries: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     with read_v1(path, "table") as (header, body):

@@ -26,7 +26,9 @@ def tracer():
 
 
 def test_every_hook_resolves(tracer):
-    missing = [f"{mod}.{attr}" for mod, attr, _ in tracer.HOOKS if not callable(getattr(tracer.MODULES[mod], attr, None))]
+    missing = [
+        f"{mod}.{attr}" for mod, attr, _ in tracer.HOOKS if not callable(getattr(tracer.MODULES[mod], attr, None))
+    ]
     assert not missing, f"hooked names no longer bound: {missing}"
 
 
