@@ -49,7 +49,7 @@ def cat16():
     return build_catalog("qam16", n_trials=10**4, rng_seed=0, n_principal=24)
 
 
-def kernel_span_scores(kernel_basis, sc):
+def _kernel_scores(kernel_basis, sc):
     """Oracle: (d_min, separated d_min) of the row space with this kernel.
 
     A difference splits two messages iff it lies outside the kernel span, so
@@ -102,7 +102,7 @@ class TestMining:
             assert r.entries
             for e in r.entries:
                 kernel = nullspace(e.matrix.rows, mu)
-                assert (e.d_min, e.separated_d_min) == kernel_span_scores(kernel, sc)
+                assert (e.d_min, e.separated_d_min) == _kernel_scores(kernel, sc)
 
 
 class TestCertification:
