@@ -1,6 +1,6 @@
 """Byte identity of the CSV for one small fixed config per frame back end,
 and of the off-line artifacts (certified store, selection table) for two
-small builds.
+small builds and the paper-scale qam16 build.
 
 The digests were recorded before the frame engine was restructured and
 before selection memoized its rank checks; a change that alters any of them
@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from pnclab.fade_states import build_catalog
+from pnclab.fade_states import build_catalog, save_catalog
 from pnclab.search import build_selection_table, build_store, save_store, save_table
 from pnclab.sim import ExperimentConfig, results_csv_text, run_experiment
 
@@ -70,3 +70,21 @@ def test_artifact_digest(name, tmp_path):
     save_table(build_selection_table(store, cat, 2), tmp_path / "table")
     assert hashlib.sha256((tmp_path / "store").read_bytes()).hexdigest() == store_sha
     assert hashlib.sha256((tmp_path / "table").read_bytes()).hexdigest() == table_sha
+
+
+def test_paper_scale_qam16_artifacts(tmp_path):
+    """Byte identity of the paper-scale qam16 off-line build: the full
+    390-entry catalog ranked over 10^6 trials, the t=4 K=5 store certified
+    for two APs, and its 152,100-entry selection table."""
+    cat = build_catalog("qam16", n_trials=10**6, rng_seed=0)
+    store = build_store(cat, t=4, k_per_state=5, n_aps=2)
+    table = build_selection_table(store, cat, 2)
+    save_catalog(cat, tmp_path / "catalog")
+    save_store(store, tmp_path / "store")
+    save_table(table, tmp_path / "table")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("catalog", "store", "table")}
+    assert digests == {
+        "catalog": "ea8b49b6a9ce815430e729968c2c8964fe1fc0e59ac3b8694ed8a7d71b16cdc9",
+        "store": "43ee04f231249f402fdbaf64842bacfc30512f5e5da919427329d126ec42d09e",
+        "table": "2ee2ef1049c0f2da9423f9adbfdf3bbb7ce5bb8e9e3489069337e6c0304296b1",
+    }
