@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,11 @@ class SfsCatalog:
     def finite_values(self) -> np.ndarray:
         """State values in entry order, NaN at infinity (read-only)."""
         return self._values
+
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        """``nearest_indices``' cell list, built on first use."""
+        return _cell_candidates(self._values[~np.isnan(self._values)])
 
     def infinite_index(self) -> int | None:
         for i, e in enumerate(self.entries):
@@ -159,17 +165,85 @@ def _rayleigh_ratios(rng: np.random.Generator, n: int) -> np.ndarray:
     return h[1] / h[0]
 
 
-def nearest_indices(cat: SfsCatalog, ratios: np.ndarray, chunk: int = 20000) -> np.ndarray:
-    """Vectorized nearest-state lookup for an array of finite fade ratios."""
+# nearest_indices' cell grid: _GRID_CELLS x _GRID_CELLS square cells over
+# |Re|, |Im| < _GRID_HALF; ratios are looked up in blocks of _BLOCK.
+_GRID_HALF = 4.0
+_GRID_CELLS = 256
+_BLOCK = 1 << 15
+
+
+def _cell_candidates(finite_vals: np.ndarray) -> np.ndarray:
+    """Per grid cell, every state that can be nearest to a point in it.
+
+    Row ``iy * _GRID_CELLS + ix`` lists positions in ``finite_vals`` in
+    ascending order, padded with -1 to at least two columns.  Cells are
+    taken a block of grid rows at a time, so no temporary holds more than
+    about 2^16 distances.
+    """
+    size = 2 * _GRID_HALF / _GRID_CELLS
+    centres = -_GRID_HALF + size * (np.arange(_GRID_CELLS) + 0.5)
+    reach = size * math.sqrt(2.0) + 1e-9   # the cell diagonal, plus slack for rounding
+    rows = max(1, (1 << 16) // (_GRID_CELLS * len(finite_vals)))
+    dx2 = (centres[:, None] - finite_vals.real[None, :]) ** 2
+    cells, states = [], []
+    for y0 in range(0, _GRID_CELLS, rows):
+        dy2 = (centres[y0 : y0 + rows, None] - finite_vals.imag[None, :]) ** 2
+        dist2 = (dy2[:, None, :] + dx2[None, :, :]).reshape(-1, len(finite_vals))
+        bound = (np.sqrt(dist2.min(axis=1, keepdims=True)) + reach) ** 2
+        cell, state = np.nonzero(dist2 <= bound)
+        cells.append(cell + y0 * _GRID_CELLS)
+        states.append(state)
+    cell = np.concatenate(cells)
+    counts = np.bincount(cell, minlength=_GRID_CELLS**2)
+    slot = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
+    table = np.full((_GRID_CELLS**2, max(2, counts.max())), -1, dtype=np.int32)
+    table[cell, slot] = np.concatenate(states)
+    return table
+
+
+def nearest_indices(cat: SfsCatalog, ratios: np.ndarray) -> np.ndarray:
+    """Vectorized nearest-state lookup for an array of fade ratios.
+
+    Returns, for every ratio, the catalog index of the finite state that
+    minimizes ``np.abs(ratio - value) ** 2``, ties to the lowest index: the
+    brute-force argmin over all states, computed with a cell list (Bentley,
+    Weide & Yao, "Optimal expected-time algorithms for closest point
+    problems", ACM TOMS 6(4), 1980).
+
+    Exactness: let a cell have centre c and diagonal g, and let d0 be the
+    distance from c to its nearest state s0.  A point v of the cell lies
+    within g/2 of c, so its nearest state is at most |v - s0| <= d0 + g/2
+    away.  A state s with |c - s| > d0 + g is at least |c - s| - g/2 > d0 +
+    g/2 from v, so it cannot be nearest.  Each cell therefore keeps every
+    state within d0 + g of its centre (plus 1e-9, which covers rounding in
+    the cell index and in the distances), and the argmin of the same
+    squared distances over those candidates, listed in ascending index
+    order, is the brute-force answer, ties included.  Ratios off the grid
+    (or not finite) take the brute-force argmin.
+    """
     vals = cat.finite_values()
-    finite_mask = ~np.isnan(vals)
-    finite_vals = vals[finite_mask]
-    finite_pos = np.flatnonzero(finite_mask)
+    finite_pos = np.flatnonzero(~np.isnan(vals))
+    finite_vals = vals[finite_pos]
+    cand = cat._cells
+    padded = np.append(finite_vals, np.inf)     # the -1 padding reads inf and never wins
+    scale = _GRID_CELLS / (2 * _GRID_HALF)
     out = np.empty(len(ratios), dtype=np.int64)
-    for start in range(0, len(ratios), chunk):
-        block = ratios[start : start + chunk]
-        d = np.abs(block[:, None] - finite_vals[None, :]) ** 2
-        out[start : start + chunk] = finite_pos[d.argmin(axis=1)]
+    for start in range(0, len(ratios), _BLOCK):
+        v = ratios[start : start + _BLOCK]
+        pos = np.empty(len(v), dtype=np.int64)
+        inside = (np.abs(v.real) < _GRID_HALF) & (np.abs(v.imag) < _GRID_HALF)
+        w = v[inside]
+        ix = np.minimum(((w.real + _GRID_HALF) * scale).astype(np.int64), _GRID_CELLS - 1)
+        iy = np.minimum(((w.imag + _GRID_HALF) * scale).astype(np.int64), _GRID_CELLS - 1)
+        cands = cand[iy * _GRID_CELLS + ix]
+        near = cands[:, 0]
+        several = np.flatnonzero(cands[:, 1] >= 0)     # the rest have one candidate: no distances
+        c = cands[several]
+        near[several] = c[np.arange(len(c)), (np.abs(w[several, None] - padded[c]) ** 2).argmin(axis=1)]
+        pos[inside] = near
+        outside = ~inside
+        pos[outside] = (np.abs(v[outside][:, None] - finite_vals[None, :]) ** 2).argmin(axis=1)
+        out[start : start + _BLOCK] = finite_pos[pos]
     return out
 
 

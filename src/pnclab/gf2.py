@@ -13,7 +13,11 @@ in catalog and store files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class SingularMatrixError(ValueError):
@@ -282,6 +286,31 @@ def rref_rows(rows: Sequence[int], n_cols: int) -> tuple[tuple[int, ...], tuple[
     return tuple(work[:piv]), tuple(pivots)
 
 
+def rref_stack(rows: np.ndarray, n_cols: int) -> np.ndarray:
+    """``rref_rows`` applied to each matrix of a stack, shape ``(N, r)``.
+
+    Row ``k`` of the result holds the reduced rows of matrix ``k`` followed
+    by zero rows, one for each rank the matrix lacks.  The elimination is
+    ``rref_rows``' own (lowest column first, the first eligible row becomes
+    the pivot row), run on all matrices at once.
+    """
+    work = np.array(rows, dtype=np.int64)
+    n, r = work.shape
+    piv = np.zeros(n, dtype=np.int64)       # rows settled so far, per matrix
+    for col in range(n_cols):
+        bit = ((work >> col) & 1).astype(bool)
+        eligible = bit & (np.arange(r) >= piv[:, None])
+        has = np.flatnonzero(eligible.any(axis=1))
+        p, q = piv[has], eligible[has].argmax(axis=1)
+        work[has, p], work[has, q] = work[has, q], work[has, p]
+        pivot_row = work[has, p]
+        hit = ((work[has] >> col) & 1).astype(bool)
+        hit[np.arange(len(has)), p] = False
+        work[has] ^= np.where(hit, pivot_row[:, None], 0)
+        piv[has] += 1
+    return work
+
+
 def nullspace(rows: Sequence[int], n_cols: int) -> tuple[int, ...]:
     """Basis of {v : parity(row & v) == 0 for every row}, as packed ints."""
     reduced, pivots = rref_rows(rows, n_cols)
@@ -305,46 +334,43 @@ def span(basis: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_subspaces(basis: Sequence[int], dim: int) -> Iterator[tuple[int, ...]]:
-    """Yield every ``dim``-dimensional subspace of span(basis).
+@lru_cache(maxsize=64)
+def _coordinate_subspaces(w: int, dim: int) -> np.ndarray:
+    """Canonical RREF bases of every ``dim``-dimensional subspace of F2^w.
 
-    Each subspace is produced once, as the tuple of its canonical RREF basis
-    rows expressed in the ambient coordinates.  Enumeration is by RREF shape
-    over the coordinates of ``basis``: choose pivot columns, then the free
-    entries right of each pivot.
+    One subspace per row, enumerated by RREF shape: choose the pivot
+    columns, then the free entries right of each pivot that are not pivots
+    themselves (the mask's low bits fill the first row's entries first).
+    Row ``i`` of a basis has its pivot at bit ``pivots[i]``.
     """
-    w = len(basis)
-    if dim < 0 or dim > w:
-        return
-    if dim == 0:
-        yield ()
-        return
-
-    from itertools import combinations
-
+    blocks = []
     for pivots in combinations(range(w), dim):
-        pivot_set = set(pivots)
-        # free coordinate positions per row: columns right of the pivot that
-        # are not pivots themselves
-        free = [[c for c in range(p + 1, w) if c not in pivot_set] for p in pivots]
-        counts = [len(f) for f in free]
-        total = 1 << sum(counts)
-        for mask in range(total):
-            rows_coord = []
-            shift = 0
-            for i, p in enumerate(pivots):
-                row = 1 << p
-                for j, c in enumerate(free[i]):
-                    if (mask >> (shift + j)) & 1:
-                        row |= 1 << c
-                shift += counts[i]
-                rows_coord.append(row)
-            # map coordinate rows through the ambient basis
-            rows_amb = []
-            for row in rows_coord:
-                v = 0
-                for c in range(w):
-                    if (row >> c) & 1:
-                        v ^= basis[c]
-                rows_amb.append(v)
-            yield tuple(rows_amb)
+        free = [[c for c in range(p + 1, w) if c not in pivots] for p in pivots]
+        masks = np.arange(1 << sum(map(len, free)))
+        rows = np.empty((len(masks), dim), dtype=np.int64)
+        shift = 0
+        for i, p in enumerate(pivots):
+            rows[:, i] = 1 << p
+            for j, c in enumerate(free[i]):
+                rows[:, i] |= ((masks >> (shift + j)) & 1) << c
+            shift += len(free[i])
+        blocks.append(rows)
+    out = np.concatenate(blocks)
+    out.flags.writeable = False
+    return out
+
+
+def enumerate_subspaces(basis: Sequence[int], dim: int) -> np.ndarray:
+    """Every ``dim``-dimensional subspace of span(basis), one per array row.
+
+    Row ``k`` is a basis of the k-th subspace: its canonical RREF basis in
+    the coordinates of ``basis``, mapped into the ambient coordinates.  In
+    the standard basis these are exactly the rows ``rref_rows`` returns.
+    Each subspace appears once; there are [w choose dim]_2 of them (the
+    Gaussian binomial, w = len(basis)).  Read rows with ``tolist()`` to get
+    Python ints.
+    """
+    if not 0 <= dim <= len(basis):
+        return np.zeros((0, max(dim, 0)), dtype=np.int64)
+    # span(basis)[c] is the sum of the basis vectors at the set bits of c
+    return np.array(span(basis), dtype=np.int64)[_coordinate_subspaces(len(basis), dim)]

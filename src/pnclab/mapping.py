@@ -158,18 +158,24 @@ def _parity_table(mu: int) -> np.ndarray:
     return table
 
 
-def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, separated_only: bool = False) -> float:
+def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, separated_only: bool = False) -> float | np.ndarray:
     """Minimum squared distance between different-NCV points.
 
     Exploits XOR-translation invariance: two messages get different NCVs iff
     the matrix does not annihilate their difference, so the scan runs over
     the 2^mu - 1 difference classes instead of all pairs.  With
     ``separated_only`` coincident pairs are ignored.
+
+    ``matrix_rows`` is one matrix's rows (the result is a float) or an
+    integer array of row sets with shape ``(..., t)`` (the result is an
+    array of the same leading shape, each value the one call would give).
     """
     plain, separated = difference_profiles(sc)
     profile = separated if separated_only else plain
-    split = _parity_table(sc.mu).take(matrix_rows, axis=0).any(axis=0)
-    return float(np.where(split, profile, np.inf).min())
+    parities = _parity_table(sc.mu).take(matrix_rows, axis=0)
+    if parities.ndim == 2:
+        return float(np.where(parities.any(axis=0), profile, np.inf).min())
+    return np.where(parities.any(axis=-2), profile, np.inf).min(axis=-1)
 
 
 def evaluate_mapping(
@@ -231,7 +237,7 @@ def min_cardinality_t(
         if len(allowed) < t:
             continue
         best: tuple[float, int, BitMatrix] | None = None
-        for rows in enumerate_subspaces(allowed, t):
+        for rows in enumerate_subspaces(allowed, t).tolist():
             mat = BitMatrix.from_row_ints(rref_rows(rows, mu)[0], mu)
             d = mapping_d_min(mat.rows, sc)
             key = (-d, mat.encoding)

@@ -39,6 +39,7 @@ from .gf2 import (
     nullspace,
     rank_rows,
     rref_rows,
+    rref_stack,
 )
 from .mapping import (
     SuperimposedConstellation,
@@ -63,10 +64,6 @@ class CandidateEntry:
     clash_consistent: bool
     separated_d_min: float      # same, ignoring coincident pairs
 
-    @property
-    def sort_key(self) -> tuple[float, float, int]:
-        return (-self.d_min, -self.separated_d_min, self.matrix.encoding)
-
 
 @dataclass(frozen=True)
 class SfsCandidates:
@@ -82,20 +79,24 @@ def state_channel(state: FadeState) -> tuple[complex, complex]:
     return (0.0 + 0j, 1.0 + 0j) if state.infinite else (1.0 + 0j, state.value)
 
 
-def _complement_basis(d_basis: tuple[int, ...], mu: int) -> tuple[int, ...]:
+def _complement_basis(basis: tuple[int, ...], mu: int) -> tuple[int, ...]:
     """Standard-vector completion of a subspace basis to the full space."""
-    _, pivots = rref_rows(d_basis, mu)
+    _, pivots = rref_rows(basis, mu)
     taken = set(pivots)
     return tuple(1 << c for c in range(mu) if c not in taken)
 
 
-def _scored_entry(rows: tuple[int, ...], sc: SuperimposedConstellation, consistent: bool) -> CandidateEntry:
-    return CandidateEntry(
-        matrix=BitMatrix.from_row_ints(rows, sc.mu),
-        d_min=mapping_d_min(rows, sc),
-        clash_consistent=consistent,
-        separated_d_min=mapping_d_min(rows, sc, separated_only=True),
-    )
+def _candidate_rows(admissible: tuple[int, ...], t: int, mu: int) -> np.ndarray:
+    """Bases of the rank-t row spaces mined for one state, one per row.
+
+    With ``len(admissible) >= t`` these are the t-dim subspaces of the
+    admissible space A; otherwise the t-dim spaces that contain A, each
+    A plus a subspace of a fixed complement of A.
+    """
+    if len(admissible) >= t:
+        return enumerate_subspaces(admissible, t)
+    extra = enumerate_subspaces(_complement_basis(admissible, mu), t - len(admissible))
+    return np.hstack((np.broadcast_to(np.array(admissible), (len(extra), len(admissible))), extra))
 
 
 def mine_candidates(
@@ -105,10 +106,31 @@ def mine_candidates(
 ) -> tuple[SfsCandidates, ...]:
     """Stage one: rank clash-consistent row spaces per state by d_min.
 
-    States whose clash structure leaves fewer than ``t`` admissible row
-    dimensions cannot be resolved by any rank-t binary matrix; they are
-    flagged unresolvable and get best-effort candidates ranked by the
-    distance among already-separated points instead.
+    A row space keeps every clash of a state on one NCV iff it lies in the
+    admissible space A = D^perp, D being the span of the state's clash
+    differences.  A resolvable state (dim A >= t) gets every t-dim
+    subspace of A.  States whose clash structure leaves fewer than ``t``
+    admissible row dimensions cannot be resolved by any rank-t binary
+    matrix; they are flagged unresolvable and get the t-dim spaces that
+    contain A, whose kernels lie inside D and so absorb the most clashes.
+    Their d_min is 0, so the ranking falls to the distance among
+    already-separated points.
+
+    These are the orthogonal complements of the kernels K (dim mu - t) that
+    contain D, and of those inside D, each space once: K -> K^perp is a
+    bijection that reverses inclusion.  A space R containing A is A + F
+    with F a subspace of a fixed complement C of A, and F = R & C is unique
+    by the modular law (R = A + (R & C) whenever A <= R), so enumerating
+    the subspaces F of C lists each such R once.
+
+    Scores depend on the row space alone (a difference splits iff it is not
+    in the kernel), so each state's bases are scored by two batched
+    ``mapping_d_min`` calls.  The sort key is (-d_min, -separated_d_min,
+    canonical encoding).  Let (d_K, s_K) be the ``limit``-th best score
+    pair: a space whose pair is worse trails at least ``limit`` others
+    whatever its encoding, so only the spaces at or above (d_K, s_K), ties
+    included, are brought to canonical RREF and sorted by the full key.
+    The result equals sorting every space by that key and cutting.
     """
     c = make_constellation(cat.modulation)
     m = c.bits_per_symbol
@@ -118,22 +140,29 @@ def mine_candidates(
     out = []
     for idx, entry in enumerate(cat.entries):
         sc = superimpose(c, state_channel(entry.state))
-        d_basis = clash_difference_basis(entry.partition, m)
-        kernel_dim = mu - t
-        resolvable = len(d_basis) <= kernel_dim
-        if resolvable:
-            comp = _complement_basis(d_basis, mu)
-            kernels = (d_basis + extra for extra in enumerate_subspaces(comp, kernel_dim - len(d_basis)))
-        else:
-            # kernels inside the clash-difference span absorb the most clashes
-            kernels = enumerate_subspaces(d_basis, kernel_dim)
-        candidates = sorted(
-            (_scored_entry(rref_rows(nullspace(kb, mu), mu)[0], sc, resolvable) for kb in kernels),
-            key=lambda e: e.sort_key,
+        admissible = nullspace(clash_difference_basis(entry.partition, m), mu)
+        resolvable = len(admissible) >= t
+        rows = _candidate_rows(admissible, t, mu)
+        d = mapping_d_min(rows, sc)
+        sep = mapping_d_min(rows, sc, separated_only=True)
+        if limit is not None and 0 < limit < len(rows):
+            kth = np.lexsort((-sep, -d))[limit - 1]
+            keep = (d > d[kth]) | ((d == d[kth]) & (sep >= sep[kth]))
+            rows, d, sep = rows[keep], d[keep], sep[keep]
+        canon = rref_stack(rows, mu)
+        # BitMatrix.encoding; t * mu <= 64 bits for qam4 and qam16
+        enc = np.bitwise_or.reduce(canon.astype(np.uint64) << (mu * np.arange(t, dtype=np.uint64)), axis=1)
+        order = np.lexsort((enc, -sep, -d))[:limit]
+        candidates = tuple(
+            CandidateEntry(
+                matrix=BitMatrix.from_row_ints(tuple(canon[k].tolist()), mu),
+                d_min=float(d[k]),
+                clash_consistent=resolvable,
+                separated_d_min=float(sep[k]),
+            )
+            for k in order
         )
-        if limit is not None:
-            candidates = candidates[:limit]
-        out.append(SfsCandidates(state_index=idx, resolvable=resolvable, entries=tuple(candidates)))
+        out.append(SfsCandidates(state_index=idx, resolvable=resolvable, entries=candidates))
     return tuple(out)
 
 
@@ -188,8 +217,14 @@ def _coordinate_entry(
 ) -> CandidateEntry:
     """Row space spanned by standard vectors on ``cols``, scored at the state."""
     sc = superimpose(make_constellation(modulation), state_channel(state))
-    entry = _scored_entry(tuple(1 << c for c in cols), sc, False)
-    return replace(entry, clash_consistent=entry.d_min > 0)
+    rows = tuple(1 << c for c in cols)
+    d = mapping_d_min(rows, sc)
+    return CandidateEntry(
+        matrix=BitMatrix.from_row_ints(rows, sc.mu),
+        d_min=d,
+        clash_consistent=d > 0,
+        separated_d_min=mapping_d_min(rows, sc, separated_only=True),
+    )
 
 
 def assemble_store(
@@ -330,6 +365,10 @@ def _check_table_matches_store(table: SelectionTable, store: CandidateStore) -> 
     ):
         raise ValueError("table and store disagree on modulation, labeling or matrix shape")
     _check_same_states(table.states, store.states, store.eps, "table and store")
+    held = {(i, e.matrix.encoding) for i, l in enumerate(store.lists) for e in l}
+    for tup, encs in table.entries.items():
+        if encs is not None and not held.issuperset(zip(tup, encs)):
+            raise ValueError(f"table entry {tup} lists a matrix the store does not hold for that state")
 
 
 @dataclass(frozen=True)
@@ -420,6 +459,59 @@ class SelectionTable:
         return len(self.entries)
 
 
+def _pair_entries(
+    encodings: list[tuple[int, ...]],
+    d_values: list[tuple[float, ...]],
+    t: int,
+    mu: int,
+) -> dict[tuple[int, int], tuple[int, int] | None]:
+    """``_pick_best`` for every ordered pair of states, as array code.
+
+    ``_pick_best``'s key (-min(d1, d2), -(d1 + d2), (enc1, enc2)) is
+    applied as successive filters over each pair's K x K combinations:
+    keep the full-rank ones, then those of maximal worst-AP distance, then
+    those of maximal sum, then the lowest (enc1, enc2).  A key's minimum is
+    the minimum of its first component, then of the second over the
+    combinations that reach the first, and so on, so the filters pick the
+    same combination.  The floats are the same too: ``sum`` of two
+    distances is 0 + d1 + d2, and 0 + d1 == d1.  Encodings are compared by
+    their rank among the store's distinct encodings, which orders pairs
+    like the encodings themselves.  Full-rank verdicts come from
+    ``_stacks_full_rank``, once per pair of distinct encodings.  The pairs
+    are taken a block of first states at a time, so each temporary stays
+    near 2^18 elements.
+    """
+    distinct = sorted({e for l in encodings for e in l})
+    u = len(distinct)
+    # pad slot u: no matrix; it stacks to full rank with nothing
+    full = np.zeros((u + 1, u + 1), dtype=bool)
+    full[:u, :u] = [[_stacks_full_rank((a, b), t, mu) for b in distinct] for a in distinct]
+    width = max((len(l) for l in encodings), default=0) or 1
+    slot = {e: k for k, e in enumerate(distinct)}
+    code = np.full((len(encodings), width), u)
+    d = np.zeros((len(encodings), width))
+    for i, (encs, ds) in enumerate(zip(encodings, d_values)):
+        code[i, : len(encs)] = [slot[e] for e in encs]
+        d[i, : len(ds)] = ds
+    pairs = [(a, b) for a in distinct for b in distinct] + [None]
+    n = len(encodings)
+    block = max(1, (1 << 18) // (max(n, 1) * width * width))
+    entries: dict[tuple[int, int], tuple[int, int] | None] = {}
+    for i0 in range(0, n, block):
+        ca, cb = code[i0 : i0 + block, None, :, None], code[None, :, None, :]
+        da, db = d[i0 : i0 + block, None, :, None], d[None, :, None, :]
+        ok = full[ca, cb]
+        worst = np.where(ok, np.minimum(da, db), -np.inf)
+        ok &= worst == worst.max(axis=(2, 3), keepdims=True)
+        total = np.where(ok, da + db, -np.inf)
+        ok &= total == total.max(axis=(2, 3), keepdims=True)
+        pick = np.where(ok, ca * u + cb, len(pairs) - 1).min(axis=(2, 3))
+        for i, row in enumerate(pick.tolist(), i0):
+            for j, k in enumerate(row):
+                entries[(i, j)] = pairs[k]
+    return entries
+
+
 def build_selection_table(
     store: CandidateStore,
     cat: SfsCatalog | None = None,
@@ -431,17 +523,22 @@ def build_selection_table(
     with the distances the store holds for each state.  Tuples with no
     invertible stack (possible only when certification reported them
     infeasible) carry a marker, on which ``table_lookup`` raises.  When
-    ``cat`` is given, the store is checked against it first.
+    ``cat`` is given, the store is checked against it first.  Two APs take
+    the array path ``_pair_entries``; other counts call ``_pick_best`` per
+    tuple.
     """
     if cat is not None:
         _check_store_matches_catalog(store, cat)
     encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
     d_values = [tuple(e.d_min for e in l) for l in store.lists]
-    entries: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    for tup in itertools.product(range(len(store.states)), repeat=n_aps):
-        encs = tuple(encodings[i] for i in tup)
-        combo = _pick_best(encs, tuple(d_values[i] for i in tup), store.t, store.mu)
-        entries[tup] = None if combo is None else tuple(map(operator.getitem, encs, combo))
+    if n_aps == 2:
+        entries = _pair_entries(encodings, d_values, store.t, store.mu)
+    else:
+        entries = {}
+        for tup in itertools.product(range(len(store.states)), repeat=n_aps):
+            encs = tuple(encodings[i] for i in tup)
+            combo = _pick_best(encs, tuple(d_values[i] for i in tup), store.t, store.mu)
+            entries[tup] = None if combo is None else tuple(map(operator.getitem, encs, combo))
     return SelectionTable(
         modulation=store.modulation,
         labeling_version=store.labeling_version,

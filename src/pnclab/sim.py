@@ -172,6 +172,13 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
         _check_store_matches_catalog(store, cat)
         if store.t != t:
             raise ValueError(f"store has NCV length t={store.t}, the config needs {t}")
+        if store.certified_n != cfg.n_aps or store.infeasible:
+            raise ValueError(
+                f"store is certified for n={store.certified_n} with {len(store.infeasible)} infeasible "
+                f"state tuples; the config needs every tuple of {cfg.n_aps} APs feasible"
+            )
+        if store.k_per_state != cfg.k_per_state:
+            raise ValueError(f"store has K={store.k_per_state} matrices per state, the config needs {cfg.k_per_state}")
     else:
         store = build_store(cat, t=t, k_per_state=cfg.k_per_state, n_aps=cfg.n_aps)
     ctx.store = store
@@ -181,6 +188,9 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
             _check_table_matches_store(table, store)
             if table.n_aps != cfg.n_aps:
                 raise ValueError(f"table was built for {table.n_aps} APs, the config has {cfg.n_aps}")
+            markers = sum(1 for encs in table.entries.values() if encs is None)
+            if markers:
+                raise ValueError(f"table marks {markers} state tuples infeasible; the config needs all feasible")
         else:
             table = build_selection_table(store, cat, cfg.n_aps)
         ctx.table = table

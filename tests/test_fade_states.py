@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnclab.fade_states import (
     DegenerateChannelError,
@@ -9,6 +11,7 @@ from pnclab.fade_states import (
     SfsEntry,
     enumerate_sfs,
     load_catalog,
+    nearest_indices,
     nearest_sfs,
     rank_principal_sfs,
     remove_image_sfs,
@@ -152,6 +155,107 @@ class TestNearest:
             if abs(a) < 1e-3:
                 continue
             assert nearest_sfs(cat4, h)[0] == nearest_sfs(cat4, (a * h[0], a * h[1]))[0]
+
+
+def brute_nearest(cat, ratios):
+    """Oracle: argmin of the squared distance over every finite state."""
+    vals = cat.finite_values()
+    finite = np.flatnonzero(~np.isnan(vals))
+    ratios = np.asarray(ratios, dtype=complex)
+    return np.concatenate([
+        finite[(np.abs(ratios[i : i + 2048, None] - vals[finite][None, :]) ** 2).argmin(axis=1)]
+        for i in range(0, len(ratios), 2048)
+    ])
+
+
+@pytest.fixture(scope="module")
+def cat16():
+    return remove_image_sfs(enumerate_sfs(make_constellation("qam16")))
+
+
+@pytest.fixture(scope="module")
+def ranked16(cat16):
+    return rank_principal_sfs(cat16, n_trials=5000, rng_seed=2)
+
+
+GRID_LINES = np.arange(-4.0, 4.0 + 1 / 64, 1 / 32)     # cell edges of the 256 x 256 grid over |Re|, |Im| < 4
+
+
+def _nudged(x):
+    """x and its two float neighbours."""
+    return np.array([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+class TestNearestIndices:
+    """The cell-list lookup against the brute-force argmin, index for index."""
+
+    @pytest.mark.parametrize("name", ["cat4", "cat16"])
+    def test_rayleigh_ratios(self, request, name):
+        cat = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((4, 20000))
+        ratios = (h[0] + 1j * h[1]) / (h[2] + 1j * h[3])
+        assert np.array_equal(nearest_indices(cat, ratios), brute_nearest(cat, ratios))
+
+    @pytest.mark.parametrize("name", ["cat4", "cat16"])
+    def test_exact_state_values(self, request, name):
+        cat = request.getfixturevalue(name)
+        vals = cat.finite_values()
+        ratios = np.concatenate([_nudged(v.real) + 1j * v.imag for v in vals[~np.isnan(vals)]])
+        assert np.array_equal(nearest_indices(cat, ratios), brute_nearest(cat, ratios))
+
+    @pytest.mark.parametrize("name", ["cat4", "cat16"])
+    def test_cell_edges_and_corners(self, request, name):
+        cat = request.getfixturevalue(name)
+        lines = np.concatenate([_nudged(x) for x in GRID_LINES])
+        ratios = (lines[:, None] + 1j * lines[None, ::7]).ravel()
+        ratios = np.concatenate([ratios, ratios.imag + 1j * ratios.real])
+        assert np.array_equal(nearest_indices(cat, ratios), brute_nearest(cat, ratios))
+
+    @pytest.mark.parametrize("name", ["cat4", "cat16"])
+    def test_just_off_the_grid(self, request, name):
+        cat = request.getfixturevalue(name)
+        edge = np.concatenate([_nudged(4.0), _nudged(-4.0)])
+        inner = np.linspace(-4.5, 4.5, 37)
+        ratios = np.concatenate([
+            (edge[:, None] + 1j * inner[None, :]).ravel(),
+            (inner[:, None] + 1j * edge[None, :]).ravel(),
+            np.array([1e6 + 1e6j, -1e-300 + 50j, np.nan, np.inf, complex(np.inf, np.nan)]),
+        ])
+        assert np.array_equal(nearest_indices(cat, ratios), brute_nearest(cat, ratios))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), min_size=1, max_size=200
+        ),
+        st.integers(1, 389),
+    )
+    def test_random_ratios_on_truncated_catalogs(self, ranked16, points, keep):
+        cat = truncate_catalog(ranked16, keep)
+        if np.isnan(cat.finite_values()).all():
+            return      # only the infinity entry is left: no finite state to be nearest
+        ratios = np.array([complex(x, y) for x, y in points])
+        assert np.array_equal(nearest_indices(cat, ratios), brute_nearest(cat, ratios))
+
+    @pytest.mark.parametrize("name", ["cat4", "cat16"])
+    def test_catalog_without_the_zero_state(self, request, name):
+        """Near the origin the nearest state is then some distance away, so
+        a cell padding that read as a state value could win there."""
+        cat = request.getfixturevalue(name)
+        cat = dataclasses.replace(cat, entries=tuple(e for e in cat.entries if e.state.infinite or e.state.value != 0))
+        rng = np.random.default_rng(3)
+        ratios = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)) * 0.3
+        assert np.array_equal(nearest_indices(cat, ratios), brute_nearest(cat, ratios))
+
+    def test_infinity_entry_in_the_middle(self, cat4):
+        entries = cat4.entries
+        inf = next(i for i, e in enumerate(entries) if e.state.infinite)
+        moved = dataclasses.replace(cat4, entries=entries[:3] + (entries[inf],) + entries[3:inf] + entries[inf + 1 :])
+        ratios = np.random.default_rng(1).standard_normal(2000) * (1 + 1j) * 2
+        got = nearest_indices(moved, ratios)
+        assert 3 not in got
+        assert np.array_equal(got, brute_nearest(moved, ratios))
 
 
 def test_catalog_io_roundtrip(tmp_path, cat4):

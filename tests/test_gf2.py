@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnclab.gf2 import (
     BitMatrix,
@@ -17,6 +19,7 @@ from pnclab.gf2 import (
     rank_f2,
     rank_rows,
     rref_rows,
+    rref_stack,
     solve,
     span,
 )
@@ -212,3 +215,99 @@ class TestSubspaces:
         rows1, _ = rref_rows((0b0110, 0b1111), 4)
         rows2, _ = rref_rows((0b1001, 0b0110), 4)
         assert rows1 == rows2
+
+
+def gaussian_binomial(n, k):
+    """[n choose k]_2: the number of k-dim subspaces of F2^n."""
+    num = den = 1
+    for i in range(k):
+        num *= (1 << (n - i)) - 1
+        den *= (1 << (i + 1)) - 1
+    return num // den
+
+
+@st.composite
+def independent_rows(draw, max_cols=8):
+    """(basis, n_cols): linearly independent packed rows in F2^n_cols."""
+    n_cols = draw(st.integers(1, max_cols))
+    candidates = draw(st.lists(st.integers(1, (1 << n_cols) - 1), max_size=n_cols + 3))
+    basis = []
+    for r in candidates:
+        if rank_rows(basis + [r]) > len(basis):
+            basis.append(r)
+    return tuple(basis), n_cols
+
+
+def _is_canonical(rows, n_cols):
+    """RREF shape: pivots (lowest set bits) strictly increase, and each
+    pivot column is set in its own row only."""
+    pivots = [(r & -r).bit_length() - 1 for r in rows]
+    if any(r == 0 for r in rows) or pivots != sorted(set(pivots)):
+        return False
+    return all(sum((r >> p) & 1 for r in rows) == 1 for p in pivots)
+
+
+class TestSubspaceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(independent_rows(max_cols=6), st.data())
+    def test_every_subspace_once(self, basis_cols, data):
+        """Count is the Gaussian binomial, the spans are distinct, and each
+        is a dim-dimensional subspace of span(basis): together, every
+        subspace appears exactly once."""
+        basis, _ = basis_cols
+        dim = data.draw(st.integers(0, len(basis)))
+        subspaces = enumerate_subspaces(basis, dim).tolist()
+        assert len(subspaces) == gaussian_binomial(len(basis), dim)
+        whole = set(span(basis))
+        spans = set()
+        for rows in subspaces:
+            assert rank_rows(rows) == dim
+            members = frozenset(span(rows))
+            assert members <= whole
+            spans.add(members)
+        assert len(spans) == len(subspaces)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_standard_basis_rows_are_canonical(self, n_cols, data):
+        dim = data.draw(st.integers(1, n_cols))
+        for rows in enumerate_subspaces(tuple(1 << c for c in range(n_cols)), dim).tolist():
+            assert rref_rows(rows, n_cols) == (tuple(rows), tuple((r & -r).bit_length() - 1 for r in rows))
+
+    def test_out_of_range_dimension_is_empty(self):
+        assert enumerate_subspaces((1, 2), 3).shape == (0, 3)
+        assert enumerate_subspaces((1, 2), -1).shape[0] == 0
+
+
+class TestRrefProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.lists(st.integers(0, (1 << n) - 1), max_size=9), st.just(n))
+    ))
+    def test_canonical_and_same_span(self, rows_cols):
+        rows, n_cols = rows_cols
+        reduced, pivots = rref_rows(rows, n_cols)
+        assert _is_canonical(reduced, n_cols)
+        assert pivots == tuple((r & -r).bit_length() - 1 for r in reduced)
+        closure = {0}
+        for r in rows:
+            closure |= {x ^ r for x in closure}
+        assert set(span(reduced)) == closure
+        assert len(reduced) == rank_rows(rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(independent_rows())
+    def test_any_basis_gives_the_same_form(self, basis_cols):
+        """Canonical: every basis of a space reduces to the same rows."""
+        basis, n_cols = basis_cols
+        mixed = [basis[0]] + [b ^ basis[0] for b in basis[1:]] if basis else []
+        assert rref_rows(mixed, n_cols) == rref_rows(basis, n_cols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_stack_matches_rref_rows(self, n_cols, n_rows, seed):
+        rows = np.random.default_rng(seed).integers(0, 1 << n_cols, size=(40, n_rows))
+        got = rref_stack(rows, n_cols).tolist()
+        for want, have in zip(rows.tolist(), got):
+            reduced, _ = rref_rows(want, n_cols)
+            assert tuple(have) == reduced + (0,) * (n_rows - len(reduced))

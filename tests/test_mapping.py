@@ -108,6 +108,41 @@ class TestProfilesBitExact:
             assert_profiles_bit_exact(qam16, (h1 + offset, h2))
 
 
+class TestBatchedDMin:
+    """A stack of row sets scores exactly as one call per row set."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modulation=st.sampled_from(["qam4", "qam16"]),
+        h1=coefficient,
+        h2=coefficient,
+        seed=st.integers(0, 2**32 - 1),
+        separated_only=st.booleans(),
+    )
+    def test_random_channels_and_rows(self, modulation, h1, h2, seed, separated_only):
+        c = make_constellation(modulation)
+        mu = 2 * c.bits_per_symbol
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 1 << mu, size=(3, 7, int(rng.integers(1, mu + 1))))
+        sc = superimpose(c, (h1, h2))
+        got = mapping_d_min(rows, sc, separated_only=separated_only)
+        want = [[mapping_d_min(tuple(r), sc, separated_only=separated_only) for r in block] for block in rows.tolist()]
+        assert got.shape == (3, 7)
+        assert np.array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("modulation", ["qam4", "qam16"])
+    def test_singular_states(self, modulation):
+        c = make_constellation(modulation)
+        mu = 2 * c.bits_per_symbol
+        rng = np.random.default_rng(4)
+        for entry in enumerate_sfs(c).entries[::7]:
+            sc = superimpose(c, state_channel(entry.state))
+            rows = rng.integers(0, 1 << mu, size=(50, c.bits_per_symbol))
+            for separated_only in (False, True):
+                want = [mapping_d_min(tuple(r), sc, separated_only=separated_only) for r in rows.tolist()]
+                assert np.array_equal(mapping_d_min(rows, sc, separated_only=separated_only), np.array(want))
+
+
 class TestSuperimpose:
     def test_single_terminal_visible(self, qam4):
         sc = superimpose(qam4, (1.0, 0.0))

@@ -1,15 +1,16 @@
 import dataclasses
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from pnclab import search
 from pnclab.fade_states import build_catalog, enumerate_sfs, rank_principal_sfs, truncate_catalog
-from pnclab.gf2 import BitMatrix, nullspace, rank_rows, span
+from pnclab.gf2 import BitMatrix, enumerate_subspaces, nullspace, rank_rows, rref_rows, span
 from pnclab.link import draw_channel
-from pnclab.mapping import difference_profiles, mapping_d_min, superimpose
+from pnclab.mapping import clash_difference_basis, difference_profiles, mapping_d_min, superimpose
 from pnclab.modulation import make_constellation
 from pnclab.search import (
     SelectionInfeasibleError,
@@ -63,7 +64,58 @@ def _kernel_scores(kernel_basis, sc):
     return tuple(scores)
 
 
+def _kernel_mine(cat, t, limit):
+    """Oracle: the miner that enumerated kernels and reduced each one.
+
+    A resolvable state's kernels are D + E, E running over the subspaces of
+    a standard-vector complement of D; an unresolvable state's kernels are
+    the (mu - t)-dim subspaces of D.  Every candidate is the RREF of its
+    kernel's nullspace, scored one ``mapping_d_min`` call at a time.
+    Returns (resolvable, [(matrix, d_min, separated_d_min)]) per state.
+    """
+    c = make_constellation(cat.modulation)
+    m = c.bits_per_symbol
+    mu = 2 * m
+    out = []
+    for entry in cat.entries:
+        sc = superimpose(c, state_channel(entry.state))
+        d_basis = clash_difference_basis(entry.partition, m)
+        kernel_dim = mu - t
+        resolvable = len(d_basis) <= kernel_dim
+        if resolvable:
+            pivots = rref_rows(d_basis, mu)[1]
+            comp = tuple(1 << col for col in range(mu) if col not in pivots)
+            kernels = [d_basis + tuple(e) for e in enumerate_subspaces(comp, kernel_dim - len(d_basis)).tolist()]
+        else:
+            kernels = enumerate_subspaces(d_basis, kernel_dim).tolist()
+        scored = []
+        for kb in kernels:
+            rows = rref_rows(nullspace(kb, mu), mu)[0]
+            scored.append(
+                (BitMatrix.from_row_ints(rows, mu), mapping_d_min(rows, sc), mapping_d_min(rows, sc, separated_only=True))
+            )
+        scored.sort(key=lambda e: (-e[1], -e[2], e[0].encoding))
+        out.append((resolvable, scored[:limit]))
+    return out
+
+
 class TestMining:
+    @pytest.mark.parametrize("limit", [None, 1, 5])
+    @pytest.mark.parametrize(
+        "cat_name, t",
+        [("cat4", 2), ("cat4", 3), ("cat4", 4), ("cat16", 4), ("cat16", 5)],
+        ids=["qam4-t2", "qam4-t3", "qam4-t4", "qam16-t4", "qam16-t5"],
+    )
+    def test_matches_kernel_miner(self, request, cat_name, t, limit):
+        """Row spaces enumerated directly, scored in batches and reduced
+        only when they can reach the cut: the same ranked lists."""
+        cat = request.getfixturevalue(cat_name)
+        for r, (resolvable, want) in zip(mine_candidates(cat, t, limit=limit), _kernel_mine(cat, t, limit)):
+            assert r.resolvable == resolvable
+            assert all(e.clash_consistent == resolvable for e in r.entries)
+            assert [(e.matrix, e.d_min, e.separated_d_min) for e in r.entries] == want
+
+
     def test_all_4qam_states_resolvable(self, cat4):
         rankings = mine_candidates(cat4, t=2)
         assert all(r.resolvable for r in rankings)
@@ -208,6 +260,63 @@ class TestSelectionTable:
             online = select_mappings(store4, cat4, H)
             looked = table_lookup(table, cat4, H)
             assert worst_ap_d_min(online, H) >= worst_ap_d_min(looked, H) - 1e-12
+
+
+def _tuplewise_entries(store, n_aps):
+    """Oracle: ``_pick_best`` called once per ordered state tuple."""
+    encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
+    d_values = [tuple(e.d_min for e in l) for l in store.lists]
+    out = {}
+    for tup in itertools.product(range(len(store.states)), repeat=n_aps):
+        encs = tuple(encodings[i] for i in tup)
+        combo = search._pick_best(encs, tuple(d_values[i] for i in tup), store.t, store.mu)
+        out[tup] = None if combo is None else tuple(map(operator.getitem, encs, combo))
+    return out
+
+
+@pytest.fixture(scope="module")
+def store16(cat16):
+    return build_store(cat16, t=4, k_per_state=5, n_aps=2)
+
+
+def _short_lists(store):
+    """Lists cut to 1, 2, ... entries in turn: some tuples lose every
+    full-rank combination."""
+    return dataclasses.replace(store, lists=tuple(l[: 1 + i % len(l)] for i, l in enumerate(store.lists)))
+
+
+def _flat_distances(store):
+    """Every distance equal: the choice falls to the encoding tie-break."""
+    lists = tuple(tuple(dataclasses.replace(e, d_min=1.0) for e in l) for l in store.lists)
+    return dataclasses.replace(store, lists=lists)
+
+
+class TestPairTable:
+    """The two-AP array build against ``_pick_best`` per tuple."""
+
+    @pytest.mark.parametrize("variant", [None, _short_lists, _flat_distances], ids=["as-built", "short", "flat"])
+    @pytest.mark.parametrize("store_name", ["store4", "store16"])
+    def test_matches_pick_best(self, request, store_name, variant):
+        store = request.getfixturevalue(store_name)
+        if variant is not None:
+            store = variant(store)
+        entries = build_selection_table(store, n_aps=2).entries
+        assert entries == _tuplewise_entries(store, 2)
+        assert list(entries) == list(itertools.product(range(len(store.states)), repeat=2))
+        if variant is _short_lists:
+            assert None in entries.values()
+
+    def test_matches_pick_best_with_markers(self, cat4):
+        """A K=1 store certified with infeasible tuples."""
+        store = certify_store(assemble_store(cat4, mine_candidates(cat4, t=2, limit=1), t=2, k_per_state=1), 2)
+        entries = build_selection_table(store, n_aps=2).entries
+        assert [t for t, v in entries.items() if v is None] == sorted(store.infeasible)
+        assert entries == _tuplewise_entries(store, 2)
+
+    def test_three_aps_use_pick_best(self, cat4):
+        sub = truncate_catalog(cat4, 4)
+        store = certify_store(assemble_store(sub, mine_candidates(sub, t=2, limit=3), t=2, k_per_state=3), 3)
+        assert build_selection_table(store, n_aps=3).entries == _tuplewise_entries(store, 3)
 
 
 class TestPersistence:

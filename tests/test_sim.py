@@ -244,6 +244,97 @@ class TestRuns:
             list(run_experiment(cfg))
 
 
+    def _save_store(self, store, tmp_path):
+        from pnclab.search import save_store
+
+        path = str(tmp_path / "other.store")
+        save_store(store, path)
+        return path
+
+    def test_store_with_infeasible_tuples_refused(self, qam4_files, tmp_path):
+        """A K=1 store lists 66 tuples no stack serves; before this check the
+        sweep raised SelectionInfeasibleError at tuple (10, 9)."""
+        from pnclab.search import build_store
+
+        cat, _, paths = qam4_files
+        store = build_store(cat, t=2, k_per_state=1, n_aps=2)
+        assert len(store.infeasible) == 66
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="bmas", catalog_path=paths["catalog"],
+            store_path=self._save_store(store, tmp_path), **FAST,
+        )
+        with pytest.raises(ValueError, match="66 infeasible"):
+            list(run_experiment(cfg))
+
+    def test_store_certified_for_other_ap_count_refused(self, qam4_files, tmp_path):
+        from pnclab.search import certify_store
+
+        cat, store, paths = qam4_files
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="bmas", catalog_path=paths["catalog"],
+            store_path=self._save_store(certify_store(store, 3), tmp_path), **FAST,
+        )
+        with pytest.raises(ValueError, match="certified for n=3"):
+            list(run_experiment(cfg))
+
+    def test_store_list_length_mismatch_refused(self, qam4_files):
+        _, _, paths = qam4_files
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="bmas", catalog_path=paths["catalog"],
+            store_path=paths["store"], k_per_state=3, **FAST,
+        )
+        with pytest.raises(ValueError, match="K=5"):
+            list(run_experiment(cfg))
+
+    def _edited_table(self, paths, tmp_path, edit):
+        """The table file with one entry line rewritten by ``edit``."""
+        lines = open(paths["table"]).read().splitlines()
+        at = next(i for i, ln in enumerate(lines) if edit(ln) is not None)
+        lines[at] = edit(lines[at])
+        bad = str(tmp_path / "edited.tab")
+        with open(bad, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        return bad
+
+    def test_table_with_markers_refused(self, qam4_files, tmp_path):
+        _, _, paths = qam4_files
+        bad = self._edited_table(paths, tmp_path, lambda ln: ln.partition(" -> ")[0] + " -> fallback" if " -> " in ln else None)
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
+            store_path=paths["store"], table_path=bad, **FAST,
+        )
+        with pytest.raises(ValueError, match="marks 1 state tuples"):
+            list(run_experiment(cfg))
+
+    def test_table_entry_outside_store_lists_refused(self, qam4_files, tmp_path):
+        """Swapping an entry's two matrices keeps the stack invertible, so
+        the file loads; the first matrix is not in the first state's list."""
+        _, store, paths = qam4_files
+        held = [{e.matrix.encoding for e in l} for l in store.lists]
+
+        def swap(ln):
+            key, sep, val = ln.partition(" -> ")
+            if not sep or val == "fallback":
+                return None
+            i, _ = map(int, key.split(","))
+            a, b = val.split()
+            return None if int(b, 16) in held[i] else f"{key} -> {b} {a}"
+
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
+            store_path=paths["store"], table_path=self._edited_table(paths, tmp_path, swap), **FAST,
+        )
+        with pytest.raises(ValueError, match="does not hold"):
+            list(run_experiment(cfg))
+
+    def test_loaded_artifacts_serve_the_config(self, qam4_files):
+        cat, _, paths = qam4_files
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="rbmas", ebn0_db=(12.0,), catalog_path=paths["catalog"],
+            store_path=paths["store"], table_path=paths["table"], **FAST,
+        )
+        assert len(list(run_experiment(cfg))) == 1
+
 class TestCsv:
     def _records(self, seed=10):
         cfg = ExperimentConfig(modulation="qam4", scheme="comp_ideal",
