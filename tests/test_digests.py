@@ -1,10 +1,13 @@
-"""Byte identity of the CSV for one small fixed config per frame back end,
-and of the off-line artifacts (certified store, selection table) for two
-small builds and the paper-scale qam16 build.
+"""Byte identity of the CSV for small fixed configs that cover every frame
+back end and its branches (pilots or perfect CSI, sum or max-log
+detection, one or two APs, qam4 or qam16), and of the off-line artifacts
+(certified store, selection table) for two small builds and the
+paper-scale qam16 build.
 
-The digests were recorded before the frame engine was restructured and
-before selection memoized its rank checks; a change that alters any of them
-changes published numbers or files and has to say so.
+The first four CSV digests were recorded before the frame engine was
+restructured and before selection memoized its rank checks, the other
+five with the per-frame engine, before frames ran in chunks; a change that
+alters any of them changes published numbers or files and has to say so.
 """
 import hashlib
 
@@ -15,6 +18,7 @@ from pnclab.search import build_selection_table, build_store, save_store, save_t
 from pnclab.sim import ExperimentConfig, results_csv_text, run_experiment
 
 SMALL = dict(modulation="qam4", frames_per_point=60, frame_len=24, rank_trials=10**4, seed=11)
+SMALL16 = {**SMALL, "modulation": "qam16", "frames_per_point": 20}
 
 CASES = {
     "bmas-pilots": (
@@ -35,6 +39,26 @@ CASES = {
             **{**SMALL, "modulation": "qam16", "frames_per_point": 20},
         ),
         "f54a15f6532daf66104741761e039e1c68661220f004b615bb3e8e32a89f6c5e",
+    ),
+    "bmas-perfect-maxlog": (
+        ExperimentConfig(scheme="bmas", ebn0_db=(6.0, 10.0), max_log_detection=True, **SMALL),
+        "11be85e1377382ea4e6efa2ccbd4b6bade23b9d6349a013288795fffa7e996c8",
+    ),
+    "bmas-one-ap": (
+        ExperimentConfig(scheme="bmas", n_aps=1, ncv_len=4, ebn0_db=(8.0, 12.0), pilot_len=4, **SMALL),
+        "262029a3fa67b41b2167ad6896c8c11f1a2a38fb81e9312da5b89d5d313701f9",
+    ),
+    "bmas-qam16-psfs24": (
+        ExperimentConfig(scheme="bmas", n_principal=24, ncv_len=4, ebn0_db=(22.0,), pilot_len=4, **SMALL16),
+        "efbaaa22d74b0df9c459c7a85383a75151110d2fc8a7fb7bfe6f250e5c2a7059",
+    ),
+    "comp-ideal-qam16": (
+        ExperimentConfig(scheme="comp_ideal", ebn0_db=(12.0, 16.0), pilot_len=4, **SMALL16),
+        "ea2bef092bbc196b58e199b0a76a721ddac49ee87f6c3bebd45a63ec53b803e7",
+    ),
+    "comp-nonideal-qam4": (
+        ExperimentConfig(scheme="comp_nonideal", ebn0_db=(8.0,), pilot_len=4, **SMALL),
+        "f16129655424b2f9bc978ff89f036dcf25889334102fa4e98dc39fec5bb82ac8",
     ),
 }
 
