@@ -210,13 +210,8 @@ class CandidateStore:
         return tuple(e.matrix for e in self.lists[state_index])
 
 
-def _coordinate_entry(
-    cols: tuple[int, ...],
-    state: FadeState,
-    modulation: str,
-) -> CandidateEntry:
-    """Row space spanned by standard vectors on ``cols``, scored at the state."""
-    sc = superimpose(make_constellation(modulation), state_channel(state))
+def _coordinate_entry(cols: tuple[int, ...], sc: SuperimposedConstellation) -> CandidateEntry:
+    """Row space spanned by standard vectors on ``cols``, scored at ``sc``."""
     rows = tuple(1 << c for c in cols)
     d = mapping_d_min(rows, sc)
     return CandidateEntry(
@@ -252,8 +247,9 @@ def assemble_store(
         chosen = list(r.entries[: max(0, k_per_state - 2)])
         have = {e.matrix for e in chosen}
         if k_per_state >= 2:
+            sc = superimpose(c, state_channel(entry.state))
             for cols in (head, tail):
-                cand = _coordinate_entry(cols, entry.state, cat.modulation)
+                cand = _coordinate_entry(cols, sc)
                 if cand.matrix not in have and len(chosen) < k_per_state:
                     chosen.append(cand)
                     have.add(cand.matrix)
