@@ -88,15 +88,17 @@ class SfsCatalog:
         return self._values
 
     @cached_property
-    def _cells(self) -> np.ndarray:
-        """``nearest_indices``' cell list, built on first use."""
-        return _cell_candidates(self._values[~np.isnan(self._values)])
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``nearest_indices``' cell list, built on first use: the entry
+        positions of the finite states, their values with +inf appended,
+        and the per-cell candidate table."""
+        finite_pos = np.flatnonzero(~np.isnan(self._values))
+        finite_vals = self._values[finite_pos]
+        return finite_pos, np.append(finite_vals, np.inf), _cell_candidates(finite_vals)
 
     def infinite_index(self) -> int | None:
-        for i, e in enumerate(self.entries):
-            if e.state.infinite:
-                return i
-        return None
+        at_inf = np.flatnonzero(np.isnan(self._values))
+        return int(at_inf[0]) if len(at_inf) else None
 
 
 def _round_key(z: complex, decimals: int) -> tuple[float, float]:
@@ -221,29 +223,28 @@ def nearest_indices(cat: SfsCatalog, ratios: np.ndarray) -> np.ndarray:
     order, is the brute-force answer, ties included.  Ratios off the grid
     (or not finite) take the brute-force argmin.
     """
-    vals = cat.finite_values()
-    finite_pos = np.flatnonzero(~np.isnan(vals))
-    finite_vals = vals[finite_pos]
-    cand = cat._cells
-    padded = np.append(finite_vals, np.inf)     # the -1 padding reads inf and never wins
+    finite_pos, padded, cand = cat._cells      # the -1 padding reads inf and never wins
     scale = _GRID_CELLS / (2 * _GRID_HALF)
     out = np.empty(len(ratios), dtype=np.int64)
     for start in range(0, len(ratios), _BLOCK):
         v = ratios[start : start + _BLOCK]
-        pos = np.empty(len(v), dtype=np.int64)
         inside = (np.abs(v.real) < _GRID_HALF) & (np.abs(v.imag) < _GRID_HALF)
-        w = v[inside]
+        w = v if inside.all() else v[inside]
         ix = np.minimum(((w.real + _GRID_HALF) * scale).astype(np.int64), _GRID_CELLS - 1)
         iy = np.minimum(((w.imag + _GRID_HALF) * scale).astype(np.int64), _GRID_CELLS - 1)
         cands = cand[iy * _GRID_CELLS + ix]
         near = cands[:, 0]
         several = np.flatnonzero(cands[:, 1] >= 0)     # the rest have one candidate: no distances
-        c = cands[several]
-        near[several] = c[np.arange(len(c)), (np.abs(w[several, None] - padded[c]) ** 2).argmin(axis=1)]
-        pos[inside] = near
-        outside = ~inside
-        pos[outside] = (np.abs(v[outside][:, None] - finite_vals[None, :]) ** 2).argmin(axis=1)
-        out[start : start + _BLOCK] = finite_pos[pos]
+        if len(several):
+            c = cands[several]
+            near[several] = c[np.arange(len(c)), (np.abs(w[several, None] - padded[c]) ** 2).argmin(axis=1)]
+        if len(w) < len(v):
+            pos = np.empty(len(v), dtype=np.int64)
+            pos[inside] = near
+            outside = ~inside
+            pos[outside] = (np.abs(v[outside][:, None] - padded[None, :-1]) ** 2).argmin(axis=1)
+            near = pos
+        out[start : start + _BLOCK] = finite_pos[near]
     return out
 
 
@@ -269,27 +270,34 @@ def truncate_catalog(cat: SfsCatalog, n_principal: int) -> SfsCatalog:
     return replace(cat, entries=cat.entries[:n_principal])
 
 
-def nearest_sfs(cat: SfsCatalog, h: tuple[complex, complex]) -> tuple[int, float]:
+def nearest_sfs(cat: SfsCatalog, h) -> tuple:
     """Index and squared distance of the catalog state nearest to a channel.
 
     The ratio h2/h1 is compared against finite states; an exactly vanishing
     h1 matches only the infinity entry.  Ties break to the lowest index.
+    ``h`` is one coefficient pair, giving ``(int, float)``, or an array of
+    pairs with shape (..., 2), giving an index array and a distance array of
+    shape (...).  The answer comes from ``nearest_indices``' cell list, which
+    equals the brute-force argmin over the finite states.
     """
-    h1, h2 = complex(h[0]), complex(h[1])
-    if h1 == 0 and h2 == 0:
+    hh = np.asarray(h, dtype=complex)
+    pairs = hh.reshape(-1, 2).tolist()
+    if [0, 0] in pairs:
         raise DegenerateChannelError("both channel coefficients are zero")
-    if h1 == 0:
-        inf_idx = cat.infinite_index()
-        if inf_idx is not None:
-            return inf_idx, 0.0
-        v = complex(1e18, 0.0)  # catalog was truncated past infinity
-    else:
-        v = h2 / h1
-    vals = cat.finite_values()
-    d = np.abs(v - vals) ** 2
-    d[np.isnan(d)] = np.inf
-    idx = int(np.argmin(d))
-    return idx, float(d[idx])
+    # Python's complex division: numpy's rounds differently in the last bit
+    # for about two ratios in five, and the distances are compared exactly.
+    # 1e18 stands in for infinity when the catalog was truncated past it.
+    v = np.array([h2 / h1 if h1 else 1e18 for h1, h2 in pairs], dtype=complex)
+    idx = nearest_indices(cat, v)
+    dist = np.abs(v - cat.finite_values()[idx]) ** 2
+    inf_idx = cat.infinite_index()
+    if inf_idx is not None:
+        at_inf = hh.reshape(-1, 2)[:, 0] == 0
+        idx[at_inf] = inf_idx
+        dist[at_inf] = 0.0
+    if hh.ndim == 1:
+        return int(idx[0]), float(dist[0])
+    return idx.reshape(hh.shape[:-1]), dist.reshape(hh.shape[:-1])
 
 
 def _format_partition(part: tuple[tuple[int, ...], ...]) -> str:

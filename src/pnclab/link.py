@@ -14,10 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import BitMatrix, BitVector, InconsistentSystemError, inverse_f2, solve
-from .mapping import ncv_table, superimpose
+from .mapping import _parity_table, joint_vector_table, ncv_table, superimpose
 from .modulation import Constellation
 
 PILOT_SYMBOL = (1.0 + 1.0j) / math.sqrt(2.0)
+
+# exp of anything below this is exactly 0 (the least subnormal is exp(-744.4)),
+# and numpy reaches that 0 through an underflow path about 15x slower than a
+# normal exp; detect_ncv writes the zeros itself.  np.exp works lane by lane,
+# so the other values do not depend on which elements it is given.
+_EXP_FLOOR = -750.0
 
 
 def noise_variance(ebn0_db: float, bits_per_symbol: int) -> float:
@@ -69,8 +75,8 @@ def estimate_channel(y_pilots: np.ndarray, pilot_len: int) -> np.ndarray:
 
 def detect_ncv(
     y,
-    h: tuple[complex, complex],
-    matrix: BitMatrix,
+    h,
+    matrix,
     constellation: Constellation,
     noise_var: float,
     max_log: bool = False,
@@ -81,34 +87,57 @@ def detect_ncv(
     to each bit value (uniform priors).  A matrix row mapping every
     hypothesis to one side yields an infinite L-value on that bit, which is
     the flag for a degenerate row.  ``max_log`` switches to the max-log
-    approximation.  Accepts a scalar or a 1-D sample array; returns (t,) or
-    (samples, t).
+    approximation.
+
+    One AP: ``y`` is a scalar or a 1-D sample array, ``h`` a coefficient
+    pair and ``matrix`` a BitMatrix; returns (t,) or (samples, t).  A stack
+    of frames and APs: ``y`` has shape (..., samples), ``h`` (..., 2) and
+    ``matrix`` is an integer array of packed rows (..., t); returns
+    (..., samples, t), each slice equal to the one-AP call bit for bit (the
+    likelihood sums are one matrix product per slice, never a flattened
+    one, whose blocking could round differently).
     """
-    scalar = np.isscalar(y) or np.asarray(y).ndim == 0
-    ys = np.atleast_1d(np.asarray(y, dtype=complex))
-    sc = superimpose(constellation, h)
-    table = ncv_table(matrix, constellation.bits_per_symbol)
-    t = matrix.n_rows
-    metric = -np.abs(ys[:, None] - sc.points[None, :]) ** 2 / noise_var
-    bits = ((table[:, None] >> np.arange(t)[None, :]) & 1).astype(float)
-    out = np.empty((len(ys), t))
+    hh = np.asarray(h, dtype=complex)
+    one = hh.ndim == 1
+    ys = np.asarray(y, dtype=complex)
+    if one:
+        scalar = ys.ndim == 0
+        ys, hh, rows = np.atleast_1d(ys)[None], hh[None], np.array([matrix.rows])
+    else:
+        rows = np.asarray(matrix)
+    w_of_tau, _ = joint_vector_table(constellation.bits_per_symbol)
+    sc = superimpose(constellation, hh)
+    # bits[..., tau, i]: bit i of the NCV of joint message tau
+    bits = _parity_table(sc.mu)[w_of_tau[:, None], rows[..., None, :]].astype(float)
+    # metric[..., tau, sample], samples on the fast axis: |p - y| is |y - p|
+    # bit for bit, and the reduction over hypotheses runs along whole rows
+    metric = np.abs(sc.points[..., :, None] - ys[..., None, :])
+    np.square(metric, out=metric)
+    np.negative(metric, out=metric)
+    np.divide(metric, noise_var, out=metric)
     if max_log:
-        for i in range(t):
-            side = bits[:, i] == 1
-            if not side.any():
-                out[:, i] = np.inf
-            elif side.all():
-                out[:, i] = -np.inf
-            else:
-                out[:, i] = metric[:, ~side].max(axis=1) - metric[:, side].max(axis=1)
+        out = np.empty(ys.shape + (rows.shape[-1],))
+        for i in range(rows.shape[-1]):
+            side = bits[..., :, i, None] == 1
+            out[..., i] = np.where(side, -np.inf, metric).max(axis=-2) - np.where(side, metric, -np.inf).max(axis=-2)
     else:
         # row maxima cancel in the ratio, so one exp and two mask products
-        # evaluate the exact sum form
-        peak = metric.max(axis=1, keepdims=True)
-        e = np.exp(metric - peak)
+        # evaluate the exact sum form; e is (..., samples, 2^mu) C-ordered,
+        # the operand layout of the one-AP product
+        e = np.empty(ys.shape + metric.shape[-2:-1])
+        np.subtract(metric.swapaxes(-1, -2), metric.max(axis=-2)[..., None], out=e)
+        live = e >= _EXP_FLOOR
+        if live.all():
+            np.exp(e, out=e)
+        else:
+            kept = np.exp(e[live])
+            e.fill(0.0)
+            e[live] = kept
         with np.errstate(divide="ignore"):
             out = np.log(e @ (1.0 - bits)) - np.log(e @ bits)
-    return out[0] if scalar else out
+    if one:
+        return out[0, 0] if scalar else out[0]
+    return out
 
 
 def hard_ncv(y, h: tuple[complex, complex], matrix: BitMatrix, constellation: Constellation) -> np.ndarray:
@@ -155,36 +184,52 @@ def cpu_recover(
             dropped += 1
 
 
-def recover_batch(g: BitMatrix, x_bits: np.ndarray) -> np.ndarray:
-    """Vectorized recovery for a square invertible stack.
+def recover_batch(g, x_bits: np.ndarray) -> np.ndarray:
+    """Vectorized recovery for square invertible stacks.
 
-    ``x_bits`` has shape (samples, mu); returns message bits of equal shape,
-    component k in column k.
+    One stack: ``g`` is a BitMatrix and ``x_bits`` has shape (samples, mu).
+    A chunk of frames: ``g`` is an integer array (frames, mu) of each
+    frame's stacked packed rows and ``x_bits`` has shape (frames, samples,
+    mu).  Returns message bits shaped like ``x_bits``, component k in the
+    last axis' column k.  Each distinct stack is inverted once per call.
     """
-    if g.n_rows != g.n_cols:
-        raise ValueError("recover_batch needs a square stack")
-    ginv = inverse_f2(g)
-    rows = np.array(
-        [[(ginv.rows[r] >> c) & 1 for c in range(ginv.n_cols)] for r in range(ginv.n_rows)],
-        dtype=np.int64,
-    )
-    return (np.asarray(x_bits) @ rows.T) % 2
+    one = isinstance(g, BitMatrix)
+    if one:
+        if g.n_rows != g.n_cols:
+            raise ValueError("recover_batch needs a square stack")
+        stacks, x = np.array([g.rows]), np.asarray(x_bits)
+    else:
+        stacks, x = np.asarray(g), np.asarray(x_bits)
+        if stacks.shape[-1] != x.shape[-1]:
+            raise ValueError("recover_batch needs a square stack")
+    mu = stacks.shape[-1]
+    distinct: dict[tuple[int, ...], int] = {}
+    which = [distinct.setdefault(tuple(rows), len(distinct)) for rows in stacks.tolist()]
+    inverses = np.array([inverse_f2(BitMatrix.from_row_ints(rows, mu)).rows for rows in distinct])
+    # unpacked transposes: [stack, c, r] is bit c of inverse row r
+    bits = (inverses[:, None, :] >> np.arange(mu)[:, None]) & 1
+    out = (x @ bits[which]) % 2
+    return out[0] if one else out
 
 
 def comp_ideal(ys: np.ndarray, H: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Centralized joint maximum-likelihood detection over all symbol pairs.
 
-    ``ys`` is (APs, uses).  Returns per-use joint indices (terminal-1 label
-    in the high bits), minimizing the stacked residual norm exhaustively.
+    ``ys`` is (APs, uses) and ``H`` (APs, 2), or both carry leading frame
+    axes.  Returns per-use joint indices (terminal-1 label in the high
+    bits), shaped (..., uses), minimizing the stacked residual norm
+    exhaustively.
     """
     m = constellation.bits_per_symbol
     size = 1 << m
     idx = np.arange(size * size)
     s1 = constellation.points[idx >> m]
     s2 = constellation.points[idx & (size - 1)]
-    hyp = H[:, 0][:, None] * s1[None, :] + H[:, 1][:, None] * s2[None, :]
-    cost = np.abs(ys[:, :, None] - hyp[:, None, :]) ** 2
-    return cost.sum(axis=0).argmin(axis=1)
+    H = np.asarray(H)
+    hyp = H[..., 0, None] * s1 + H[..., 1, None] * s2
+    cost = np.abs(np.asarray(ys)[..., :, None] - hyp[..., None, :])
+    np.square(cost, out=cost)
+    return cost.sum(axis=-3).argmin(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -216,28 +261,36 @@ def dequantize_llr(idx: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
 
 def comp_nonideal_llrs(
     y: np.ndarray,
-    h: tuple[complex, complex],
+    h,
     constellation: Constellation,
     noise_var: float,
 ) -> np.ndarray:
     """Per-terminal per-bit LLRs at one AP, marginalizing the other terminal.
 
-    Returns shape (terminals, bits_per_symbol, uses).
+    One AP: ``y`` is (uses,) and ``h`` a coefficient pair; returns shape
+    (terminals, bits_per_symbol, uses).  A stack: ``y`` (..., uses) and
+    ``h`` (..., 2) give (..., terminals, bits_per_symbol, uses).
     """
     m = constellation.bits_per_symbol
     size = 1 << m
-    ys = np.atleast_1d(np.asarray(y, dtype=complex))
+    hh = np.asarray(h, dtype=complex)
+    ys = np.asarray(y, dtype=complex)
+    if hh.ndim == 1:
+        ys = np.atleast_1d(ys)
     idx = np.arange(size * size)
     labels = (idx >> m, idx & (size - 1))
-    hyp = h[0] * constellation.points[labels[0]] + h[1] * constellation.points[labels[1]]
-    metric = -np.abs(ys[:, None] - hyp[None, :]) ** 2 / noise_var
-    out = np.empty((2, m, len(ys)))
+    hyp = hh[..., 0, None] * constellation.points[labels[0]] + hh[..., 1, None] * constellation.points[labels[1]]
+    metric = np.abs(ys[..., :, None] - hyp[..., None, :])
+    np.square(metric, out=metric)
+    np.negative(metric, out=metric)
+    np.divide(metric, noise_var, out=metric)
+    out = np.empty(metric.shape[:-2] + (2, m, ys.shape[-1]))
     for term in range(2):
         for i in range(m):
             bit = (labels[term] >> (m - 1 - i)) & 1
-            out[term, i] = (
-                np.logaddexp.reduce(metric[:, bit == 0], axis=1)
-                - np.logaddexp.reduce(metric[:, bit == 1], axis=1)
+            out[..., term, i, :] = (
+                np.logaddexp.reduce(metric[..., bit == 0], axis=-1)
+                - np.logaddexp.reduce(metric[..., bit == 1], axis=-1)
             )
     return out
 
@@ -245,7 +298,7 @@ def comp_nonideal_llrs(
 def comp_combine(dequantized: np.ndarray) -> np.ndarray:
     """CPU side of the quantized baseline: sum per-AP LLRs, threshold.
 
-    ``dequantized`` has shape (APs, terminals, bits, uses); returns hard
-    bits (terminals, bits, uses).
+    ``dequantized`` has shape (..., APs, terminals, bits, uses); returns
+    hard bits (..., terminals, bits, uses).
     """
-    return (dequantized.sum(axis=0) < 0).astype(np.int64)
+    return (dequantized.sum(axis=-4) < 0).astype(np.int64)

@@ -52,11 +52,12 @@ def joint_vector_table(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class SuperimposedConstellation:
-    """All joint-message superposition points seen by one AP."""
+    """All joint-message superposition points seen by one AP, or by a stack
+    of APs: ``points`` and ``lattice_points`` then carry the stack's leading
+    axes."""
 
     constellation: Constellation
-    h: tuple[complex, complex]
-    points: np.ndarray          # normalized, indexed by joint index tau
+    points: np.ndarray          # normalized, indexed by joint index tau on the last axis
     lattice_points: np.ndarray  # same channel applied to lattice coordinates
     _profiles: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
@@ -65,12 +66,19 @@ class SuperimposedConstellation:
         return 2 * self.constellation.bits_per_symbol
 
 
-def superimpose(c: Constellation, h: tuple[complex, complex]) -> SuperimposedConstellation:
-    """Noiseless received constellation ``h1*s1 + h2*s2`` over all joint messages."""
-    h1, h2 = complex(h[0]), complex(h[1])
-    pts = (h1 * c.points[:, None] + h2 * c.points[None, :]).reshape(-1)
-    lat = (h1 * c.lattice_points[:, None] + h2 * c.lattice_points[None, :]).reshape(-1)
-    return SuperimposedConstellation(constellation=c, h=(h1, h2), points=pts, lattice_points=lat)
+def superimpose(c: Constellation, h) -> SuperimposedConstellation:
+    """Noiseless received constellation ``h1*s1 + h2*s2`` over all joint messages.
+
+    ``h`` is one coefficient pair, or an array of pairs with shape (..., 2);
+    the points then have shape (..., 2^mu).  Every product is the one a
+    single pair gives, bit for bit.
+    """
+    hh = np.asarray(h, dtype=complex)
+    h1, h2 = hh[..., 0, None, None], hh[..., 1, None, None]
+    shape = hh.shape[:-1] + (-1,)
+    pts = (h1 * c.points[:, None] + h2 * c.points[None, :]).reshape(shape)
+    lat = (h1 * c.lattice_points[:, None] + h2 * c.lattice_points[None, :]).reshape(shape)
+    return SuperimposedConstellation(constellation=c, points=pts, lattice_points=lat)
 
 
 def coincident_partition(sc: SuperimposedConstellation, eps: float = COINCIDENCE_EPS) -> tuple[tuple[int, ...], ...]:
@@ -101,36 +109,47 @@ def _half_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+# difference_profiles takes channels a block at a time, about this many
+# point pairs per block: one qam16 channel alone exceeds it, and a 1-D
+# gather per channel stays in cache where a stacked one spills.
+_PAIR_BLOCK = 1 << 13
+
+
 def difference_profiles(sc: SuperimposedConstellation, eps: float = COINCIDENCE_EPS) -> tuple[np.ndarray, np.ndarray]:
     """Per-difference minimum squared distances.
 
     Entry ``d`` covers all point pairs whose message vectors differ by ``d``:
     the first profile is the plain minimum, the second excludes coincident
     pairs (+inf when every pair at that difference coincides).  Index 0 is
-    +inf by convention.
+    +inf by convention.  A stacked ``sc`` gives profiles with its leading
+    axes, each the one its channel alone gives.
 
     Each unordered pair is evaluated once: ``x - y`` and ``y - x`` are exact
     negations in IEEE arithmetic, so both orders give the same distance bit
-    for bit.  The coincidence pass on the lattice is skipped when every
-    plain distance exceeds ``4 * eps**2``: normalized points are the lattice
-    ones divided by a scale of at least sqrt(2), so a pair within ``eps`` on
-    the lattice lies within ``eps / sqrt(2)`` (with rounding, well within
-    ``2 * eps``) in normalized coordinates, and no pair can be coincident.
-    The second profile then equals the first.
+    for bit.  The coincidence pass on the lattice is skipped for a channel
+    whose plain distances all exceed ``4 * eps**2``: normalized points are
+    the lattice ones divided by a scale of at least sqrt(2), so a pair
+    within ``eps`` on the lattice lies within ``eps / sqrt(2)`` (with
+    rounding, well within ``2 * eps``) in normalized coordinates, and no
+    pair can be coincident.  The second profile then equals the first.
     """
     if sc._profiles is not None:
         return sc._profiles
     a, b = _half_pairs(sc.constellation.bits_per_symbol)
-    dist = np.abs(sc.points[a] - sc.points[b]) ** 2
-    plain = np.full(len(a) + 1, np.inf)
-    plain[1:] = dist.min(axis=1)
-    if plain[1:].min() > 4 * eps**2:
-        separated = plain.copy()
-    else:
-        coincident = np.abs(sc.lattice_points[a] - sc.lattice_points[b]) <= eps
-        separated = np.full_like(plain, np.inf)
-        separated[1:] = np.where(coincident, np.inf, dist).min(axis=1)
-    sc._profiles = (plain, separated)
+    size = sc.points.shape[-1]
+    pts = sc.points.reshape(-1, size)
+    plain = np.full((len(pts), len(a) + 1), np.inf)
+    rows = max(1, _PAIR_BLOCK // a.size)
+    for r0 in range(0, len(pts), rows):
+        q = pts[r0 : r0 + rows] if rows > 1 else pts[r0]
+        plain[r0 : r0 + rows, 1:] = (np.abs(q[..., a] - q[..., b]) ** 2).min(axis=-1)
+    separated = plain.copy()
+    lat = sc.lattice_points.reshape(-1, size)
+    for r in np.flatnonzero(plain[:, 1:].min(axis=1) <= 4 * eps**2):
+        coincident = np.abs(lat[r][a] - lat[r][b]) <= eps
+        separated[r, 1:] = np.where(coincident, np.inf, np.abs(pts[r][a] - pts[r][b]) ** 2).min(axis=1)
+    shape = sc.points.shape[:-1] + (len(a) + 1,)
+    sc._profiles = (plain.reshape(shape), separated.reshape(shape))
     return sc._profiles
 
 
@@ -169,6 +188,8 @@ def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, separated_only: bo
     ``matrix_rows`` is one matrix's rows (the result is a float) or an
     integer array of row sets with shape ``(..., t)`` (the result is an
     array of the same leading shape, each value the one call would give).
+    A stacked ``sc`` scores row sets against its channels: its leading
+    shape broadcasts against the row sets' one.
     """
     plain, separated = difference_profiles(sc)
     profile = separated if separated_only else plain

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -205,9 +205,49 @@ class CandidateStore:
     lists: tuple[tuple[CandidateEntry, ...], ...]
     certified_n: int | None = None
     infeasible: tuple[tuple[int, ...], ...] = ()
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def matrices_for(self, state_index: int) -> tuple[BitMatrix, ...]:
         return tuple(e.matrix for e in self.lists[state_index])
+
+    @cached_property
+    def _arrays(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """The lists as arrays, built on first use.
+
+        Returns the distinct encodings in ascending order, then per state
+        its entries' codes (ranks among those encodings) and stored
+        distances, padded to a common width with the pad slot u = number
+        of distinct encodings and distance 0, then the packed rows of each
+        code's matrix (zeros at the pad slot).
+        """
+        distinct = sorted({e.matrix.encoding for l in self.lists for e in l})
+        u = len(distinct)
+        slot = {e: k for k, e in enumerate(distinct)}
+        width = max((len(l) for l in self.lists), default=0) or 1
+        code = np.full((len(self.lists), width), u)
+        d = np.zeros((len(self.lists), width))
+        for i, l in enumerate(self.lists):
+            code[i, : len(l)] = [slot[e.matrix.encoding] for e in l]
+            d[i, : len(l)] = [e.d_min for e in l]
+        rows = np.zeros((u + 1, self.t), dtype=np.int64)
+        for k, e in enumerate(distinct):
+            rows[k] = BitMatrix.from_encoding(e, self.t, self.mu).rows
+        return distinct, code, d, rows
+
+    def _full_rank(self, n: int) -> np.ndarray:
+        """Verdict array for ``n`` APs: ``full[c_1, ..., c_n]`` is whether
+        the matrices with these codes stack to rank mu (False at the pad
+        slot).  Built on first use for each ``n``."""
+        if n not in self._verdicts:
+            distinct = self._arrays[0]
+            u = len(distinct)
+            full = np.zeros((u + 1,) * n, dtype=bool)
+            full[(slice(u),) * n] = np.reshape(
+                [_stacks_full_rank(combo, self.t, self.mu) for combo in itertools.product(distinct, repeat=n)],
+                (u,) * n,
+            )
+            self._verdicts[n] = full
+        return self._verdicts[n]
 
 
 def _coordinate_entry(cols: tuple[int, ...], sc: SuperimposedConstellation) -> CandidateEntry:
@@ -380,6 +420,24 @@ class Selection:
         return reduce(BitMatrix.stack, self.per_ap)
 
 
+@dataclass(frozen=True, eq=False)
+class SelectionBatch:
+    """Selections for a stack of frames; item ``f`` is frame f's Selection."""
+
+    rows: np.ndarray            # (frames, APs, t): packed rows of each AP's matrix
+    state_indices: np.ndarray   # (frames, APs)
+    mu: int
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, f: int) -> Selection:
+        return Selection(
+            per_ap=tuple(BitMatrix.from_row_ints(tuple(r), self.mu) for r in self.rows[f].tolist()),
+            state_indices=tuple(self.state_indices[f].tolist()),
+        )
+
+
 def _pick_best(
     encodings: tuple[tuple[int, ...], ...],
     d_values: tuple[tuple[float, ...], ...],
@@ -406,37 +464,80 @@ def _pick_best(
     return best
 
 
+def _pick_combination(full: np.ndarray, codes: list[np.ndarray], d: list[np.ndarray]) -> np.ndarray:
+    """``_pick_best`` as array code, over many candidate sets at once.
+
+    ``codes[j]`` (shape (..., K), leading shapes broadcasting) lists AP j's
+    candidates by rank among the store's distinct encodings, with the pad
+    slot u past a list's end; ``d[j]`` holds their distances; ``full`` is
+    the store's verdict array for n = len(codes) APs.  ``_pick_best``'s key
+    (-min(ds), -sum(ds), encodings) is applied as successive filters over
+    the K^n combinations: keep the full-rank ones, then those of maximal
+    worst-AP distance, then those of maximal sum, then the lowest tuple of
+    codes.  A key's minimum is the minimum of its first component, then of
+    the second over the combinations that reach the first, and so on, so
+    the filters pick the same combination.  The floats are the same too:
+    both sums are 0 + d_1 + ... + d_n in AP order.  Codes order tuples like
+    the encodings themselves.  Returns the chosen code per AP on a new last
+    axis, all u where no combination stacks to full rank.
+    """
+    n = len(codes)
+    base = full.shape[0]        # u + 1
+
+    def spread(a, j):           # AP j's K candidates on combination axis j
+        return a.reshape(a.shape[:-1] + tuple(a.shape[-1] if i == j else 1 for i in range(n)))
+
+    cs = [spread(c, j) for j, c in enumerate(codes)]
+    ds = [spread(x, j) for j, x in enumerate(d)]
+    axes = tuple(range(-n, 0))
+    ok = full[tuple(cs)]
+    worst = np.where(ok, reduce(np.minimum, ds), -np.inf)
+    ok &= worst == worst.max(axis=axes, keepdims=True)
+    total = np.where(ok, sum(ds), -np.inf)
+    ok &= total == total.max(axis=axes, keepdims=True)
+    # codes in base u + 1, most significant first; base**n - 1 reads (u, ..., u)
+    pick = np.where(ok, reduce(lambda acc, c: acc * base + c, cs), base**n - 1).min(axis=axes)
+    out = np.empty(pick.shape + (n,), dtype=np.int64)
+    for j in reversed(range(n)):
+        pick, out[..., j] = np.divmod(pick, base)
+    return out
+
+
 def select_mappings(
     store: CandidateStore,
     cat: SfsCatalog,
     channels: np.ndarray,
-) -> Selection:
-    """On-line selection for one channel realization (rows = APs).
+):
+    """On-line selection for one channel realization (rows = APs), or for
+    a stack of them.
 
     Each AP resolves its channel to the nearest catalog state and offers
     that state's candidates; the CPU evaluates every cross-product choice
-    at the true channels and keeps the best invertible stack.
+    at the true channels and keeps the best invertible stack
+    (``_pick_combination``).  ``channels`` of shape (APs, 2) gives a
+    Selection; (frames, APs, 2) gives a SelectionBatch, each frame the one
+    its channels alone give.
     """
-    c = make_constellation(store.modulation)
     H = np.asarray(channels, dtype=complex)
-    n_aps = H.shape[0]
-    state_idx = []
-    mat_lists = []
-    d_lists = []
-    for j in range(n_aps):
-        idx, _ = nearest_sfs(cat, (H[j, 0], H[j, 1]))
-        state_idx.append(idx)
-        sc = superimpose(c, (H[j, 0], H[j, 1]))
-        mats = store.matrices_for(idx)
-        mat_lists.append(mats)
-        d_lists.append(tuple(mapping_d_min(m.rows, sc) for m in mats))
-    encodings = tuple(tuple(m.encoding for m in mats) for mats in mat_lists)
-    combo = _pick_best(encodings, tuple(d_lists), store.t, store.mu)
-    if combo is None:
+    one = H.ndim == 2
+    if one:
+        H = H[None]
+    n_aps = H.shape[1]
+    _, code, _, rows = store._arrays
+    state, _ = nearest_sfs(cat, H)
+    cand = code[state]                                          # (frames, APs, K)
+    sc = superimpose(make_constellation(store.modulation), H[:, :, None, :])
+    d = mapping_d_min(rows[cand], sc)
+    chosen = _pick_combination(
+        store._full_rank(n_aps), [cand[:, j] for j in range(n_aps)], [d[:, j] for j in range(n_aps)]
+    )
+    infeasible = np.flatnonzero(chosen[:, 0] == len(rows) - 1)
+    if len(infeasible):
         raise SelectionInfeasibleError(
-            f"no invertible stack for state tuple {tuple(state_idx)}; store contract violated"
+            f"no invertible stack for state tuple {tuple(state[infeasible[0]].tolist())}; store contract violated"
         )
-    return Selection(per_ap=tuple(map(operator.getitem, mat_lists, combo)), state_indices=tuple(state_idx))
+    batch = SelectionBatch(rows=rows[chosen], state_indices=state, mu=store.mu)
+    return batch[0] if one else batch
 
 
 @dataclass(frozen=True)
@@ -455,54 +556,27 @@ class SelectionTable:
         return len(self.entries)
 
 
-def _pair_entries(
-    encodings: list[tuple[int, ...]],
-    d_values: list[tuple[float, ...]],
-    t: int,
-    mu: int,
-) -> dict[tuple[int, int], tuple[int, int] | None]:
+def _pair_entries(store: CandidateStore) -> dict[tuple[int, int], tuple[int, int] | None]:
     """``_pick_best`` for every ordered pair of states, as array code.
 
-    ``_pick_best``'s key (-min(d1, d2), -(d1 + d2), (enc1, enc2)) is
-    applied as successive filters over each pair's K x K combinations:
-    keep the full-rank ones, then those of maximal worst-AP distance, then
-    those of maximal sum, then the lowest (enc1, enc2).  A key's minimum is
-    the minimum of its first component, then of the second over the
-    combinations that reach the first, and so on, so the filters pick the
-    same combination.  The floats are the same too: ``sum`` of two
-    distances is 0 + d1 + d2, and 0 + d1 == d1.  Encodings are compared by
-    their rank among the store's distinct encodings, which orders pairs
-    like the encodings themselves.  Full-rank verdicts come from
+    ``_pick_combination`` scores each pair's K x K combinations with the
+    distances the store holds; full-rank verdicts come from
     ``_stacks_full_rank``, once per pair of distinct encodings.  The pairs
     are taken a block of first states at a time, so each temporary stays
     near 2^18 elements.
     """
-    distinct = sorted({e for l in encodings for e in l})
+    distinct, code, d, _ = store._arrays
     u = len(distinct)
-    # pad slot u: no matrix; it stacks to full rank with nothing
-    full = np.zeros((u + 1, u + 1), dtype=bool)
-    full[:u, :u] = [[_stacks_full_rank((a, b), t, mu) for b in distinct] for a in distinct]
-    width = max((len(l) for l in encodings), default=0) or 1
-    slot = {e: k for k, e in enumerate(distinct)}
-    code = np.full((len(encodings), width), u)
-    d = np.zeros((len(encodings), width))
-    for i, (encs, ds) in enumerate(zip(encodings, d_values)):
-        code[i, : len(encs)] = [slot[e] for e in encs]
-        d[i, : len(ds)] = ds
+    full = store._full_rank(2)
+    n, width = code.shape
+    block = max(1, (1 << 18) // (n * width * width))
+    # one shared tuple per encoding pair, at code a * u + b; None past them
     pairs = [(a, b) for a in distinct for b in distinct] + [None]
-    n = len(encodings)
-    block = max(1, (1 << 18) // (max(n, 1) * width * width))
     entries: dict[tuple[int, int], tuple[int, int] | None] = {}
     for i0 in range(0, n, block):
-        ca, cb = code[i0 : i0 + block, None, :, None], code[None, :, None, :]
-        da, db = d[i0 : i0 + block, None, :, None], d[None, :, None, :]
-        ok = full[ca, cb]
-        worst = np.where(ok, np.minimum(da, db), -np.inf)
-        ok &= worst == worst.max(axis=(2, 3), keepdims=True)
-        total = np.where(ok, da + db, -np.inf)
-        ok &= total == total.max(axis=(2, 3), keepdims=True)
-        pick = np.where(ok, ca * u + cb, len(pairs) - 1).min(axis=(2, 3))
-        for i, row in enumerate(pick.tolist(), i0):
+        chosen = _pick_combination(full, [code[i0 : i0 + block, None], code[None]], [d[i0 : i0 + block, None], d[None]])
+        flat = np.minimum(chosen[..., 0] * u + chosen[..., 1], u * u)
+        for i, row in enumerate(flat.tolist(), i0):
             for j, k in enumerate(row):
                 entries[(i, j)] = pairs[k]
     return entries
@@ -525,11 +599,11 @@ def build_selection_table(
     """
     if cat is not None:
         _check_store_matches_catalog(store, cat)
-    encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
-    d_values = [tuple(e.d_min for e in l) for l in store.lists]
     if n_aps == 2:
-        entries = _pair_entries(encodings, d_values, store.t, store.mu)
+        entries = _pair_entries(store)
     else:
+        encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
+        d_values = [tuple(e.d_min for e in l) for l in store.lists]
         entries = {}
         for tup in itertools.product(range(len(store.states)), repeat=n_aps):
             encs = tuple(encodings[i] for i in tup)
@@ -550,20 +624,28 @@ def table_lookup(
     table: SelectionTable,
     cat: SfsCatalog,
     channels: np.ndarray,
-) -> Selection:
+):
     """Regulated selection: nearest states, then a table read.
 
-    Raises ``SelectionInfeasibleError`` on a tuple that carries the marker:
-    the table was built from the store's lists for that tuple, and the
-    on-line search over the same lists finds no invertible stack either.
+    ``channels`` of shape (APs, 2) gives a Selection; (frames, APs, 2)
+    gives a SelectionBatch.  Raises ``SelectionInfeasibleError`` on a tuple
+    that carries the marker: the table was built from the store's lists for
+    that tuple, and the on-line search over the same lists finds no
+    invertible stack either.
     """
     H = np.asarray(channels, dtype=complex)
-    tup = tuple(nearest_sfs(cat, (H[j, 0], H[j, 1]))[0] for j in range(H.shape[0]))
-    encs = table.entries[tup]
-    if encs is None:
+    one = H.ndim == 2
+    if one:
+        H = H[None]
+    state, _ = nearest_sfs(cat, H)
+    encs = [table.entries[tup] for tup in map(tuple, state.tolist())]
+    if None in encs:
+        tup = tuple(state[encs.index(None)].tolist())
         raise SelectionInfeasibleError(f"no invertible stack for state tuple {tup}; the table marks it")
-    mats = tuple(BitMatrix.from_encoding(e, table.t, table.mu) for e in encs)
-    return Selection(per_ap=mats, state_indices=tup)
+    shifts = np.arange(table.t, dtype=np.uint64) * np.uint64(table.mu)
+    rows = (np.array(encs, dtype=np.uint64)[..., None] >> shifts) & np.uint64((1 << table.mu) - 1)
+    batch = SelectionBatch(rows=rows.astype(np.int64), state_indices=state, mu=table.mu)
+    return batch[0] if one else batch
 
 
 # ---------------------------------------------------------------------------

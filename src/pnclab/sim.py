@@ -28,7 +28,7 @@ from .mapping import joint_vector_table
 from .modulation import BITS_PER_SYMBOL, make_constellation
 from .search import (
     CandidateStore,
-    Selection,
+    SelectionBatch,
     SelectionTable,
     _check_store_matches_catalog,
     _check_table_matches_store,
@@ -197,7 +197,7 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
     return ctx
 
 
-def _select(ctx: _Context, H: np.ndarray) -> Selection:
+def _select(ctx: _Context, H: np.ndarray) -> SelectionBatch:
     if ctx.cfg.scheme == "rbmas":
         return table_lookup(ctx.table, ctx.catalog, H)
     return select_mappings(ctx.store, ctx.catalog, H)
@@ -225,49 +225,43 @@ def _front_end(ctx: _Context, noise_var: float, rng: np.random.Generator):
     return H, H_hat, idx, y
 
 
-# Back ends: (ctx, noise_var, H, H_hat, idx, y) -> (outage, mismap).
+# Back ends: (ctx, noise_var, H, H_hat, idx, y) -> (outage frames, mismap
+# frames) over one chunk.  H and H_hat are (frames, APs, 2), idx is
+# (frames, terminals, uses) and y (frames, APs, uses); H_hat is H itself
+# under perfect CSI.
 
-def _back_end_pnc(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[bool, bool]:
+def _back_end_pnc(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[int, int]:
     """Select, detect the NCV at every AP, recover the joint message."""
     cfg = ctx.cfg
     c = ctx.constellation
     m = c.bits_per_symbol
+    frames = len(H)
     sel = _select(ctx, H_hat)
-    mismap = H_hat is not H and (
-        tuple(mm.encoding for mm in sel.per_ap) != tuple(mm.encoding for mm in _select(ctx, H).per_ap)
-    )
-    bits = [
-        link.llrs_to_bits(link.detect_ncv(
-            y[j], (H_hat[j, 0], H_hat[j, 1]), sel.per_ap[j], c, noise_var, max_log=cfg.max_log_detection,
-        ))
-        for j in range(cfg.n_aps)
-    ]
-    w_bits = link.recover_batch(sel.global_matrix, np.concatenate(bits, axis=1))
-    w_hat = (w_bits * (1 << np.arange(2 * m))[None, :]).sum(axis=1)
-    w_true = ctx.w_of_tau[(idx[0] << m) | idx[1]]
-    return bool(np.any(w_hat != w_true)), mismap
+    mismaps = 0 if H_hat is H else int((sel.rows != _select(ctx, H).rows).any(axis=(1, 2)).sum())
+    llrs = link.detect_ncv(y, H_hat, sel.rows, c, noise_var, max_log=cfg.max_log_detection)
+    # (frames, APs, uses, t) -> (frames, uses, APs * t): AP order, as the stack
+    bits = link.llrs_to_bits(llrs).transpose(0, 2, 1, 3).reshape(frames, cfg.frame_len, -1)
+    w_bits = link.recover_batch(sel.rows.reshape(frames, -1), bits)
+    w_hat = (w_bits * (1 << np.arange(2 * m))).sum(axis=-1)
+    w_true = ctx.w_of_tau[(idx[:, 0] << m) | idx[:, 1]]
+    return int(np.any(w_hat != w_true, axis=1).sum()), mismaps
 
 
-def _back_end_comp_ideal(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[bool, bool]:
+def _back_end_comp_ideal(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[int, int]:
     m = ctx.constellation.bits_per_symbol
     joint = link.comp_ideal(y, H_hat, ctx.constellation)
-    return bool(np.any(joint != ((idx[0] << m) | idx[1]))), False
+    return int(np.any(joint != ((idx[:, 0] << m) | idx[:, 1]), axis=1).sum()), 0
 
 
-def _back_end_comp_nonideal(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[bool, bool]:
+def _back_end_comp_nonideal(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[int, int]:
     c = ctx.constellation
     m = c.bits_per_symbol
     spec = ctx.quantizer
-    deq = np.empty((ctx.cfg.n_aps, 2, m, ctx.cfg.frame_len))
-    for j in range(ctx.cfg.n_aps):
-        llrs = link.comp_nonideal_llrs(y[j], (H_hat[j, 0], H_hat[j, 1]), c, noise_var)
-        deq[j] = link.dequantize_llr(link.quantize_llr(llrs, spec), spec)
-    bits = link.comp_combine(deq)
-    true_bits = np.empty_like(bits)
-    for term in range(2):
-        for i in range(m):
-            true_bits[term, i] = (idx[term] >> (m - 1 - i)) & 1
-    return bool(np.any(bits != true_bits)), False
+    llrs = link.comp_nonideal_llrs(y, H_hat, c, noise_var)
+    bits = link.comp_combine(link.dequantize_llr(link.quantize_llr(llrs, spec), spec))
+    # (frames, terminals, bits, uses), label bits MSB first
+    true_bits = (idx[:, :, None, :] >> (m - 1 - np.arange(m))[:, None]) & 1
+    return int(np.any(bits != true_bits, axis=(1, 2, 3)).sum()), 0
 
 
 _BACK_ENDS = {
@@ -277,17 +271,30 @@ _BACK_ENDS = {
     "comp_nonideal": _back_end_comp_nonideal,
 }
 
+# A chunk holds about this many detection metric elements: frames x APs x
+# uses x joint hypotheses (17 qam4 frames or 1 qam16 frame at 120 uses).
+_CHUNK_ELEMENTS = 2**16
+
 
 def _run_point(ctx: _Context, point: int, ebn0_db: float, frame_range: range) -> tuple[int, int]:
-    """Count (outage frames, mismap frames) over a range of frames."""
+    """Count (outage frames, mismap frames) over a range of frames.
+
+    Frames run in chunks: each frame draws its stream through the front end,
+    one frame at a time, then the back end takes the chunk's stacked arrays
+    in one call.
+    """
     cfg = ctx.cfg
     noise_var = link.noise_variance(ebn0_db, ctx.constellation.bits_per_symbol)
     back_end = _BACK_ENDS[cfg.scheme]
+    chunk = max(1, _CHUNK_ELEMENTS // (cfg.n_aps * cfg.frame_len * ctx.constellation.size**2))
     outages = 0
     mismaps = 0
-    for f in frame_range:
-        rng = _frame_rng(cfg, point, f)
-        outage, mismap = back_end(ctx, noise_var, *_front_end(ctx, noise_var, rng))
+    for start in range(0, len(frame_range), chunk):
+        frames = [
+            _front_end(ctx, noise_var, _frame_rng(cfg, point, f)) for f in frame_range[start : start + chunk]
+        ]
+        H, H_hat, idx, y = (np.stack(a) for a in zip(*frames))
+        outage, mismap = back_end(ctx, noise_var, H, H if cfg.pilot_len is None else H_hat, idx, y)
         outages += outage
         mismaps += mismap
     return outages, mismaps

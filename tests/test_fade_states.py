@@ -289,3 +289,52 @@ def test_catalog_truncated_file_refused(tmp_path, cat4):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="entries"):
         load_catalog(str(path))
+
+
+def brute_nearest_sfs(cat, h):
+    """Oracle: the one-pair scan in Python arithmetic, h2/h1 by Python's
+    complex division, argmin over every finite state."""
+    h1, h2 = complex(h[0]), complex(h[1])
+    if h1 == 0:
+        if cat.infinite_index() is not None:
+            return cat.infinite_index(), 0.0
+        v = complex(1e18, 0.0)
+    else:
+        v = h2 / h1
+    d = np.abs(v - cat.finite_values()) ** 2
+    d[np.isnan(d)] = np.inf
+    i = int(np.argmin(d))
+    return i, float(d[i])
+
+
+_PART = st.one_of(st.just(0.0), st.floats(-5.0, 5.0).filter(lambda x: x == 0 or abs(x) >= 1e-6))
+_COEF = st.builds(complex, _PART, _PART)
+
+
+class TestNearestSfsArray:
+    """The array form of ``nearest_sfs`` against the brute-force scan, pair
+    for pair: h1 == 0, ratios off the cell grid (|h2/h1| > 4) and truncated
+    catalogs included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_COEF, _COEF), min_size=1, max_size=40), st.integers(1, 390), st.booleans())
+    def test_matches_bruteforce(self, ranked16, cat4, pairs, keep, qam16):
+        cat = truncate_catalog(ranked16, keep) if qam16 else truncate_catalog(cat4, 1 + keep % len(cat4.entries))
+        if np.isnan(cat.finite_values()).all():
+            return      # only the infinity entry is left: no finite state to be nearest
+        H = np.array(pairs, dtype=complex)
+        if any(h1 == 0 and h2 == 0 for h1, h2 in pairs):
+            with pytest.raises(DegenerateChannelError):
+                nearest_sfs(cat, H)
+            return
+        idx, dist = nearest_sfs(cat, H)
+        want = [brute_nearest_sfs(cat, h) for h in pairs]
+        assert idx.tolist() == [i for i, _ in want]
+        assert dist.tolist() == [d for _, d in want]
+        assert [nearest_sfs(cat, h) for h in pairs] == want
+
+    def test_leading_axes(self, cat4):
+        H = np.random.default_rng(4).standard_normal((5, 2, 2)) * (1 + 1j)
+        idx, dist = nearest_sfs(cat4, H)
+        assert idx.shape == dist.shape == (5, 2)
+        assert idx[3, 1] == nearest_sfs(cat4, H[3, 1])[0]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pnclab.gf2 import (
@@ -311,3 +311,37 @@ class TestRrefProperties:
         for want, have in zip(rows.tolist(), got):
             reduced, _ = rref_rows(want, n_cols)
             assert tuple(have) == reduced + (0,) * (n_rows - len(reduced))
+
+
+_SQUARE = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+)
+
+
+class TestInverseSolveProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_SQUARE)
+    def test_inverse_round_trip(self, square):
+        n, rows = square
+        a = BitMatrix.from_row_ints(rows, n)
+        if rank_rows(rows) < n:
+            with pytest.raises(SingularMatrixError):
+                inverse_f2(a)
+            return
+        inv = inverse_f2(a)
+        assert mat_mul(a, inv) == BitMatrix.identity(n)
+        assert mat_mul(inv, a) == BitMatrix.identity(n)
+        assert inverse_f2(inv) == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SQUARE, st.data())
+    def test_solve_invertible_system(self, square, data):
+        n, rows = square
+        assume(rank_rows(rows) == n)
+        a = BitMatrix.from_row_ints(rows, n)
+        x = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+        assert solve(a, mul(a, x)) == x
+        # consistent extra equations change nothing
+        extra = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))
+        tall = BitMatrix.from_row_ints(rows + extra, n)
+        assert solve(tall, mul(tall, x)) == x

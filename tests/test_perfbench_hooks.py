@@ -1,21 +1,25 @@
 """The layer tracer in perfbench/ wraps pnclab functions by module attribute.
 
-A hooked name that an import clean-up unbinds only shows up minutes into a
-traced benchmark run; these checks catch it in milliseconds.  They read
-perfbench/tracer.py and change nothing there.
+A hooked name that an import clean-up unbinds, or a call that code routes
+around, only shows up minutes into a traced benchmark run; these checks
+catch it in seconds.  They read perfbench/tracer.py and
+perfbench/workloads.py and change nothing there.
 """
+import dataclasses
 import importlib.util
 import os
 import sys
 
 import pytest
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
+from pnclab import fade_states, search
+from pnclab.sim import run_experiment
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module    # dataclasses resolve annotations through sys.modules
     try:
@@ -23,6 +27,16 @@ def tracer():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    yield from _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _load("workloads")
 
 
 def test_every_hook_resolves(tracer):
@@ -38,3 +52,31 @@ def test_install_restores_every_attribute(tracer):
     with tracer.Tracer().installed():
         assert all(getattr(m, a) is not f for (m, a), f in zip(targets, before))
     assert [getattr(m, a) for m, a in targets] == before
+
+
+def _small_regulated_artifacts(cfgs, tmp_path):
+    """A 24-state qam16 catalog, store and table in ``tmp_path``, built the
+    way the workload's off-line half builds the full ones; the configs then
+    read them."""
+    cat = fade_states.build_catalog("qam16", n_trials=10**4, rng_seed=0, n_principal=24)
+    store = search.build_store(cat, t=4, k_per_state=5, n_aps=2)
+    table = search.build_selection_table(store, cat, 2)
+    paths = {name: str(tmp_path / name) for name in ("catalog_path", "store_path", "table_path")}
+    fade_states.save_catalog(cat, paths["catalog_path"])
+    search.save_store(store, paths["store_path"])
+    search.save_table(table, paths["table_path"])
+    return tuple(dataclasses.replace(cfg, **paths) for cfg in cfgs)
+
+
+@pytest.mark.parametrize("name", ["qam4-live", "qam16-regulated", "baselines"])
+def test_expected_hooks_fire(tracer, workloads, name, tmp_path):
+    """Every hook a workload expects fires in a traced run of its configs at
+    a few frames per point."""
+    wl = workloads.WORKLOADS[name]
+    tr = tracer.Tracer()
+    with tr.installed():
+        cfgs = wl.configs if wl.build is None else _small_regulated_artifacts(wl.configs, tmp_path)
+        for cfg in cfgs:
+            list(run_experiment(dataclasses.replace(cfg, frames_per_point=3)))
+    silent = sorted(n for n in wl.expected_hooks if tr.calls(n, tracer.FRAME) + tr.calls(n, tracer.SETUP) == 0)
+    assert not silent, f"expected hooks recorded no calls: {silent}"

@@ -5,9 +5,11 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnclab import search
-from pnclab.fade_states import build_catalog, enumerate_sfs, rank_principal_sfs, truncate_catalog
+from pnclab.fade_states import build_catalog, enumerate_sfs, nearest_sfs, rank_principal_sfs, truncate_catalog
 from pnclab.gf2 import BitMatrix, enumerate_subspaces, nullspace, rank_rows, rref_rows, span
 from pnclab.link import draw_channel
 from pnclab.mapping import clash_difference_basis, difference_profiles, mapping_d_min, superimpose
@@ -460,3 +462,63 @@ def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="singular"):
         load_table(str(path))
+
+
+def _per_frame_selection(store, cat, H):
+    """Oracle: the per-frame search, each AP's candidates scored one matrix
+    at a time at its channel, then ``_pick_best``."""
+    c = make_constellation(store.modulation)
+    states, lists, d_values = [], [], []
+    for h in H:
+        idx, _ = nearest_sfs(cat, tuple(h))
+        sc = superimpose(c, tuple(h))
+        states.append(idx)
+        lists.append(store.matrices_for(idx))
+        d_values.append(tuple(mapping_d_min(m.rows, sc) for m in lists[-1]))
+    combo = search._pick_best(tuple(tuple(m.encoding for m in l) for l in lists), tuple(d_values), store.t, store.mu)
+    return tuple(map(operator.getitem, lists, combo)), tuple(states)
+
+
+def _channel_stack(seed, frames, shared):
+    """Rayleigh channels; in ``shared`` frames both APs see one fade ratio,
+    and some frames have a silent first coefficient at AP 0."""
+    rng = np.random.default_rng(seed)
+    H = (rng.standard_normal((frames, 2, 2)) + 1j * rng.standard_normal((frames, 2, 2))) / np.sqrt(2)
+    H[shared, 1] = H[shared, 0] * (0.5 - 1.5j)
+    H[rng.random(frames) < 0.1, 0, 0] = 0
+    return H
+
+
+class TestBatchedSelection:
+    """Selection over a stack of frames against the one-frame forms and the
+    per-frame oracle, frame by frame."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.sampled_from(["4", "16"]))
+    def test_matches_one_frame_and_oracle(self, request, seed, frames, modulation):
+        store = request.getfixturevalue(f"store{modulation}")
+        cat = request.getfixturevalue(f"cat{modulation}")
+        H = _channel_stack(seed, frames, np.arange(frames) % 3 == 0)
+        batch = select_mappings(store, cat, H)
+        assert len(batch) == frames and batch.rows.shape == (frames, 2, store.t)
+        for f in range(frames):
+            one = select_mappings(store, cat, H[f])
+            assert batch[f] == one
+            assert (one.per_ap, one.state_indices) == _per_frame_selection(store, cat, H[f])
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 24))
+    def test_table_lookup_matches_one_frame(self, store4, cat4, seed, frames):
+        table = build_selection_table(store4, cat4, n_aps=2)
+        H = _channel_stack(seed, frames, np.arange(frames) % 2 == 0)
+        batch = table_lookup(table, cat4, H)
+        assert [batch[f] for f in range(frames)] == [table_lookup(table, cat4, H[f]) for f in range(frames)]
+
+    def test_one_ap(self, cat4):
+        store = build_store(cat4, t=4, k_per_state=5, n_aps=1)
+        H = _channel_stack(5, 12, np.zeros(12, dtype=bool))[:, :1]
+        batch = select_mappings(store, cat4, H)
+        for f in range(12):
+            one = select_mappings(store, cat4, H[f])
+            assert batch[f] == one
+            assert (one.per_ap, one.state_indices) == _per_frame_selection(store, cat4, H[f])

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from pnclab import sim
 from pnclab.sim import (
     ExperimentConfig,
     backhaul_accounting,
@@ -358,3 +359,50 @@ class TestCsv:
         text = results_csv_text(self._records())
         rows = text.strip().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["10", "14"]
+
+
+CHUNKED = {
+    "bmas-pilots": dict(scheme="bmas", ebn0_db=(8.0, 14.0), pilot_len=4),
+    "rbmas": dict(scheme="rbmas", ebn0_db=(12.0,)),
+    "comp-ideal": dict(scheme="comp_ideal", ebn0_db=(10.0,), pilot_len=4),
+    "comp-nonideal": dict(scheme="comp_nonideal", ebn0_db=(8.0,), pilot_len=4),
+}
+
+
+class TestChunking:
+    """The CSV does not depend on how frames are grouped into back-end calls.
+
+    At 120 uses a qam4 chunk holds 17 frames by default, so 40 frames run as
+    chunks of 17, 17 and 6.
+    """
+
+    @staticmethod
+    def csv(fields):
+        cfg = ExperimentConfig(modulation="qam4", frames_per_point=40, frame_len=120, rank_trials=10**4, seed=21, **fields)
+        return results_csv_text(run_experiment(cfg))
+
+    @pytest.mark.parametrize("name", sorted(CHUNKED))
+    def test_csv_is_independent_of_chunking(self, name, monkeypatch):
+        fields = CHUNKED[name]
+        default = self.csv(fields)
+        assert sim._CHUNK_ELEMENTS // (2 * 120 * 16) == 17
+
+        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", 1)                   # one frame per chunk
+        assert self.csv(fields) == default
+        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", 40 * 2 * 120 * 16)   # every frame in one chunk
+        assert self.csv(fields) == default
+        monkeypatch.undo()
+
+        monkeypatch.setenv("PNCLAB_WORKERS", "2")
+        assert self.csv(fields) == default
+        monkeypatch.delenv("PNCLAB_WORKERS")
+
+        whole = sim._run_point
+
+        def uneven(ctx, point, ebn0_db, frame_range):
+            cuts = [frame_range.start, frame_range.start + 7, frame_range.start + 25, frame_range.stop]
+            parts = [whole(ctx, point, ebn0_db, range(a, b)) for a, b in zip(cuts, cuts[1:])]
+            return tuple(map(sum, zip(*parts)))
+
+        monkeypatch.setattr(sim, "_run_point", uneven)
+        assert self.csv(fields) == default
