@@ -112,9 +112,8 @@ def detect_ncv(
     # metric[..., tau, sample], samples on the fast axis: |p - y| is |y - p|
     # bit for bit, and the reduction over hypotheses runs along whole rows
     metric = np.abs(sc.points[..., :, None] - ys[..., None, :])
-    np.square(metric, out=metric)
-    np.negative(metric, out=metric)
-    np.divide(metric, noise_var, out=metric)
+    metric *= metric
+    metric /= -noise_var            # -(d**2) / noise_var, bit for bit
     if max_log:
         out = np.empty(ys.shape + (rows.shape[-1],))
         for i in range(rows.shape[-1]):
@@ -228,7 +227,7 @@ def comp_ideal(ys: np.ndarray, H: np.ndarray, constellation: Constellation) -> n
     H = np.asarray(H)
     hyp = H[..., 0, None] * s1 + H[..., 1, None] * s2
     cost = np.abs(np.asarray(ys)[..., :, None] - hyp[..., None, :])
-    np.square(cost, out=cost)
+    cost *= cost
     return cost.sum(axis=-3).argmin(axis=-1)
 
 
@@ -281,9 +280,8 @@ def comp_nonideal_llrs(
     labels = (idx >> m, idx & (size - 1))
     hyp = hh[..., 0, None] * constellation.points[labels[0]] + hh[..., 1, None] * constellation.points[labels[1]]
     metric = np.abs(ys[..., :, None] - hyp[..., None, :])
-    np.square(metric, out=metric)
-    np.negative(metric, out=metric)
-    np.divide(metric, noise_var, out=metric)
+    metric *= metric
+    metric /= -noise_var
     out = np.empty(metric.shape[:-2] + (2, m, ys.shape[-1]))
     for term in range(2):
         for i in range(m):

@@ -507,7 +507,7 @@ def select_mappings(
     store: CandidateStore,
     cat: SfsCatalog,
     channels: np.ndarray,
-):
+) -> Selection | SelectionBatch:
     """On-line selection for one channel realization (rows = APs), or for
     a stack of them.
 
@@ -569,7 +569,7 @@ def _pair_entries(store: CandidateStore) -> dict[tuple[int, int], tuple[int, int
     u = len(distinct)
     full = store._full_rank(2)
     n, width = code.shape
-    block = max(1, (1 << 18) // (n * width * width))
+    block = max(1, (1 << 18) // (max(n, 1) * width * width))
     # one shared tuple per encoding pair, at code a * u + b; None past them
     pairs = [(a, b) for a in distinct for b in distinct] + [None]
     entries: dict[tuple[int, int], tuple[int, int] | None] = {}
@@ -624,7 +624,7 @@ def table_lookup(
     table: SelectionTable,
     cat: SfsCatalog,
     channels: np.ndarray,
-):
+) -> Selection | SelectionBatch:
     """Regulated selection: nearest states, then a table read.
 
     ``channels`` of shape (APs, 2) gives a Selection; (frames, APs, 2)

@@ -6,6 +6,18 @@ counts frames where the matrices selected under estimated CSI differ from
 the ones true CSI would pick.  Every frame derives its random stream from
 (seed, sweep-point index, frame index), so worker splits cannot change
 results.
+
+Frames run in chunks.  The front end draws each frame alone, in the
+stream's fixed order; the chunk's channels, estimates, data and samples are
+then stacked, and the scheme's back end (selection, detection, recovery, or
+a baseline's detector) runs once per chunk on arrays with a leading frame
+axis.  The chunk size is derived, not configured: about _CHUNK_ELEMENTS
+detection-metric elements, so max(1, 2^16 // (APs x uses x 2^(2m))) frames,
+which is 17 qam4 frames or 1 qam16 frame at 120 uses.  Chunking cannot
+change a result: every batched step is elementwise, a reduction along one
+frame's own axis, or a matrix product kept at the one-frame shape, stacked
+(frames, uses, 2^mu) @ (frames, 2^mu, t) and never flattened into one
+2-D product, whose blocking could round differently.
 """
 from __future__ import annotations
 
