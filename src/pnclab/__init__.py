@@ -39,6 +39,7 @@ from .search import (
     CandidateEntry,
     CandidateStore,
     Selection,
+    SelectionBatch,
     SelectionInfeasibleError,
     SelectionTable,
     build_selection_table,

@@ -178,10 +178,12 @@ def _cell_candidates(finite_vals: np.ndarray) -> np.ndarray:
     """Per grid cell, every state that can be nearest to a point in it.
 
     Row ``iy * _GRID_CELLS + ix`` lists positions in ``finite_vals`` in
-    ascending order, padded with -1 to at least two columns.  Cells are
-    taken a block of grid rows at a time, so no temporary holds more than
-    about 2^16 distances.
+    ascending order, padded with -1 to at least two columns, in the
+    smallest integer type that holds them (the table lives as long as its
+    catalog).  Cells are taken a block of grid rows at a time, so no
+    temporary holds more than about 2^16 distances.
     """
+    dtype = np.min_scalar_type(-len(finite_vals) - 1)
     size = 2 * _GRID_HALF / _GRID_CELLS
     centres = -_GRID_HALF + size * (np.arange(_GRID_CELLS) + 0.5)
     reach = size * math.sqrt(2.0) + 1e-9   # the cell diagonal, plus slack for rounding
@@ -193,12 +195,12 @@ def _cell_candidates(finite_vals: np.ndarray) -> np.ndarray:
         dist2 = (dy2[:, None, :] + dx2[None, :, :]).reshape(-1, len(finite_vals))
         bound = (np.sqrt(dist2.min(axis=1, keepdims=True)) + reach) ** 2
         cell, state = np.nonzero(dist2 <= bound)
-        cells.append(cell + y0 * _GRID_CELLS)
-        states.append(state)
+        cells.append((cell + y0 * _GRID_CELLS).astype(np.int32))
+        states.append(state.astype(dtype))
     cell = np.concatenate(cells)
     counts = np.bincount(cell, minlength=_GRID_CELLS**2)
     slot = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
-    table = np.full((_GRID_CELLS**2, max(2, counts.max())), -1, dtype=np.int32)
+    table = np.full((_GRID_CELLS**2, max(2, counts.max())), -1, dtype=dtype)
     table[cell, slot] = np.concatenate(states)
     return table
 
