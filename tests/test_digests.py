@@ -2,7 +2,9 @@
 back end and its branches (pilots or perfect CSI, sum or max-log
 detection, one or two APs, qam4 or qam16), and of the off-line artifacts
 (certified store, selection table) for two small builds and the
-paper-scale qam16 build.
+paper-scale qam16 build, plus the qam4 stores and tables that take
+certification's other branches (one AP, three APs, a K=1 store with
+infeasible tuples and a table with markers).
 
 The first four CSV digests were recorded before the frame engine was
 restructured and before selection memoized its rank checks, the other
@@ -94,6 +96,48 @@ def test_artifact_digest(name, tmp_path):
     save_table(build_selection_table(store, cat, 2), tmp_path / "table")
     assert hashlib.sha256((tmp_path / "store").read_bytes()).hexdigest() == store_sha
     assert hashlib.sha256((tmp_path / "table").read_bytes()).hexdigest() == table_sha
+
+
+# qam4 builds off the K=5 two-AP path: (build_store keywords, store sha256,
+# table sha256 or None when no table is pinned)
+BRANCH_CASES = {
+    "n1-t4": (
+        dict(t=4, k_per_state=5, n_aps=1),
+        "450cbac35b6f39f2015bcbe810f15ff7a42cf196bdd2bd18865697f405707a58",
+        None,
+    ),
+    "n3-t2": (
+        dict(t=2, k_per_state=5, n_aps=3),
+        "d4ce966761839e3402520b069da9f38ff270c116d9ce02163276294ed49f89b8",
+        "2a95e8105406f90b34882c92146bea95f0858b7f96ec424241acfa8a6885a70d",
+    ),
+    "k1-infeasible": (
+        dict(t=2, k_per_state=1, n_aps=2),
+        "8f5f9d00ce30035414415f9e11305d140c7154df362e959fd062fc7cf747013a",
+        "913b90da5ab3cb197989da21d409ca8e8208fdaaff564169f7996650a9e7cdb4",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def qam4_catalog():
+    return build_catalog("qam4", n_trials=10**4, rng_seed=0)
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+def test_branch_artifact_digest(name, qam4_catalog, tmp_path):
+    """Byte identity of the store (and table) where certification and the
+    table build leave the two-AP K=5 path."""
+    kw, store_sha, table_sha = BRANCH_CASES[name]
+    store = build_store(qam4_catalog, **kw)
+    assert bool(store.infeasible) == (kw["k_per_state"] == 1)
+    save_store(store, tmp_path / "store")
+    assert hashlib.sha256((tmp_path / "store").read_bytes()).hexdigest() == store_sha
+    if table_sha is not None:
+        table = build_selection_table(store, qam4_catalog, kw["n_aps"])
+        assert (None in table.entries.values()) == bool(store.infeasible)
+        save_table(table, tmp_path / "table")
+        assert hashlib.sha256((tmp_path / "table").read_bytes()).hexdigest() == table_sha
 
 
 def test_paper_scale_qam16_artifacts(tmp_path):
