@@ -43,3 +43,12 @@ def opt_int(value: str | None) -> int | None:
 def check_count(path: str, what: str, expected: int, found: int) -> None:
     if found != expected:
         raise ValueError(f"{path}: expected {expected} {what}, found {found}")
+
+
+def strip_index(path: str, line: str, sep: str, position: int) -> str:
+    """The rest of a body line that starts with its record index and ``sep``;
+    refuses an index other than the record's position in the file."""
+    index, found, rest = line.partition(sep)
+    if not found or index.strip() != str(position):
+        raise ValueError(f"{path}: record {position} carries index {index.strip()!r}")
+    return rest

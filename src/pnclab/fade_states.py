@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._artifact import check_count, opt_int, read_v1, write_v1
+from ._artifact import check_count, opt_int, read_v1, strip_index, write_v1
 from .mapping import COINCIDENCE_EPS, coincident_partition, superimpose
 from .modulation import Constellation, make_constellation
 
@@ -131,12 +131,10 @@ def enumerate_sfs(c: Constellation, eps: float = COINCIDENCE_EPS) -> SfsCatalog:
         seen.values(),
         key=lambda z: (round(abs(z), decimals), round(math.atan2(z.imag, z.real), decimals)),
     )
-    entries = []
-    for v in values:
-        part = coincident_partition(superimpose(c, (1.0, v)), eps)
-        entries.append(SfsEntry(state=FadeState(value=v), partition=part))
-    part_inf = coincident_partition(superimpose(c, (0.0, 1.0)), eps)
-    entries.append(SfsEntry(state=FadeState(value=0j, infinite=True), partition=part_inf))
+    channels = np.array([(1.0, v) for v in values] + [(0.0, 1.0)], dtype=complex)
+    parts = coincident_partition(superimpose(c, channels), eps)
+    states = [FadeState(value=v) for v in values] + [FadeState(value=0j, infinite=True)]
+    entries = [SfsEntry(state=s, partition=part) for s, part in zip(states, parts)]
     for e in entries:
         if not any(len(b) > 1 for b in e.partition):
             raise AssertionError(f"state {e.state.to_text()} induces no coincidence")
@@ -328,8 +326,8 @@ def save_catalog(cat: SfsCatalog, path: str) -> None:
     write_v1(path, "sfs-catalog", header, body)
 
 
-def _parse_sfs_entry(line: str) -> SfsEntry:
-    _, state_txt, weight_txt, part_txt = (s.strip() for s in line.split(";", 3))
+def _parse_sfs_entry(record: str) -> SfsEntry:
+    state_txt, weight_txt, part_txt = (s.strip() for s in record.split(";", 2))
     return SfsEntry(
         state=FadeState.from_text(state_txt),
         partition=_parse_partition(part_txt),
@@ -339,7 +337,7 @@ def _parse_sfs_entry(line: str) -> SfsEntry:
 
 def load_catalog(path: str) -> SfsCatalog:
     with read_v1(path, "sfs-catalog") as (header, body):
-        entries = tuple(_parse_sfs_entry(ln) for ln in body)
+        entries = tuple(_parse_sfs_entry(strip_index(path, ln, ";", i)) for i, ln in enumerate(body))
     check_count(path, "entries", int(header["entries"]), len(entries))
     return SfsCatalog(
         modulation=header["modulation"],

@@ -81,14 +81,50 @@ def superimpose(c: Constellation, h) -> SuperimposedConstellation:
     return SuperimposedConstellation(constellation=c, points=pts, lattice_points=lat)
 
 
-def coincident_partition(sc: SuperimposedConstellation, eps: float = COINCIDENCE_EPS) -> tuple[tuple[int, ...], ...]:
-    """Partition of joint indices by equal superposition value (lattice test)."""
+def _round_keys(x: np.ndarray, decimals: int) -> np.ndarray:
+    """``round(v, decimals)`` of every value, bit for bit, as an array.
+
+    Python rounds the exact binary value half to even at ``decimals``
+    places and returns the double nearest that decimal, N / 10^decimals.
+    ``rint(x * 10^decimals)`` is that N unless the one rounding in the
+    product (relative error at most 2^-53) could have carried it across a
+    half-way point, and dividing an exact N by an exact power of ten gives
+    the same nearest double.  Values within 2^-50 of a half, relative to
+    the product, and products of 2^50 or more (or not finite) are rounded
+    by Python itself, as is everything when 10^decimals is not an exact
+    double.
+    """
+    scale = float(10**decimals)
+    y = x * scale
+    n = np.rint(y)
+    keys = n / scale
+    near = ~(np.abs(y) < 2.0**50) | (0.5 - np.abs(y - n) <= np.abs(y) * 2.0**-50) | (decimals > 22)
+    for i in np.flatnonzero(near):
+        keys.flat[i] = round(float(x.flat[i]), decimals)
+    return keys
+
+
+def coincident_partition(sc: SuperimposedConstellation, eps: float = COINCIDENCE_EPS):
+    """Partition of joint indices by equal superposition value (lattice test).
+
+    Two points coincide when both lattice coordinates agree after
+    ``round(., decimals)``, with ``decimals = -log10(eps)``.  Blocks are
+    ascending and listed by their first index.  A stacked ``sc`` (one
+    leading axis) gives a tuple with one partition per channel, each the
+    one its channel alone gives.
+    """
     decimals = max(0, int(round(-np.log10(eps))))
-    groups: dict[tuple[float, float], list[int]] = {}
-    for tau, z in enumerate(sc.lattice_points):
-        key = (round(z.real, decimals), round(z.imag, decimals))
-        groups.setdefault(key, []).append(tau)
-    return tuple(sorted(tuple(g) for g in groups.values()))
+    lat = sc.lattice_points.reshape(-1, sc.lattice_points.shape[-1])
+    re, im = _round_keys(lat.real, decimals), _round_keys(lat.imag, decimals)
+    # a stable sort by key keeps each block's indices ascending, first index first
+    order = np.lexsort((im, re), axis=-1)
+    re, im = np.take_along_axis(re, order, -1), np.take_along_axis(im, order, -1)
+    new = (re[:, 1:] != re[:, :-1]) | (im[:, 1:] != im[:, :-1])
+    parts = []
+    for o, cut in zip(order.tolist(), new.tolist()):
+        starts = [0] + [k + 1 for k, c in enumerate(cut) if c]
+        parts.append(tuple(sorted(tuple(o[a:b]) for a, b in zip(starts, starts[1:] + [len(o)]))))
+    return parts[0] if sc.lattice_points.ndim == 1 else tuple(parts)
 
 
 @lru_cache(maxsize=8)

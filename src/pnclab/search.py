@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from ._artifact import check_count, opt_int, read_v1, write_v1
+from ._artifact import check_count, opt_int, read_v1, strip_index, write_v1
 # The layer tracer (perfbench/tracer.py) wraps these names as attributes of
 # this module: rank_rows, nearest_sfs, difference_profiles, mapping_d_min,
 # superimpose and make_constellation.  Keep each bound here, difference_profiles
@@ -328,10 +328,6 @@ def _stacks_full_rank(encodings: tuple[int, ...], t: int, mu: int) -> bool:
     return rank_rows([r for e in encodings for r in BitMatrix.from_encoding(e, t, mu).rows]) == mu
 
 
-def _tuple_feasible(encodings, tup, t, mu) -> bool:
-    return any(_stacks_full_rank(combo, t, mu) for combo in itertools.product(*(encodings[i] for i in tup)))
-
-
 def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
     """Stage two: verify an invertible stack exists for every ordered tuple.
 
@@ -340,30 +336,30 @@ def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
     is reported in the returned store rather than hidden.  Entries that can
     pair with no other stored entry to full rank (and so participate in no
     feasible stack) are pruned, keeping at least one entry per state.
+
+    Both answers come from the store's verdict arrays over its distinct
+    encodings.  A tuple is feasible when some combination of its states'
+    codes is full rank: each AP's code axis in turn is replaced by a state
+    axis, taking ``any`` over that state's K codes (the pad slot reads
+    False).  Every distinct encoding is held by some entry, so an entry
+    pairs with a stored entry, itself included, exactly when its row of
+    the two-AP verdict array holds a True.  With one AP an entry is used
+    when it is full rank alone.
     """
     t, mu = store.t, store.mu
     if n_aps * t < mu:
         raise ValueError(f"{n_aps} APs of {t} rows cannot reach rank {mu}")
     _stacks_full_rank.cache_clear()
-    lists = store.lists
-    encodings = [tuple(e.matrix.encoding for e in l) for l in lists]
-    n_states = len(store.states)
-    all_tuples = itertools.product(range(n_states), repeat=n_aps)
-    remaining = tuple(tup for tup in all_tuples if not _tuple_feasible(encodings, tup, t, mu))
-
-    if n_aps >= 2:
-        flat = [(i, j, enc) for i, l in enumerate(encodings) for j, enc in enumerate(l)]
-        used: list[set[int]] = [set() for _ in range(n_states)]
-        for a, (i1, j1, enc1) in enumerate(flat):
-            for i2, j2, enc2 in flat[a:]:
-                if _stacks_full_rank((enc1, enc2), t, mu):
-                    used[i1].add(j1)
-                    used[i2].add(j2)
-    else:
-        used = [{j for j, enc in enumerate(l) if _stacks_full_rank((enc,), t, mu)} for l in encodings]
+    _, code, _, _ = store._arrays
+    feasible = store._full_rank(n_aps)
+    for _ in range(n_aps):          # the leading code axis becomes a trailing state axis
+        feasible = np.moveaxis(feasible[code].any(axis=1), 0, -1)
+    remaining = tuple(map(tuple, np.argwhere(~feasible).tolist()))
+    full = store._full_rank(min(n_aps, 2))
+    used = (full.any(axis=1) if n_aps >= 2 else full)[code].tolist()
     pruned = tuple(
-        tuple(e for j, e in enumerate(lists[i]) if j in used[i]) or tuple(lists[i][:1])
-        for i in range(n_states)
+        tuple(e for e, keep in zip(l, u) if keep) or l[:1]
+        for l, u in zip(store.lists, used)
     )
     return replace(store, lists=pruned, certified_n=n_aps, infeasible=remaining)
 
@@ -693,7 +689,7 @@ def load_store(path: str) -> CandidateStore:
     lists = []
     with read_v1(path, "store") as (header, body):
         for ln in body:
-            _, state_txt, entries_txt = (s.strip() for s in ln.split(" @ ", 2))
+            state_txt, entries_txt = (s.strip() for s in strip_index(path, ln, " @ ", len(states)).split(" @ ", 1))
             states.append(FadeState.from_text(state_txt))
             lists.append(tuple(_parse_entry(e) for e in entries_txt.split()))
     check_count(path, "states", int(header["states"]), len(states))
@@ -718,6 +714,18 @@ def load_store(path: str) -> CandidateStore:
     return store
 
 
+# save_table formats its body this many lines at a time
+_LINE_BLOCK = 1 << 12
+
+
+class _EncodingText(dict):
+    """A table value's body text, formatted once per distinct value."""
+
+    def __missing__(self, encs: tuple[int, ...]) -> str:
+        text = self[encs] = " ".join(format(e, "x") for e in encs)
+        return text
+
+
 def save_table(table: SelectionTable, path: str) -> None:
     header = {
         "modulation": table.modulation,
@@ -728,39 +736,53 @@ def save_table(table: SelectionTable, path: str) -> None:
         "states": len(table.states),
     }
     states = (f"state {i} @ {state.to_text()}" for i, state in enumerate(table.states))
-    entries = (
-        ",".join(map(str, tup)) + " -> "
-        + ("fallback" if encs is None else " ".join(format(e, "x") for e in encs))
-        for tup, encs in sorted(table.entries.items())
-    )
+    keys = sorted(table.entries)
+    names = [str(i) for i in range(len(table.states))]
+    text = _EncodingText({None: "fallback"})
+
+    def lines(block):           # one string of lines; write_v1 ends it with the last newline
+        return "\n".join([f"{','.join(map(names.__getitem__, tup))} -> {text[table.entries[tup]]}" for tup in block])
+
+    entries = (lines(keys[b : b + _LINE_BLOCK]) for b in range(0, len(keys), _LINE_BLOCK))
     write_v1(path, "table", header, itertools.chain(states, entries))
 
 
 def load_table(path: str) -> SelectionTable:
     """Read a table file: every ``n``-tuple of state indices must be present
-    once, and every entry must list ``n`` matrices that stack to an
-    invertible global matrix."""
+    exactly once, in any order, and every entry must list ``n`` matrices
+    that stack to an invertible global matrix.
+
+    Keys are read against the canonical index strings, and each distinct
+    value text is parsed and rank-checked once; entries with equal
+    encodings share one value tuple.
+    """
     states: list[FadeState] = []
     entries: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+    values: dict[str, tuple[int, ...] | None] = {"fallback": None}
     with read_v1(path, "table") as (header, body):
         t, mu, n, n_states = (int(header[k]) for k in ("t", "mu", "n", "states"))
+        index = {str(i): i for i in range(n_states)}.__getitem__
         for ln in body:
             if ln.startswith("state "):
-                states.append(FadeState.from_text(ln.partition(" @ ")[2]))
+                states.append(FadeState.from_text(strip_index(path, ln[6:], " @ ", len(states))))
                 continue
             key, _, val = ln.partition(" -> ")
-            tup = tuple(map(int, key.split(",")))
-            if len(tup) != n or min(tup) < 0 or max(tup) >= n_states:
+            try:
+                tup = tuple(map(index, key.split(",")))
+            except KeyError:
+                tup = ()
+            if len(tup) != n:
                 raise ValueError(f"{path}: table key {key!r} is not a {n}-tuple of state indices")
-            if val.strip() == "fallback":
-                entries[tup] = None
-                continue
-            encs = tuple(int(x, 16) for x in val.split())
-            if len(encs) != n:
-                raise ValueError(f"{path}: table entry {tup} lists {len(encs)} matrices, not {n}")
-            if not _stacks_full_rank(encs, t, mu):
-                raise ValueError(f"table entry {tup} stacks to a singular global matrix")
-            entries[tup] = encs
+            if tup in entries:
+                raise ValueError(f"{path}: table key {key!r} appears more than once")
+            if val not in values:
+                encs = tuple(int(x, 16) for x in val.split())
+                if len(encs) != n:
+                    raise ValueError(f"{path}: table entry {tup} lists {len(encs)} matrices, not {n}")
+                if not _stacks_full_rank(encs, t, mu):
+                    raise ValueError(f"table entry {tup} stacks to a singular global matrix")
+                values[val] = encs
+            entries[tup] = values[val]
     check_count(path, "states", n_states, len(states))
     check_count(path, "state tuples", n_states**n, len(entries))
     return SelectionTable(
