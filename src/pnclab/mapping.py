@@ -81,41 +81,20 @@ def superimpose(c: Constellation, h) -> SuperimposedConstellation:
     return SuperimposedConstellation(constellation=c, points=pts, lattice_points=lat)
 
 
-def _round_keys(x: np.ndarray, decimals: int) -> np.ndarray:
-    """``round(v, decimals)`` of every value, bit for bit, as an array.
-
-    Python rounds the exact binary value half to even at ``decimals``
-    places and returns the double nearest that decimal, N / 10^decimals.
-    ``rint(x * 10^decimals)`` is that N unless the one rounding in the
-    product (relative error at most 2^-53) could have carried it across a
-    half-way point, and dividing an exact N by an exact power of ten gives
-    the same nearest double.  Values within 2^-50 of a half, relative to
-    the product, and products of 2^50 or more (or not finite) are rounded
-    by Python itself, as is everything when 10^decimals is not an exact
-    double.
-    """
-    scale = float(10**decimals)
-    y = x * scale
-    n = np.rint(y)
-    keys = n / scale
-    near = ~(np.abs(y) < 2.0**50) | (0.5 - np.abs(y - n) <= np.abs(y) * 2.0**-50) | (decimals > 22)
-    for i in np.flatnonzero(near):
-        keys.flat[i] = round(float(x.flat[i]), decimals)
-    return keys
-
-
 def coincident_partition(sc: SuperimposedConstellation, eps: float = COINCIDENCE_EPS):
     """Partition of joint indices by equal superposition value (lattice test).
 
-    Two points coincide when both lattice coordinates agree after
-    ``round(., decimals)``, with ``decimals = -log10(eps)``.  Blocks are
-    ascending and listed by their first index.  A stacked ``sc`` (one
-    leading axis) gives a tuple with one partition per channel, each the
-    one its channel alone gives.
+    Two points coincide when both lattice coordinates agree after numpy's
+    ``round(., decimals)``, with ``decimals = -log10(eps)``: that is
+    ``rint(x * 10^decimals) / 10^decimals``, the same key a numpy scalar
+    gives under Python's ``round`` (not the correctly rounded decimal a
+    Python float gives).  Blocks are ascending and listed by their first
+    index.  A stacked ``sc`` (one leading axis) gives a tuple with one
+    partition per channel, each the one its channel alone gives.
     """
     decimals = max(0, int(round(-np.log10(eps))))
     lat = sc.lattice_points.reshape(-1, sc.lattice_points.shape[-1])
-    re, im = _round_keys(lat.real, decimals), _round_keys(lat.imag, decimals)
+    re, im = np.round(lat.real, decimals), np.round(lat.imag, decimals)
     # a stable sort by key keeps each block's indices ascending, first index first
     order = np.lexsort((im, re), axis=-1)
     re, im = np.take_along_axis(re, order, -1), np.take_along_axis(im, order, -1)

@@ -7,6 +7,7 @@ from pnclab.fade_states import enumerate_sfs
 from pnclab.gf2 import BitMatrix, mul_int, rank_f2
 from pnclab.mapping import (
     COINCIDENCE_EPS,
+    SuperimposedConstellation,
     coincident_partition,
     difference_profiles,
     evaluate_mapping,
@@ -179,6 +180,70 @@ class TestSuperimpose:
         for i1 in range(4):
             for i2 in range(4):
                 assert sc.points[(i1 << 2) | i2] == pytest.approx(qam4.points[i1])
+
+
+def round_partition(sc, eps=COINCIDENCE_EPS):
+    """Oracle: joint indices grouped by ``round`` of both lattice
+    coordinates, one point at a time.  The coordinates are numpy scalars,
+    so ``round`` is numpy's ``rint(x * 10^d) / 10^d``."""
+    decimals = max(0, int(round(-np.log10(eps))))
+    groups = {}
+    for tau, z in enumerate(sc.lattice_points):
+        key = (round(z.real, decimals), round(z.imag, decimals))
+        groups.setdefault(key, []).append(tau)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+_RATIO = st.builds(lambda p, q: p / q, st.integers(-12, 12), st.integers(1, 12))
+_CHANNEL_PART = st.one_of(_RATIO, st.floats(-8.0, 8.0))
+
+
+class TestCoincidentPartition:
+    """The stacked, array-keyed partition against the per-point ``round``
+    oracle, compared with exact ==."""
+
+    @pytest.mark.parametrize("modulation", ["qam4", "qam16"])
+    def test_every_catalog_state(self, modulation):
+        c = make_constellation(modulation)
+        H = np.array([state_channel(e.state) for e in enumerate_sfs(c).entries], dtype=complex)
+        parts = coincident_partition(superimpose(c, H))
+        assert list(parts) == [round_partition(superimpose(c, h)) for h in H]
+        assert coincident_partition(superimpose(c, H[-1])) == parts[-1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(*[st.builds(complex, _CHANNEL_PART, _CHANNEL_PART)] * 2), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    def test_hypothesis_channels(self, qam4, qam16, pairs, sixteen):
+        c = qam16 if sixteen else qam4
+        parts = coincident_partition(superimpose(c, np.array(pairs, dtype=complex)))
+        assert list(parts) == [round_partition(superimpose(c, h)) for h in pairs]
+
+    def test_values_either_side_of_a_half_way_point(self, qam4):
+        """Coordinates at half a unit of the ninth decimal and a few ulps
+        either side, exact dyadic halves (1/1024) and magnitudes past 2^20.
+        For some of them numpy's rounding and a Python float's correctly
+        rounded ``round`` disagree; the partition follows numpy's, as the
+        per-point keys always have."""
+        rng = np.random.default_rng(3)
+        centres = [5.9127555775, 5.8506242255, 7.8631789225, 30.2254357635, 1 / 1024, 3 / 1024, -5.8506242255]
+        centres += list(rng.choice([1.0, 40.0, 2.0**19, 3.0e6], 24) + (rng.integers(0, 10**9, 24) + 0.5) / 1e9)
+        rows = []
+        for x in centres:
+            near = [x + 1e-9, x - 1e-9]
+            for k in range(-3, 4):
+                near.append(float(np.nextafter(x, k * np.inf, dtype=float) if k else x))
+                for _ in range(abs(k) - 1):
+                    near[-1] = float(np.nextafter(near[-1], k * np.inf))
+            rows.append(rng.choice(near, 16) + 1j * rng.choice(near, 16))
+        lattice = np.array(rows)
+        assert any(np.rint(v * 1e9) / 1e9 != round(v, 9) for v in lattice.real.ravel().tolist())
+        sc = SuperimposedConstellation(constellation=qam4, points=lattice, lattice_points=lattice)
+        parts = coincident_partition(sc)
+        want = [round_partition(SuperimposedConstellation(qam4, row, row)) for row in lattice]
+        assert list(parts) == want
+        assert any(1 < len(b) < 16 for p in want for b in p)
 
 
 class TestEvaluateMapping:
