@@ -24,6 +24,19 @@ def test_offline_and_table_and_verify(tmp_path, capsys):
     assert "store OK" in out
 
 
+def test_verify_store_fails_on_infeasible_tuples(tmp_path, capsys):
+    """A K=1 store cannot serve two APs in the same fade."""
+    store_path = str(tmp_path / "k1.cat")
+    assert main([
+        "offline", "--mod", "qam4", "--t", "2", "--K", "1",
+        "--trials", "20000", "--seed", "0", "--out", store_path,
+    ]) == 0
+    assert load_store(store_path).infeasible
+    capsys.readouterr()
+    assert main(["verify-store", "--store", store_path, "--n", "2"]) == 1
+    assert "store FAILED verification" in capsys.readouterr().out
+
+
 def test_offline_with_truncation(tmp_path):
     store_path = str(tmp_path / "store5.cat")
     main([

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -288,6 +290,49 @@ def test_catalog_truncated_file_refused(tmp_path, cat4):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="entries"):
+        load_catalog(str(path))
+
+
+FADE_STATES = st.one_of(
+    st.just(FadeState(value=0j, infinite=True)),
+    st.builds(lambda re, im: FadeState(value=complex(re, im)), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+)
+
+
+@st.composite
+def partitions(draw, size=16):
+    order = draw(st.permutations(range(size)))
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1))))
+    return tuple(sorted(tuple(sorted(order[a:b])) for a, b in zip([0] + cuts, cuts + [size])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.builds(SfsEntry, FADE_STATES, partitions(), st.floats(0.0, 1e7)), min_size=1, max_size=12),
+    st.one_of(st.none(), st.integers(0, 2**31)),
+    st.one_of(st.none(), st.integers(1, 10**7)),
+)
+def test_catalog_save_load_save_bytes(cat4, entries, rank_seed, rank_trials):
+    cat = dataclasses.replace(cat4, entries=tuple(entries), rank_seed=rank_seed, rank_trials=rank_trials)
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "a"), os.path.join(d, "b")
+        save_catalog(cat, first)
+        loaded = load_catalog(first)
+        save_catalog(loaded, second)
+        assert open(first, "rb").read() == open(second, "rb").read()
+    assert [e.partition for e in loaded.entries] == [e.partition for e in cat.entries]
+
+
+def test_catalog_swapped_lines_refused(tmp_path, cat4):
+    """Each line's leading index must be its position: two lines swapped
+    used to load in the swapped order."""
+    path = tmp_path / "cat.txt"
+    save_catalog(cat4, str(path))
+    lines = path.read_text().splitlines()
+    i = lines.index(next(ln for ln in lines if ln.startswith("3; ")))
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="record 3 carries index '4'"):
         load_catalog(str(path))
 
 

@@ -279,6 +279,27 @@ class TestSubspaceProperties:
         assert enumerate_subspaces((1, 2), -1).shape[0] == 0
 
 
+class TestRankProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda c: st.lists(st.integers(0, (1 << c) - 1), max_size=8)), st.data())
+    def test_log2_of_span_and_row_operations(self, rows, data):
+        """The rank is log2 of the span's size, and swapping rows or adding
+        one row to another leaves it unchanged."""
+        spanned = {0}
+        for row in rows:
+            spanned |= {x ^ row for x in spanned}
+        rank = rank_rows(rows)
+        assert 1 << rank == len(spanned)
+        ops = st.tuples(st.booleans(), st.integers(0, max(len(rows) - 1, 0)), st.integers(0, max(len(rows) - 1, 0)))
+        moved = list(rows)
+        for swap, i, j in data.draw(st.lists(ops, max_size=6)) if rows else ():
+            if swap:
+                moved[i], moved[j] = moved[j], moved[i]
+            elif i != j:
+                moved[j] ^= moved[i]
+        assert rank_rows(moved) == rank
+
+
 class TestRrefProperties:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 8).flatmap(

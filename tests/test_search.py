@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 import itertools
 import math
 import operator
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnclab import search
-from pnclab.fade_states import build_catalog, enumerate_sfs, nearest_sfs, rank_principal_sfs, truncate_catalog
+from pnclab.fade_states import FadeState, build_catalog, enumerate_sfs, nearest_sfs, rank_principal_sfs, truncate_catalog
 from pnclab.gf2 import BitMatrix, enumerate_subspaces, nullspace, rank_rows, rref_rows, span
 from pnclab.link import draw_channel
 from pnclab.mapping import clash_difference_basis, difference_profiles, mapping_d_min, superimpose
 from pnclab.modulation import make_constellation
 from pnclab.search import (
+    CandidateEntry,
     SelectionInfeasibleError,
     assemble_store,
     build_selection_table,
@@ -182,6 +186,79 @@ class TestCertification:
 
     def test_list_cap(self, store4):
         assert all(len(l) <= store4.k_per_state for l in store4.lists)
+
+    @pytest.mark.parametrize(
+        "cat_name, t, k, n",
+        [
+            ("cat4", 2, 5, 2),
+            ("cat4", 3, 5, 2),
+            ("cat4", 4, 5, 2),
+            ("cat4", 4, 5, 1),
+            ("cat4", 2, 1, 2),
+            ("cat4", 3, 1, 3),
+            ("cat4", 2, 3, 3),
+            ("cat16", 4, 5, 2),
+        ],
+    )
+    def test_matches_pair_loop(self, request, cat_name, t, k, n):
+        cat = request.getfixturevalue(cat_name)
+        store = assemble_store(cat, mine_candidates(cat, t=t, limit=k), t=t, k_per_state=k)
+        got = certify_store(store, n)
+        assert (got.lists, got.infeasible) == pair_loop_certify(store, n)
+        assert got.certified_n == n
+        if k == 1:
+            assert got.infeasible
+
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pruning_matches_pair_loop(self, store4, n):
+        """x = span{e0, e2} meets every stored row space, so it pairs with
+        nothing to full rank and is pruned; y = span{e0, e3} at state 2
+        meets them all too but is its state's only entry, so it stays."""
+        def entry(*rows):
+            return CandidateEntry(BitMatrix.from_row_ints(rows, 4), 1.0, True, 1.0)
+
+        a, b, x, y = entry(1, 2), entry(4, 8), entry(1, 4), entry(1, 8)
+        store = dataclasses.replace(store4, states=store4.states[:3], lists=((a, x), (x, b), (y,)))
+        got = certify_store(store, n)
+        assert (got.lists, got.infeasible) == pair_loop_certify(store, n)
+        assert got.lists[:2] == ((a,), (b,)) and got.lists[2] == (y,)
+
+
+def pair_loop_certify(store, n_aps):
+    """Oracle: certification one tuple and one pair of entries at a time.
+
+    Returns (lists, infeasible): the tuples with no full-rank combination of
+    their states' matrices, in lexicographic order, and the lists without
+    the entries that stack to full rank with no stored entry (alone, for
+    one AP), keeping at least one entry per state.
+    """
+    t, mu = store.t, store.mu
+    encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
+
+    @functools.cache
+    def full(encs):
+        return rank_rows([r for e in encs for r in BitMatrix.from_encoding(e, t, mu).rows]) == mu
+
+    infeasible = tuple(
+        tup
+        for tup in itertools.product(range(len(store.states)), repeat=n_aps)
+        if not any(full(combo) for combo in itertools.product(*(encodings[i] for i in tup)))
+    )
+    used = [set() for _ in store.lists]
+    if n_aps >= 2:
+        flat = [(i, j, enc) for i, l in enumerate(encodings) for j, enc in enumerate(l)]
+        for a, (i1, j1, enc1) in enumerate(flat):
+            for i2, j2, enc2 in flat[a:]:
+                if full((enc1, enc2)):
+                    used[i1].add(j1)
+                    used[i2].add(j2)
+    else:
+        used = [{j for j, enc in enumerate(l) if full((enc,))} for l in encodings]
+    lists = tuple(
+        tuple(e for j, e in enumerate(l) if j in used[i]) or l[:1] for i, l in enumerate(store.lists)
+    )
+    return lists, infeasible
 
 
 class TestOnlineSelection:
@@ -419,6 +496,135 @@ class TestPersistence:
         path.write_text(text)
         with pytest.raises(ValueError, match="state indices"):
             load_table(str(path))
+
+
+    def test_table_key_repeated_refused(self, store4, cat4, tmp_path):
+        """The ``0,0`` line again with another entry's value: the last line
+        used to win."""
+        path = tmp_path / "table.tab"
+        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        lines = path.read_text().splitlines()
+        first = next(ln for ln in lines if ln.startswith("0,0 -> ")).partition(" -> ")[2]
+        other = next(ln.partition(" -> ")[2] for ln in lines if " -> " in ln and not ln.endswith(f" -> {first}"))
+        lines.append(f"0,0 -> {other}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="more than once"):
+            load_table(str(path))
+
+    def test_table_key_missing_refused(self, store4, cat4, tmp_path):
+        """A repeated key in place of a missing one."""
+        path = tmp_path / "table.tab"
+        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        text = path.read_text().replace("\n0,1 -> ", "\n0,0 -> ", 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match="more than once"):
+            load_table(str(path))
+        path.write_text("\n".join(ln for ln in text.splitlines() if not ln.startswith("0,0 -> ")) + "\n")
+        with pytest.raises(ValueError, match="state tuples"):
+            load_table(str(path))
+
+    def test_table_lines_in_any_order(self, store4, cat4, tmp_path):
+        table = build_selection_table(store4, cat4, n_aps=2)
+        path = tmp_path / "table.tab"
+        save_table(table, str(path))
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if " -> " in ln)
+        body = lines[at:]
+        np.random.default_rng(0).shuffle(body)
+        path.write_text("\n".join(lines[:at] + body) + "\n")
+        assert load_table(str(path)).entries == table.entries
+
+    @pytest.mark.parametrize("kind", ["store", "table"])
+    def test_swapped_indexed_lines_refused(self, store4, cat4, tmp_path, kind):
+        """Two state lines swapped keep their indices, which no longer match
+        their positions."""
+        path = tmp_path / kind
+        if kind == "store":
+            save_store(store4, str(path))
+        else:
+            save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        lines = path.read_text().splitlines()
+        prefix = "state " if kind == "table" else ""
+        i = lines.index(next(ln for ln in lines if ln.startswith(f"{prefix}0 @ ")))
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="index '1'"):
+            (load_store if kind == "store" else load_table)(str(path))
+
+
+FADE_STATES = st.one_of(
+    st.just(FadeState(value=0j, infinite=True)),
+    st.builds(lambda re, im: FadeState(value=complex(re, im)), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+)
+DISTANCES = st.one_of(st.floats(0.0, 100.0), st.just(math.inf))
+
+
+def full_rank_rows(t, mu=4):
+    return st.lists(st.integers(0, (1 << mu) - 1), min_size=t, max_size=t).filter(lambda r: rank_rows(r) == t)
+
+
+def _save_load_save(save, load, artifact):
+    """Bytes of save(artifact) and of save(load(...)) of them, and the loaded artifact."""
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "a"), os.path.join(d, "b")
+        save(artifact, first)
+        loaded = load(first)
+        save(loaded, second)
+        return open(first, "rb").read(), open(second, "rb").read(), loaded
+
+
+class TestRoundTripProperties:
+    """save -> load -> save gives the same bytes, for artifacts drawn at random."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_store(self, store4, t, data):
+        entries = st.builds(
+            CandidateEntry,
+            full_rank_rows(t).map(lambda r: BitMatrix.from_row_ints(r, 4)),
+            DISTANCES,
+            st.booleans(),
+            DISTANCES,
+        )
+        lists = data.draw(st.lists(st.lists(entries, min_size=1, max_size=5).map(tuple), min_size=1, max_size=6))
+        n = data.draw(st.integers(1, 3))
+        store = dataclasses.replace(
+            store4,
+            t=t,
+            states=tuple(data.draw(FADE_STATES) for _ in lists),
+            lists=tuple(lists),
+            certified_n=data.draw(st.one_of(st.none(), st.just(n))),
+            infeasible=tuple(data.draw(st.lists(st.tuples(*[st.integers(0, len(lists) - 1)] * n), max_size=4))),
+            rank_seed=data.draw(st.one_of(st.none(), st.integers(0, 2**31))),
+        )
+        first, second, loaded = _save_load_save(save_store, load_store, store)
+        assert first == second
+        assert [[e.matrix for e in l] for l in loaded.lists] == [[e.matrix for e in l] for l in store.lists]
+        assert (loaded.certified_n, loaded.infeasible) == (store.certified_n, store.infeasible)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 4), (2, 2), (2, 3), (3, 2)]), st.integers(1, 4), st.data())
+    def test_table(self, store4, n_t, n_states, data):
+        """Markers, one AP and three APs included."""
+        n, t = n_t
+        stack = st.lists(full_rank_rows(t), min_size=n, max_size=n).filter(
+            lambda ms: rank_rows([r for m in ms for r in m]) == 4
+        )
+        pool = data.draw(st.lists(stack, min_size=1, max_size=4))
+        encodings = [tuple(BitMatrix.from_row_ints(m, 4).encoding for m in ms) for ms in pool]
+        keys = list(itertools.product(range(n_states), repeat=n))
+        table = search.SelectionTable(
+            modulation=store4.modulation,
+            labeling_version=store4.labeling_version,
+            t=t,
+            mu=4,
+            n_aps=n,
+            states=tuple(data.draw(FADE_STATES) for _ in range(n_states)),
+            entries={k: data.draw(st.sampled_from(encodings + [None])) for k in keys},
+        )
+        first, second, loaded = _save_load_save(save_table, load_table, table)
+        assert first == second
+        assert loaded.entries == table.entries
 
 
 def test_selection_infeasible_raises(cat4):
