@@ -718,14 +718,6 @@ def load_store(path: str) -> CandidateStore:
 _LINE_BLOCK = 1 << 12
 
 
-class _EncodingText(dict):
-    """A table value's body text, formatted once per distinct value."""
-
-    def __missing__(self, encs: tuple[int, ...]) -> str:
-        text = self[encs] = " ".join(format(e, "x") for e in encs)
-        return text
-
-
 def save_table(table: SelectionTable, path: str) -> None:
     header = {
         "modulation": table.modulation,
@@ -738,7 +730,7 @@ def save_table(table: SelectionTable, path: str) -> None:
     states = (f"state {i} @ {state.to_text()}" for i, state in enumerate(table.states))
     keys = sorted(table.entries)
     names = [str(i) for i in range(len(table.states))]
-    text = _EncodingText({None: "fallback"})
+    text = {v: "fallback" if v is None else " ".join(format(e, "x") for e in v) for v in set(table.entries.values())}
 
     def lines(block):           # one string of lines; write_v1 ends it with the last newline
         return "\n".join([f"{','.join(map(names.__getitem__, tup))} -> {text[table.entries[tup]]}" for tup in block])
@@ -758,7 +750,7 @@ def load_table(path: str) -> SelectionTable:
     """
     states: list[FadeState] = []
     entries: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    values: dict[str, tuple[int, ...] | None] = {"fallback": None}
+    values: dict[str, tuple[int, ...] | None] = {}      # value text -> its encodings, checked once
     with read_v1(path, "table") as (header, body):
         t, mu, n, n_states = (int(header[k]) for k in ("t", "mu", "n", "states"))
         index = {str(i): i for i in range(n_states)}.__getitem__
@@ -775,7 +767,9 @@ def load_table(path: str) -> SelectionTable:
                 raise ValueError(f"{path}: table key {key!r} is not a {n}-tuple of state indices")
             if tup in entries:
                 raise ValueError(f"{path}: table key {key!r} appears more than once")
-            if val not in values:
+            if val not in values and val.strip() == "fallback":
+                values[val] = None
+            elif val not in values:
                 encs = tuple(int(x, 16) for x in val.split())
                 if len(encs) != n:
                     raise ValueError(f"{path}: table entry {tup} lists {len(encs)} matrices, not {n}")
