@@ -99,12 +99,12 @@ def test_artifact_digest(name, tmp_path):
 
 
 # qam4 builds off the K=5 two-AP path: (build_store keywords, store sha256,
-# table sha256 or None when no table is pinned)
+# table sha256)
 BRANCH_CASES = {
     "n1-t4": (
         dict(t=4, k_per_state=5, n_aps=1),
         "450cbac35b6f39f2015bcbe810f15ff7a42cf196bdd2bd18865697f405707a58",
-        None,
+        "013789da69955f9c0eb15f507ea26ef9d838f4cc17b13dd750a91df5d7a5b317",
     ),
     "n3-t2": (
         dict(t=2, k_per_state=5, n_aps=3),
@@ -126,18 +126,17 @@ def qam4_catalog():
 
 @pytest.mark.parametrize("name", sorted(BRANCH_CASES))
 def test_branch_artifact_digest(name, qam4_catalog, tmp_path):
-    """Byte identity of the store (and table) where certification and the
+    """Byte identity of the store and table where certification and the
     table build leave the two-AP K=5 path."""
     kw, store_sha, table_sha = BRANCH_CASES[name]
     store = build_store(qam4_catalog, **kw)
     assert bool(store.infeasible) == (kw["k_per_state"] == 1)
     save_store(store, tmp_path / "store")
     assert hashlib.sha256((tmp_path / "store").read_bytes()).hexdigest() == store_sha
-    if table_sha is not None:
-        table = build_selection_table(store, qam4_catalog, kw["n_aps"])
-        assert (None in table.entries.values()) == bool(store.infeasible)
-        save_table(table, tmp_path / "table")
-        assert hashlib.sha256((tmp_path / "table").read_bytes()).hexdigest() == table_sha
+    table = build_selection_table(store, qam4_catalog, kw["n_aps"])
+    assert (None in table.entries.values()) == bool(store.infeasible)
+    save_table(table, tmp_path / "table")
+    assert hashlib.sha256((tmp_path / "table").read_bytes()).hexdigest() == table_sha
 
 
 def test_paper_scale_qam16_artifacts(tmp_path):

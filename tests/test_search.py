@@ -392,10 +392,14 @@ class TestPairTable:
         assert [t for t, v in entries.items() if v is None] == sorted(store.infeasible)
         assert entries == _tuplewise_entries(store, 2)
 
-    def test_three_aps_use_pick_best(self, cat4):
-        sub = truncate_catalog(cat4, 4)
-        store = certify_store(assemble_store(sub, mine_candidates(sub, t=2, limit=3), t=2, k_per_state=3), 3)
-        assert build_selection_table(store, n_aps=3).entries == _tuplewise_entries(store, 3)
+    @pytest.mark.parametrize("n, t, n_states", [(1, 4, 14), (3, 2, 4)], ids=["n1", "n3"])
+    def test_other_ap_counts_match_pick_best(self, cat4, n, t, n_states):
+        """One AP at t=4 over every state, three APs at t=2 over four."""
+        sub = truncate_catalog(cat4, n_states)
+        store = certify_store(assemble_store(sub, mine_candidates(sub, t=t, limit=3), t=t, k_per_state=3), n)
+        entries = build_selection_table(store, n_aps=n).entries
+        assert entries == _tuplewise_entries(store, n)
+        assert list(entries) == list(itertools.product(range(len(store.states)), repeat=n))
 
 
 class TestPersistence:
