@@ -6,9 +6,9 @@ those, the best matrix maximizes the minimum distance between points that
 map to different vectors.  The search never enumerates matrices blindly:
 matrices sharing a row space behave identically, so it walks row spaces.
 """
-from pnclab import build_catalog, evaluate_mapping, min_cardinality_t, superimpose
-from pnclab.gf2 import BitMatrix
-from pnclab.mapping import admissible_row_space
+from pnclab import build_catalog, evaluate_mapping, superimpose
+from pnclab.gf2 import BitMatrix, nullspace
+from pnclab.mapping import clash_difference_basis
 from pnclab.modulation import make_constellation
 from pnclab.search import exhaustive_matrix_scan, mine_candidates, state_channel
 
@@ -23,7 +23,9 @@ idx = next(
 entry = cat.entries[idx]
 sc = superimpose(qam4, state_channel(entry.state))
 
-rows = admissible_row_space(entry.partition, qam4.bits_per_symbol)
+# rows that keep every clash on one NCV: the orthogonal complement of the
+# span of the clashing message differences
+rows = nullspace(clash_difference_basis(entry.partition, qam4.bits_per_symbol), 4)
 print(f"admissible row space at v=j has dimension {len(rows)}: "
       + ", ".join(f"{r:04b}" for r in rows))
 
@@ -45,9 +47,9 @@ q = evaluate_mapping(splitter, sc, entry.partition)
 print(f"terminal-1 extractor at v=j: consistent={q.clash_consistent}, d_min={q.d_min}")
 
 # two rows per AP always suffice for 4QAM states...
-t, mat = min_cardinality_t(sc, entry.partition)
-print(f"minimum rows needed at v=j: {t} (matrix {mat.to_lists()})")
+resolvable = sum(r.resolvable for r in rankings)
+print(f"states resolvable with 2 rows: {resolvable} of {len(rankings)}")
 
-# ...while an artificial all-in-one clash forces the full-length fallback
-t, mat = min_cardinality_t(sc, (tuple(range(16)),))
-print(f"adversarial clash partition forces {t} rows (identity fallback)")
+# ...while an artificial all-in-one clash leaves no admissible row at all
+rows = nullspace(clash_difference_basis((tuple(range(16)),), qam4.bits_per_symbol), 4)
+print(f"adversarial clash partition leaves an admissible space of dimension {len(rows)}")

@@ -5,15 +5,12 @@ from .gf2 import (
     BitVector,
     EnumerationTooLargeError,
     SingularMatrixError,
-    det_f2,
     enumerate_matrices,
     inverse_f2,
-    mat_mul,
     mul,
-    rank_f2,
     solve,
 )
-from .modulation import Constellation, demodulate_hard, make_constellation, modulate
+from .modulation import Constellation, make_constellation
 from .fade_states import (
     DegenerateChannelError,
     FadeState,
@@ -32,7 +29,6 @@ from .mapping import (
     SuperimposedConstellation,
     coincident_partition,
     evaluate_mapping,
-    min_cardinality_t,
     superimpose,
 )
 from .search import (

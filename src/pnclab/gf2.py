@@ -128,7 +128,10 @@ class BitMatrix:
     def from_text(cls, text: str) -> "BitMatrix":
         shape, _, hexpart = text.partition(":")
         r, _, c = shape.partition("x")
-        return cls.from_encoding(int(hexpart, 16), int(r), int(c))
+        value = int(hexpart, 16)
+        if value < 0 or value >> (int(r) * int(c)):
+            raise ValueError(f"{text!r} has bits beyond a {shape} matrix")
+        return cls.from_encoding(value, int(r), int(c))
 
     def entry(self, r: int, c: int) -> int:
         return (self.rows[r] >> c) & 1
@@ -157,19 +160,6 @@ def mul_int(rows: Sequence[int], v: int) -> int:
     return out
 
 
-def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    if a.n_cols != b.n_rows:
-        raise ValueError("dimension mismatch in mat_mul")
-    # column c of the product is a times column c of b
-    out_rows = [0] * a.n_rows
-    for c in range(b.n_cols):
-        col = sum(((b.rows[k] >> c) & 1) << k for k in range(b.n_rows))
-        prod = mul_int(a.rows, col)
-        for r in range(a.n_rows):
-            out_rows[r] |= ((prod >> r) & 1) << c
-    return BitMatrix(a.n_rows, b.n_cols, tuple(out_rows))
-
-
 def rank_rows(rows: Iterable[int]) -> int:
     """Row rank over F2 by greedy elimination on packed rows."""
     basis: list[int] = []
@@ -181,17 +171,6 @@ def rank_rows(rows: Iterable[int]) -> int:
             basis.append(x)
             basis.sort(reverse=True)
     return len(basis)
-
-
-def rank_f2(a: BitMatrix) -> int:
-    return rank_rows(a.rows)
-
-
-def det_f2(a: BitMatrix) -> int:
-    """Determinant over F2: 1 iff the square matrix is invertible."""
-    if a.n_rows != a.n_cols:
-        raise ValueError("determinant requires a square matrix")
-    return 1 if rank_rows(a.rows) == a.n_rows else 0
 
 
 def inverse_f2(a: BitMatrix) -> BitMatrix:

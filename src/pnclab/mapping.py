@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import BitMatrix, enumerate_subspaces, nullspace, rref_rows
+from .gf2 import BitMatrix, rref_rows
 from .modulation import Constellation
 
 COINCIDENCE_EPS = 1e-9
@@ -246,39 +246,3 @@ def clash_difference_basis(clash: tuple[tuple[int, ...], ...], m: int) -> tuple[
             diffs.extend(w0 ^ int(w_of_tau[t]) for t in block[1:])
     reduced, _ = rref_rows(diffs, 2 * m)
     return reduced
-
-
-def admissible_row_space(clash: tuple[tuple[int, ...], ...], m: int) -> tuple[int, ...]:
-    """Basis of the rows that keep every clash block on a single NCV."""
-    return nullspace(clash_difference_basis(clash, m), 2 * m)
-
-
-def min_cardinality_t(
-    sc: SuperimposedConstellation,
-    clash: tuple[tuple[int, ...], ...],
-    d_alpha: float = 0.0,
-) -> tuple[int, BitMatrix]:
-    """Smallest NCV length whose best clash-consistent mapping clears d_alpha.
-
-    Scans lengths from m to mu-1 over full-rank clash-consistent row spaces
-    (canonical RREF representative per space); falls back to the identity at
-    length mu when nothing shorter works.
-    """
-    if d_alpha < 0:
-        raise ValueError("d_alpha must be >= 0")
-    m = sc.constellation.bits_per_symbol
-    mu = 2 * m
-    allowed = admissible_row_space(clash, m)
-    for t in range(m, mu):
-        if len(allowed) < t:
-            continue
-        best: tuple[float, int, BitMatrix] | None = None
-        for rows in enumerate_subspaces(allowed, t).tolist():
-            mat = BitMatrix.from_row_ints(rref_rows(rows, mu)[0], mu)
-            d = mapping_d_min(mat.rows, sc)
-            key = (-d, mat.encoding)
-            if best is None or key < (-best[0], best[1]):
-                best = (d, mat.encoding, mat)
-        if best is not None and best[0] >= d_alpha and best[0] > 0:
-            return t, best[2]
-    return mu, BitMatrix.identity(mu)

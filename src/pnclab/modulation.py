@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitVector
-
 LABELING_VERSION = "gray-v1"
 
 _GRAY_AXIS = {(0, 0): -3, (0, 1): -1, (1, 1): 1, (1, 0): 3}
@@ -35,17 +33,6 @@ class Constellation:
     @property
     def size(self) -> int:
         return 1 << self.bits_per_symbol
-
-    def label_index(self, bits) -> int:
-        m = self.bits_per_symbol
-        seq = bits.to_bits() if isinstance(bits, BitVector) else tuple(bits)
-        if len(seq) != m:
-            raise ValueError(f"label needs {m} bits, got {len(seq)}")
-        return sum(b << (m - 1 - j) for j, b in enumerate(seq))
-
-    def index_label(self, idx: int) -> tuple[int, ...]:
-        m = self.bits_per_symbol
-        return tuple((idx >> (m - 1 - j)) & 1 for j in range(m))
 
 
 def make_constellation(name: str) -> Constellation:
@@ -78,15 +65,3 @@ def make_constellation(name: str) -> Constellation:
         lattice_points=lattice,
         scale=float(scale),
     )
-
-
-def modulate(c: Constellation, w) -> complex:
-    """Map an m-bit label to its constellation point."""
-    return complex(c.points[c.label_index(w)])
-
-
-def demodulate_hard(c: Constellation, y: complex) -> BitVector:
-    """Label of the Euclidean-nearest point; ties break to the lowest index."""
-    idx = int(np.argmin(np.abs(np.asarray(y) - c.points) ** 2))
-    return BitVector.from_bits(c.index_label(idx))
-

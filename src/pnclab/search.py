@@ -20,9 +20,8 @@ small sizes.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -237,15 +236,23 @@ class CandidateStore:
     def _full_rank(self, n: int) -> np.ndarray:
         """Verdict array for ``n`` APs: ``full[c_1, ..., c_n]`` is whether
         the matrices with these codes stack to rank mu (False at the pad
-        slot).  Built on first use for each ``n``."""
+        slot).  Built on first use for each ``n``, one ``rank_rows`` call
+        per combination of distinct encodings.
+
+        A store holds a few distinct matrices (109 for the full qam16
+        catalog at K=5), so certification, table building and on-line
+        selection all read the same few thousand verdicts.
+        """
         if n not in self._verdicts:
-            distinct = self._arrays[0]
+            distinct, _, _, rows = self._arrays
             u = len(distinct)
+            packed = rows[:u].tolist()
+            verdicts = [
+                rank_rows([r for c in combo for r in packed[c]]) == self.mu
+                for combo in itertools.product(range(u), repeat=n)
+            ]
             full = np.zeros((u + 1,) * n, dtype=bool)
-            full[(slice(u),) * n] = np.reshape(
-                [_stacks_full_rank(combo, self.t, self.mu) for combo in itertools.product(distinct, repeat=n)],
-                (u,) * n,
-            )
+            full[(slice(u),) * n] = np.reshape(verdicts, (u,) * n)
             self._verdicts[n] = full
         return self._verdicts[n]
 
@@ -314,20 +321,6 @@ def assemble_store(
     )
 
 
-@lru_cache(maxsize=1 << 15)
-def _stacks_full_rank(encodings: tuple[int, ...], t: int, mu: int) -> bool:
-    """Whether the t x mu matrices with these encodings stack to rank mu.
-
-    A store holds a few distinct matrices (109 for the full qam16 catalog at
-    K=5), so certification, table building, on-line selection and table
-    loading ask the same few thousand questions over and over; the verdict
-    depends on the encodings alone.  ``certify_store`` clears the memo, so
-    it holds one store's verdicts and every build does the same rank work
-    whatever ran before it in the process.
-    """
-    return rank_rows([r for e in encodings for r in BitMatrix.from_encoding(e, t, mu).rows]) == mu
-
-
 def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
     """Stage two: verify an invertible stack exists for every ordered tuple.
 
@@ -344,13 +337,14 @@ def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
     False).  Every distinct encoding is held by some entry, so an entry
     pairs with a stored entry, itself included, exactly when its row of
     the two-AP verdict array holds a True.  With one AP an entry is used
-    when it is full rank alone.
+    when it is full rank alone.  When pruning keeps every distinct
+    encoding, the codes and so the verdicts hold for the pruned store too,
+    and it takes them.
     """
     t, mu = store.t, store.mu
     if n_aps * t < mu:
         raise ValueError(f"{n_aps} APs of {t} rows cannot reach rank {mu}")
-    _stacks_full_rank.cache_clear()
-    _, code, _, _ = store._arrays
+    distinct, code, _, _ = store._arrays
     feasible = store._full_rank(n_aps)
     for _ in range(n_aps):          # the leading code axis becomes a trailing state axis
         feasible = np.moveaxis(feasible[code].any(axis=1), 0, -1)
@@ -361,7 +355,10 @@ def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
         tuple(e for e, keep in zip(l, u) if keep) or l[:1]
         for l, u in zip(store.lists, used)
     )
-    return replace(store, lists=pruned, certified_n=n_aps, infeasible=remaining)
+    out = replace(store, lists=pruned, certified_n=n_aps, infeasible=remaining)
+    if len({e.matrix.encoding for l in pruned for e in l}) == len(distinct):
+        out._verdicts.update(store._verdicts)
+    return out
 
 
 def build_store(
@@ -434,48 +431,24 @@ class SelectionBatch:
         )
 
 
-def _pick_best(
-    encodings: tuple[tuple[int, ...], ...],
-    d_values: tuple[tuple[float, ...], ...],
-    t: int,
-    mu: int,
-) -> tuple[int, ...] | None:
-    """Lexicographic best over candidate combinations with full-rank stack.
-
-    ``encodings[j]`` lists AP j's candidate matrices by encoding.  Maximizes
-    the worst per-AP distance, then the sum, then breaks ties by the lowest
-    tuple of matrix encodings.  Returns the chosen index per AP.
-    """
-    best = None
-    best_key = None
-    for combo in itertools.product(*(range(len(l)) for l in encodings)):
-        encs = tuple(map(operator.getitem, encodings, combo))
-        if not _stacks_full_rank(encs, t, mu):
-            continue
-        ds = tuple(map(operator.getitem, d_values, combo))
-        key = (-min(ds), -sum(ds), encs)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = combo
-    return best
-
-
 def _pick_combination(full: np.ndarray, codes: list[np.ndarray], d: list[np.ndarray]) -> np.ndarray:
-    """``_pick_best`` as array code, over many candidate sets at once.
+    """Best full-rank combination of per-AP candidates, over many
+    candidate sets at once.
 
     ``codes[j]`` (shape (..., K), leading shapes broadcasting) lists AP j's
     candidates by rank among the store's distinct encodings, with the pad
     slot u past a list's end; ``d[j]`` holds their distances; ``full`` is
-    the store's verdict array for n = len(codes) APs.  ``_pick_best``'s key
-    (-min(ds), -sum(ds), encodings) is applied as successive filters over
-    the K^n combinations: keep the full-rank ones, then those of maximal
-    worst-AP distance, then those of maximal sum, then the lowest tuple of
-    codes.  A key's minimum is the minimum of its first component, then of
-    the second over the combinations that reach the first, and so on, so
-    the filters pick the same combination.  The floats are the same too:
-    both sums are 0 + d_1 + ... + d_n in AP order.  Codes order tuples like
-    the encodings themselves.  Returns the chosen code per AP on a new last
-    axis, all u where no combination stacks to full rank.
+    the store's verdict array for n = len(codes) APs.  The best
+    combination has the lowest key (-min(ds), -sum(ds), encodings): the
+    largest worst-AP distance, then the largest sum (0 + d_1 + ... + d_n
+    in AP order), then the lowest tuple of encodings.  The key is applied
+    as successive filters over the K^n combinations: keep the full-rank
+    ones, then those of maximal worst-AP distance, then those of maximal
+    sum, then the lowest tuple of codes.  A key's minimum is the minimum of
+    its first component, then of the second over the combinations that
+    reach the first, and so on, so the filters find it.  Codes order tuples
+    like the encodings themselves.  Returns the chosen code per AP on a new
+    last axis, all u where no combination stacks to full rank.
     """
     n = len(codes)
     base = full.shape[0]        # u + 1
@@ -552,30 +525,33 @@ class SelectionTable:
         return len(self.entries)
 
 
-def _pair_entries(store: CandidateStore) -> dict[tuple[int, int], tuple[int, int] | None]:
-    """``_pick_best`` for every ordered pair of states, as array code.
+def _table_entries(store: CandidateStore, n_aps: int) -> dict[tuple[int, ...], tuple[int, ...] | None]:
+    """``_pick_combination`` for every ordered tuple of ``n_aps`` states.
 
-    ``_pick_combination`` scores each pair's K x K combinations with the
-    distances the store holds; full-rank verdicts come from
-    ``_stacks_full_rank``, once per pair of distinct encodings.  The pairs
-    are taken a block of first states at a time, so each temporary stays
-    near 2^18 elements.
+    Each tuple's K^n combinations are scored with the distances the store
+    holds.  The tuples are taken a block of first states at a time, so each
+    temporary stays near 2^18 elements.  Keys come in lexicographic order,
+    and entries with the same chosen codes share one value tuple.
     """
     distinct, code, d, _ = store._arrays
     u = len(distinct)
-    full = store._full_rank(2)
+    full = store._full_rank(n_aps)
     n, width = code.shape
-    block = max(1, (1 << 18) // (max(n, 1) * width * width))
-    # one shared tuple per encoding pair, at code a * u + b; None past them
-    pairs = [(a, b) for a in distinct for b in distinct] + [None]
-    entries: dict[tuple[int, int], tuple[int, int] | None] = {}
+    block = max(1, (1 << 18) // (max(n, 1) ** (n_aps - 1) * width**n_aps))
+
+    def spread(a, j, states):   # AP j's states on leading axis j of n_aps
+        return a[states].reshape(tuple(-1 if i == j else 1 for i in range(n_aps)) + (width,))
+
+    chosen = []
     for i0 in range(0, n, block):
-        chosen = _pick_combination(full, [code[i0 : i0 + block, None], code[None]], [d[i0 : i0 + block, None], d[None]])
-        flat = np.minimum(chosen[..., 0] * u + chosen[..., 1], u * u)
-        for i, row in enumerate(flat.tolist(), i0):
-            for j, k in enumerate(row):
-                entries[(i, j)] = pairs[k]
-    return entries
+        states = [slice(i0, i0 + block)] + [slice(None)] * (n_aps - 1)
+        codes = [spread(code, j, s) for j, s in enumerate(states)]
+        dists = [spread(d, j, s) for j, s in enumerate(states)]
+        chosen.append(_pick_combination(full, codes, dists).reshape(-1, n_aps))
+    chosen = np.concatenate(chosen)
+    _, first, inverse = np.unique(chosen @ (u + 1) ** np.arange(n_aps)[::-1], return_index=True, return_inverse=True)
+    values = [None if c[0] == u else tuple(map(distinct.__getitem__, c)) for c in chosen[first].tolist()]
+    return dict(zip(itertools.product(range(n), repeat=n_aps), map(values.__getitem__, inverse.tolist())))
 
 
 def build_selection_table(
@@ -589,22 +565,10 @@ def build_selection_table(
     with the distances the store holds for each state.  Tuples with no
     invertible stack (possible only when certification reported them
     infeasible) carry a marker, on which ``table_lookup`` raises.  When
-    ``cat`` is given, the store is checked against it first.  Two APs take
-    the array path ``_pair_entries``; other counts call ``_pick_best`` per
-    tuple.
+    ``cat`` is given, the store is checked against it first.
     """
     if cat is not None:
         _check_store_matches_catalog(store, cat)
-    if n_aps == 2:
-        entries = _pair_entries(store)
-    else:
-        encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
-        d_values = [tuple(e.d_min for e in l) for l in store.lists]
-        entries = {}
-        for tup in itertools.product(range(len(store.states)), repeat=n_aps):
-            encs = tuple(encodings[i] for i in tup)
-            combo = _pick_best(encs, tuple(d_values[i] for i in tup), store.t, store.mu)
-            entries[tup] = None if combo is None else tuple(map(operator.getitem, encs, combo))
     return SelectionTable(
         modulation=store.modulation,
         labeling_version=store.labeling_version,
@@ -612,7 +576,7 @@ def build_selection_table(
         mu=store.mu,
         n_aps=n_aps,
         states=store.states,
-        entries=entries,
+        entries=_table_entries(store, n_aps),
     )
 
 
@@ -709,6 +673,8 @@ def load_store(path: str) -> CandidateStore:
     )
     for entries in store.lists:
         for e in entries:
+            if (e.matrix.n_rows, e.matrix.n_cols) != (store.t, store.mu):
+                raise ValueError(f"{path}: store entry {e.matrix.to_text()} is not {store.t}x{store.mu}")
             if rank_rows(e.matrix.rows) != store.t:
                 raise ValueError("store entry violates the rank invariant")
     return store
@@ -745,14 +711,16 @@ def load_table(path: str) -> SelectionTable:
     that stack to an invertible global matrix.
 
     Keys are read against the canonical index strings, and each distinct
-    value text is parsed and rank-checked once; entries with equal
-    encodings share one value tuple.
+    value text is parsed and checked once: each encoding below 2^(t*mu),
+    and their rows, unpacked, of rank mu.  Entries with equal encodings
+    share one value tuple.
     """
     states: list[FadeState] = []
     entries: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     values: dict[str, tuple[int, ...] | None] = {}      # value text -> its encodings, checked once
     with read_v1(path, "table") as (header, body):
         t, mu, n, n_states = (int(header[k]) for k in ("t", "mu", "n", "states"))
+        mask = (1 << mu) - 1
         index = {str(i): i for i in range(n_states)}.__getitem__
         for ln in body:
             if ln.startswith("state "):
@@ -773,7 +741,9 @@ def load_table(path: str) -> SelectionTable:
                 encs = tuple(int(x, 16) for x in val.split())
                 if len(encs) != n:
                     raise ValueError(f"{path}: table entry {tup} lists {len(encs)} matrices, not {n}")
-                if not _stacks_full_rank(encs, t, mu):
+                if any(e >> (t * mu) for e in encs):
+                    raise ValueError(f"{path}: table entry {tup} lists an encoding of more than {t}x{mu} bits")
+                if rank_rows([(e >> (r * mu)) & mask for e in encs for r in range(t)]) != mu:
                     raise ValueError(f"table entry {tup} stacks to a singular global matrix")
                 values[val] = encs
             entries[tup] = values[val]

@@ -331,11 +331,15 @@ def run_experiment(cfg: ExperimentConfig) -> Iterator[MetricsRecord]:
     """Run the sweep, yielding one record per Eb/N0 point.
 
     Honors the PNCLAB_WORKERS environment variable for frame parallelism;
-    results are identical for any worker count.
+    results are identical for any worker count.  A value that is not an
+    integer >= 1 is refused before any off-line work.
     """
+    text = os.environ.get("PNCLAB_WORKERS", "1")
+    workers = int(text) if text.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"PNCLAB_WORKERS must be an integer >= 1, not {text!r}")
     ctx = _prepare(cfg)
     backhaul = backhaul_accounting(cfg)
-    workers = int(os.environ.get("PNCLAB_WORKERS", "1"))
     for point, ebn0 in enumerate(cfg.ebn0_db):
         start = time.perf_counter()
         n = cfg.frames_per_point

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnclab.fade_states import enumerate_sfs
-from pnclab.gf2 import BitMatrix, mul_int, rank_f2
+from pnclab.gf2 import BitMatrix, mul_int, rank_rows
 from pnclab.mapping import (
     COINCIDENCE_EPS,
     SuperimposedConstellation,
@@ -13,7 +13,6 @@ from pnclab.mapping import (
     evaluate_mapping,
     joint_vector_table,
     mapping_d_min,
-    min_cardinality_t,
     ncv_table,
     superimpose,
 )
@@ -279,8 +278,8 @@ class TestEvaluateMapping:
 
     def test_zero_row_merges_clusters(self, qam4):
         mat = BitMatrix.from_rows([[1, 0, 1, 0], [0, 0, 0, 0]])
-        assert rank_f2(mat) < 2
-        assert len(set(ncv_table(mat, 2))) == 2 ** rank_f2(mat)
+        assert rank_rows(mat.rows) < 2
+        assert len(set(ncv_table(mat, 2))) == 2 ** rank_rows(mat.rows)
 
     def test_zero_matrix_single_cluster(self, qam4):
         sc = superimpose(qam4, (1.0, 0.5 + 0.25j))
@@ -291,7 +290,7 @@ class TestEvaluateMapping:
     def test_cluster_count_is_two_to_rank(self, qam4):
         for enc in range(256):
             mat = BitMatrix.from_encoding(enc, 2, 4)
-            assert len(set(ncv_table(mat, 2))) == 2 ** rank_f2(mat)
+            assert len(set(ncv_table(mat, 2))) == 2 ** rank_rows(mat.rows)
 
     def test_ncv_linearity(self, qam4):
         w_of_tau, tau_of_w = joint_vector_table(2)
@@ -335,29 +334,3 @@ class TestEvaluateMapping:
             mask = np.abs(lat - lat[np.arange(16) ^ d]) > 1e-9
             want = dist[mask].min() if mask.any() else np.inf
             assert separated[d] == pytest.approx(want, abs=1e-12)
-
-
-class TestMinCardinality:
-    def test_all_4qam_states_need_only_two_rows(self, qam4):
-        cat = enumerate_sfs(qam4)
-        for entry in cat.entries:
-            h = (0.0, 1.0) if entry.state.infinite else (1.0, entry.state.value)
-            sc = superimpose(qam4, h)
-            t, mat = min_cardinality_t(sc, entry.partition)
-            assert t == 2
-            assert rank_f2(mat) == 2
-            assert evaluate_mapping(mat, sc, entry.partition).d_min > 0
-
-    def test_nonsingular_channel_needs_minimum(self, qam4):
-        sc = superimpose(qam4, (1.0, 0.37 - 0.82j))
-        clash = coincident_partition(sc)
-        t, mat = min_cardinality_t(sc, clash)
-        assert t == 2
-        assert evaluate_mapping(mat, sc, clash).d_min > 0
-
-    def test_adversarial_fallback_returns_identity(self, qam4):
-        sc = superimpose(qam4, (1.0, 0.37 - 0.82j))
-        everything = (tuple(range(16)),)
-        t, mat = min_cardinality_t(sc, everything)
-        assert t == 4
-        assert mat == BitMatrix.identity(4)

@@ -3,8 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from pnclab.gf2 import BitVector
-from pnclab.modulation import demodulate_hard, make_constellation, modulate
+from pnclab.modulation import make_constellation
 
 
 @pytest.fixture(scope="module")
@@ -22,12 +21,19 @@ def all_labels(m):
         yield tuple((idx >> (m - 1 - j)) & 1 for j in range(m))
 
 
+def nearest(c, y):
+    return int(np.argmin(np.abs(y - c.points) ** 2))
+
+
 def test_qam4_label_anchor(qam4):
-    assert cmath.isclose(modulate(qam4, (0, 0)), (1 + 1j) / np.sqrt(2))
+    # label (b1, b2) is point index 2 b1 + b2; b1 signs the real part, b2 the imaginary
+    assert cmath.isclose(qam4.points[0], (1 + 1j) / np.sqrt(2))
+    for idx, (b1, b2) in enumerate(all_labels(2)):
+        assert cmath.isclose(qam4.points[idx], complex(1 - 2 * b1, 1 - 2 * b2) / np.sqrt(2))
 
 
 def test_qam4_point_set(qam4):
-    got = {modulate(qam4, w) for w in all_labels(2)}
+    got = set(qam4.points.tolist())
     want = {(a + b * 1j) / np.sqrt(2) for a in (-1, 1) for b in (-1, 1)}
     assert {(round(z.real, 12), round(z.imag, 12)) for z in got} == {
         (round(z.real, 12), round(z.imag, 12)) for z in want
@@ -43,19 +49,15 @@ def test_unit_energy(qam4, qam16):
 
 
 def test_roundtrip(qam4, qam16):
+    """Every label's point is nearest to itself alone."""
     for c in (qam4, qam16):
-        for w in all_labels(c.bits_per_symbol):
-            assert demodulate_hard(c, modulate(c, w)).to_bits() == w
-
-
-def test_tie_break_lowest_index(qam4):
-    assert demodulate_hard(qam4, 0j).to_bits() == (0, 0)
+        assert [nearest(c, p) for p in c.points] == list(range(c.size))
+        assert len(set(c.points.tolist())) == c.size
 
 
 def test_small_perturbation_16qam(qam16):
-    for w in all_labels(4):
-        y = modulate(qam16, w) + 0.01 * (1 + 1j)
-        assert demodulate_hard(qam16, y).to_bits() == w
+    for idx, p in enumerate(qam16.points):
+        assert nearest(qam16, p + 0.01 * (1 + 1j)) == idx
 
 
 def test_gray_adjacency_16qam(qam16):
@@ -68,16 +70,6 @@ def test_gray_adjacency_16qam(qam16):
                 assert bin(i ^ j).count("1") == 1
 
 
-def test_label_bitvector_interface(qam4):
-    w = BitVector.from_bits((1, 0))
-    assert modulate(qam4, w) == modulate(qam4, (1, 0))
-
-
 def test_bad_modulation_name():
     with pytest.raises(ValueError):
         make_constellation("qam64")
-
-
-def test_label_length_check(qam4):
-    with pytest.raises(ValueError):
-        modulate(qam4, (1, 0, 1))

@@ -233,12 +233,10 @@ def pair_loop_certify(store, n_aps):
     the entries that stack to full rank with no stored entry (alone, for
     one AP), keeping at least one entry per state.
     """
-    t, mu = store.t, store.mu
     encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
 
-    @functools.cache
     def full(encs):
-        return rank_rows([r for e in encs for r in BitMatrix.from_encoding(e, t, mu).rows]) == mu
+        return _stacks_full_rank(encs, store.t, store.mu)
 
     infeasible = tuple(
         tup
@@ -259,6 +257,50 @@ def pair_loop_certify(store, n_aps):
         tuple(e for j, e in enumerate(l) if j in used[i]) or l[:1] for i, l in enumerate(store.lists)
     )
     return lists, infeasible
+
+
+def _stacked_verdicts(store, n):
+    """Oracle: ``_full_rank(n)`` by one ``rank_rows`` call per combination
+    of distinct encodings, over stacked ``BitMatrix.from_encoding`` rows."""
+    distinct = sorted({e.matrix.encoding for l in store.lists for e in l})
+    want = np.zeros((len(distinct) + 1,) * n, dtype=bool)
+    for combo in itertools.product(range(len(distinct)), repeat=n):
+        rows = [r for c in combo for r in BitMatrix.from_encoding(distinct[c], store.t, store.mu).rows]
+        want[combo] = rank_rows(rows) == store.mu
+    return want
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "cat_name, t", [("cat4", 2), ("cat4", 3), ("cat16", 4)], ids=["qam4-t2", "qam4-t3", "qam16-t4"]
+    )
+    def test_match_stacked_rank(self, request, cat_name, t, n):
+        cat = request.getfixturevalue(cat_name)
+        store = assemble_store(cat, mine_candidates(cat, t=t, limit=5), t=t, k_per_state=5)
+        assert np.array_equal(store._full_rank(n), _stacked_verdicts(store, n))
+
+    @pytest.mark.parametrize("cat_name, t", [("cat4", 2), ("cat16", 4)], ids=["qam4-t2", "qam16-t4"])
+    def test_certified_store_takes_verdicts_when_no_encoding_is_pruned(self, request, cat_name, t):
+        cat = request.getfixturevalue(cat_name)
+        store = assemble_store(cat, mine_candidates(cat, t=t, limit=5), t=t, k_per_state=5)
+        got = certify_store(store, 2)
+        assert got._arrays[0] == store._arrays[0]
+        assert got._verdicts[2] is store._verdicts[2]
+        assert np.array_equal(got._full_rank(2), _stacked_verdicts(got, 2))
+
+    def test_certified_store_recomputes_verdicts_when_an_encoding_is_pruned(self, store4):
+        """x = span{e0, e2} is pruned at both states that hold it, so the
+        pruned store has one distinct encoding fewer and other codes."""
+        def entry(*rows):
+            return CandidateEntry(BitMatrix.from_row_ints(rows, 4), 1.0, True, 1.0)
+
+        a, b, x = entry(1, 2), entry(4, 8), entry(1, 4)
+        store = dataclasses.replace(store4, states=store4.states[:2], lists=((a, x), (x, b)))
+        got = certify_store(store, 2)
+        assert got.lists == ((a,), (b,)) and not got._verdicts
+        assert np.array_equal(got._full_rank(2), _stacked_verdicts(got, 2))
+        assert store._full_rank(2).shape == (4, 4) and got._full_rank(2).shape == (3, 3)
 
 
 class TestOnlineSelection:
@@ -341,6 +383,34 @@ class TestSelectionTable:
             assert worst_ap_d_min(online, H) >= worst_ap_d_min(looked, H) - 1e-12
 
 
+@functools.cache
+def _stacks_full_rank(encodings, t, mu):
+    """Oracle: whether the t x mu matrices with these encodings stack to rank mu."""
+    return rank_rows([r for e in encodings for r in BitMatrix.from_encoding(e, t, mu).rows]) == mu
+
+
+def _pick_best(encodings, d_values, t, mu):
+    """Oracle: the lexicographic best over candidate combinations with a
+    full-rank stack, one combination at a time.
+
+    ``encodings[j]`` lists AP j's candidate matrices by encoding.  Maximizes
+    the worst per-AP distance, then the sum, then breaks ties by the lowest
+    tuple of matrix encodings.  Returns the chosen index per AP, or None.
+    """
+    best = None
+    best_key = None
+    for combo in itertools.product(*(range(len(l)) for l in encodings)):
+        encs = tuple(map(operator.getitem, encodings, combo))
+        if not _stacks_full_rank(encs, t, mu):
+            continue
+        ds = tuple(map(operator.getitem, d_values, combo))
+        key = (-min(ds), -sum(ds), encs)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = combo
+    return best
+
+
 def _tuplewise_entries(store, n_aps):
     """Oracle: ``_pick_best`` called once per ordered state tuple."""
     encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
@@ -348,7 +418,7 @@ def _tuplewise_entries(store, n_aps):
     out = {}
     for tup in itertools.product(range(len(store.states)), repeat=n_aps):
         encs = tuple(encodings[i] for i in tup)
-        combo = search._pick_best(encs, tuple(d_values[i] for i in tup), store.t, store.mu)
+        combo = _pick_best(encs, tuple(d_values[i] for i in tup), store.t, store.mu)
         out[tup] = None if combo is None else tuple(map(operator.getitem, encs, combo))
     return out
 
@@ -371,7 +441,7 @@ def _flat_distances(store):
 
 
 class TestPairTable:
-    """The two-AP array build against ``_pick_best`` per tuple."""
+    """The array table build against ``_pick_best`` per tuple."""
 
     @pytest.mark.parametrize("variant", [None, _short_lists, _flat_distances], ids=["as-built", "short", "flat"])
     @pytest.mark.parametrize("store_name", ["store4", "store16"])
@@ -424,6 +494,17 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_store(str(tmp_path / "bad.cat"))
 
+    @pytest.mark.parametrize("bad", ["2x3:1d", "3x4:f21", "2x4:1e1"])
+    def test_store_entry_of_another_shape_refused(self, store4, tmp_path, bad):
+        """In a t=2, mu=4 store, ``2x3:1d`` (rows 5, 3) used to load and be
+        read as rows 13, 1; ``2x4:1e1`` has a bit past its 8."""
+        path = tmp_path / "store.cat"
+        save_store(store4, str(path))
+        good = store4.lists[0][0].matrix.to_text()
+        path.write_text(path.read_text().replace(f"@ {good}|", f"@ {bad}|", 1))
+        with pytest.raises(ValueError, match="not 2x4|bits beyond"):
+            load_store(str(path))
+
     def test_table_roundtrip(self, store4, cat4, tmp_path):
         table = build_selection_table(store4, cat4, n_aps=2)
         path = str(tmp_path / "table.tab")
@@ -447,6 +528,18 @@ class TestPersistence:
         (tmp_path / "bad.tab").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             load_table(str(tmp_path / "bad.tab"))
+
+    def test_table_encoding_wider_than_a_matrix_refused(self, store4, cat4, tmp_path):
+        """``121 84`` used to load as (0x121, 0x84), a 9-bit encoding of a
+        2x4 matrix, left for the store cross-check to catch."""
+        path = tmp_path / "table.tab"
+        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        text = path.read_text()
+        at = text.index("\n0,0 -> ") + 1
+        end = text.index("\n", at)
+        path.write_text(text[:at] + "0,0 -> 121 84" + text[end:])
+        with pytest.raises(ValueError, match="more than 2x4 bits"):
+            load_table(str(path))
 
     def test_table_entry_needs_one_matrix_per_ap(self, store4, cat4, tmp_path):
         path = tmp_path / "table.tab"
@@ -643,8 +736,9 @@ def test_selection_infeasible_raises(cat4):
 
 
 def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
-    """Certification, table building and table loading share one verdict
-    per distinct stack: at most (distinct matrices)^2 rank computations."""
+    """Certification and table building share one verdict per pair of
+    distinct matrices: at most (distinct matrices)^2 rank computations.
+    Table loading checks each distinct entry once."""
     cat = cat16
     store = assemble_store(cat, mine_candidates(cat, t=4, limit=5), t=4, k_per_state=5)
     distinct = len({e.matrix for l in store.lists for e in l})
@@ -663,7 +757,7 @@ def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
     path = tmp_path / "table.tab"
     save_table(table, str(path))
     assert load_table(str(path)).entries == table.entries
-    assert len(calls) == built
+    assert len(calls) == built + len(set(table.entries.values()) - {None})
 
     lines = path.read_text().splitlines()
     at = next(i for i, ln in enumerate(lines) if " -> " in ln and "fallback" not in ln)
@@ -685,7 +779,7 @@ def _per_frame_selection(store, cat, H):
         states.append(idx)
         lists.append(store.matrices_for(idx))
         d_values.append(tuple(mapping_d_min(m.rows, sc) for m in lists[-1]))
-    combo = search._pick_best(tuple(tuple(m.encoding for m in l) for l in lists), tuple(d_values), store.t, store.mu)
+    combo = _pick_best(tuple(tuple(m.encoding for m in l) for l in lists), tuple(d_values), store.t, store.mu)
     return tuple(map(operator.getitem, lists, combo)), tuple(states)
 
 

@@ -114,6 +114,19 @@ class TestRuns:
             os.environ.pop("PNCLAB_WORKERS")
         assert serial == split
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+    def test_bad_worker_count_refused_before_prepare(self, value, monkeypatch):
+        """The variable used to be read after the off-line build: ``abc``
+        raised a bare ``int()`` error, ``0`` and ``-3`` ran serially."""
+        def no_prepare(cfg):
+            raise AssertionError("_prepare ran before the worker count was checked")
+
+        monkeypatch.setattr(sim, "_prepare", no_prepare)
+        monkeypatch.setenv("PNCLAB_WORKERS", value)
+        cfg = ExperimentConfig(modulation="qam4", scheme="bmas", ebn0_db=(12.0,), seed=6, **FAST)
+        with pytest.raises(ValueError, match="PNCLAB_WORKERS must be an integer >= 1"):
+            next(run_experiment(cfg))
+
     def test_high_snr_limit_error_free(self):
         cfg = ExperimentConfig(
             modulation="qam4", scheme="bmas", ebn0_db=(60.0,), seed=7,
