@@ -542,7 +542,7 @@ def _table_entries(store: CandidateStore, n_aps: int) -> dict[tuple[int, ...], t
     def spread(a, j, states):   # AP j's states on leading axis j of n_aps
         return a[states].reshape(tuple(-1 if i == j else 1 for i in range(n_aps)) + (width,))
 
-    chosen = []
+    chosen = [np.zeros((0, n_aps), dtype=np.int64)]     # a store of no states gives an empty table
     for i0 in range(0, n, block):
         states = [slice(i0, i0 + block)] + [slice(None)] * (n_aps - 1)
         codes = [spread(code, j, s) for j, s in enumerate(states)]

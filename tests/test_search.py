@@ -471,6 +471,11 @@ class TestPairTable:
         assert entries == _tuplewise_entries(store, n)
         assert list(entries) == list(itertools.product(range(len(store.states)), repeat=n))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_store_of_no_states_gives_empty_table(self, store4, n):
+        empty = dataclasses.replace(store4, states=(), lists=())
+        assert build_selection_table(empty, n_aps=n).entries == {}
+
 
 class TestPersistence:
     def test_store_roundtrip(self, store4, tmp_path):
