@@ -8,8 +8,11 @@ infeasible tuples and a table with markers).
 
 The first four CSV digests were recorded before the frame engine was
 restructured and before selection memoized its rank checks, the other
-five with the per-frame engine, before frames ran in chunks; a change that
-alters any of them changes published numbers or files and has to say so.
+five with the per-frame engine, before frames ran in chunks, and the last
+two (high-SNR ``comp_nonideal``) with the ``np.logaddexp`` LLRs, before
+``comp_nonideal_llrs`` moved onto the max-shifted likelihood kernel; a
+change that alters any of them changes published numbers or files and has
+to say so.
 """
 import hashlib
 
@@ -61,6 +64,16 @@ CASES = {
     "comp-nonideal-qam4": (
         ExperimentConfig(scheme="comp_nonideal", ebn0_db=(8.0,), pilot_len=4, **SMALL),
         "f16129655424b2f9bc978ff89f036dcf25889334102fa4e98dc39fec5bb82ac8",
+    ),
+    # L-values of one bit class underflow entirely here, so the likelihood
+    # kernel gives +-inf and the quantizer must saturate them
+    "comp-nonideal-qam16-26db": (
+        ExperimentConfig(scheme="comp_nonideal", ebn0_db=(26.0,), quantizer_bits=2, pilot_len=4, **SMALL16),
+        "e697ddc428b3c093bf412883e117b81d29f5381641a39e35e465b9f28bf62ac6",
+    ),
+    "comp-nonideal-qam4-30db": (
+        ExperimentConfig(scheme="comp_nonideal", ebn0_db=(30.0,), pilot_len=4, **SMALL),
+        "d88012dfba43bcd6e2b9addc7116830fcf7b28ecb44deb094ad9c9ffbb02f61e",
     ),
 }
 
