@@ -20,9 +20,9 @@ from .modulation import Constellation
 PILOT_SYMBOL = (1.0 + 1.0j) / math.sqrt(2.0)
 
 # exp of anything below this is exactly 0 (the least subnormal is exp(-744.4)),
-# and numpy reaches that 0 through an underflow path about 15x slower than a
-# normal exp; detect_ncv writes the zeros itself.  np.exp works lane by lane,
-# so the other values do not depend on which elements it is given.
+# reached through an underflow path about 15x slower than a normal exp, so
+# _bit_llrs writes the zeros itself (np.exp works lane by lane); a bit class
+# with every term below it gives L = +-inf, which quantize_llr saturates.
 _EXP_FLOOR = -750.0
 
 
@@ -73,6 +73,18 @@ def estimate_channel(y_pilots: np.ndarray, pilot_len: int) -> np.ndarray:
     return y_pilots.mean(axis=2) * np.conj(PILOT_SYMBOL) / abs(PILOT_SYMBOL) ** 2
 
 
+def _bit_llrs(e: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The likelihood kernel of both LLR detectors (exact sum form): ``e``
+    (..., samples, hyps) holds log-likelihoods minus their row maxima and is
+    overwritten, ``bits`` (..., hyps, n) the 0/1 labels; gives (..., samples, n)."""
+    dead = e < _EXP_FLOOR
+    np.putmask(e, dead, 0.0)
+    np.exp(e, out=e)
+    np.putmask(e, dead, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(e @ (1.0 - bits)) - np.log(e @ bits)
+
+
 def detect_ncv(
     y,
     h,
@@ -120,20 +132,10 @@ def detect_ncv(
             side = bits[..., :, i, None] == 1
             out[..., i] = np.where(side, -np.inf, metric).max(axis=-2) - np.where(side, metric, -np.inf).max(axis=-2)
     else:
-        # row maxima cancel in the ratio, so one exp and two mask products
-        # evaluate the exact sum form; e is (..., samples, 2^mu) C-ordered,
-        # the operand layout of the one-AP product
+        # e: (..., samples, 2^mu) C-ordered, the one-AP product's operand layout
         e = np.empty(ys.shape + metric.shape[-2:-1])
         np.subtract(metric.swapaxes(-1, -2), metric.max(axis=-2)[..., None], out=e)
-        live = e >= _EXP_FLOOR
-        if live.all():
-            np.exp(e, out=e)
-        else:
-            kept = np.exp(e[live])
-            e.fill(0.0)
-            e[live] = kept
-        with np.errstate(divide="ignore"):
-            out = np.log(e @ (1.0 - bits)) - np.log(e @ bits)
+        out = _bit_llrs(e, bits)
     if one:
         return out[0, 0] if scalar else out[0]
     return out
@@ -250,8 +252,8 @@ class QuantizerSpec:
 
 
 def quantize_llr(values: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    idx = np.floor((np.asarray(values) + spec.clip) / spec.step).astype(np.int64)
-    return np.clip(idx, 0, (1 << spec.bits) - 1)
+    # clipped before the integer cast, so huge and infinite L-values saturate
+    return np.floor(np.clip((np.asarray(values) + spec.clip) / spec.step, 0, (1 << spec.bits) - 1)).astype(np.int64)
 
 
 def dequantize_llr(idx: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
@@ -268,7 +270,8 @@ def comp_nonideal_llrs(
 
     One AP: ``y`` is (uses,) and ``h`` a coefficient pair; returns shape
     (terminals, bits_per_symbol, uses).  A stack: ``y`` (..., uses) and
-    ``h`` (..., 2) give (..., terminals, bits_per_symbol, uses).
+    ``h`` (..., 2) give (..., terminals, bits_per_symbol, uses).  The kernel
+    is detect_ncv's, so an L-value beyond about 700 is +-inf.
     """
     m = constellation.bits_per_symbol
     size = 1 << m
@@ -277,20 +280,15 @@ def comp_nonideal_llrs(
     if hh.ndim == 1:
         ys = np.atleast_1d(ys)
     idx = np.arange(size * size)
-    labels = (idx >> m, idx & (size - 1))
-    hyp = hh[..., 0, None] * constellation.points[labels[0]] + hh[..., 1, None] * constellation.points[labels[1]]
-    metric = np.abs(ys[..., :, None] - hyp[..., None, :])
-    metric *= metric
-    metric /= -noise_var
-    out = np.empty(metric.shape[:-2] + (2, m, ys.shape[-1]))
-    for term in range(2):
-        for i in range(m):
-            bit = (labels[term] >> (m - 1 - i)) & 1
-            out[..., term, i, :] = (
-                np.logaddexp.reduce(metric[..., bit == 0], axis=-1)
-                - np.logaddexp.reduce(metric[..., bit == 1], axis=-1)
-            )
-    return out
+    hyp = hh[..., 0, None] * constellation.points[idx >> m] + hh[..., 1, None] * constellation.points[idx & (size - 1)]
+    # bits[tau, j]: bit j of joint label tau, terminal 1's then 2's, MSB first
+    bits = ((idx[:, None] >> np.arange(2 * m - 1, -1, -1)) & 1).astype(float)
+    e = np.abs(ys[..., :, None] - hyp[..., None, :])
+    e *= e
+    e /= -noise_var
+    e -= e.max(axis=-1, keepdims=True)
+    out = _bit_llrs(e, bits)
+    return np.moveaxis(out, -1, -2).reshape(out.shape[:-2] + (2, m, ys.shape[-1]))
 
 
 def comp_combine(dequantized: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnclab.gf2 import BitMatrix, BitVector, mul
 from pnclab.link import (
@@ -216,11 +218,130 @@ class TestCompBaselines:
         deq = dequantize_llr(quantize_llr(raw, spec), spec)
         assert np.array_equal(comp_combine(deq), comp_combine(raw))
 
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_quantizer_saturates_huge_and_infinite(self, bits):
+        spec = QuantizerSpec(bits=bits, clip=8.0)
+        top = (1 << bits) - 1
+        got = quantize_llr(np.array([np.inf, 1e300, 1e20, -np.inf, -1e300, -1e20]), spec)
+        assert got.tolist() == [top, top, top, 0, 0, 0]
+
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_quantizer_levels_around_thresholds(self, bits):
+        spec = QuantizerSpec(bits=bits, clip=8.0)
+        for k in range(1, 1 << bits):
+            th = -spec.clip + k * spec.step
+            assert quantize_llr(np.array([th - 1e-9, th, th + 1e-9]), spec).tolist() == [k - 1, k, k]
+        assert quantize_llr(np.array([-8.0 - 1e-9, 8.0 + 1e-9]), spec).tolist() == [0, (1 << bits) - 1]
+
     def test_quantizer_validation(self):
         with pytest.raises(ValueError):
             QuantizerSpec(bits=3)
         with pytest.raises(ValueError):
             QuantizerSpec(bits=2, clip=0.0)
+
+
+def _comp_nonideal_llrs_logaddexp(y, h, constellation, noise_var):
+    """Oracle: the Jacobian-logarithm fold comp_nonideal_llrs used before it
+    moved onto the max-shifted kernel (finite for every input)."""
+    m = constellation.bits_per_symbol
+    size = 1 << m
+    hh = np.asarray(h, dtype=complex)
+    ys = np.asarray(y, dtype=complex)
+    if hh.ndim == 1:
+        ys = np.atleast_1d(ys)
+    idx = np.arange(size * size)
+    labels = (idx >> m, idx & (size - 1))
+    hyp = hh[..., 0, None] * constellation.points[labels[0]] + hh[..., 1, None] * constellation.points[labels[1]]
+    metric = np.abs(ys[..., :, None] - hyp[..., None, :])
+    metric *= metric
+    metric /= -noise_var
+    out = np.empty(metric.shape[:-2] + (2, m, ys.shape[-1]))
+    for term in range(2):
+        for i in range(m):
+            bit = (labels[term] >> (m - 1 - i)) & 1
+            out[..., term, i, :] = (
+                np.logaddexp.reduce(metric[..., bit == 0], axis=-1)
+                - np.logaddexp.reduce(metric[..., bit == 1], axis=-1)
+            )
+    return out
+
+
+_coord = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _comp_stacks(draw):
+    """A (2 frames, 2 APs) stack: channels, 5 samples per AP, noise variance
+    from 1e-5 (most L-values infinite) to 3."""
+    mod = draw(st.sampled_from(["qam4", "qam16"]))
+    parts = draw(st.lists(_coord, min_size=2 * 2 * 2 * 2, max_size=2 * 2 * 2 * 2))
+    h = (np.array(parts[:8]) + 1j * np.array(parts[8:])).reshape(2, 2, 2)
+    parts = draw(st.lists(_coord, min_size=2 * 2 * 2 * 5, max_size=2 * 2 * 2 * 5))
+    y = (np.array(parts[:20]) + 1j * np.array(parts[20:])).reshape(2, 2, 5)
+    noise_var = 10.0 ** draw(st.floats(-5.0, 0.5))
+    return mod, h, y, noise_var
+
+
+class TestCompNonidealKernel:
+    """comp_nonideal_llrs (max-shifted exp-sum) against the logaddexp fold."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_comp_stacks())
+    def test_matches_logaddexp_oracle(self, case):
+        mod, h, y, noise_var = case
+        c = make_constellation(mod)
+        got = comp_nonideal_llrs(y, h, c, noise_var)
+        want = _comp_nonideal_llrs_logaddexp(y, h, c, noise_var)
+        assert got.shape == want.shape == (2, 2, 2, c.bits_per_symbol, 5)
+        assert np.isfinite(want).all()
+        # both forms round the log-likelihoods themselves, whose size is at
+        # least the nearest hypothesis' |y - p|^2 / noise_var; an exact tie
+        # (a symmetric channel and sample) reads 0 or +-that rounding
+        m = c.bits_per_symbol
+        idx = np.arange(1 << 2 * m)
+        hyp = h[..., 0, None] * c.points[idx >> m] + h[..., 1, None] * c.points[idx & ((1 << m) - 1)]
+        nearest = (np.abs(y[..., :, None] - hyp[..., None, :]) ** 2).min(axis=-1) / noise_var
+        tol = 1e-12 * np.maximum(np.maximum(1.0, np.abs(want)), nearest[:, :, None, None, :])
+        tie = np.abs(want) <= tol
+        assert np.array_equal(np.sign(got)[~tie], np.sign(want)[~tie])
+        small = np.abs(want) < 700
+        assert np.all(np.abs(got - want)[small] <= tol[small])
+        assert np.all(np.abs(want[np.isinf(got)]) > 700)
+        assert np.array_equal(np.sign(got[np.isinf(got)]), np.sign(want[np.isinf(got)]))
+        for bits in (2, 4):
+            spec = QuantizerSpec(bits=bits, clip=8.0)
+            pos = (want + spec.clip) / spec.step
+            edge = np.abs(pos - np.round(pos)) <= tol / spec.step     # a threshold within rounding
+            assert np.array_equal(quantize_llr(got, spec)[~edge], quantize_llr(want, spec)[~edge])
+
+    @settings(max_examples=40, deadline=None)
+    @given(_comp_stacks())
+    def test_one_ap_call_equals_stacked_slice(self, case):
+        mod, h, y, noise_var = case
+        c = make_constellation(mod)
+        stacked = comp_nonideal_llrs(y, h, c, noise_var)
+        for f in range(2):
+            for a in range(2):
+                one = comp_nonideal_llrs(y[f, a], tuple(h[f, a]), c, noise_var)
+                assert one.tobytes() == stacked[f, a].tobytes()
+
+    def test_high_snr_gives_saturated_infinities(self):
+        """qam16 at 26 dB, samples on the superposition points: many
+        L-values are infinite, every one with the oracle's sign, and the
+        quantizer puts them at the extreme levels."""
+        c = make_constellation("qam16")
+        rng = np.random.default_rng(12)
+        H = draw_channel(rng)
+        idx = rng.integers(0, 16, size=(2, 60))
+        nv = noise_variance(26.0, 4)
+        y = transmit(H, nv, c.points[idx], rng)
+        got = comp_nonideal_llrs(y, H, c, nv)
+        want = _comp_nonideal_llrs_logaddexp(y, H, c, nv)
+        inf = np.isinf(got)
+        assert inf.mean() > 0.05
+        assert np.array_equal(np.sign(got), np.sign(want))
+        spec = QuantizerSpec(bits=2, clip=8.0)
+        assert np.array_equal(quantize_llr(got[inf], spec), np.where(got[inf] > 0, 3, 0))
 
 
 def test_noise_variance_bookkeeping():
