@@ -326,9 +326,9 @@ class TestCompNonidealKernel:
                 assert one.tobytes() == stacked[f, a].tobytes()
 
     def test_high_snr_gives_saturated_infinities(self):
-        """qam16 at 26 dB, samples on the superposition points: many
-        L-values are infinite, every one with the oracle's sign, and the
-        quantizer puts them at the extreme levels."""
+        """qam16 received at 26 dB: many L-values are infinite, every one
+        with the oracle's sign, and the quantizer puts them at the extreme
+        levels."""
         c = make_constellation("qam16")
         rng = np.random.default_rng(12)
         H = draw_channel(rng)
