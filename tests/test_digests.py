@@ -10,9 +10,10 @@ The first four CSV digests were recorded before the frame engine was
 restructured and before selection memoized its rank checks, the other
 five with the per-frame engine, before frames ran in chunks, and the last
 two (high-SNR ``comp_nonideal``) with the ``np.logaddexp`` LLRs, before
-``comp_nonideal_llrs`` moved onto the max-shifted likelihood kernel; a
-change that alters any of them changes published numbers or files and has
-to say so.
+``comp_nonideal_llrs`` moved onto the max-shifted likelihood kernel.  The
+qam16 ``rbmas`` case that reads its artifacts from files was recorded while
+the selection table was still a dict.  A change that alters any of them
+changes published numbers or files and has to say so.
 """
 import hashlib
 
@@ -83,6 +84,28 @@ def test_csv_digest(name):
     cfg, expected = CASES[name]
     text = results_csv_text(run_experiment(cfg))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == expected
+
+
+def test_csv_digest_loaded_artifacts(tmp_path, monkeypatch):
+    """Byte identity of a qam16 ``rbmas`` sweep that reads its catalog,
+    store and table from files.  The table saved is the one built in
+    memory, as the bench's off-line build writes it: a table rebuilt from
+    the loaded store differs in entries whose scores tie up to rounding.
+    The paths are fixed and relative because ``config_hash`` covers them."""
+    monkeypatch.chdir(tmp_path)
+    cat = build_catalog("qam16", n_trials=10**4, rng_seed=0, n_principal=24)
+    store = build_store(cat, t=4, k_per_state=5, n_aps=2)
+    save_catalog(cat, "catalog")
+    save_store(store, "store")
+    save_table(build_selection_table(store, cat, 2), "table")
+    cfg = ExperimentConfig(
+        scheme="rbmas", ncv_len=4, ebn0_db=(14.0, 22.0), pilot_len=4,
+        catalog_path="catalog", store_path="store", table_path="table", **SMALL16,
+    )
+    text = results_csv_text(run_experiment(cfg))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "be75d740cdfe0ff171b854015fed832cbe8f2c0293f9f800c0fbbfc8d0b24aeb"
+    )
 
 
 ARTIFACT_CASES = {
