@@ -107,8 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         store = load_store(args.store)
         table = build_selection_table(store, n_aps=args.n)
         save_table(table, args.out)
-        fallbacks = sum(1 for v in table.entries.values() if v is None)
-        print(f"table written to {args.out}: {len(table)} entries, {fallbacks} fallback markers")
+        print(f"table written to {args.out}: {len(table)} entries, {table.markers} fallback markers")
         return 0
 
     if args.command == "simulate":

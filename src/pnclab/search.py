@@ -20,6 +20,7 @@ small sizes.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
@@ -394,10 +395,18 @@ def _check_table_matches_store(table: SelectionTable, store: CandidateStore) -> 
     ):
         raise ValueError("table and store disagree on modulation, labeling or matrix shape")
     _check_same_states(table.states, store.states, store.eps, "table and store")
-    held = {(i, e.matrix.encoding) for i, l in enumerate(store.lists) for e in l}
-    for tup, encs in table.entries.items():
-        if encs is not None and not held.issuperset(zip(tup, encs)):
-            raise ValueError(f"table entry {tup} lists a matrix the store does not hold for that state")
+    distinct, code, _, _ = store._arrays
+    slot = {e: k for k, e in enumerate(distinct)}
+    n = table.n_aps
+    # each value's codes, -1 for a matrix the store does not hold; a marker lists none
+    vcode = np.array([[slot.get(e, -1) for e in v or (None,) * n] for v in table.values], dtype=np.intp).reshape(-1, n)
+    held = np.ones(table.choice.shape, dtype=bool)
+    for j in range(n):          # AP j's state on axis j, its code against that state's list
+        state = np.arange(len(code)).reshape([-1 if i == j else 1 for i in range(n)])
+        held &= (code[state] == vcode[table.choice, j][..., None]).any(axis=-1)
+    bad = np.argwhere(~held & (table._rows[:, 0, 0][table.choice] >= 0))
+    if len(bad):
+        raise ValueError(f"table entry {tuple(bad[0].tolist())} lists a matrix the store does not hold for that state")
 
 
 @dataclass(frozen=True)
@@ -509,9 +518,12 @@ def select_mappings(
     return batch[0] if one else batch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionTable:
-    """Precomputed per-state-tuple assignments for low-latency selection."""
+    """Precomputed per-state-tuple assignments for low-latency selection:
+    ``values[choice[i_1, ..., i_n]]`` is the per-AP matrix encodings of state
+    tuple (i_1, ..., i_n), or None, the marker of a tuple with no invertible
+    stack.  ``choice`` is read-only, of the smallest signed type that fits."""
 
     modulation: str
     labeling_version: str
@@ -519,19 +531,44 @@ class SelectionTable:
     mu: int
     n_aps: int
     states: tuple[FadeState, ...]
-    entries: dict[tuple[int, ...], tuple[int, ...] | None]
+    choice: np.ndarray
+    values: tuple[tuple[int, ...] | None, ...]
+
+    def __post_init__(self) -> None:
+        self.choice.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.choice.size
+
+    @property
+    def entries(self) -> dict[tuple[int, ...], tuple[int, ...] | None]:
+        """The table as a dict from state tuple to value, built on each
+        call; the layer tracer (perfbench/tracer.py) counts markers in it."""
+        keys = itertools.product(range(len(self.states)), repeat=self.n_aps)
+        return dict(zip(keys, map(self.values.__getitem__, self.choice.ravel().tolist())))
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Each value's packed matrix rows, (values, APs, t); -1 throughout at the marker."""
+        t, mu, n = self.t, self.mu, self.n_aps
+        rows = [[[-1] * t] * n if v is None else [[(e >> (r * mu)) & ((1 << mu) - 1) for r in range(t)] for e in v]
+                for v in self.values]
+        return np.array(rows, dtype=np.int64).reshape(-1, n, t)
+
+    @property
+    def markers(self) -> int:
+        """Number of state tuples that carry the marker."""
+        return int(np.count_nonzero(self._rows[:, 0, 0][self.choice] < 0))
 
 
-def _table_entries(store: CandidateStore, n_aps: int) -> dict[tuple[int, ...], tuple[int, ...] | None]:
-    """``_pick_combination`` for every ordered tuple of ``n_aps`` states.
+def _table_entries(store: CandidateStore, n_aps: int) -> tuple[np.ndarray, tuple[tuple[int, ...] | None, ...]]:
+    """``_pick_combination`` for every ordered tuple of ``n_aps`` states,
+    as the table's ``choice`` and ``values``.
 
     Each tuple's K^n combinations are scored with the distances the store
     holds.  The tuples are taken a block of first states at a time, so each
-    temporary stays near 2^18 elements.  Keys come in lexicographic order,
-    and entries with the same chosen codes share one value tuple.
+    temporary stays near 2^18 elements.  Tuples with equal chosen codes
+    share one value id.
     """
     distinct, code, d, _ = store._arrays
     u = len(distinct)
@@ -550,8 +587,8 @@ def _table_entries(store: CandidateStore, n_aps: int) -> dict[tuple[int, ...], t
         chosen.append(_pick_combination(full, codes, dists).reshape(-1, n_aps))
     chosen = np.concatenate(chosen)
     _, first, inverse = np.unique(chosen @ (u + 1) ** np.arange(n_aps)[::-1], return_index=True, return_inverse=True)
-    values = [None if c[0] == u else tuple(map(distinct.__getitem__, c)) for c in chosen[first].tolist()]
-    return dict(zip(itertools.product(range(n), repeat=n_aps), map(values.__getitem__, inverse.tolist())))
+    values = tuple(None if c[0] == u else tuple(map(distinct.__getitem__, c)) for c in chosen[first].tolist())
+    return inverse.reshape((n,) * n_aps).astype(np.min_scalar_type(-len(values))), values
 
 
 def build_selection_table(
@@ -570,13 +607,7 @@ def build_selection_table(
     if cat is not None:
         _check_store_matches_catalog(store, cat)
     return SelectionTable(
-        modulation=store.modulation,
-        labeling_version=store.labeling_version,
-        t=store.t,
-        mu=store.mu,
-        n_aps=n_aps,
-        states=store.states,
-        entries=_table_entries(store, n_aps),
+        store.modulation, store.labeling_version, store.t, store.mu, n_aps, store.states, *_table_entries(store, n_aps)
     )
 
 
@@ -598,13 +629,12 @@ def table_lookup(
     if one:
         H = H[None]
     state, _ = nearest_sfs(cat, H)
-    encs = [table.entries[tup] for tup in map(tuple, state.tolist())]
-    if None in encs:
-        tup = tuple(state[encs.index(None)].tolist())
+    rows = table._rows[table.choice[tuple(state.T)]]
+    hit = np.flatnonzero(rows[:, 0, 0] < 0)
+    if len(hit):
+        tup = tuple(state[hit[0]].tolist())
         raise SelectionInfeasibleError(f"no invertible stack for state tuple {tup}; the table marks it")
-    shifts = np.arange(table.t, dtype=np.uint64) * np.uint64(table.mu)
-    rows = (np.array(encs, dtype=np.uint64)[..., None] >> shifts) & np.uint64((1 << table.mu) - 1)
-    batch = SelectionBatch(rows=rows.astype(np.int64), state_indices=state, mu=table.mu)
+    batch = SelectionBatch(rows=rows, state_indices=state, mu=table.mu)
     return batch[0] if one else batch
 
 
@@ -694,15 +724,15 @@ def save_table(table: SelectionTable, path: str) -> None:
         "states": len(table.states),
     }
     states = (f"state {i} @ {state.to_text()}" for i, state in enumerate(table.states))
-    keys = sorted(table.entries)
-    names = [str(i) for i in range(len(table.states))]
-    text = {v: "fallback" if v is None else " ".join(format(e, "x") for e in v) for v in set(table.entries.values())}
+    keys = itertools.product([str(i) for i in range(len(table.states))], repeat=table.n_aps)   # lexicographic
+    text = ["fallback" if v is None else " ".join(format(e, "x") for e in v) for v in table.values]
+    ids = table.choice.ravel()
 
-    def lines(block):           # one string of lines; write_v1 ends it with the last newline
-        return "\n".join([f"{','.join(map(names.__getitem__, tup))} -> {text[table.entries[tup]]}" for tup in block])
+    def lines(b):               # one string of lines; write_v1 ends it with the last newline
+        block = zip(itertools.islice(keys, _LINE_BLOCK), ids[b : b + _LINE_BLOCK].tolist())
+        return "\n".join([f"{','.join(key)} -> {text[i]}" for key, i in block])
 
-    entries = (lines(keys[b : b + _LINE_BLOCK]) for b in range(0, len(keys), _LINE_BLOCK))
-    write_v1(path, "table", header, itertools.chain(states, entries))
+    write_v1(path, "table", header, itertools.chain(states, map(lines, range(0, ids.size, _LINE_BLOCK))))
 
 
 def load_table(path: str) -> SelectionTable:
@@ -712,16 +742,22 @@ def load_table(path: str) -> SelectionTable:
 
     Keys are read against the canonical index strings, and each distinct
     value text is parsed and checked once: each encoding below 2^(t*mu),
-    and their rows, unpacked, of rank mu.  Entries with equal encodings
-    share one value tuple.
+    and their rows, unpacked, of rank mu.  Entries with the same value
+    text share one value id.  A header that claims more state tuples than
+    the file has room for (each line takes at least 2n + 4 bytes) is
+    refused before the table is allocated.
     """
     states: list[FadeState] = []
-    entries: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    values: dict[str, tuple[int, ...] | None] = {}      # value text -> its encodings, checked once
+    values: list[tuple[int, ...] | None] = []
+    ids: dict[str, int] = {}            # value text -> its id, checked once
     with read_v1(path, "table") as (header, body):
         t, mu, n, n_states = (int(header[k]) for k in ("t", "mu", "n", "states"))
+        size = os.path.getsize(path)
+        if n < 1 or n_states**n > size // (2 * n + 4):
+            raise ValueError(f"{path}: a header of {n_states} states and n={n} does not fit a file of {size} bytes")
         mask = (1 << mu) - 1
         index = {str(i): i for i in range(n_states)}.__getitem__
+        choice = np.full((n_states,) * n, -1, dtype=np.intp)
         for ln in body:
             if ln.startswith("state "):
                 states.append(FadeState.from_text(strip_index(path, ln[6:], " @ ", len(states))))
@@ -733,11 +769,11 @@ def load_table(path: str) -> SelectionTable:
                 tup = ()
             if len(tup) != n:
                 raise ValueError(f"{path}: table key {key!r} is not a {n}-tuple of state indices")
-            if tup in entries:
+            if choice[tup] >= 0:
                 raise ValueError(f"{path}: table key {key!r} appears more than once")
-            if val not in values and val.strip() == "fallback":
-                values[val] = None
-            elif val not in values:
+            if val not in ids and val.strip() == "fallback":
+                values.append(None)
+            elif val not in ids:
                 encs = tuple(int(x, 16) for x in val.split())
                 if len(encs) != n:
                     raise ValueError(f"{path}: table entry {tup} lists {len(encs)} matrices, not {n}")
@@ -745,16 +781,11 @@ def load_table(path: str) -> SelectionTable:
                     raise ValueError(f"{path}: table entry {tup} lists an encoding of more than {t}x{mu} bits")
                 if rank_rows([(e >> (r * mu)) & mask for e in encs for r in range(t)]) != mu:
                     raise ValueError(f"table entry {tup} stacks to a singular global matrix")
-                values[val] = encs
-            entries[tup] = values[val]
+                values.append(encs)
+            choice[tup] = ids.setdefault(val, len(values) - 1)
     check_count(path, "states", n_states, len(states))
-    check_count(path, "state tuples", n_states**n, len(entries))
+    check_count(path, "state tuples", n_states**n, np.count_nonzero(choice >= 0))
     return SelectionTable(
-        modulation=header["modulation"],
-        labeling_version=header["labeling"],
-        t=t,
-        mu=mu,
-        n_aps=n,
-        states=tuple(states),
-        entries=entries,
+        header["modulation"], header["labeling"], t, mu, n, tuple(states),
+        choice.astype(np.min_scalar_type(-len(values))), tuple(values),
     )

@@ -177,6 +177,7 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
             rng_seed=cfg.seed,
             n_principal=cfg.n_principal,
         )
+    cat._cells                  # nearest_sfs' cell list: built here, not in the first frame
     ctx.catalog = cat
     t = cfg.ncv_len or c.bits_per_symbol
     if cfg.store_path:
@@ -200,9 +201,8 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
             _check_table_matches_store(table, store)
             if table.n_aps != cfg.n_aps:
                 raise ValueError(f"table was built for {table.n_aps} APs, the config has {cfg.n_aps}")
-            markers = sum(1 for encs in table.entries.values() if encs is None)
-            if markers:
-                raise ValueError(f"table marks {markers} state tuples infeasible; the config needs all feasible")
+            if table.markers:
+                raise ValueError(f"table marks {table.markers} state tuples infeasible; the config needs all feasible")
         else:
             table = build_selection_table(store, cat, cfg.n_aps)
         ctx.table = table

@@ -31,10 +31,14 @@ def test_verify_store_fails_on_infeasible_tuples(tmp_path, capsys):
         "offline", "--mod", "qam4", "--t", "2", "--K", "1",
         "--trials", "20000", "--seed", "0", "--out", store_path,
     ]) == 0
-    assert load_store(store_path).infeasible
+    infeasible = load_store(store_path).infeasible
+    assert infeasible
     capsys.readouterr()
     assert main(["verify-store", "--store", store_path, "--n", "2"]) == 1
     assert "store FAILED verification" in capsys.readouterr().out
+    # each infeasible tuple carries the marker in the table
+    assert main(["table", "--store", store_path, "--n", "2", "--out", str(tmp_path / "k1.tab")]) == 0
+    assert f"196 entries, {len(infeasible)} fallback markers" in capsys.readouterr().out
 
 
 def test_offline_with_truncation(tmp_path):

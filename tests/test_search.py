@@ -363,7 +363,9 @@ class TestSelectionTable:
 
     def test_marker_raises_infeasible(self, store4, cat4):
         table = build_selection_table(store4, cat4, n_aps=2)
-        patched = dataclasses.replace(table, entries={**table.entries, (0, 1): None})
+        choice = table.choice.copy()
+        choice[0, 1] = len(table.values)
+        patched = dataclasses.replace(table, choice=choice, values=table.values + (None,))
         H = np.array([state_channel(store4.states[0]), state_channel(store4.states[1])])
         with pytest.raises(SelectionInfeasibleError):
             table_lookup(patched, cat4, H)
@@ -625,6 +627,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match="state tuples"):
             load_table(str(path))
 
+    def test_table_header_larger_than_file_refused(self, store4, cat4, tmp_path):
+        """A header of n=12 over 14 states claims 14^12 tuples; the load
+        refuses it before allocating a table of that size."""
+        path = tmp_path / "table.tab"
+        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        path.write_text(path.read_text().replace("\nn=2\n", "\nn=12\n", 1))
+        with pytest.raises(ValueError, match="states and n=12 does not fit a file of"):
+            load_table(str(path))
+
     def test_table_lines_in_any_order(self, store4, cat4, tmp_path):
         table = build_selection_table(store4, cat4, n_aps=2)
         path = tmp_path / "table.tab"
@@ -713,8 +724,8 @@ class TestRoundTripProperties:
             lambda ms: rank_rows([r for m in ms for r in m]) == 4
         )
         pool = data.draw(st.lists(stack, min_size=1, max_size=4))
-        encodings = [tuple(BitMatrix.from_row_ints(m, 4).encoding for m in ms) for ms in pool]
-        keys = list(itertools.product(range(n_states), repeat=n))
+        values = tuple(tuple(BitMatrix.from_row_ints(m, 4).encoding for m in ms) for ms in pool) + (None,)
+        ids = st.integers(0, len(values) - 1)
         table = search.SelectionTable(
             modulation=store4.modulation,
             labeling_version=store4.labeling_version,
@@ -722,7 +733,8 @@ class TestRoundTripProperties:
             mu=4,
             n_aps=n,
             states=tuple(data.draw(FADE_STATES) for _ in range(n_states)),
-            entries={k: data.draw(st.sampled_from(encodings + [None])) for k in keys},
+            choice=np.array([data.draw(ids) for _ in range(n_states**n)]).reshape((n_states,) * n),
+            values=values,
         )
         first, second, loaded = _save_load_save(save_table, load_table, table)
         assert first == second

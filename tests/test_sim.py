@@ -317,7 +317,7 @@ class TestRuns:
             modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
             store_path=paths["store"], table_path=bad, **FAST,
         )
-        with pytest.raises(ValueError, match="marks 1 state tuples"):
+        with pytest.raises(ValueError, match="table marks 1 state tuples infeasible"):
             list(run_experiment(cfg))
 
     def test_table_entry_outside_store_lists_refused(self, qam4_files, tmp_path):
