@@ -606,8 +606,16 @@ def build_selection_table(
     """
     if cat is not None:
         _check_store_matches_catalog(store, cat)
+    choice, values = _table_entries(store, n_aps)
     return SelectionTable(
-        store.modulation, store.labeling_version, store.t, store.mu, n_aps, store.states, *_table_entries(store, n_aps)
+        modulation=store.modulation,
+        labeling_version=store.labeling_version,
+        t=store.t,
+        mu=store.mu,
+        n_aps=n_aps,
+        states=store.states,
+        choice=choice,
+        values=values,
     )
 
 
@@ -786,6 +794,12 @@ def load_table(path: str) -> SelectionTable:
     check_count(path, "states", n_states, len(states))
     check_count(path, "state tuples", n_states**n, np.count_nonzero(choice >= 0))
     return SelectionTable(
-        header["modulation"], header["labeling"], t, mu, n, tuple(states),
-        choice.astype(np.min_scalar_type(-len(values))), tuple(values),
+        modulation=header["modulation"],
+        labeling_version=header["labeling"],
+        t=t,
+        mu=mu,
+        n_aps=n,
+        states=tuple(states),
+        choice=choice.astype(np.min_scalar_type(-len(values))),
+        values=tuple(values),
     )

@@ -741,6 +741,39 @@ class TestRoundTripProperties:
         assert loaded.entries == table.entries
 
 
+def _store_holds_table(table, store):
+    """Oracle: the walk over every entry against a set of (state, encoding)
+    pairs that the array check replaced."""
+    held = {(i, e.matrix.encoding) for i, l in enumerate(store.lists) for e in l}
+    return all(v is None or held.issuperset(zip(tup, v)) for tup, v in table.entries.items())
+
+
+@pytest.mark.parametrize("n, t, k", [(1, 4, 5), (2, 2, 5), (2, 2, 1), (3, 2, 3)])
+def test_table_store_check_matches_set_walk(cat4, n, t, k):
+    """Tables with a few entries rewritten to markers or to stacks of
+    stored, foreign or misplaced encodings are refused exactly when the
+    oracle finds a matrix outside its state's list."""
+    cat = truncate_catalog(cat4, 5) if n == 3 else cat4
+    store = build_store(cat, t=t, k_per_state=k, n_aps=n)
+    table = build_selection_table(store, n_aps=n)
+    encodings = sorted({e.matrix.encoding for l in store.lists for e in l}) + [0xABC]
+    rng = np.random.default_rng(n * 10 + k)
+    verdicts = []
+    for _ in range(60):
+        choice, values = table.choice.astype(np.intp), list(table.values)
+        for _ in range(rng.integers(1, 4)):
+            values.append(None if rng.random() < 0.1 else tuple(int(e) for e in rng.choice(encodings, n)))
+            choice[tuple(rng.integers(0, len(store.states), n))] = len(values) - 1
+        patched = dataclasses.replace(table, choice=choice, values=tuple(values))
+        verdicts.append(_store_holds_table(patched, store))
+        if verdicts[-1]:
+            search._check_table_matches_store(patched, store)
+        else:
+            with pytest.raises(ValueError, match="does not hold for that state"):
+                search._check_table_matches_store(patched, store)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_selection_infeasible_raises(cat4):
     rankings = mine_candidates(cat4, t=2, limit=1)
     store = certify_store(assemble_store(cat4, rankings, t=2, k_per_state=1), 2)
