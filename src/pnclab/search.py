@@ -551,7 +551,7 @@ class SelectionTable:
     def _rows(self) -> np.ndarray:
         """Each value's packed matrix rows, (values, APs, t); -1 throughout at the marker."""
         t, mu, n = self.t, self.mu, self.n_aps
-        rows = [[[-1] * t] * n if v is None else [[(e >> (r * mu)) & ((1 << mu) - 1) for r in range(t)] for e in v]
+        rows = [[[-1] * t] * n if v is None else [BitMatrix.from_encoding(e, t, mu).rows for e in v]
                 for v in self.values]
         return np.array(rows, dtype=np.int64).reshape(-1, n, t)
 

@@ -205,6 +205,7 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
                 raise ValueError(f"table marks {table.markers} state tuples infeasible; the config needs all feasible")
         else:
             table = build_selection_table(store, cat, cfg.n_aps)
+        table._rows             # table_lookup's value rows, likewise
         ctx.table = table
     return ctx
 
