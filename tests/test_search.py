@@ -363,7 +363,7 @@ class TestSelectionTable:
 
     def test_marker_raises_infeasible(self, store4, cat4):
         table = build_selection_table(store4, cat4, n_aps=2)
-        choice = table.choice.copy()
+        choice = table.choice.astype(np.intp)
         choice[0, 1] = len(table.values)
         patched = dataclasses.replace(table, choice=choice, values=table.values + (None,))
         H = np.array([state_channel(store4.states[0]), state_channel(store4.states[1])])
