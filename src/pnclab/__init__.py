@@ -2,13 +2,10 @@
 
 from .gf2 import (
     BitMatrix,
-    BitVector,
     EnumerationTooLargeError,
     SingularMatrixError,
     enumerate_matrices,
     inverse_f2,
-    mul,
-    solve,
 )
 from .modulation import Constellation, make_constellation
 from .fade_states import (
@@ -54,7 +51,6 @@ from .link import (
     comp_combine,
     comp_ideal,
     comp_nonideal_llrs,
-    cpu_recover,
     detect_ncv,
     estimate_channel,
     hard_ncv,

@@ -28,46 +28,6 @@ class EnumerationTooLargeError(ValueError):
     """Raised when a requested exhaustive matrix enumeration exceeds the cap."""
 
 
-class InconsistentSystemError(ValueError):
-    """Raised when a linear system over F2 has no solution."""
-
-
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """Column vector over F2; bit ``k`` of ``value`` is component ``k``."""
-
-    length: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("BitVector length must be >= 1")
-        if not 0 <= self.value < (1 << self.length):
-            raise ValueError("BitVector value out of range for its length")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        bits = list(bits)
-        value = 0
-        for k, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value |= b << k
-        return cls(length=len(bits), value=value)
-
-    def to_bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> k) & 1 for k in range(self.length))
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch in BitVector xor")
-        return BitVector(self.length, self.value ^ other.value)
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """Dense matrix over F2 stored as packed bit rows (bit ``c`` = column ``c``)."""
@@ -145,21 +105,6 @@ class BitMatrix:
         return BitMatrix(self.n_rows + other.n_rows, self.n_cols, self.rows + other.rows)
 
 
-def mul(a: BitMatrix, b: BitVector) -> BitVector:
-    """Matrix-vector product over F2: result[i] = parity(a.rows[i] & b)."""
-    if a.n_cols != b.length:
-        raise ValueError(f"dimension mismatch: {a.n_rows}x{a.n_cols} with length-{b.length} vector")
-    return BitVector(a.n_rows, mul_int(a.rows, b.value))
-
-
-def mul_int(rows: Sequence[int], v: int) -> int:
-    """Fast path of :func:`mul` on raw bit rows and a raw vector int."""
-    out = 0
-    for i, row in enumerate(rows):
-        out |= _parity(row & v) << i
-    return out
-
-
 def rank_rows(rows: Iterable[int]) -> int:
     """Row rank over F2 by greedy elimination on packed rows."""
     basis: list[int] = []
@@ -193,47 +138,6 @@ def inverse_f2(a: BitMatrix) -> BitMatrix:
                 aug[r] ^= aug[piv]
         piv += 1
     return BitMatrix(n, n, tuple(aug))
-
-
-def solve(a: BitMatrix, b: BitVector) -> BitVector:
-    """Solve ``a x = b`` over F2; requires full column rank for uniqueness.
-
-    Raises InconsistentSystemError when no solution exists and
-    SingularMatrixError when the solution is not unique.
-    """
-    if a.n_rows != b.length:
-        raise ValueError("dimension mismatch in solve")
-    n, m = a.n_rows, a.n_cols
-    rows = [(a.rows[r], (b.value >> r) & 1) for r in range(n)]
-    pivots: list[tuple[int, int]] = []  # (col, row index into reduced list)
-    reduced: list[tuple[int, int]] = []
-    for row, rhs in rows:
-        x, y = row, rhs
-        for (col, idx) in pivots:
-            if (x >> col) & 1:
-                px, py = reduced[idx]
-                x ^= px
-                y ^= py
-        if x == 0:
-            if y:
-                raise InconsistentSystemError("system has no solution over F2")
-            continue
-        col = (x & -x).bit_length() - 1
-        pivots.append((col, len(reduced)))
-        reduced.append((x, y))
-    if len(reduced) < m:
-        raise SingularMatrixError("solution not unique: rank below n_cols")
-    # back-substitute to full reduction
-    for i in range(len(reduced) - 1, -1, -1):
-        col, idx = pivots[i]
-        for j in range(i):
-            xj, yj = reduced[j]
-            if (xj >> col) & 1:
-                reduced[j] = (xj ^ reduced[idx][0], yj ^ reduced[idx][1])
-    value = 0
-    for (col, idx) in pivots:
-        value |= reduced[idx][1] << col
-    return BitVector(m, value)
 
 
 def enumerate_matrices(n_rows: int, n_cols: int, max_bits: int = 24) -> Iterator[BitMatrix]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector, InconsistentSystemError, inverse_f2, solve
+from .gf2 import BitMatrix, inverse_f2
 from .mapping import _parity_table, joint_vector_table, ncv_table, superimpose
 from .modulation import Constellation
 
@@ -155,36 +155,6 @@ def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
     return (np.asarray(llrs) < 0).astype(np.int64)
 
 
-def cpu_recover(
-    x: BitVector,
-    g: BitMatrix,
-    llrs=None,
-) -> tuple[BitVector, int]:
-    """Solve the stacked mapping equations for the joint message.
-
-    For a square invertible stack this is plain inversion.  Overdetermined
-    stacks can carry conflicting equations after detection errors; those are
-    resolved by discarding the lowest-|L-value| equations until the system
-    is consistent.  Returns the message and the number of dropped equations.
-    """
-    if g.n_rows != x.length:
-        raise ValueError("stack height does not match NCV length")
-    weights = [math.inf] * g.n_rows if llrs is None else [abs(float(v)) for v in llrs]
-    if len(weights) != g.n_rows:
-        raise ValueError("one L-value per stacked equation is required")
-    active = list(range(g.n_rows))
-    dropped = 0
-    while True:
-        sub = BitMatrix.from_row_ints([g.rows[r] for r in active], g.n_cols)
-        rhs = BitVector(len(active), sum(((x.value >> r) & 1) << i for i, r in enumerate(active)))
-        try:
-            return solve(sub, rhs), dropped
-        except InconsistentSystemError:
-            victim = min(active, key=lambda r: (weights[r], -r))
-            active.remove(victim)
-            dropped += 1
-
-
 def recover_batch(g, x_bits: np.ndarray) -> np.ndarray:
     """Vectorized recovery for square invertible stacks.
 
@@ -243,8 +213,8 @@ class QuantizerSpec:
     def __post_init__(self) -> None:
         if self.bits not in (2, 4):
             raise ValueError("quantizer bits must be 2 or 4")
-        if self.clip <= 0:
-            raise ValueError("clip range must be positive")
+        if not 0 < self.clip < math.inf:
+            raise ValueError(f"clip range must be positive and finite, not {self.clip}")
 
     @property
     def step(self) -> float:

@@ -28,7 +28,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -81,6 +81,10 @@ class ExperimentConfig:
     table_path: str | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "int | None") and value is not None and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, not {value!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.n_terminals != 2:
@@ -90,8 +94,12 @@ class ExperimentConfig:
         QuantizerSpec(bits=self.quantizer_bits, clip=self.quantizer_clip)  # raises on bad bits/clip
         if not self.ebn0_db:
             raise ValueError("ebn0_db needs at least one point")
-        if self.frames_per_point < 1 or self.frame_len < 1:
-            raise ValueError("frames_per_point and frame_len must be >= 1")
+        if not all(map(math.isfinite, self.ebn0_db)):
+            raise ValueError(f"ebn0_db points must be finite, not {self.ebn0_db}")
+        if min(self.n_aps, self.frames_per_point, self.frame_len) < 1:
+            raise ValueError("n_aps, frames_per_point and frame_len must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.pilot_len is not None and self.pilot_len < 1:
             raise ValueError("pilot_len must be >= 1, or None for perfect CSI")
         if self.k_per_state < 1 or self.rank_trials < 1:

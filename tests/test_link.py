@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnclab.gf2 import BitMatrix, BitVector, mul
+from pnclab.gf2 import BitMatrix, rank_rows
 from pnclab.link import (
     QuantizerSpec,
     comp_combine,
     comp_ideal,
     comp_nonideal_llrs,
-    cpu_recover,
     dequantize_llr,
     detect_ncv,
     draw_channel,
@@ -158,30 +157,47 @@ class TestRecovery:
             w_hat = (w_bits * (1 << np.arange(4))[None, :]).sum(axis=1)
             assert np.array_equal(w_hat, w_of_tau[taus])
 
-    def test_identity_stack_passthrough(self):
-        g = BitMatrix.identity(4)
-        x = BitVector.from_bits((1, 0, 1, 1))
-        w, dropped = cpu_recover(x, g)
-        assert w == x and dropped == 0
-
-    def test_single_flipped_bit_changes_message(self):
-        g = BitMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
-        w = BitVector.from_bits((1, 1, 0, 1))
-        x = mul(g, w)
-        flipped = BitVector(4, x.value ^ 1)
-        w2, _ = cpu_recover(flipped, g)
-        assert w2 != w
-
-    def test_overdetermined_conflict_resolution(self):
-        g = BitMatrix.from_rows(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]]
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([4, 8]), st.data())
+    def test_chunk_recovers_every_frame(self, mu, data):
+        """A chunk of frames, some sharing a stack: every frame recovers its
+        messages, equals the one-stack call, and one flipped NCV bit changes
+        exactly the message it belongs to."""
+        square = st.lists(st.integers(0, (1 << mu) - 1), min_size=mu, max_size=mu).filter(
+            lambda rows: rank_rows(rows) == mu
         )
-        w = BitVector.from_bits((1, 0, 1, 1))
-        x = mul(g, w)
-        # flip the redundant equation; it carries the least reliable L-value
-        bad = BitVector(5, x.value ^ (1 << 4))
-        got, dropped = cpu_recover(bad, g, llrs=[5.0, 4.0, 3.0, 2.0, 0.1])
-        assert got == w and dropped == 1
+        stacks = data.draw(st.lists(square, min_size=1, max_size=3))
+        which = data.draw(st.lists(st.integers(0, len(stacks) - 1), min_size=1, max_size=6))
+        g = np.array([stacks[k] for k in which])
+        frames, samples = len(which), data.draw(st.integers(1, 5))
+        w = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, 2, size=(frames, samples, mu))
+        # NCV bit r is the parity of stack row r against the message
+        x = (w @ ((g[:, None, :] >> np.arange(mu)[:, None]) & 1)) % 2
+        got = recover_batch(g, x)
+        assert np.array_equal(got, w)
+        for f in range(frames):
+            assert np.array_equal(got[f], recover_batch(BitMatrix.from_row_ints(g[f].tolist(), mu), x[f]))
+        f, s, r = (data.draw(st.integers(0, n - 1)) for n in (frames, samples, mu))
+        x[f, s, r] ^= 1
+        moved = recover_batch(g, x) != w
+        assert moved[f, s].any()
+        moved[f, s] = False
+        assert not moved.any()
+
+    @pytest.mark.parametrize(
+        "g, x_shape",
+        [
+            (XOR_MAP, (5, 2)),
+            (XOR_MAP.stack(XOR_MAP).stack(XOR_MAP), (5, 6)),
+            (np.array([[1, 2, 4, 8, 3, 12]] * 3), (3, 5, 4)),
+            (np.array([[1, 2, 4, 8, 3, 12]] * 3), (3, 5, 6)),
+            (np.array([XOR_MAP.rows] * 3), (3, 5, 2)),
+        ],
+        ids=["one-2x4", "one-6x4", "chunk-6-rows-4-bits", "chunk-6x4", "chunk-2x4"],
+    )
+    def test_non_square_stack_refused(self, g, x_shape):
+        with pytest.raises(ValueError):
+            recover_batch(g, np.zeros(x_shape, dtype=np.int64))
 
 
 class TestCompBaselines:

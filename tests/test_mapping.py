@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnclab.fade_states import enumerate_sfs
-from pnclab.gf2 import BitMatrix, mul_int, rank_rows
+from pnclab.gf2 import BitMatrix, rank_rows
 from pnclab.mapping import (
     COINCIDENCE_EPS,
     SuperimposedConstellation,
@@ -253,7 +253,8 @@ class TestEvaluateMapping:
         w_of_tau, _ = joint_vector_table(2)
         verdict = True
         for block in clash:
-            ncvs = {mul_int(XOR_MAP.rows, int(w_of_tau[t])) for t in block}
+            # the NCV of w is the parity of each row against it
+            ncvs = {tuple((row & int(w_of_tau[t])).bit_count() & 1 for row in XOR_MAP.rows) for t in block}
             if len(ncvs) > 1:
                 verdict = False
         q = evaluate_mapping(XOR_MAP, sc, clash)

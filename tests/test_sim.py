@@ -53,11 +53,25 @@ class TestConfig:
             dict(scheme="rbmas", k_per_state=1),           # two APs in one fade stack to rank 2 < 4
             dict(scheme="bmas", n_principal=0),
             dict(scheme="bmas", rank_trials=0),
+            dict(scheme="comp_ideal", n_aps=0),            # zero-size chunk divisor
+            dict(scheme="comp_nonideal", n_aps=0),
+            dict(scheme="comp_ideal", seed=-1),            # SeedSequence takes no negative entropy
+            dict(scheme="bmas", seed=-1),
+            dict(scheme="comp_ideal", ebn0_db=(10.0, math.nan)),
+            dict(scheme="comp_ideal", ebn0_db=(-math.inf,)),
+            dict(scheme="bmas", ebn0_db=(math.inf,)),     # zero noise variance
+            dict(scheme="comp_nonideal", quantizer_clip=math.nan),
+            dict(scheme="comp_nonideal", quantizer_clip=math.inf),
+            dict(scheme="comp_ideal", frames_per_point=1e3),  # what --set frames_per_point=1e3 gives
+            dict(scheme="comp_nonideal", quantizer_bits=2.0),
         ],
         ids=[
             "bmas-3aps", "rbmas-ncv3", "t-below-bits", "quantizer-bits", "quantizer-clip", "modulation",
             "no-frames", "empty-frame", "no-pilots", "negative-pilots", "no-points",
             "no-candidates", "one-candidate", "no-principal-states", "no-rank-trials",
+            "no-aps-ideal", "no-aps-nonideal", "negative-seed-comp", "negative-seed-pnc",
+            "nan-point", "minus-inf-point", "inf-point", "nan-clip", "inf-clip",
+            "float-frames", "float-quantizer-bits",
         ],
     )
     def test_rejects_unrunnable_config(self, fields):
