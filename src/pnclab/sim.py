@@ -81,7 +81,7 @@ class ExperimentConfig:
     table_path: str | None = None
 
     def __post_init__(self) -> None:
-        for f in fields(self):
+        for f in fields(self):          # f.type is annotation text: postponed annotations
             value = getattr(self, f.name)
             if f.type in ("int", "int | None") and value is not None and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, not {value!r}")
