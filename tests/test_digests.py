@@ -12,15 +12,18 @@ five with the per-frame engine, before frames ran in chunks, and the last
 two (high-SNR ``comp_nonideal``) with the ``np.logaddexp`` LLRs, before
 ``comp_nonideal_llrs`` moved onto the max-shifted likelihood kernel.  The
 qam16 ``rbmas`` case that reads its artifacts from files was recorded while
-the selection table was still a dict.  A change that alters any of them
-changes published numbers or files and has to say so.
+the selection table was still a dict.  Each pinned table also pins its
+content, independent of the file format: the digest of its state-tuple
+mapping, for the table as built and as loaded from its file, recorded
+while tables were still saved one keyed line per tuple.  A change that
+alters any of them changes published numbers or files and has to say so.
 """
 import hashlib
 
 import pytest
 
 from pnclab.fade_states import build_catalog, save_catalog
-from pnclab.search import build_selection_table, build_store, save_store, save_table
+from pnclab.search import build_selection_table, build_store, load_table, save_store, save_table
 from pnclab.sim import ExperimentConfig, results_csv_text, run_experiment
 
 SMALL = dict(modulation="qam4", frames_per_point=60, frame_len=24, rank_trials=10**4, seed=11)
@@ -108,49 +111,68 @@ def test_csv_digest_loaded_artifacts(tmp_path, monkeypatch):
     )
 
 
+def content_digest(table):
+    """sha256 of the table's values in the C order of its state tuples,
+    whatever the value ids and the file layout."""
+    mapping = [table.values[i] for i in table.choice.ravel().tolist()]
+    return hashlib.sha256(repr(mapping).encode("ascii")).hexdigest()
+
+
+def check_table(table, path, table_sha, content_sha):
+    """The saved file's bytes, and the content of the table and of its load."""
+    save_table(table, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == table_sha
+    assert content_digest(table) == content_digest(load_table(str(path))) == content_sha
+
+
 ARTIFACT_CASES = {
     "qam16-psfs24": (
         ("qam16", dict(n_trials=10**4, rng_seed=0, n_principal=24), 4),
         "dec6d6c90e58cb46cf9fcc10967df3979788d2ec06333d2730e8d6b2cfe136bc",
         "b0790c595dd5158e140ae6a966c3a6317bd2c2b796ce40ab9bc7713513f8ba1f",
+        "c881d64e6e810f6689be29a191e41359c4db602e8432328a4aa9aebc65cf8072",
     ),
     "qam4-full": (
         ("qam4", dict(n_trials=10**4, rng_seed=0), 2),
         "ddfd92a5e982d6dacc84ca1196c4e9df1bae49b0e8145bfd7091f6128a16cdea",
         "5572edf7fd288ca437b1f54a71686c22a29bd680468a39d00e22ab339cf6ef16",
+        "0e596d53637a020347cafe940a2a69da432bb5d25951f72cc03066f00f4814c2",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_CASES))
 def test_artifact_digest(name, tmp_path):
-    """Byte identity of the certified store and the selection table (K=5, n=2)."""
-    (modulation, catalog_kw, t), store_sha, table_sha = ARTIFACT_CASES[name]
+    """Byte identity of the certified store and the selection table (K=5,
+    n=2), and the table's content."""
+    (modulation, catalog_kw, t), store_sha, table_sha, content_sha = ARTIFACT_CASES[name]
     cat = build_catalog(modulation, **catalog_kw)
     store = build_store(cat, t=t, k_per_state=5, n_aps=2)
     save_store(store, tmp_path / "store")
-    save_table(build_selection_table(store, cat, 2), tmp_path / "table")
     assert hashlib.sha256((tmp_path / "store").read_bytes()).hexdigest() == store_sha
-    assert hashlib.sha256((tmp_path / "table").read_bytes()).hexdigest() == table_sha
+    check_table(build_selection_table(store, cat, 2), tmp_path / "table", table_sha, content_sha)
 
 
 # qam4 builds off the K=5 two-AP path: (build_store keywords, store sha256,
-# table sha256)
+# table sha256, table content sha256)
 BRANCH_CASES = {
     "n1-t4": (
         dict(t=4, k_per_state=5, n_aps=1),
         "450cbac35b6f39f2015bcbe810f15ff7a42cf196bdd2bd18865697f405707a58",
         "013789da69955f9c0eb15f507ea26ef9d838f4cc17b13dd750a91df5d7a5b317",
+        "1daaa98b9c1bd6b8e269fb33b8fdce4f463de3ef75a921c1de1f97dd345cbd6d",
     ),
     "n3-t2": (
         dict(t=2, k_per_state=5, n_aps=3),
         "d4ce966761839e3402520b069da9f38ff270c116d9ce02163276294ed49f89b8",
         "2a95e8105406f90b34882c92146bea95f0858b7f96ec424241acfa8a6885a70d",
+        "7f2a296f42b83e5ee699bfbe058afb96c2549bed958b6743bc53c9d36dde325f",
     ),
     "k1-infeasible": (
         dict(t=2, k_per_state=1, n_aps=2),
         "8f5f9d00ce30035414415f9e11305d140c7154df362e959fd062fc7cf747013a",
         "913b90da5ab3cb197989da21d409ca8e8208fdaaff564169f7996650a9e7cdb4",
+        "b1e657ce127995428f771c71f0b66bb19fb3b3f99d4534ba5b7ffd17acbc9bdc",
     ),
 }
 
@@ -164,15 +186,14 @@ def qam4_catalog():
 def test_branch_artifact_digest(name, qam4_catalog, tmp_path):
     """Byte identity of the store and table where certification and the
     table build leave the two-AP K=5 path."""
-    kw, store_sha, table_sha = BRANCH_CASES[name]
+    kw, store_sha, table_sha, content_sha = BRANCH_CASES[name]
     store = build_store(qam4_catalog, **kw)
     assert bool(store.infeasible) == (kw["k_per_state"] == 1)
     save_store(store, tmp_path / "store")
     assert hashlib.sha256((tmp_path / "store").read_bytes()).hexdigest() == store_sha
     table = build_selection_table(store, qam4_catalog, kw["n_aps"])
     assert (None in table.entries.values()) == bool(store.infeasible)
-    save_table(table, tmp_path / "table")
-    assert hashlib.sha256((tmp_path / "table").read_bytes()).hexdigest() == table_sha
+    check_table(table, tmp_path / "table", table_sha, content_sha)
 
 
 def test_paper_scale_qam16_artifacts(tmp_path):
@@ -184,10 +205,13 @@ def test_paper_scale_qam16_artifacts(tmp_path):
     table = build_selection_table(store, cat, 2)
     save_catalog(cat, tmp_path / "catalog")
     save_store(store, tmp_path / "store")
-    save_table(table, tmp_path / "table")
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("catalog", "store", "table")}
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("catalog", "store")}
     assert digests == {
         "catalog": "ea8b49b6a9ce815430e729968c2c8964fe1fc0e59ac3b8694ed8a7d71b16cdc9",
         "store": "43ee04f231249f402fdbaf64842bacfc30512f5e5da919427329d126ec42d09e",
-        "table": "2ee2ef1049c0f2da9423f9adbfdf3bbb7ce5bb8e9e3489069337e6c0304296b1",
     }
+    check_table(
+        table, tmp_path / "table",
+        "2ee2ef1049c0f2da9423f9adbfdf3bbb7ce5bb8e9e3489069337e6c0304296b1",
+        "3644b04053a07cc2130cbf0cbba52ee8acea5b4cabdde44e4f907e9a08bbc382",
+    )
