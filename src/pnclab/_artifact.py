@@ -1,4 +1,4 @@
-"""The ``pnclab-<kind> v1`` text layout shared by catalogs, stores and tables.
+"""The ``pnclab-<kind> v<version>`` text layout shared by catalogs, stores and tables.
 
 A file is a magic line, then ``key=value`` header lines (``none`` stands for
 None), then one body line per record; blank lines are ignored.  The formats
@@ -11,21 +11,30 @@ import contextlib
 import itertools
 from typing import Iterable, Iterator
 
+# the command that writes each kind of file, named when a file of another version is refused
+_WRITERS = {"pnclab-sfs-catalog": "pnclab sfs list --out …", "pnclab-store": "pnclab offline --out …",
+            "pnclab-table": "pnclab table --store …"}
 
-def write_v1(path: str, kind: str, header: dict, body: Iterable[str]) -> None:
+
+def write_artifact(path: str, magic: str, header: dict, body: Iterable[str]) -> None:
     with open(path, "w", encoding="ascii") as f:
-        f.write(f"pnclab-{kind} v1\n")
+        f.write(f"{magic}\n")
         f.writelines(f"{key}={'none' if value is None else value}\n" for key, value in header.items())
         f.writelines(line + "\n" for line in body)
 
 
 @contextlib.contextmanager
-def read_v1(path: str, kind: str) -> Iterator[tuple[dict[str, str | None], Iterator[str]]]:
-    """Open a v1 file of ``kind``; yield its header and an iterator over its body lines."""
+def read_artifact(path: str, magic: str) -> Iterator[tuple[dict[str, str | None], Iterator[str]]]:
+    """Open a file whose first line is ``magic``; yield its header and an
+    iterator over its body lines.  Another version of the kind is refused
+    with the command that writes the current one."""
     with open(path, "r", encoding="ascii") as f:
         lines = (ln.rstrip("\n") for ln in f if ln.strip())
-        if next(lines, None) != f"pnclab-{kind} v1":
-            raise ValueError(f"not a pnclab-{kind} v1 file: {path}")
+        found, kind = next(lines, ""), magic.split(" ")[0]
+        if found != magic and found.startswith(f"{kind} v"):
+            raise ValueError(f"{path} is a {found} file, not {magic}: rebuild it with `{_WRITERS[kind]}`")
+        if found != magic:
+            raise ValueError(f"not a {magic} file: {path}")
         header: dict[str, str | None] = {}
         for ln in lines:
             key, sep, value = ln.partition("=")
@@ -52,3 +61,8 @@ def strip_index(path: str, line: str, sep: str, position: int) -> str:
     if not found or index.strip() != str(position):
         raise ValueError(f"{path}: record {position} carries index {index.strip()!r}")
     return rest
+
+
+def records(path: str, body: Iterator[str], word: str, count: int) -> Iterator[str]:
+    """The rest of each of the next ``count`` body lines, ``<word> <index> @ <rest>``."""
+    return (strip_index(path, next(body, "").removeprefix(f"{word} "), " @ ", k) for k in range(count))

@@ -111,9 +111,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "simulate":
-        with open(args.config, "r", encoding="utf-8") as f:
-            cfg = ExperimentConfig.from_json(f.read())
-        cfg = _apply_overrides(cfg, args.set)
+        try:
+            with open(args.config, "r", encoding="utf-8") as f:
+                cfg = _apply_overrides(ExperimentConfig.from_json(f.read()), args.set)
+        except (TypeError, ValueError) as exc:    # a refused config: one line, not a traceback
+            raise SystemExit(f"pnclab simulate: {exc}")
         records = []
         for rec in run_experiment(cfg):
             records.append(rec)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._artifact import check_count, opt_int, read_v1, strip_index, write_v1
+from ._artifact import check_count, opt_int, read_artifact, strip_index, write_artifact
 from .mapping import COINCIDENCE_EPS, coincident_partition, superimpose
 from .modulation import Constellation, make_constellation
 
@@ -105,13 +105,13 @@ def _round_key(z: complex, decimals: int) -> tuple[float, float]:
     return (round(z.real, decimals), round(z.imag, decimals))
 
 
-def enumerate_sfs(c: Constellation, eps: float = COINCIDENCE_EPS) -> SfsCatalog:
+def enumerate_sfs(c: Constellation) -> SfsCatalog:
     """Enumerate all distinct singular ratios and their clash partitions.
 
     Ratios come from symbol differences on the integer lattice, where any
     two distinct values are separated by far more than the dedup tolerance.
     """
-    decimals = max(0, int(round(-math.log10(eps))))
+    decimals = max(0, int(round(-math.log10(COINCIDENCE_EPS))))
     lat = c.lattice_points
     diffs = sorted(
         {
@@ -132,7 +132,7 @@ def enumerate_sfs(c: Constellation, eps: float = COINCIDENCE_EPS) -> SfsCatalog:
         key=lambda z: (round(abs(z), decimals), round(math.atan2(z.imag, z.real), decimals)),
     )
     channels = np.array([(1.0, v) for v in values] + [(0.0, 1.0)], dtype=complex)
-    parts = coincident_partition(superimpose(c, channels), eps)
+    parts = coincident_partition(superimpose(c, channels))
     states = [FadeState(value=v) for v in values] + [FadeState(value=0j, infinite=True)]
     entries = [SfsEntry(state=s, partition=part) for s, part in zip(states, parts)]
     for e in entries:
@@ -141,7 +141,7 @@ def enumerate_sfs(c: Constellation, eps: float = COINCIDENCE_EPS) -> SfsCatalog:
     return SfsCatalog(
         modulation=c.name,
         bits_per_symbol=c.bits_per_symbol,
-        eps=eps,
+        eps=COINCIDENCE_EPS,
         labeling_version=c.labeling_version,
         entries=tuple(entries),
         n_raw_states=len(values),
@@ -323,7 +323,7 @@ def save_catalog(cat: SfsCatalog, path: str) -> None:
         f"{i}; {e.state.to_text()}; {e.weight:g}; {_format_partition(e.partition)}"
         for i, e in enumerate(cat.entries)
     )
-    write_v1(path, "sfs-catalog", header, body)
+    write_artifact(path, "pnclab-sfs-catalog v1", header, body)
 
 
 def _parse_sfs_entry(record: str) -> SfsEntry:
@@ -336,7 +336,7 @@ def _parse_sfs_entry(record: str) -> SfsEntry:
 
 
 def load_catalog(path: str) -> SfsCatalog:
-    with read_v1(path, "sfs-catalog") as (header, body):
+    with read_artifact(path, "pnclab-sfs-catalog v1") as (header, body):
         entries = tuple(_parse_sfs_entry(strip_index(path, ln, ";", i)) for i, ln in enumerate(body))
     check_count(path, "entries", int(header["entries"]), len(entries))
     return SfsCatalog(
@@ -353,14 +353,13 @@ def load_catalog(path: str) -> SfsCatalog:
 
 def build_catalog(
     modulation: str,
-    eps: float = COINCIDENCE_EPS,
     n_trials: int = 10**6,
     rng_seed: int = 0,
     n_principal: int | None = None,
 ) -> SfsCatalog:
     """Full pipeline: enumerate, drop images, rank, optionally truncate."""
     cat = rank_principal_sfs(
-        remove_image_sfs(enumerate_sfs(make_constellation(modulation), eps)),
+        remove_image_sfs(enumerate_sfs(make_constellation(modulation))),
         n_trials=n_trials,
         rng_seed=rng_seed,
     )

@@ -81,18 +81,18 @@ def superimpose(c: Constellation, h) -> SuperimposedConstellation:
     return SuperimposedConstellation(constellation=c, points=pts, lattice_points=lat)
 
 
-def coincident_partition(sc: SuperimposedConstellation, eps: float = COINCIDENCE_EPS):
+def coincident_partition(sc: SuperimposedConstellation):
     """Partition of joint indices by equal superposition value (lattice test).
 
     Two points coincide when both lattice coordinates agree after numpy's
-    ``round(., decimals)``, with ``decimals = -log10(eps)``: that is
+    ``round(., decimals)``, with ``decimals = -log10(COINCIDENCE_EPS)``: that is
     ``rint(x * 10^decimals) / 10^decimals``, the same key a numpy scalar
     gives under Python's ``round`` (not the correctly rounded decimal a
     Python float gives).  Blocks are ascending and listed by their first
     index.  A stacked ``sc`` (one leading axis) gives a tuple with one
     partition per channel, each the one its channel alone gives.
     """
-    decimals = max(0, int(round(-np.log10(eps))))
+    decimals = max(0, int(round(-np.log10(COINCIDENCE_EPS))))
     lat = sc.lattice_points.reshape(-1, sc.lattice_points.shape[-1])
     re, im = np.round(lat.real, decimals), np.round(lat.imag, decimals)
     # a stable sort by key keeps each block's indices ascending, first index first
@@ -130,7 +130,7 @@ def _half_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 _PAIR_BLOCK = 1 << 13
 
 
-def difference_profiles(sc: SuperimposedConstellation, eps: float = COINCIDENCE_EPS) -> tuple[np.ndarray, np.ndarray]:
+def difference_profiles(sc: SuperimposedConstellation) -> tuple[np.ndarray, np.ndarray]:
     """Per-difference minimum squared distances.
 
     Entry ``d`` covers all point pairs whose message vectors differ by ``d``:
@@ -142,11 +142,11 @@ def difference_profiles(sc: SuperimposedConstellation, eps: float = COINCIDENCE_
     Each unordered pair is evaluated once: ``x - y`` and ``y - x`` are exact
     negations in IEEE arithmetic, so both orders give the same distance bit
     for bit.  The coincidence pass on the lattice is skipped for a channel
-    whose plain distances all exceed ``4 * eps**2``: normalized points are
-    the lattice ones divided by a scale of at least sqrt(2), so a pair
-    within ``eps`` on the lattice lies within ``eps / sqrt(2)`` (with
-    rounding, well within ``2 * eps``) in normalized coordinates, and no
-    pair can be coincident.  The second profile then equals the first.
+    whose plain distances all exceed ``4 * eps**2`` (``COINCIDENCE_EPS``):
+    normalized points are the lattice ones divided by a scale of at least
+    sqrt(2), so a pair within ``eps`` on the lattice lies within ``eps /
+    sqrt(2)`` (rounded, well within ``2 * eps``) in normalized coordinates,
+    and no pair can be coincident.  The second profile then equals the first.
     """
     if sc._profiles is not None:
         return sc._profiles
@@ -160,8 +160,8 @@ def difference_profiles(sc: SuperimposedConstellation, eps: float = COINCIDENCE_
         plain[r0 : r0 + rows, 1:] = (np.abs(q[..., a] - q[..., b]) ** 2).min(axis=-1)
     separated = plain.copy()
     lat = sc.lattice_points.reshape(-1, size)
-    for r in np.flatnonzero(plain[:, 1:].min(axis=1) <= 4 * eps**2):
-        coincident = np.abs(lat[r][a] - lat[r][b]) <= eps
+    for r in np.flatnonzero(plain[:, 1:].min(axis=1) <= 4 * COINCIDENCE_EPS**2):
+        coincident = np.abs(lat[r][a] - lat[r][b]) <= COINCIDENCE_EPS
         separated[r, 1:] = np.where(coincident, np.inf, np.abs(pts[r][a] - pts[r][b]) ** 2).min(axis=1)
     shape = sc.points.shape[:-1] + (len(a) + 1,)
     sc._profiles = (plain.reshape(shape), separated.reshape(shape))

@@ -20,13 +20,12 @@ small sizes.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
 
-from ._artifact import check_count, opt_int, read_v1, strip_index, write_v1
+from ._artifact import check_count, opt_int, read_artifact, records, strip_index, write_artifact
 # The layer tracer (perfbench/tracer.py) wraps these names as attributes of
 # this module: rank_rows, nearest_sfs, difference_profiles, mapping_d_min,
 # superimpose and make_constellation.  Keep each bound here, difference_profiles
@@ -327,38 +326,25 @@ def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
 
     Repeated indices are covered as well: two APs do land in the same fade
     with positive probability.  Any tuple without a full-rank combination
-    is reported in the returned store rather than hidden.  Entries that can
-    pair with no other stored entry to full rank (and so participate in no
-    feasible stack) are pruned, keeping at least one entry per state.
+    is reported in the returned store rather than hidden.  The lists are
+    kept as they are, so the store's certificate describes them, and the
+    returned store shares the store's verdicts.
 
-    Both answers come from the store's verdict arrays over its distinct
+    The answer comes from the store's verdict arrays over its distinct
     encodings.  A tuple is feasible when some combination of its states'
     codes is full rank: each AP's code axis in turn is replaced by a state
     axis, taking ``any`` over that state's K codes (the pad slot reads
-    False).  Every distinct encoding is held by some entry, so an entry
-    pairs with a stored entry, itself included, exactly when its row of
-    the two-AP verdict array holds a True.  With one AP an entry is used
-    when it is full rank alone.  When pruning keeps every distinct
-    encoding, the codes and so the verdicts hold for the pruned store too,
-    and it takes them.
+    False).
     """
     t, mu = store.t, store.mu
     if n_aps * t < mu:
         raise ValueError(f"{n_aps} APs of {t} rows cannot reach rank {mu}")
-    distinct, code, _, _ = store._arrays
+    _, code, _, _ = store._arrays
     feasible = store._full_rank(n_aps)
     for _ in range(n_aps):          # the leading code axis becomes a trailing state axis
         feasible = np.moveaxis(feasible[code].any(axis=1), 0, -1)
-    remaining = tuple(map(tuple, np.argwhere(~feasible).tolist()))
-    full = store._full_rank(min(n_aps, 2))
-    used = (full.any(axis=1) if n_aps >= 2 else full)[code].tolist()
-    pruned = tuple(
-        tuple(e for e, keep in zip(l, u) if keep) or l[:1]
-        for l, u in zip(store.lists, used)
-    )
-    out = replace(store, lists=pruned, certified_n=n_aps, infeasible=remaining)
-    if len({e.matrix.encoding for l in pruned for e in l}) == len(distinct):
-        out._verdicts.update(store._verdicts)
+    out = replace(store, certified_n=n_aps, infeasible=tuple(map(tuple, np.argwhere(~feasible).tolist())))
+    out._verdicts.update(store._verdicts)
     return out
 
 
@@ -682,14 +668,14 @@ def save_store(store: CandidateStore, path: str) -> None:
         f"{i} @ {state.to_text()} @ " + " ".join(_format_entry(e) for e in entries)
         for i, (state, entries) in enumerate(zip(store.states, store.lists))
     )
-    write_v1(path, "store", header, body)
+    write_artifact(path, "pnclab-store v1", header, body)
 
 
 def load_store(path: str) -> CandidateStore:
     """Read a store file; a ``d_alpha=`` header line of older files is ignored."""
     states = []
     lists = []
-    with read_v1(path, "store") as (header, body):
+    with read_artifact(path, "pnclab-store v1") as (header, body):
         for ln in body:
             state_txt, entries_txt = (s.strip() for s in strip_index(path, ln, " @ ", len(states)).split(" @ ", 1))
             states.append(FadeState.from_text(state_txt))
@@ -718,10 +704,6 @@ def load_store(path: str) -> CandidateStore:
     return store
 
 
-# save_table formats its body this many lines at a time
-_LINE_BLOCK = 1 << 12
-
-
 def save_table(table: SelectionTable, path: str) -> None:
     header = {
         "modulation": table.modulation,
@@ -730,76 +712,53 @@ def save_table(table: SelectionTable, path: str) -> None:
         "mu": table.mu,
         "n": table.n_aps,
         "states": len(table.states),
+        "values": len(table.values),
     }
-    states = (f"state {i} @ {state.to_text()}" for i, state in enumerate(table.states))
-    keys = itertools.product([str(i) for i in range(len(table.states))], repeat=table.n_aps)   # lexicographic
-    text = ["fallback" if v is None else " ".join(format(e, "x") for e in v) for v in table.values]
-    ids = table.choice.ravel()
-
-    def lines(b):               # one string of lines; write_v1 ends it with the last newline
-        block = zip(itertools.islice(keys, _LINE_BLOCK), ids[b : b + _LINE_BLOCK].tolist())
-        return "\n".join([f"{','.join(key)} -> {text[i]}" for key, i in block])
-
-    write_v1(path, "table", header, itertools.chain(states, map(lines, range(0, ids.size, _LINE_BLOCK))))
+    rows = table.choice.reshape(len(table.states) ** (table.n_aps - 1), len(table.states))
+    write_artifact(path, "pnclab-table v2", header, itertools.chain(
+        (f"state {i} @ {state.to_text()}" for i, state in enumerate(table.states)),
+        (f"value {k} @ " + ("fallback" if v is None else " ".join(format(e, "x") for e in v))
+         for k, v in enumerate(table.values)),
+        (f"row {r} @ " + " ".join(map(str, row.tolist())) for r, row in enumerate(rows)),
+    ))
 
 
 def load_table(path: str) -> SelectionTable:
-    """Read a table file: every ``n``-tuple of state indices must be present
-    exactly once, in any order, and every entry must list ``n`` matrices
-    that stack to an invertible global matrix.
-
-    Keys are read against the canonical index strings, and each distinct
-    value text is parsed and checked once: each encoding below 2^(t*mu),
-    and their rows, unpacked, of rank mu.  Entries with the same value
-    text share one value id.  A header that claims more state tuples than
-    the file has room for (each line takes at least 2n + 4 bytes) is
-    refused before the table is allocated.
-    """
-    states: list[FadeState] = []
-    values: list[tuple[int, ...] | None] = []
-    ids: dict[str, int] = {}            # value text -> its id, checked once
-    with read_v1(path, "table") as (header, body):
-        t, mu, n, n_states = (int(header[k]) for k in ("t", "mu", "n", "states"))
-        size = os.path.getsize(path)
-        if n < 1 or n_states**n > size // (2 * n + 4):
-            raise ValueError(f"{path}: a header of {n_states} states and n={n} does not fit a file of {size} bytes")
-        mask = (1 << mu) - 1
-        index = {str(i): i for i in range(n_states)}.__getitem__
-        choice = np.full((n_states,) * n, -1, dtype=np.intp)
-        for ln in body:
-            if ln.startswith("state "):
-                states.append(FadeState.from_text(strip_index(path, ln[6:], " @ ", len(states))))
-                continue
-            key, _, val = ln.partition(" -> ")
-            try:
-                tup = tuple(map(index, key.split(",")))
-            except KeyError:
-                tup = ()
-            if len(tup) != n:
-                raise ValueError(f"{path}: table key {key!r} is not a {n}-tuple of state indices")
-            if choice[tup] >= 0:
-                raise ValueError(f"{path}: table key {key!r} appears more than once")
-            if val not in ids and val.strip() == "fallback":
-                values.append(None)
-            elif val not in ids:
-                encs = tuple(int(x, 16) for x in val.split())
-                if len(encs) != n:
-                    raise ValueError(f"{path}: table entry {tup} lists {len(encs)} matrices, not {n}")
-                if any(e >> (t * mu) for e in encs):
-                    raise ValueError(f"{path}: table entry {tup} lists an encoding of more than {t}x{mu} bits")
-                if rank_rows([(e >> (r * mu)) & mask for e in encs for r in range(t)]) != mu:
-                    raise ValueError(f"table entry {tup} stacks to a singular global matrix")
-                values.append(encs)
-            choice[tup] = ids.setdefault(val, len(values) - 1)
-    check_count(path, "states", n_states, len(states))
-    check_count(path, "state tuples", n_states**n, np.count_nonzero(choice >= 0))
+    """Read a table file: its states, its values, then ``choice`` as
+    ``states**(n-1)`` rows of ``states`` value ids, in C order.  Each value
+    must list ``n`` encodings below 2^(t*mu) whose rows stack to rank mu.
+    Rows are parsed one at a time, so a header that claims more than the
+    file holds is refused when the file runs out, with nothing allocated."""
+    with read_artifact(path, "pnclab-table v2") as (header, body):
+        t, mu, n, n_states, n_values = (int(header[k]) for k in ("t", "mu", "n", "states", "values"))
+        if n < 1:
+            raise ValueError(f"{path}: a table needs n >= 1 APs, not {n}")
+        states = tuple(map(FadeState.from_text, records(path, body, "state", n_states)))
+        values: list[tuple[int, ...] | None] = []
+        for k, text in enumerate(records(path, body, "value", n_values)):
+            encs = None if text.strip() == "fallback" else tuple(int(x, 16) for x in text.split())
+            if encs is not None and len(encs) != n:
+                raise ValueError(f"{path}: table value {k} lists {len(encs)} matrices, not {n}")
+            if encs is not None and any(e >> (t * mu) for e in encs):
+                raise ValueError(f"{path}: table value {k} lists an encoding of more than {t}x{mu} bits")
+            if encs is not None and rank_rows([(e >> (r * mu)) & ((1 << mu) - 1) for e in encs for r in range(t)]) != mu:
+                raise ValueError(f"{path}: table value {k} stacks to a singular global matrix")
+            values.append(encs)
+        dtype = np.min_scalar_type(-n_values)
+        rows = []
+        for r, text in enumerate(records(path, body, "row", n_states ** (n - 1))):
+            row = np.array(text.split(), dtype=np.int64)
+            if len(row) != n_states or len(row) and not 0 <= row.min() <= row.max() < n_values:
+                raise ValueError(f"{path}: table row {r} is not {n_states} ids of its {n_values} values")
+            rows.append(row.astype(dtype))
+        check_count(path, "table rows", len(rows), len(rows) + sum(1 for _ in body))
     return SelectionTable(
         modulation=header["modulation"],
         labeling_version=header["labeling"],
         t=t,
         mu=mu,
         n_aps=n,
-        states=tuple(states),
-        choice=choice.astype(np.min_scalar_type(-len(values))),
+        states=states,
+        choice=np.array(rows, dtype=dtype).reshape((n_states,) * n),
         values=tuple(values),
     )

@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from pnclab.cli import main
 from pnclab.search import load_store, load_table
@@ -81,3 +84,27 @@ def test_simulate_with_overrides(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert len(lines) == 3  # header + two sweep points
     assert lines[1].split(",")[6] == "5"
+
+
+@pytest.mark.parametrize(
+    "extra, overrides, field",
+    [
+        ({}, ["frames_per_point=1e3"], "frames_per_point"),
+        ({}, ["bogus=1"], "bogus"),
+        ({"frames": 100}, [], "frames"),
+    ],
+    ids=["non-integer", "unknown-override", "unknown-json-key"],
+)
+def test_simulate_refused_config_is_one_line(tmp_path, extra, overrides, field):
+    """A config that construction refuses ends the command with one line
+    naming the field, not a traceback."""
+    cfg = {"modulation": "qam4", "scheme": "comp_ideal", "ebn0_db": [12.0], "frames_per_point": 10, **extra}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [a for pair in overrides for a in ("--set", pair)])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert re.search(rf"\b{field}\b", message)
+    assert not (tmp_path / "o.csv").exists()

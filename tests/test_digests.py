@@ -15,8 +15,11 @@ qam16 ``rbmas`` case that reads its artifacts from files was recorded while
 the selection table was still a dict.  Each pinned table also pins its
 content, independent of the file format: the digest of its state-tuple
 mapping, for the table as built and as loaded from its file, recorded
-while tables were still saved one keyed line per tuple.  A change that
-alters any of them changes published numbers or files and has to say so.
+while tables were still saved one keyed line per tuple.  The table file
+digests were re-recorded, and only they, when the file became the
+``pnclab-table v2`` layout of indexed value-id rows; the content digests
+held.  A change that alters any of them changes published numbers or
+files and has to say so.
 """
 import hashlib
 
@@ -129,13 +132,13 @@ ARTIFACT_CASES = {
     "qam16-psfs24": (
         ("qam16", dict(n_trials=10**4, rng_seed=0, n_principal=24), 4),
         "dec6d6c90e58cb46cf9fcc10967df3979788d2ec06333d2730e8d6b2cfe136bc",
-        "b0790c595dd5158e140ae6a966c3a6317bd2c2b796ce40ab9bc7713513f8ba1f",
+        "aa00c47a129f836cea3f819e7fd9e24f5f0313777f27c9bce86c119719b6427f",
         "c881d64e6e810f6689be29a191e41359c4db602e8432328a4aa9aebc65cf8072",
     ),
     "qam4-full": (
         ("qam4", dict(n_trials=10**4, rng_seed=0), 2),
         "ddfd92a5e982d6dacc84ca1196c4e9df1bae49b0e8145bfd7091f6128a16cdea",
-        "5572edf7fd288ca437b1f54a71686c22a29bd680468a39d00e22ab339cf6ef16",
+        "fa3d63f472172dd590b5a781e53f7d134129dcc693c787b61452f2fdccb3f5b8",
         "0e596d53637a020347cafe940a2a69da432bb5d25951f72cc03066f00f4814c2",
     ),
 }
@@ -159,19 +162,19 @@ BRANCH_CASES = {
     "n1-t4": (
         dict(t=4, k_per_state=5, n_aps=1),
         "450cbac35b6f39f2015bcbe810f15ff7a42cf196bdd2bd18865697f405707a58",
-        "013789da69955f9c0eb15f507ea26ef9d838f4cc17b13dd750a91df5d7a5b317",
+        "7d17d5795a9d273d60b6e8e55955969d7b1c7d556ca723e20d8c65db1cdbbff4",
         "1daaa98b9c1bd6b8e269fb33b8fdce4f463de3ef75a921c1de1f97dd345cbd6d",
     ),
     "n3-t2": (
         dict(t=2, k_per_state=5, n_aps=3),
         "d4ce966761839e3402520b069da9f38ff270c116d9ce02163276294ed49f89b8",
-        "2a95e8105406f90b34882c92146bea95f0858b7f96ec424241acfa8a6885a70d",
+        "7ebb71164a879183e0c65a5d064afdc7f8e7f3bf9a2735f04d45e6da4e9c2e6a",
         "7f2a296f42b83e5ee699bfbe058afb96c2549bed958b6743bc53c9d36dde325f",
     ),
     "k1-infeasible": (
         dict(t=2, k_per_state=1, n_aps=2),
         "8f5f9d00ce30035414415f9e11305d140c7154df362e959fd062fc7cf747013a",
-        "913b90da5ab3cb197989da21d409ca8e8208fdaaff564169f7996650a9e7cdb4",
+        "db7ef4a233b27a87bee848bf44f8629d511f580d17b7e595c983dad19d5b2bc6",
         "b1e657ce127995428f771c71f0b66bb19fb3b3f99d4534ba5b7ffd17acbc9bdc",
     ),
 }
@@ -212,6 +215,6 @@ def test_paper_scale_qam16_artifacts(tmp_path):
     }
     check_table(
         table, tmp_path / "table",
-        "2ee2ef1049c0f2da9423f9adbfdf3bbb7ce5bb8e9e3489069337e6c0304296b1",
+        "de4e0a5776e3eb6df266335d5db0171bc684e6cd6b0fe24f4d9458960c6c172e",
         "3644b04053a07cc2130cbf0cbba52ee8acea5b4cabdde44e4f907e9a08bbc382",
     )

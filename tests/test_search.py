@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -204,59 +205,42 @@ class TestCertification:
         cat = request.getfixturevalue(cat_name)
         store = assemble_store(cat, mine_candidates(cat, t=t, limit=k), t=t, k_per_state=k)
         got = certify_store(store, n)
-        assert (got.lists, got.infeasible) == pair_loop_certify(store, n)
+        assert got.lists == store.lists
+        assert got.infeasible == pair_loop_certify(store, n)
         assert got.certified_n == n
         if k == 1:
             assert got.infeasible
 
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_pruning_matches_pair_loop(self, store4, n):
-        """x = span{e0, e2} meets every stored row space, so it pairs with
-        nothing to full rank and is pruned; y = span{e0, e3} at state 2
-        meets them all too but is its state's only entry, so it stays."""
+    def test_certificate_describes_the_lists(self, store4):
+        """Certification keeps every entry, so re-certifying its store, or
+        building its table, finds the tuples it reports.  A two-AP pruning
+        test used to drop span{e0 + e2, e1 + e3} at state 1, which no pair
+        of entries needs but three APs do: the store reported 12 infeasible
+        tuples and its lists had 15, (1, 1, 3) and its two rotations more."""
         def entry(*rows):
             return CandidateEntry(BitMatrix.from_row_ints(rows, 4), 1.0, True, 1.0)
 
-        a, b, x, y = entry(1, 2), entry(4, 8), entry(1, 4), entry(1, 8)
-        store = dataclasses.replace(store4, states=store4.states[:3], lists=((a, x), (x, b), (y,)))
-        got = certify_store(store, n)
-        assert (got.lists, got.infeasible) == pair_loop_certify(store, n)
-        assert got.lists[:2] == ((a,), (b,)) and got.lists[2] == (y,)
+        rows = [[(1, 4)], [(2, 8), (5, 10)], [(3, 12), (1, 10)], [(10, 4)]]
+        lists = tuple(tuple(entry(*r) for r in l) for l in rows)
+        got = certify_store(dataclasses.replace(store4, states=store4.states[:4], lists=lists), 3)
+        assert got.lists == lists
+        assert len(got.infeasible) == 12
+        assert certify_store(got, 3).infeasible == got.infeasible
+        assert build_selection_table(got, n_aps=3).markers == 12
 
 
 def pair_loop_certify(store, n_aps):
-    """Oracle: certification one tuple and one pair of entries at a time.
-
-    Returns (lists, infeasible): the tuples with no full-rank combination of
-    their states' matrices, in lexicographic order, and the lists without
-    the entries that stack to full rank with no stored entry (alone, for
-    one AP), keeping at least one entry per state.
-    """
+    """Oracle: certification one tuple at a time.  Returns the tuples with
+    no full-rank combination of their states' matrices, in lexicographic
+    order."""
     encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
-
-    def full(encs):
-        return _stacks_full_rank(encs, store.t, store.mu)
-
-    infeasible = tuple(
+    return tuple(
         tup
         for tup in itertools.product(range(len(store.states)), repeat=n_aps)
-        if not any(full(combo) for combo in itertools.product(*(encodings[i] for i in tup)))
+        if not any(
+            _stacks_full_rank(combo, store.t, store.mu) for combo in itertools.product(*(encodings[i] for i in tup))
+        )
     )
-    used = [set() for _ in store.lists]
-    if n_aps >= 2:
-        flat = [(i, j, enc) for i, l in enumerate(encodings) for j, enc in enumerate(l)]
-        for a, (i1, j1, enc1) in enumerate(flat):
-            for i2, j2, enc2 in flat[a:]:
-                if full((enc1, enc2)):
-                    used[i1].add(j1)
-                    used[i2].add(j2)
-    else:
-        used = [{j for j, enc in enumerate(l) if full((enc,))} for l in encodings]
-    lists = tuple(
-        tuple(e for j, e in enumerate(l) if j in used[i]) or l[:1] for i, l in enumerate(store.lists)
-    )
-    return lists, infeasible
 
 
 def _stacked_verdicts(store, n):
@@ -282,25 +266,14 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("cat_name, t", [("cat4", 2), ("cat16", 4)], ids=["qam4-t2", "qam16-t4"])
     def test_certified_store_takes_verdicts_when_no_encoding_is_pruned(self, request, cat_name, t):
+        """Certification prunes nothing, so the certified store shares the
+        store's verdicts."""
         cat = request.getfixturevalue(cat_name)
         store = assemble_store(cat, mine_candidates(cat, t=t, limit=5), t=t, k_per_state=5)
         got = certify_store(store, 2)
         assert got._arrays[0] == store._arrays[0]
         assert got._verdicts[2] is store._verdicts[2]
         assert np.array_equal(got._full_rank(2), _stacked_verdicts(got, 2))
-
-    def test_certified_store_recomputes_verdicts_when_an_encoding_is_pruned(self, store4):
-        """x = span{e0, e2} is pruned at both states that hold it, so the
-        pruned store has one distinct encoding fewer and other codes."""
-        def entry(*rows):
-            return CandidateEntry(BitMatrix.from_row_ints(rows, 4), 1.0, True, 1.0)
-
-        a, b, x = entry(1, 2), entry(4, 8), entry(1, 4)
-        store = dataclasses.replace(store4, states=store4.states[:2], lists=((a, x), (x, b)))
-        got = certify_store(store, 2)
-        assert got.lists == ((a,), (b,)) and not got._verdicts
-        assert np.array_equal(got._full_rank(2), _stacked_verdicts(got, 2))
-        assert store._full_rank(2).shape == (4, 4) and got._full_rank(2).shape == (3, 3)
 
 
 class TestOnlineSelection:
@@ -517,45 +490,34 @@ class TestPersistence:
         path = str(tmp_path / "table.tab")
         save_table(table, path)
         loaded = load_table(path)
-        assert loaded.entries == table.entries
+        assert loaded.choice.dtype == table.choice.dtype
+        assert np.array_equal(loaded.choice, table.choice)
+        assert loaded.values == table.values
         assert loaded.n_aps == 2
 
     def test_table_load_verifies_stacks(self, store4, cat4, tmp_path):
-        table = build_selection_table(store4, cat4, n_aps=2)
-        path = str(tmp_path / "table.tab")
-        save_table(table, path)
-        text = open(path).read()
-        lines = text.splitlines()
-        for i, ln in enumerate(lines):
-            if " -> " in ln and "fallback" not in ln:
-                key, _, val = ln.partition(" -> ")
-                parts = val.split()
-                lines[i] = f"{key} -> {parts[0]} {parts[0]}"  # repeated rows: singular
-                break
-        (tmp_path / "bad.tab").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            load_table(str(tmp_path / "bad.tab"))
+        path = tmp_path / "table.tab"
+        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        first = _table_line(path, "value 0 @ ").split()[3]
+        _rewrite_table_line(path, "value 0 @ ", f"value 0 @ {first} {first}")   # repeated rows: singular
+        with pytest.raises(ValueError, match="singular"):
+            load_table(str(path))
 
     def test_table_encoding_wider_than_a_matrix_refused(self, store4, cat4, tmp_path):
-        """``121 84`` used to load as (0x121, 0x84), a 9-bit encoding of a
+        """``121 84`` would read as (0x121, 0x84), a 9-bit encoding of a
         2x4 matrix, left for the store cross-check to catch."""
         path = tmp_path / "table.tab"
         save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
-        text = path.read_text()
-        at = text.index("\n0,0 -> ") + 1
-        end = text.index("\n", at)
-        path.write_text(text[:at] + "0,0 -> 121 84" + text[end:])
+        _rewrite_table_line(path, "value 0 @ ", "value 0 @ 121 84")
         with pytest.raises(ValueError, match="more than 2x4 bits"):
             load_table(str(path))
 
     def test_table_entry_needs_one_matrix_per_ap(self, store4, cat4, tmp_path):
         path = tmp_path / "table.tab"
         save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
-        lines = path.read_text().splitlines()
-        at = next(i for i, ln in enumerate(lines) if ln.startswith("0,0 -> "))
-        first = lines[at].split()[2]
-        lines[at] += f" {first}"   # three encodings; the first two still stack to full rank
-        path.write_text("\n".join(lines) + "\n")
+        line = _table_line(path, "value 0 @ ")
+        # three encodings; the first two still stack to full rank
+        _rewrite_table_line(path, "value 0 @ ", f"{line} {line.split()[3]}")
         with pytest.raises(ValueError, match="lists 3 matrices"):
             load_table(str(path))
 
@@ -593,76 +555,100 @@ class TestPersistence:
             load_table(str(path))
 
     def test_table_keys_must_be_state_tuples(self, store4, cat4, tmp_path):
+        """A row's ids must name listed values."""
+        table = build_selection_table(store4, cat4, n_aps=2)
         path = tmp_path / "table.tab"
-        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
-        n = len(store4.states)
-        text = path.read_text().replace(f"\n0,0 -> ", f"\n0,{n} -> ", 1)
-        path.write_text(text)
-        with pytest.raises(ValueError, match="state indices"):
-            load_table(str(path))
-
+        save_table(table, str(path))
+        ids = _table_line(path, "row 0 @ ").split()[3:]
+        for bad in (len(table.values), -1):
+            _rewrite_table_line(path, "row 0 @ ", "row 0 @ " + " ".join([str(bad)] + ids[1:]))
+            with pytest.raises(ValueError, match=f"row 0 is not {len(ids)} ids of its {len(table.values)} values"):
+                load_table(str(path))
 
     def test_table_key_repeated_refused(self, store4, cat4, tmp_path):
-        """The ``0,0`` line again with another entry's value: the last line
-        used to win."""
+        """A row of one id too many, or one too few."""
+        path = tmp_path / "table.tab"
+        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        line = _table_line(path, "row 0 @ ")
+        n = len(store4.states)
+        for bad in (f"{line} 0", line.rpartition(" ")[0]):
+            _rewrite_table_line(path, "row 0 @ ", bad)
+            with pytest.raises(ValueError, match=f"row 0 is not {n} ids"):
+                load_table(str(path))
+
+    def test_table_key_missing_refused(self, store4, cat4, tmp_path):
+        """A missing row, and an extra one."""
         path = tmp_path / "table.tab"
         save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
         lines = path.read_text().splitlines()
-        first = next(ln for ln in lines if ln.startswith("0,0 -> ")).partition(" -> ")[2]
-        other = next(ln.partition(" -> ")[2] for ln in lines if " -> " in ln and not ln.endswith(f" -> {first}"))
-        lines.append(f"0,0 -> {other}")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="more than once"):
+        n = len(store4.states)
+        assert lines[-1].startswith(f"row {n - 1} @ ")
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match=f"record {n - 1} carries index ''"):
             load_table(str(path))
-
-    def test_table_key_missing_refused(self, store4, cat4, tmp_path):
-        """A repeated key in place of a missing one."""
-        path = tmp_path / "table.tab"
-        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
-        text = path.read_text().replace("\n0,1 -> ", "\n0,0 -> ", 1)
-        path.write_text(text)
-        with pytest.raises(ValueError, match="more than once"):
-            load_table(str(path))
-        path.write_text("\n".join(ln for ln in text.splitlines() if not ln.startswith("0,0 -> ")) + "\n")
-        with pytest.raises(ValueError, match="state tuples"):
+        path.write_text("\n".join(lines + [lines[-1].replace(f"row {n - 1} @ ", f"row {n} @ ")]) + "\n")
+        with pytest.raises(ValueError, match=f"expected {n} table rows, found {n + 1}"):
             load_table(str(path))
 
     def test_table_header_larger_than_file_refused(self, store4, cat4, tmp_path):
         """A header of n=12 over 14 states claims 14^12 tuples; the load
-        refuses it before allocating a table of that size."""
+        refuses it without allocating a table of that size: at the first
+        value of 2 matrices, or, with every value a marker, where the rows
+        run out."""
         path = tmp_path / "table.tab"
         save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
-        path.write_text(path.read_text().replace("\nn=2\n", "\nn=12\n", 1))
-        with pytest.raises(ValueError, match="states and n=12 does not fit a file of"):
+        text = path.read_text().replace("\nn=2\n", "\nn=12\n", 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match="lists 2 matrices, not 12"):
+            load_table(str(path))
+        path.write_text(re.sub(r"(?m)^(value \d+ @ ).*$", r"\1fallback", text))
+        with pytest.raises(ValueError, match="record 14 carries index ''"):
             load_table(str(path))
 
-    def test_table_lines_in_any_order(self, store4, cat4, tmp_path):
+    @pytest.mark.parametrize("key, delta", [("states", 1), ("values", 1), ("values", -1), ("n", -2)])
+    def test_table_header_counts_checked(self, store4, cat4, tmp_path, key, delta):
         table = build_selection_table(store4, cat4, n_aps=2)
         path = tmp_path / "table.tab"
         save_table(table, str(path))
-        lines = path.read_text().splitlines()
-        at = next(i for i, ln in enumerate(lines) if " -> " in ln)
-        body = lines[at:]
-        np.random.default_rng(0).shuffle(body)
-        path.write_text("\n".join(lines[:at] + body) + "\n")
-        assert load_table(str(path)).entries == table.entries
+        count = {"states": len(table.states), "values": len(table.values), "n": 2}[key]
+        path.write_text(path.read_text().replace(f"\n{key}={count}\n", f"\n{key}={count + delta}\n", 1))
+        with pytest.raises(ValueError, match="carries index|n >= 1"):
+            load_table(str(path))
 
-    @pytest.mark.parametrize("kind", ["store", "table"])
+    def test_table_of_version_1_refused(self, store4, cat4, tmp_path):
+        path = tmp_path / "table.tab"
+        save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        path.write_text(path.read_text().replace("pnclab-table v2\n", "pnclab-table v1\n", 1))
+        with pytest.raises(ValueError, match=r"is a pnclab-table v1 file.*`pnclab table --store"):
+            load_table(str(path))
+
+    @pytest.mark.parametrize("kind", ["store", "table", "row"])
     def test_swapped_indexed_lines_refused(self, store4, cat4, tmp_path, kind):
-        """Two state lines swapped keep their indices, which no longer match
-        their positions."""
+        """Two state lines, or two table rows, swapped keep their indices,
+        which no longer match their positions."""
         path = tmp_path / kind
         if kind == "store":
             save_store(store4, str(path))
         else:
             save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
         lines = path.read_text().splitlines()
-        prefix = "state " if kind == "table" else ""
+        prefix = {"store": "", "table": "state ", "row": "row "}[kind]
         i = lines.index(next(ln for ln in lines if ln.startswith(f"{prefix}0 @ ")))
         lines[i], lines[i + 1] = lines[i + 1], lines[i]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="index '1'"):
             (load_store if kind == "store" else load_table)(str(path))
+
+
+def _table_line(path, prefix):
+    return next(ln for ln in path.read_text().splitlines() if ln.startswith(prefix))
+
+
+def _rewrite_table_line(path, prefix, new):
+    """Replace the first line of the file that starts with ``prefix``."""
+    lines = path.read_text().splitlines()
+    lines[lines.index(_table_line(path, prefix))] = new
+    path.write_text("\n".join(lines) + "\n")
 
 
 FADE_STATES = st.one_of(
@@ -738,7 +724,7 @@ class TestRoundTripProperties:
         )
         first, second, loaded = _save_load_save(save_table, load_table, table)
         assert first == second
-        assert loaded.entries == table.entries
+        assert np.array_equal(loaded.choice, table.choice) and loaded.values == table.values
 
 
 def _store_holds_table(table, store):
@@ -809,11 +795,8 @@ def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
     assert load_table(str(path)).entries == table.entries
     assert len(calls) == built + len(set(table.entries.values()) - {None})
 
-    lines = path.read_text().splitlines()
-    at = next(i for i, ln in enumerate(lines) if " -> " in ln and "fallback" not in ln)
-    key, _, val = lines[at].partition(" -> ")
-    lines[at] = f"{key} -> {val.split()[0]} {val.split()[0]}"   # repeated rows: singular
-    path.write_text("\n".join(lines) + "\n")
+    first = _table_line(path, "value 0 @ ").split()[3]
+    _rewrite_table_line(path, "value 0 @ ", f"value 0 @ {first} {first}")   # repeated rows: singular
     with pytest.raises(ValueError, match="singular"):
         load_table(str(path))
 

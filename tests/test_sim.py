@@ -314,11 +314,18 @@ class TestRuns:
         with pytest.raises(ValueError, match="K=5"):
             list(run_experiment(cfg))
 
-    def _edited_table(self, paths, tmp_path, edit):
-        """The table file with one entry line rewritten by ``edit``."""
+    def _edited_table(self, paths, tmp_path, tup, value):
+        """The table file with one more value, written ``value``, which
+        state tuple ``tup`` (two APs) takes alone."""
         lines = open(paths["table"]).read().splitlines()
-        at = next(i for i, ln in enumerate(lines) if edit(ln) is not None)
-        lines[at] = edit(lines[at])
+        k = sum(ln.startswith("value ") for ln in lines)
+        lines[lines.index(f"values={k}")] = f"values={k + 1}"
+        lines.insert(lines.index(next(ln for ln in lines if ln.startswith("row 0 @ "))), f"value {k} @ {value}")
+        i, j = tup
+        at = lines.index(next(ln for ln in lines if ln.startswith(f"row {i} @ ")))
+        ids = lines[at].split()
+        ids[3 + j] = str(k)
+        lines[at] = " ".join(ids)
         bad = str(tmp_path / "edited.tab")
         with open(bad, "w") as f:
             f.write("\n".join(lines) + "\n")
@@ -326,7 +333,7 @@ class TestRuns:
 
     def test_table_with_markers_refused(self, qam4_files, tmp_path):
         _, _, paths = qam4_files
-        bad = self._edited_table(paths, tmp_path, lambda ln: ln.partition(" -> ")[0] + " -> fallback" if " -> " in ln else None)
+        bad = self._edited_table(paths, tmp_path, (0, 1), "fallback")
         cfg = ExperimentConfig(
             modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
             store_path=paths["store"], table_path=bad, **FAST,
@@ -337,20 +344,15 @@ class TestRuns:
     def test_table_entry_outside_store_lists_refused(self, qam4_files, tmp_path):
         """Swapping an entry's two matrices keeps the stack invertible, so
         the file loads; the first matrix is not in the first state's list."""
+        from pnclab.search import load_table
+
         _, store, paths = qam4_files
         held = [{e.matrix.encoding for e in l} for l in store.lists]
-
-        def swap(ln):
-            key, sep, val = ln.partition(" -> ")
-            if not sep or val == "fallback":
-                return None
-            i, _ = map(int, key.split(","))
-            a, b = val.split()
-            return None if int(b, 16) in held[i] else f"{key} -> {b} {a}"
-
+        entries = load_table(paths["table"]).entries
+        tup, (a, b) = next((tup, v) for tup, v in entries.items() if v is not None and v[1] not in held[tup[0]])
         cfg = ExperimentConfig(
             modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
-            store_path=paths["store"], table_path=self._edited_table(paths, tmp_path, swap), **FAST,
+            store_path=paths["store"], table_path=self._edited_table(paths, tmp_path, tup, f"{b:x} {a:x}"), **FAST,
         )
         with pytest.raises(ValueError, match="does not hold"):
             list(run_experiment(cfg))
