@@ -748,7 +748,7 @@ def load_table(path: str) -> SelectionTable:
         rows = []
         for r, text in enumerate(records(path, body, "row", n_states ** (n - 1))):
             row = np.array(text.split(), dtype=np.int64)
-            if len(row) != n_states or len(row) and not 0 <= row.min() <= row.max() < n_values:
+            if len(row) != n_states or np.any((row < 0) | (row >= n_values)):
                 raise ValueError(f"{path}: table row {r} is not {n_states} ids of its {n_values} values")
             rows.append(row.astype(dtype))
         check_count(path, "table rows", len(rows), len(rows) + sum(1 for _ in body))
