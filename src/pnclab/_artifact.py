@@ -23,11 +23,21 @@ def write_artifact(path: str, magic: str, header: dict, body: Iterable[str]) -> 
         f.writelines(line + "\n" for line in body)
 
 
+class _Header(dict):
+    """Header values by key; a key the file lacks is refused, naming the file."""
+
+    path = ""
+
+    def __missing__(self, key: str):
+        raise ValueError(f"{self.path}: the header has no {key}= line")
+
+
 @contextlib.contextmanager
 def read_artifact(path: str, magic: str) -> Iterator[tuple[dict[str, str | None], Iterator[str]]]:
     """Open a file whose first line is ``magic``; yield its header and an
     iterator over its body lines.  Another version of the kind is refused
-    with the command that writes the current one."""
+    with the command that writes the current one, and reading a key the
+    header lacks raises ValueError."""
     with open(path, "r", encoding="ascii") as f:
         lines = (ln.rstrip("\n") for ln in f if ln.strip())
         found, kind = next(lines, ""), magic.split(" ")[0]
@@ -35,7 +45,8 @@ def read_artifact(path: str, magic: str) -> Iterator[tuple[dict[str, str | None]
             raise ValueError(f"{path} is a {found} file, not {magic}: rebuild it with `{_WRITERS[kind]}`")
         if found != magic:
             raise ValueError(f"not a {magic} file: {path}")
-        header: dict[str, str | None] = {}
+        header = _Header()
+        header.path = path
         for ln in lines:
             key, sep, value = ln.partition("=")
             if not (sep and key.isidentifier()):

@@ -5,6 +5,11 @@ Gaussians; ``noise_var`` is the total complex noise variance (half per real
 dimension); LLRs are ``log(P(bit=0)/P(bit=1))``, so a negative value decides
 bit 1.  With unit-energy constellations and m information bits per symbol
 per terminal, ``noise_var = 1 / (m * Eb/N0)``.
+
+Every detector scores the 2^(2m) joint hypotheses of ``mapping.superimpose``
+on one distance grid, ``_distances``: comp_ideal and hard_ncv take its argmin;
+detect_ncv and comp_nonideal_llrs run the one likelihood kernel ``_llrs`` on
+it, with hypothesis labels from ``mapping._ncv_bits``.
 """
 from __future__ import annotations
 
@@ -14,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import BitMatrix, inverse_f2
-from .mapping import _parity_table, joint_vector_table, ncv_table, superimpose
+from .mapping import SuperimposedConstellation, _ncv_bits, ncv_table, superimpose
 from .modulation import Constellation
 
 PILOT_SYMBOL = (1.0 + 1.0j) / math.sqrt(2.0)
 
 # exp of anything below this is exactly 0 (the least subnormal is exp(-744.4)),
 # reached through an underflow path about 15x slower than a normal exp, so
-# _bit_llrs writes the zeros itself (np.exp works lane by lane); a bit class
+# _llrs writes the zeros itself (np.exp works lane by lane); a bit class
 # with every term below it gives L = +-inf, which quantize_llr saturates.
 _EXP_FLOOR = -750.0
 
@@ -73,10 +78,27 @@ def estimate_channel(y_pilots: np.ndarray, pilot_len: int) -> np.ndarray:
     return y_pilots.mean(axis=2) * np.conj(PILOT_SYMBOL) / abs(PILOT_SYMBOL) ** 2
 
 
-def _bit_llrs(e: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The likelihood kernel of both LLR detectors (exact sum form): ``e``
-    (..., samples, hyps) holds log-likelihoods minus their row maxima and is
-    overwritten, ``bits`` (..., hyps, n) the 0/1 labels; gives (..., samples, n)."""
+def _distances(sc: SuperimposedConstellation, ys: np.ndarray) -> np.ndarray:
+    """|p - y|^2 for every hypothesis point p of ``sc`` and sample y of ``ys``
+    (..., samples): shape (..., 2^mu, samples), samples on the fast axis."""
+    d = np.abs(sc.points[..., :, None] - ys[..., None, :])
+    d *= d
+    return d
+
+
+def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise_var: float, max_log: bool = False):
+    """The likelihood kernel of every LLR detector: L-values (..., samples, n)
+    of the 0/1 float labels ``bits`` (..., 2^mu, n) of the hypotheses of
+    ``sc`` at samples ``ys`` (..., samples).  The exact form sums exp of the
+    log-likelihoods minus their row maxima, one matrix product per slice."""
+    metric = _distances(sc, ys)
+    metric /= -noise_var            # -(d**2) / noise_var, bit for bit
+    if max_log:
+        side, metric = bits[..., :, None, :] == 1, metric[..., None]   # (..., 2^mu, samples, n)
+        return np.where(side, -np.inf, metric).max(axis=-3) - np.where(side, metric, -np.inf).max(axis=-3)
+    # e: (..., samples, 2^mu) C-ordered, so every slice's product has one layout
+    e = np.empty(ys.shape + metric.shape[-2:-1])
+    np.subtract(metric.swapaxes(-1, -2), metric.max(axis=-2)[..., None], out=e)
     dead = e < _EXP_FLOOR
     np.putmask(e, dead, 0.0)
     np.exp(e, out=e)
@@ -105,49 +127,20 @@ def detect_ncv(
     pair and ``matrix`` a BitMatrix; returns (t,) or (samples, t).  A stack
     of frames and APs: ``y`` has shape (..., samples), ``h`` (..., 2) and
     ``matrix`` is an integer array of packed rows (..., t); returns
-    (..., samples, t), each slice equal to the one-AP call bit for bit (the
-    likelihood sums are one matrix product per slice, never a flattened
-    one, whose blocking could round differently).
+    (..., samples, t), each slice equal to the one-AP call bit for bit.
     """
-    hh = np.asarray(h, dtype=complex)
-    one = hh.ndim == 1
     ys = np.asarray(y, dtype=complex)
-    if one:
-        scalar = ys.ndim == 0
-        ys, hh, rows = np.atleast_1d(ys)[None], hh[None], np.array([matrix.rows])
-    else:
-        rows = np.asarray(matrix)
-    w_of_tau, _ = joint_vector_table(constellation.bits_per_symbol)
-    sc = superimpose(constellation, hh)
-    # bits[..., tau, i]: bit i of the NCV of joint message tau
-    bits = _parity_table(sc.mu)[w_of_tau[:, None], rows[..., None, :]].astype(float)
-    # metric[..., tau, sample], samples on the fast axis: |p - y| is |y - p|
-    # bit for bit, and the reduction over hypotheses runs along whole rows
-    metric = np.abs(sc.points[..., :, None] - ys[..., None, :])
-    metric *= metric
-    metric /= -noise_var            # -(d**2) / noise_var, bit for bit
-    if max_log:
-        out = np.empty(ys.shape + (rows.shape[-1],))
-        for i in range(rows.shape[-1]):
-            side = bits[..., :, i, None] == 1
-            out[..., i] = np.where(side, -np.inf, metric).max(axis=-2) - np.where(side, metric, -np.inf).max(axis=-2)
-    else:
-        # e: (..., samples, 2^mu) C-ordered, the one-AP product's operand layout
-        e = np.empty(ys.shape + metric.shape[-2:-1])
-        np.subtract(metric.swapaxes(-1, -2), metric.max(axis=-2)[..., None], out=e)
-        out = _bit_llrs(e, bits)
-    if one:
-        return out[0, 0] if scalar else out[0]
-    return out
+    rows = matrix.rows if isinstance(matrix, BitMatrix) else matrix
+    bits = _ncv_bits(rows, constellation.bits_per_symbol).astype(float)
+    out = _llrs(superimpose(constellation, h), np.atleast_1d(ys), bits, noise_var, max_log)
+    return out[0] if ys.ndim == 0 else out
 
 
 def hard_ncv(y, h: tuple[complex, complex], matrix: BitMatrix, constellation: Constellation) -> np.ndarray:
     """Zero-noise limit of detect_ncv: NCV of the nearest superposition point."""
     ys = np.atleast_1d(np.asarray(y, dtype=complex))
-    sc = superimpose(constellation, h)
-    table = ncv_table(matrix, constellation.bits_per_symbol)
-    idx = np.abs(ys[:, None] - sc.points[None, :]).argmin(axis=1)
-    return table[idx]
+    idx = _distances(superimpose(constellation, h), ys).argmin(axis=0)
+    return ncv_table(matrix, constellation.bits_per_symbol)[idx]
 
 
 def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
@@ -191,16 +184,7 @@ def comp_ideal(ys: np.ndarray, H: np.ndarray, constellation: Constellation) -> n
     bits), shaped (..., uses), minimizing the stacked residual norm
     exhaustively.
     """
-    m = constellation.bits_per_symbol
-    size = 1 << m
-    idx = np.arange(size * size)
-    s1 = constellation.points[idx >> m]
-    s2 = constellation.points[idx & (size - 1)]
-    H = np.asarray(H)
-    hyp = H[..., 0, None] * s1 + H[..., 1, None] * s2
-    cost = np.abs(np.asarray(ys)[..., :, None] - hyp[..., None, :])
-    cost *= cost
-    return cost.sum(axis=-3).argmin(axis=-1)
+    return _distances(superimpose(constellation, H), np.asarray(ys)).sum(axis=-3).argmin(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -241,23 +225,14 @@ def comp_nonideal_llrs(
     One AP: ``y`` is (uses,) and ``h`` a coefficient pair; returns shape
     (terminals, bits_per_symbol, uses).  A stack: ``y`` (..., uses) and
     ``h`` (..., 2) give (..., terminals, bits_per_symbol, uses).  The kernel
-    is detect_ncv's, so an L-value beyond about 700 is +-inf.
+    is detect_ncv's, called directly (no detect_ncv call runs), so an
+    L-value beyond about 700 is +-inf.
     """
     m = constellation.bits_per_symbol
-    size = 1 << m
-    hh = np.asarray(h, dtype=complex)
-    ys = np.asarray(y, dtype=complex)
-    if hh.ndim == 1:
-        ys = np.atleast_1d(ys)
-    idx = np.arange(size * size)
-    hyp = hh[..., 0, None] * constellation.points[idx >> m] + hh[..., 1, None] * constellation.points[idx & (size - 1)]
-    # bits[tau, j]: bit j of joint label tau, terminal 1's then 2's, MSB first
-    bits = ((idx[:, None] >> np.arange(2 * m - 1, -1, -1)) & 1).astype(float)
-    e = np.abs(ys[..., :, None] - hyp[..., None, :])
-    e *= e
-    e /= -noise_var
-    e -= e.max(axis=-1, keepdims=True)
-    out = _bit_llrs(e, bits)
+    ys = np.atleast_1d(np.asarray(y, dtype=complex))
+    # the identity's NCV bit j is component j of w: label bit j of tau, MSB first
+    bits = _ncv_bits(1 << np.arange(2 * m), m).astype(float)
+    out = _llrs(superimpose(constellation, h), ys, bits, noise_var)
     return np.moveaxis(out, -1, -2).reshape(out.shape[:-2] + (2, m, ys.shape[-1]))
 
 

@@ -32,22 +32,32 @@ COINCIDENCE_EPS = 1e-9
 def joint_vector_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Maps between joint index ``tau`` and message vector ``w`` for u=2.
 
-    Returns (w_of_tau, tau_of_w).  tau packs the two labels MSB-first with
-    terminal 1 in the high bits; w packs label bits component-wise with
-    terminal 1 in the low bits.
+    Returns (w_of_tau, tau_of_w), read-only.  tau packs the two labels
+    MSB-first with terminal 1 in the high bits; w packs label bits
+    component-wise with terminal 1 in the low bits.  So w is tau's 2m bits
+    reversed (label bit j of tau, MSB first, is component j), and the
+    reversal is its own inverse: both maps are one array.
     """
-    size = 1 << m
-    w_of_tau = np.empty(size * size, dtype=np.int64)
-    for tau in range(size * size):
-        i1, i2 = tau >> m, tau & (size - 1)
-        w = 0
-        for j in range(m):
-            w |= ((i1 >> (m - 1 - j)) & 1) << j
-            w |= ((i2 >> (m - 1 - j)) & 1) << (m + j)
-        w_of_tau[tau] = w
-    tau_of_w = np.empty_like(w_of_tau)
-    tau_of_w[w_of_tau] = np.arange(len(w_of_tau))
-    return w_of_tau, tau_of_w
+    k = np.arange(2 * m)
+    tau = np.arange(1 << 2 * m)
+    w_of_tau = (((tau[:, None] >> (2 * m - 1 - k)) & 1) << k).sum(axis=1)
+    w_of_tau.flags.writeable = False
+    return w_of_tau, w_of_tau
+
+
+@lru_cache(maxsize=4)
+def _parity_table(mu: int) -> np.ndarray:
+    """``table[r, d]``: whether row ``r`` has odd parity against difference ``d``."""
+    v = np.arange(1 << mu)
+    table = (np.bitwise_count(v[:, None] & v[None, :]) & 1).astype(bool)
+    table.flags.writeable = False
+    return table
+
+
+def _ncv_bits(rows, m: int) -> np.ndarray:
+    """``bits[..., tau, i]``: bit i of the NCV that the packed rows ``rows``
+    (..., t) give joint message ``tau`` (bool, shape (..., 2^(2m), t))."""
+    return _parity_table(2 * m)[joint_vector_table(m)[0][:, None], np.asarray(rows)[..., None, :]]
 
 
 @dataclass(eq=False)
@@ -170,26 +180,13 @@ def difference_profiles(sc: SuperimposedConstellation) -> tuple[np.ndarray, np.n
 
 def ncv_table(matrix: BitMatrix, m: int) -> np.ndarray:
     """Network-coded vector (as packed int) for every joint index."""
-    w_of_tau, _ = joint_vector_table(m)
-    out = np.zeros(len(w_of_tau), dtype=np.int64)
-    for i, row in enumerate(matrix.rows):
-        out |= (np.bitwise_count(w_of_tau & row).astype(np.int64) & 1) << i
-    return out
+    return _ncv_bits(matrix.rows, m) @ (1 << np.arange(matrix.n_rows))
 
 
 @dataclass(frozen=True)
 class MappingQuality:
     d_min: float
     clash_consistent: bool
-
-
-@lru_cache(maxsize=4)
-def _parity_table(mu: int) -> np.ndarray:
-    """``table[r, d]``: whether row ``r`` has odd parity against difference ``d``."""
-    v = np.arange(1 << mu)
-    table = (np.bitwise_count(v[:, None] & v[None, :]) & 1).astype(bool)
-    table.flags.writeable = False
-    return table
 
 
 def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, separated_only: bool = False) -> float | np.ndarray:
@@ -239,10 +236,5 @@ def evaluate_mapping(
 def clash_difference_basis(clash: tuple[tuple[int, ...], ...], m: int) -> tuple[int, ...]:
     """Basis of the span of within-block message differences."""
     w_of_tau, _ = joint_vector_table(m)
-    diffs = []
-    for block in clash:
-        if len(block) > 1:
-            w0 = int(w_of_tau[block[0]])
-            diffs.extend(w0 ^ int(w_of_tau[t]) for t in block[1:])
-    reduced, _ = rref_rows(diffs, 2 * m)
-    return reduced
+    diffs = [int(w_of_tau[block[0]] ^ w_of_tau[t]) for block in clash for t in block[1:]]
+    return rref_rows(diffs, 2 * m)[0]

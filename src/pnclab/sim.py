@@ -87,6 +87,10 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be an integer, not {value!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
+        # a path the scheme never reads would change config_hash and nothing else
+        unread = {"bmas": ("table_path",), "rbmas": ()}.get(self.scheme, ("catalog_path", "store_path", "table_path"))
+        if any(getattr(self, name) is not None for name in unread):
+            raise ValueError(f"scheme {self.scheme} never reads {', '.join(unread)}: leave them None")
         if self.n_terminals != 2:
             raise ValueError("only the two-terminal uplink is supported")
         if self.modulation.lower() not in BITS_PER_SYMBOL:
@@ -161,7 +165,6 @@ class _Context:
     catalog: SfsCatalog | None = None
     store: CandidateStore | None = None
     table: SelectionTable | None = None
-    w_of_tau: np.ndarray | None = None
 
 
 def _prepare(cfg: ExperimentConfig) -> _Context:
@@ -171,7 +174,6 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
         ctx.quantizer = QuantizerSpec(bits=cfg.quantizer_bits, clip=cfg.quantizer_clip)
     if cfg.scheme not in PNC_SCHEMES:
         return ctx
-    ctx.w_of_tau = joint_vector_table(c.bits_per_symbol)[0]
     if cfg.catalog_path:
         cat = load_catalog(cfg.catalog_path)
         if cat.modulation != cfg.modulation or cat.labeling_version != c.labeling_version:
@@ -264,7 +266,7 @@ def _back_end_pnc(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[in
     bits = link.llrs_to_bits(llrs).transpose(0, 2, 1, 3).reshape(frames, cfg.frame_len, -1)
     w_bits = link.recover_batch(sel.rows.reshape(frames, -1), bits)
     w_hat = (w_bits * (1 << np.arange(2 * m))).sum(axis=-1)
-    w_true = ctx.w_of_tau[(idx[:, 0] << m) | idx[:, 1]]
+    w_true = joint_vector_table(m)[0][(idx[:, 0] << m) | idx[:, 1]]
     return int(np.any(w_hat != w_true, axis=1).sum()), mismaps
 
 

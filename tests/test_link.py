@@ -256,6 +256,39 @@ class TestCompBaselines:
             QuantizerSpec(bits=2, clip=0.0)
 
 
+def _comp_ideal_hyp(ys, H, constellation):
+    """Oracle: comp_ideal's own hypothesis points and argmin, from before it
+    moved onto superimpose and the shared distance grid."""
+    m = constellation.bits_per_symbol
+    size = 1 << m
+    idx = np.arange(size * size)
+    s1 = constellation.points[idx >> m]
+    s2 = constellation.points[idx & (size - 1)]
+    H = np.asarray(H)
+    hyp = H[..., 0, None] * s1 + H[..., 1, None] * s2
+    cost = np.abs(np.asarray(ys)[..., :, None] - hyp[..., None, :])
+    cost *= cost
+    return cost.sum(axis=-3).argmin(axis=-1)
+
+
+@pytest.mark.parametrize("mod, ebn0_db, n_aps", [("qam4", 4.0, 2), ("qam16", 12.0, 2), ("qam16", 6.0, 3)])
+def test_comp_ideal_matches_hyp_oracle(mod, ebn0_db, n_aps):
+    """Noisy stacks of frames, stacked and one frame at a time, bit for bit."""
+    c = make_constellation(mod)
+    rng = np.random.default_rng(13)
+    nv = noise_variance(ebn0_db, c.bits_per_symbol)
+    H = np.stack([draw_channel(rng, n_aps) for _ in range(4)])
+    idx = rng.integers(0, c.size, size=(4, 2, 50))
+    ys = np.stack([transmit(H[f], nv, c.points[idx[f]], rng) for f in range(4)])
+    stacked = comp_ideal(ys, H, c)
+    assert stacked.shape == (4, 50)
+    assert np.array_equal(stacked, _comp_ideal_hyp(ys, H, c))
+    for f in range(4):
+        assert np.array_equal(comp_ideal(ys[f], H[f], c), _comp_ideal_hyp(ys[f], H[f], c))
+        assert np.array_equal(comp_ideal(ys[f], H[f], c), stacked[f])
+    assert (stacked != (idx[:, 0] << c.bits_per_symbol) | idx[:, 1]).any()   # noisy enough to err
+
+
 def _comp_nonideal_llrs_logaddexp(y, h, constellation, noise_var):
     """Oracle: the Jacobian-logarithm fold comp_nonideal_llrs used before it
     moved onto the max-shifted kernel (finite for every input)."""
@@ -358,6 +391,30 @@ class TestCompNonidealKernel:
         assert np.array_equal(np.sign(got), np.sign(want))
         spec = QuantizerSpec(bits=2, clip=8.0)
         assert np.array_equal(quantize_llr(got[inf], spec), np.where(got[inf] > 0, 3, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_comp_stacks(), st.booleans(), st.data())
+def test_detect_ncv_one_ap_call_equals_stacked_slice(case, max_log, data):
+    """One AP (a BitMatrix, with a sample array or one sample) gives the
+    slice of the stacked call on the same samples bit for bit, in both
+    detection forms.  One sample is compared with a one-sample stack: a
+    one-row product may round differently from a row of a larger one."""
+    mod, h, y, noise_var = case
+    c = make_constellation(mod)
+    m = c.bits_per_symbol
+    rows = np.array(data.draw(st.lists(st.integers(0, (1 << 2 * m) - 1), min_size=4 * m, max_size=4 * m)))
+    rows = rows.reshape(2, 2, m)
+    stacked = detect_ncv(y, h, rows, c, noise_var, max_log=max_log)
+    stacked_one = detect_ncv(y[..., 2:3], h, rows, c, noise_var, max_log=max_log)
+    assert stacked.shape == (2, 2, 5, m)
+    for f in range(2):
+        for a in range(2):
+            mat = BitMatrix.from_row_ints(rows[f, a].tolist(), 2 * m)
+            one = detect_ncv(y[f, a], tuple(h[f, a]), mat, c, noise_var, max_log=max_log)
+            assert one.tobytes() == stacked[f, a].tobytes()
+            single = detect_ncv(y[f, a, 2], tuple(h[f, a]), mat, c, noise_var, max_log=max_log)
+            assert single.shape == (m,) and single.tobytes() == stacked_one[f, a, 0].tobytes()
 
 
 def test_noise_variance_bookkeeping():

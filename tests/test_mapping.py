@@ -43,6 +43,50 @@ def brute_force_d_min(sc, matrix, separated_only=False, eps=COINCIDENCE_EPS):
     return float(dist[keep].min()) if keep.any() else np.inf
 
 
+def _w_of_tau_loop(m):
+    """Oracle: the label-bit loop joint_vector_table ran before it became
+    a bit reversal."""
+    size = 1 << m
+    w_of_tau = np.empty(size * size, dtype=np.int64)
+    for tau in range(size * size):
+        i1, i2 = tau >> m, tau & (size - 1)
+        w = 0
+        for j in range(m):
+            w |= ((i1 >> (m - 1 - j)) & 1) << j
+            w |= ((i2 >> (m - 1 - j)) & 1) << (m + j)
+        w_of_tau[tau] = w
+    return w_of_tau
+
+
+def _ncv_table_loop(matrix, m):
+    """Oracle: the per-row parity loop ncv_table ran before it became a
+    gather from the parity table."""
+    w_of_tau = _w_of_tau_loop(m)
+    out = np.zeros(len(w_of_tau), dtype=np.int64)
+    for i, row in enumerate(matrix.rows):
+        out |= (np.bitwise_count(w_of_tau & row).astype(np.int64) & 1) << i
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_joint_vector_table_matches_loop(m):
+    w_of_tau, tau_of_w = joint_vector_table(m)
+    want = _w_of_tau_loop(m)
+    assert w_of_tau.dtype == want.dtype and np.array_equal(w_of_tau, want)
+    assert np.array_equal(tau_of_w[w_of_tau], np.arange(len(want)))
+    assert not w_of_tau.flags.writeable and not tau_of_w.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 4]), st.data())
+def test_ncv_table_matches_loop(m, data):
+    t = data.draw(st.integers(1, 2 * m))
+    rows = data.draw(st.lists(st.integers(0, (1 << 2 * m) - 1), min_size=t, max_size=t))
+    matrix = BitMatrix.from_row_ints(rows, 2 * m)
+    got = ncv_table(matrix, m)
+    assert got.dtype == np.int64 and np.array_equal(got, _ncv_table_loop(matrix, m))
+
+
 def all_pairs_profiles(sc, eps=COINCIDENCE_EPS):
     """Oracle: every ordered pair of message vectors at every difference."""
     _, tau_of_w = joint_vector_table(sc.constellation.bits_per_symbol)

@@ -80,3 +80,16 @@ def test_expected_hooks_fire(tracer, workloads, name, tmp_path):
             list(run_experiment(dataclasses.replace(cfg, frames_per_point=3)))
     silent = sorted(n for n in wl.expected_hooks if tr.calls(n, tracer.FRAME) + tr.calls(n, tracer.SETUP) == 0)
     assert not silent, f"expected hooks recorded no calls: {silent}"
+
+
+def test_baselines_run_no_detect_ncv(tracer, workloads):
+    """comp_nonideal_llrs calls the likelihood kernel itself, so a traced
+    ``baselines`` run attributes its detection to link.comp_nonideal_llrs
+    and records no link.detect_ncv call."""
+    tr = tracer.Tracer()
+    with tr.installed():
+        for cfg in workloads.WORKLOADS["baselines"].configs:
+            list(run_experiment(dataclasses.replace(cfg, frames_per_point=3)))
+    calls = {n: tr.calls(n, tracer.FRAME) + tr.calls(n, tracer.SETUP) for n in ("link.detect_ncv", "link.comp_nonideal_llrs")}
+    assert calls["link.detect_ncv"] == 0
+    assert calls["link.comp_nonideal_llrs"] > 0

@@ -13,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnclab import search
-from pnclab.fade_states import FadeState, build_catalog, enumerate_sfs, nearest_sfs, rank_principal_sfs, truncate_catalog
+from pnclab.fade_states import (
+    FadeState,
+    build_catalog,
+    enumerate_sfs,
+    load_catalog,
+    nearest_sfs,
+    rank_principal_sfs,
+    save_catalog,
+    truncate_catalog,
+)
 from pnclab.gf2 import BitMatrix, enumerate_subspaces, nullspace, rank_rows, rref_rows, span
 from pnclab.link import draw_channel
 from pnclab.mapping import clash_difference_basis, difference_profiles, mapping_d_min, superimpose
@@ -621,6 +630,22 @@ class TestPersistence:
         path.write_text(path.read_text().replace("pnclab-table v2\n", "pnclab-table v1\n", 1))
         with pytest.raises(ValueError, match=r"is a pnclab-table v1 file.*`pnclab table --store"):
             load_table(str(path))
+
+    @pytest.mark.parametrize("kind, key", [("catalog", "labeling"), ("store", "K"), ("table", "values")])
+    def test_missing_header_key_refused(self, store4, cat4, tmp_path, kind, key):
+        """A header without one of its keys is refused with the file and the
+        key, where it used to raise a bare KeyError."""
+        path = tmp_path / kind
+        if kind == "catalog":
+            save_catalog(cat4, str(path))
+        elif kind == "store":
+            save_store(store4, str(path))
+        else:
+            save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        path.write_text(re.sub(rf"(?m)^{key}=.*\n", "", path.read_text(), count=1))
+        load = {"catalog": load_catalog, "store": load_store, "table": load_table}[kind]
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: the header has no {key}= line"):
+            load(str(path))
 
     @pytest.mark.parametrize("kind", ["store", "table", "row"])
     def test_swapped_indexed_lines_refused(self, store4, cat4, tmp_path, kind):

@@ -64,6 +64,13 @@ class TestConfig:
             dict(scheme="comp_nonideal", quantizer_clip=math.inf),
             dict(scheme="comp_ideal", frames_per_point=1e3),  # what --set frames_per_point=1e3 gives
             dict(scheme="comp_nonideal", quantizer_bits=2.0),
+            dict(scheme="comp_ideal", catalog_path="catalog"),  # paths a scheme never reads
+            dict(scheme="comp_ideal", store_path="store"),
+            dict(scheme="comp_ideal", table_path="table"),
+            dict(scheme="comp_nonideal", catalog_path="catalog"),
+            dict(scheme="comp_nonideal", store_path="store"),
+            dict(scheme="comp_nonideal", table_path="table"),
+            dict(scheme="bmas", table_path="table"),
         ],
         ids=[
             "bmas-3aps", "rbmas-ncv3", "t-below-bits", "quantizer-bits", "quantizer-clip", "modulation",
@@ -72,6 +79,8 @@ class TestConfig:
             "no-aps-ideal", "no-aps-nonideal", "negative-seed-comp", "negative-seed-pnc",
             "nan-point", "minus-inf-point", "inf-point", "nan-clip", "inf-clip",
             "float-frames", "float-quantizer-bits",
+            "catalog-ideal", "store-ideal", "table-ideal", "catalog-nonideal", "store-nonideal", "table-nonideal",
+            "table-bmas",
         ],
     )
     def test_rejects_unrunnable_config(self, fields):
