@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._artifact import check_count, opt_int, read_artifact, strip_index, write_artifact
+from ._artifact import EPS, check_count, check_eps, opt_int, read_artifact, strip_index, write_artifact
 from .mapping import COINCIDENCE_EPS, coincident_partition, superimpose
 from .modulation import Constellation, make_constellation
 
@@ -61,7 +61,6 @@ class SfsCatalog:
 
     modulation: str
     bits_per_symbol: int
-    eps: float
     labeling_version: str
     entries: tuple[SfsEntry, ...]
     n_raw_states: int
@@ -141,7 +140,6 @@ def enumerate_sfs(c: Constellation) -> SfsCatalog:
     return SfsCatalog(
         modulation=c.name,
         bits_per_symbol=c.bits_per_symbol,
-        eps=COINCIDENCE_EPS,
         labeling_version=c.labeling_version,
         entries=tuple(entries),
         n_raw_states=len(values),
@@ -312,7 +310,7 @@ def save_catalog(cat: SfsCatalog, path: str) -> None:
     header = {
         "modulation": cat.modulation,
         "bits_per_symbol": cat.bits_per_symbol,
-        "eps": f"{cat.eps:g}",
+        "eps": EPS,
         "labeling": cat.labeling_version,
         "raw_states": cat.n_raw_states,
         "rank_seed": cat.rank_seed,
@@ -339,10 +337,10 @@ def load_catalog(path: str) -> SfsCatalog:
     with read_artifact(path, "pnclab-sfs-catalog v1") as (header, body):
         entries = tuple(_parse_sfs_entry(strip_index(path, ln, ";", i)) for i, ln in enumerate(body))
     check_count(path, "entries", int(header["entries"]), len(entries))
+    check_eps(path, header["eps"])
     return SfsCatalog(
         modulation=header["modulation"],
         bits_per_symbol=int(header["bits_per_symbol"]),
-        eps=float(header["eps"]),
         labeling_version=header["labeling"],
         entries=entries,
         n_raw_states=int(header["raw_states"]),

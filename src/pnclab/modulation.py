@@ -26,8 +26,7 @@ class Constellation:
     name: str
     bits_per_symbol: int
     points: np.ndarray          # unit average energy, indexed by label int
-    lattice_points: np.ndarray  # odd-integer grid, points = lattice / scale
-    scale: float
+    lattice_points: np.ndarray  # odd-integer grid, points scaled down to unit energy
     labeling_version: str = LABELING_VERSION
 
     @property
@@ -43,7 +42,6 @@ def make_constellation(name: str) -> Constellation:
         lattice = np.array(
             [complex(1 - 2 * b1, 1 - 2 * b2) for b1 in (0, 1) for b2 in (0, 1)]
         )
-        scale = np.sqrt(2.0)
     elif key == "qam16":
         # (b1, b2) Gray-codes the real axis, (b3, b4) the imaginary axis
         lattice = np.array(
@@ -55,13 +53,11 @@ def make_constellation(name: str) -> Constellation:
                 for b4 in (0, 1)
             ]
         )
-        scale = np.sqrt(10.0)
     else:
         raise ValueError(f"unknown modulation {name!r}; expected qam4 or qam16")
     return Constellation(
         name=key,
         bits_per_symbol=BITS_PER_SYMBOL[key],
-        points=lattice / scale,
+        points=lattice / np.sqrt(2 * (len(lattice) - 1) / 3),   # a square M-QAM grid's mean energy
         lattice_points=lattice,
-        scale=float(scale),
     )

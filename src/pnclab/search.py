@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._artifact import check_count, opt_int, read_artifact, records, strip_index, write_artifact
+from ._artifact import EPS, check_count, check_eps, opt_int, read_artifact, records, strip_index, write_artifact
 # The layer tracer (perfbench/tracer.py) wraps these names as attributes of
 # this module: rank_rows, nearest_sfs, difference_profiles, mapping_d_min,
 # superimpose and make_constellation.  Keep each bound here, difference_profiles
@@ -66,11 +66,11 @@ class CandidateEntry:
 
 @dataclass(frozen=True)
 class SfsCandidates:
-    """Ranked candidates of one fade state (stage-one output)."""
+    """Stage-one output of one fade state: its ranked candidates and its two extractors."""
 
-    state_index: int
     resolvable: bool
     entries: tuple[CandidateEntry, ...]
+    extractors: tuple[CandidateEntry, CandidateEntry]
 
 
 def state_channel(state: FadeState) -> tuple[complex, complex]:
@@ -124,26 +124,35 @@ def mine_candidates(
 
     Scores depend on the row space alone (a difference splits iff it is not
     in the kernel), so each state's bases are scored by two batched
-    ``mapping_d_min`` calls.  The sort key is (-d_min, -separated_d_min,
-    canonical encoding).  Let (d_K, s_K) be the ``limit``-th best score
-    pair: a space whose pair is worse trails at least ``limit`` others
-    whatever its encoding, so only the spaces at or above (d_K, s_K), ties
-    included, are brought to canonical RREF and sorted by the full key.
-    The result equals sorting every space by that key and cutting.
+    ``mapping_d_min`` calls, one per score kind.  The same calls score the
+    state's two universal extractors (see ``assemble_store``), each one
+    clash-consistent when its d_min is positive.  The sort key is (-d_min,
+    -separated_d_min, canonical encoding).  Let (d_K, s_K) be the
+    ``limit``-th best score pair: a space whose pair is worse trails at
+    least ``limit`` others whatever its encoding, so only the spaces at or
+    above (d_K, s_K), ties included, are brought to canonical RREF and
+    sorted by the full key.  The result equals sorting every space by that
+    key and cutting.
     """
     c = make_constellation(cat.modulation)
     m = c.bits_per_symbol
     mu = 2 * m
     if not m <= t <= mu:
         raise ValueError(f"t must be in [{m}, {mu}]")
+    extractors = np.array([[1 << b for b in range(t)], [1 << b for b in range(mu - t, mu)]])
     out = []
-    for idx, entry in enumerate(cat.entries):
+    for entry in cat.entries:
         sc = superimpose(c, state_channel(entry.state))
         admissible = nullspace(clash_difference_basis(entry.partition, m), mu)
         resolvable = len(admissible) >= t
-        rows = _candidate_rows(admissible, t, mu)
+        rows = np.vstack((_candidate_rows(admissible, t, mu), extractors))
         d = mapping_d_min(rows, sc)
         sep = mapping_d_min(rows, sc, separated_only=True)
+        ext = tuple(
+            CandidateEntry(BitMatrix.from_row_ints(tuple(r), mu), float(dr), bool(dr > 0), float(sr))
+            for r, dr, sr in zip(extractors.tolist(), d[-2:], sep[-2:])
+        )
+        rows, d, sep = rows[:-2], d[:-2], sep[:-2]
         if limit is not None and 0 < limit < len(rows):
             kth = np.lexsort((-sep, -d))[limit - 1]
             keep = (d > d[kth]) | ((d == d[kth]) & (sep >= sep[kth]))
@@ -161,7 +170,7 @@ def mine_candidates(
             )
             for k in order
         )
-        out.append(SfsCandidates(state_index=idx, resolvable=resolvable, entries=candidates))
+        out.append(SfsCandidates(resolvable=resolvable, entries=candidates, extractors=ext))
     return tuple(out)
 
 
@@ -197,7 +206,6 @@ class CandidateStore:
     t: int
     mu: int
     k_per_state: int
-    eps: float
     rank_seed: int | None
     rank_trials: int | None
     states: tuple[FadeState, ...]
@@ -257,18 +265,6 @@ class CandidateStore:
         return self._verdicts[n]
 
 
-def _coordinate_entry(cols: tuple[int, ...], sc: SuperimposedConstellation) -> CandidateEntry:
-    """Row space spanned by standard vectors on ``cols``, scored at ``sc``."""
-    rows = tuple(1 << c for c in cols)
-    d = mapping_d_min(rows, sc)
-    return CandidateEntry(
-        matrix=BitMatrix.from_row_ints(rows, sc.mu),
-        d_min=d,
-        clash_consistent=d > 0,
-        separated_d_min=mapping_d_min(rows, sc, separated_only=True),
-    )
-
-
 def assemble_store(
     cat: SfsCatalog,
     rankings: tuple[SfsCandidates, ...],
@@ -284,36 +280,24 @@ def assemble_store(
     admissible row spaces overlap.  With k_per_state >= 3 the extractors
     cost at most two list slots; below that the store may be uncertifiable,
     which certification reports rather than hides.
+
+    Nothing is scored here: ``mine_candidates`` scored the extractors with
+    each state's candidates.  A list is the first K distinct matrices of the
+    top K - 2 candidates, the extractors (when K >= 2), then the rest.
     """
-    c = make_constellation(cat.modulation)
-    mu = 2 * c.bits_per_symbol
-    head = tuple(range(t))
-    tail = tuple(range(mu - t, mu))
+    cut = max(0, k_per_state - 2)
     lists = []
-    for r, entry in zip(rankings, cat.entries):
-        chosen = list(r.entries[: max(0, k_per_state - 2)])
-        have = {e.matrix for e in chosen}
-        if k_per_state >= 2:
-            sc = superimpose(c, state_channel(entry.state))
-            for cols in (head, tail):
-                cand = _coordinate_entry(cols, sc)
-                if cand.matrix not in have and len(chosen) < k_per_state:
-                    chosen.append(cand)
-                    have.add(cand.matrix)
-        for e in r.entries[max(0, k_per_state - 2):]:
-            if len(chosen) >= k_per_state:
-                break
-            if e.matrix not in have:
-                chosen.append(e)
-                have.add(e.matrix)
-        lists.append(tuple(chosen))
+    for r in rankings:
+        first = {}
+        for e in r.entries[:cut] + (r.extractors if k_per_state >= 2 else ()) + r.entries[cut:]:
+            first.setdefault(e.matrix, e)
+        lists.append(tuple(first.values())[:k_per_state])
     return CandidateStore(
         modulation=cat.modulation,
         labeling_version=cat.labeling_version,
         t=t,
-        mu=mu,
+        mu=2 * cat.bits_per_symbol,
         k_per_state=k_per_state,
-        eps=cat.eps,
         rank_seed=cat.rank_seed,
         rank_trials=cat.rank_trials,
         states=tuple(e.state for e in cat.entries),
@@ -359,20 +343,19 @@ def build_store(
     return certify_store(assemble_store(cat, rankings, t, k_per_state), n_aps)
 
 
-def _check_same_states(a: tuple[FadeState, ...], b: tuple[FadeState, ...], eps: float, what: str) -> None:
+def _check_same_states(a: tuple[FadeState, ...], b: tuple[FadeState, ...], what: str) -> None:
+    """States must match exactly, in the text form the artifact files store."""
     if len(a) != len(b):
         raise ValueError(f"{what} cover different state sets")
-    for s, e in zip(a, b):
-        if s.infinite != e.infinite:
-            raise ValueError(f"{what} states are ordered differently")
-        if not s.infinite and abs(s.value - e.value) > eps:
-            raise ValueError(f"{what} states disagree in value")
+    for i, (s, e) in enumerate(zip(a, b)):
+        if s.to_text() != e.to_text():
+            raise ValueError(f"{what} states disagree in value at state {i}: {s.to_text()} and {e.to_text()}")
 
 
 def _check_store_matches_catalog(store: CandidateStore, cat: SfsCatalog) -> None:
     if store.modulation != cat.modulation or store.labeling_version != cat.labeling_version:
         raise ValueError("store and catalog disagree on modulation or labeling")
-    _check_same_states(store.states, tuple(e.state for e in cat.entries), cat.eps, "store and catalog")
+    _check_same_states(store.states, tuple(e.state for e in cat.entries), "store and catalog")
 
 
 def _check_table_matches_store(table: SelectionTable, store: CandidateStore) -> None:
@@ -380,7 +363,7 @@ def _check_table_matches_store(table: SelectionTable, store: CandidateStore) -> 
         store.modulation, store.labeling_version, store.t, store.mu
     ):
         raise ValueError("table and store disagree on modulation, labeling or matrix shape")
-    _check_same_states(table.states, store.states, store.eps, "table and store")
+    _check_same_states(table.states, store.states, "table and store")
     distinct, code, _, _ = store._arrays
     slot = {e: k for k, e in enumerate(distinct)}
     n = table.n_aps
@@ -657,7 +640,7 @@ def save_store(store: CandidateStore, path: str) -> None:
         "t": store.t,
         "mu": store.mu,
         "K": store.k_per_state,
-        "eps": f"{store.eps:g}",
+        "eps": EPS,
         "rank_seed": store.rank_seed,
         "rank_trials": store.rank_trials,
         "certified_n": store.certified_n,
@@ -681,13 +664,13 @@ def load_store(path: str) -> CandidateStore:
             states.append(FadeState.from_text(state_txt))
             lists.append(tuple(_parse_entry(e) for e in entries_txt.split()))
     check_count(path, "states", int(header["states"]), len(states))
+    check_eps(path, header["eps"])
     store = CandidateStore(
         modulation=header["modulation"],
         labeling_version=header["labeling"],
         t=int(header["t"]),
         mu=int(header["mu"]),
         k_per_state=int(header["K"]),
-        eps=float(header["eps"]),
         rank_seed=opt_int(header["rank_seed"]),
         rank_trials=opt_int(header["rank_trials"]),
         states=tuple(states),
@@ -695,12 +678,11 @@ def load_store(path: str) -> CandidateStore:
         certified_n=opt_int(header["certified_n"]),
         infeasible=tuple(tuple(map(int, part.split(","))) for part in header["infeasible"].split(";") if part),
     )
-    for entries in store.lists:
-        for e in entries:
-            if (e.matrix.n_rows, e.matrix.n_cols) != (store.t, store.mu):
-                raise ValueError(f"{path}: store entry {e.matrix.to_text()} is not {store.t}x{store.mu}")
-            if rank_rows(e.matrix.rows) != store.t:
-                raise ValueError("store entry violates the rank invariant")
+    for matrix in dict.fromkeys(e.matrix for entries in store.lists for e in entries):   # each distinct matrix once
+        if (matrix.n_rows, matrix.n_cols) != (store.t, store.mu):
+            raise ValueError(f"{path}: store entry {matrix.to_text()} is not {store.t}x{store.mu}")
+        if rank_rows(matrix.rows) != store.t:
+            raise ValueError("store entry violates the rank invariant")
     return store
 
 

@@ -90,7 +90,6 @@ def _tiny_catalog(entries):
     return SfsCatalog(
         modulation="qam4",
         bits_per_symbol=2,
-        eps=1e-9,
         labeling_version="gray-v1",
         entries=tuple(entries),
         n_raw_states=len(entries),

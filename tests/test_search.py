@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -461,6 +462,75 @@ class TestPairTable:
         assert build_selection_table(empty, n_aps=n).entries == {}
 
 
+def _coordinate_entry(cols, sc):
+    """Oracle: the row space spanned by standard vectors on ``cols``,
+    scored at ``sc`` by one-matrix ``mapping_d_min`` calls."""
+    rows = tuple(1 << c for c in cols)
+    d = mapping_d_min(rows, sc)
+    return CandidateEntry(BitMatrix.from_row_ints(rows, sc.mu), d, d > 0, mapping_d_min(rows, sc, separated_only=True))
+
+
+def _assemble_oracle(cat, rankings, t, k_per_state):
+    """Oracle: the assembly loop that scored the two extractors itself, at a
+    constellation it superimposed for each state.  Returns the lists."""
+    c = make_constellation(cat.modulation)
+    mu = 2 * c.bits_per_symbol
+    lists = []
+    for r, entry in zip(rankings, cat.entries):
+        chosen = list(r.entries[: max(0, k_per_state - 2)])
+        have = {e.matrix for e in chosen}
+        if k_per_state >= 2:
+            sc = superimpose(c, state_channel(entry.state))
+            for cols in (tuple(range(t)), tuple(range(mu - t, mu))):
+                cand = _coordinate_entry(cols, sc)
+                if cand.matrix not in have and len(chosen) < k_per_state:
+                    chosen.append(cand)
+                    have.add(cand.matrix)
+        for e in r.entries[max(0, k_per_state - 2):]:
+            if len(chosen) >= k_per_state:
+                break
+            if e.matrix not in have:
+                chosen.append(e)
+                have.add(e.matrix)
+        lists.append(tuple(chosen))
+    return tuple(lists)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize(
+        "cat_name, t, k",
+        [("cat4", t, k) for t in (2, 3, 4) for k in (1, 2, 3, 4, 5)] + [("cat16", 4, 2), ("cat16", 4, 5)],
+    )
+    def test_matches_scoring_loop(self, request, cat_name, t, k):
+        """Entry for entry (matrix, both scores, clash_consistent), the
+        picks equal the loop that scored the extractors on its own path."""
+        cat = request.getfixturevalue(cat_name)
+        rankings = mine_candidates(cat, t=t, limit=k)
+        if cat_name == "cat4" and t == 4:    # both extractors are the identity
+            assert all(r.extractors[0].matrix == r.extractors[1].matrix for r in rankings)
+        assert assemble_store(cat, rankings, t=t, k_per_state=k).lists == _assemble_oracle(cat, rankings, t, k)
+
+    def test_assembly_scores_nothing(self, cat16, monkeypatch):
+        """Mining superimposes each state once and scores its extractors
+        there; assembly builds no constellation and scores nothing."""
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("make_constellation", "superimpose", "mapping_d_min"):
+            monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
+        rankings = mine_candidates(cat16, t=4, limit=5)
+        calls.clear()
+        assemble_store(cat16, rankings, t=4, k_per_state=5)
+        assert not calls
+        build_store(cat16, t=4, k_per_state=5)
+        assert calls["superimpose"] == len(cat16.entries)
+
+
 class TestPersistence:
     def test_store_roundtrip(self, store4, tmp_path):
         path = str(tmp_path / "store.cat")
@@ -647,6 +717,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: the header has no {key}= line"):
             load(str(path))
 
+    @pytest.mark.parametrize("kind", ["catalog", "store"])
+    def test_other_eps_refused(self, store4, cat4, tmp_path, kind):
+        """States are found and compared at the one coincidence tolerance,
+        so a file written for another is refused; its eps used to be kept
+        as the tolerance of the state checks."""
+        save, load, artifact = {"catalog": (save_catalog, load_catalog, cat4), "store": (save_store, load_store, store4)}[kind]
+        path = tmp_path / kind
+        save(artifact, str(path))
+        path.write_text(path.read_text().replace("\neps=1e-09\n", "\neps=1e-06\n", 1))
+        with pytest.raises(ValueError, match="eps=1e-06"):
+            load(str(path))
+
     @pytest.mark.parametrize("kind", ["store", "table", "row"])
     def test_swapped_indexed_lines_refused(self, store4, cat4, tmp_path, kind):
         """Two state lines, or two table rows, swapped keep their indices,
@@ -799,7 +881,8 @@ def test_selection_infeasible_raises(cat4):
 def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
     """Certification and table building share one verdict per pair of
     distinct matrices: at most (distinct matrices)^2 rank computations.
-    Table loading checks each distinct entry once."""
+    Table loading checks each distinct entry once, and store loading each
+    distinct matrix once."""
     cat = cat16
     store = assemble_store(cat, mine_candidates(cat, t=4, limit=5), t=4, k_per_state=5)
     distinct = len({e.matrix for l in store.lists for e in l})
@@ -819,6 +902,12 @@ def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
     save_table(table, str(path))
     assert load_table(str(path)).entries == table.entries
     assert len(calls) == built + len(set(table.entries.values()) - {None})
+
+    store_path = tmp_path / "store.cat"
+    save_store(store, str(store_path))
+    before = len(calls)
+    load_store(str(store_path))
+    assert len(calls) - before == distinct < sum(map(len, store.lists))
 
     first = _table_line(path, "value 0 @ ").split()[3]
     _rewrite_table_line(path, "value 0 @ ", f"value 0 @ {first} {first}")   # repeated rows: singular

@@ -265,20 +265,24 @@ class TestRuns:
             list(run_experiment(cfg))
 
     def test_table_state_values_checked_against_store(self, qam4_files, tmp_path):
+        """States must match as the files write them; a 1e-10 move used to
+        pass a tolerance of the store header's eps=1e-09."""
         _, store, paths = qam4_files
         state = store.states[0]
         assert not state.infinite
         text = open(paths["table"]).read()
-        moved = f"state 0 @ {state.value.real + 0.01:.12g},{state.value.imag:.12g}\n"
-        bad = str(tmp_path / "moved.tab")
-        with open(bad, "w") as f:
-            f.write(text.replace(f"state 0 @ {state.to_text()}\n", moved, 1))
-        cfg = ExperimentConfig(
-            modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
-            store_path=paths["store"], table_path=bad, **FAST,
-        )
-        with pytest.raises(ValueError, match="disagree in value"):
-            list(run_experiment(cfg))
+        for shift in (0.01, 1e-10):
+            moved = f"{state.value.real + shift:.12g},{state.value.imag + 0.0:.12g}"
+            assert moved != state.to_text()
+            bad = str(tmp_path / "moved.tab")
+            with open(bad, "w") as f:
+                f.write(text.replace(f"state 0 @ {state.to_text()}\n", f"state 0 @ {moved}\n", 1))
+            cfg = ExperimentConfig(
+                modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
+                store_path=paths["store"], table_path=bad, **FAST,
+            )
+            with pytest.raises(ValueError, match="disagree in value"):
+                list(run_experiment(cfg))
 
 
     def _save_store(self, store, tmp_path):
