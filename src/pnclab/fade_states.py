@@ -67,6 +67,7 @@ class SfsCatalog:
     rank_seed: int | None = None
     rank_trials: int | None = None
     _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _infinite_index: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # nearest_sfs reads these on every call; replace() recomputes them
@@ -76,6 +77,8 @@ class SfsCatalog:
         )
         values.flags.writeable = False
         object.__setattr__(self, "_values", values)
+        at_inf = np.flatnonzero(np.isnan(values))
+        object.__setattr__(self, "_infinite_index", int(at_inf[0]) if len(at_inf) else None)
 
     @property
     def n_states(self) -> int:
@@ -96,8 +99,7 @@ class SfsCatalog:
         return finite_pos, np.append(finite_vals, np.inf), _cell_candidates(finite_vals)
 
     def infinite_index(self) -> int | None:
-        at_inf = np.flatnonzero(np.isnan(self._values))
-        return int(at_inf[0]) if len(at_inf) else None
+        return self._infinite_index
 
 
 def _round_key(z: complex, decimals: int) -> tuple[float, float]:
@@ -279,18 +281,18 @@ def nearest_sfs(cat: SfsCatalog, h) -> tuple:
     equals the brute-force argmin over the finite states.
     """
     hh = np.asarray(h, dtype=complex)
-    pairs = hh.reshape(-1, 2).tolist()
-    if [0, 0] in pairs:
+    pairs = hh.reshape(-1, 2)
+    if (pairs == 0).all(axis=1).any():
         raise DegenerateChannelError("both channel coefficients are zero")
     # Python's complex division: numpy's rounds differently in the last bit
     # for about two ratios in five, and the distances are compared exactly.
     # 1e18 stands in for infinity when the catalog was truncated past it.
-    v = np.array([h2 / h1 if h1 else 1e18 for h1, h2 in pairs], dtype=complex)
+    v = np.array([h2 / h1 if h1 else 1e18 for h1, h2 in pairs.tolist()], dtype=complex)
     idx = nearest_indices(cat, v)
     dist = np.abs(v - cat.finite_values()[idx]) ** 2
     inf_idx = cat.infinite_index()
     if inf_idx is not None:
-        at_inf = hh.reshape(-1, 2)[:, 0] == 0
+        at_inf = pairs[:, 0] == 0
         idx[at_inf] = inf_idx
         dist[at_inf] = 0.0
     if hh.ndim == 1:

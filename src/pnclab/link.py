@@ -78,12 +78,16 @@ def estimate_channel(y_pilots: np.ndarray, pilot_len: int) -> np.ndarray:
     return y_pilots.mean(axis=2) * np.conj(PILOT_SYMBOL) / abs(PILOT_SYMBOL) ** 2
 
 
-def _distances(sc: SuperimposedConstellation, ys: np.ndarray) -> np.ndarray:
+def _distances(sc: SuperimposedConstellation, ys: np.ndarray) -> tuple[np.ndarray, int]:
     """|p - y|^2 for every hypothesis point p of ``sc`` and sample y of ``ys``
-    (..., samples): shape (..., 2^mu, samples), samples on the fast axis."""
-    d = np.abs(sc.points[..., :, None] - ys[..., None, :])
+    (..., samples), and the grid's hypothesis axis.  The longer of the two
+    axes is the fast one: (..., samples, 2^mu), axis -1, when hypotheses
+    outnumber samples (qam16 at 120 uses), else (..., 2^mu, samples), axis
+    -2.  Each element is the same p - y either way."""
+    axis = -1 if sc.points.shape[-1] > ys.shape[-1] else -2
+    d = np.abs(np.expand_dims(sc.points, -3 - axis) - np.expand_dims(ys, axis))
     d *= d
-    return d
+    return d, axis
 
 
 def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise_var: float, max_log: bool = False):
@@ -91,18 +95,19 @@ def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise
     of the 0/1 float labels ``bits`` (..., 2^mu, n) of the hypotheses of
     ``sc`` at samples ``ys`` (..., samples).  The exact form sums exp of the
     log-likelihoods minus their row maxima, one matrix product per slice."""
-    metric = _distances(sc, ys)
+    metric, axis = _distances(sc, ys)
     metric /= -noise_var            # -(d**2) / noise_var, bit for bit
     if max_log:
-        side, metric = bits[..., :, None, :] == 1, metric[..., None]   # (..., 2^mu, samples, n)
-        return np.where(side, -np.inf, metric).max(axis=-3) - np.where(side, metric, -np.inf).max(axis=-3)
+        side, metric = np.expand_dims(bits == 1, -4 - axis), metric[..., None]   # hypotheses on axis - 1
+        return np.where(side, -np.inf, metric).max(axis=axis - 1) - np.where(side, metric, -np.inf).max(axis=axis - 1)
     # e: (..., samples, 2^mu) C-ordered, so every slice's product has one layout
-    e = np.empty(ys.shape + metric.shape[-2:-1])
-    np.subtract(metric.swapaxes(-1, -2), metric.max(axis=-2)[..., None], out=e)
+    hyps = metric if axis == -1 else metric.swapaxes(-1, -2)
+    e = metric if axis == -1 else np.empty(hyps.shape)
+    np.subtract(hyps, hyps.max(axis=-1, keepdims=True), out=e)
     dead = e < _EXP_FLOOR
-    np.putmask(e, dead, 0.0)
+    np.putmask(e, dead, 0.0)        # not a multiply: a -inf lane would turn NaN
     np.exp(e, out=e)
-    np.putmask(e, dead, 0.0)
+    e *= np.logical_not(dead, out=dead)
     with np.errstate(divide="ignore"):
         return np.log(e @ (1.0 - bits)) - np.log(e @ bits)
 
@@ -139,7 +144,8 @@ def detect_ncv(
 def hard_ncv(y, h: tuple[complex, complex], matrix: BitMatrix, constellation: Constellation) -> np.ndarray:
     """Zero-noise limit of detect_ncv: NCV of the nearest superposition point."""
     ys = np.atleast_1d(np.asarray(y, dtype=complex))
-    idx = _distances(superimpose(constellation, h), ys).argmin(axis=0)
+    d, axis = _distances(superimpose(constellation, h), ys)
+    idx = d.argmin(axis=axis)
     return ncv_table(matrix, constellation.bits_per_symbol)[idx]
 
 
@@ -148,14 +154,16 @@ def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
     return (np.asarray(llrs) < 0).astype(np.int64)
 
 
-def recover_batch(g, x_bits: np.ndarray) -> np.ndarray:
+def recover_batch(g, x_bits: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """Vectorized recovery for square invertible stacks.
 
     One stack: ``g`` is a BitMatrix and ``x_bits`` has shape (samples, mu).
     A chunk of frames: ``g`` is an integer array (frames, mu) of each
     frame's stacked packed rows and ``x_bits`` has shape (frames, samples,
     mu).  Returns message bits shaped like ``x_bits``, component k in the
-    last axis' column k.  Each distinct stack is inverted once per call.
+    last axis' column k.  Each distinct stack is inverted once into
+    ``memo``, which maps a stack's rows to its unpacked inverse and may be
+    passed again, so a run that keeps one inverts each stack once.
     """
     one = isinstance(g, BitMatrix)
     if one:
@@ -167,12 +175,14 @@ def recover_batch(g, x_bits: np.ndarray) -> np.ndarray:
         if stacks.shape[-1] != x.shape[-1]:
             raise ValueError("recover_batch needs a square stack")
     mu = stacks.shape[-1]
-    distinct: dict[tuple[int, ...], int] = {}
-    which = [distinct.setdefault(tuple(rows), len(distinct)) for rows in stacks.tolist()]
-    inverses = np.array([inverse_f2(BitMatrix.from_row_ints(rows, mu)).rows for rows in distinct])
-    # unpacked transposes: [stack, c, r] is bit c of inverse row r
-    bits = (inverses[:, None, :] >> np.arange(mu)[:, None]) & 1
-    out = (x @ bits[which]) % 2
+    memo = {} if memo is None else memo
+    keys = [tuple(rows) for rows in stacks.tolist()]
+    for key in keys:
+        if key not in memo:
+            inverse = np.array(inverse_f2(BitMatrix.from_row_ints(key, mu)).rows)
+            # the unpacked transpose: [c, r] is bit c of inverse row r
+            memo[key] = (inverse >> np.arange(mu)[:, None]) & 1
+    out = (x @ np.stack([memo[key] for key in keys])) % 2
     return out[0] if one else out
 
 
@@ -184,7 +194,8 @@ def comp_ideal(ys: np.ndarray, H: np.ndarray, constellation: Constellation) -> n
     bits), shaped (..., uses), minimizing the stacked residual norm
     exhaustively.
     """
-    return _distances(superimpose(constellation, H), np.asarray(ys)).sum(axis=-3).argmin(axis=-2)
+    d, axis = _distances(superimpose(constellation, H), np.asarray(ys))
+    return d.sum(axis=-3).argmin(axis=axis)
 
 
 @dataclass(frozen=True)

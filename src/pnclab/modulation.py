@@ -9,6 +9,7 @@ small denominators and tolerance tests cannot misfire.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,8 +35,11 @@ class Constellation:
         return 1 << self.bits_per_symbol
 
 
+@lru_cache(maxsize=8)
 def make_constellation(name: str) -> Constellation:
-    """Build ``qam4`` or ``qam16`` with the fixed Gray labeling."""
+    """Build ``qam4`` or ``qam16`` with the fixed Gray labeling.  Built once
+    per name, so every caller shares one object and its arrays are
+    read-only."""
     key = name.lower()
     if key == "qam4":
         # label (b1, b2) -> sign of (real, imag); 00 -> (+1+1j)
@@ -55,9 +59,6 @@ def make_constellation(name: str) -> Constellation:
         )
     else:
         raise ValueError(f"unknown modulation {name!r}; expected qam4 or qam16")
-    return Constellation(
-        name=key,
-        bits_per_symbol=BITS_PER_SYMBOL[key],
-        points=lattice / np.sqrt(2 * (len(lattice) - 1) / 3),   # a square M-QAM grid's mean energy
-        lattice_points=lattice,
-    )
+    points = lattice / np.sqrt(2 * (len(lattice) - 1) / 3)    # a square M-QAM grid's mean energy
+    points.flags.writeable = lattice.flags.writeable = False
+    return Constellation(name=key, bits_per_symbol=BITS_PER_SYMBOL[key], points=points, lattice_points=lattice)

@@ -214,9 +214,6 @@ class CandidateStore:
     infeasible: tuple[tuple[int, ...], ...] = ()
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def matrices_for(self, state_index: int) -> tuple[BitMatrix, ...]:
-        return tuple(e.matrix for e in self.lists[state_index])
-
     @cached_property
     def _arrays(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
         """The lists as arrays, built on first use.

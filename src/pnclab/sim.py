@@ -11,9 +11,12 @@ Frames run in chunks.  The front end draws each frame alone, in the
 stream's fixed order; the chunk's channels, estimates, data and samples are
 then stacked, and the scheme's back end (selection, detection, recovery, or
 a baseline's detector) runs once per chunk on arrays with a leading frame
-axis.  The chunk size is derived, not configured: about _CHUNK_ELEMENTS
-detection-metric elements, so max(1, 2^16 // (APs x uses x 2^(2m))) frames,
-which is 17 qam4 frames or 1 qam16 frame at 120 uses.  Chunking cannot
+axis; with pilots, one selection call takes the estimated and the true
+channels stacked.  The chunk size is derived, not configured: the fewest
+whole frames that reach _CHUNK_ELEMENTS detection-metric elements, so
+ceil(2^16 / (APs x uses x 2^(2m))) frames, which is 18 qam4 frames or 2
+qam16 frames at 120 uses and 2 APs.  Stack inverses are memoised per run,
+in the run's context.  Chunking cannot
 change a result: every batched step is elementwise, a reduction along one
 frame's own axis, or a matrix product kept at the one-frame shape, stacked
 (frames, uses, 2^mu) @ (frames, 2^mu, t) and never flattened into one
@@ -28,7 +31,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -165,6 +168,7 @@ class _Context:
     catalog: SfsCatalog | None = None
     store: CandidateStore | None = None
     table: SelectionTable | None = None
+    inverses: dict = field(default_factory=dict)   # recover_batch's memo, one per run
 
 
 def _prepare(cfg: ExperimentConfig) -> _Context:
@@ -259,12 +263,14 @@ def _back_end_pnc(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[in
     c = ctx.constellation
     m = c.bits_per_symbol
     frames = len(H)
-    sel = _select(ctx, H_hat)
-    mismaps = 0 if H_hat is H else int((sel.rows != _select(ctx, H).rows).any(axis=(1, 2)).sum())
-    llrs = link.detect_ncv(y, H_hat, sel.rows, c, noise_var, max_log=cfg.max_log_detection)
+    # selection is per frame, so one call on H_hat and H stacked gives both
+    both = _select(ctx, H_hat if H_hat is H else np.concatenate([H_hat, H])).rows
+    rows = both[:frames]
+    mismaps = 0 if H_hat is H else int((rows != both[frames:]).any(axis=(1, 2)).sum())
+    llrs = link.detect_ncv(y, H_hat, rows, c, noise_var, max_log=cfg.max_log_detection)
     # (frames, APs, uses, t) -> (frames, uses, APs * t): AP order, as the stack
     bits = link.llrs_to_bits(llrs).transpose(0, 2, 1, 3).reshape(frames, cfg.frame_len, -1)
-    w_bits = link.recover_batch(sel.rows.reshape(frames, -1), bits)
+    w_bits = link.recover_batch(rows.reshape(frames, -1), bits, ctx.inverses)
     w_hat = (w_bits * (1 << np.arange(2 * m))).sum(axis=-1)
     w_true = joint_vector_table(m)[0][(idx[:, 0] << m) | idx[:, 1]]
     return int(np.any(w_hat != w_true, axis=1).sum()), mismaps
@@ -294,8 +300,9 @@ _BACK_ENDS = {
     "comp_nonideal": _back_end_comp_nonideal,
 }
 
-# A chunk holds about this many detection metric elements: frames x APs x
-# uses x joint hypotheses (17 qam4 frames or 1 qam16 frame at 120 uses).
+# A chunk is the fewest whole frames that reach this many detection metric
+# elements, frames x APs x uses x joint hypotheses (18 qam4 frames or 2
+# qam16 frames at 120 uses and 2 APs).
 _CHUNK_ELEMENTS = 2**16
 
 
@@ -309,7 +316,7 @@ def _run_point(ctx: _Context, point: int, ebn0_db: float, frame_range: range) ->
     cfg = ctx.cfg
     noise_var = link.noise_variance(ebn0_db, ctx.constellation.bits_per_symbol)
     back_end = _BACK_ENDS[cfg.scheme]
-    chunk = max(1, _CHUNK_ELEMENTS // (cfg.n_aps * cfg.frame_len * ctx.constellation.size**2))
+    chunk = -(-_CHUNK_ELEMENTS // (cfg.n_aps * cfg.frame_len * ctx.constellation.size**2))
     outages = 0
     mismaps = 0
     for start in range(0, len(frame_range), chunk):

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, heavy Monte Carlo included.
 
-Run with ``pytest tests/test_acceptance.py -v`` (about 15 minutes serial).
+Run with ``pytest tests/test_acceptance.py -v`` (171 s serial on a 2-vCPU
+x86_64 host, numpy 2.4).
 Each test prints a PASS/FAIL line; sweep tests print their measured values
 so the numbers behind an ordering verdict are visible in the log.
 """

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from pnclab.link import (
     transmit,
     transmit_pilots,
 )
-from pnclab.mapping import joint_vector_table, ncv_table, superimpose
+from pnclab.mapping import _ncv_bits, joint_vector_table, ncv_table, superimpose
 from pnclab.modulation import make_constellation
 
 XOR_MAP = BitMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
@@ -415,6 +417,104 @@ def test_detect_ncv_one_ap_call_equals_stacked_slice(case, max_log, data):
             assert one.tobytes() == stacked[f, a].tobytes()
             single = detect_ncv(y[f, a, 2], tuple(h[f, a]), mat, c, noise_var, max_log=max_log)
             assert single.shape == (m,) and single.tobytes() == stacked_one[f, a, 0].tobytes()
+
+
+def _distances_sample_fast(sc, ys):
+    """Oracle: the distance grid before its layout followed the input's
+    shape, samples always on the fast axis: (..., 2^mu, samples)."""
+    d = np.abs(sc.points[..., :, None] - ys[..., None, :])
+    d *= d
+    return d
+
+
+def _llrs_sample_fast(sc, ys, bits, noise_var, max_log=False):
+    """Oracle: the likelihood kernel on that grid, with the dead exp lanes
+    zeroed by a putmask before and after exp."""
+    metric = _distances_sample_fast(sc, ys)
+    metric /= -noise_var
+    if max_log:
+        side, metric = bits[..., :, None, :] == 1, metric[..., None]
+        return np.where(side, -np.inf, metric).max(axis=-3) - np.where(side, metric, -np.inf).max(axis=-3)
+    e = np.empty(ys.shape + metric.shape[-2:-1])
+    np.subtract(metric.swapaxes(-1, -2), metric.max(axis=-2)[..., None], out=e)
+    dead = e < -750.0
+    np.putmask(e, dead, 0.0)
+    np.exp(e, out=e)
+    np.putmask(e, dead, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(e @ (1.0 - bits)) - np.log(e @ bits)
+
+
+def _received_stack(mod, uses, ebn0_db, seed):
+    """Two frames of two APs: channels (2, 2, 2), samples (2, 2, uses),
+    random packed rows (2, 2, m) and the noise variance."""
+    c = make_constellation(mod)
+    m = c.bits_per_symbol
+    rng = np.random.default_rng(seed)
+    nv = noise_variance(ebn0_db, m)
+    H = np.stack([draw_channel(rng) for _ in range(2)])
+    idx = rng.integers(0, c.size, size=(2, 2, uses))
+    ys = np.stack([transmit(H[f], nv, c.points[idx[f]], rng) for f in range(2)])
+    rows = rng.integers(1, 1 << 2 * m, size=(2, 2, m))
+    return c, H, ys, rows, nv
+
+
+# qam4 (16 hypotheses) keeps samples on the fast axis; qam16 (256) puts
+# hypotheses there at 120 uses and samples there at 300
+GRID_CASES = [("qam4", 120, 10.0), ("qam16", 120, 26.0), ("qam16", 120, 8.0), ("qam16", 300, 26.0)]
+
+
+@pytest.mark.parametrize("mod, uses, ebn0_db", GRID_CASES)
+class TestShapeChosenGrid:
+    """Every detector on the shape-chosen grid against the sample-fast
+    oracle, bit for bit."""
+
+    @pytest.mark.parametrize("max_log", [False, True])
+    def test_detect_ncv_matches_oracle(self, mod, uses, ebn0_db, max_log):
+        c, H, ys, rows, nv = _received_stack(mod, uses, ebn0_db, 31)
+        got = detect_ncv(ys, H, rows, c, nv, max_log=max_log)
+        bits = _ncv_bits(rows, c.bits_per_symbol).astype(float)
+        want = _llrs_sample_fast(superimpose(c, H), ys, bits, nv, max_log)
+        assert got.shape == (2, 2, uses, c.bits_per_symbol)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_comp_nonideal_llrs_matches_oracle(self, mod, uses, ebn0_db):
+        c, H, ys, _, nv = _received_stack(mod, uses, ebn0_db, 32)
+        m = c.bits_per_symbol
+        got = comp_nonideal_llrs(ys, H, c, nv)
+        want = _llrs_sample_fast(superimpose(c, H), ys, _ncv_bits(1 << np.arange(2 * m), m).astype(float), nv)
+        want = np.moveaxis(want, -1, -2).reshape(2, 2, 2, m, uses)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_argmin_detectors_match_oracle(self, mod, uses, ebn0_db):
+        c, H, ys, rows, _ = _received_stack(mod, uses, ebn0_db, 33)
+        grid = _distances_sample_fast(superimpose(c, H), ys)
+        assert np.array_equal(comp_ideal(ys, H, c), grid.sum(axis=-3).argmin(axis=-2))
+        mat = BitMatrix.from_row_ints(rows[0, 0].tolist(), 2 * c.bits_per_symbol)
+        want = ncv_table(mat, c.bits_per_symbol)[grid[0, 0].argmin(axis=0)]
+        assert np.array_equal(hard_ncv(ys[0, 0], tuple(H[0, 0]), mat, c), want)
+
+
+@pytest.mark.parametrize("mod", ["qam4", "qam16"])
+def test_minus_inf_metric_lane_matches_oracle(mod):
+    """A lane whose metric overflows to -inf is a dead lane: the L-values
+    are the oracle's, and the only warning is the overflow that made the
+    lane, never an invalid value (a NaN from -inf * 0)."""
+    c = make_constellation(mod)
+    m = c.bits_per_symbol
+    h = np.array([1e4 + 0j, 1e-4 + 0j])
+    sc = superimpose(c, h)
+    ys = sc.points[[0, 5, 9]]               # on a hypothesis: its lane reads -0
+    rows = np.arange(1, m + 1)
+    nv = 1e-305                             # far hypotheses: |p - y|^2 / nv overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = detect_ncv(ys, h, BitMatrix.from_row_ints(rows.tolist(), 2 * m), c, nv)
+        want = _llrs_sample_fast(sc, ys, _ncv_bits(rows, m).astype(float), nv)
+        metric = _distances_sample_fast(sc, ys) / -nv
+    assert np.isneginf(metric).any() and np.isfinite(metric).any()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert {str(w.message) for w in caught} == {"overflow encountered in divide"}
 
 
 def test_noise_variance_bookkeeping():

@@ -73,3 +73,13 @@ def test_gray_adjacency_16qam(qam16):
 def test_bad_modulation_name():
     with pytest.raises(ValueError):
         make_constellation("qam64")
+
+
+@pytest.mark.parametrize("name", ["qam4", "qam16"])
+def test_built_once_per_name_and_read_only(name):
+    """Every caller shares one constellation, so none may write into it."""
+    c = make_constellation(name)
+    assert make_constellation(name) is c
+    assert not c.points.flags.writeable and not c.lattice_points.flags.writeable
+    with pytest.raises(ValueError):
+        c.points[0] = 0

@@ -184,8 +184,8 @@ class TestCertification:
         for a, b in itertools.product(range(n), repeat=2):
             ok = any(
                 rank_rows(ma.rows + mb.rows) == store4.mu
-                for ma in store4.matrices_for(a)
-                for mb in store4.matrices_for(b)
+                for ma in (e.matrix for e in store4.lists[a])
+                for mb in (e.matrix for e in store4.lists[b])
             )
             assert ok, (a, b)
 
@@ -924,7 +924,7 @@ def _per_frame_selection(store, cat, H):
         idx, _ = nearest_sfs(cat, tuple(h))
         sc = superimpose(c, tuple(h))
         states.append(idx)
-        lists.append(store.matrices_for(idx))
+        lists.append(tuple(e.matrix for e in store.lists[idx]))
         d_values.append(tuple(mapping_d_min(m.rows, sc) for m in lists[-1]))
     combo = _pick_best(tuple(tuple(m.encoding for m in l) for l in lists), tuple(d_values), store.t, store.mu)
     return tuple(map(operator.getitem, lists, combo)), tuple(states)

@@ -1,9 +1,10 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
-from pnclab import sim
+from pnclab import link, sim
 from pnclab.sim import (
     ExperimentConfig,
     backhaul_accounting,
@@ -414,8 +415,8 @@ CHUNKED = {
 class TestChunking:
     """The CSV does not depend on how frames are grouped into back-end calls.
 
-    At 120 uses a qam4 chunk holds 17 frames by default, so 40 frames run as
-    chunks of 17, 17 and 6.
+    At 120 uses a qam4 chunk holds 18 frames by default, so 40 frames run as
+    chunks of 18, 18 and 4.
     """
 
     @staticmethod
@@ -427,7 +428,7 @@ class TestChunking:
     def test_csv_is_independent_of_chunking(self, name, monkeypatch):
         fields = CHUNKED[name]
         default = self.csv(fields)
-        assert sim._CHUNK_ELEMENTS // (2 * 120 * 16) == 17
+        assert -(-sim._CHUNK_ELEMENTS // (2 * 120 * 16)) == 18
 
         monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", 1)                   # one frame per chunk
         assert self.csv(fields) == default
@@ -448,3 +449,76 @@ class TestChunking:
 
         monkeypatch.setattr(sim, "_run_point", uneven)
         assert self.csv(fields) == default
+
+
+@pytest.mark.parametrize("mod, frames, chunks", [("qam4", 40, [18, 18, 4]), ("qam16", 5, [2, 2, 1])])
+def test_chunk_is_fewest_frames_reaching_chunk_elements(mod, frames, chunks, monkeypatch):
+    """At 120 uses and 2 APs a chunk is 18 qam4 frames (3,840 metric
+    elements each) or 2 qam16 frames (61,440 each): the fewest whole frames
+    that reach 2^16 elements."""
+    seen = []
+    back_end = sim._BACK_ENDS["comp_ideal"]
+
+    def spy(ctx, noise_var, H, *rest):
+        seen.append(len(H))
+        return back_end(ctx, noise_var, H, *rest)
+
+    monkeypatch.setitem(sim._BACK_ENDS, "comp_ideal", spy)
+    cfg = ExperimentConfig(modulation=mod, scheme="comp_ideal", frames_per_point=frames, frame_len=120)
+    list(run_experiment(cfg))
+    assert seen == chunks
+
+
+def _back_end_pnc_two_selections(ctx, noise_var, H, H_hat, idx, y):
+    """Oracle: the PNC back end with one selection call on H_hat for the
+    frames and a second on H that only counts mis-maps."""
+    m = ctx.constellation.bits_per_symbol
+    frames = len(H)
+    sel = sim._select(ctx, H_hat)
+    mismaps = int((sel.rows != sim._select(ctx, H).rows).any(axis=(1, 2)).sum())
+    llrs = link.detect_ncv(y, H_hat, sel.rows, ctx.constellation, noise_var, max_log=ctx.cfg.max_log_detection)
+    bits = link.llrs_to_bits(llrs).transpose(0, 2, 1, 3).reshape(frames, ctx.cfg.frame_len, -1)
+    w_bits = link.recover_batch(sel.rows.reshape(frames, -1), bits)
+    w_hat = (w_bits * (1 << np.arange(2 * m))).sum(axis=-1)
+    w_true = sim.joint_vector_table(m)[0][(idx[:, 0] << m) | idx[:, 1]]
+    return int(np.any(w_hat != w_true, axis=1).sum()), mismaps
+
+
+@pytest.mark.parametrize("scheme", ["bmas", "rbmas"])
+def test_one_selection_call_counts_as_two(scheme, monkeypatch):
+    """With pilots the back end selects once on H_hat and H stacked; its
+    outage and mis-map counts are the two-call oracle's, chunk by chunk."""
+    cfg = ExperimentConfig(modulation="qam4", scheme=scheme, pilot_len=1, frame_len=24, rank_trials=10**4, seed=5)
+    ctx = sim._prepare(cfg)
+    nv = link.noise_variance(4.0, 2)
+    calls = []
+    select = sim._select
+    monkeypatch.setattr(sim, "_select", lambda ctx, H: calls.append(len(H)) or select(ctx, H))
+    totals = np.zeros(2, dtype=int)
+    for start in range(0, 60, 15):
+        frames = [sim._front_end(ctx, nv, sim._frame_rng(cfg, 0, f)) for f in range(start, start + 15)]
+        H, H_hat, idx, y = (np.stack(a) for a in zip(*frames))
+        got = sim._back_end_pnc(ctx, nv, H, H_hat, idx, y)
+        assert calls[-1:] == [30]
+        assert got == _back_end_pnc_two_selections(ctx, nv, H, H_hat, idx, y)
+        totals += got
+    assert (totals > 0).all()       # both counts exercised
+
+
+def test_inverse_f2_once_per_distinct_stack_per_run(monkeypatch):
+    """recover_batch's memo lives in the run's context: within one run
+    each distinct stack is inverted once, and a second run inverts again."""
+    seen = []
+    inverse_f2 = link.inverse_f2
+
+    def spy(matrix):
+        seen.append(matrix.rows)
+        return inverse_f2(matrix)
+
+    monkeypatch.setattr(link, "inverse_f2", spy)
+    cfg = ExperimentConfig(scheme="bmas", ebn0_db=(6.0, 12.0), frames_per_point=60, frame_len=24, rank_trials=10**4)
+    list(run_experiment(cfg))
+    first = list(seen)
+    assert len(first) == len(set(first)) > 1
+    list(run_experiment(cfg))
+    assert seen == first + first
