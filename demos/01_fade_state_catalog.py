@@ -16,7 +16,6 @@ from pnclab import (
     rank_principal_sfs,
     remove_image_sfs,
     save_catalog,
-    superimpose,
 )
 from pnclab.mapping import coincident_partition
 
@@ -32,11 +31,12 @@ values = sorted(
 print("values:", ", ".join(f"{z.real + 0:g}{z.imag + 0:+g}j" for z in values))
 
 # the clash geometry of v = j: four messages collapse onto the origin and
-# four symbol pairs merge on the axes (unnormalized lattice coordinates)
-sc = superimpose(qam4, (1.0, 1j))
-for block in coincident_partition(sc):
+# four symbol pairs merge on the axes (unnormalized lattice coordinates:
+# joint message tau = (s1, s2) lands at s1 + j*s2)
+lat = qam4.lattice_points
+for block in coincident_partition(qam4, (1, 1j)):
     if len(block) > 1:
-        z = sc.lattice_points[block[0]]
+        z = lat[block[0] >> 2] + 1j * lat[block[0] & 3]
         print(f"  {len(block)} joint messages superimpose at ({z.real:+.0f},{z.imag:+.0f})")
 
 # image states would share a whole clash partition; for square QAM none do

@@ -11,9 +11,6 @@ import contextlib
 import itertools
 from typing import Iterable, Iterator
 
-from .mapping import COINCIDENCE_EPS
-
-EPS = f"{COINCIDENCE_EPS:g}"    # the eps= header value of catalogs and stores
 # the command that writes each kind of file, named when a file of another version is refused
 _WRITERS = {"pnclab-sfs-catalog": "pnclab sfs list --out …", "pnclab-store": "pnclab offline --out …",
             "pnclab-table": "pnclab table --store …"}
@@ -66,12 +63,6 @@ def opt_int(value: str | None) -> int | None:
 def check_count(path: str, what: str, expected: int, found: int) -> None:
     if found != expected:
         raise ValueError(f"{path}: expected {expected} {what}, found {found}")
-
-
-def check_eps(path: str, value: str | None) -> None:
-    """Refuse a catalog or store written for another coincidence tolerance."""
-    if value != EPS:
-        raise ValueError(f"{path}: eps={value}, but pnclab finds coincidences at eps={EPS}")
 
 
 def strip_index(path: str, line: str, sep: str, position: int) -> str:

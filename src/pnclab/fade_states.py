@@ -13,14 +13,19 @@ count covers ratio values only, so infinity is listed but not counted.
 """
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from ._artifact import EPS, check_count, check_eps, opt_int, read_artifact, strip_index, write_artifact
-from .mapping import COINCIDENCE_EPS, coincident_partition, superimpose
+from ._artifact import check_count, opt_int, read_artifact, strip_index, write_artifact
+# superimpose stays bound here for the layer tracer (perfbench/tracer.py),
+# which wraps it as an attribute of this module.
+from .mapping import coincident_partition, superimpose  # noqa: F401
 from .modulation import Constellation, make_constellation
 
 
@@ -36,23 +41,27 @@ class FadeState:
     infinite: bool = False
 
     def to_text(self) -> str:
+        """``re,im`` as ``repr`` writes each part, which reads back to the same float."""
         if self.infinite:
             return "inf"
-        return f"{self.value.real + 0.0:.12g},{self.value.imag + 0.0:.12g}"
+        return ",".join(repr(float(x) + 0.0) for x in (self.value.real, self.value.imag))
 
     @classmethod
     def from_text(cls, text: str) -> "FadeState":
         if text.strip() == "inf":
             return cls(value=0j, infinite=True)
         re, _, im = text.partition(",")
-        return cls(value=complex(float(re), float(im)))
+        value = complex(float(re), float(im))
+        if not cmath.isfinite(value):
+            raise ValueError(f"fade state {text.strip()!r} has a part that is not finite")
+        return cls(value=value)
 
 
 @dataclass(frozen=True)
 class SfsEntry:
     state: FadeState
     partition: tuple[tuple[int, ...], ...]
-    weight: float = 0.0
+    weight: int = 0             # nearest-state hits in the ranking trials
 
 
 @dataclass(frozen=True)
@@ -102,38 +111,30 @@ class SfsCatalog:
         return self._infinite_index
 
 
-def _round_key(z: complex, decimals: int) -> tuple[float, float]:
-    return (round(z.real, decimals), round(z.imag, decimals))
-
-
 def enumerate_sfs(c: Constellation) -> SfsCatalog:
     """Enumerate all distinct singular ratios and their clash partitions.
 
-    Ratios come from symbol differences on the integer lattice, where any
-    two distinct values are separated by far more than the dedup tolerance.
+    Every finite state is ``num / den`` for lattice differences ``num`` (or
+    0) and ``den != 0``, both Gaussian integers.  States are told apart by
+    the exact rational ``num * conj(den) / |den|^2``, each keeping the float
+    of the first pair that gives it, and ordered by exact modulus, then by
+    angle.  Each state's partition is ``coincident_partition`` of the
+    Gaussian-integer channel ``(den, num)``, which superimposes like
+    ``(1, num / den)`` but exactly.
     """
-    decimals = max(0, int(round(-math.log10(COINCIDENCE_EPS))))
     lat = c.lattice_points
-    diffs = sorted(
-        {
-            _round_key(a - b, decimals)
-            for a in lat
-            for b in lat
-            if a != b
-        }
-    )
-    seen: dict[tuple[float, float], complex] = {}
-    for dr, di in [(0.0, 0.0)] + diffs:
-        num = complex(dr, di)
-        for er, ei in diffs:
-            v = num / complex(er, ei)
-            seen.setdefault(_round_key(v, decimals), v)
-    values = sorted(
-        seen.values(),
-        key=lambda z: (round(abs(z), decimals), round(math.atan2(z.imag, z.real), decimals)),
-    )
-    channels = np.array([(1.0, v) for v in values] + [(0.0, 1.0)], dtype=complex)
-    parts = coincident_partition(superimpose(c, channels))
+    diffs = sorted({(int(d.real), int(d.imag)) for d in (lat[:, None] - lat[None, :]).ravel() if d})
+    seen: dict[tuple[int, int, int], tuple[complex, complex]] = {}
+    for nr, ni in [(0, 0)] + diffs:
+        for dr, di in diffs:
+            # num * conj(den) and |den|^2, reduced; |den|^2 summed exactly, not as abs(den)**2
+            re, im, sq = nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
+            g = math.gcd(re, im, sq)
+            seen.setdefault((re // g, im // g, sq // g), (complex(nr, ni), complex(dr, di)))
+    keys = sorted(seen, key=lambda k: (Fraction(k[0] ** 2 + k[1] ** 2, k[2] ** 2), math.atan2(k[1], k[0])))
+    values = [seen[k][0] / seen[k][1] for k in keys]
+    channels = [(seen[k][1], seen[k][0]) for k in keys] + [(0, 1)]
+    parts = coincident_partition(c, np.array(channels, dtype=complex))
     states = [FadeState(value=v) for v in values] + [FadeState(value=0j, infinite=True)]
     entries = [SfsEntry(state=s, partition=part) for s, part in zip(states, parts)]
     for e in entries:
@@ -261,7 +262,7 @@ def rank_principal_sfs(cat: SfsCatalog, n_trials: int = 10**6, rng_seed: int = 0
         counts += np.bincount(idx, minlength=len(cat.entries))
         remaining -= n
     order = sorted(range(len(cat.entries)), key=lambda i: (-counts[i], i))
-    entries = tuple(replace(cat.entries[i], weight=float(counts[i])) for i in order)
+    entries = tuple(replace(cat.entries[i], weight=int(counts[i])) for i in order)
     return replace(cat, entries=entries, rank_seed=rng_seed, rank_trials=n_trials)
 
 
@@ -312,7 +313,6 @@ def save_catalog(cat: SfsCatalog, path: str) -> None:
     header = {
         "modulation": cat.modulation,
         "bits_per_symbol": cat.bits_per_symbol,
-        "eps": EPS,
         "labeling": cat.labeling_version,
         "raw_states": cat.n_raw_states,
         "rank_seed": cat.rank_seed,
@@ -320,10 +320,10 @@ def save_catalog(cat: SfsCatalog, path: str) -> None:
         "entries": len(cat.entries),
     }
     body = (
-        f"{i}; {e.state.to_text()}; {e.weight:g}; {_format_partition(e.partition)}"
+        f"{i}; {e.state.to_text()}; {e.weight:d}; {_format_partition(e.partition)}"
         for i, e in enumerate(cat.entries)
     )
-    write_artifact(path, "pnclab-sfs-catalog v1", header, body)
+    write_artifact(path, "pnclab-sfs-catalog v2", header, body)
 
 
 def _parse_sfs_entry(record: str) -> SfsEntry:
@@ -331,15 +331,23 @@ def _parse_sfs_entry(record: str) -> SfsEntry:
     return SfsEntry(
         state=FadeState.from_text(state_txt),
         partition=_parse_partition(part_txt),
-        weight=float(weight_txt),
+        weight=int(weight_txt),
     )
 
 
 def load_catalog(path: str) -> SfsCatalog:
-    with read_artifact(path, "pnclab-sfs-catalog v1") as (header, body):
+    """Read a catalog file.  Each entry's partition must cover the joint
+    indices ``0 ... 4^m - 1`` exactly once, in ascending blocks listed by
+    their first index, as ``enumerate_sfs`` writes it."""
+    with read_artifact(path, "pnclab-sfs-catalog v2") as (header, body):
         entries = tuple(_parse_sfs_entry(strip_index(path, ln, ";", i)) for i, ln in enumerate(body))
     check_count(path, "entries", int(header["entries"]), len(entries))
-    check_eps(path, header["eps"])
+    joint = list(range(1 << 2 * int(header["bits_per_symbol"])))
+    for i, e in enumerate(entries):
+        part = e.partition
+        if (sorted(itertools.chain(*part)) != joint or list(part) != sorted(part)
+                or any(b != tuple(sorted(b)) for b in part if len(b) > 1)):
+            raise ValueError(f"{path}: entry {i}'s partition is not ascending disjoint blocks of 0 ... {len(joint) - 1}")
     return SfsCatalog(
         modulation=header["modulation"],
         bits_per_symbol=int(header["bits_per_symbol"]),

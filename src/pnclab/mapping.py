@@ -11,9 +11,11 @@ different clusters.  Everything here is indexed two ways:
   the matrix algebra.  Cluster structure is XOR-translation invariant in
   ``w``, which reduces distance scans from pairs to difference classes.
 
-Coincidence tests run on the unnormalized lattice coordinates, where every
-position is rational with a small denominator and a 1e-9 rounding key is an
-exact comparison.
+Coincidence is exact: ``coincident_partition`` superimposes the integer
+lattice coordinates with Gaussian-integer coefficients, so every position is
+a small Gaussian integer and points coincide exactly when they compare
+equal.  Distances are then scored against that partition, never against a
+tolerance.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 from .gf2 import BitMatrix, rref_rows
 from .modulation import Constellation
 
-COINCIDENCE_EPS = 1e-9
+Partition = tuple[tuple[int, ...], ...]     # blocks of joint indices, ascending, listed by first index
 
 
 @lru_cache(maxsize=8)
@@ -63,13 +65,11 @@ def _ncv_bits(rows, m: int) -> np.ndarray:
 @dataclass(eq=False)
 class SuperimposedConstellation:
     """All joint-message superposition points seen by one AP, or by a stack
-    of APs: ``points`` and ``lattice_points`` then carry the stack's leading
-    axes."""
+    of APs: ``points`` then carries the stack's leading axes."""
 
     constellation: Constellation
     points: np.ndarray          # normalized, indexed by joint index tau on the last axis
-    lattice_points: np.ndarray  # same channel applied to lattice coordinates
-    _profiles: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _profile: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def mu(self) -> int:
@@ -85,35 +85,37 @@ def superimpose(c: Constellation, h) -> SuperimposedConstellation:
     """
     hh = np.asarray(h, dtype=complex)
     h1, h2 = hh[..., 0, None, None], hh[..., 1, None, None]
-    shape = hh.shape[:-1] + (-1,)
-    pts = (h1 * c.points[:, None] + h2 * c.points[None, :]).reshape(shape)
-    lat = (h1 * c.lattice_points[:, None] + h2 * c.lattice_points[None, :]).reshape(shape)
-    return SuperimposedConstellation(constellation=c, points=pts, lattice_points=lat)
+    pts = (h1 * c.points[:, None] + h2 * c.points[None, :]).reshape(hh.shape[:-1] + (-1,))
+    return SuperimposedConstellation(constellation=c, points=pts)
 
 
-def coincident_partition(sc: SuperimposedConstellation):
-    """Partition of joint indices by equal superposition value (lattice test).
+def coincident_partition(c: Constellation, h):
+    """Partition of joint indices by equal lattice superposition ``h1*a + h2*b``.
 
-    Two points coincide when both lattice coordinates agree after numpy's
-    ``round(., decimals)``, with ``decimals = -log10(COINCIDENCE_EPS)``: that is
-    ``rint(x * 10^decimals) / 10^decimals``, the same key a numpy scalar
-    gives under Python's ``round`` (not the correctly rounded decimal a
-    Python float gives).  Blocks are ascending and listed by their first
-    index.  A stacked ``sc`` (one leading axis) gives a tuple with one
-    partition per channel, each the one its channel alone gives.
+    ``h`` is a Gaussian-integer coefficient pair, such as ``(den, num)`` for
+    the fade state ``num / den`` or ``(0, 1)`` for infinity, or an array of
+    pairs with shape (n, 2).  The lattice coordinates ``a``, ``b`` of
+    ``c.lattice_points`` are small odd integers, so every superposition is a
+    small Gaussian integer, exact in float64, and two points coincide exactly
+    when they compare equal.  A pair that is not integer-valued is refused.
+    Blocks are ascending and listed by their first index.  An array of pairs
+    gives a tuple with one partition per pair.
     """
-    decimals = max(0, int(round(-np.log10(COINCIDENCE_EPS))))
-    lat = sc.lattice_points.reshape(-1, sc.lattice_points.shape[-1])
-    re, im = np.round(lat.real, decimals), np.round(lat.imag, decimals)
+    hh = np.asarray(h, dtype=complex)
+    if not (np.isfinite(hh) & (hh == np.round(hh))).all():
+        raise ValueError("coincident_partition needs Gaussian-integer channel coefficients")
+    pairs = hh.reshape(-1, 2)
+    h1, h2 = pairs[:, 0, None, None], pairs[:, 1, None, None]
+    lat = (h1 * c.lattice_points[:, None] + h2 * c.lattice_points[None, :]).reshape(len(pairs), -1)
     # a stable sort by key keeps each block's indices ascending, first index first
-    order = np.lexsort((im, re), axis=-1)
-    re, im = np.take_along_axis(re, order, -1), np.take_along_axis(im, order, -1)
-    new = (re[:, 1:] != re[:, :-1]) | (im[:, 1:] != im[:, :-1])
+    order = np.lexsort((lat.imag, lat.real), axis=-1)
+    lat = np.take_along_axis(lat, order, -1)
+    new = lat[:, 1:] != lat[:, :-1]
     parts = []
     for o, cut in zip(order.tolist(), new.tolist()):
         starts = [0] + [k + 1 for k, c in enumerate(cut) if c]
         parts.append(tuple(sorted(tuple(o[a:b]) for a, b in zip(starts, starts[1:] + [len(o)]))))
-    return parts[0] if sc.lattice_points.ndim == 1 else tuple(parts)
+    return parts[0] if hh.ndim == 1 else tuple(parts)
 
 
 @lru_cache(maxsize=8)
@@ -140,42 +142,44 @@ def _half_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 _PAIR_BLOCK = 1 << 13
 
 
-def difference_profiles(sc: SuperimposedConstellation) -> tuple[np.ndarray, np.ndarray]:
+def difference_profiles(sc: SuperimposedConstellation, clash: Partition | None = None) -> np.ndarray:
     """Per-difference minimum squared distances.
 
-    Entry ``d`` covers all point pairs whose message vectors differ by ``d``:
-    the first profile is the plain minimum, the second excludes coincident
-    pairs (+inf when every pair at that difference coincides).  Index 0 is
-    +inf by convention.  A stacked ``sc`` gives profiles with its leading
-    axes, each the one its channel alone gives.
+    Entry ``d`` is the minimum over all point pairs whose message vectors
+    differ by ``d``; with ``clash``, a partition of the joint indices, pairs
+    within one of its blocks are left out (+inf when every pair at that
+    difference is).  Index 0 is +inf by convention.  A stacked ``sc`` gives
+    a profile with its leading axes, each the one its channel alone gives.
+    The plain profile is kept on ``sc``, so later calls read it.
 
     Each unordered pair is evaluated once: ``x - y`` and ``y - x`` are exact
     negations in IEEE arithmetic, so both orders give the same distance bit
-    for bit.  The coincidence pass on the lattice is skipped for a channel
-    whose plain distances all exceed ``4 * eps**2`` (``COINCIDENCE_EPS``):
-    normalized points are the lattice ones divided by a scale of at least
-    sqrt(2), so a pair within ``eps`` on the lattice lies within ``eps /
-    sqrt(2)`` (rounded, well within ``2 * eps``) in normalized coordinates,
-    and no pair can be coincident.  The second profile then equals the first.
+    for bit.
     """
-    if sc._profiles is not None:
-        return sc._profiles
+    if clash is None and sc._profile is not None:
+        return sc._profile
     a, b = _half_pairs(sc.constellation.bits_per_symbol)
     size = sc.points.shape[-1]
     pts = sc.points.reshape(-1, size)
-    plain = np.full((len(pts), len(a) + 1), np.inf)
+    if clash is not None:       # each joint index's block; a pair within one block has equal ids
+        block = [0] * size
+        for k, members in enumerate(clash):
+            for t in members:
+                block[t] = k
+        block = np.array(block)
+        same = block[a] == block[b]
+    profile = np.full((len(pts), len(a) + 1), np.inf)
     rows = max(1, _PAIR_BLOCK // a.size)
     for r0 in range(0, len(pts), rows):
         q = pts[r0 : r0 + rows] if rows > 1 else pts[r0]
-        plain[r0 : r0 + rows, 1:] = (np.abs(q[..., a] - q[..., b]) ** 2).min(axis=-1)
-    separated = plain.copy()
-    lat = sc.lattice_points.reshape(-1, size)
-    for r in np.flatnonzero(plain[:, 1:].min(axis=1) <= 4 * COINCIDENCE_EPS**2):
-        coincident = np.abs(lat[r][a] - lat[r][b]) <= COINCIDENCE_EPS
-        separated[r, 1:] = np.where(coincident, np.inf, np.abs(pts[r][a] - pts[r][b]) ** 2).min(axis=1)
-    shape = sc.points.shape[:-1] + (len(a) + 1,)
-    sc._profiles = (plain.reshape(shape), separated.reshape(shape))
-    return sc._profiles
+        dist = np.abs(q[..., a] - q[..., b]) ** 2
+        if clash is not None:
+            np.copyto(dist, np.inf, where=same)
+        profile[r0 : r0 + rows, 1:] = dist.min(axis=-1)
+    profile = profile.reshape(sc.points.shape[:-1] + (len(a) + 1,))
+    if clash is None:
+        sc._profile = profile
+    return profile
 
 
 def ncv_table(matrix: BitMatrix, m: int) -> np.ndarray:
@@ -189,13 +193,14 @@ class MappingQuality:
     clash_consistent: bool
 
 
-def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, separated_only: bool = False) -> float | np.ndarray:
+def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, clash: Partition | None = None) -> float | np.ndarray:
     """Minimum squared distance between different-NCV points.
 
     Exploits XOR-translation invariance: two messages get different NCVs iff
     the matrix does not annihilate their difference, so the scan runs over
-    the 2^mu - 1 difference classes instead of all pairs.  With
-    ``separated_only`` coincident pairs are ignored.
+    the 2^mu - 1 difference classes instead of all pairs.  With ``clash``,
+    pairs within one of its blocks are ignored: given a fade state's clash
+    partition, this is the distance among the points the state keeps apart.
 
     ``matrix_rows`` is one matrix's rows (the result is a float) or an
     integer array of row sets with shape ``(..., t)`` (the result is an
@@ -203,8 +208,7 @@ def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, separated_only: bo
     A stacked ``sc`` scores row sets against its channels: its leading
     shape broadcasts against the row sets' one.
     """
-    plain, separated = difference_profiles(sc)
-    profile = separated if separated_only else plain
+    profile = difference_profiles(sc, clash)
     parities = _parity_table(sc.mu).take(matrix_rows, axis=0)
     if parities.ndim == 2:
         return float(np.where(parities.any(axis=0), profile, np.inf).min())
@@ -214,26 +218,23 @@ def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, separated_only: bo
 def evaluate_mapping(
     matrix: BitMatrix,
     sc: SuperimposedConstellation,
-    clash: tuple[tuple[int, ...], ...] | None = None,
+    clash: Partition,
 ) -> MappingQuality:
-    """Score a candidate matrix against a channel.
+    """Score a candidate matrix against a channel and the coincidence
+    partition ``clash`` it must respect.
 
-    ``clash`` is the coincidence partition to respect; when omitted it is
-    derived from the superimposed constellation itself.  A coincident pair
-    split across NCVs forces d_min to 0, so consistency never needs a
-    separate distance pass.
+    A coincident pair split across NCVs forces d_min to 0, so consistency
+    never needs a separate distance pass.
     """
     if matrix.n_cols != sc.mu:
         raise ValueError(f"matrix has {matrix.n_cols} columns, channel needs {sc.mu}")
-    if clash is None:
-        clash = coincident_partition(sc)
     table = ncv_table(matrix, sc.constellation.bits_per_symbol)
     consistent = all(len({int(table[t]) for t in block}) == 1 for block in clash)
     d_min = mapping_d_min(matrix.rows, sc)
     return MappingQuality(d_min=d_min, clash_consistent=consistent)
 
 
-def clash_difference_basis(clash: tuple[tuple[int, ...], ...], m: int) -> tuple[int, ...]:
+def clash_difference_basis(clash: Partition, m: int) -> tuple[int, ...]:
     """Basis of the span of within-block message differences."""
     w_of_tau, _ = joint_vector_table(m)
     diffs = [int(w_of_tau[block[0]] ^ w_of_tau[t]) for block in clash for t in block[1:]]

@@ -2,9 +2,9 @@
 
 Labels are bit tuples ``(b1, ..., bm)`` read MSB-first into the point index,
 so index 0 always carries the all-zero label.  Every constellation also keeps
-its unnormalized integer-lattice coordinates: fade-state and coincidence
-computations run on the lattice, where distinct positions are rational with
-small denominators and tolerance tests cannot misfire.
+its unnormalized integer-lattice coordinates, small odd integers: fade states
+are ratios of their differences, and coincidence is decided on them by exact
+equality of Gaussian integers, with no tolerance.
 """
 from __future__ import annotations
 

@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._artifact import EPS, check_count, check_eps, opt_int, read_artifact, records, strip_index, write_artifact
+from ._artifact import check_count, opt_int, read_artifact, records, strip_index, write_artifact
 # The layer tracer (perfbench/tracer.py) wraps these names as attributes of
 # this module: rank_rows, nearest_sfs, difference_profiles, mapping_d_min,
 # superimpose and make_constellation.  Keep each bound here, difference_profiles
@@ -61,7 +61,7 @@ class CandidateEntry:
     matrix: BitMatrix           # canonical RREF representative
     d_min: float                # minimum inter-cluster distance at the state
     clash_consistent: bool
-    separated_d_min: float      # same, ignoring coincident pairs
+    separated_d_min: float      # same, ignoring pairs within a block of the state's clash partition
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def mine_candidates(
         resolvable = len(admissible) >= t
         rows = np.vstack((_candidate_rows(admissible, t, mu), extractors))
         d = mapping_d_min(rows, sc)
-        sep = mapping_d_min(rows, sc, separated_only=True)
+        sep = mapping_d_min(rows, sc, clash=entry.partition)
         ext = tuple(
             CandidateEntry(BitMatrix.from_row_ints(tuple(r), mu), float(dr), bool(dr > 0), float(sr))
             for r, dr, sr in zip(extractors.tolist(), d[-2:], sep[-2:])
@@ -617,7 +617,7 @@ def table_lookup(
 # ---------------------------------------------------------------------------
 
 def _format_entry(e: CandidateEntry) -> str:
-    return f"{e.matrix.to_text()}|{e.d_min:.12g}|{int(e.clash_consistent)}|{e.separated_d_min:.12g}"
+    return f"{e.matrix.to_text()}|{float(e.d_min)!r}|{int(e.clash_consistent)}|{float(e.separated_d_min)!r}"
 
 
 def _parse_entry(text: str) -> CandidateEntry:
@@ -637,7 +637,6 @@ def save_store(store: CandidateStore, path: str) -> None:
         "t": store.t,
         "mu": store.mu,
         "K": store.k_per_state,
-        "eps": EPS,
         "rank_seed": store.rank_seed,
         "rank_trials": store.rank_trials,
         "certified_n": store.certified_n,
@@ -648,20 +647,19 @@ def save_store(store: CandidateStore, path: str) -> None:
         f"{i} @ {state.to_text()} @ " + " ".join(_format_entry(e) for e in entries)
         for i, (state, entries) in enumerate(zip(store.states, store.lists))
     )
-    write_artifact(path, "pnclab-store v1", header, body)
+    write_artifact(path, "pnclab-store v2", header, body)
 
 
 def load_store(path: str) -> CandidateStore:
-    """Read a store file; a ``d_alpha=`` header line of older files is ignored."""
+    """Read a store file; a header line it does not read (an old ``d_alpha=``) is ignored."""
     states = []
     lists = []
-    with read_artifact(path, "pnclab-store v1") as (header, body):
+    with read_artifact(path, "pnclab-store v2") as (header, body):
         for ln in body:
             state_txt, entries_txt = (s.strip() for s in strip_index(path, ln, " @ ", len(states)).split(" @ ", 1))
             states.append(FadeState.from_text(state_txt))
             lists.append(tuple(_parse_entry(e) for e in entries_txt.split()))
     check_count(path, "states", int(header["states"]), len(states))
-    check_eps(path, header["eps"])
     store = CandidateStore(
         modulation=header["modulation"],
         labeling_version=header["labeling"],
@@ -694,7 +692,7 @@ def save_table(table: SelectionTable, path: str) -> None:
         "values": len(table.values),
     }
     rows = table.choice.reshape(len(table.states) ** (table.n_aps - 1), len(table.states))
-    write_artifact(path, "pnclab-table v2", header, itertools.chain(
+    write_artifact(path, "pnclab-table v3", header, itertools.chain(
         (f"state {i} @ {state.to_text()}" for i, state in enumerate(table.states)),
         (f"value {k} @ " + ("fallback" if v is None else " ".join(format(e, "x") for e in v))
          for k, v in enumerate(table.values)),
@@ -708,7 +706,7 @@ def load_table(path: str) -> SelectionTable:
     must list ``n`` encodings below 2^(t*mu) whose rows stack to rank mu.
     Rows are parsed one at a time, so a header that claims more than the
     file holds is refused when the file runs out, with nothing allocated."""
-    with read_artifact(path, "pnclab-table v2") as (header, body):
+    with read_artifact(path, "pnclab-table v3") as (header, body):
         t, mu, n, n_states, n_values = (int(header[k]) for k in ("t", "mu", "n", "states", "values"))
         if n < 1:
             raise ValueError(f"{path}: a table needs n >= 1 APs, not {n}")

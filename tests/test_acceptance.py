@@ -91,11 +91,11 @@ def test_criterion_02_clash_geometry(qam4):
     entry = next(
         e for e in cat.entries if not e.state.infinite and abs(e.state.value - 1j) < 1e-9
     )
-    sc = superimpose(qam4, (1.0, 1j))
+    lat = qam4.lattice_points      # joint message tau = (s1, s2) lands at s1 + j*s2 on the lattice
     located = {}
     for block in entry.partition:
         if len(block) > 1:
-            z = sc.lattice_points[block[0]]
+            z = lat[block[0] >> 2] + 1j * lat[block[0] & 3]
             located[(round(z.real, 9), round(z.imag, 9))] = len(block)
     want = {(0.0, 0.0): 4, (0.0, 2.0): 2, (0.0, -2.0): 2, (2.0, 0.0): 2, (-2.0, 0.0): 2}
     ok = located == want

@@ -18,8 +18,11 @@ mapping, for the table as built and as loaded from its file, recorded
 while tables were still saved one keyed line per tuple.  The table file
 digests were re-recorded, and only they, when the file became the
 ``pnclab-table v2`` layout of indexed value-id rows; the content digests
-held.  A change that alters any of them changes published numbers or
-files and has to say so.
+held.  The catalog, store and table file digests were re-recorded, and
+only they, when floats were first written losslessly (``pnclab-sfs-catalog
+v2``, ``pnclab-store v2``, ``pnclab-table v3``, no ``eps=`` line); every
+CSV and table content digest held.  A change that alters any of them
+changes published numbers or files and has to say so.
 """
 import hashlib
 
@@ -95,9 +98,11 @@ def test_csv_digest(name):
 def test_csv_digest_loaded_artifacts(tmp_path, monkeypatch):
     """Byte identity of a qam16 ``rbmas`` sweep that reads its catalog,
     store and table from files.  The table saved is the one built in
-    memory, as the bench's off-line build writes it: a table rebuilt from
-    the loaded store differs in entries whose scores tie up to rounding.
-    The paths are fixed and relative because ``config_hash`` covers them."""
+    memory, as the bench's off-line build writes it; since floats are
+    written losslessly, the table rebuilt from the loaded store is the same
+    table (``test_rebuild_from_loaded_files_equals_build`` in
+    test_search.py).  The paths are fixed and relative because
+    ``config_hash`` covers them."""
     monkeypatch.chdir(tmp_path)
     cat = build_catalog("qam16", n_trials=10**4, rng_seed=0, n_principal=24)
     store = build_store(cat, t=4, k_per_state=5, n_aps=2)
@@ -131,14 +136,14 @@ def check_table(table, path, table_sha, content_sha):
 ARTIFACT_CASES = {
     "qam16-psfs24": (
         ("qam16", dict(n_trials=10**4, rng_seed=0, n_principal=24), 4),
-        "dec6d6c90e58cb46cf9fcc10967df3979788d2ec06333d2730e8d6b2cfe136bc",
-        "aa00c47a129f836cea3f819e7fd9e24f5f0313777f27c9bce86c119719b6427f",
+        "b5b26ac532bcc98a6df6ad1aaaed43a2b17712cf5bccd0bda4ee02d6c3860a64",
+        "4eb546adeee7ec014d801091bb438d71dc6e14c87ab95f501605f2f403252bfd",
         "c881d64e6e810f6689be29a191e41359c4db602e8432328a4aa9aebc65cf8072",
     ),
     "qam4-full": (
         ("qam4", dict(n_trials=10**4, rng_seed=0), 2),
-        "ddfd92a5e982d6dacc84ca1196c4e9df1bae49b0e8145bfd7091f6128a16cdea",
-        "fa3d63f472172dd590b5a781e53f7d134129dcc693c787b61452f2fdccb3f5b8",
+        "4f7447ed061a0b78a0c654815cd6467f46ffd8e8d1354e6ecfa2d7a94d556e11",
+        "6b5112851531b364cf1d9a69bb10950ee8728e7892a4fe60506bfe4f115fea64",
         "0e596d53637a020347cafe940a2a69da432bb5d25951f72cc03066f00f4814c2",
     ),
 }
@@ -161,20 +166,20 @@ def test_artifact_digest(name, tmp_path):
 BRANCH_CASES = {
     "n1-t4": (
         dict(t=4, k_per_state=5, n_aps=1),
-        "450cbac35b6f39f2015bcbe810f15ff7a42cf196bdd2bd18865697f405707a58",
-        "7d17d5795a9d273d60b6e8e55955969d7b1c7d556ca723e20d8c65db1cdbbff4",
+        "a45d803f36e319bdd92c3e51c5cdfbf06e00d76cb730625173bdff048cf478c4",
+        "800b4e4ac35ed2351d187ba6152e7e1e8bf3dc7b016cdc0ddc31f309e00b8300",
         "1daaa98b9c1bd6b8e269fb33b8fdce4f463de3ef75a921c1de1f97dd345cbd6d",
     ),
     "n3-t2": (
         dict(t=2, k_per_state=5, n_aps=3),
-        "d4ce966761839e3402520b069da9f38ff270c116d9ce02163276294ed49f89b8",
-        "7ebb71164a879183e0c65a5d064afdc7f8e7f3bf9a2735f04d45e6da4e9c2e6a",
+        "34dfbd2346c31465c4732c1b68de7f6229df6b7b277e975b08db3ae45e8eb9f9",
+        "bfaff15b6a7574ef15c44df7c71054e5c6dd23c658306bcd0ecdc16b7acb3b80",
         "7f2a296f42b83e5ee699bfbe058afb96c2549bed958b6743bc53c9d36dde325f",
     ),
     "k1-infeasible": (
         dict(t=2, k_per_state=1, n_aps=2),
-        "8f5f9d00ce30035414415f9e11305d140c7154df362e959fd062fc7cf747013a",
-        "db7ef4a233b27a87bee848bf44f8629d511f580d17b7e595c983dad19d5b2bc6",
+        "a1f1722bc881a6e69722c5df9091105436321781c242a7b6e0b228d34f2f97dd",
+        "96edca5e40b012bebd8c3402e08f85da26f85efd7965bc2b88327eac177f7275",
         "b1e657ce127995428f771c71f0b66bb19fb3b3f99d4534ba5b7ffd17acbc9bdc",
     ),
 }
@@ -210,11 +215,11 @@ def test_paper_scale_qam16_artifacts(tmp_path):
     save_store(store, tmp_path / "store")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("catalog", "store")}
     assert digests == {
-        "catalog": "ea8b49b6a9ce815430e729968c2c8964fe1fc0e59ac3b8694ed8a7d71b16cdc9",
-        "store": "43ee04f231249f402fdbaf64842bacfc30512f5e5da919427329d126ec42d09e",
+        "catalog": "af55445dd9db13393522763f78bd0dacaa8d890d1ee8c412485b89301c9644a2",
+        "store": "e1c02dce87f80cfb01e0c7b8b8a6ade994e74fc3cb470bcc2709d99caae98e6a",
     }
     check_table(
         table, tmp_path / "table",
-        "de4e0a5776e3eb6df266335d5db0171bc684e6cd6b0fe24f4d9458960c6c172e",
+        "7b786b472400135a4af23a5a7bcc32a59a0589780e8ed1e22fe7e35cf7703a03",
         "3644b04053a07cc2130cbf0cbba52ee8acea5b4cabdde44e4f907e9a08bbc382",
     )

@@ -272,8 +272,7 @@ def test_catalog_io_roundtrip(tmp_path, cat4):
         assert a.partition == b.partition
         assert a.weight == b.weight
         assert a.state.infinite == b.state.infinite
-        if not a.state.infinite:
-            assert a.state.value == pytest.approx(b.state.value, abs=1e-11)
+        assert a.state.value == b.state.value     # written as text that reads back to the same float
 
 
 def test_catalog_rejects_other_files(tmp_path):
@@ -307,7 +306,7 @@ def partitions(draw, size=16):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.builds(SfsEntry, FADE_STATES, partitions(), st.floats(0.0, 1e7)), min_size=1, max_size=12),
+    st.lists(st.builds(SfsEntry, FADE_STATES, partitions(), st.integers(0, 10**7)), min_size=1, max_size=12),
     st.one_of(st.none(), st.integers(0, 2**31)),
     st.one_of(st.none(), st.integers(1, 10**7)),
 )
@@ -319,7 +318,48 @@ def test_catalog_save_load_save_bytes(cat4, entries, rank_seed, rank_trials):
         loaded = load_catalog(first)
         save_catalog(loaded, second)
         assert open(first, "rb").read() == open(second, "rb").read()
-    assert [e.partition for e in loaded.entries] == [e.partition for e in cat.entries]
+    assert loaded.entries == cat.entries
+
+
+@pytest.mark.parametrize("text", ["nan,0", "0,nan", "inf,0", "1,-inf"])
+def test_non_finite_state_refused(tmp_path, cat4, text):
+    """A NaN part used to load, and the catalog then took the first NaN
+    for its infinity entry."""
+    with pytest.raises(ValueError, match="not finite"):
+        FadeState.from_text(text)
+    path = tmp_path / "cat.txt"
+    save_catalog(cat4, str(path))
+    state = cat4.entries[0].state.to_text()
+    path.write_text(path.read_text().replace(f"0; {state}; ", f"0; {text}; ", 1))
+    with pytest.raises(ValueError, match="not finite"):
+        load_catalog(str(path))
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [
+        "0,1|2,3|4,5|6,7|8,9|10,11|12,13|14",         # 15 missing
+        "0,1|1,2,3|4,5|6,7|8,9|10,11|12,13|14,15",    # 1 twice
+        "0,1,16|2,3|4,5|6,7|8,9|10,11|12,13|14,15",   # 16 out of range
+        "1,0|2,3|4,5|6,7|8,9|10,11|12,13|14,15",      # a block not ascending
+        "2,3|0,1|4,5|6,7|8,9|10,11|12,13|14,15",      # blocks not by first index
+    ],
+)
+def test_malformed_partition_refused(tmp_path, cat4, partition):
+    """Each partition must cover 0 ... 15 once, in ascending blocks listed
+    by their first index; interleaved blocks are fine."""
+    path = tmp_path / "cat.txt"
+    save_catalog(cat4, str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("0; "))
+    head = lines[at].rpartition("; ")[0]
+    lines[at] = f"{head}; 0,2|1,3|4,5|6,7|8,9|10,11|12,13|14,15"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_catalog(str(path)).entries[0].partition[:2] == ((0, 2), (1, 3))
+    lines[at] = f"{head}; {partition}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="entry 0's partition"):
+        load_catalog(str(path))
 
 
 def test_catalog_swapped_lines_refused(tmp_path, cat4):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,6 @@ from hypothesis import strategies as st
 from pnclab.fade_states import enumerate_sfs
 from pnclab.gf2 import BitMatrix, rank_rows
 from pnclab.mapping import (
-    COINCIDENCE_EPS,
-    SuperimposedConstellation,
     coincident_partition,
     difference_profiles,
     evaluate_mapping,
@@ -21,6 +21,10 @@ from pnclab.search import state_channel
 
 XOR_MAP = BitMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
 
+# the coincidence tolerance the package used before coincidence became
+# exact; the oracles below keep that code to compare against
+EPS = 1e-9
+
 
 @pytest.fixture(scope="module")
 def qam4():
@@ -32,14 +36,35 @@ def qam16():
     return make_constellation("qam16")
 
 
-def brute_force_d_min(sc, matrix, separated_only=False, eps=COINCIDENCE_EPS):
+def lattice_superposition(c, h):
+    """``h1*a + h2*b`` over the lattice coordinates of every joint message,
+    in float arithmetic, as superimpose used to compute it for any channel."""
+    h1, h2 = np.asarray(h, dtype=complex)
+    return (h1 * c.lattice_points[:, None] + h2 * c.lattice_points[None, :]).ravel()
+
+
+def eps_coincident(c, h, eps=EPS):
+    """Oracle: which joint-message pairs coincide on the lattice within
+    ``eps``, the test the separated profile used to run."""
+    lat = lattice_superposition(c, h)
+    return np.abs(lat[:, None] - lat[None, :]) <= eps
+
+
+def clash_coincident(clash, size):
+    """Which joint-message pairs share a block of ``clash``."""
+    block = {t: k for k, members in enumerate(clash) for t in members}
+    ids = np.array([block[t] for t in range(size)])
+    return ids[:, None] == ids[None, :]
+
+
+def brute_force_d_min(sc, matrix, clash=None):
     """Oracle: scan of every pair of joint messages on different NCVs,
-    skipping pairs that coincide on the lattice when ``separated_only``."""
+    skipping pairs within one block of ``clash`` when it is given."""
     table = ncv_table(matrix, sc.constellation.bits_per_symbol)
     dist = np.abs(sc.points[:, None] - sc.points[None, :]) ** 2
     keep = table[:, None] != table[None, :]
-    if separated_only:
-        keep &= np.abs(sc.lattice_points[:, None] - sc.lattice_points[None, :]) > eps
+    if clash is not None:
+        keep &= ~clash_coincident(clash, len(sc.points))
     return float(dist[keep].min()) if keep.any() else np.inf
 
 
@@ -87,27 +112,71 @@ def test_ncv_table_matches_loop(m, data):
     assert got.dtype == np.int64 and np.array_equal(got, _ncv_table_loop(matrix, m))
 
 
-def all_pairs_profiles(sc, eps=COINCIDENCE_EPS):
-    """Oracle: every ordered pair of message vectors at every difference."""
+def all_pairs_profiles(sc, coincident):
+    """Oracle: every ordered pair of message vectors at every difference;
+    the plain profile, and the one without the pairs that ``coincident``
+    (indexed by joint index) marks."""
     _, tau_of_w = joint_vector_table(sc.constellation.bits_per_symbol)
     pts_w = sc.points[tau_of_w]
-    lat_w = sc.lattice_points[tau_of_w]
     idx = np.arange(len(pts_w))
     partner = idx[:, None] ^ idx[None, :]          # [w, d] -> w xor d
     dist = np.abs(pts_w[:, None] - pts_w[partner]) ** 2
-    coincident = np.abs(lat_w[:, None] - lat_w[partner]) <= eps
     plain = dist.min(axis=0)
-    separated = np.where(coincident, np.inf, dist).min(axis=0)
+    separated = np.where(coincident[tau_of_w[:, None], tau_of_w[partner]], np.inf, dist).min(axis=0)
     plain[0] = np.inf
     separated[0] = np.inf
     return plain, separated
 
 
-def assert_profiles_bit_exact(c, h):
-    got = difference_profiles(superimpose(c, h))
-    want = all_pairs_profiles(superimpose(c, h))
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+def assert_profiles_bit_exact(c, h, clash):
+    """The plain profile, and the one without the pairs within a block of
+    ``clash``, equal the all-pairs formula bit for bit."""
+    sc = superimpose(c, h)
+    plain, separated = all_pairs_profiles(sc, clash_coincident(clash, len(sc.points)))
+    assert np.array_equal(difference_profiles(sc), plain)
+    assert np.array_equal(difference_profiles(sc, clash), separated)
+
+
+def round_partition(c, h, eps=EPS):
+    """Oracle: joint indices grouped by ``round`` of both float lattice
+    coordinates, one point at a time, as coincidence was found before it
+    became exact.  The coordinates are numpy scalars, so ``round`` is
+    numpy's ``rint(x * 10^d) / 10^d``."""
+    decimals = max(0, int(round(-np.log10(eps))))
+    groups = {}
+    for tau, z in enumerate(lattice_superposition(c, h)):
+        key = (round(z.real, decimals), round(z.imag, decimals))
+        groups.setdefault(key, []).append(tau)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def gaussian_channel(state):
+    """The Gaussian-integer channel ``(den, num)`` of a state ``num / den``,
+    read back from its float with small denominators; ``(0, 1)`` at
+    infinity."""
+    if state.infinite:
+        return 0, 1
+    re, im = (Fraction(x).limit_denominator(1000) for x in (state.value.real, state.value.imag))
+    den = re.denominator * im.denominator // np.gcd(re.denominator, im.denominator)
+    return den, complex(re * den, im * den)
+
+
+def eps_enumeration(c, eps=EPS):
+    """Oracle: the state values, in catalog order, of the enumeration that
+    deduplicated and sorted ratios by keys rounded at ``eps``."""
+    decimals = max(0, int(round(-np.log10(eps))))
+
+    def key(z):
+        return (round(z.real, decimals), round(z.imag, decimals))
+
+    lat = c.lattice_points
+    diffs = sorted({key(a - b) for a in lat for b in lat if a != b})
+    seen = {}
+    for dr, di in [(0.0, 0.0)] + diffs:
+        for er, ei in diffs:
+            v = complex(dr, di) / complex(er, ei)
+            seen.setdefault(key(v), v)
+    return sorted(seen.values(), key=lambda z: (round(abs(z), decimals), round(np.arctan2(z.imag, z.real), decimals)))
 
 
 coefficient = st.builds(
@@ -115,10 +184,29 @@ coefficient = st.builds(
     st.floats(-4.0, 4.0, allow_nan=False),
     st.floats(-4.0, 4.0, allow_nan=False),
 )
+gaussian_integer = st.builds(complex, st.integers(-12, 12), st.integers(-12, 12))
 
 # singular qam16 ratios: the two single-terminal states, a unit rotation,
 # and 6 / (2 - 6j), a ratio of symbol differences
 QAM16_SINGULAR = ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1j), (1.0, 0.3 + 0.9j))
+
+
+@pytest.mark.parametrize("modulation", ["qam4", "qam16"])
+def test_exact_geometry_matches_eps_oracle(modulation):
+    """Over the whole catalog, the exact enumeration gives today's floats
+    in today's order, and each state's exact partition and separated
+    profile equal the ones the 1e-9 lattice code gives at its float
+    channel, all compared with ==."""
+    c = make_constellation(modulation)
+    cat = enumerate_sfs(c)
+    finite = [e.state.value for e in cat.entries if not e.state.infinite]
+    assert [(v.real.hex(), v.imag.hex()) for v in finite] == [(v.real.hex(), v.imag.hex()) for v in eps_enumeration(c)]
+    assert cat.entries[-1].state.infinite
+    for entry in cat.entries:
+        h = state_channel(entry.state)
+        assert entry.partition == round_partition(c, h)
+        sc = superimpose(c, h)
+        assert np.array_equal(difference_profiles(sc, entry.partition), all_pairs_profiles(sc, eps_coincident(c, h))[1])
 
 
 class TestProfilesBitExact:
@@ -127,29 +215,29 @@ class TestProfilesBitExact:
     @settings(max_examples=60, deadline=None)
     @given(h1=coefficient, h2=coefficient)
     def test_random_channels_qam4(self, qam4, h1, h2):
-        assert_profiles_bit_exact(qam4, (h1, h2))
+        assert_profiles_bit_exact(qam4, (h1, h2), round_partition(qam4, (h1, h2)))
 
     @settings(max_examples=25, deadline=None)
     @given(h1=coefficient, h2=coefficient)
     def test_random_channels_qam16(self, qam16, h1, h2):
-        assert_profiles_bit_exact(qam16, (h1, h2))
+        assert_profiles_bit_exact(qam16, (h1, h2), round_partition(qam16, (h1, h2)))
 
     def test_every_qam4_catalog_state(self, qam4):
         for entry in enumerate_sfs(qam4).entries:
-            assert_profiles_bit_exact(qam4, state_channel(entry.state))
+            assert_profiles_bit_exact(qam4, state_channel(entry.state), entry.partition)
 
     @pytest.mark.parametrize("offset", [1e-12, 1e-12j, -1e-12 + 1e-12j, 1e-9, 3e-9j])
     def test_near_singular_channels(self, qam4, qam16, offset):
-        # 1e-12 keeps the clashes coincident on the lattice while lifting
-        # their distance off zero; 1e-9 and 3e-9 separate them on the
-        # lattice, with normalized distances either side of 4 * eps**2
+        # a channel just off a state, scored against that state's clashes:
+        # their pairs are left out whatever their distance
         for entry in enumerate_sfs(qam4).entries:
             h1, h2 = state_channel(entry.state)
-            assert_profiles_bit_exact(qam4, (h1, h2 + offset))
-            assert_profiles_bit_exact(qam4, (h1 + offset, h2))
+            assert_profiles_bit_exact(qam4, (h1, h2 + offset), entry.partition)
+            assert_profiles_bit_exact(qam4, (h1 + offset, h2), entry.partition)
         for h1, h2 in QAM16_SINGULAR:
-            assert_profiles_bit_exact(qam16, (h1, h2 + offset))
-            assert_profiles_bit_exact(qam16, (h1 + offset, h2))
+            clash = round_partition(qam16, (h1, h2))
+            assert_profiles_bit_exact(qam16, (h1, h2 + offset), clash)
+            assert_profiles_bit_exact(qam16, (h1 + offset, h2), clash)
 
 
 class TestBatchedDMin:
@@ -161,16 +249,18 @@ class TestBatchedDMin:
         h1=coefficient,
         h2=coefficient,
         seed=st.integers(0, 2**32 - 1),
-        separated_only=st.booleans(),
+        with_clash=st.booleans(),
     )
-    def test_random_channels_and_rows(self, modulation, h1, h2, seed, separated_only):
+    def test_random_channels_and_rows(self, modulation, h1, h2, seed, with_clash):
         c = make_constellation(modulation)
         mu = 2 * c.bits_per_symbol
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, 1 << mu, size=(3, 7, int(rng.integers(1, mu + 1))))
+        entries = enumerate_sfs(c).entries
+        clash = entries[int(rng.integers(len(entries)))].partition if with_clash else None
         sc = superimpose(c, (h1, h2))
-        got = mapping_d_min(rows, sc, separated_only=separated_only)
-        want = [[mapping_d_min(tuple(r), sc, separated_only=separated_only) for r in block] for block in rows.tolist()]
+        got = mapping_d_min(rows, sc, clash)
+        want = [[mapping_d_min(tuple(r), sc, clash) for r in block] for block in rows.tolist()]
         assert got.shape == (3, 7)
         assert np.array_equal(got, np.array(want))
 
@@ -182,9 +272,9 @@ class TestBatchedDMin:
         for entry in enumerate_sfs(c).entries[::7]:
             sc = superimpose(c, state_channel(entry.state))
             rows = rng.integers(0, 1 << mu, size=(50, c.bits_per_symbol))
-            for separated_only in (False, True):
-                want = [mapping_d_min(tuple(r), sc, separated_only=separated_only) for r in rows.tolist()]
-                assert np.array_equal(mapping_d_min(rows, sc, separated_only=separated_only), np.array(want))
+            for clash in (None, entry.partition):
+                want = [mapping_d_min(tuple(r), sc, clash) for r in rows.tolist()]
+                assert np.array_equal(mapping_d_min(rows, sc, clash), np.array(want))
 
 
 class TestSuperimpose:
@@ -192,22 +282,20 @@ class TestSuperimpose:
         sc = superimpose(qam4, (1.0, 0.0))
         vals = {round(z.real, 9) + 1j * round(z.imag, 9) for z in sc.points}
         assert len(vals) == 4
-        part = coincident_partition(sc)
+        part = coincident_partition(qam4, (1, 0))
         assert sorted(len(b) for b in part) == [4, 4, 4, 4]
 
     def test_origin_clash_at_unit_rotation(self, qam4):
-        sc = superimpose(qam4, (1.0, 1j))
-        part = coincident_partition(sc)
-        origin_blocks = [
-            b for b in part if abs(sc.lattice_points[b[0]]) < 1e-9 and len(b) > 1
-        ]
+        part = coincident_partition(qam4, (1, 1j))
+        lat = lattice_superposition(qam4, (1, 1j))
+        origin_blocks = [b for b in part if lat[b[0]] == 0 and len(b) > 1]
         assert len(origin_blocks) == 1 and len(origin_blocks[0]) == 4
 
     def test_ratio_of_symbol_differences_coincides(self, qam16):
         # 0.3+0.9j equals 6/(2-6j), a ratio of symbol differences, so the
         # superposition is singular: two joint messages land together
-        sc = superimpose(qam16, (1.0, 0.3 + 0.9j))
-        assert any(len(b) > 1 for b in coincident_partition(sc))
+        assert any(len(b) > 1 for b in coincident_partition(qam16, (2 - 6j, 6)))
+        assert coincident_partition(qam16, (2 - 6j, 6)) == round_partition(qam16, (1.0, 0.3 + 0.9j))
 
     def test_generic_16qam_channel_all_distinct(self, qam16):
         sc = superimpose(qam16, (1.0, 0.3117 + 0.8843j))
@@ -225,75 +313,38 @@ class TestSuperimpose:
                 assert sc.points[(i1 << 2) | i2] == pytest.approx(qam4.points[i1])
 
 
-def round_partition(sc, eps=COINCIDENCE_EPS):
-    """Oracle: joint indices grouped by ``round`` of both lattice
-    coordinates, one point at a time.  The coordinates are numpy scalars,
-    so ``round`` is numpy's ``rint(x * 10^d) / 10^d``."""
-    decimals = max(0, int(round(-np.log10(eps))))
-    groups = {}
-    for tau, z in enumerate(sc.lattice_points):
-        key = (round(z.real, decimals), round(z.imag, decimals))
-        groups.setdefault(key, []).append(tau)
-    return tuple(sorted(tuple(g) for g in groups.values()))
-
-
-_RATIO = st.builds(lambda p, q: p / q, st.integers(-12, 12), st.integers(1, 12))
-_CHANNEL_PART = st.one_of(_RATIO, st.floats(-8.0, 8.0))
-
-
 class TestCoincidentPartition:
-    """The stacked, array-keyed partition against the per-point ``round``
-    oracle, compared with exact ==."""
+    """The stacked, exact partition over Gaussian-integer channels against
+    the per-point ``round`` oracle, compared with exact ==."""
 
     @pytest.mark.parametrize("modulation", ["qam4", "qam16"])
     def test_every_catalog_state(self, modulation):
         c = make_constellation(modulation)
-        H = np.array([state_channel(e.state) for e in enumerate_sfs(c).entries], dtype=complex)
-        parts = coincident_partition(superimpose(c, H))
-        assert list(parts) == [round_partition(superimpose(c, h)) for h in H]
-        assert coincident_partition(superimpose(c, H[-1])) == parts[-1]
+        entries = enumerate_sfs(c).entries
+        H = np.array([gaussian_channel(e.state) for e in entries], dtype=complex)
+        parts = coincident_partition(c, H)
+        assert list(parts) == [round_partition(c, state_channel(e.state)) for e in entries]
+        assert list(parts) == [e.partition for e in entries]
+        assert coincident_partition(c, H[-1]) == parts[-1]
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(st.tuples(*[st.builds(complex, _CHANNEL_PART, _CHANNEL_PART)] * 2), min_size=1, max_size=6),
-        st.booleans(),
-    )
+    @given(st.lists(st.tuples(gaussian_integer, gaussian_integer), min_size=1, max_size=6), st.booleans())
     def test_hypothesis_channels(self, qam4, qam16, pairs, sixteen):
         c = qam16 if sixteen else qam4
-        parts = coincident_partition(superimpose(c, np.array(pairs, dtype=complex)))
-        assert list(parts) == [round_partition(superimpose(c, h)) for h in pairs]
+        parts = coincident_partition(c, np.array(pairs, dtype=complex))
+        assert list(parts) == [round_partition(c, h) for h in pairs]
 
-    def test_values_either_side_of_a_half_way_point(self, qam4):
-        """Coordinates at half a unit of the ninth decimal and a few ulps
-        either side, exact dyadic halves (1/1024) and magnitudes past 2^20.
-        For some of them numpy's rounding and a Python float's correctly
-        rounded ``round`` disagree; the partition follows numpy's, as the
-        per-point keys always have."""
-        rng = np.random.default_rng(3)
-        centres = [5.9127555775, 5.8506242255, 7.8631789225, 30.2254357635, 1 / 1024, 3 / 1024, -5.8506242255]
-        centres += list(rng.choice([1.0, 40.0, 2.0**19, 3.0e6], 24) + (rng.integers(0, 10**9, 24) + 0.5) / 1e9)
-        rows = []
-        for x in centres:
-            near = [x + 1e-9, x - 1e-9]
-            for k in range(-3, 4):
-                near.append(float(np.nextafter(x, k * np.inf, dtype=float) if k else x))
-                for _ in range(abs(k) - 1):
-                    near[-1] = float(np.nextafter(near[-1], k * np.inf))
-            rows.append(rng.choice(near, 16) + 1j * rng.choice(near, 16))
-        lattice = np.array(rows)
-        assert any(np.rint(v * 1e9) / 1e9 != round(v, 9) for v in lattice.real.ravel().tolist())
-        sc = SuperimposedConstellation(constellation=qam4, points=lattice, lattice_points=lattice)
-        parts = coincident_partition(sc)
-        want = [round_partition(SuperimposedConstellation(qam4, row, row)) for row in lattice]
-        assert list(parts) == want
-        assert any(1 < len(b) < 16 for p in want for b in p)
+    @pytest.mark.parametrize("h", [(1.0, 0.3 + 0.9j), (0.5, 1), (1, complex(np.nan, 0)), (np.inf, 1)])
+    def test_non_integer_channel_refused(self, qam4, h):
+        with pytest.raises(ValueError, match="Gaussian-integer"):
+            coincident_partition(qam4, h)
 
 
 class TestEvaluateMapping:
     def test_xor_map_at_unit_rotation_oracle(self, qam4):
         """Verdict comes from enumerating the origin clash directly."""
         sc = superimpose(qam4, (1.0, 1j))
-        clash = coincident_partition(sc)
+        clash = coincident_partition(qam4, (1, 1j))
         w_of_tau, _ = joint_vector_table(2)
         verdict = True
         for block in clash:
@@ -311,15 +362,14 @@ class TestEvaluateMapping:
         for c in (qam4, qam16):
             m = c.bits_per_symbol
             states = enumerate_sfs(c).entries
-            singular = [state_channel(states[i].state) for i in rng.choice(len(states), 10, replace=False)]
+            singular = [states[i] for i in rng.choice(len(states), 10, replace=False)]
             random = [tuple((rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2)) for _ in range(15)]
-            for h in singular + random:
+            cases = [(state_channel(e.state), e.partition) for e in singular] + [(h, round_partition(c, h)) for h in random]
+            for h, clash in cases:
                 sc = superimpose(c, h)
                 mat = BitMatrix.from_encoding(int(rng.integers(1, 1 << (2 * m * m))), m, 2 * m)
-                assert evaluate_mapping(mat, sc).d_min == pytest.approx(brute_force_d_min(sc, mat), rel=1e-12)
-                assert mapping_d_min(mat.rows, sc, separated_only=True) == pytest.approx(
-                    brute_force_d_min(sc, mat, separated_only=True), rel=1e-12
-                )
+                assert evaluate_mapping(mat, sc, clash).d_min == pytest.approx(brute_force_d_min(sc, mat), rel=1e-12)
+                assert mapping_d_min(mat.rows, sc, clash) == pytest.approx(brute_force_d_min(sc, mat, clash), rel=1e-12)
 
     def test_zero_row_merges_clusters(self, qam4):
         mat = BitMatrix.from_rows([[1, 0, 1, 0], [0, 0, 0, 0]])
@@ -349,7 +399,7 @@ class TestEvaluateMapping:
     def test_split_clash_zeroes_d_min(self, qam4):
         # a matrix splitting the origin clash of v = i realizes d_min = 0
         sc = superimpose(qam4, (1.0, 1j))
-        clash = coincident_partition(sc)
+        clash = coincident_partition(qam4, (1, 1j))
         mat = BitMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]])
         q = evaluate_mapping(mat, sc, clash)
         assert not q.clash_consistent
@@ -357,22 +407,19 @@ class TestEvaluateMapping:
 
     def test_d_min_channel_scaling(self, qam4):
         h = (0.9 - 0.2j, 0.4 + 0.6j)
-        base = evaluate_mapping(XOR_MAP, superimpose(qam4, h)).d_min
-        rotated = evaluate_mapping(
-            XOR_MAP, superimpose(qam4, (h[0] * 1j, h[1] * 1j))
-        ).d_min
-        scaled = evaluate_mapping(
-            XOR_MAP, superimpose(qam4, (2 * h[0], 2 * h[1]))
-        ).d_min
+        base = mapping_d_min(XOR_MAP.rows, superimpose(qam4, h))
+        rotated = mapping_d_min(XOR_MAP.rows, superimpose(qam4, (h[0] * 1j, h[1] * 1j)))
+        scaled = mapping_d_min(XOR_MAP.rows, superimpose(qam4, (2 * h[0], 2 * h[1])))
         assert rotated == pytest.approx(base, rel=1e-12)
         assert scaled == pytest.approx(4 * base, rel=1e-12)
 
     def test_profiles_match_bruteforce(self, qam4):
         sc = superimpose(qam4, (1.0, 1j))
-        plain, separated = difference_profiles(sc)
+        plain = difference_profiles(sc)
+        separated = difference_profiles(sc, coincident_partition(qam4, (1, 1j)))
         w_of_tau, tau_of_w = joint_vector_table(2)
         pts = sc.points[tau_of_w]
-        lat = sc.lattice_points[tau_of_w]
+        lat = lattice_superposition(qam4, (1, 1j))[tau_of_w]
         for d in range(1, 16):
             dist = np.abs(pts - pts[np.arange(16) ^ d]) ** 2
             assert plain[d] == pytest.approx(dist.min(), abs=1e-12)
