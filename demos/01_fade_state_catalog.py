@@ -14,7 +14,6 @@ from pnclab import (
     enumerate_sfs,
     make_constellation,
     rank_principal_sfs,
-    remove_image_sfs,
     save_catalog,
 )
 from pnclab.mapping import coincident_partition
@@ -39,12 +38,12 @@ for block in coincident_partition(qam4, (1, 1j)):
         z = lat[block[0] >> 2] + 1j * lat[block[0] & 3]
         print(f"  {len(block)} joint messages superimpose at ({z.real:+.0f},{z.imag:+.0f})")
 
-# image states would share a whole clash partition; for square QAM none do
-merged = remove_image_sfs(cat)
-print(f"after image removal: {len(merged.entries)} entries (none merged)")
+# image states would share a whole clash partition; no two states can
+distinct = len({e.partition for e in cat.entries})
+print(f"{distinct} distinct clash partitions over {len(cat.entries)} entries")
 
 # occurrence ranking: which states does a Rayleigh channel actually visit?
-ranked = rank_principal_sfs(merged, n_trials=200_000, rng_seed=0)
+ranked = rank_principal_sfs(cat, n_trials=200_000, rng_seed=0)
 print("top five principal states by empirical occurrence:")
 for e in ranked.entries[:5]:
     print(f"  {e.state.to_text():>12s}   {e.weight / 200_000:6.2%}")

@@ -51,7 +51,7 @@ for j in range(2):
 # CPU recovery by inverting the stack
 w_bits = recover_batch(sel.global_matrix, np.concatenate(bits, axis=1))
 w_hat = (w_bits * (1 << np.arange(4))[None, :]).sum(axis=1)
-w_of_tau, _ = joint_vector_table(2)
+w_of_tau = joint_vector_table(2)
 w_true = w_of_tau[(idx[0] << 2) | idx[1]]
 errors = int(np.count_nonzero(w_hat != w_true))
 print(f"recovered {frame_len - errors}/{frame_len} joint messages at "

@@ -17,7 +17,6 @@ from .fade_states import (
     load_catalog,
     nearest_sfs,
     rank_principal_sfs,
-    remove_image_sfs,
     save_catalog,
     truncate_catalog,
 )

@@ -3,9 +3,10 @@
 A fade state is the complex ratio of the two channel coefficients; it is
 singular when two different joint messages superimpose onto the same point.
 This module enumerates all singular ratios from symbol differences, attaches
-the coincidence partition each one induces, merges states with identical
-partitions, ranks survivors by empirical occurrence under Rayleigh fading,
-and resolves a live channel to its nearest catalog entry.
+the coincidence partition each one induces (no two states share one), ranks
+the states by empirical occurrence under Rayleigh fading, and resolves a
+live channel to its nearest catalog entry.  A catalog file records only the
+ranking; loading it derives the states and partitions from the enumeration.
 
 The zero ratio and the point at infinity (one terminal unheard) are genuine
 singular states and are kept as catalog entries; the reported raw-state
@@ -14,7 +15,6 @@ count covers ratio values only, so infinity is listed but not counted.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -121,6 +121,13 @@ def enumerate_sfs(c: Constellation) -> SfsCatalog:
     angle.  Each state's partition is ``coincident_partition`` of the
     Gaussian-integer channel ``(den, num)``, which superimposes like
     ``(1, num / den)`` but exactly.
+
+    No two states share a partition, so there are no image states to
+    merge.  Take a non-trivial block of the state ``num / den`` with
+    messages ``(a, b) != (a', b')``.  Then ``b != b'``, since
+    ``den * a = den * a'`` forces ``a = a'``, so the block fixes the ratio
+    ``(a - a') / (b' - b)``.  At infinity the blocks are the pairs with
+    ``b = b'``.
     """
     lat = c.lattice_points
     diffs = sorted({(int(d.real), int(d.imag)) for d in (lat[:, None] - lat[None, :]).ravel() if d})
@@ -147,18 +154,6 @@ def enumerate_sfs(c: Constellation) -> SfsCatalog:
         entries=tuple(entries),
         n_raw_states=len(values),
     )
-
-
-def remove_image_sfs(cat: SfsCatalog) -> SfsCatalog:
-    """Merge states whose clash partitions are identical, keeping the first."""
-    kept: list[SfsEntry] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for e in cat.entries:
-        if e.partition in seen:
-            continue
-        seen.add(e.partition)
-        kept.append(e)
-    return replace(cat, entries=tuple(kept))
 
 
 def _rayleigh_ratios(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -301,59 +296,42 @@ def nearest_sfs(cat: SfsCatalog, h) -> tuple:
     return idx.reshape(hh.shape[:-1]), dist.reshape(hh.shape[:-1])
 
 
-def _format_partition(part: tuple[tuple[int, ...], ...]) -> str:
-    return "|".join(",".join(str(i) for i in block) for block in part)
-
-
-def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in block.split(",")) for block in text.split("|"))
-
-
 def save_catalog(cat: SfsCatalog, path: str) -> None:
+    """Write the ranking: which states, in what order, with what weights."""
     header = {
         "modulation": cat.modulation,
-        "bits_per_symbol": cat.bits_per_symbol,
         "labeling": cat.labeling_version,
-        "raw_states": cat.n_raw_states,
         "rank_seed": cat.rank_seed,
         "rank_trials": cat.rank_trials,
         "entries": len(cat.entries),
     }
-    body = (
-        f"{i}; {e.state.to_text()}; {e.weight:d}; {_format_partition(e.partition)}"
-        for i, e in enumerate(cat.entries)
-    )
-    write_artifact(path, "pnclab-sfs-catalog v2", header, body)
-
-
-def _parse_sfs_entry(record: str) -> SfsEntry:
-    state_txt, weight_txt, part_txt = (s.strip() for s in record.split(";", 2))
-    return SfsEntry(
-        state=FadeState.from_text(state_txt),
-        partition=_parse_partition(part_txt),
-        weight=int(weight_txt),
-    )
+    body = (f"{i}; {e.state.to_text()}; {e.weight:d}" for i, e in enumerate(cat.entries))
+    write_artifact(path, "pnclab-sfs-catalog v3", header, body)
 
 
 def load_catalog(path: str) -> SfsCatalog:
-    """Read a catalog file.  Each entry's partition must cover the joint
-    indices ``0 ... 4^m - 1`` exactly once, in ascending blocks listed by
-    their first index, as ``enumerate_sfs`` writes it."""
-    with read_artifact(path, "pnclab-sfs-catalog v2") as (header, body):
-        entries = tuple(_parse_sfs_entry(strip_index(path, ln, ";", i)) for i, ln in enumerate(body))
-    check_count(path, "entries", int(header["entries"]), len(entries))
-    joint = list(range(1 << 2 * int(header["bits_per_symbol"])))
-    for i, e in enumerate(entries):
-        part = e.partition
-        if (sorted(itertools.chain(*part)) != joint or list(part) != sorted(part)
-                or any(b != tuple(sorted(b)) for b in part if len(b) > 1)):
-            raise ValueError(f"{path}: entry {i}'s partition is not ascending disjoint blocks of 0 ... {len(joint) - 1}")
-    return SfsCatalog(
-        modulation=header["modulation"],
-        bits_per_symbol=int(header["bits_per_symbol"]),
-        labeling_version=header["labeling"],
-        entries=entries,
-        n_raw_states=int(header["raw_states"]),
+    """Read a catalog file.  Its states, partitions and raw-state count are
+    ``enumerate_sfs``' own: each line's state must be one the enumeration
+    of the file's modulation lists, and the labeling must be that
+    constellation's.  Only the order, the weights and the rank fields come
+    from the file."""
+    with read_artifact(path, "pnclab-sfs-catalog v3") as (header, body):
+        records = [strip_index(path, ln, ";", i).split(";") for i, ln in enumerate(body)]
+    check_count(path, "entries", int(header["entries"]), len(records))
+    c = make_constellation(header["modulation"])
+    if header["labeling"] != c.labeling_version:
+        raise ValueError(f"{path}: labeling {header['labeling']} is not {c.name}'s {c.labeling_version}")
+    full = enumerate_sfs(c)
+    by_state = {e.state: e for e in full.entries}
+    entries = []
+    for i, (state_txt, weight_txt) in enumerate(records):
+        entry = by_state.get(FadeState.from_text(state_txt))
+        if entry is None:
+            raise ValueError(f"{path}: entry {i}'s state {state_txt.strip()} is not a singular fade state of {c.name}")
+        entries.append(replace(entry, weight=int(weight_txt)))
+    return replace(
+        full,
+        entries=tuple(entries),
         rank_seed=opt_int(header["rank_seed"]),
         rank_trials=opt_int(header["rank_trials"]),
     )
@@ -365,12 +343,8 @@ def build_catalog(
     rng_seed: int = 0,
     n_principal: int | None = None,
 ) -> SfsCatalog:
-    """Full pipeline: enumerate, drop images, rank, optionally truncate."""
-    cat = rank_principal_sfs(
-        remove_image_sfs(enumerate_sfs(make_constellation(modulation))),
-        n_trials=n_trials,
-        rng_seed=rng_seed,
-    )
+    """Full pipeline: enumerate, rank, optionally truncate."""
+    cat = rank_principal_sfs(enumerate_sfs(make_constellation(modulation)), n_trials=n_trials, rng_seed=rng_seed)
     if n_principal is not None:
         cat = truncate_catalog(cat, n_principal)
     return cat

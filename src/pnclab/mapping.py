@@ -31,20 +31,20 @@ Partition = tuple[tuple[int, ...], ...]     # blocks of joint indices, ascending
 
 
 @lru_cache(maxsize=8)
-def joint_vector_table(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Maps between joint index ``tau`` and message vector ``w`` for u=2.
+def joint_vector_table(m: int) -> np.ndarray:
+    """The map between joint index ``tau`` and message vector ``w`` for u=2.
 
-    Returns (w_of_tau, tau_of_w), read-only.  tau packs the two labels
-    MSB-first with terminal 1 in the high bits; w packs label bits
-    component-wise with terminal 1 in the low bits.  So w is tau's 2m bits
-    reversed (label bit j of tau, MSB first, is component j), and the
-    reversal is its own inverse: both maps are one array.
+    Returns one read-only array, ``w`` of ``tau`` and ``tau`` of ``w``
+    alike.  tau packs the two labels MSB-first with terminal 1 in the high
+    bits; w packs label bits component-wise with terminal 1 in the low
+    bits.  So w is tau's 2m bits reversed (label bit j of tau, MSB first,
+    is component j), and the reversal is its own inverse.
     """
     k = np.arange(2 * m)
     tau = np.arange(1 << 2 * m)
     w_of_tau = (((tau[:, None] >> (2 * m - 1 - k)) & 1) << k).sum(axis=1)
     w_of_tau.flags.writeable = False
-    return w_of_tau, w_of_tau
+    return w_of_tau
 
 
 @lru_cache(maxsize=4)
@@ -59,7 +59,7 @@ def _parity_table(mu: int) -> np.ndarray:
 def _ncv_bits(rows, m: int) -> np.ndarray:
     """``bits[..., tau, i]``: bit i of the NCV that the packed rows ``rows``
     (..., t) give joint message ``tau`` (bool, shape (..., 2^(2m), t))."""
-    return _parity_table(2 * m)[joint_vector_table(m)[0][:, None], np.asarray(rows)[..., None, :]]
+    return _parity_table(2 * m)[joint_vector_table(m)[:, None], np.asarray(rows)[..., None, :]]
 
 
 @dataclass(eq=False)
@@ -126,7 +126,7 @@ def _half_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     joint indices of ``w`` and ``w xor d``: each unordered pair at
     difference ``d`` exactly once.
     """
-    _, tau_of_w = joint_vector_table(m)
+    tau_of_w = joint_vector_table(m)
     n = len(tau_of_w)
     low = np.array([[w for w in range(n) if not w & (1 << (d.bit_length() - 1))] for d in range(1, n)])
     a = tau_of_w[low]
@@ -236,6 +236,6 @@ def evaluate_mapping(
 
 def clash_difference_basis(clash: Partition, m: int) -> tuple[int, ...]:
     """Basis of the span of within-block message differences."""
-    w_of_tau, _ = joint_vector_table(m)
+    w_of_tau = joint_vector_table(m)
     diffs = [int(w_of_tau[block[0]] ^ w_of_tau[t]) for block in clash for t in block[1:]]
     return rref_rows(diffs, 2 * m)[0]

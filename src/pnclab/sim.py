@@ -180,8 +180,8 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
         return ctx
     if cfg.catalog_path:
         cat = load_catalog(cfg.catalog_path)
-        if cat.modulation != cfg.modulation or cat.labeling_version != c.labeling_version:
-            raise ValueError("catalog does not match the configured modulation/labeling")
+        if cat.modulation != cfg.modulation:
+            raise ValueError("catalog does not match the configured modulation")
         if cfg.n_principal is not None:
             cat = truncate_catalog(cat, cfg.n_principal)
     else:
@@ -272,7 +272,7 @@ def _back_end_pnc(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[in
     bits = link.llrs_to_bits(llrs).transpose(0, 2, 1, 3).reshape(frames, cfg.frame_len, -1)
     w_bits = link.recover_batch(rows.reshape(frames, -1), bits, ctx.inverses)
     w_hat = (w_bits * (1 << np.arange(2 * m))).sum(axis=-1)
-    w_true = joint_vector_table(m)[0][(idx[:, 0] << m) | idx[:, 1]]
+    w_true = joint_vector_table(m)[(idx[:, 0] << m) | idx[:, 1]]
     return int(np.any(w_hat != w_true, axis=1).sum()), mismaps
 
 

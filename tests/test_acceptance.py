@@ -123,7 +123,7 @@ def test_criterion_03_resolvability(qam4):
 
 def test_criterion_04_unambiguous_decodability(qam4, cat4, store4):
     rng = np.random.default_rng(SEED)
-    w_of_tau, _ = joint_vector_table(2)
+    w_of_tau = joint_vector_table(2)
     taus = np.arange(16)
     weights = (1 << np.arange(4))[None, :]
     t0 = time.perf_counter()

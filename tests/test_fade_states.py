@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from pnclab.fade_states import (
     DegenerateChannelError,
     FadeState,
-    SfsEntry,
     enumerate_sfs,
     load_catalog,
     nearest_indices,
     nearest_sfs,
     rank_principal_sfs,
-    remove_image_sfs,
     save_catalog,
     truncate_catalog,
 )
@@ -62,38 +60,12 @@ def test_conjugate_symmetry(cat4):
     assert all((re, -im) in vals for re, im in vals)
 
 
-def test_image_removal_is_noop_on_real_catalog(cat4):
-    # frozen regression constant: all 13 partitions are distinct
-    assert len(remove_image_sfs(cat4).entries) == len(cat4.entries)
-
-
-def test_image_removal_merges_identical_partitions(cat4):
-    first = cat4.entries[0]
-    clone = SfsEntry(state=FadeState(value=123.0 + 0j), partition=first.partition)
-    fake = dataclasses.replace(cat4, entries=cat4.entries + (clone,))
-    merged = remove_image_sfs(fake)
-    assert len(merged.entries) == len(cat4.entries)
-    # the lowest-index representative was the one kept
-    assert merged.entries[0] == first
-
-
-def test_image_removal_keeps_distinct_partitions():
-    a = SfsEntry(state=FadeState(1.0 + 0j), partition=((0, 1), (2,), (3,)))
-    b = SfsEntry(state=FadeState(2.0 + 0j), partition=((0, 2), (1,), (3,)))
-    cat = _tiny_catalog((a, b))
-    assert len(remove_image_sfs(cat).entries) == 2
-
-
-def _tiny_catalog(entries):
-    from pnclab.fade_states import SfsCatalog
-
-    return SfsCatalog(
-        modulation="qam4",
-        bits_per_symbol=2,
-        labeling_version="gray-v1",
-        entries=tuple(entries),
-        n_raw_states=len(entries),
-    )
+@pytest.mark.parametrize("name", ["cat4", "cat16"])
+def test_partitions_pairwise_distinct(request, name):
+    """No two states share a clash partition (``enumerate_sfs`` gives the
+    argument), so the catalog has no image states to merge."""
+    cat = request.getfixturevalue(name)
+    assert len({e.partition for e in cat.entries}) == len(cat.entries)
 
 
 class TestRanking:
@@ -171,7 +143,7 @@ def brute_nearest(cat, ratios):
 
 @pytest.fixture(scope="module")
 def cat16():
-    return remove_image_sfs(enumerate_sfs(make_constellation("qam16")))
+    return enumerate_sfs(make_constellation("qam16"))
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +245,7 @@ def test_catalog_io_roundtrip(tmp_path, cat4):
         assert a.weight == b.weight
         assert a.state.infinite == b.state.infinite
         assert a.state.value == b.state.value     # written as text that reads back to the same float
+    assert loaded == ranked
 
 
 def test_catalog_rejects_other_files(tmp_path):
@@ -291,27 +264,17 @@ def test_catalog_truncated_file_refused(tmp_path, cat4):
         load_catalog(str(path))
 
 
-FADE_STATES = st.one_of(
-    st.just(FadeState(value=0j, infinite=True)),
-    st.builds(lambda re, im: FadeState(value=complex(re, im)), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
-)
-
-
-@st.composite
-def partitions(draw, size=16):
-    order = draw(st.permutations(range(size)))
-    cuts = sorted(draw(st.sets(st.integers(1, size - 1))))
-    return tuple(sorted(tuple(sorted(order[a:b])) for a, b in zip([0] + cuts, cuts + [size])))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.builds(SfsEntry, FADE_STATES, partitions(), st.integers(0, 10**7)), min_size=1, max_size=12),
+    st.lists(st.tuples(st.integers(0, 13), st.integers(0, 10**7)), min_size=1, max_size=12, unique_by=lambda p: p[0]),
     st.one_of(st.none(), st.integers(0, 2**31)),
     st.one_of(st.none(), st.integers(1, 10**7)),
 )
-def test_catalog_save_load_save_bytes(cat4, entries, rank_seed, rank_trials):
-    cat = dataclasses.replace(cat4, entries=tuple(entries), rank_seed=rank_seed, rank_trials=rank_trials)
+def test_catalog_save_load_save_bytes(cat4, picks, rank_seed, rank_trials):
+    """An ordered subset of the real qam4 entries, with any weights and
+    rank fields, loads back entry for entry and saves to the same bytes."""
+    entries = tuple(dataclasses.replace(cat4.entries[i], weight=w) for i, w in picks)
+    cat = dataclasses.replace(cat4, entries=entries, rank_seed=rank_seed, rank_trials=rank_trials)
     with tempfile.TemporaryDirectory() as d:
         first, second = os.path.join(d, "a"), os.path.join(d, "b")
         save_catalog(cat, first)
@@ -319,6 +282,15 @@ def test_catalog_save_load_save_bytes(cat4, entries, rank_seed, rank_trials):
         save_catalog(loaded, second)
         assert open(first, "rb").read() == open(second, "rb").read()
     assert loaded.entries == cat.entries
+    assert loaded == cat
+
+
+def test_loaded_qam16_catalog_equals_built(tmp_path, ranked16):
+    """The full qam16 ranking loads back with the build's states,
+    partitions, weights, raw-state count and rank fields (qam4 and 24 or 50
+    qam16 states: the tests above and ``test_search.TestRoundTripProperties``)."""
+    save_catalog(ranked16, str(tmp_path / "cat.txt"))
+    assert load_catalog(str(tmp_path / "cat.txt")) == ranked16
 
 
 @pytest.mark.parametrize("text", ["nan,0", "0,nan", "inf,0", "1,-inf"])
@@ -335,30 +307,21 @@ def test_non_finite_state_refused(tmp_path, cat4, text):
         load_catalog(str(path))
 
 
-@pytest.mark.parametrize(
-    "partition",
-    [
-        "0,1|2,3|4,5|6,7|8,9|10,11|12,13|14",         # 15 missing
-        "0,1|1,2,3|4,5|6,7|8,9|10,11|12,13|14,15",    # 1 twice
-        "0,1,16|2,3|4,5|6,7|8,9|10,11|12,13|14,15",   # 16 out of range
-        "1,0|2,3|4,5|6,7|8,9|10,11|12,13|14,15",      # a block not ascending
-        "2,3|0,1|4,5|6,7|8,9|10,11|12,13|14,15",      # blocks not by first index
-    ],
-)
-def test_malformed_partition_refused(tmp_path, cat4, partition):
-    """Each partition must cover 0 ... 15 once, in ascending blocks listed
-    by their first index; interleaved blocks are fine."""
+def test_non_singular_state_refused(tmp_path, cat4):
+    """A line may only name a state that the enumeration lists."""
     path = tmp_path / "cat.txt"
     save_catalog(cat4, str(path))
-    lines = path.read_text().splitlines()
-    at = next(i for i, ln in enumerate(lines) if ln.startswith("0; "))
-    head = lines[at].rpartition("; ")[0]
-    lines[at] = f"{head}; 0,2|1,3|4,5|6,7|8,9|10,11|12,13|14,15"
-    path.write_text("\n".join(lines) + "\n")
-    assert load_catalog(str(path)).entries[0].partition[:2] == ((0, 2), (1, 3))
-    lines[at] = f"{head}; {partition}"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="entry 0's partition"):
+    state = cat4.entries[2].state.to_text()
+    path.write_text(path.read_text().replace(f"2; {state}; ", "2; 0.3,0.0; ", 1))
+    with pytest.raises(ValueError, match=r"entry 2's state 0\.3,0\.0 is not a singular fade state of qam4"):
+        load_catalog(str(path))
+
+
+def test_other_labeling_refused(tmp_path, cat4):
+    path = tmp_path / "cat.txt"
+    save_catalog(cat4, str(path))
+    path.write_text(path.read_text().replace("labeling=gray-v1\n", "labeling=gray-v0\n", 1))
+    with pytest.raises(ValueError, match="labeling gray-v0 is not qam4's gray-v1"):
         load_catalog(str(path))
 
 

@@ -91,7 +91,7 @@ class TestDetectNcv:
 
     def test_low_noise_concentrates_on_cluster(self, qam4):
         rng = np.random.default_rng(5)
-        w_of_tau, _ = joint_vector_table(2)
+        w_of_tau = joint_vector_table(2)
         for _ in range(20):
             h = tuple((rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2))
             sc = superimpose(qam4, h)
@@ -145,7 +145,7 @@ class TestRecovery:
 
         cat = rank_principal_sfs(enumerate_sfs(qam4), n_trials=10**4, rng_seed=0)
         store = build_store(cat, t=2, k_per_state=5, n_aps=2)
-        w_of_tau, _ = joint_vector_table(2)
+        w_of_tau = joint_vector_table(2)
         for _ in range(25):
             H = draw_channel(rng)
             sel = select_mappings(store, cat, H)

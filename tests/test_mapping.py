@@ -95,11 +95,11 @@ def _ncv_table_loop(matrix, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_joint_vector_table_matches_loop(m):
-    w_of_tau, tau_of_w = joint_vector_table(m)
+    table = joint_vector_table(m)
     want = _w_of_tau_loop(m)
-    assert w_of_tau.dtype == want.dtype and np.array_equal(w_of_tau, want)
-    assert np.array_equal(tau_of_w[w_of_tau], np.arange(len(want)))
-    assert not w_of_tau.flags.writeable and not tau_of_w.flags.writeable
+    assert table.dtype == want.dtype and np.array_equal(table, want)
+    assert np.array_equal(table[table], np.arange(len(want)))      # its own inverse
+    assert not table.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,7 +116,7 @@ def all_pairs_profiles(sc, coincident):
     """Oracle: every ordered pair of message vectors at every difference;
     the plain profile, and the one without the pairs that ``coincident``
     (indexed by joint index) marks."""
-    _, tau_of_w = joint_vector_table(sc.constellation.bits_per_symbol)
+    tau_of_w = joint_vector_table(sc.constellation.bits_per_symbol)
     pts_w = sc.points[tau_of_w]
     idx = np.arange(len(pts_w))
     partner = idx[:, None] ^ idx[None, :]          # [w, d] -> w xor d
@@ -345,7 +345,7 @@ class TestEvaluateMapping:
         """Verdict comes from enumerating the origin clash directly."""
         sc = superimpose(qam4, (1.0, 1j))
         clash = coincident_partition(qam4, (1, 1j))
-        w_of_tau, _ = joint_vector_table(2)
+        w_of_tau = joint_vector_table(2)
         verdict = True
         for block in clash:
             # the NCV of w is the parity of each row against it
@@ -388,7 +388,7 @@ class TestEvaluateMapping:
             assert len(set(ncv_table(mat, 2))) == 2 ** rank_rows(mat.rows)
 
     def test_ncv_linearity(self, qam4):
-        w_of_tau, tau_of_w = joint_vector_table(2)
+        tau_of_w = joint_vector_table(2)
         table = ncv_table(XOR_MAP, 2)
         rng = np.random.default_rng(9)
         for _ in range(64):
@@ -417,7 +417,7 @@ class TestEvaluateMapping:
         sc = superimpose(qam4, (1.0, 1j))
         plain = difference_profiles(sc)
         separated = difference_profiles(sc, coincident_partition(qam4, (1, 1j)))
-        w_of_tau, tau_of_w = joint_vector_table(2)
+        tau_of_w = joint_vector_table(2)
         pts = sc.points[tau_of_w]
         lat = lattice_superposition(qam4, (1, 1j))[tau_of_w]
         for d in range(1, 16):

@@ -721,13 +721,14 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "kind, old, command",
-        [("catalog", "pnclab-sfs-catalog v1", "pnclab sfs list"), ("store", "pnclab-store v1", "pnclab offline"),
-         ("table", "pnclab-table v2", "pnclab table --store")],
+        [("catalog", "pnclab-sfs-catalog v1", "pnclab sfs list"), ("catalog", "pnclab-sfs-catalog v2", "pnclab sfs list"),
+         ("store", "pnclab-store v1", "pnclab offline"), ("table", "pnclab-table v2", "pnclab table --store")],
     )
     def test_older_version_refused(self, store4, cat4, tmp_path, kind, old, command):
         """Files of the versions that wrote floats with 12 significant
-        digits (and catalogs and stores with an eps= line) are refused, naming
-        the command that rebuilds them."""
+        digits (and catalogs and stores with an eps= line), and catalogs
+        that stored each state's partition, are refused, naming the command
+        that rebuilds them."""
         path = tmp_path / kind
         if kind == "catalog":
             save_catalog(cat4, str(path))

@@ -480,7 +480,7 @@ def _back_end_pnc_two_selections(ctx, noise_var, H, H_hat, idx, y):
     bits = link.llrs_to_bits(llrs).transpose(0, 2, 1, 3).reshape(frames, ctx.cfg.frame_len, -1)
     w_bits = link.recover_batch(sel.rows.reshape(frames, -1), bits)
     w_hat = (w_bits * (1 << np.arange(2 * m))).sum(axis=-1)
-    w_true = sim.joint_vector_table(m)[0][(idx[:, 0] << m) | idx[:, 1]]
+    w_true = sim.joint_vector_table(m)[(idx[:, 0] << m) | idx[:, 1]]
     return int(np.any(w_hat != w_true, axis=1).sum()), mismaps
 
 
