@@ -323,11 +323,18 @@ def load_catalog(path: str) -> SfsCatalog:
         raise ValueError(f"{path}: labeling {header['labeling']} is not {c.name}'s {c.labeling_version}")
     full = enumerate_sfs(c)
     by_state = {e.state: e for e in full.entries}
-    entries = []
-    for i, (state_txt, weight_txt) in enumerate(records):
+    entries, first = [], {}
+    for i, fields in enumerate(records):
+        if len(fields) != 2:
+            raise ValueError(f"{path}: entry {i} has {len(fields)} fields after its index, not 2 (state; weight)")
+        state_txt, weight_txt = (f.strip() for f in fields)
         entry = by_state.get(FadeState.from_text(state_txt))
         if entry is None:
-            raise ValueError(f"{path}: entry {i}'s state {state_txt.strip()} is not a singular fade state of {c.name}")
+            raise ValueError(f"{path}: entry {i}'s state {state_txt} is not a singular fade state of {c.name}")
+        if first.setdefault(entry.state, i) != i:
+            raise ValueError(f"{path}: entries {first[entry.state]} and {i} both list state {state_txt}")
+        if not weight_txt.isdecimal():
+            raise ValueError(f"{path}: entry {i} has weight {weight_txt!r}, not a non-negative integer")
         entries.append(replace(entry, weight=int(weight_txt)))
     return replace(
         full,

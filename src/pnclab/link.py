@@ -35,47 +35,62 @@ def noise_variance(ebn0_db: float, bits_per_symbol: int) -> float:
     return 1.0 / (bits_per_symbol * 10.0 ** (ebn0_db / 10.0))
 
 
-def draw_channel(rng: np.random.Generator, n_aps: int = 2, n_terminals: int = 2) -> np.ndarray:
-    h = rng.standard_normal((n_aps, n_terminals)) + 1j * rng.standard_normal((n_aps, n_terminals))
-    return h / math.sqrt(2.0)
+def _normals(rng, shape) -> np.ndarray:
+    """Real and imaginary standard-normal parts, (2, *shape).  A sequence of
+    per-frame generators gives (2, frames, *shape), frame f drawn by rng[f]
+    alone; one (2, *shape) fill runs in stream order, as two calls would."""
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal((2, *shape))
+    out = np.empty((len(rng), 2, *shape))
+    for g, frame in zip(rng, out):
+        g.standard_normal(out=frame)
+    return out.swapaxes(0, 1)
 
 
-def _noise(rng: np.random.Generator, shape, noise_var: float) -> np.ndarray:
+def draw_channel(rng, n_aps: int = 2, n_terminals: int = 2) -> np.ndarray:
+    """(APs, terminals), or (frames, APs, terminals) from a sequence of generators."""
+    re, im = _normals(rng, (n_aps, n_terminals))
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
+def _noise(rng, shape, noise_var: float) -> np.ndarray:
     if noise_var == 0.0:
-        return np.zeros(shape, dtype=complex)
-    s = math.sqrt(noise_var / 2.0)
-    return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return np.zeros(shape, dtype=complex)      # broadcasts over a frame axis
+    re, im = _normals(rng, shape)
+    return math.sqrt(noise_var / 2.0) * (re + 1j * im)
 
 
-def transmit(H: np.ndarray, noise_var: float, symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def transmit(H: np.ndarray, noise_var: float, symbols: np.ndarray, rng) -> np.ndarray:
     """Superimpose all terminals' symbol streams at every AP and add noise.
 
     ``symbols`` has shape (terminals, uses); the result has shape (APs, uses).
+    With a sequence of per-frame generators all three carry a leading frame
+    axis, and ``H @ symbols`` is a stacked product of one-frame slices.
     """
     H = np.asarray(H, dtype=complex)
     symbols = np.asarray(symbols, dtype=complex)
-    return H @ symbols + _noise(rng, (H.shape[0], symbols.shape[1]), noise_var)
+    return H @ symbols + _noise(rng, (H.shape[-2], symbols.shape[-1]), noise_var)
 
 
-def transmit_pilots(H: np.ndarray, noise_var: float, pilot_len: int, rng: np.random.Generator) -> np.ndarray:
+def transmit_pilots(H: np.ndarray, noise_var: float, pilot_len: int, rng) -> np.ndarray:
     """Time-orthogonal pilot phase: each terminal sends alone for pilot_len uses.
 
-    Returns shape (APs, terminals, pilot_len).
+    Returns shape (APs, terminals, pilot_len), or (frames, APs, terminals,
+    pilot_len) with a sequence of per-frame generators.
     """
     H = np.asarray(H, dtype=complex)
-    n_aps, n_terminals = H.shape
-    y = H[:, :, None] * PILOT_SYMBOL + _noise(rng, (n_aps, n_terminals, pilot_len), noise_var)
-    return y
+    return H[..., None] * PILOT_SYMBOL + _noise(rng, (*H.shape[-2:], pilot_len), noise_var)
 
 
 def estimate_channel(y_pilots: np.ndarray, pilot_len: int) -> np.ndarray:
-    """Least-squares channel estimate from time-orthogonal pilots.
+    """Least-squares channel estimate from time-orthogonal pilots
+    (..., APs, terminals, pilot_len) -> (..., APs, terminals).
 
     Per-coefficient error variance is noise_var / pilot_len.
     """
     if pilot_len < 1:
         raise ValueError("pilot_len must be >= 1")
-    return y_pilots.mean(axis=2) * np.conj(PILOT_SYMBOL) / abs(PILOT_SYMBOL) ** 2
+    return y_pilots.mean(axis=-1) * np.conj(PILOT_SYMBOL) / abs(PILOT_SYMBOL) ** 2
 
 
 def _distances(sc: SuperimposedConstellation, ys: np.ndarray) -> tuple[np.ndarray, int]:

@@ -7,20 +7,20 @@ the ones true CSI would pick.  Every frame derives its random stream from
 (seed, sweep-point index, frame index), so worker splits cannot change
 results.
 
-Frames run in chunks.  The front end draws each frame alone, in the
-stream's fixed order; the chunk's channels, estimates, data and samples are
-then stacked, and the scheme's back end (selection, detection, recovery, or
-a baseline's detector) runs once per chunk on arrays with a leading frame
-axis; with pilots, one selection call takes the estimated and the true
-channels stacked.  The chunk size is derived, not configured: the fewest
-whole frames that reach _CHUNK_ELEMENTS detection-metric elements, so
-ceil(2^16 / (APs x uses x 2^(2m))) frames, which is 18 qam4 frames or 2
+Frames run in chunks.  In the front end each frame draws from its own
+stream in the fixed order, and the arithmetic runs once per chunk on
+stacked arrays with a leading frame axis; the scheme's back end (selection,
+detection, recovery, or a baseline's detector) then runs once per chunk on
+those arrays; with pilots, one selection call takes the estimated and the
+true channels stacked.  The chunk size is derived, not configured: the
+fewest whole frames that reach _CHUNK_ELEMENTS detection-metric elements,
+so ceil(2^16 / (APs x uses x 2^(2m))) frames, which is 18 qam4 frames or 2
 qam16 frames at 120 uses and 2 APs.  Stack inverses are memoised per run,
-in the run's context.  Chunking cannot
-change a result: every batched step is elementwise, a reduction along one
-frame's own axis, or a matrix product kept at the one-frame shape, stacked
-(frames, uses, 2^mu) @ (frames, 2^mu, t) and never flattened into one
-2-D product, whose blocking could round differently.
+in the run's context.  Chunking cannot change a result: every batched step
+is elementwise, a reduction along one frame's own axis, or a matrix product
+kept at the one-frame shape, stacked (frames, APs, terminals) @ (frames,
+terminals, uses) or (frames, uses, 2^mu) @ (frames, 2^mu, t) and never
+flattened into one 2-D product, whose blocking could round differently.
 """
 from __future__ import annotations
 
@@ -101,8 +101,13 @@ class ExperimentConfig:
         QuantizerSpec(bits=self.quantizer_bits, clip=self.quantizer_clip)  # raises on bad bits/clip
         if not self.ebn0_db:
             raise ValueError("ebn0_db needs at least one point")
-        if not all(map(math.isfinite, self.ebn0_db)):
-            raise ValueError(f"ebn0_db points must be finite, not {self.ebn0_db}")
+        for point in self.ebn0_db:      # NaN and +-inf included: none has a noise variance
+            try:
+                noise_var = link.noise_variance(point, BITS_PER_SYMBOL[self.modulation.lower()])
+            except ArithmeticError:     # 10 ** (point / 10) overflows, or is 0
+                noise_var = math.nan
+            if not 0.0 < noise_var < math.inf:
+                raise ValueError(f"ebn0_db point {point} dB has no finite positive noise variance")
         if min(self.n_aps, self.frames_per_point, self.frame_len) < 1:
             raise ValueError("n_aps, frames_per_point and frame_len must be >= 1")
         if self.seed < 0:
@@ -234,21 +239,23 @@ def _frame_rng(cfg: ExperimentConfig, point: int, frame: int) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, point, frame)))
 
 
-def _front_end(ctx: _Context, noise_var: float, rng: np.random.Generator):
-    """Channel, data, received samples and receiver CSI of one frame.
+def _front_end(ctx: _Context, noise_var: float, rngs):
+    """Channel, data, received samples and receiver CSI of a chunk of
+    frames, one generator per frame.
 
-    Every scheme draws from the frame's stream in this order: channel, data
-    indices, data noise, then pilot noise.  Returns (H, H_hat, idx, y);
-    H_hat is H itself under perfect CSI.
+    Each frame draws from its own stream in this order: channel, data
+    indices, data noise, then pilot noise; the arithmetic then runs once on
+    the stacked arrays.  Returns (H, H_hat, idx, y), each with a leading
+    frame axis; H_hat is H itself under perfect CSI.
     """
     cfg = ctx.cfg
     c = ctx.constellation
-    H = link.draw_channel(rng, cfg.n_aps, cfg.n_terminals)
-    idx = rng.integers(0, c.size, size=(cfg.n_terminals, cfg.frame_len))
-    y = link.transmit(H, noise_var, c.points[idx], rng)
+    H = link.draw_channel(rngs, cfg.n_aps, cfg.n_terminals)
+    idx = np.stack([rng.integers(0, c.size, size=(cfg.n_terminals, cfg.frame_len)) for rng in rngs])
+    y = link.transmit(H, noise_var, c.points[idx], rngs)
     if cfg.pilot_len is None:
         return H, H, idx, y
-    H_hat = link.estimate_channel(link.transmit_pilots(H, noise_var, cfg.pilot_len, rng), cfg.pilot_len)
+    H_hat = link.estimate_channel(link.transmit_pilots(H, noise_var, cfg.pilot_len, rngs), cfg.pilot_len)
     return H, H_hat, idx, y
 
 
@@ -309,9 +316,9 @@ _CHUNK_ELEMENTS = 2**16
 def _run_point(ctx: _Context, point: int, ebn0_db: float, frame_range: range) -> tuple[int, int]:
     """Count (outage frames, mismap frames) over a range of frames.
 
-    Frames run in chunks: each frame draws its stream through the front end,
-    one frame at a time, then the back end takes the chunk's stacked arrays
-    in one call.
+    Frames run in chunks: one front-end call draws each frame from its own
+    generator and returns the chunk's stacked arrays, then the back end
+    takes them in one call.
     """
     cfg = ctx.cfg
     noise_var = link.noise_variance(ebn0_db, ctx.constellation.bits_per_symbol)
@@ -320,11 +327,8 @@ def _run_point(ctx: _Context, point: int, ebn0_db: float, frame_range: range) ->
     outages = 0
     mismaps = 0
     for start in range(0, len(frame_range), chunk):
-        frames = [
-            _front_end(ctx, noise_var, _frame_rng(cfg, point, f)) for f in frame_range[start : start + chunk]
-        ]
-        H, H_hat, idx, y = (np.stack(a) for a in zip(*frames))
-        outage, mismap = back_end(ctx, noise_var, H, H if cfg.pilot_len is None else H_hat, idx, y)
+        rngs = [_frame_rng(cfg, point, f) for f in frame_range[start : start + chunk]]
+        outage, mismap = back_end(ctx, noise_var, *_front_end(ctx, noise_var, rngs))
         outages += outage
         mismaps += mismap
     return outages, mismaps

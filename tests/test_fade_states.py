@@ -337,6 +337,42 @@ def test_catalog_swapped_lines_refused(tmp_path, cat4):
         load_catalog(str(path))
 
 
+def test_catalog_repeated_state_refused(tmp_path, cat4):
+    """Entry 0 appended again used to load as a 15th entry that is never
+    nearest (nearest_indices ties to the lowest index)."""
+    path = tmp_path / "cat.txt"
+    save_catalog(cat4, str(path))
+    n = len(cat4.entries)
+    text = path.read_text().replace(f"entries={n}\n", f"entries={n + 1}\n", 1)
+    path.write_text(text + f"{n}; {cat4.entries[0].state.to_text()}; 7\n")
+    with pytest.raises(ValueError, match=rf"cat\.txt: entries 0 and {n} both list state 0\.0,0\.0$"):
+        load_catalog(str(path))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1; {state}", r"entry 1 has 1 fields after its index, not 2 \(state; weight\)"),
+        ("1; {state}; 5; 6", r"entry 1 has 3 fields after its index, not 2 \(state; weight\)"),
+        ("1; {state}; 5.0", r"entry 1 has weight '5\.0', not a non-negative integer"),
+        ("1; {state}; -5", r"entry 1 has weight '-5', not a non-negative integer"),
+        ("1; {state}; ", r"entry 1 has weight '', not a non-negative integer"),
+    ],
+    ids=["missing-field", "extra-field", "float-weight", "negative-weight", "empty-weight"],
+)
+def test_catalog_malformed_line_named(tmp_path, cat4, line, message):
+    """A malformed line is refused naming the file and the entry, not with
+    a bare unpacking or int() error."""
+    path = tmp_path / "cat.txt"
+    save_catalog(cat4, str(path))
+    lines = path.read_text().splitlines()
+    i = next(k for k, ln in enumerate(lines) if ln.startswith("1; "))
+    lines[i] = line.format(state=cat4.entries[1].state.to_text())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"cat\.txt: " + message):
+        load_catalog(str(path))
+
+
 def brute_nearest_sfs(cat, h):
     """Oracle: the one-pair scan in Python arithmetic, h2/h1 by Python's
     complex division, argmin over every finite state."""

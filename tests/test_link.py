@@ -60,6 +60,34 @@ class TestTransmit:
         assert np.allclose(y[0], qam4.points[idx[0]])
 
 
+class TestGeneratorSequences:
+    """Each link draw takes one generator or a sequence of per-frame ones."""
+
+    @staticmethod
+    def _draws(rng, c, noise_var):
+        H = draw_channel(rng, 3, 2)
+        sym = c.points[np.arange(10).reshape(2, 5) % c.size]
+        return H, transmit(H, noise_var, sym, rng), transmit_pilots(H, noise_var, 4, rng)
+
+    @pytest.mark.parametrize("noise_var", [0.0, 0.3])
+    def test_one_generator_equals_one_element_sequence(self, qam4, noise_var):
+        one, seq = np.random.default_rng(8), [np.random.default_rng(8)]
+        for a, b in zip(self._draws(one, qam4, noise_var), self._draws(seq, qam4, noise_var)):
+            assert b.shape == (1, *a.shape)
+            assert np.array_equal(a.view(np.int64), b[0].view(np.int64))
+        assert one.random() == seq[0].random()
+
+    def test_zero_noise_draws_nothing(self, qam4):
+        """At noise_var 0.0 only the channel is drawn: each generator's next
+        draw is the one after its channel's normals."""
+        for rngs in (np.random.default_rng(5), [np.random.default_rng(s) for s in (5, 6)]):
+            self._draws(rngs, qam4, 0.0)
+            for s, r in zip((5, 6), rngs if isinstance(rngs, list) else [rngs]):
+                fresh = np.random.default_rng(s)
+                fresh.standard_normal((2, 3, 2))
+                assert r.random() == fresh.random()
+
+
 class TestChannelEstimation:
     def test_noiseless_exact(self):
         rng = np.random.default_rng(3)

@@ -88,6 +88,33 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**{"modulation": "qam4", **fields})
 
+    @pytest.mark.parametrize("point, error", [(4000.0, "OverflowError"), (-4000.0, "ZeroDivisionError")])
+    def test_point_without_noise_variance_refused(self, point, error):
+        """These used to build and then raise the named error in
+        link.noise_variance once run_experiment reached the point."""
+        with pytest.raises(ValueError, match=rf"ebn0_db point {point} dB has no finite positive noise variance"):
+            ExperimentConfig(scheme="comp_ideal", ebn0_db=(10.0, point))
+
+    # the metric grid overflows at these noise variances; the run completes
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mod", ["qam4", "qam16"])
+    def test_extreme_points_that_build_run(self, mod):
+        """The largest and the smallest point that construction accepts run;
+        the adjacent floats beyond them are refused."""
+
+        def builds(point):
+            try:
+                return ExperimentConfig(modulation=mod, scheme="comp_ideal", ebn0_db=(point,), frames_per_point=4, frame_len=24)
+            except ValueError:
+                return None
+
+        for ok, refused in ((3000.0, 4000.0), (-3000.0, -4000.0)):
+            while (mid := (ok + refused) / 2) not in (ok, refused):
+                ok, refused = (mid, refused) if builds(mid) else (ok, mid)
+            assert np.nextafter(ok, refused) == refused and builds(refused) is None
+            (record,) = run_experiment(builds(ok))
+            assert record.frames == 4 and record.outage == (ok < 0)
+
     def test_comp_schemes_take_any_stack_shape(self):
         ExperimentConfig(modulation="qam4", scheme="comp_ideal", n_aps=3, ncv_len=3)
 
@@ -469,6 +496,49 @@ def test_chunk_is_fewest_frames_reaching_chunk_elements(mod, frames, chunks, mon
     assert seen == chunks
 
 
+def _noise_one_frame(rng, shape, noise_var):
+    if noise_var == 0.0:
+        return np.zeros(shape, dtype=complex)
+    return math.sqrt(noise_var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _front_end_one_frame(ctx, noise_var, rng):
+    """Oracle: the front end of one frame as it ran before the chunk call,
+    link arithmetic inlined: two normal draws per complex array, the
+    one-frame product and the one-frame pilot mean."""
+    cfg, c = ctx.cfg, ctx.constellation
+    shape = (cfg.n_aps, cfg.n_terminals)
+    H = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    idx = rng.integers(0, c.size, size=(cfg.n_terminals, cfg.frame_len))
+    y = H @ c.points[idx] + _noise_one_frame(rng, (cfg.n_aps, cfg.frame_len), noise_var)
+    if cfg.pilot_len is None:
+        return H, H, idx, y
+    pilots = H[:, :, None] * link.PILOT_SYMBOL + _noise_one_frame(rng, (*shape, cfg.pilot_len), noise_var)
+    return H, pilots.mean(axis=2) * np.conj(link.PILOT_SYMBOL) / abs(link.PILOT_SYMBOL) ** 2, idx, y
+
+
+@pytest.mark.parametrize("frames", [1, 7])
+@pytest.mark.parametrize("n_aps", [1, 2, 3])
+@pytest.mark.parametrize("pilot_len", [None, 1, 4])
+@pytest.mark.parametrize("mod", ["qam4", "qam16"])
+def test_chunk_front_end_is_per_frame_bit_for_bit(mod, pilot_len, n_aps, frames):
+    """One front-end call on a chunk's generators gives the per-frame
+    oracle's arrays stacked, every float bit for bit."""
+    cfg = ExperimentConfig(modulation=mod, scheme="comp_ideal", n_aps=n_aps, pilot_len=pilot_len, seed=17)
+    ctx = sim._prepare(cfg)
+    nv = link.noise_variance(6.0, ctx.constellation.bits_per_symbol)
+    rngs, oracle_rngs = ([sim._frame_rng(cfg, 2, f) for f in range(frames)] for _ in range(2))
+    H, H_hat, idx, y = sim._front_end(ctx, nv, rngs)
+    want = [np.stack(a) for a in zip(*(_front_end_one_frame(ctx, nv, r) for r in oracle_rngs))]
+    assert (H_hat is H) == (pilot_len is None)
+    assert idx.shape == (frames, 2, cfg.frame_len) and np.array_equal(idx, want[2])
+    for a, b in zip((H, H_hat, y), (want[0], want[1], want[3])):
+        assert a.shape == b.shape and a.dtype == b.dtype == complex
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    # every stream was used as the oracle used it: the next draws agree
+    assert [r.random() for r in rngs] == [r.random() for r in oracle_rngs]
+
+
 def _back_end_pnc_two_selections(ctx, noise_var, H, H_hat, idx, y):
     """Oracle: the PNC back end with one selection call on H_hat for the
     frames and a second on H that only counts mis-maps."""
@@ -496,8 +566,7 @@ def test_one_selection_call_counts_as_two(scheme, monkeypatch):
     monkeypatch.setattr(sim, "_select", lambda ctx, H: calls.append(len(H)) or select(ctx, H))
     totals = np.zeros(2, dtype=int)
     for start in range(0, 60, 15):
-        frames = [sim._front_end(ctx, nv, sim._frame_rng(cfg, 0, f)) for f in range(start, start + 15)]
-        H, H_hat, idx, y = (np.stack(a) for a in zip(*frames))
+        H, H_hat, idx, y = sim._front_end(ctx, nv, [sim._frame_rng(cfg, 0, f) for f in range(start, start + 15)])
         got = sim._back_end_pnc(ctx, nv, H, H_hat, idx, y)
         assert calls[-1:] == [30]
         assert got == _back_end_pnc_two_selections(ctx, nv, H, H_hat, idx, y)
