@@ -150,7 +150,8 @@ def difference_profiles(sc: SuperimposedConstellation, clash: Partition | None =
     within one of its blocks are left out (+inf when every pair at that
     difference is).  Index 0 is +inf by convention.  A stacked ``sc`` gives
     a profile with its leading axes, each the one its channel alone gives.
-    The plain profile is kept on ``sc``, so later calls read it.
+    The plain profile is kept on ``sc`` (a clash call fills it too, from
+    the same distances), so later calls read it.
 
     Each unordered pair is evaluated once: ``x - y`` and ``y - x`` are exact
     negations in IEEE arithmetic, so both orders give the same distance bit
@@ -168,18 +169,21 @@ def difference_profiles(sc: SuperimposedConstellation, clash: Partition | None =
                 block[t] = k
         block = np.array(block)
         same = block[a] == block[b]
-    profile = np.full((len(pts), len(a) + 1), np.inf)
+    plain = sc._profile is None
+    out = np.full((plain + (clash is not None), len(pts), len(a) + 1), np.inf)    # [plain,] [clash]
     rows = max(1, _PAIR_BLOCK // a.size)
     for r0 in range(0, len(pts), rows):
         q = pts[r0 : r0 + rows] if rows > 1 else pts[r0]
         dist = np.abs(q[..., a] - q[..., b]) ** 2
+        if plain:
+            out[0, r0 : r0 + rows, 1:] = dist.min(axis=-1)
         if clash is not None:
             np.copyto(dist, np.inf, where=same)
-        profile[r0 : r0 + rows, 1:] = dist.min(axis=-1)
-    profile = profile.reshape(sc.points.shape[:-1] + (len(a) + 1,))
-    if clash is None:
-        sc._profile = profile
-    return profile
+            out[-1, r0 : r0 + rows, 1:] = dist.min(axis=-1)
+    out = out.reshape(out.shape[:1] + sc.points.shape[:-1] + (len(a) + 1,))
+    if plain:
+        sc._profile = out[0]
+    return out[-1]
 
 
 def ncv_table(matrix: BitMatrix, m: int) -> np.ndarray:

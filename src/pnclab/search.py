@@ -146,8 +146,8 @@ def mine_candidates(
         admissible = nullspace(clash_difference_basis(entry.partition, m), mu)
         resolvable = len(admissible) >= t
         rows = np.vstack((_candidate_rows(admissible, t, mu), extractors))
+        sep = mapping_d_min(rows, sc, clash=entry.partition)     # also keeps the plain profile on sc
         d = mapping_d_min(rows, sc)
-        sep = mapping_d_min(rows, sc, clash=entry.partition)
         ext = tuple(
             CandidateEntry(BitMatrix.from_row_ints(tuple(r), mu), float(dr), bool(dr > 0), float(sr))
             for r, dr, sr in zip(extractors.tolist(), d[-2:], sep[-2:])

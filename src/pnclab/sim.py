@@ -12,12 +12,12 @@ stream in the fixed order, and the arithmetic runs once per chunk on
 stacked arrays with a leading frame axis; the scheme's back end (selection,
 detection, recovery, or a baseline's detector) then runs once per chunk on
 those arrays; with pilots, one selection call takes the estimated and the
-true channels stacked.  The chunk size is derived, not configured: the
-fewest whole frames that reach _CHUNK_ELEMENTS detection-metric elements,
-so ceil(2^16 / (APs x uses x 2^(2m))) frames, which is 18 qam4 frames or 2
-qam16 frames at 120 uses and 2 APs.  Stack inverses are memoised per run,
-in the run's context.  Chunking cannot change a result: every batched step
-is elementwise, a reduction along one frame's own axis, or a matrix product
+true channels stacked.  Sizes are derived, not configured: a chunk is the
+fewest whole frames that reach _CHUNK_SAMPLES = 2^13 received samples (35
+frames at 120 uses and 2 APs); a detector's grid takes its frames in blocks
+within link._GRID_ELEMENTS.  Stack inverses are memoised per run, in the
+run's context.  Neither size can change a result: every batched step is
+elementwise, a reduction along one frame's own axis, or a matrix product
 kept at the one-frame shape, stacked (frames, APs, terminals) @ (frames,
 terminals, uses) or (frames, uses, 2^mu) @ (frames, 2^mu, t) and never
 flattened into one 2-D product, whose blocking could round differently.
@@ -61,7 +61,17 @@ PNC_SCHEMES = ("bmas", "rbmas")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Reproducible description of one sweep."""
+    """Reproducible description of one sweep.
+
+    An Eb/N0 point is refused unless n_aps * v <= DBL_MAX / 2^16 for its
+    noise variance v, which keeps every squared distance finite.  numpy's
+    normal draws stay below Z = 14 in magnitude (a ziggurat tail draw is at
+    most 3.66 + ln(2^53) / 3.65) and constellation points below S = 1.35, so
+    for v >= 1 a channel, estimated or not, is below Z (1 + sqrt(v)) and a
+    hypothesis point p and sample y have |p - y| < Z (6S + 1) sqrt(v) < 2^7
+    sqrt(v) and |p_a - p_b| < 8SZ sqrt(v) < 2^7.5 sqrt(v): a squared distance
+    is below 2^15 v, and comp_ideal's sum of one per AP below n_aps 2^14 v.
+    """
 
     modulation: str = "qam4"
     scheme: str = "bmas"
@@ -99,17 +109,18 @@ class ExperimentConfig:
         if self.modulation.lower() not in BITS_PER_SYMBOL:
             raise ValueError(f"unknown modulation {self.modulation!r}; expected one of {tuple(BITS_PER_SYMBOL)}")
         QuantizerSpec(bits=self.quantizer_bits, clip=self.quantizer_clip)  # raises on bad bits/clip
+        if min(self.n_aps, self.frames_per_point, self.frame_len) < 1:
+            raise ValueError("n_aps, frames_per_point and frame_len must be >= 1")
         if not self.ebn0_db:
             raise ValueError("ebn0_db needs at least one point")
+        limit = np.finfo(float).max / 2**16 / self.n_aps      # see the class docstring
         for point in self.ebn0_db:      # NaN and +-inf included: none has a noise variance
             try:
                 noise_var = link.noise_variance(point, BITS_PER_SYMBOL[self.modulation.lower()])
             except ArithmeticError:     # 10 ** (point / 10) overflows, or is 0
                 noise_var = math.nan
-            if not 0.0 < noise_var < math.inf:
-                raise ValueError(f"ebn0_db point {point} dB has no finite positive noise variance")
-        if min(self.n_aps, self.frames_per_point, self.frame_len) < 1:
-            raise ValueError("n_aps, frames_per_point and frame_len must be >= 1")
+            if not 0.0 < noise_var <= limit:
+                raise ValueError(f"ebn0_db point {point} dB has no finite positive noise variance within {limit:.4g}, the largest that keeps every squared distance finite at {self.n_aps} APs")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.pilot_len is not None and self.pilot_len < 1:
@@ -307,10 +318,9 @@ _BACK_ENDS = {
     "comp_nonideal": _back_end_comp_nonideal,
 }
 
-# A chunk is the fewest whole frames that reach this many detection metric
-# elements, frames x APs x uses x joint hypotheses (18 qam4 frames or 2
-# qam16 frames at 120 uses and 2 APs).
-_CHUNK_ELEMENTS = 2**16
+# A chunk is the fewest whole frames that reach this many received samples,
+# frames x APs x uses; the detectors bound their grids (link._GRID_ELEMENTS).
+_CHUNK_SAMPLES = 2**13
 
 
 def _run_point(ctx: _Context, point: int, ebn0_db: float, frame_range: range) -> tuple[int, int]:
@@ -323,7 +333,7 @@ def _run_point(ctx: _Context, point: int, ebn0_db: float, frame_range: range) ->
     cfg = ctx.cfg
     noise_var = link.noise_variance(ebn0_db, ctx.constellation.bits_per_symbol)
     back_end = _BACK_ENDS[cfg.scheme]
-    chunk = -(-_CHUNK_ELEMENTS // (cfg.n_aps * cfg.frame_len * ctx.constellation.size**2))
+    chunk = -(-_CHUNK_SAMPLES // (cfg.n_aps * cfg.frame_len))
     outages = 0
     mismaps = 0
     for start in range(0, len(frame_range), chunk):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnclab import link
 from pnclab.gf2 import BitMatrix, rank_rows
 from pnclab.link import (
     QuantizerSpec,
@@ -521,6 +522,68 @@ class TestShapeChosenGrid:
         mat = BitMatrix.from_row_ints(rows[0, 0].tolist(), 2 * c.bits_per_symbol)
         want = ncv_table(mat, c.bits_per_symbol)[grid[0, 0].argmin(axis=0)]
         assert np.array_equal(hard_ncv(ys[0, 0], tuple(H[0, 0]), mat, c), want)
+
+
+def _frame_stack(mod, frames, uses, ebn0_db, seed):
+    """A stack of frames of two APs: channels (frames, 2, 2), samples
+    (frames, 2, uses), random packed rows (frames, 2, m) and the noise
+    variance."""
+    c = make_constellation(mod)
+    m = c.bits_per_symbol
+    rng = np.random.default_rng(seed)
+    nv = noise_variance(ebn0_db, m)
+    H = draw_channel([np.random.default_rng((seed, f)) for f in range(frames)])
+    idx = rng.integers(0, c.size, size=(frames, 2, uses))
+    ys = transmit(H, nv, c.points[idx], [np.random.default_rng((seed, f, 1)) for f in range(frames)])
+    rows = rng.integers(1, 1 << 2 * m, size=(frames, 2, m))
+    return c, H, ys, rows, nv
+
+
+# at 2 APs x 120 uses a block is 18 qam4 frames (3,840 grid elements each)
+# or 2 qam16 frames (61,440 each): the fewest that reach 2^16
+BLOCK_CASES = [("qam4", 40, [18, 18, 4]), ("qam16", 5, [2, 2, 1])]
+
+
+@pytest.mark.parametrize("mod, frames, blocks", BLOCK_CASES)
+class TestFrameBlocks:
+    """A stacked detector call scores its frames a block at a time; the
+    result equals the per-block calls, and any other blocking, bit for bit."""
+
+    DETECTORS = {
+        "detect_ncv": lambda c, H, ys, rows, nv: detect_ncv(ys, H, rows, c, nv),
+        "detect_ncv-max-log": lambda c, H, ys, rows, nv: detect_ncv(ys, H, rows, c, nv, max_log=True),
+        "comp_nonideal_llrs": lambda c, H, ys, rows, nv: comp_nonideal_llrs(ys, H, c, nv),
+        "comp_ideal": lambda c, H, ys, rows, nv: comp_ideal(ys, H, c),
+    }
+
+    def test_block_is_fewest_frames_reaching_grid_elements(self, mod, frames, blocks, monkeypatch):
+        c, H, ys, rows, nv = _frame_stack(mod, frames, 120, 14.0, 41)
+        seen = []
+        grids = link._grids
+
+        def spy(points, ys):
+            for s, d, axis in grids(points, ys):
+                seen.append(len(ys[s]))
+                yield s, d, axis
+
+        monkeypatch.setattr(link, "_grids", spy)
+        for detect in self.DETECTORS.values():
+            seen.clear()
+            detect(c, H, ys, rows, nv)
+            assert seen == blocks
+
+    @pytest.mark.parametrize("name", sorted(DETECTORS))
+    def test_stacked_call_equals_per_block_calls(self, mod, frames, blocks, name, monkeypatch):
+        detect = self.DETECTORS[name]
+        c, H, ys, rows, nv = _frame_stack(mod, frames, 120, 14.0, 42)
+        stacked = detect(c, H, ys, rows, nv)
+        cuts = np.cumsum([0] + blocks)
+        parts = [detect(c, H[a:b], ys[a:b], rows[a:b], nv) for a, b in zip(cuts, cuts[1:])]
+        assert stacked.shape[0] == frames
+        assert stacked.tobytes() == np.concatenate(parts).tobytes()
+        for grid in (1, frames * ys[0].size * c.size**2):       # one frame per block, every frame in one
+            monkeypatch.setattr(link, "_GRID_ELEMENTS", grid)
+            assert detect(c, H, ys, rows, nv).tobytes() == stacked.tobytes()
 
 
 @pytest.mark.parametrize("mod", ["qam4", "qam16"])

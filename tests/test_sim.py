@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,12 +96,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"ebn0_db point {point} dB has no finite positive noise variance"):
             ExperimentConfig(scheme="comp_ideal", ebn0_db=(10.0, point))
 
-    # the metric grid overflows at these noise variances; the run completes
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("mod", ["qam4", "qam16"])
-    def test_extreme_points_that_build_run(self, mod):
+    def test_extreme_points_that_build_run(self, mod, monkeypatch):
         """The largest and the smallest point that construction accepts run;
-        the adjacent floats beyond them are refused."""
+        the adjacent floats beyond them are refused.  At the smallest every
+        scheme runs with no RuntimeWarning (an error under this suite's
+        filter) and no NaN L-value."""
 
         def builds(point):
             try:
@@ -108,12 +109,28 @@ class TestConfig:
             except ValueError:
                 return None
 
+        llrs = link._llrs
+        nans = []
+        monkeypatch.setattr(link, "_llrs", lambda *args, **kw: nans.append(np.isnan(out := llrs(*args, **kw)).any()) or out)
         for ok, refused in ((3000.0, 4000.0), (-3000.0, -4000.0)):
             while (mid := (ok + refused) / 2) not in (ok, refused):
                 ok, refused = (mid, refused) if builds(mid) else (ok, mid)
             assert np.nextafter(ok, refused) == refused and builds(refused) is None
             (record,) = run_experiment(builds(ok))
             assert record.frames == 4 and record.outage == (ok < 0)
+        pnc = dict(rank_trials=10**4, n_principal=24 if mod == "qam16" else None)
+        for scheme in sim.SCHEMES:
+            cfg = replace(builds(ok), scheme=scheme, pilot_len=2, **(pnc if scheme in sim.PNC_SCHEMES else {}))
+            (record,) = run_experiment(cfg)
+            assert record.outage == 1.0
+        assert len(nans) == 3 and not any(nans)      # bmas, rbmas and comp_nonideal
+
+    def test_point_whose_noise_can_overflow_refused(self):
+        """-3036 dB gives qam4 a noise variance of 1.99e303: within the
+        limit for one AP, over it for two, whose grids comp_ideal sums."""
+        ExperimentConfig(scheme="comp_ideal", n_aps=1, ebn0_db=(-3036.0,))
+        with pytest.raises(ValueError, match=r"point -3036.0 dB has no finite positive noise variance within 1.372e\+303, the largest that keeps every squared distance finite at 2 APs"):
+            ExperimentConfig(scheme="comp_ideal", n_aps=2, ebn0_db=(10.0, -3036.0))
 
     def test_comp_schemes_take_any_stack_shape(self):
         ExperimentConfig(modulation="qam4", scheme="comp_ideal", n_aps=3, ncv_len=3)
@@ -440,10 +457,12 @@ CHUNKED = {
 
 
 class TestChunking:
-    """The CSV does not depend on how frames are grouped into back-end calls.
+    """The CSV does not depend on how frames are grouped into back-end calls,
+    nor on how a detector blocks a chunk's frames.
 
-    At 120 uses a qam4 chunk holds 18 frames by default, so 40 frames run as
-    chunks of 18, 18 and 4.
+    At 120 uses and 2 APs a chunk holds 35 frames and a qam4 detector block
+    18, so 40 frames run as chunks of 35 and 5, detected in blocks of 18,
+    17 and 5.
     """
 
     @staticmethod
@@ -455,12 +474,16 @@ class TestChunking:
     def test_csv_is_independent_of_chunking(self, name, monkeypatch):
         fields = CHUNKED[name]
         default = self.csv(fields)
-        assert -(-sim._CHUNK_ELEMENTS // (2 * 120 * 16)) == 18
+        assert -(-sim._CHUNK_SAMPLES // (2 * 120)) == 35
+        assert -(-link._GRID_ELEMENTS // (2 * 120 * 16)) == 18
 
-        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", 1)                   # one frame per chunk
-        assert self.csv(fields) == default
-        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", 40 * 2 * 120 * 16)   # every frame in one chunk
-        assert self.csv(fields) == default
+        # engine chunks of one frame and of every frame, crossed with
+        # detector blocks of one frame and of every frame
+        for chunk in (1, 40 * 2 * 120):
+            for block in (1, 40 * 2 * 120 * 16):
+                monkeypatch.setattr(sim, "_CHUNK_SAMPLES", chunk)
+                monkeypatch.setattr(link, "_GRID_ELEMENTS", block)
+                assert self.csv(fields) == default
         monkeypatch.undo()
 
         monkeypatch.setenv("PNCLAB_WORKERS", "2")
@@ -478,11 +501,14 @@ class TestChunking:
         assert self.csv(fields) == default
 
 
-@pytest.mark.parametrize("mod, frames, chunks", [("qam4", 40, [18, 18, 4]), ("qam16", 5, [2, 2, 1])])
-def test_chunk_is_fewest_frames_reaching_chunk_elements(mod, frames, chunks, monkeypatch):
-    """At 120 uses and 2 APs a chunk is 18 qam4 frames (3,840 metric
-    elements each) or 2 qam16 frames (61,440 each): the fewest whole frames
-    that reach 2^16 elements."""
+@pytest.mark.parametrize(
+    "mod, n_aps, frame_len, frames, chunks",
+    [("qam4", 2, 120, 80, [35, 35, 10]), ("qam16", 2, 120, 40, [35, 5]), ("qam16", 1, 300, 60, [28, 28, 4])],
+)
+def test_chunk_is_fewest_frames_reaching_chunk_samples(mod, n_aps, frame_len, frames, chunks, monkeypatch):
+    """A chunk is the fewest whole frames that reach 2^13 received samples
+    (frames x APs x uses), whatever the modulation: 35 frames at 2 APs x
+    120 uses, 28 at 1 AP x 300."""
     seen = []
     back_end = sim._BACK_ENDS["comp_ideal"]
 
@@ -491,9 +517,41 @@ def test_chunk_is_fewest_frames_reaching_chunk_elements(mod, frames, chunks, mon
         return back_end(ctx, noise_var, H, *rest)
 
     monkeypatch.setitem(sim._BACK_ENDS, "comp_ideal", spy)
-    cfg = ExperimentConfig(modulation=mod, scheme="comp_ideal", frames_per_point=frames, frame_len=120)
+    cfg = ExperimentConfig(modulation=mod, scheme="comp_ideal", n_aps=n_aps, frames_per_point=frames, frame_len=frame_len)
     list(run_experiment(cfg))
     assert seen == chunks
+
+
+# 50 frames run as chunks of 35 and 15; a chunk's frames are detected in
+# blocks of 18 qam4 or 2 qam16 frames at 120 uses, and 1 qam16 frame at 300
+@pytest.mark.parametrize(
+    "mod, frame_len, scheme, blocks",
+    [
+        ("qam4", 120, "bmas", {18, 17, 15}),
+        ("qam4", 120, "rbmas", {18, 17, 15}),
+        ("qam4", 120, "comp_nonideal", {18, 17, 15}),
+        ("qam16", 120, "comp_ideal", {2, 1}),
+        ("qam16", 300, "comp_ideal", {1}),
+        ("qam16", 300, "comp_nonideal", {1}),
+    ],
+)
+def test_no_distance_grid_exceeds_its_bound(mod, frame_len, scheme, blocks, monkeypatch):
+    """Every distance grid a run allocates holds the fewest whole frames
+    that reach 2^16 elements, so without its last frame it is under 2^16;
+    a qam16 frame at 300 uses (153,600 elements) is a grid alone."""
+    sizes = []
+    grids = link._grids
+
+    def spy(points, ys):
+        for s, d, axis in grids(points, ys):
+            sizes.append((d.size, d.size // len(ys[s])))
+            yield s, d, axis
+
+    monkeypatch.setattr(link, "_grids", spy)
+    cfg = ExperimentConfig(modulation=mod, scheme=scheme, frames_per_point=50, frame_len=frame_len, pilot_len=4, rank_trials=10**4)
+    list(run_experiment(cfg))
+    assert sizes and all(size - frame < link._GRID_ELEMENTS for size, frame in sizes)
+    assert {size // frame for size, frame in sizes} == blocks
 
 
 def _noise_one_frame(rng, shape, noise_var):
