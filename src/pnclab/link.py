@@ -7,7 +7,7 @@ bit 1.  With unit-energy constellations and m information bits per symbol
 per terminal, ``noise_var = 1 / (m * Eb/N0)``.
 
 Every detector scores the 2^(2m) joint hypotheses of ``mapping.superimpose``
-on one distance grid, ``_grids``: comp_ideal and hard_ncv take its argmin;
+on one distance grid, ``_distances``: comp_ideal and hard_ncv take its argmin;
 detect_ncv and comp_nonideal_llrs run the one likelihood kernel ``_llrs`` on
 it, with hypothesis labels from ``mapping._ncv_bits``.
 """
@@ -93,26 +93,30 @@ def estimate_channel(y_pilots: np.ndarray, pilot_len: int) -> np.ndarray:
     return y_pilots.mean(axis=-1) * np.conj(PILOT_SYMBOL) / abs(PILOT_SYMBOL) ** 2
 
 
-# A detector's grid covers a stacked input (frames, APs, samples) a block at
-# a time: the fewest whole frames that reach this many elements (18 qam4 or
-# 2 qam16 frames at 2 APs x 120 uses), or one frame where it is larger.
-_GRID_ELEMENTS = 2**16
+_GRID_ELEMENTS = 2**16     # bounds a detector's grid: see _blockwise
 
 
-def _grids(points: np.ndarray, ys: np.ndarray):
-    """(block, grid, hypothesis axis) for each block of frames of ``ys``
-    (..., samples), an input without a frame axis being one block: |p - y|^2
-    for every hypothesis point p of ``points`` (..., 2^mu) and sample y.  The
+def _distances(points: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
+    """|p - y|^2 for every hypothesis point p of ``points`` (..., 2^mu) and
+    sample y of ``ys`` (..., samples), and the grid's hypothesis axis.  The
     longer of the two axes is the fast one: (..., samples, 2^mu), axis -1,
     when hypotheses outnumber samples (qam16 at 120 uses), else (...,
     2^mu, samples), axis -2.  Each element is the same p - y either way."""
-    points = np.broadcast_to(points, ys.shape[:-1] + points.shape[-1:])
     axis = -1 if points.shape[-1] > ys.shape[-1] else -2
+    d = np.abs(np.expand_dims(points, -3 - axis) - np.expand_dims(ys, axis))
+    d *= d
+    return d, axis
+
+
+def _blockwise(points: np.ndarray, ys: np.ndarray, score) -> np.ndarray:
+    """``score(grid, axis, block)`` for each block of frames of ``ys`` (frames, APs,
+    samples), concatenated: the fewest whole frames that reach _GRID_ELEMENTS grid
+    elements (18 qam4 or 2 qam16 frames at 2 APs x 120 uses), or one frame where one
+    is larger; one block without a frame axis.  Each grid is freed as its score returns."""
+    points = np.broadcast_to(points, ys.shape[:-1] + points.shape[-1:])
     step = -(-_GRID_ELEMENTS // (math.prod(ys.shape[1:]) * points.shape[-1])) if ys.ndim > 2 else 0
-    for s in [slice(a, a + step) for a in range(0, len(ys), step)] if step else [...]:
-        d = np.abs(np.expand_dims(points[s], -3 - axis) - np.expand_dims(ys[s], axis))
-        d *= d
-        yield s, d, axis
+    blocks = [slice(a, a + step) for a in range(0, len(ys), step)] if step else [...]
+    return np.concatenate([score(*_distances(points[s], ys[s]), s) for s in blocks])
 
 
 def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise_var: float, max_log: bool = False):
@@ -121,13 +125,11 @@ def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise
     ``sc`` at samples ``ys`` (..., samples).  The exact form sums exp of the
     log-likelihoods minus their row maxima, one matrix product per slice."""
     ones, zeros = (np.broadcast_to(b, ys.shape[:-1] + bits.shape[-2:]) for b in (bits, 1.0 - bits))
-    out = np.empty(ys.shape + bits.shape[-1:])
-    for s, metric, axis in _grids(sc.points, ys):
+    def block(metric, axis, s):
         metric /= -noise_var            # -(d**2) / noise_var, bit for bit
         if max_log:
             side, metric = np.expand_dims(ones[s] == 1, -4 - axis), metric[..., None]   # hypotheses on axis - 1
-            out[s] = np.where(side, -np.inf, metric).max(axis=axis - 1) - np.where(side, metric, -np.inf).max(axis=axis - 1)
-            continue
+            return np.where(side, -np.inf, metric).max(axis=axis - 1) - np.where(side, metric, -np.inf).max(axis=axis - 1)
         # e: (..., samples, 2^mu) C-ordered, so every slice's product has one layout
         hyps = metric if axis == -1 else metric.swapaxes(-1, -2)
         e = metric if axis == -1 else np.empty(hyps.shape)
@@ -139,8 +141,9 @@ def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise
         np.exp(e, out=e)
         e *= live
         with np.errstate(divide="ignore"):
-            out[s] = np.log(e @ zeros[s]) - np.log(e @ ones[s])
-    return out
+            return np.log(e @ zeros[s]) - np.log(e @ ones[s])
+
+    return _blockwise(sc.points, ys, block)
 
 
 def detect_ncv(
@@ -175,8 +178,7 @@ def detect_ncv(
 def hard_ncv(y, h: tuple[complex, complex], matrix: BitMatrix, constellation: Constellation) -> np.ndarray:
     """Zero-noise limit of detect_ncv: NCV of the nearest superposition point."""
     ys = np.atleast_1d(np.asarray(y, dtype=complex))
-    ((_, d, axis),) = _grids(superimpose(constellation, h).points, ys)
-    idx = d.argmin(axis=axis)
+    idx = _blockwise(superimpose(constellation, h).points, ys, lambda d, axis, s: d.argmin(axis=axis))
     return ncv_table(matrix, constellation.bits_per_symbol)[idx]
 
 
@@ -225,8 +227,8 @@ def comp_ideal(ys: np.ndarray, H: np.ndarray, constellation: Constellation) -> n
     bits), shaped (..., uses), minimizing the stacked residual norm
     exhaustively, one block of frames at a time.
     """
-    grids = _grids(superimpose(constellation, H).points, np.asarray(ys))
-    return np.concatenate([d.sum(axis=-3).argmin(axis=axis) for _, d, axis in grids])
+    points = superimpose(constellation, H).points
+    return _blockwise(points, np.asarray(ys), lambda d, axis, s: d.sum(axis=-3).argmin(axis=axis))
 
 
 @dataclass(frozen=True)

@@ -63,14 +63,12 @@ PNC_SCHEMES = ("bmas", "rbmas")
 class ExperimentConfig:
     """Reproducible description of one sweep.
 
-    An Eb/N0 point is refused unless n_aps * v <= DBL_MAX / 2^16 for its
-    noise variance v, which keeps every squared distance finite.  numpy's
-    normal draws stay below Z = 14 in magnitude (a ziggurat tail draw is at
-    most 3.66 + ln(2^53) / 3.65) and constellation points below S = 1.35, so
-    for v >= 1 a channel, estimated or not, is below Z (1 + sqrt(v)) and a
-    hypothesis point p and sample y have |p - y| < Z (6S + 1) sqrt(v) < 2^7
-    sqrt(v) and |p_a - p_b| < 8SZ sqrt(v) < 2^7.5 sqrt(v): a squared distance
-    is below 2^15 v, and comp_ideal's sum of one per AP below n_aps 2^14 v.
+    An Eb/N0 point needs n_aps * v <= DBL_MAX / 2^16 for its noise variance v.
+    With numpy's normal draws below Z = 14 in magnitude (its ziggurat tail draw is at
+    most 3.66 + ln(2^53) / 3.65) and points below S = 1.35, a channel estimate is below
+    Z (1 + sqrt(v)) and, for v >= 1, |p - y| < Z (6S + 1) sqrt(v) < 2^7 sqrt(v) and
+    |p_a - p_b| < 8SZ sqrt(v) < 2^7.5 sqrt(v): every squared distance stays below
+    2^15 v, and comp_ideal's sum of one per AP below n_aps 2^14 v.
     """
 
     modulation: str = "qam4"
@@ -113,14 +111,14 @@ class ExperimentConfig:
             raise ValueError("n_aps, frames_per_point and frame_len must be >= 1")
         if not self.ebn0_db:
             raise ValueError("ebn0_db needs at least one point")
-        limit = np.finfo(float).max / 2**16 / self.n_aps      # see the class docstring
         for point in self.ebn0_db:      # NaN and +-inf included: none has a noise variance
             try:
                 noise_var = link.noise_variance(point, BITS_PER_SYMBOL[self.modulation.lower()])
             except ArithmeticError:     # 10 ** (point / 10) overflows, or is 0
                 noise_var = math.nan
-            if not 0.0 < noise_var <= limit:
-                raise ValueError(f"ebn0_db point {point} dB has no finite positive noise variance within {limit:.4g}, the largest that keeps every squared distance finite at {self.n_aps} APs")
+            if not 0.0 < noise_var <= np.finfo(float).max / 2**16 / self.n_aps:    # see the class docstring
+                raise ValueError(f"ebn0_db point {point} dB has no finite positive noise variance "
+                                 f"that keeps every squared distance finite at {self.n_aps} APs")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.pilot_len is not None and self.pilot_len < 1:

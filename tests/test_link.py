@@ -559,14 +559,13 @@ class TestFrameBlocks:
     def test_block_is_fewest_frames_reaching_grid_elements(self, mod, frames, blocks, monkeypatch):
         c, H, ys, rows, nv = _frame_stack(mod, frames, 120, 14.0, 41)
         seen = []
-        grids = link._grids
+        distances = link._distances
 
         def spy(points, ys):
-            for s, d, axis in grids(points, ys):
-                seen.append(len(ys[s]))
-                yield s, d, axis
+            seen.append(len(ys))
+            return distances(points, ys)
 
-        monkeypatch.setattr(link, "_grids", spy)
+        monkeypatch.setattr(link, "_distances", spy)
         for detect in self.DETECTORS.values():
             seen.clear()
             detect(c, H, ys, rows, nv)
