@@ -585,6 +585,15 @@ class TestFrameBlocks:
             assert detect(c, H, ys, rows, nv).tobytes() == stacked.tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(TestFrameBlocks.DETECTORS))
+def test_frames_without_samples_give_empty_result(name):
+    """Frames with no samples make an empty grid, not a zero divisor in the
+    block rule: the result is empty, with the stack's frame axis."""
+    c, H, ys, rows, nv = _frame_stack("qam4", 3, 1, 10.0, 43)
+    got = TestFrameBlocks.DETECTORS[name](c, H, ys[:, :, :0], rows, nv)
+    assert got.size == 0 and got.shape[0] == 3
+
+
 @pytest.mark.parametrize("mod", ["qam4", "qam16"])
 def test_minus_inf_metric_lane_matches_oracle(mod):
     """A lane whose metric overflows to -inf is a dead lane: the L-values
