@@ -112,10 +112,10 @@ def _blockwise(points: np.ndarray, ys: np.ndarray, score) -> np.ndarray:
     """``score(grid, axis, block)`` for each block of frames of ``ys`` (frames, APs,
     samples), concatenated: the fewest whole frames that reach _GRID_ELEMENTS grid
     elements (18 qam4 or 2 qam16 frames at 2 APs x 120 uses), or one frame where one
-    is larger; one block without a frame axis.  Each grid is freed as its score returns."""
+    is larger; one block without a frame axis or with no frames.  Each grid is freed as its score returns."""
     points = np.broadcast_to(points, ys.shape[:-1] + points.shape[-1:])
     step = -(-_GRID_ELEMENTS // max(1, math.prod(ys.shape[1:]) * points.shape[-1])) if ys.ndim > 2 else 0
-    blocks = [slice(a, a + step) for a in range(0, len(ys), step)] if step else [...]
+    blocks = [slice(a, a + step) for a in range(0, len(ys) or 1, step)] if step else [...]
     return np.concatenate([score(*_distances(points[s], ys[s]), s) for s in blocks])
 
 

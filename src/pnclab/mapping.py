@@ -85,7 +85,7 @@ def superimpose(c: Constellation, h) -> SuperimposedConstellation:
     """
     hh = np.asarray(h, dtype=complex)
     h1, h2 = hh[..., 0, None, None], hh[..., 1, None, None]
-    pts = (h1 * c.points[:, None] + h2 * c.points[None, :]).reshape(hh.shape[:-1] + (-1,))
+    pts = (h1 * c.points[:, None] + h2 * c.points[None, :]).reshape(hh.shape[:-1] + (c.size**2,))
     return SuperimposedConstellation(constellation=c, points=pts)
 
 

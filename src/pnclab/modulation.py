@@ -40,13 +40,12 @@ def make_constellation(name: str) -> Constellation:
     """Build ``qam4`` or ``qam16`` with the fixed Gray labeling.  Built once
     per name, so every caller shares one object and its arrays are
     read-only."""
-    key = name.lower()
-    if key == "qam4":
+    if name == "qam4":
         # label (b1, b2) -> sign of (real, imag); 00 -> (+1+1j)
         lattice = np.array(
             [complex(1 - 2 * b1, 1 - 2 * b2) for b1 in (0, 1) for b2 in (0, 1)]
         )
-    elif key == "qam16":
+    elif name == "qam16":
         # (b1, b2) Gray-codes the real axis, (b3, b4) the imaginary axis
         lattice = np.array(
             [
@@ -61,4 +60,4 @@ def make_constellation(name: str) -> Constellation:
         raise ValueError(f"unknown modulation {name!r}; expected qam4 or qam16")
     points = lattice / np.sqrt(2 * (len(lattice) - 1) / 3)    # a square M-QAM grid's mean energy
     points.flags.writeable = lattice.flags.writeable = False
-    return Constellation(name=key, bits_per_symbol=BITS_PER_SYMBOL[key], points=points, lattice_points=lattice)
+    return Constellation(name=name, bits_per_symbol=BITS_PER_SYMBOL[name], points=points, lattice_points=lattice)

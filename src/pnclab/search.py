@@ -355,26 +355,6 @@ def _check_store_matches_catalog(store: CandidateStore, cat: SfsCatalog) -> None
     _check_same_states(store.states, tuple(e.state for e in cat.entries), "store and catalog")
 
 
-def _check_table_matches_store(table: SelectionTable, store: CandidateStore) -> None:
-    if (table.modulation, table.labeling_version, table.t, table.mu) != (
-        store.modulation, store.labeling_version, store.t, store.mu
-    ):
-        raise ValueError("table and store disagree on modulation, labeling or matrix shape")
-    _check_same_states(table.states, store.states, "table and store")
-    distinct, code, _, _ = store._arrays
-    slot = {e: k for k, e in enumerate(distinct)}
-    n = table.n_aps
-    # each value's codes, -1 for a matrix the store does not hold; a marker lists none
-    vcode = np.array([[slot.get(e, -1) for e in v or (None,) * n] for v in table.values], dtype=np.intp).reshape(-1, n)
-    held = np.ones(table.choice.shape, dtype=bool)
-    for j in range(n):          # AP j's state on axis j, its code against that state's list
-        state = np.arange(len(code)).reshape([-1 if i == j else 1 for i in range(n)])
-        held &= (code[state] == vcode[table.choice, j][..., None]).any(axis=-1)
-    bad = np.argwhere(~held & (table._rows[:, 0, 0][table.choice] >= 0))
-    if len(bad):
-        raise ValueError(f"table entry {tuple(bad[0].tolist())} lists a matrix the store does not hold for that state")
-
-
 @dataclass(frozen=True)
 class Selection:
     """Chosen per-AP matrices and the nearest state of each AP's channel."""
@@ -526,6 +506,24 @@ class SelectionTable:
         """Number of state tuples that carry the marker."""
         return int(np.count_nonzero(self._rows[:, 0, 0][self.choice] < 0))
 
+    def check_equal(self, other: "SelectionTable", what: str = "tables") -> None:
+        """Raise ValueError naming the first difference from ``other``: a
+        header field, the states as the files write them, or else the first
+        state tuple (C order) whose entry differs.  Value ids are the
+        layout, not the content: renumbered values are no difference."""
+        for name in ("modulation", "labeling_version", "t", "mu", "n_aps"):
+            if getattr(self, name) != getattr(other, name):
+                raise ValueError(f"{what} disagree on {name}: {getattr(self, name)!r} vs {getattr(other, name)!r}")
+        _check_same_states(self.states, other.states, what)
+        ids: dict = {}          # each distinct value, from either table, one id
+        mine, theirs = (np.array([ids.setdefault(v, len(ids)) for v in tab.values], dtype=np.intp)[tab.choice]
+                        for tab in (self, other))
+        bad = np.argwhere(mine != theirs)
+        if len(bad):
+            tup = tuple(bad[0].tolist())
+            a, b = (_format_value(tab.values[tab.choice[tup]]) for tab in (self, other))
+            raise ValueError(f"{what} disagree at state tuple {tup}: {a} vs {b}")
+
 
 def _table_entries(store: CandidateStore, n_aps: int) -> tuple[np.ndarray, tuple[tuple[int, ...] | None, ...]]:
     """``_pick_combination`` for every ordered tuple of ``n_aps`` states,
@@ -533,27 +531,28 @@ def _table_entries(store: CandidateStore, n_aps: int) -> tuple[np.ndarray, tuple
 
     Each tuple's K^n combinations are scored with the distances the store
     holds.  The tuples are taken a block of first states at a time, so each
-    temporary stays near 2^18 elements.  Tuples with equal chosen codes
-    share one value id.
+    temporary stays near 2^16 elements; each tuple keeps its chosen codes
+    as one key, and tuples with equal keys share one value id.
     """
     distinct, code, d, _ = store._arrays
     u = len(distinct)
     full = store._full_rank(n_aps)
     n, width = code.shape
-    block = max(1, (1 << 18) // (max(n, 1) ** (n_aps - 1) * width**n_aps))
+    block = max(1, (1 << 16) // (max(n, 1) ** (n_aps - 1) * width**n_aps))
 
     def spread(a, j, states):   # AP j's states on leading axis j of n_aps
         return a[states].reshape(tuple(-1 if i == j else 1 for i in range(n_aps)) + (width,))
 
-    chosen = [np.zeros((0, n_aps), dtype=np.int64)]     # a store of no states gives an empty table
+    place = (u + 1) ** np.arange(n_aps)[::-1]      # codes in base u + 1, most significant first
+    keys = [np.zeros(0, dtype=np.int64)]            # a store of no states gives an empty table
     for i0 in range(0, n, block):
         states = [slice(i0, i0 + block)] + [slice(None)] * (n_aps - 1)
         codes = [spread(code, j, s) for j, s in enumerate(states)]
         dists = [spread(d, j, s) for j, s in enumerate(states)]
-        chosen.append(_pick_combination(full, codes, dists).reshape(-1, n_aps))
-    chosen = np.concatenate(chosen)
-    _, first, inverse = np.unique(chosen @ (u + 1) ** np.arange(n_aps)[::-1], return_index=True, return_inverse=True)
-    values = tuple(None if c[0] == u else tuple(map(distinct.__getitem__, c)) for c in chosen[first].tolist())
+        keys.append(_pick_combination(full, codes, dists).reshape(-1, n_aps) @ place)
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    chosen = (keys[:, None] // place % (u + 1)).tolist()
+    values = tuple(None if c[0] == u else tuple(map(distinct.__getitem__, c)) for c in chosen)
     return inverse.reshape((n,) * n_aps).astype(np.min_scalar_type(-len(values))), values
 
 
@@ -681,6 +680,10 @@ def load_store(path: str) -> CandidateStore:
     return store
 
 
+def _format_value(v: tuple[int, ...] | None) -> str:
+    return "fallback" if v is None else " ".join(format(e, "x") for e in v)
+
+
 def save_table(table: SelectionTable, path: str) -> None:
     header = {
         "modulation": table.modulation,
@@ -694,8 +697,7 @@ def save_table(table: SelectionTable, path: str) -> None:
     rows = table.choice.reshape(len(table.states) ** (table.n_aps - 1), len(table.states))
     write_artifact(path, "pnclab-table v3", header, itertools.chain(
         (f"state {i} @ {state.to_text()}" for i, state in enumerate(table.states)),
-        (f"value {k} @ " + ("fallback" if v is None else " ".join(format(e, "x") for e in v))
-         for k, v in enumerate(table.values)),
+        (f"value {k} @ {_format_value(v)}" for k, v in enumerate(table.values)),
         (f"row {r} @ " + " ".join(map(str, row.tolist())) for r, row in enumerate(rows)),
     ))
 

@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -46,7 +47,6 @@ from .search import (
     SelectionBatch,
     SelectionTable,
     _check_store_matches_catalog,
-    _check_table_matches_store,
     build_selection_table,
     build_store,
     load_store,
@@ -96,6 +96,9 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type in ("int", "int | None") and value is not None and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, not {value!r}")
+            reals = {"float": (value,), "tuple[float, ...]": value}.get(f.type, ())
+            if not isinstance(reals, tuple) or any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in reals):
+                raise ValueError(f"{f.name} must be {f.type} (real numbers, not bool), not {value!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         # a path the scheme never reads would change config_hash and nothing else
@@ -104,7 +107,7 @@ class ExperimentConfig:
             raise ValueError(f"scheme {self.scheme} never reads {', '.join(unread)}: leave them None")
         if self.n_terminals != 2:
             raise ValueError("only the two-terminal uplink is supported")
-        if self.modulation.lower() not in BITS_PER_SYMBOL:
+        if self.modulation not in BITS_PER_SYMBOL:
             raise ValueError(f"unknown modulation {self.modulation!r}; expected one of {tuple(BITS_PER_SYMBOL)}")
         QuantizerSpec(bits=self.quantizer_bits, clip=self.quantizer_clip)  # raises on bad bits/clip
         if min(self.n_aps, self.frames_per_point, self.frame_len) < 1:
@@ -113,7 +116,7 @@ class ExperimentConfig:
             raise ValueError("ebn0_db needs at least one point")
         for point in self.ebn0_db:      # NaN and +-inf included: none has a noise variance
             try:
-                noise_var = link.noise_variance(point, BITS_PER_SYMBOL[self.modulation.lower()])
+                noise_var = link.noise_variance(point, BITS_PER_SYMBOL[self.modulation])
             except ArithmeticError:     # 10 ** (point / 10) overflows, or is 0
                 noise_var = math.nan
             if not 0.0 < noise_var <= np.finfo(float).max / 2**16 / self.n_aps:    # see the class docstring
@@ -133,7 +136,7 @@ class ExperimentConfig:
                     "k_per_state must be >= 2 with several APs: one matrix per state cannot stack "
                     "to full rank when two APs share a fade state"
                 )
-            m = BITS_PER_SYMBOL[self.modulation.lower()]
+            m = BITS_PER_SYMBOL[self.modulation]
             t = self.ncv_len or m
             if not m <= t <= 2 * m:
                 raise ValueError(f"ncv_len must be in [{m}, {2 * m}] for {self.modulation}")
@@ -154,7 +157,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
-        if "ebn0_db" in data:
+        if isinstance(data.get("ebn0_db"), list):     # JSON's array; anything else is refused by name
             data["ebn0_db"] = tuple(data["ebn0_db"])
         return cls(**data)
 
@@ -224,16 +227,11 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
         store = build_store(cat, t=t, k_per_state=cfg.k_per_state, n_aps=cfg.n_aps)
     ctx.store = store
     if cfg.scheme == "rbmas":
-        if cfg.table_path:
-            table = load_table(cfg.table_path)
-            _check_table_matches_store(table, store)
-            if table.n_aps != cfg.n_aps:
-                raise ValueError(f"table was built for {table.n_aps} APs, the config has {cfg.n_aps}")
-            if table.markers:
-                raise ValueError(f"table marks {table.markers} state tuples infeasible; the config needs all feasible")
-        else:
-            table = build_selection_table(store, cat, cfg.n_aps)
-        table._rows             # table_lookup's value rows, likewise
+        table = build_selection_table(store, n_aps=cfg.n_aps)
+        if cfg.table_path:      # a loaded table must hold the store's own choice for every state tuple
+            load_table(cfg.table_path).check_equal(table, f"table file {cfg.table_path} and the store's own table")
+        if table.markers:       # builds table_lookup's value rows; a store file's infeasible= header is trusted
+            raise ValueError(f"table marks {table.markers} state tuples infeasible; the config needs all feasible")
         ctx.table = table
     return ctx
 
@@ -349,7 +347,7 @@ def backhaul_accounting(cfg: ExperimentConfig) -> float:
     the quantized baseline sends n*u*m*q; the unquantized baseline is an
     unbounded marker.
     """
-    m = BITS_PER_SYMBOL[cfg.modulation.lower()]
+    m = BITS_PER_SYMBOL[cfg.modulation]
     if cfg.scheme in PNC_SCHEMES:
         return float(cfg.n_aps * (cfg.ncv_len or m))
     if cfg.scheme == "comp_nonideal":

@@ -92,8 +92,9 @@ def test_simulate_with_overrides(tmp_path, capsys):
         ({}, ["frames_per_point=1e3"], "frames_per_point"),
         ({}, ["bogus=1"], "bogus"),
         ({"frames": 100}, [], "frames"),
+        ({"ebn0_db": 10}, [], "ebn0_db"),
     ],
-    ids=["non-integer", "unknown-override", "unknown-json-key"],
+    ids=["non-integer", "unknown-override", "unknown-json-key", "scalar-point"],
 )
 def test_simulate_refused_config_is_one_line(tmp_path, extra, overrides, field):
     """A config that construction refuses ends the command with one line

@@ -595,6 +595,18 @@ def test_frames_without_samples_give_empty_result(name):
 
 
 @pytest.mark.parametrize("mod", ["qam4", "qam16"])
+@pytest.mark.parametrize("name", sorted(TestFrameBlocks.DETECTORS))
+def test_no_frames_give_empty_result(name, mod):
+    """A stack of zero frames gives an empty result with a one-frame call's
+    trailing shape; superimpose used to refuse it, and the blocks to
+    concatenate nothing."""
+    c, H, ys, rows, nv = _frame_stack(mod, 1, 24, 10.0, 44)
+    detect = TestFrameBlocks.DETECTORS[name]
+    got = detect(c, H[:0], ys[:0], rows[:0], nv)
+    assert got.shape == (0,) + detect(c, H, ys, rows, nv).shape[1:]
+
+
+@pytest.mark.parametrize("mod", ["qam4", "qam16"])
 def test_minus_inf_metric_lane_matches_oracle(mod):
     """A lane whose metric overflows to -inf is a dead lane: the L-values
     are the oracle's, and the only warning is the overflow that made the

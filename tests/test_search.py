@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnclab import search
+from pnclab import search, sim
 from pnclab.fade_states import (
     FadeState,
     build_catalog,
@@ -572,8 +572,7 @@ class TestPersistence:
         save_table(table, path)
         loaded = load_table(path)
         assert loaded.choice.dtype == table.choice.dtype
-        assert np.array_equal(loaded.choice, table.choice)
-        assert loaded.values == table.values
+        loaded.check_equal(table)
         assert loaded.n_aps == 2
 
     def test_table_load_verifies_stacks(self, store4, cat4, tmp_path):
@@ -844,7 +843,7 @@ class TestRoundTripProperties:
         )
         first, second, loaded = _save_load_save(save_table, load_table, table)
         assert first == second
-        assert np.array_equal(loaded.choice, table.choice) and loaded.values == table.values
+        loaded.check_equal(table)
         assert loaded.states == table.states
 
     @pytest.mark.parametrize("n_principal", [24, 50])
@@ -867,40 +866,70 @@ class TestRoundTripProperties:
         assert loaded_store == store
         assert build_store(loaded_cat, t=4, k_per_state=5, n_aps=2) == store
         for other in (loaded_table, build_selection_table(loaded_store, loaded_cat, 2)):
-            assert other.states == table.states
-            assert np.array_equal(other.choice, table.choice) and other.values == table.values
+            other.check_equal(table)
 
 
-def _store_holds_table(table, store):
-    """Oracle: the walk over every entry against a set of (state, encoding)
-    pairs that the array check replaced."""
-    held = {(i, e.matrix.encoding) for i, l in enumerate(store.lists) for e in l}
-    return all(v is None or held.issuperset(zip(tup, v)) for tup, v in table.entries.items())
+def _edited_tables(store, table, seed, count=60):
+    """Tables with a few entries rewritten to markers, to their own entry
+    under a new value id, or to stacks of stored, foreign or misplaced
+    encodings, each with the oracle's verdict: whether the walk over every
+    state tuple finds the same entry as in ``table``."""
+    encodings = sorted({e.matrix.encoding for l in store.lists for e in l}) + [0xABC]
+    entries = table.entries
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        choice, values = table.choice.astype(np.intp), list(table.values)
+        for _ in range(rng.integers(1, 4)):
+            tup = tuple(rng.integers(0, len(store.states), table.n_aps).tolist())
+            r = rng.random()
+            values.append(None if r < 0.1 else entries[tup] if r < 0.3 else
+                          tuple(int(e) for e in rng.choice(encodings, table.n_aps)))
+            choice[tup] = len(values) - 1
+        patched = dataclasses.replace(table, choice=choice, values=tuple(values))
+        yield patched, patched.entries == entries
 
 
 @pytest.mark.parametrize("n, t, k", [(1, 4, 5), (2, 2, 5), (2, 2, 1), (3, 2, 3)])
-def test_table_store_check_matches_set_walk(cat4, n, t, k):
-    """Tables with a few entries rewritten to markers or to stacks of
-    stored, foreign or misplaced encodings are refused exactly when the
-    oracle finds a matrix outside its state's list."""
+def test_table_check_equal_matches_entry_walk(cat4, n, t, k):
+    """An edited table is refused as unequal to the built one exactly when
+    the oracle finds a changed entry, naming the first such state tuple in
+    C order; renumbered values alone are no difference."""
     cat = truncate_catalog(cat4, 5) if n == 3 else cat4
     store = build_store(cat, t=t, k_per_state=k, n_aps=n)
     table = build_selection_table(store, n_aps=n)
-    encodings = sorted({e.matrix.encoding for l in store.lists for e in l}) + [0xABC]
-    rng = np.random.default_rng(n * 10 + k)
     verdicts = []
-    for _ in range(60):
-        choice, values = table.choice.astype(np.intp), list(table.values)
-        for _ in range(rng.integers(1, 4)):
-            values.append(None if rng.random() < 0.1 else tuple(int(e) for e in rng.choice(encodings, n)))
-            choice[tuple(rng.integers(0, len(store.states), n))] = len(values) - 1
-        patched = dataclasses.replace(table, choice=choice, values=tuple(values))
-        verdicts.append(_store_holds_table(patched, store))
-        if verdicts[-1]:
-            search._check_table_matches_store(patched, store)
+    for patched, same in _edited_tables(store, table, n * 10 + k):
+        verdicts.append(same)
+        if same:
+            patched.check_equal(table)
         else:
-            with pytest.raises(ValueError, match="does not hold for that state"):
-                search._check_table_matches_store(patched, store)
+            first = next(tup for tup, v in patched.entries.items() if v != table.entries[tup])
+            with pytest.raises(ValueError, match=re.escape(f"tables disagree at state tuple {first}: ")):
+                patched.check_equal(table)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("n, t", [(1, 4), (2, 2)])
+def test_edited_table_refused_exactly_when_it_differs(cat4, n, t, tmp_path, monkeypatch):
+    """A run whose loaded table is an edited one is refused in set-up
+    exactly when the oracle finds a changed entry."""
+    store = build_store(cat4, t=t, k_per_state=5, n_aps=n)
+    table = build_selection_table(store, n_aps=n)
+    save_catalog(cat4, str(tmp_path / "catalog"))
+    save_store(store, str(tmp_path / "store"))
+    cfg = sim.ExperimentConfig(
+        modulation="qam4", scheme="rbmas", n_aps=n, ncv_len=t, k_per_state=5,
+        catalog_path=str(tmp_path / "catalog"), store_path=str(tmp_path / "store"), table_path="edited",
+    )
+    verdicts = []
+    for patched, same in _edited_tables(store, table, n * 10 + 5):
+        monkeypatch.setattr(sim, "load_table", lambda path: patched)
+        verdicts.append(same)
+        if same:
+            sim._prepare(cfg)
+        else:
+            with pytest.raises(ValueError, match=r"and the store's own table disagree at state tuple \("):
+                sim._prepare(cfg)
     assert any(verdicts) and not all(verdicts)
 
 

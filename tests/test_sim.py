@@ -132,6 +132,28 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"point -3036.0 dB has no finite positive noise variance that keeps every squared distance finite at 2 APs"):
             ExperimentConfig(scheme="comp_ideal", n_aps=2, ebn0_db=(10.0, -3036.0))
 
+    @pytest.mark.parametrize("modulation", ["QAM4", "Qam16"])
+    def test_other_spelling_of_modulation_refused(self, modulation):
+        """A second spelling used to build and write a second config_hash."""
+        with pytest.raises(ValueError, match=r"expected one of \('qam4', 'qam16'\)"):
+            ExperimentConfig(modulation=modulation, scheme="comp_ideal")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(ebn0_db=10), dict(ebn0_db=[10.0]), dict(ebn0_db=(True,)), dict(ebn0_db=(10.0, "12")),
+         dict(quantizer_clip=True), dict(quantizer_clip="8")],
+        ids=["scalar-points", "list-points", "bool-point", "text-point", "bool-clip", "text-clip"],
+    )
+    def test_non_real_float_field_refused_by_name(self, fields):
+        (name,) = fields
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            ExperimentConfig(scheme="comp_nonideal", **fields)
+
+    def test_json_scalar_point_refused_by_name(self):
+        """This used to raise TypeError: 'int' object is not iterable."""
+        with pytest.raises(ValueError, match="^ebn0_db must be "):
+            ExperimentConfig.from_json('{"ebn0_db": 10}')
+
     def test_comp_schemes_take_any_stack_shape(self):
         ExperimentConfig(modulation="qam4", scheme="comp_ideal", n_aps=3, ncv_len=3)
 
@@ -306,7 +328,7 @@ class TestRuns:
             modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
             store_path=paths["store"], table_path=one_ap, **FAST,
         )
-        with pytest.raises(ValueError, match="1 APs"):
+        with pytest.raises(ValueError, match="disagree on n_aps: 1 vs 2"):
             list(run_experiment(cfg))
 
     def test_table_state_values_checked_against_store(self, qam4_files, tmp_path):
@@ -396,7 +418,7 @@ class TestRuns:
             modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
             store_path=paths["store"], table_path=bad, **FAST,
         )
-        with pytest.raises(ValueError, match="table marks 1 state tuples infeasible"):
+        with pytest.raises(ValueError, match=r"disagree at state tuple \(0, 1\): fallback vs "):
             list(run_experiment(cfg))
 
     def test_table_entry_outside_store_lists_refused(self, qam4_files, tmp_path):
@@ -412,7 +434,25 @@ class TestRuns:
             modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
             store_path=paths["store"], table_path=self._edited_table(paths, tmp_path, tup, f"{b:x} {a:x}"), **FAST,
         )
-        with pytest.raises(ValueError, match="does not hold"):
+        with pytest.raises(ValueError, match=rf"disagree at state tuple \({tup[0]}, {tup[1]}\): {b:x} {a:x} vs "):
+            list(run_experiment(cfg))
+
+    def test_table_with_swapped_entry_refused(self, qam4_files, tmp_path):
+        """Swapping an entry's two matrices where each state's list holds
+        the other's keeps every matrix in its list and the stack invertible,
+        so only the table the store builds tells the file is wrong."""
+        from pnclab.search import load_table
+
+        _, store, paths = qam4_files
+        held = [{e.matrix.encoding for e in l} for l in store.lists]
+        entries = load_table(paths["table"]).entries
+        tup, (a, b) = next((tup, v) for tup, v in entries.items()
+                           if v is not None and v[0] != v[1] and v[1] in held[tup[0]] and v[0] in held[tup[1]])
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
+            store_path=paths["store"], table_path=self._edited_table(paths, tmp_path, tup, f"{b:x} {a:x}"), **FAST,
+        )
+        with pytest.raises(ValueError, match=rf"disagree at state tuple \({tup[0]}, {tup[1]}\): {b:x} {a:x} vs {a:x} {b:x}$"):
             list(run_experiment(cfg))
 
     def test_loaded_artifacts_serve_the_config(self, qam4_files):
