@@ -52,7 +52,6 @@ from .link import (
     comp_nonideal_llrs,
     detect_ncv,
     estimate_channel,
-    hard_ncv,
     noise_variance,
     transmit,
     transmit_pilots,

@@ -6,10 +6,10 @@ dimension); LLRs are ``log(P(bit=0)/P(bit=1))``, so a negative value decides
 bit 1.  With unit-energy constellations and m information bits per symbol
 per terminal, ``noise_var = 1 / (m * Eb/N0)``.
 
-Every detector scores the 2^(2m) joint hypotheses of ``mapping.superimpose``
-on one distance grid, ``_distances``: comp_ideal and hard_ncv take its argmin;
-detect_ncv and comp_nonideal_llrs run the one likelihood kernel ``_llrs`` on
-it, with hypothesis labels from ``mapping._ncv_bits``.
+Every detector scores the 2^(2m) joint hypotheses p of ``mapping.superimpose``
+at samples y on one real grid, ``_correlations``: 2 Re(p conj y) - |p|^2, which is
+-|p - y|^2 up to the |y|^2 that every hypothesis shares.  comp_ideal takes its
+argmax; detect_ncv and comp_nonideal_llrs run the likelihood kernel ``_llrs`` on it.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import BitMatrix, inverse_f2
-from .mapping import SuperimposedConstellation, _ncv_bits, ncv_table, superimpose
+from .mapping import SuperimposedConstellation, _ncv_bits, superimpose
 from .modulation import Constellation
 
 PILOT_SYMBOL = (1.0 + 1.0j) / math.sqrt(2.0)
@@ -96,44 +96,43 @@ def estimate_channel(y_pilots: np.ndarray, pilot_len: int) -> np.ndarray:
 _GRID_ELEMENTS = 2**16     # bounds a detector's grid: see _blockwise
 
 
-def _distances(points: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
-    """|p - y|^2 for every hypothesis point p of ``points`` (..., 2^mu) and
-    sample y of ``ys`` (..., samples), and the grid's hypothesis axis.  The
-    longer of the two axes is the fast one: (..., samples, 2^mu), axis -1,
-    when hypotheses outnumber samples (qam16 at 120 uses), else (...,
-    2^mu, samples), axis -2.  Each element is the same p - y either way."""
-    axis = -1 if points.shape[-1] > ys.shape[-1] else -2
-    d = np.abs(np.expand_dims(points, -3 - axis) - np.expand_dims(ys, axis))
-    d *= d
-    return d, axis
+def _correlations(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The correlation metric 2 Re(p conj y) - |p|^2 = |y|^2 - |p - y|^2 of the optimum
+    detector (Proakis & Salehi, Digital Communications, 5th ed., 2008) for every point p
+    of ``points`` (..., 2^mu) and sample y of ``ys`` (..., samples), (..., samples, 2^mu):
+    one stacked product [Re y, Im y, 1] @ [2 Re p, 2 Im p, -|p|^2] at the slice shape."""
+    samples = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=-1)
+    hypotheses = np.stack([2.0 * points.real, 2.0 * points.imag, -(points.real**2 + points.imag**2)], axis=-2)
+    return samples @ hypotheses
 
 
 def _blockwise(points: np.ndarray, ys: np.ndarray, score) -> np.ndarray:
-    """``score(grid, axis, block)`` for each block of frames of ``ys`` (frames, APs,
+    """``score(grid, block)`` for each block of frames of ``ys`` (frames, APs,
     samples), concatenated: the fewest whole frames that reach _GRID_ELEMENTS grid
     elements (18 qam4 or 2 qam16 frames at 2 APs x 120 uses), or one frame where one
     is larger; one block without a frame axis or with no frames.  Each grid is freed as its score returns."""
     points = np.broadcast_to(points, ys.shape[:-1] + points.shape[-1:])
     step = -(-_GRID_ELEMENTS // max(1, math.prod(ys.shape[1:]) * points.shape[-1])) if ys.ndim > 2 else 0
     blocks = [slice(a, a + step) for a in range(0, len(ys) or 1, step)] if step else [...]
-    return np.concatenate([score(*_distances(points[s], ys[s]), s) for s in blocks])
+    return np.concatenate([score(_correlations(points[s], ys[s]), s) for s in blocks])
 
 
 def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise_var: float, max_log: bool = False):
     """The likelihood kernel of every LLR detector: L-values (..., samples, n)
     of the 0/1 float labels ``bits`` (..., 2^mu, n) of the hypotheses of
-    ``sc`` at samples ``ys`` (..., samples).  The exact form sums exp of the
-    log-likelihoods minus their row maxima, one matrix product per slice."""
+    ``sc`` at samples ``ys`` (..., samples), from log-likelihoods metric / noise_var.
+    The exact form sums exp of those minus their row maxima, one matrix product per
+    slice; it shifts before it divides, so an overflowing lane is -inf, a dead lane."""
     ones, zeros = (np.broadcast_to(b, ys.shape[:-1] + bits.shape[-2:]) for b in (bits, 1.0 - bits))
-    def block(metric, axis, s):
-        metric /= -noise_var            # -(d**2) / noise_var, bit for bit
-        if max_log:
-            side, metric = np.expand_dims(ones[s] == 1, -4 - axis), metric[..., None]   # hypotheses on axis - 1
-            return np.where(side, -np.inf, metric).max(axis=axis - 1) - np.where(side, metric, -np.inf).max(axis=axis - 1)
-        # e: (..., samples, 2^mu) C-ordered, so every slice's product has one layout
-        hyps = metric if axis == -1 else metric.swapaxes(-1, -2)
-        e = metric if axis == -1 else np.empty(hyps.shape)
-        np.subtract(hyps, hyps.max(axis=-1, keepdims=True), out=e)
+    def block(e, s):
+        if max_log:     # hypotheses outermost, so each class maximum reduces whole (samples, n) rows
+            side, e = np.expand_dims(ones[s] == 1, -2), np.ascontiguousarray(e.swapaxes(-1, -2))[..., None]
+            gap = np.where(side, -np.inf, e).max(axis=-3) - np.where(side, e, -np.inf).max(axis=-3)
+            with np.errstate(over="ignore"):
+                return gap / noise_var
+        e -= e.max(axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):
+            e /= noise_var
         live = e < _EXP_FLOOR
         np.logical_not(live, out=live)      # a NaN lane stays live, and NaN
         np.maximum(e, _EXP_FLOOR, out=e)    # finite, so a -inf lane times 0 is 0, not NaN
@@ -173,13 +172,6 @@ def detect_ncv(
     bits = _ncv_bits(rows, constellation.bits_per_symbol).astype(float)
     out = _llrs(superimpose(constellation, h), np.atleast_1d(ys), bits, noise_var, max_log)
     return out[0] if ys.ndim == 0 else out
-
-
-def hard_ncv(y, h: tuple[complex, complex], matrix: BitMatrix, constellation: Constellation) -> np.ndarray:
-    """Zero-noise limit of detect_ncv: NCV of the nearest superposition point."""
-    ys = np.atleast_1d(np.asarray(y, dtype=complex))
-    idx = _blockwise(superimpose(constellation, h).points, ys, lambda d, axis, s: d.argmin(axis=axis))
-    return ncv_table(matrix, constellation.bits_per_symbol)[idx]
 
 
 def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
@@ -224,11 +216,11 @@ def comp_ideal(ys: np.ndarray, H: np.ndarray, constellation: Constellation) -> n
 
     ``ys`` is (APs, uses) and ``H`` (APs, 2), or both carry leading frame
     axes.  Returns per-use joint indices (terminal-1 label in the high
-    bits), shaped (..., uses), minimizing the stacked residual norm
-    exhaustively, one block of frames at a time.
+    bits), shaped (..., uses), minimizing the stacked residual norm: the argmax
+    of the correlation metric summed over APs, one block of frames at a time.
     """
     points = superimpose(constellation, H).points
-    return _blockwise(points, np.asarray(ys), lambda d, axis, s: d.sum(axis=-3).argmin(axis=axis))
+    return _blockwise(points, np.asarray(ys), lambda g, s: g.sum(axis=-3).argmax(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -241,7 +233,7 @@ class QuantizerSpec:
     def __post_init__(self) -> None:
         if self.bits not in (2, 4):
             raise ValueError("quantizer bits must be 2 or 4")
-        if not 0 < self.clip < math.inf:
+        if not 0 < self.clip <= float(np.finfo(float).max):     # exact for an int too large for a float
             raise ValueError(f"clip range must be positive and finite, not {self.clip}")
 
     @property

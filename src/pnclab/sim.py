@@ -19,8 +19,9 @@ within link._GRID_ELEMENTS.  Stack inverses are memoised per run, in the
 run's context.  Neither size can change a result: every batched step is
 elementwise, a reduction along one frame's own axis, or a matrix product
 kept at the one-frame shape, stacked (frames, APs, terminals) @ (frames,
-terminals, uses) or (frames, uses, 2^mu) @ (frames, 2^mu, t) and never
-flattened into one 2-D product, whose blocking could round differently.
+terminals, uses), (frames, APs, uses, 3) @ (frames, APs, 3, 2^mu) or
+(frames, uses, 2^mu) @ (frames, 2^mu, t) and never flattened into one 2-D
+product, whose blocking could round differently.
 """
 from __future__ import annotations
 
@@ -66,9 +67,11 @@ class ExperimentConfig:
     An Eb/N0 point needs n_aps * v <= DBL_MAX / 2^16 for its noise variance v.
     With numpy's normal draws below Z = 14 in magnitude (its ziggurat tail draw is at
     most 3.66 + ln(2^53) / 3.65) and points below S = 1.35, a channel estimate is below
-    Z (1 + sqrt(v)) and, for v >= 1, |p - y| < Z (6S + 1) sqrt(v) < 2^7 sqrt(v) and
-    |p_a - p_b| < 8SZ sqrt(v) < 2^7.5 sqrt(v): every squared distance stays below
-    2^15 v, and comp_ideal's sum of one per AP below n_aps 2^14 v.
+    Z (1 + sqrt(v)) and, for v >= 1, |p| < 4SZ sqrt(v), |y| < (2S + 1) Z sqrt(v) and
+    |p_a - p_b| < 8SZ sqrt(v): a correlation metric 2 Re(p conj y) - |p|^2 and each partial
+    sum of its product are below 2|p||y| + |p|^2 < (32S^2 + 8S) Z^2 v < 2^14 v, a metric
+    minus its row maximum below 2^15 v, comp_ideal's sum of one per AP below n_aps 2^14 v,
+    and every squared distance below 2^15 v.
     """
 
     modulation: str = "qam4"
@@ -122,6 +125,8 @@ class ExperimentConfig:
             if not 0.0 < noise_var <= np.finfo(float).max / 2**16 / self.n_aps:    # see the class docstring
                 raise ValueError(f"ebn0_db point {point} dB has no finite positive noise variance "
                                  f"that keeps every squared distance finite at {self.n_aps} APs")
+        object.__setattr__(self, "ebn0_db", tuple(map(float, self.ebn0_db)))     # one value, one config_hash
+        object.__setattr__(self, "quantizer_clip", float(self.quantizer_clip))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.pilot_len is not None and self.pilot_len < 1:

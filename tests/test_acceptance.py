@@ -18,7 +18,7 @@ from pnclab.fade_states import (
     truncate_catalog,
 )
 from pnclab.gf2 import rank_rows
-from pnclab.link import draw_channel, hard_ncv, recover_batch
+from pnclab.link import draw_channel, recover_batch
 from pnclab.mapping import joint_vector_table, ncv_table, superimpose
 from pnclab.modulation import make_constellation
 from pnclab.search import (
@@ -29,6 +29,8 @@ from pnclab.search import (
     state_channel,
 )
 from pnclab.sim import ExperimentConfig, run_experiment
+
+from oracles import hard_ncv
 
 FRAMES = 10_000
 SEED = 20240601

@@ -23,8 +23,10 @@ only they, when floats were first written losslessly (``pnclab-sfs-catalog
 v2``, ``pnclab-store v2``, ``pnclab-table v3``, no ``eps=`` line); every
 CSV and table content digest held.  The paper-scale catalog file digest
 was re-recorded, and only it, when the catalog file stopped storing
-partitions (``pnclab-sfs-catalog v3``); every other digest held.  A
-change that alters any of them changes published numbers or files and
+partitions (``pnclab-sfs-catalog v3``); every other digest held.  Every
+digest held when the detectors moved from the squared distance |p - y|^2
+to the correlation metric 2 Re(p conj y) - |p|^2, whose L-values differ in
+their last bits.  A change that alters any of them changes published numbers or files and
 has to say so.
 """
 import hashlib

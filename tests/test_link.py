@@ -16,7 +16,6 @@ from pnclab.link import (
     detect_ncv,
     draw_channel,
     estimate_channel,
-    hard_ncv,
     llrs_to_bits,
     noise_variance,
     quantize_llr,
@@ -26,6 +25,8 @@ from pnclab.link import (
 )
 from pnclab.mapping import _ncv_bits, joint_vector_table, ncv_table, superimpose
 from pnclab.modulation import make_constellation
+
+from oracles import hard_ncv
 
 XOR_MAP = BitMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
 
@@ -449,16 +450,17 @@ def test_detect_ncv_one_ap_call_equals_stacked_slice(case, max_log, data):
 
 
 def _distances_sample_fast(sc, ys):
-    """Oracle: the distance grid before its layout followed the input's
-    shape, samples always on the fast axis: (..., 2^mu, samples)."""
+    """Oracle: the squared-distance grid |p - y|^2 the detectors read before
+    the correlation metric, samples on the fast axis: (..., 2^mu, samples)."""
     d = np.abs(sc.points[..., :, None] - ys[..., None, :])
     d *= d
     return d
 
 
 def _llrs_sample_fast(sc, ys, bits, noise_var, max_log=False):
-    """Oracle: the likelihood kernel on that grid, with the dead exp lanes
-    zeroed by a putmask before and after exp."""
+    """Oracle: the likelihood kernel on that grid, dividing by the noise
+    variance before the shift, with the dead exp lanes zeroed by a putmask
+    before and after exp."""
     metric = _distances_sample_fast(sc, ys)
     metric /= -noise_var
     if max_log:
@@ -472,6 +474,44 @@ def _llrs_sample_fast(sc, ys, bits, noise_var, max_log=False):
     np.putmask(e, dead, 0.0)
     with np.errstate(divide="ignore"):
         return np.log(e @ (1.0 - bits)) - np.log(e @ bits)
+
+
+def _llrs_correlation(sc, ys, bits, noise_var, max_log=False):
+    """Oracle: the likelihood kernel on the correlation metric, the whole
+    stack in one call: the grid (..., samples, 2^mu) as one stacked product
+    per slice, each row's maximum subtracted before the division by the
+    noise variance, the dead exp lanes zeroed by a putmask before and after
+    exp."""
+    p = sc.points
+    rows = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=-1)
+    cols = np.stack([2.0 * p.real, 2.0 * p.imag, -(p.real**2 + p.imag**2)], axis=-2)
+    metric = rows @ cols
+    if max_log:
+        side, metric = bits[..., None, :, :] == 1, metric[..., None]
+        return (np.where(side, -np.inf, metric).max(axis=-2) - np.where(side, metric, -np.inf).max(axis=-2)) / noise_var
+    e = (metric - metric.max(axis=-1, keepdims=True)) / noise_var
+    dead = e < -750.0
+    np.putmask(e, dead, 0.0)
+    np.exp(e, out=e)
+    np.putmask(e, dead, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(e @ (1.0 - bits)) - np.log(e @ bits)
+
+
+def _assert_near_distance_oracle(got, sc, ys, bits, noise_var, max_log=False):
+    """L-values ``got`` (..., samples, n) against the squared-distance oracle:
+    the same hard decisions, the same infinities, and finite values within
+    2^6 eps (|y| + max |p|)^2 / noise_var of a sample's.  Each metric's terms
+    are at most (|y| + |p|)^2, so either form rounds a metric by a few eps
+    of that, and an L-value moves by at most twice a metric's error over
+    the noise variance."""
+    want = _llrs_sample_fast(sc, ys, bits, noise_var, max_log)
+    scale = (np.abs(ys) + np.abs(sc.points).max(axis=-1, keepdims=True)) ** 2
+    tol = 2**6 * np.finfo(float).eps * scale[..., None] / noise_var
+    finite = np.isfinite(want)
+    assert np.array_equal(llrs_to_bits(got), llrs_to_bits(want))
+    assert np.array_equal(got[~finite], want[~finite]) and np.isfinite(got[finite]).all()
+    assert (np.abs(got[finite] - want[finite]) <= np.broadcast_to(tol, got.shape)[finite]).all()
 
 
 def _received_stack(mod, uses, ebn0_db, seed):
@@ -488,32 +528,36 @@ def _received_stack(mod, uses, ebn0_db, seed):
     return c, H, ys, rows, nv
 
 
-# qam4 (16 hypotheses) keeps samples on the fast axis; qam16 (256) puts
-# hypotheses there at 120 uses and samples there at 300
+# qam4 has 16 hypotheses, qam16 256: fewer and more than the samples at 120
+# uses, and fewer than them at 300
 GRID_CASES = [("qam4", 120, 10.0), ("qam16", 120, 26.0), ("qam16", 120, 8.0), ("qam16", 300, 26.0)]
 
 
 @pytest.mark.parametrize("mod, uses, ebn0_db", GRID_CASES)
 class TestShapeChosenGrid:
-    """Every detector on the shape-chosen grid against the sample-fast
-    oracle, bit for bit."""
+    """Every detector on the correlation grid: the LLR detectors bit for bit
+    against the correlation oracle and within rounding of the squared-distance
+    oracle, the argmax detector against the squared-distance oracle's argmin."""
 
     @pytest.mark.parametrize("max_log", [False, True])
     def test_detect_ncv_matches_oracle(self, mod, uses, ebn0_db, max_log):
         c, H, ys, rows, nv = _received_stack(mod, uses, ebn0_db, 31)
         got = detect_ncv(ys, H, rows, c, nv, max_log=max_log)
         bits = _ncv_bits(rows, c.bits_per_symbol).astype(float)
-        want = _llrs_sample_fast(superimpose(c, H), ys, bits, nv, max_log)
+        want = _llrs_correlation(superimpose(c, H), ys, bits, nv, max_log)
         assert got.shape == (2, 2, uses, c.bits_per_symbol)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        _assert_near_distance_oracle(got, superimpose(c, H), ys, bits, nv, max_log)
 
     def test_comp_nonideal_llrs_matches_oracle(self, mod, uses, ebn0_db):
         c, H, ys, _, nv = _received_stack(mod, uses, ebn0_db, 32)
         m = c.bits_per_symbol
         got = comp_nonideal_llrs(ys, H, c, nv)
-        want = _llrs_sample_fast(superimpose(c, H), ys, _ncv_bits(1 << np.arange(2 * m), m).astype(float), nv)
-        want = np.moveaxis(want, -1, -2).reshape(2, 2, 2, m, uses)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        bits = _ncv_bits(1 << np.arange(2 * m), m).astype(float)
+        want = _llrs_correlation(superimpose(c, H), ys, bits, nv)
+        assert np.array_equal(got.view(np.int64), np.moveaxis(want, -1, -2).reshape(2, 2, 2, m, uses).view(np.int64))
+        kernel_layout = np.moveaxis(got.reshape(2, 2, 2 * m, uses), -1, -2)
+        _assert_near_distance_oracle(kernel_layout, superimpose(c, H), ys, bits, nv)
 
     def test_argmin_detectors_match_oracle(self, mod, uses, ebn0_db):
         c, H, ys, rows, _ = _received_stack(mod, uses, ebn0_db, 33)
@@ -559,13 +603,13 @@ class TestFrameBlocks:
     def test_block_is_fewest_frames_reaching_grid_elements(self, mod, frames, blocks, monkeypatch):
         c, H, ys, rows, nv = _frame_stack(mod, frames, 120, 14.0, 41)
         seen = []
-        distances = link._distances
+        correlations = link._correlations
 
         def spy(points, ys):
             seen.append(len(ys))
-            return distances(points, ys)
+            return correlations(points, ys)
 
-        monkeypatch.setattr(link, "_distances", spy)
+        monkeypatch.setattr(link, "_correlations", spy)
         for detect in self.DETECTORS.values():
             seen.clear()
             detect(c, H, ys, rows, nv)
@@ -609,8 +653,8 @@ def test_no_frames_give_empty_result(name, mod):
 @pytest.mark.parametrize("mod", ["qam4", "qam16"])
 def test_minus_inf_metric_lane_matches_oracle(mod):
     """A lane whose metric overflows to -inf is a dead lane: the L-values
-    are the oracle's, and the only warning is the overflow that made the
-    lane, never an invalid value (a NaN from -inf * 0)."""
+    are the oracle's, and the call warns of nothing, neither the overflow
+    that made the lane nor an invalid value (a NaN from -inf * 0)."""
     c = make_constellation(mod)
     m = c.bits_per_symbol
     h = np.array([1e4 + 0j, 1e-4 + 0j])
@@ -618,14 +662,14 @@ def test_minus_inf_metric_lane_matches_oracle(mod):
     ys = sc.points[[0, 5, 9]]               # on a hypothesis: its lane reads -0
     rows = np.arange(1, m + 1)
     nv = 1e-305                             # far hypotheses: |p - y|^2 / nv overflows
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = detect_ncv(ys, h, BitMatrix.from_row_ints(rows.tolist(), 2 * m), c, nv)
+    with np.errstate(over="ignore"):
         want = _llrs_sample_fast(sc, ys, _ncv_bits(rows, m).astype(float), nv)
         metric = _distances_sample_fast(sc, ys) / -nv
     assert np.isneginf(metric).any() and np.isfinite(metric).any()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert {str(w.message) for w in caught} == {"overflow encountered in divide"}
 
 
 def test_noise_variance_bookkeeping():

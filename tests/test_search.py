@@ -270,10 +270,17 @@ class TestVerdicts:
     @pytest.mark.parametrize(
         "cat_name, t", [("cat4", 2), ("cat4", 3), ("cat16", 4)], ids=["qam4-t2", "qam4-t3", "qam16-t4"]
     )
-    def test_match_stacked_rank(self, request, cat_name, t, n):
+    def test_match_stacked_rank(self, request, cat_name, t, n, monkeypatch):
+        """The verdicts equal the ordered walk's, from one rank_rows call per
+        unordered combination of the u distinct encodings, C(u + n - 1, n)."""
         cat = request.getfixturevalue(cat_name)
         store = assemble_store(cat, mine_candidates(cat, t=t, limit=5), t=t, k_per_state=5)
-        assert np.array_equal(store._full_rank(n), _stacked_verdicts(store, n))
+        calls = []
+        monkeypatch.setattr(search, "rank_rows", lambda rows: calls.append(rows) or rank_rows(rows))
+        got = store._full_rank(n)
+        monkeypatch.undo()
+        assert np.array_equal(got, _stacked_verdicts(store, n))
+        assert len(calls) == math.comb(len(store._arrays[0]) + n - 1, n)
 
     @pytest.mark.parametrize("cat_name, t", [("cat4", 2), ("cat16", 4)], ids=["qam4-t2", "qam16-t4"])
     def test_certified_store_takes_verdicts_when_no_encoding_is_pruned(self, request, cat_name, t):

@@ -29,6 +29,18 @@ class TestConfig:
         b = ExperimentConfig(seed=2)
         assert a.config_hash != b.config_hash
 
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(ebn0_db=(10,)), dict(ebn0_db=(10.0,)), dict(ebn0_db=(np.float32(10),)), dict(quantizer_clip=8)],
+        ids=["int-point", "float-point", "float32-point", "int-clip"],
+    )
+    def test_hash_depends_on_values_not_number_types(self, fields):
+        """The int and float32 points and the int clip used to hash as
+        f0c1afdab366, 0f534fc01b70 and cb652d60a9ce, for the same frames."""
+        cfg = ExperimentConfig(**fields)
+        assert cfg.config_hash == "3a891ba5a211"
+        assert all(type(x) is float for x in cfg.ebn0_db) and type(cfg.quantizer_clip) is float
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scheme="magic")
@@ -64,6 +76,7 @@ class TestConfig:
             dict(scheme="bmas", ebn0_db=(math.inf,)),     # zero noise variance
             dict(scheme="comp_nonideal", quantizer_clip=math.nan),
             dict(scheme="comp_nonideal", quantizer_clip=math.inf),
+            dict(scheme="comp_nonideal", quantizer_clip=10**400),  # no float holds it
             dict(scheme="comp_ideal", frames_per_point=1e3),  # what --set frames_per_point=1e3 gives
             dict(scheme="comp_nonideal", quantizer_bits=2.0),
             dict(scheme="comp_ideal", catalog_path="catalog"),  # paths a scheme never reads
@@ -79,7 +92,7 @@ class TestConfig:
             "no-frames", "empty-frame", "no-pilots", "negative-pilots", "no-points",
             "no-candidates", "one-candidate", "no-principal-states", "no-rank-trials",
             "no-aps-ideal", "no-aps-nonideal", "negative-seed-comp", "negative-seed-pnc",
-            "nan-point", "minus-inf-point", "inf-point", "nan-clip", "inf-clip",
+            "nan-point", "minus-inf-point", "inf-point", "nan-clip", "inf-clip", "huge-int-clip",
             "float-frames", "float-quantizer-bits",
             "catalog-ideal", "store-ideal", "table-ideal", "catalog-nonideal", "store-nonideal", "table-nonideal",
             "table-bmas",
@@ -99,9 +112,9 @@ class TestConfig:
     @pytest.mark.parametrize("mod", ["qam4", "qam16"])
     def test_extreme_points_that_build_run(self, mod, monkeypatch):
         """The largest and the smallest point that construction accepts run;
-        the adjacent floats beyond them are refused.  At the smallest every
-        scheme runs with no RuntimeWarning (an error under this suite's
-        filter) and no NaN L-value."""
+        the adjacent floats beyond them are refused.  At both every scheme
+        runs with no RuntimeWarning (an error under this suite's filter) and
+        no NaN L-value."""
 
         def builds(point):
             try:
@@ -112,18 +125,18 @@ class TestConfig:
         llrs = link._llrs
         nans = []
         monkeypatch.setattr(link, "_llrs", lambda *args, **kw: nans.append(np.isnan(out := llrs(*args, **kw)).any()) or out)
+        pnc = dict(rank_trials=10**4, n_principal=24 if mod == "qam16" else None)
         for ok, refused in ((3000.0, 4000.0), (-3000.0, -4000.0)):
             while (mid := (ok + refused) / 2) not in (ok, refused):
                 ok, refused = (mid, refused) if builds(mid) else (ok, mid)
             assert np.nextafter(ok, refused) == refused and builds(refused) is None
             (record,) = run_experiment(builds(ok))
             assert record.frames == 4 and record.outage == (ok < 0)
-        pnc = dict(rank_trials=10**4, n_principal=24 if mod == "qam16" else None)
-        for scheme in sim.SCHEMES:
-            cfg = replace(builds(ok), scheme=scheme, pilot_len=2, **(pnc if scheme in sim.PNC_SCHEMES else {}))
-            (record,) = run_experiment(cfg)
-            assert record.outage == 1.0
-        assert len(nans) == 3 and not any(nans)      # bmas, rbmas and comp_nonideal
+            for scheme in sim.SCHEMES:
+                cfg = replace(builds(ok), scheme=scheme, pilot_len=2, **(pnc if scheme in sim.PNC_SCHEMES else {}))
+                (record,) = run_experiment(cfg)
+                assert record.outage == (ok < 0)
+        assert len(nans) == 6 and not any(nans)      # bmas, rbmas and comp_nonideal at each point
 
     def test_point_whose_noise_can_overflow_refused(self):
         """-3036 dB gives qam4 a noise variance of 1.99e303: within the
@@ -576,18 +589,19 @@ def test_chunk_is_fewest_frames_reaching_chunk_samples(mod, n_aps, frame_len, fr
     ],
 )
 def test_no_distance_grid_exceeds_its_bound(mod, frame_len, scheme, blocks, monkeypatch):
-    """Every distance grid a run allocates holds the fewest whole frames
-    that reach 2^16 elements, so without its last frame it is under 2^16;
-    a qam16 frame at 300 uses (153,600 elements) is a grid alone."""
+    """Every detector grid a run allocates (the correlation metric's, which
+    replaced the distance grid) holds the fewest whole frames that reach 2^16
+    elements, so without its last frame it is under 2^16; a qam16 frame at
+    300 uses (153,600 elements) is a grid alone."""
     sizes = []
-    distances = link._distances
+    correlations = link._correlations
 
     def spy(points, ys):
-        d, axis = distances(points, ys)
-        sizes.append((d.size, d.size // len(ys)))
-        return d, axis
+        grid = correlations(points, ys)
+        sizes.append((grid.size, grid.size // len(ys)))
+        return grid
 
-    monkeypatch.setattr(link, "_distances", spy)
+    monkeypatch.setattr(link, "_correlations", spy)
     cfg = ExperimentConfig(modulation=mod, scheme=scheme, frames_per_point=50, frame_len=frame_len, pilot_len=4, rank_trials=10**4)
     list(run_experiment(cfg))
     assert sizes and all(size - frame < link._GRID_ELEMENTS for size, frame in sizes)
