@@ -25,10 +25,14 @@ from .modulation import Constellation
 PILOT_SYMBOL = (1.0 + 1.0j) / math.sqrt(2.0)
 
 # exp of anything below this is exactly 0 (the least subnormal is exp(-744.4)),
-# reached through an underflow path about 15x slower than a normal exp, so
-# _llrs writes the zeros itself (np.exp works lane by lane); a bit class
-# with every term below it gives L = +-inf, which quantize_llr saturates.
+# so _llrs counts such a lane dead and writes its zero itself; a bit class with
+# every term below it gives L = +-inf, which quantize_llr saturates.  _llrs adds
+# _EXP_SHIFT to every clamped lane, so exp reads only [-700, 50] and returns
+# normal doubles: numpy's exp is about 15x slower from -708 down, where its
+# results near or enter the subnormals, and about 100x where they are subnormal.
+# 2^(2m) terms of e^50 are far from overflow, and e^50 cancels in the L-value.
 _EXP_FLOOR = -750.0
+_EXP_SHIFT = 50.0
 
 
 def noise_variance(ebn0_db: float, bits_per_symbol: int) -> float:
@@ -122,12 +126,16 @@ def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise
     of the 0/1 float labels ``bits`` (..., 2^mu, n) of the hypotheses of
     ``sc`` at samples ``ys`` (..., samples), from log-likelihoods metric / noise_var.
     The exact form sums exp of those minus their row maxima, one matrix product per
-    slice; it shifts before it divides, so an overflowing lane is -inf, a dead lane."""
+    slice; it shifts before it divides, so an overflowing lane is -inf, a dead lane.
+    A lane below _EXP_FLOOR is dead: clamped, raised by _EXP_SHIFT like every lane,
+    and zeroed after exp.  max-log takes each bit's two class maxima in turn, so no
+    temporary outgrows the grid."""
     ones, zeros = (np.broadcast_to(b, ys.shape[:-1] + bits.shape[-2:]) for b in (bits, 1.0 - bits))
     def block(e, s):
-        if max_log:     # hypotheses outermost, so each class maximum reduces whole (samples, n) rows
-            side, e = np.expand_dims(ones[s] == 1, -2), np.ascontiguousarray(e.swapaxes(-1, -2))[..., None]
-            gap = np.where(side, -np.inf, e).max(axis=-3) - np.where(side, e, -np.inf).max(axis=-3)
+        if max_log:     # hypotheses outermost, so each class maximum reduces whole sample rows
+            e, side = np.ascontiguousarray(e.swapaxes(-1, -2)), np.expand_dims(ones[s] == 1, -2)
+            gap = np.stack([e.max(axis=-2, where=~side[..., j], initial=-np.inf)
+                            - e.max(axis=-2, where=side[..., j], initial=-np.inf) for j in range(side.shape[-1])], axis=-1)
             with np.errstate(over="ignore"):
                 return gap / noise_var
         e -= e.max(axis=-1, keepdims=True)
@@ -136,7 +144,7 @@ def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise
         live = e < _EXP_FLOOR
         np.logical_not(live, out=live)      # a NaN lane stays live, and NaN
         np.maximum(e, _EXP_FLOOR, out=e)    # finite, so a -inf lane times 0 is 0, not NaN
-        e *= live
+        e += _EXP_SHIFT
         np.exp(e, out=e)
         e *= live
         with np.errstate(divide="ignore"):
@@ -262,7 +270,7 @@ def comp_nonideal_llrs(
     (terminals, bits_per_symbol, uses).  A stack: ``y`` (..., uses) and
     ``h`` (..., 2) give (..., terminals, bits_per_symbol, uses).  The kernel
     is detect_ncv's, called directly (no detect_ncv call runs), so an
-    L-value beyond about 700 is +-inf.
+    L-value beyond about 745 is +-inf.
     """
     m = constellation.bits_per_symbol
     ys = np.atleast_1d(np.asarray(y, dtype=complex))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -385,9 +386,14 @@ class TestCompNonidealKernel:
         tol = 1e-12 * np.maximum(np.maximum(1.0, np.abs(want)), nearest[:, :, None, None, :])
         tie = np.abs(want) <= tol
         assert np.array_equal(np.sign(got)[~tie], np.sign(want)[~tie])
-        small = np.abs(want) < 700
+        # exp reads only normal results, so the kernel's one loss is its dead lanes,
+        # each below exp(-750) of the row maximum: at most 2^(2m) e^(|L| - 750) of
+        # the losing class's sum, so L moves by under 256 e^-30 = 2.4e-11, inside
+        # tol, while |L| < 720; and L reads +-inf only when every lane of that class
+        # is dead, so |L| > 750 - ln 2^(2m) >= 744.5
+        small = np.abs(want) < 720
         assert np.all(np.abs(got - want)[small] <= tol[small])
-        assert np.all(np.abs(want[np.isinf(got)]) > 700)
+        assert np.all(np.abs(want[np.isinf(got)]) > 740)
         assert np.array_equal(np.sign(got[np.isinf(got)]), np.sign(want[np.isinf(got)]))
         for bits in (2, 4):
             spec = QuantizerSpec(bits=bits, clip=8.0)
@@ -460,7 +466,8 @@ def _distances_sample_fast(sc, ys):
 def _llrs_sample_fast(sc, ys, bits, noise_var, max_log=False):
     """Oracle: the likelihood kernel on that grid, dividing by the noise
     variance before the shift, with the dead exp lanes zeroed by a putmask
-    before and after exp."""
+    before and after exp, and every live lane raised by e^50 in exp, the
+    factor that keeps the kernel's exp results normal."""
     metric = _distances_sample_fast(sc, ys)
     metric /= -noise_var
     if max_log:
@@ -470,10 +477,20 @@ def _llrs_sample_fast(sc, ys, bits, noise_var, max_log=False):
     np.subtract(metric.swapaxes(-1, -2), metric.max(axis=-2)[..., None], out=e)
     dead = e < -750.0
     np.putmask(e, dead, 0.0)
+    e += 50.0
     np.exp(e, out=e)
     np.putmask(e, dead, 0.0)
     with np.errstate(divide="ignore"):
         return np.log(e @ (1.0 - bits)) - np.log(e @ bits)
+
+
+def _correlation_grid(sc, ys):
+    """Oracle: the correlation metric (..., samples, 2^mu), one stacked
+    product per slice."""
+    p = sc.points
+    rows = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=-1)
+    cols = np.stack([2.0 * p.real, 2.0 * p.imag, -(p.real**2 + p.imag**2)], axis=-2)
+    return rows @ cols
 
 
 def _llrs_correlation(sc, ys, bits, noise_var, max_log=False):
@@ -481,17 +498,15 @@ def _llrs_correlation(sc, ys, bits, noise_var, max_log=False):
     stack in one call: the grid (..., samples, 2^mu) as one stacked product
     per slice, each row's maximum subtracted before the division by the
     noise variance, the dead exp lanes zeroed by a putmask before and after
-    exp."""
-    p = sc.points
-    rows = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=-1)
-    cols = np.stack([2.0 * p.real, 2.0 * p.imag, -(p.real**2 + p.imag**2)], axis=-2)
-    metric = rows @ cols
+    exp, and every live lane raised by e^50 in exp."""
+    metric = _correlation_grid(sc, ys)
     if max_log:
         side, metric = bits[..., None, :, :] == 1, metric[..., None]
         return (np.where(side, -np.inf, metric).max(axis=-2) - np.where(side, metric, -np.inf).max(axis=-2)) / noise_var
     e = (metric - metric.max(axis=-1, keepdims=True)) / noise_var
     dead = e < -750.0
     np.putmask(e, dead, 0.0)
+    e += 50.0
     np.exp(e, out=e)
     np.putmask(e, dead, 0.0)
     with np.errstate(divide="ignore"):
@@ -670,6 +685,58 @@ def test_minus_inf_metric_lane_matches_oracle(mod):
         metric = _distances_sample_fast(sc, ys) / -nv
     assert np.isneginf(metric).any() and np.isfinite(metric).any()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("mod", ["qam4", "qam16"])
+@pytest.mark.parametrize("name", ["detect_ncv", "comp_nonideal_llrs"])
+def test_exp_reads_only_normal_range(mod, name, monkeypatch):
+    """At 26 dB many lanes lie far below their row maximum, some where exp's
+    result would be subnormal.  exp still reads only [-700, 50], where its
+    results are normal doubles, and an L-value is +-inf exactly where a bit
+    class is empty (a zero matrix row) or every lane in it lies below -750."""
+    c, H, ys, rows, nv = _frame_stack(mod, 3, 120, 26.0, 46)
+    m = c.bits_per_symbol
+    rows[0, 0, 0] = 0
+    seen, exp = [], np.exp
+
+    def spy(x, *args, **kwargs):
+        seen.append((x.min(), x.max()))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    if name == "detect_ncv":
+        got = detect_ncv(ys, H, rows, c, nv)
+        bits = _ncv_bits(rows, m).astype(float)
+    else:
+        got = np.moveaxis(comp_nonideal_llrs(ys, H, c, nv).reshape(3, 2, 2 * m, 120), -1, -2)
+        bits = _ncv_bits(1 << np.arange(2 * m), m).astype(float)
+    monkeypatch.undo()
+    assert seen and min(lo for lo, _ in seen) >= -700.0 and max(hi for _, hi in seen) <= 50.0
+    metric = _correlation_grid(superimpose(c, H), ys)
+    shifted = (metric - metric.max(axis=-1, keepdims=True)) / nv
+    assert ((shifted > -750) & (shifted < -708.4)).any()         # subnormal without the shift
+    live = (shifted >= -750).astype(float)
+    has_one, has_zero = live @ bits > 0, live @ (1.0 - bits) > 0
+    assert np.array_equal(np.isposinf(got), ~has_one) and np.array_equal(np.isneginf(got), ~has_zero)
+    assert np.isinf(got).any() and np.isfinite(got).any()
+
+
+@pytest.mark.parametrize("max_log", [False, True])
+@pytest.mark.parametrize("mod, frames", [("qam4", 18), ("qam16", 2)])
+def test_one_block_peak_is_a_few_grids(mod, frames, max_log):
+    """A one-block detect_ncv call allocates at most 2.5 grids at its peak in
+    either form: max-log takes each bit's two class maxima in turn, so no
+    temporary holds the n grids of a whole bit class array."""
+    c, H, ys, rows, nv = _frame_stack(mod, frames, 120, 14.0, 47)
+    grid = ys.size * c.size**2 * 8
+    detect_ncv(ys, H, rows, c, nv, max_log=max_log)        # fills the memoised tables first
+    tracemalloc.start()
+    try:
+        detect_ncv(ys, H, rows, c, nv, max_log=max_log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * grid
 
 
 def test_noise_variance_bookkeeping():
