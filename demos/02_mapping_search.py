@@ -6,11 +6,11 @@ those, the best matrix maximizes the minimum distance between points that
 map to different vectors.  The search never enumerates matrices blindly:
 matrices sharing a row space behave identically, so it walks row spaces.
 """
-from pnclab import build_catalog, evaluate_mapping, superimpose
-from pnclab.gf2 import BitMatrix, nullspace
-from pnclab.mapping import clash_difference_basis
+from pnclab import build_catalog, superimpose
+from pnclab.gf2 import BitMatrix, nullspace, rank_rows
+from pnclab.mapping import clash_difference_basis, mapping_d_min
 from pnclab.modulation import make_constellation
-from pnclab.search import exhaustive_matrix_scan, mine_candidates, state_channel
+from pnclab.search import mine_candidates, state_channel
 
 qam4 = make_constellation("qam4")
 cat = build_catalog("qam4", n_trials=100_000, rng_seed=0)
@@ -34,17 +34,23 @@ best = rankings[idx].entries[0]
 print(f"best clash-consistent mapping: {best.matrix.to_lists()} "
       f"with squared minimum distance {best.d_min:.3f}")
 
-# the same verdict from the literal 256-matrix scan
-scan = exhaustive_matrix_scan(sc, entry.partition, t=2)
-consistent = [(m, d) for m, d, cc in scan if cc]
+# the same verdict from the literal scan of all 256 2x4 matrices: at the
+# state's own channel, clashing messages coincide, so a matrix keeps every
+# clash on one NCV exactly when its distance is positive
+consistent = []
+for v in range(1 << 8):
+    mat = BitMatrix.from_encoding(v, 2, 4)
+    d = mapping_d_min(mat.rows, sc)
+    if rank_rows(mat.rows) == 2 and d > 0:
+        consistent.append(d)
 print(f"literal scan: {len(consistent)} clash-consistent full-rank matrices, "
-      f"all with distance {max(d for _, d in consistent):.3f} "
+      f"all with distance {max(consistent):.3f} "
       "(six bases of the single admissible space)")
 
 # a matrix that splits the origin clash is useless at this state
 splitter = BitMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]])
-q = evaluate_mapping(splitter, sc, entry.partition)
-print(f"terminal-1 extractor at v=j: consistent={q.clash_consistent}, d_min={q.d_min}")
+d = mapping_d_min(splitter.rows, sc)
+print(f"terminal-1 extractor at v=j: consistent={d > 0}, d_min={d}")
 
 # two rows per AP always suffice for 4QAM states...
 resolvable = sum(r.resolvable for r in rankings)

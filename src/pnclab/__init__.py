@@ -2,9 +2,7 @@
 
 from .gf2 import (
     BitMatrix,
-    EnumerationTooLargeError,
     SingularMatrixError,
-    enumerate_matrices,
     inverse_f2,
 )
 from .modulation import Constellation, make_constellation
@@ -21,10 +19,8 @@ from .fade_states import (
     truncate_catalog,
 )
 from .mapping import (
-    MappingQuality,
     SuperimposedConstellation,
     coincident_partition,
-    evaluate_mapping,
     superimpose,
 )
 from .search import (

@@ -6,26 +6,35 @@ import sys
 from dataclasses import replace
 
 from .fade_states import build_catalog, save_catalog
-from .search import build_selection_table, build_store, load_store, save_store, save_table
+from .search import build_selection_table, build_store, certify_store, load_store, save_store, save_table
 from .sim import ExperimentConfig, emit_results, run_experiment
 
 
-def _add_offline(sub: argparse._SubParsersAction) -> None:
+def positive(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _add_offline(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p = sub.add_parser("offline", help="run the off-line search and write a candidate store")
     p.add_argument("--mod", default="qam4", choices=["qam4", "qam16"])
     p.add_argument("--t", type=int, default=None, help="NCV length (default: bits per symbol)")
-    p.add_argument("--K", type=int, default=5, help="candidates kept per fade state")
-    p.add_argument("--psfs", type=int, default=None, help="keep only this many principal states")
-    p.add_argument("--n", type=int, default=2, help="APs to certify the store for")
-    p.add_argument("--trials", type=int, default=10**6, help="occurrence-ranking trials")
+    p.add_argument("--K", type=positive, default=5, help="candidates kept per fade state")
+    p.add_argument("--psfs", type=positive, default=None, help="keep only this many principal states")
+    p.add_argument("--n", type=positive, default=2, help="APs to certify the store for")
+    p.add_argument("--trials", type=positive, default=10**6, help="occurrence-ranking trials")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    return p
 
 
 def _add_table(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("table", help="build the regulated-selection lookup table from a store")
     p.add_argument("--store", required=True)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=positive, default=2)
     p.add_argument("--out", required=True)
 
 
@@ -41,7 +50,7 @@ def _add_sfs(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("sfs", help="fade-state catalog operations")
     p.add_argument("action", choices=["list"])
     p.add_argument("--mod", default="qam4", choices=["qam4", "qam16"])
-    p.add_argument("--trials", type=int, default=10**6)
+    p.add_argument("--trials", type=positive, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="also write the catalog file here")
 
@@ -49,7 +58,7 @@ def _add_sfs(sub: argparse._SubParsersAction) -> None:
 def _add_verify(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("verify-store", help="re-check a store file's invariants")
     p.add_argument("--store", required=True)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=positive, default=2)
 
 
 def _coerce(value: str):
@@ -83,7 +92,7 @@ def _apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfi
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="pnclab")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_offline(sub)
+    offline = _add_offline(sub)
     _add_table(sub)
     _add_simulate(sub)
     _add_sfs(sub)
@@ -93,7 +102,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "offline":
         from .modulation import make_constellation
 
-        t = args.t or make_constellation(args.mod).bits_per_symbol
+        m = make_constellation(args.mod).bits_per_symbol
+        t = m if args.t is None else args.t
+        if not m <= t <= 2 * m:
+            offline.error(f"--t must be in [{m}, {2 * m}] for {args.mod}, not {t}")
+        if args.n * t < 2 * m:
+            offline.error(f"--n {args.n} APs of --t {t} rows cannot reach rank {2 * m}")
         cat = build_catalog(args.mod, n_trials=args.trials, rng_seed=args.seed, n_principal=args.psfs)
         store = build_store(cat, t=t, k_per_state=args.K, n_aps=args.n)
         save_store(store, args.out)
@@ -139,14 +153,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "verify-store":
-        store = load_store(args.store)  # load re-checks rank invariants
-        from .search import certify_store
-
-        checked = certify_store(store, args.n)
+        try:        # load re-checks rank invariants and the file's own certificate
+            checked = certify_store(load_store(args.store), args.n)
+        except ValueError as exc:
+            print(f"store FAILED verification: {exc}")
+            return 1
         if checked.infeasible:
             print(f"store FAILED verification: {len(checked.infeasible)} infeasible tuples")
             return 1
-        print(f"store OK: {len(store.states)} states certified for n={args.n}")
+        print(f"store OK: {len(checked.states)} states certified for n={args.n}")
         return 0
 
     return 2

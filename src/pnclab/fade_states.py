@@ -89,11 +89,6 @@ class SfsCatalog:
         at_inf = np.flatnonzero(np.isnan(values))
         object.__setattr__(self, "_infinite_index", int(at_inf[0]) if len(at_inf) else None)
 
-    @property
-    def n_states(self) -> int:
-        """Distinct ratio states currently listed (infinity excluded)."""
-        return sum(1 for e in self.entries if not e.state.infinite)
-
     def finite_values(self) -> np.ndarray:
         """State values in entry order, NaN at infinity (read-only)."""
         return self._values

@@ -15,17 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 
 class SingularMatrixError(ValueError):
     """Raised when a matrix expected to be invertible over F2 is not."""
-
-
-class EnumerationTooLargeError(ValueError):
-    """Raised when a requested exhaustive matrix enumeration exceeds the cap."""
 
 
 @dataclass(frozen=True)
@@ -58,14 +54,6 @@ class BitMatrix:
     @classmethod
     def from_row_ints(cls, rows: Sequence[int], n_cols: int) -> "BitMatrix":
         return cls(n_rows=len(rows), n_cols=n_cols, rows=tuple(rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n_rows=n, n_cols=n, rows=tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "BitMatrix":
-        return cls(n_rows=n_rows, n_cols=n_cols, rows=(0,) * n_rows)
 
     @classmethod
     def from_encoding(cls, value: int, n_rows: int, n_cols: int) -> "BitMatrix":
@@ -119,40 +107,20 @@ def rank_rows(rows: Iterable[int]) -> int:
 
 
 def inverse_f2(a: BitMatrix) -> BitMatrix:
-    """Inverse over F2 via Gauss-Jordan on the augmented system."""
+    """Inverse over F2: Gauss-Jordan on [A | I], the identity in the high bits."""
     if a.n_rows != a.n_cols:
         raise ValueError("inverse requires a square matrix")
     n = a.n_rows
-    rows = list(a.rows)
-    aug = [1 << i for i in range(n)]
-    piv = 0
-    for col in range(n):
-        sel = next((r for r in range(piv, n) if (rows[r] >> col) & 1), None)
-        if sel is None:
-            raise SingularMatrixError("matrix is singular over F2")
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        aug[piv], aug[sel] = aug[sel], aug[piv]
-        for r in range(n):
-            if r != piv and (rows[r] >> col) & 1:
-                rows[r] ^= rows[piv]
-                aug[r] ^= aug[piv]
-        piv += 1
-    return BitMatrix(n, n, tuple(aug))
-
-
-def enumerate_matrices(n_rows: int, n_cols: int, max_bits: int = 24) -> Iterator[BitMatrix]:
-    """Yield all 2^(rows*cols) matrices in ascending canonical encoding order."""
-    bits = n_rows * n_cols
-    if bits > max_bits:
-        raise EnumerationTooLargeError(
-            f"{n_rows}x{n_cols} enumeration is {bits} bits; cap is {max_bits}"
-        )
-    for value in range(1 << bits):
-        yield BitMatrix.from_encoding(value, n_rows, n_cols)
+    reduced, pivots = rref_rows([row | 1 << (n + i) for i, row in enumerate(a.rows)], n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular over F2")
+    return BitMatrix(n, n, tuple(row >> n for row in reduced))
 
 
 def rref_rows(rows: Sequence[int], n_cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form over the low ``n_cols`` columns; returns
+    (pivot rows, pivot columns).  Bits at and above ``n_cols`` ride along
+    with their rows, so [A | B] reduces to [R | E B]."""
     work = list(rows)
     pivots: list[int] = []
     piv = 0

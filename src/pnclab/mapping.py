@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import BitMatrix, rref_rows
+from .gf2 import rref_rows
 from .modulation import Constellation
 
 Partition = tuple[tuple[int, ...], ...]     # blocks of joint indices, ascending, listed by first index
@@ -186,17 +186,6 @@ def difference_profiles(sc: SuperimposedConstellation, clash: Partition | None =
     return out[-1]
 
 
-def ncv_table(matrix: BitMatrix, m: int) -> np.ndarray:
-    """Network-coded vector (as packed int) for every joint index."""
-    return _ncv_bits(matrix.rows, m) @ (1 << np.arange(matrix.n_rows))
-
-
-@dataclass(frozen=True)
-class MappingQuality:
-    d_min: float
-    clash_consistent: bool
-
-
 def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, clash: Partition | None = None) -> float | np.ndarray:
     """Minimum squared distance between different-NCV points.
 
@@ -217,25 +206,6 @@ def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, clash: Partition |
     if parities.ndim == 2:
         return float(np.where(parities.any(axis=0), profile, np.inf).min())
     return np.where(parities.any(axis=-2), profile, np.inf).min(axis=-1)
-
-
-def evaluate_mapping(
-    matrix: BitMatrix,
-    sc: SuperimposedConstellation,
-    clash: Partition,
-) -> MappingQuality:
-    """Score a candidate matrix against a channel and the coincidence
-    partition ``clash`` it must respect.
-
-    A coincident pair split across NCVs forces d_min to 0, so consistency
-    never needs a separate distance pass.
-    """
-    if matrix.n_cols != sc.mu:
-        raise ValueError(f"matrix has {matrix.n_cols} columns, channel needs {sc.mu}")
-    table = ncv_table(matrix, sc.constellation.bits_per_symbol)
-    consistent = all(len({int(table[t]) for t in block}) == 1 for block in clash)
-    d_min = mapping_d_min(matrix.rows, sc)
-    return MappingQuality(d_min=d_min, clash_consistent=consistent)
 
 
 def clash_difference_basis(clash: Partition, m: int) -> tuple[int, ...]:

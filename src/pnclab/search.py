@@ -14,8 +14,7 @@ precomputed table keyed by state indices.
 Candidates are handled at row-space granularity: matrices sharing a row
 space induce identical clusters, identical distances, and identical global
 ranks, so each space is represented once by its canonical reduced-row-
-echelon matrix.  An exhaustive per-matrix scan is kept for cross-checks at
-small sizes.
+echelon matrix.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ from ._artifact import check_count, opt_int, read_artifact, records, strip_index
 from .fade_states import FadeState, SfsCatalog, nearest_sfs
 from .gf2 import (
     BitMatrix,
-    enumerate_matrices,
     enumerate_subspaces,
     nullspace,
     rank_rows,
@@ -41,7 +39,6 @@ from .gf2 import (
     rref_stack,
 )
 from .mapping import (
-    SuperimposedConstellation,
     clash_difference_basis,
     difference_profiles,
     mapping_d_min,
@@ -172,29 +169,6 @@ def mine_candidates(
         )
         out.append(SfsCandidates(resolvable=resolvable, entries=candidates, extractors=ext))
     return tuple(out)
-
-
-def exhaustive_matrix_scan(
-    sc: SuperimposedConstellation,
-    clash: tuple[tuple[int, ...], ...],
-    t: int,
-    max_bits: int = 24,
-) -> list[tuple[BitMatrix, float, bool]]:
-    """Literal scan of every t x mu matrix: (matrix, d_min, clash_consistent).
-
-    Only the full-rank matrices are returned.  This is the slow oracle used
-    to cross-check the row-space search at small sizes.
-    """
-    from .mapping import evaluate_mapping
-
-    mu = sc.mu
-    out = []
-    for mat in enumerate_matrices(t, mu, max_bits=max_bits):
-        if rank_rows(mat.rows) != t:
-            continue
-        q = evaluate_mapping(mat, sc, clash)
-        out.append((mat, q.d_min, q.clash_consistent))
-    return out
 
 
 @dataclass(frozen=True)
@@ -651,7 +625,13 @@ def save_store(store: CandidateStore, path: str) -> None:
 
 
 def load_store(path: str) -> CandidateStore:
-    """Read a store file; a header line it does not read (an old ``d_alpha=``) is ignored."""
+    """Read a store file; a header line it does not read (an old ``d_alpha=``) is ignored.
+
+    The ``certified_n=`` and ``infeasible=`` header is not trusted: a
+    certified store is certified again for its ``n``, and a header that
+    disagrees with its lists is refused.  The returned store keeps the
+    verdicts that took, for the table build to read.
+    """
     states = []
     lists = []
     with read_artifact(path, "pnclab-store v2") as (header, body):
@@ -670,14 +650,22 @@ def load_store(path: str) -> CandidateStore:
         rank_trials=opt_int(header["rank_trials"]),
         states=tuple(states),
         lists=tuple(lists),
-        certified_n=opt_int(header["certified_n"]),
-        infeasible=tuple(tuple(map(int, part.split(","))) for part in header["infeasible"].split(";") if part),
     )
     for matrix in dict.fromkeys(e.matrix for entries in store.lists for e in entries):   # each distinct matrix once
         if (matrix.n_rows, matrix.n_cols) != (store.t, store.mu):
             raise ValueError(f"{path}: store entry {matrix.to_text()} is not {store.t}x{store.mu}")
         if rank_rows(matrix.rows) != store.t:
             raise ValueError("store entry violates the rank invariant")
+    certified_n = opt_int(header["certified_n"])
+    claimed = {tuple(map(int, part.split(","))) for part in header["infeasible"].split(";") if part}
+    if certified_n is not None:
+        store = certify_store(store, certified_n)
+    wrong = sorted(claimed ^ set(store.infeasible))
+    if wrong:
+        raise ValueError(
+            f"{path}: the header lists {len(claimed)} infeasible state tuples for n={certified_n}, "
+            f"the lists give {len(store.infeasible)}; they differ at state tuple {wrong[0]}"
+        )
     return store
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import numbers
@@ -235,7 +234,7 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
         table = build_selection_table(store, n_aps=cfg.n_aps)
         if cfg.table_path:      # a loaded table must hold the store's own choice for every state tuple
             load_table(cfg.table_path).check_equal(table, f"table file {cfg.table_path} and the store's own table")
-        if table.markers:       # builds table_lookup's value rows; a store file's infeasible= header is trusted
+        if table.markers:       # also builds table_lookup's value rows, here and not in the first frame
             raise ValueError(f"table marks {table.markers} state tuples infeasible; the config needs all feasible")
         ctx.table = table
     return ctx
@@ -438,9 +437,3 @@ def emit_results(records, out) -> None:
     finally:
         if own:
             f.close()
-
-
-def results_csv_text(records) -> str:
-    buf = io.StringIO()
-    emit_results(records, buf)
-    return buf.getvalue()

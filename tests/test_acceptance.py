@@ -19,18 +19,17 @@ from pnclab.fade_states import (
 )
 from pnclab.gf2 import rank_rows
 from pnclab.link import draw_channel, recover_batch
-from pnclab.mapping import joint_vector_table, ncv_table, superimpose
+from pnclab.mapping import joint_vector_table, superimpose
 from pnclab.modulation import make_constellation
 from pnclab.search import (
     build_selection_table,
     build_store,
-    exhaustive_matrix_scan,
     select_mappings,
     state_channel,
 )
 from pnclab.sim import ExperimentConfig, run_experiment
 
-from oracles import hard_ncv
+from oracles import exhaustive_matrix_scan, hard_ncv, ncv_table
 
 FRAMES = 10_000
 SEED = 20240601

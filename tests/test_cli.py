@@ -109,3 +109,50 @@ def test_simulate_refused_config_is_one_line(tmp_path, extra, overrides, field):
     assert isinstance(message, str) and "\n" not in message
     assert re.search(rf"\b{field}\b", message)
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["offline", "--K", "0"],
+        ["offline", "--psfs", "0"],
+        ["offline", "--n", "0"],
+        ["offline", "--trials", "0"],
+        ["offline", "--t", "5"],
+        ["offline", "--t", "1"],
+        ["offline", "--n", "1", "--t", "2"],
+        ["offline", "--mod", "qam16", "--n", "1"],
+        ["table", "--store", "missing.cat", "--n", "0"],
+        ["sfs", "list", "--trials", "0"],
+        ["verify-store", "--store", "missing.cat", "--n", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_counts_refused_with_one_usage_error(tmp_path, capsys, argv):
+    """A count below 1, or an offline --t outside [m, 2m] or too short for
+    its APs, is a usage error: exit 2, one error line, no traceback and no
+    file.  (--K 0 used to write a store of 14 empty lists; --trials 0,
+    --t 5, --n 1 --t 2 and table --n 0 ended in tracebacks.)"""
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", out] if argv[0] in ("offline", "table") else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pnclab ") and len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_verify_store_reports_a_dishonest_header(tmp_path, capsys):
+    """A store whose header claims a feasibility its lists lack fails
+    verification with the load's reason, not a traceback."""
+    store_path = tmp_path / "k1.cat"
+    assert main([
+        "offline", "--mod", "qam4", "--t", "2", "--K", "1",
+        "--trials", "20000", "--seed", "0", "--out", str(store_path),
+    ]) == 0
+    text = store_path.read_text()
+    store_path.write_text(re.sub(r"(?m)^infeasible=.*$", "infeasible=", text))
+    capsys.readouterr()
+    assert main(["verify-store", "--store", str(store_path), "--n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("store FAILED verification: ") and "the header lists 0 infeasible state tuples" in out

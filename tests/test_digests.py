@@ -35,7 +35,9 @@ import pytest
 
 from pnclab.fade_states import build_catalog, save_catalog
 from pnclab.search import build_selection_table, build_store, load_table, save_store, save_table
-from pnclab.sim import ExperimentConfig, results_csv_text, run_experiment
+from pnclab.sim import ExperimentConfig, run_experiment
+
+from oracles import results_csv_text
 
 SMALL = dict(modulation="qam4", frames_per_point=60, frame_len=24, rank_trials=10**4, seed=11)
 SMALL16 = {**SMALL, "modulation": "qam16", "frames_per_point": 20}

@@ -24,10 +24,10 @@ from pnclab.link import (
     transmit,
     transmit_pilots,
 )
-from pnclab.mapping import _ncv_bits, joint_vector_table, ncv_table, superimpose
+from pnclab.mapping import _ncv_bits, joint_vector_table, superimpose
 from pnclab.modulation import make_constellation
 
-from oracles import hard_ncv
+from oracles import hard_ncv, ncv_table
 
 XOR_MAP = BitMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
 

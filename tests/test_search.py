@@ -35,7 +35,6 @@ from pnclab.search import (
     build_selection_table,
     build_store,
     certify_store,
-    exhaustive_matrix_scan,
     load_store,
     load_table,
     mine_candidates,
@@ -45,6 +44,8 @@ from pnclab.search import (
     state_channel,
     table_lookup,
 )
+
+from oracles import exhaustive_matrix_scan
 
 
 @pytest.fixture(scope="module")
@@ -557,10 +558,32 @@ class TestPersistence:
         save_store(store4, path)
         text = open(path).read()
         good = store4.lists[0][0].matrix.to_text()
-        bad = BitMatrix.zeros(2, 4).to_text()
+        bad = BitMatrix.from_row_ints((0, 0), 4).to_text()
         (tmp_path / "bad.cat").write_text(text.replace(good, bad))
         with pytest.raises(ValueError):
             load_store(str(tmp_path / "bad.cat"))
+
+    @pytest.mark.parametrize(
+        "certified_n, infeasible",
+        [(2, ((0, 0),)), (None, ((0, 0),)), (2, ((0, 0), (1, 1), (20, 20))), (1, ())],
+        ids=["extra-tuple", "uncertified-with-tuples", "tuple-past-the-states", "n-below-rank"],
+    )
+    def test_store_certificate_must_be_its_lists_own(self, store4, tmp_path, certified_n, infeasible):
+        """``store4`` is feasible for two APs; a header that says otherwise,
+        or lists tuples without a certificate, is refused."""
+        path = str(tmp_path / "store.cat")
+        save_store(dataclasses.replace(store4, certified_n=certified_n, infeasible=infeasible), path)
+        with pytest.raises(ValueError, match="infeasible state tuples|cannot reach rank"):
+            load_store(path)
+
+    def test_store_certificate_missing_a_tuple_refused(self, cat4, tmp_path):
+        store = certify_store(assemble_store(cat4, mine_candidates(cat4, t=2, limit=1), t=2, k_per_state=1), 2)
+        path = str(tmp_path / "store.cat")
+        save_store(dataclasses.replace(store, infeasible=store.infeasible[1:]), path)
+        with pytest.raises(ValueError, match=re.escape(f"differ at state tuple {store.infeasible[0]}")):
+            load_store(path)
+        save_store(store, path)
+        assert load_store(path).infeasible == store.infeasible
 
     @pytest.mark.parametrize("bad", ["2x3:1d", "3x4:f21", "2x4:1e1"])
     def test_store_entry_of_another_shape_refused(self, store4, tmp_path, bad):
@@ -812,16 +835,18 @@ class TestRoundTripProperties:
             DISTANCES,
         )
         lists = data.draw(st.lists(st.lists(entries, min_size=1, max_size=5).map(tuple), min_size=1, max_size=6))
-        n = data.draw(st.integers(1, 3))
         store = dataclasses.replace(
             store4,
             t=t,
             states=tuple(data.draw(FADE_STATES) for _ in lists),
             lists=tuple(lists),
-            certified_n=data.draw(st.one_of(st.none(), st.just(n))),
-            infeasible=tuple(data.draw(st.lists(st.tuples(*[st.integers(0, len(lists) - 1)] * n), max_size=4))),
+            certified_n=None,
+            infeasible=(),
             rank_seed=data.draw(st.one_of(st.none(), st.integers(0, 2**31))),
         )
+        n = data.draw(st.one_of(st.none(), st.integers(-(-4 // t), 3)))
+        if n is not None:       # load_store certifies again, so the certificate must be the lists' own
+            store = certify_store(store, n)
         first, second, loaded = _save_load_save(save_store, load_store, store)
         assert first == second
         assert loaded.states == store.states and loaded.lists == store.lists
@@ -954,8 +979,10 @@ def test_selection_infeasible_raises(cat4):
 def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
     """Certification and table building share one verdict per pair of
     distinct matrices: at most (distinct matrices)^2 rank computations.
-    Table loading checks each distinct entry once, and store loading each
-    distinct matrix once."""
+    Table loading checks each distinct entry once.  Store loading checks
+    each distinct matrix once and certifies the lists again with as many
+    verdicts as the build took, and a table built from the loaded store
+    reads those verdicts."""
     cat = cat16
     store = assemble_store(cat, mine_candidates(cat, t=4, limit=5), t=4, k_per_state=5)
     distinct = len({e.matrix for l in store.lists for e in l})
@@ -979,8 +1006,11 @@ def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
     store_path = tmp_path / "store.cat"
     save_store(store, str(store_path))
     before = len(calls)
-    load_store(str(store_path))
-    assert len(calls) - before == distinct < sum(map(len, store.lists))
+    loaded = load_store(str(store_path))
+    assert len(calls) - before == distinct + built and distinct < sum(map(len, store.lists))
+    before = len(calls)
+    build_selection_table(loaded, n_aps=2).check_equal(table)
+    assert len(calls) == before
 
     first = _table_line(path, "value 0 @ ").split()[3]
     _rewrite_table_line(path, "value 0 @ ", f"value 0 @ {first} {first}")   # repeated rows: singular

@@ -10,9 +10,10 @@ from pnclab.sim import (
     ExperimentConfig,
     backhaul_accounting,
     emit_results,
-    results_csv_text,
     run_experiment,
 )
+
+from oracles import results_csv_text
 
 FAST = dict(frames_per_point=120, frame_len=24, rank_trials=10**4)
 
@@ -385,6 +386,26 @@ class TestRuns:
             store_path=self._save_store(store, tmp_path), **FAST,
         )
         with pytest.raises(ValueError, match="66 infeasible"):
+            list(run_experiment(cfg))
+
+    def test_store_header_claiming_feasibility_refused(self, qam4_files, tmp_path):
+        """A K=2 store of mined candidates only (one per state at t=2, so 66
+        infeasible tuples), saved as certified for two APs with none: its
+        header used to be trusted, and the sweep stopped mid-point with
+        SelectionInfeasibleError.  Now neither the load nor the run gets
+        past the header (a frame-time failure would not be a ValueError)."""
+        from pnclab.search import load_store, mine_candidates
+
+        cat, store, paths = qam4_files
+        mined = replace(store, k_per_state=2, lists=tuple(r.entries[:2] for r in mine_candidates(cat, t=2)))
+        assert (mined.certified_n, mined.infeasible) == (2, ())
+        path = self._save_store(mined, tmp_path)
+        with pytest.raises(ValueError, match="header lists 0 infeasible state tuples for n=2, the lists give 66"):
+            load_store(path)
+        cfg = ExperimentConfig(
+            modulation="qam4", scheme="bmas", catalog_path=paths["catalog"], store_path=path, k_per_state=2, **FAST,
+        )
+        with pytest.raises(ValueError, match="infeasible"):
             list(run_experiment(cfg))
 
     def test_store_certified_for_other_ap_count_refused(self, qam4_files, tmp_path):
