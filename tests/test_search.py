@@ -844,7 +844,7 @@ class TestRoundTripProperties:
             infeasible=(),
             rank_seed=data.draw(st.one_of(st.none(), st.integers(0, 2**31))),
         )
-        n = data.draw(st.one_of(st.none(), st.integers(-(-4 // t), 3)))
+        n = data.draw(st.one_of(st.none(), st.integers(math.ceil(4 / t), 3)))
         if n is not None:       # load_store certifies again, so the certificate must be the lists' own
             store = certify_store(store, n)
         first, second, loaded = _save_load_save(save_store, load_store, store)
