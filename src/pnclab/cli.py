@@ -18,6 +18,14 @@ def positive(text: str) -> int:
     return value
 
 
+def _require_square(parser: argparse.ArgumentParser, n: int, t: int, mu: int) -> None:
+    """The stack rule construction applies: n APs of t rows must stack to a
+    square mu x mu global matrix; anything else is a usage error."""
+    if n * t != mu:
+        parser.error(f"--n {n} APs of {t} rows stack to a {n * t}x{mu} global matrix; "
+                     f"recovery needs it square (n * t == {mu})")
+
+
 def _add_offline(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p = sub.add_parser("offline", help="run the off-line search and write a candidate store")
     p.add_argument("--mod", default="qam4", choices=["qam4", "qam16"])
@@ -31,11 +39,12 @@ def _add_offline(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     return p
 
 
-def _add_table(sub: argparse._SubParsersAction) -> None:
+def _add_table(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="build the regulated-selection lookup table from a store")
     p.add_argument("--store", required=True)
     p.add_argument("--n", type=positive, default=2)
     p.add_argument("--out", required=True)
+    return p
 
 
 def _add_simulate(sub: argparse._SubParsersAction) -> None:
@@ -55,10 +64,11 @@ def _add_sfs(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--out", default=None, help="also write the catalog file here")
 
 
-def _add_verify(sub: argparse._SubParsersAction) -> None:
+def _add_verify(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p = sub.add_parser("verify-store", help="re-check a store file's invariants")
     p.add_argument("--store", required=True)
     p.add_argument("--n", type=positive, default=2)
+    return p
 
 
 def _coerce(value: str):
@@ -93,10 +103,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="pnclab")
     sub = parser.add_subparsers(dest="command", required=True)
     offline = _add_offline(sub)
-    _add_table(sub)
+    table_parser = _add_table(sub)
     _add_simulate(sub)
     _add_sfs(sub)
-    _add_verify(sub)
+    verify = _add_verify(sub)
     args = parser.parse_args(argv)
 
     if args.command == "offline":
@@ -106,8 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         t = m if args.t is None else args.t
         if not m <= t <= 2 * m:
             offline.error(f"--t must be in [{m}, {2 * m}] for {args.mod}, not {t}")
-        if args.n * t < 2 * m:
-            offline.error(f"--n {args.n} APs of --t {t} rows cannot reach rank {2 * m}")
+        _require_square(offline, args.n, t, 2 * m)
         cat = build_catalog(args.mod, n_trials=args.trials, rng_seed=args.seed, n_principal=args.psfs)
         store = build_store(cat, t=t, k_per_state=args.K, n_aps=args.n)
         save_store(store, args.out)
@@ -119,6 +128,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "table":
         store = load_store(args.store)
+        _require_square(table_parser, args.n, store.t, store.mu)
         table = build_selection_table(store, n_aps=args.n)
         save_table(table, args.out)
         print(f"table written to {args.out}: {len(table)} entries, {table.markers} fallback markers")
@@ -154,7 +164,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "verify-store":
         try:        # load re-checks rank invariants and the file's own certificate
-            checked = certify_store(load_store(args.store), args.n)
+            store = load_store(args.store)
+            _require_square(verify, args.n, store.t, store.mu)
+            checked = certify_store(store, args.n)
         except ValueError as exc:
             print(f"store FAILED verification: {exc}")
             return 1

@@ -9,7 +9,10 @@ per terminal, ``noise_var = 1 / (m * Eb/N0)``.
 Every detector scores the 2^(2m) joint hypotheses p of ``mapping.superimpose``
 at samples y on one real grid, ``_correlations``: 2 Re(p conj y) - |p|^2, which is
 -|p - y|^2 up to the |y|^2 that every hypothesis shares.  comp_ideal takes its
-argmax; detect_ncv and comp_nonideal_llrs run the likelihood kernel ``_llrs`` on it.
+argmax over the last axis of the samples-outermost grid (..., samples, 2^mu);
+detect_ncv and comp_nonideal_llrs run the likelihood kernel ``_llrs`` on the
+hypotheses-outermost grid (..., 2^mu, samples), whose reductions over the
+hypotheses run along whole sample rows.
 """
 from __future__ import annotations
 
@@ -100,45 +103,51 @@ def estimate_channel(y_pilots: np.ndarray, pilot_len: int) -> np.ndarray:
 _GRID_ELEMENTS = 2**16     # bounds a detector's grid: see _blockwise
 
 
-def _correlations(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _correlations(points: np.ndarray, ys: np.ndarray, samples_outer: bool = False) -> np.ndarray:
     """The correlation metric 2 Re(p conj y) - |p|^2 = |y|^2 - |p - y|^2 of the optimum
     detector (Proakis & Salehi, Digital Communications, 5th ed., 2008) for every point p
-    of ``points`` (..., 2^mu) and sample y of ``ys`` (..., samples), (..., samples, 2^mu):
-    one stacked product [Re y, Im y, 1] @ [2 Re p, 2 Im p, -|p|^2] at the slice shape."""
-    samples = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=-1)
-    hypotheses = np.stack([2.0 * points.real, 2.0 * points.imag, -(points.real**2 + points.imag**2)], axis=-2)
-    return samples @ hypotheses
+    of ``points`` (..., 2^mu) and sample y of ``ys`` (..., samples): one stacked product
+    at the slice shape, [2 Re p, 2 Im p, -|p|^2] @ [Re y; Im y; 1] of shape
+    (..., 2^mu, samples), or with ``samples_outer`` [Re y, Im y, 1] @ [2 Re p; 2 Im p;
+    -|p|^2] of shape (..., samples, 2^mu)."""
+    a, b = (-1, -2) if samples_outer else (-2, -1)
+    samples = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=a)
+    hypotheses = np.stack([2.0 * points.real, 2.0 * points.imag, -(points.real**2 + points.imag**2)], axis=b)
+    return samples @ hypotheses if samples_outer else hypotheses @ samples
 
 
-def _blockwise(points: np.ndarray, ys: np.ndarray, score) -> np.ndarray:
+def _blockwise(points: np.ndarray, ys: np.ndarray, score, samples_outer: bool = False) -> np.ndarray:
     """``score(grid, block)`` for each block of frames of ``ys`` (frames, APs,
     samples), concatenated: the fewest whole frames that reach _GRID_ELEMENTS grid
     elements (18 qam4 or 2 qam16 frames at 2 APs x 120 uses), or one frame where one
-    is larger; one block without a frame axis or with no frames.  Each grid is freed as its score returns."""
+    is larger; one block without a frame axis or with no frames.  Each grid, laid out
+    as ``samples_outer`` asks _correlations, is freed as its score returns."""
     points = np.broadcast_to(points, ys.shape[:-1] + points.shape[-1:])
     step = -(-_GRID_ELEMENTS // max(1, math.prod(ys.shape[1:]) * points.shape[-1])) if ys.ndim > 2 else 0
     blocks = [slice(a, a + step) for a in range(0, len(ys) or 1, step)] if step else [...]
-    return np.concatenate([score(_correlations(points[s], ys[s]), s) for s in blocks])
+    return np.concatenate([score(_correlations(points[s], ys[s], samples_outer), s) for s in blocks])
 
 
 def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise_var: float, max_log: bool = False):
-    """The likelihood kernel of every LLR detector: L-values (..., samples, n)
+    """The likelihood kernel of every LLR detector: L-values (..., n, samples)
     of the 0/1 float labels ``bits`` (..., 2^mu, n) of the hypotheses of
-    ``sc`` at samples ``ys`` (..., samples), from log-likelihoods metric / noise_var.
-    The exact form sums exp of those minus their row maxima, one matrix product per
-    slice; it shifts before it divides, so an overflowing lane is -inf, a dead lane.
-    A lane below _EXP_FLOOR is dead: clamped, raised by _EXP_SHIFT like every lane,
-    and zeroed after exp.  max-log takes each bit's two class maxima in turn, so no
-    temporary outgrows the grid."""
+    ``sc`` at samples ``ys`` (..., samples), from log-likelihoods metric / noise_var
+    on the hypotheses-outermost grid.
+    The exact form sums exp of those minus each sample's maximum, one matrix product
+    bits^T @ e per slice; it shifts before it divides, so an overflowing lane is -inf,
+    a dead lane.  A lane below _EXP_FLOOR is dead: clamped, raised by _EXP_SHIFT like
+    every lane, and zeroed after exp.  max-log takes each bit's two class maxima in
+    turn, so no temporary outgrows the grid."""
+    bits = np.ascontiguousarray(np.swapaxes(bits, -1, -2))      # (..., n, 2^mu), the left factor of bits^T @ e
     ones, zeros = (np.broadcast_to(b, ys.shape[:-1] + bits.shape[-2:]) for b in (bits, 1.0 - bits))
     def block(e, s):
-        if max_log:     # hypotheses outermost, so each class maximum reduces whole sample rows
-            e, side = np.ascontiguousarray(e.swapaxes(-1, -2)), np.expand_dims(ones[s] == 1, -2)
-            gap = np.stack([e.max(axis=-2, where=~side[..., j], initial=-np.inf)
-                            - e.max(axis=-2, where=side[..., j], initial=-np.inf) for j in range(side.shape[-1])], axis=-1)
+        if max_log:     # each class maximum reduces whole sample rows
+            side = ones[s] == 1
+            gap = np.stack([e.max(axis=-2, where=~side[..., j, :, None], initial=-np.inf)
+                            - e.max(axis=-2, where=side[..., j, :, None], initial=-np.inf) for j in range(side.shape[-2])], axis=-2)
             with np.errstate(over="ignore"):
                 return gap / noise_var
-        e -= e.max(axis=-1, keepdims=True)
+        e -= e.max(axis=-2, keepdims=True)
         with np.errstate(over="ignore"):
             e /= noise_var
         live = e < _EXP_FLOOR
@@ -148,7 +157,7 @@ def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise
         np.exp(e, out=e)
         e *= live
         with np.errstate(divide="ignore"):
-            return np.log(e @ zeros[s]) - np.log(e @ ones[s])
+            return np.log(zeros[s] @ e) - np.log(ones[s] @ e)
 
     return _blockwise(sc.points, ys, block)
 
@@ -178,7 +187,7 @@ def detect_ncv(
     ys = np.asarray(y, dtype=complex)
     rows = matrix.rows if isinstance(matrix, BitMatrix) else matrix
     bits = _ncv_bits(rows, constellation.bits_per_symbol).astype(float)
-    out = _llrs(superimpose(constellation, h), np.atleast_1d(ys), bits, noise_var, max_log)
+    out = np.swapaxes(_llrs(superimpose(constellation, h), np.atleast_1d(ys), bits, noise_var, max_log), -1, -2)
     return out[0] if ys.ndim == 0 else out
 
 
@@ -228,7 +237,7 @@ def comp_ideal(ys: np.ndarray, H: np.ndarray, constellation: Constellation) -> n
     of the correlation metric summed over APs, one block of frames at a time.
     """
     points = superimpose(constellation, H).points
-    return _blockwise(points, np.asarray(ys), lambda g, s: g.sum(axis=-3).argmax(axis=-1))
+    return _blockwise(points, np.asarray(ys), lambda g, s: g.sum(axis=-3).argmax(axis=-1), samples_outer=True)
 
 
 @dataclass(frozen=True)
@@ -277,7 +286,7 @@ def comp_nonideal_llrs(
     # the identity's NCV bit j is component j of w: label bit j of tau, MSB first
     bits = _ncv_bits(1 << np.arange(2 * m), m).astype(float)
     out = _llrs(superimpose(constellation, h), ys, bits, noise_var)
-    return np.moveaxis(out, -1, -2).reshape(out.shape[:-2] + (2, m, ys.shape[-1]))
+    return out.reshape(out.shape[:-2] + (2, m, ys.shape[-1]))
 
 
 def comp_combine(dequantized: np.ndarray) -> np.ndarray:

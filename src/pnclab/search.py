@@ -284,7 +284,7 @@ def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
     with positive probability.  Any tuple without a full-rank combination
     is reported in the returned store rather than hidden.  The lists are
     kept as they are, so the store's certificate describes them, and the
-    returned store shares the store's verdicts.
+    returned store shares the store's arrays and verdicts.
 
     The answer comes from the store's verdict arrays over its distinct
     encodings.  A tuple is feasible when some combination of its states'
@@ -300,6 +300,7 @@ def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
     for _ in range(n_aps):          # the leading code axis becomes a trailing state axis
         feasible = np.moveaxis(feasible[code].any(axis=1), 0, -1)
     out = replace(store, certified_n=n_aps, infeasible=tuple(map(tuple, np.argwhere(~feasible).tolist())))
+    vars(out)["_arrays"] = store._arrays    # where cached_property keeps it: replace copies fields only
     out._verdicts.update(store._verdicts)
     return out
 

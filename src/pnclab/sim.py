@@ -8,7 +8,8 @@ the ones true CSI would pick.  Every frame derives its random stream from
 results.
 
 Frames run in chunks.  In the front end each frame draws from its own
-stream in the fixed order, and the arithmetic runs once per chunk on
+stream in the fixed order (its data indices as one raw draw, the values
+``Generator.integers`` would give), and the arithmetic runs once per chunk on
 stacked arrays with a leading frame axis; the scheme's back end (selection,
 detection, recovery, or a baseline's detector) then runs once per chunk on
 those arrays; with pilots, one selection call takes the estimated and the
@@ -18,10 +19,13 @@ frames at 120 uses and 2 APs); a detector's grid takes its frames in blocks
 within link._GRID_ELEMENTS.  Stack inverses are memoised per run, in the
 run's context.  Neither size can change a result: every batched step is
 elementwise, a reduction along one frame's own axis, or a matrix product
-kept at the one-frame shape, stacked (frames, APs, terminals) @ (frames,
-terminals, uses), (frames, APs, uses, 3) @ (frames, APs, 3, 2^mu) or
-(frames, uses, 2^mu) @ (frames, 2^mu, t) and never flattened into one 2-D
-product, whose blocking could round differently.
+kept at the one-frame shape, stacked and never flattened into one 2-D
+product, whose blocking could round differently: (frames, APs, terminals)
+@ (frames, terminals, uses) in the front end; comp_ideal's samples-outermost
+grid (frames, APs, uses, 3) @ (frames, APs, 3, 2^mu); and the LLR
+detectors' hypotheses-outermost grid (frames, APs, 2^mu, 3) @ (frames, APs,
+3, uses) with its class sums (frames, APs, t, 2^mu) @ (frames, APs, 2^mu,
+uses).
 """
 from __future__ import annotations
 
@@ -250,6 +254,19 @@ def _frame_rng(cfg: ExperimentConfig, point: int, frame: int) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, point, frame)))
 
 
+def _data_indices(rngs, n_terminals: int, frame_len: int, m: int) -> np.ndarray:
+    """Each frame's data indices (frames, terminals, uses), what
+    ``rng.integers(0, 2^m, (terminals, uses))`` draws from each generator, by
+    one raw draw per frame.  For a power-of-two range numpy's bounded draw is
+    Lemire's method without a rejection (Lemire, "Fast random integer
+    generation in an interval", ACM TOMACS 29(1), 2019): the top m bits of
+    each 32-bit half of a 64-bit output, low half first.  An even count of
+    halves leaves each stream where that draw leaves it."""
+    raw = np.stack([rng.bit_generator.random_raw(n_terminals * frame_len // 2) for rng in rngs])
+    halves = raw.astype("<u8", copy=False).view("<u4") >> (32 - m)
+    return halves.astype(np.int64).reshape(len(rngs), n_terminals, frame_len)
+
+
 def _front_end(ctx: _Context, noise_var: float, rngs):
     """Channel, data, received samples and receiver CSI of a chunk of
     frames, one generator per frame.
@@ -262,7 +279,7 @@ def _front_end(ctx: _Context, noise_var: float, rngs):
     cfg = ctx.cfg
     c = ctx.constellation
     H = link.draw_channel(rngs, cfg.n_aps, cfg.n_terminals)
-    idx = np.stack([rng.integers(0, c.size, size=(cfg.n_terminals, cfg.frame_len)) for rng in rngs])
+    idx = _data_indices(rngs, cfg.n_terminals, cfg.frame_len, c.bits_per_symbol)
     y = link.transmit(H, noise_var, c.points[idx], rngs)
     if cfg.pilot_len is None:
         return H, H, idx, y

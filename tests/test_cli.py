@@ -122,6 +122,7 @@ def test_simulate_refused_config_is_one_line(tmp_path, extra, overrides, field):
         ["offline", "--t", "1"],
         ["offline", "--n", "1", "--t", "2"],
         ["offline", "--mod", "qam16", "--n", "1"],
+        ["offline", "--mod", "qam4", "--t", "2", "--n", "3"],
         ["table", "--store", "missing.cat", "--n", "0"],
         ["sfs", "list", "--trials", "0"],
         ["verify-store", "--store", "missing.cat", "--n", "-1"],
@@ -129,10 +130,11 @@ def test_simulate_refused_config_is_one_line(tmp_path, extra, overrides, field):
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_counts_refused_with_one_usage_error(tmp_path, capsys, argv):
-    """A count below 1, or an offline --t outside [m, 2m] or too short for
-    its APs, is a usage error: exit 2, one error line, no traceback and no
-    file.  (--K 0 used to write a store of 14 empty lists; --trials 0,
-    --t 5, --n 1 --t 2 and table --n 0 ended in tracebacks.)"""
+    """A count below 1, or an offline --t outside [m, 2m] or whose --n APs
+    do not stack to a square matrix, is a usage error: exit 2, one error
+    line, no traceback and no file.  (--K 0 used to write a store of 14
+    empty lists; --trials 0, --t 5, --n 1 --t 2 and table --n 0 ended in
+    tracebacks; --t 2 --n 3 wrote a store certified for 3 APs.)"""
     out = str(tmp_path / "out")
     with pytest.raises(SystemExit) as exc:
         main(argv + (["--out", out] if argv[0] in ("offline", "table") else []))
@@ -156,3 +158,28 @@ def test_verify_store_reports_a_dishonest_header(tmp_path, capsys):
     assert main(["verify-store", "--store", str(store_path), "--n", "2"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("store FAILED verification: ") and "the header lists 0 infeasible state tuples" in out
+
+
+@pytest.fixture(scope="module")
+def qam4_t2_store(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("store") / "store.cat")
+    assert main(["offline", "--mod", "qam4", "--t", "2", "--trials", "20000", "--seed", "0", "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["table", "verify-store"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_non_square_n_refused_with_one_usage_error(tmp_path, capsys, qam4_t2_store, command, n):
+    """table --n and verify-store --n take only the n whose stack of t-row
+    matrices is square, as offline --n and construction do.  On a qam4 t=2
+    store, table --n 3 used to write 2,744 entries, table --n 1 14 fallback
+    markers, and verify-store --n 3 certified a 6x4 stack."""
+    out = tmp_path / "out"
+    argv = [command, "--store", qam4_t2_store, "--n", str(n)] + (["--out", str(out)] if command == "table" else [])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: pnclab {command} ") and f"error: --n {n} APs of 2 rows" in err
+    assert "Traceback" not in err and not out.exists()

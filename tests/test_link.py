@@ -485,32 +485,36 @@ def _llrs_sample_fast(sc, ys, bits, noise_var, max_log=False):
 
 
 def _correlation_grid(sc, ys):
-    """Oracle: the correlation metric (..., samples, 2^mu), one stacked
-    product per slice."""
+    """Oracle: the correlation metric (..., samples, 2^mu), the transpose of
+    the kernel's hypotheses-outermost grid: one stacked product
+    [2 Re p, 2 Im p, -|p|^2] @ [Re y; Im y; 1] per slice."""
     p = sc.points
-    rows = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=-1)
-    cols = np.stack([2.0 * p.real, 2.0 * p.imag, -(p.real**2 + p.imag**2)], axis=-2)
-    return rows @ cols
+    rows = np.stack([2.0 * p.real, 2.0 * p.imag, -(p.real**2 + p.imag**2)], axis=-1)
+    cols = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=-2)
+    return (rows @ cols).swapaxes(-1, -2)
 
 
 def _llrs_correlation(sc, ys, bits, noise_var, max_log=False):
     """Oracle: the likelihood kernel on the correlation metric, the whole
-    stack in one call: the grid (..., samples, 2^mu) as one stacked product
-    per slice, each row's maximum subtracted before the division by the
-    noise variance, the dead exp lanes zeroed by a putmask before and after
-    exp, and every live lane raised by e^50 in exp."""
+    stack in one call: the grid hypotheses outermost (..., 2^mu, samples) as
+    one stacked product per slice, each sample's maximum subtracted before
+    the division by the noise variance, the dead exp lanes zeroed by a
+    putmask before and after exp, every live lane raised by e^50 in exp, and
+    the class sums bits^T @ e per slice.  Returns (..., samples, n)."""
     metric = _correlation_grid(sc, ys)
     if max_log:
         side, metric = bits[..., None, :, :] == 1, metric[..., None]
         return (np.where(side, -np.inf, metric).max(axis=-2) - np.where(side, metric, -np.inf).max(axis=-2)) / noise_var
-    e = (metric - metric.max(axis=-1, keepdims=True)) / noise_var
+    metric = metric.swapaxes(-1, -2)
+    e = (metric - metric.max(axis=-2, keepdims=True)) / noise_var
     dead = e < -750.0
     np.putmask(e, dead, 0.0)
     e += 50.0
     np.exp(e, out=e)
     np.putmask(e, dead, 0.0)
     with np.errstate(divide="ignore"):
-        return np.log(e @ (1.0 - bits)) - np.log(e @ bits)
+        out = np.log(np.swapaxes(1.0 - bits, -1, -2) @ e) - np.log(np.swapaxes(bits, -1, -2) @ e)
+    return out.swapaxes(-1, -2)
 
 
 def _assert_near_distance_oracle(got, sc, ys, bits, noise_var, max_log=False):
@@ -620,9 +624,9 @@ class TestFrameBlocks:
         seen = []
         correlations = link._correlations
 
-        def spy(points, ys):
+        def spy(points, ys, *layout):
             seen.append(len(ys))
-            return correlations(points, ys)
+            return correlations(points, ys, *layout)
 
         monkeypatch.setattr(link, "_correlations", spy)
         for detect in self.DETECTORS.values():

@@ -7,6 +7,7 @@ perfbench/workloads.py and change nothing there.
 """
 import dataclasses
 import importlib.util
+import json
 import os
 import sys
 
@@ -37,6 +38,11 @@ def tracer():
 @pytest.fixture(scope="module")
 def workloads():
     yield from _load("workloads")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    yield from _load("run")
 
 
 def test_every_hook_resolves(tracer):
@@ -102,3 +108,24 @@ def test_baselines_run_no_detect_ncv(tracer, workloads):
     calls = {n: tr.calls(n, tracer.FRAME) + tr.calls(n, tracer.SETUP) for n in ("link.detect_ncv", "link.comp_nonideal_llrs")}
     assert calls["link.detect_ncv"] == 0
     assert calls["link.comp_nonideal_llrs"] > 0
+
+
+def test_traced_qam4_live_run_passes_its_checks(tracer, workloads, bench, tmp_path, monkeypatch):
+    """A traced qam4-live run as ``run.py --trace 1`` makes it, at the
+    workload's own frame counts (about two seconds): the seed-1234 gate
+    matches its recorded CSV digests, every expected hook fires, the hooks'
+    self times cover the frame loop within 1%, the frame loop hook counts
+    every frame, and the traced sweep writes the plain sweep's CSV bytes.
+    So a kernel change that routes around a hook fails here, not only in the
+    bench's own traced run."""
+    wl = workloads.WORKLOADS["qam4-live"]
+    with open(os.path.join(PERFBENCH, "digests.json"), encoding="ascii") as f:
+        recorded = json.load(f)
+    entry = recorded["workloads"][wl.name]
+    assert recorded["seed"] == workloads.DIGEST_SEED and entry["sweep_frames"] == list(wl.sweep_frames)
+    runner = bench.Runner(entry["points"])
+    monkeypatch.setitem(sys.modules, "tracer", tracer)     # run.traced imports the tracer by this name
+    monkeypatch.chdir(tmp_path)                             # and writes its trace file under the working directory
+    metrics = bench.traced(wl, 1, runner, workloads.DIGEST_SEED)
+    assert runner.attempted > 0 and runner.failed == 0
+    assert metrics["link.detect_ncv.self_ms_per_frame"]["value"] > 0

@@ -294,6 +294,17 @@ class TestVerdicts:
         assert got._verdicts[2] is store._verdicts[2]
         assert np.array_equal(got._full_rank(2), _stacked_verdicts(got, 2))
 
+    def test_certified_store_does_not_rebuild_arrays(self, cat4, monkeypatch):
+        """The certified store carries the store's arrays over, as it does
+        the verdicts, so a run's selection and table build read them without
+        building them again (4.9 ms on the qam16 K=5 store)."""
+        builds = []
+        build = search.CandidateStore._arrays.func
+        monkeypatch.setattr(search.CandidateStore._arrays, "func", lambda store: builds.append(1) or build(store))
+        store = assemble_store(cat4, mine_candidates(cat4, t=2, limit=5), t=2, k_per_state=5)
+        got = certify_store(certify_store(store, 2), 2)
+        assert got._arrays is store._arrays and len(builds) == 1
+
 
 class TestOnlineSelection:
     def test_always_invertible(self, store4, cat4):

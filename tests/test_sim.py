@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnclab import link, sim
+from pnclab.modulation import BITS_PER_SYMBOL
 from pnclab.sim import (
     ExperimentConfig,
     backhaul_accounting,
@@ -617,8 +620,8 @@ def test_no_distance_grid_exceeds_its_bound(mod, frame_len, scheme, blocks, monk
     sizes = []
     correlations = link._correlations
 
-    def spy(points, ys):
-        grid = correlations(points, ys)
+    def spy(points, ys, *layout):
+        grid = correlations(points, ys, *layout)
         sizes.append((grid.size, grid.size // len(ys)))
         return grid
 
@@ -670,6 +673,28 @@ def test_chunk_front_end_is_per_frame_bit_for_bit(mod, pilot_len, n_aps, frames)
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
     # every stream was used as the oracle used it: the next draws agree
     assert [r.random() for r in rngs] == [r.random() for r in oracle_rngs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["qam4", "qam16"]),
+    st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 7, 120]),
+)
+def test_raw_bit_draw_is_the_integers_draw(mod, seed, point, frame_len):
+    """The front end's data indices, one raw draw per frame after the
+    channel draw, are what Generator.integers(0, size, (2, frame_len)) draws
+    on a twin generator, and both streams are left at the same place: their
+    next normal draws are equal."""
+    m = BITS_PER_SYMBOL[mod]
+    rngs, twins = ([sim._frame_rng(ExperimentConfig(seed=seed), point, f) for f in range(3)] for _ in range(2))
+    for g in rngs + twins:
+        g.standard_normal((2, 2, 2))
+    got = sim._data_indices(rngs, 2, frame_len, m)
+    want = np.stack([g.integers(0, 1 << m, (2, frame_len)) for g in twins])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert all(np.array_equal(a.standard_normal(5), b.standard_normal(5)) for a, b in zip(rngs, twins))
 
 
 def _back_end_pnc_two_selections(ctx, noise_var, H, H_hat, idx, y):
