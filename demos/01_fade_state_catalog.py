@@ -33,7 +33,7 @@ print("values:", ", ".join(f"{z.real + 0:g}{z.imag + 0:+g}j" for z in values))
 # four symbol pairs merge on the axes (unnormalized lattice coordinates:
 # joint message tau = (s1, s2) lands at s1 + j*s2)
 lat = qam4.lattice_points
-for block in coincident_partition(qam4, (1, 1j)):
+for block in coincident_partition(qam4, (1, 1j))[0]:
     if len(block) > 1:
         z = lat[block[0] >> 2] + 1j * lat[block[0] & 3]
         print(f"  {len(block)} joint messages superimpose at ({z.real:+.0f},{z.imag:+.0f})")

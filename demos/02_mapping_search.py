@@ -31,7 +31,8 @@ print(f"admissible row space at v=j has dimension {len(rows)}: "
 
 rankings = mine_candidates(cat, t=2)
 best = rankings[idx].entries[0]
-print(f"best clash-consistent mapping: {best.matrix.to_lists()} "
+entries = [[(row >> c) & 1 for c in range(4)] for row in best.matrix.rows]
+print(f"best clash-consistent mapping: {entries} "
       f"with squared minimum distance {best.d_min:.3f}")
 
 # the same verdict from the literal scan of all 256 2x4 matrices: at the
@@ -48,7 +49,7 @@ print(f"literal scan: {len(consistent)} clash-consistent full-rank matrices, "
       "(six bases of the single admissible space)")
 
 # a matrix that splits the origin clash is useless at this state
-splitter = BitMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]])
+splitter = BitMatrix.from_row_ints((0b0001, 0b0010), 4)
 d = mapping_d_min(splitter.rows, sc)
 print(f"terminal-1 extractor at v=j: consistent={d > 0}, d_min={d}")
 

@@ -26,7 +26,6 @@ from .mapping import (
 from .search import (
     CandidateEntry,
     CandidateStore,
-    Selection,
     SelectionBatch,
     SelectionInfeasibleError,
     SelectionTable,

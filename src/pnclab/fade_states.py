@@ -261,14 +261,14 @@ def truncate_catalog(cat: SfsCatalog, n_principal: int) -> SfsCatalog:
     return replace(cat, entries=cat.entries[:n_principal])
 
 
-def nearest_sfs(cat: SfsCatalog, h) -> tuple:
-    """Index and squared distance of the catalog state nearest to a channel.
+def nearest_sfs(cat: SfsCatalog, h) -> tuple[np.ndarray, np.ndarray]:
+    """Index and squared distance of the catalog state nearest to each channel.
 
     The ratio h2/h1 is compared against finite states; an exactly vanishing
     h1 matches only the infinity entry.  Ties break to the lowest index.
-    ``h`` is one coefficient pair, giving ``(int, float)``, or an array of
-    pairs with shape (..., 2), giving an index array and a distance array of
-    shape (...).  The answer comes from ``nearest_indices``' cell list, which
+    ``h`` is an array of coefficient pairs with shape (..., 2); the result
+    is an index array and a distance array of shape (...), 0-d for one
+    pair.  The answer comes from ``nearest_indices``' cell list, which
     equals the brute-force argmin over the finite states.
     """
     hh = np.asarray(h, dtype=complex)
@@ -286,8 +286,6 @@ def nearest_sfs(cat: SfsCatalog, h) -> tuple:
         at_inf = pairs[:, 0] == 0
         idx[at_inf] = inf_idx
         dist[at_inf] = 0.0
-    if hh.ndim == 1:
-        return int(idx[0]), float(dist[0])
     return idx.reshape(hh.shape[:-1]), dist.reshape(hh.shape[:-1])
 
 

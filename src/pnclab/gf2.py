@@ -42,16 +42,6 @@ class BitMatrix:
             raise ValueError("row has bits beyond n_cols")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        packed = []
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            packed.append(sum((b & 1) << c for c, b in enumerate(row)))
-        return cls(n_rows=len(rows), n_cols=width, rows=tuple(packed))
-
-    @classmethod
     def from_row_ints(cls, rows: Sequence[int], n_cols: int) -> "BitMatrix":
         return cls(n_rows=len(rows), n_cols=n_cols, rows=tuple(rows))
 
@@ -80,17 +70,6 @@ class BitMatrix:
         if value < 0 or value >> (int(r) * int(c)):
             raise ValueError(f"{text!r} has bits beyond a {shape} matrix")
         return cls.from_encoding(value, int(r), int(c))
-
-    def entry(self, r: int, c: int) -> int:
-        return (self.rows[r] >> c) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[self.entry(r, c) for c in range(self.n_cols)] for r in range(self.n_rows)]
-
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.n_cols != other.n_cols:
-            raise ValueError("column mismatch in stack")
-        return BitMatrix(self.n_rows + other.n_rows, self.n_cols, self.rows + other.rows)
 
 
 def rank_rows(rows: Iterable[int]) -> int:

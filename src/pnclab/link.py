@@ -43,11 +43,9 @@ def noise_variance(ebn0_db: float, bits_per_symbol: int) -> float:
 
 
 def _normals(rng, shape) -> np.ndarray:
-    """Real and imaginary standard-normal parts, (2, *shape).  A sequence of
-    per-frame generators gives (2, frames, *shape), frame f drawn by rng[f]
-    alone; one (2, *shape) fill runs in stream order, as two calls would."""
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal((2, *shape))
+    """Real and imaginary standard-normal parts, (2, frames, *shape), from a
+    sequence of per-frame generators: frame f is drawn by rng[f] alone, one
+    (2, *shape) fill in the stream order of ``rng[f].standard_normal((2, *shape))``."""
     out = np.empty((len(rng), 2, *shape))
     for g, frame in zip(rng, out):
         g.standard_normal(out=frame)
@@ -55,7 +53,7 @@ def _normals(rng, shape) -> np.ndarray:
 
 
 def draw_channel(rng, n_aps: int = 2, n_terminals: int = 2) -> np.ndarray:
-    """(APs, terminals), or (frames, APs, terminals) from a sequence of generators."""
+    """(frames, APs, terminals), one frame from each generator of the sequence ``rng``."""
     re, im = _normals(rng, (n_aps, n_terminals))
     return (re + 1j * im) / math.sqrt(2.0)
 
@@ -70,9 +68,10 @@ def _noise(rng, shape, noise_var: float) -> np.ndarray:
 def transmit(H: np.ndarray, noise_var: float, symbols: np.ndarray, rng) -> np.ndarray:
     """Superimpose all terminals' symbol streams at every AP and add noise.
 
-    ``symbols`` has shape (terminals, uses); the result has shape (APs, uses).
-    With a sequence of per-frame generators all three carry a leading frame
-    axis, and ``H @ symbols`` is a stacked product of one-frame slices.
+    ``H`` is (frames, APs, terminals) and ``symbols`` (frames, terminals,
+    uses), with one generator per frame in the sequence ``rng``; the result
+    is (frames, APs, uses), and ``H @ symbols`` is a stacked product of
+    one-frame slices.
     """
     H = np.asarray(H, dtype=complex)
     symbols = np.asarray(symbols, dtype=complex)
@@ -82,8 +81,8 @@ def transmit(H: np.ndarray, noise_var: float, symbols: np.ndarray, rng) -> np.nd
 def transmit_pilots(H: np.ndarray, noise_var: float, pilot_len: int, rng) -> np.ndarray:
     """Time-orthogonal pilot phase: each terminal sends alone for pilot_len uses.
 
-    Returns shape (APs, terminals, pilot_len), or (frames, APs, terminals,
-    pilot_len) with a sequence of per-frame generators.
+    ``H`` is (frames, APs, terminals), with one generator per frame in the
+    sequence ``rng``; returns (frames, APs, terminals, pilot_len).
     """
     H = np.asarray(H, dtype=complex)
     return H[..., None] * PILOT_SYMBOL + _noise(rng, (*H.shape[-2:], pilot_len), noise_var)
@@ -170,7 +169,7 @@ def detect_ncv(
     noise_var: float,
     max_log: bool = False,
 ) -> np.ndarray:
-    """Per-bit L-values of the network-coded vector from one AP's samples.
+    """Per-bit L-values of the network-coded vector from each AP's samples.
 
     Sums the Gaussian likelihood over every joint-message hypothesis mapped
     to each bit value (uniform priors).  A matrix row mapping every
@@ -178,17 +177,14 @@ def detect_ncv(
     the flag for a degenerate row.  ``max_log`` switches to the max-log
     approximation.
 
-    One AP: ``y`` is a scalar or a 1-D sample array, ``h`` a coefficient
-    pair and ``matrix`` a BitMatrix; returns (t,) or (samples, t).  A stack
-    of frames and APs: ``y`` has shape (..., samples), ``h`` (..., 2) and
-    ``matrix`` is an integer array of packed rows (..., t); returns
-    (..., samples, t), each slice equal to the one-AP call bit for bit.
+    ``y`` has shape (..., samples), ``h`` (..., 2) and ``matrix`` is an
+    integer array of packed matrix rows (..., t), for a stack of frames and
+    APs or for one AP; returns (..., samples, t), each slice equal to the
+    call on that slice alone bit for bit.
     """
     ys = np.asarray(y, dtype=complex)
-    rows = matrix.rows if isinstance(matrix, BitMatrix) else matrix
-    bits = _ncv_bits(rows, constellation.bits_per_symbol).astype(float)
-    out = np.swapaxes(_llrs(superimpose(constellation, h), np.atleast_1d(ys), bits, noise_var, max_log), -1, -2)
-    return out[0] if ys.ndim == 0 else out
+    bits = _ncv_bits(matrix, constellation.bits_per_symbol).astype(float)
+    return np.swapaxes(_llrs(superimpose(constellation, h), ys, bits, noise_var, max_log), -1, -2)
 
 
 def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
@@ -199,23 +195,16 @@ def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
 def recover_batch(g, x_bits: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """Vectorized recovery for square invertible stacks.
 
-    One stack: ``g`` is a BitMatrix and ``x_bits`` has shape (samples, mu).
-    A chunk of frames: ``g`` is an integer array (frames, mu) of each
-    frame's stacked packed rows and ``x_bits`` has shape (frames, samples,
-    mu).  Returns message bits shaped like ``x_bits``, component k in the
-    last axis' column k.  Each distinct stack is inverted once into
-    ``memo``, which maps a stack's rows to its unpacked inverse and may be
-    passed again, so a run that keeps one inverts each stack once.
+    ``g`` is an integer array (frames, mu) of each frame's stacked packed
+    rows and ``x_bits`` has shape (frames, samples, mu).  Returns message
+    bits shaped like ``x_bits``, component k in the last axis' column k.
+    Each distinct stack is inverted once into ``memo``, which maps a stack's
+    rows to its unpacked inverse and may be passed again, so a run that
+    keeps one inverts each stack once.
     """
-    one = isinstance(g, BitMatrix)
-    if one:
-        if g.n_rows != g.n_cols:
-            raise ValueError("recover_batch needs a square stack")
-        stacks, x = np.array([g.rows]), np.asarray(x_bits)
-    else:
-        stacks, x = np.asarray(g), np.asarray(x_bits)
-        if stacks.shape[-1] != x.shape[-1]:
-            raise ValueError("recover_batch needs a square stack")
+    stacks, x = np.asarray(g), np.asarray(x_bits)
+    if stacks.shape[-1] != x.shape[-1]:
+        raise ValueError("recover_batch needs a square stack")
     mu = stacks.shape[-1]
     memo = {} if memo is None else memo
     keys = [tuple(rows) for rows in stacks.tolist()]
@@ -224,8 +213,7 @@ def recover_batch(g, x_bits: np.ndarray, memo: dict | None = None) -> np.ndarray
             inverse = np.array(inverse_f2(BitMatrix.from_row_ints(key, mu)).rows)
             # the unpacked transpose: [c, r] is bit c of inverse row r
             memo[key] = (inverse >> np.arange(mu)[:, None]) & 1
-    out = (x @ np.stack([memo[key] for key in keys])) % 2
-    return out[0] if one else out
+    return (x @ np.stack([memo[key] for key in keys])) % 2
 
 
 def comp_ideal(ys: np.ndarray, H: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -273,16 +261,14 @@ def comp_nonideal_llrs(
     constellation: Constellation,
     noise_var: float,
 ) -> np.ndarray:
-    """Per-terminal per-bit LLRs at one AP, marginalizing the other terminal.
+    """Per-terminal per-bit LLRs at each AP, marginalizing the other terminal.
 
-    One AP: ``y`` is (uses,) and ``h`` a coefficient pair; returns shape
-    (terminals, bits_per_symbol, uses).  A stack: ``y`` (..., uses) and
-    ``h`` (..., 2) give (..., terminals, bits_per_symbol, uses).  The kernel
-    is detect_ncv's, called directly (no detect_ncv call runs), so an
-    L-value beyond about 745 is +-inf.
+    ``y`` (..., uses) and ``h`` (..., 2) give (..., terminals,
+    bits_per_symbol, uses).  The kernel is detect_ncv's, called directly (no
+    detect_ncv call runs), so an L-value beyond about 745 is +-inf.
     """
     m = constellation.bits_per_symbol
-    ys = np.atleast_1d(np.asarray(y, dtype=complex))
+    ys = np.asarray(y, dtype=complex)
     # the identity's NCV bit j is component j of w: label bit j of tau, MSB first
     bits = _ncv_bits(1 << np.arange(2 * m), m).astype(float)
     out = _llrs(superimpose(constellation, h), ys, bits, noise_var)

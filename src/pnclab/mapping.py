@@ -89,17 +89,18 @@ def superimpose(c: Constellation, h) -> SuperimposedConstellation:
     return SuperimposedConstellation(constellation=c, points=pts)
 
 
-def coincident_partition(c: Constellation, h):
-    """Partition of joint indices by equal lattice superposition ``h1*a + h2*b``.
+def coincident_partition(c: Constellation, h) -> tuple[Partition, ...]:
+    """Partitions of joint indices by equal lattice superposition ``h1*a + h2*b``.
 
-    ``h`` is a Gaussian-integer coefficient pair, such as ``(den, num)`` for
-    the fade state ``num / den`` or ``(0, 1)`` for infinity, or an array of
-    pairs with shape (n, 2).  The lattice coordinates ``a``, ``b`` of
-    ``c.lattice_points`` are small odd integers, so every superposition is a
-    small Gaussian integer, exact in float64, and two points coincide exactly
-    when they compare equal.  A pair that is not integer-valued is refused.
-    Blocks are ascending and listed by their first index.  An array of pairs
-    gives a tuple with one partition per pair.
+    ``h`` is an array of Gaussian-integer coefficient pairs with shape
+    (n, 2), such as ``(den, num)`` for the fade state ``num / den`` or
+    ``(0, 1)`` for infinity; the result holds one partition per pair, a
+    1-tuple for one pair of shape (2,).  The lattice coordinates ``a``,
+    ``b`` of ``c.lattice_points`` are small odd integers, so every
+    superposition is a small Gaussian integer, exact in float64, and two
+    points coincide exactly when they compare equal.  A pair that is not
+    integer-valued is refused.  Blocks are ascending and listed by their
+    first index.
     """
     hh = np.asarray(h, dtype=complex)
     if not (np.isfinite(hh) & (hh == np.round(hh))).all():
@@ -115,7 +116,7 @@ def coincident_partition(c: Constellation, h):
     for o, cut in zip(order.tolist(), new.tolist()):
         starts = [0] + [k + 1 for k, c in enumerate(cut) if c]
         parts.append(tuple(sorted(tuple(o[a:b]) for a, b in zip(starts, starts[1:] + [len(o)]))))
-    return parts[0] if hh.ndim == 1 else tuple(parts)
+    return tuple(parts)
 
 
 @lru_cache(maxsize=8)
@@ -186,7 +187,7 @@ def difference_profiles(sc: SuperimposedConstellation, clash: Partition | None =
     return out[-1]
 
 
-def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, clash: Partition | None = None) -> float | np.ndarray:
+def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, clash: Partition | None = None) -> np.ndarray:
     """Minimum squared distance between different-NCV points.
 
     Exploits XOR-translation invariance: two messages get different NCVs iff
@@ -195,16 +196,14 @@ def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, clash: Partition |
     pairs within one of its blocks are ignored: given a fade state's clash
     partition, this is the distance among the points the state keeps apart.
 
-    ``matrix_rows`` is one matrix's rows (the result is a float) or an
-    integer array of row sets with shape ``(..., t)`` (the result is an
-    array of the same leading shape, each value the one call would give).
-    A stacked ``sc`` scores row sets against its channels: its leading
-    shape broadcasts against the row sets' one.
+    ``matrix_rows`` is an integer array of row sets with shape ``(..., t)``;
+    the result has its leading shape, 0-d for one matrix's rows, each value
+    the one that row set alone gives.  A stacked ``sc`` scores row sets
+    against its channels: its leading shape broadcasts against the row
+    sets' one.
     """
     profile = difference_profiles(sc, clash)
     parities = _parity_table(sc.mu).take(matrix_rows, axis=0)
-    if parities.ndim == 2:
-        return float(np.where(parities.any(axis=0), profile, np.inf).min())
     return np.where(parities.any(axis=-2), profile, np.inf).min(axis=-1)
 
 

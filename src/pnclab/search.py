@@ -277,6 +277,12 @@ def assemble_store(
     )
 
 
+def _check_reaches_rank(store: CandidateStore, n_aps: int) -> None:
+    """Refuse ``n_aps`` APs of t rows each, too few rows to stack to rank mu."""
+    if n_aps * store.t < store.mu:
+        raise ValueError(f"{n_aps} APs of {store.t} rows cannot reach rank {store.mu}")
+
+
 def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
     """Stage two: verify an invertible stack exists for every ordered tuple.
 
@@ -292,9 +298,7 @@ def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
     axis, taking ``any`` over that state's K codes (the pad slot reads
     False).
     """
-    t, mu = store.t, store.mu
-    if n_aps * t < mu:
-        raise ValueError(f"{n_aps} APs of {t} rows cannot reach rank {mu}")
+    _check_reaches_rank(store, n_aps)
     _, code, _, _ = store._arrays
     feasible = store._full_rank(n_aps)
     for _ in range(n_aps):          # the leading code axis becomes a trailing state axis
@@ -331,35 +335,12 @@ def _check_store_matches_catalog(store: CandidateStore, cat: SfsCatalog) -> None
     _check_same_states(store.states, tuple(e.state for e in cat.entries), "store and catalog")
 
 
-@dataclass(frozen=True)
-class Selection:
-    """Chosen per-AP matrices and the nearest state of each AP's channel."""
-
-    per_ap: tuple[BitMatrix, ...]
-    state_indices: tuple[int, ...]
-
-    @property
-    def global_matrix(self) -> BitMatrix:
-        """The per-AP matrices stacked in AP order (invertible)."""
-        return reduce(BitMatrix.stack, self.per_ap)
-
-
 @dataclass(frozen=True, eq=False)
 class SelectionBatch:
-    """Selections for a stack of frames; item ``f`` is frame f's Selection."""
+    """Selections for a stack of frames: each AP's matrix and nearest state."""
 
     rows: np.ndarray            # (frames, APs, t): packed rows of each AP's matrix
     state_indices: np.ndarray   # (frames, APs)
-    mu: int
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, f: int) -> Selection:
-        return Selection(
-            per_ap=tuple(BitMatrix.from_row_ints(tuple(r), self.mu) for r in self.rows[f].tolist()),
-            state_indices=tuple(self.state_indices[f].tolist()),
-        )
 
 
 def _pick_combination(full: np.ndarray, codes: list[np.ndarray], d: list[np.ndarray]) -> np.ndarray:
@@ -403,25 +384,29 @@ def _pick_combination(full: np.ndarray, codes: list[np.ndarray], d: list[np.ndar
     return out
 
 
+def _channel_stack(channels, n_aps: int | None = None) -> np.ndarray:
+    """``channels`` as a complex (frames, APs, 2) array, with ``n_aps`` APs
+    when given, or a ValueError naming its shape."""
+    H = np.asarray(channels, dtype=complex)
+    if H.ndim != 3 or H.shape[2] != 2 or n_aps not in (None, H.shape[1]):
+        raise ValueError(f"channels must have shape (frames, {n_aps or 'APs'}, 2), not {H.shape}")
+    return H
+
+
 def select_mappings(
     store: CandidateStore,
     cat: SfsCatalog,
     channels: np.ndarray,
-) -> Selection | SelectionBatch:
-    """On-line selection for one channel realization (rows = APs), or for
-    a stack of them.
+) -> SelectionBatch:
+    """On-line selection for a stack of channel realizations (frames, APs, 2).
 
     Each AP resolves its channel to the nearest catalog state and offers
     that state's candidates; the CPU evaluates every cross-product choice
     at the true channels and keeps the best invertible stack
-    (``_pick_combination``).  ``channels`` of shape (APs, 2) gives a
-    Selection; (frames, APs, 2) gives a SelectionBatch, each frame the one
-    its channels alone give.
+    (``_pick_combination``).  Each frame's selection is the one its
+    channels alone give.
     """
-    H = np.asarray(channels, dtype=complex)
-    one = H.ndim == 2
-    if one:
-        H = H[None]
+    H = _channel_stack(channels)
     n_aps = H.shape[1]
     _, code, _, rows = store._arrays
     state, _ = nearest_sfs(cat, H)
@@ -436,8 +421,7 @@ def select_mappings(
         raise SelectionInfeasibleError(
             f"no invertible stack for state tuple {tuple(state[infeasible[0]].tolist())}; store contract violated"
         )
-    batch = SelectionBatch(rows=rows[chosen], state_indices=state, mu=store.mu)
-    return batch[0] if one else batch
+    return SelectionBatch(rows=rows[chosen], state_indices=state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,9 +526,11 @@ def build_selection_table(
     Uses the same objective and tie-breaks as the on-line search, scored
     with the distances the store holds for each state.  Tuples with no
     invertible stack (possible only when certification reported them
-    infeasible) carry a marker, on which ``table_lookup`` raises.  When
-    ``cat`` is given, the store is checked against it first.
+    infeasible) carry a marker, on which ``table_lookup`` raises.  An
+    ``n_aps`` that certification refuses is refused here too.  When ``cat``
+    is given, the store is checked against it first.
     """
+    _check_reaches_rank(store, n_aps)
     if cat is not None:
         _check_store_matches_catalog(store, cat)
     choice, values = _table_entries(store, n_aps)
@@ -564,27 +550,22 @@ def table_lookup(
     table: SelectionTable,
     cat: SfsCatalog,
     channels: np.ndarray,
-) -> Selection | SelectionBatch:
-    """Regulated selection: nearest states, then a table read.
+) -> SelectionBatch:
+    """Regulated selection for a stack of channels (frames, table.n_aps, 2):
+    nearest states, then a table read.
 
-    ``channels`` of shape (APs, 2) gives a Selection; (frames, APs, 2)
-    gives a SelectionBatch.  Raises ``SelectionInfeasibleError`` on a tuple
-    that carries the marker: the table was built from the store's lists for
-    that tuple, and the on-line search over the same lists finds no
-    invertible stack either.
+    Raises ``SelectionInfeasibleError`` on a tuple that carries the marker:
+    the table was built from the store's lists for that tuple, and the
+    on-line search over the same lists finds no invertible stack either.
     """
-    H = np.asarray(channels, dtype=complex)
-    one = H.ndim == 2
-    if one:
-        H = H[None]
+    H = _channel_stack(channels, table.n_aps)
     state, _ = nearest_sfs(cat, H)
     rows = table._rows[table.choice[tuple(state.T)]]
     hit = np.flatnonzero(rows[:, 0, 0] < 0)
     if len(hit):
         tup = tuple(state[hit[0]].tolist())
         raise SelectionInfeasibleError(f"no invertible stack for state tuple {tup}; the table marks it")
-    batch = SelectionBatch(rows=rows, state_indices=state, mu=table.mu)
-    return batch[0] if one else batch
+    return SelectionBatch(rows=rows, state_indices=state)
 
 
 # ---------------------------------------------------------------------------

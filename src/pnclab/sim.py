@@ -165,6 +165,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}.get(type(data), "a number")
+            raise ValueError(f"a config must be a JSON object, not {kind}")
         if isinstance(data.get("ebn0_db"), list):     # JSON's array; anything else is refused by name
             data["ebn0_db"] = tuple(data["ebn0_db"])
         return cls(**data)

@@ -12,6 +12,11 @@ from pnclab.mapping import _ncv_bits, mapping_d_min, superimpose
 from pnclab.sim import emit_results
 
 
+def bit_matrix(rows):
+    """The BitMatrix of 0/1 entry lists, entry c of a row in its bit c."""
+    return BitMatrix.from_row_ints([sum(b << c for c, b in enumerate(row)) for row in rows], len(rows[0]))
+
+
 def ncv_table(matrix, m):
     """Network-coded vector (as packed int) of every joint index."""
     return _ncv_bits(matrix.rows, m) @ (1 << np.arange(matrix.n_rows))

@@ -17,7 +17,7 @@ from pnclab.fade_states import (
     save_catalog,
     truncate_catalog,
 )
-from pnclab.gf2 import rank_rows
+from pnclab.gf2 import BitMatrix, rank_rows
 from pnclab.link import draw_channel, recover_batch
 from pnclab.mapping import joint_vector_table, superimpose
 from pnclab.modulation import make_constellation
@@ -131,17 +131,18 @@ def test_criterion_04_unambiguous_decodability(qam4, cat4, store4):
     rank_failures = 0
     recovery_failures = 0
     for _ in range(10_000):
-        H = draw_channel(rng)
-        sel = select_mappings(store4, cat4, H)
-        if rank_rows(sel.global_matrix.rows) != 4:
+        H = draw_channel([rng])
+        rows = select_mappings(store4, cat4, H).rows
+        H = H[0]
+        if rank_rows(rows.ravel().tolist()) != 4:
             rank_failures += 1
             continue
         xs = []
         for j in range(2):
             y = H[j, 0] * qam4.points[taus >> 2] + H[j, 1] * qam4.points[taus & 3]
-            ncv = hard_ncv(y, (H[j, 0], H[j, 1]), sel.per_ap[j], qam4)
+            ncv = hard_ncv(y, (H[j, 0], H[j, 1]), BitMatrix.from_row_ints(rows[0, j].tolist(), 4), qam4)
             xs.append((ncv[:, None] >> np.arange(2)[None, :]) & 1)
-        w_bits = recover_batch(sel.global_matrix, np.concatenate(xs, axis=1))
+        w_bits = recover_batch(rows.reshape(1, -1), np.concatenate(xs, axis=1)[None])[0]
         if not np.array_equal((w_bits * weights).sum(axis=1), w_of_tau[taus]):
             recovery_failures += 1
     elapsed = time.perf_counter() - t0
@@ -195,7 +196,7 @@ def test_criterion_07_llr_oracle(qam4, store4):
         sc = superimpose(qam4, h)
         table = ncv_table(mat, 2)
         weights = np.exp(-np.abs(y - sc.points) ** 2 / nv)
-        llr = detect_ncv(y, h, mat, qam4, nv)
+        llr = detect_ncv([y], h, mat.rows, qam4, nv)[0]
         for i in range(mat.n_rows):
             bit = (table >> i) & 1
             ref = np.log(weights[bit == 0].sum()) - np.log(weights[bit == 1].sum())

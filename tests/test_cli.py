@@ -112,6 +112,22 @@ def test_simulate_refused_config_is_one_line(tmp_path, extra, overrides, field):
 
 
 @pytest.mark.parametrize(
+    "text, kind",
+    [("[1]", "an array"), ('"x"', "a string"), ("3", "a number"), ("true", "a boolean"), ("null", "null")],
+)
+def test_simulate_config_not_a_json_object_is_one_line(tmp_path, text, kind):
+    """A config file whose JSON is not an object ends the command with one
+    line naming the JSON type it holds, and writes no CSV.  (A list used to
+    end in an AttributeError traceback.)"""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == f"pnclab simulate: a config must be a JSON object, not {kind}"
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["offline", "--K", "0"],

@@ -15,11 +15,7 @@ from pnclab.gf2 import (
     span,
 )
 
-from oracles import all_matrices
-
-
-def bm(rows):
-    return BitMatrix.from_rows(rows)
+from oracles import all_matrices, bit_matrix as bm
 
 
 def full_rank(a):
@@ -110,10 +106,8 @@ class TestEnumeration:
 class TestEncoding:
     def test_little_endian_row_major(self):
         # bit index r * n_cols + c
-        m = BitMatrix.from_encoding(0b0001, 2, 2)
-        assert m.to_lists() == [[1, 0], [0, 0]]
-        m = BitMatrix.from_encoding(0b0100, 2, 2)
-        assert m.to_lists() == [[0, 0], [1, 0]]
+        assert BitMatrix.from_encoding(0b0001, 2, 2) == bm([[1, 0], [0, 0]])
+        assert BitMatrix.from_encoding(0b0100, 2, 2) == bm([[0, 0], [1, 0]])
 
     def test_roundtrip(self):
         rng = np.random.default_rng(4)

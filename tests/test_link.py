@@ -27,9 +27,9 @@ from pnclab.link import (
 from pnclab.mapping import _ncv_bits, joint_vector_table, superimpose
 from pnclab.modulation import make_constellation
 
-from oracles import hard_ncv, ncv_table
+from oracles import bit_matrix, hard_ncv, ncv_table
 
-XOR_MAP = BitMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
+XOR_MAP = bit_matrix([[1, 0, 1, 0], [0, 1, 0, 1]])
 
 
 @pytest.fixture(scope="module")
@@ -40,62 +40,69 @@ def qam4():
 class TestTransmit:
     def test_noiseless_exact(self, qam4):
         rng = np.random.default_rng(0)
-        H = draw_channel(rng)
-        idx = rng.integers(0, 4, size=(2, 50))
-        y = transmit(H, 0.0, qam4.points[idx], rng)
+        H = draw_channel([rng])
+        idx = rng.integers(0, 4, size=(1, 2, 50))
+        y = transmit(H, 0.0, qam4.points[idx], [rng])
         assert np.allclose(y, H @ qam4.points[idx])
 
     def test_received_energy(self, qam4):
         rng = np.random.default_rng(1)
-        H = draw_channel(rng)
+        H = draw_channel([rng])[0]
         nv = 0.25
         idx = rng.integers(0, 4, size=(2, 10**5))
-        y = transmit(H, nv, qam4.points[idx], rng)
+        y = transmit(H[None], nv, qam4.points[idx][None], [rng])[0]
         for j in range(2):
             want = abs(H[j, 0]) ** 2 + abs(H[j, 1]) ** 2 + nv
             assert np.mean(np.abs(y[j]) ** 2) == pytest.approx(want, rel=0.02)
 
     def test_single_visible_terminal(self, qam4):
         rng = np.random.default_rng(2)
-        H = np.array([[1.0, 0.0]])
-        idx = rng.integers(0, 4, size=(2, 20))
-        y = transmit(H, 0.0, qam4.points[idx], rng)
-        assert np.allclose(y[0], qam4.points[idx[0]])
+        H = np.array([[[1.0, 0.0]]])
+        idx = rng.integers(0, 4, size=(1, 2, 20))
+        y = transmit(H, 0.0, qam4.points[idx], [rng])
+        assert np.allclose(y[0, 0], qam4.points[idx[0, 0]])
 
 
 class TestGeneratorSequences:
-    """Each link draw takes one generator or a sequence of per-frame ones."""
+    """Each link draw takes a sequence of per-frame generators."""
 
     @staticmethod
-    def _draws(rng, c, noise_var):
-        H = draw_channel(rng, 3, 2)
-        sym = c.points[np.arange(10).reshape(2, 5) % c.size]
-        return H, transmit(H, noise_var, sym, rng), transmit_pilots(H, noise_var, 4, rng)
+    def _draws(rngs, c, noise_var):
+        H = draw_channel(rngs, 3, 2)
+        sym = np.broadcast_to(c.points[np.arange(10).reshape(2, 5) % c.size], (len(rngs), 2, 5))
+        return H, transmit(H, noise_var, sym, rngs), transmit_pilots(H, noise_var, 4, rngs)
 
     @pytest.mark.parametrize("noise_var", [0.0, 0.3])
     def test_one_generator_equals_one_element_sequence(self, qam4, noise_var):
-        one, seq = np.random.default_rng(8), [np.random.default_rng(8)]
-        for a, b in zip(self._draws(one, qam4, noise_var), self._draws(seq, qam4, noise_var)):
-            assert b.shape == (1, *a.shape)
-            assert np.array_equal(a.view(np.int64), b[0].view(np.int64))
-        assert one.random() == seq[0].random()
+        """A one-element sequence reads its generator in the order of plain
+        ``standard_normal`` draws of each result's (2, *shape) parts, and
+        leaves it where they would."""
+        twin, seq = np.random.default_rng(8), [np.random.default_rng(8)]
+        H, y, pilots = self._draws(seq, qam4, noise_var)
+        assert (H.shape, y.shape, pilots.shape) == ((1, 3, 2), (1, 3, 5), (1, 3, 2, 4))
+        re, im = twin.standard_normal((2, 3, 2))
+        assert np.array_equal(H[0].view(np.int64), ((re + 1j * im) / np.sqrt(2.0)).view(np.int64))
+        if noise_var:
+            twin.standard_normal((2, 3, 5))
+            twin.standard_normal((2, 3, 2, 4))
+        assert twin.random() == seq[0].random()
 
     def test_zero_noise_draws_nothing(self, qam4):
         """At noise_var 0.0 only the channel is drawn: each generator's next
         draw is the one after its channel's normals."""
-        for rngs in (np.random.default_rng(5), [np.random.default_rng(s) for s in (5, 6)]):
-            self._draws(rngs, qam4, 0.0)
-            for s, r in zip((5, 6), rngs if isinstance(rngs, list) else [rngs]):
-                fresh = np.random.default_rng(s)
-                fresh.standard_normal((2, 3, 2))
-                assert r.random() == fresh.random()
+        rngs = [np.random.default_rng(s) for s in (5, 6)]
+        self._draws(rngs, qam4, 0.0)
+        for s, r in zip((5, 6), rngs):
+            fresh = np.random.default_rng(s)
+            fresh.standard_normal((2, 3, 2))
+            assert r.random() == fresh.random()
 
 
 class TestChannelEstimation:
     def test_noiseless_exact(self):
         rng = np.random.default_rng(3)
-        H = draw_channel(rng)
-        y = transmit_pilots(H, 0.0, 4, rng)
+        H = draw_channel([rng])
+        y = transmit_pilots(H, 0.0, 4, [rng])
         assert np.allclose(estimate_channel(y, 4), H)
 
     def test_error_variance_halves_with_double_length(self):
@@ -103,10 +110,10 @@ class TestChannelEstimation:
         nv = 0.5
         errs = {1: [], 2: []}
         for _ in range(20000):
-            H = draw_channel(rng, 1, 1)
+            H = draw_channel([rng], 1, 1)
             for P in (1, 2):
-                y = transmit_pilots(H, nv, P, rng)
-                errs[P].append(abs(estimate_channel(y, P)[0, 0] - H[0, 0]) ** 2)
+                y = transmit_pilots(H, nv, P, [rng])
+                errs[P].append(abs(estimate_channel(y, P)[0, 0, 0] - H[0, 0, 0]) ** 2)
         v1, v2 = np.mean(errs[1]), np.mean(errs[2])
         assert v1 == pytest.approx(nv, rel=0.05)
         assert v2 / v1 == pytest.approx(0.5, rel=0.05)
@@ -116,8 +123,8 @@ class TestDetectNcv:
     def test_symmetric_sample_gives_zero(self, qam4):
         # y at the origin with a single visible terminal: both bit classes
         # sit symmetrically, so every L-value vanishes
-        mat = BitMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]])
-        llr = detect_ncv(0j, (1.0, 0.0), mat, qam4, 0.5)
+        mat = bit_matrix([[1, 0, 0, 0], [0, 1, 0, 0]])
+        llr = detect_ncv([0j], (1.0, 0.0), mat.rows, qam4, 0.5)
         assert np.allclose(llr, 0.0, atol=1e-12)
 
     def test_low_noise_concentrates_on_cluster(self, qam4):
@@ -128,8 +135,8 @@ class TestDetectNcv:
             sc = superimpose(qam4, h)
             table = ncv_table(XOR_MAP, 2)
             tau = int(rng.integers(0, 16))
-            llr = detect_ncv(sc.points[tau], h, XOR_MAP, qam4, 1e-4)
-            bits = llrs_to_bits(llr)
+            llr = detect_ncv(sc.points[tau : tau + 1], h, XOR_MAP.rows, qam4, 1e-4)
+            bits = llrs_to_bits(llr[0])
             want = np.array([(table[tau] >> i) & 1 for i in range(2)])
             assert np.array_equal(bits, want)
 
@@ -143,28 +150,28 @@ class TestDetectNcv:
             nv = float(rng.uniform(0.05, 1.0))
             sc = superimpose(qam4, h)
             weights = np.exp(-np.abs(y - sc.points) ** 2 / nv)
-            llr = detect_ncv(y, h, XOR_MAP, qam4, nv)
+            llr = detect_ncv([y], h, XOR_MAP.rows, qam4, nv)[0]
             for i in range(2):
                 bit = (table >> i) & 1
                 want = np.log(weights[bit == 0].sum()) - np.log(weights[bit == 1].sum())
                 assert llr[i] == pytest.approx(want, abs=1e-9)
 
     def test_degenerate_row_flags_infinity(self, qam4):
-        mat = BitMatrix.from_rows([[1, 0, 1, 0], [0, 0, 0, 0]])
-        llr = detect_ncv(0.3 + 0.1j, (1.0, 0.5), mat, qam4, 0.5)
+        mat = bit_matrix([[1, 0, 1, 0], [0, 0, 0, 0]])
+        llr = detect_ncv([0.3 + 0.1j], (1.0, 0.5), mat.rows, qam4, 0.5)[0]
         assert llr[1] == np.inf  # zero row: bit is always 0
 
     def test_vector_input_shape(self, qam4):
         y = np.array([0.1 + 0.2j, -0.4 + 1j, 0.9j])
-        llr = detect_ncv(y, (1.0, 0.5), XOR_MAP, qam4, 0.3)
+        llr = detect_ncv(y, (1.0, 0.5), XOR_MAP.rows, qam4, 0.3)
         assert llr.shape == (3, 2)
 
     def test_max_log_signs_agree_at_low_noise(self, qam4):
         rng = np.random.default_rng(7)
         h = (0.8 - 0.1j, 0.3 + 0.5j)
         y = np.array([complex(rng.standard_normal(), rng.standard_normal()) for _ in range(32)])
-        exact = detect_ncv(y, h, XOR_MAP, qam4, 1e-3)
-        approx = detect_ncv(y, h, XOR_MAP, qam4, 1e-3, max_log=True)
+        exact = detect_ncv(y, h, XOR_MAP.rows, qam4, 1e-3)
+        approx = detect_ncv(y, h, XOR_MAP.rows, qam4, 1e-3, max_log=True)
         assert np.array_equal(np.sign(exact), np.sign(approx))
 
 
@@ -178,15 +185,16 @@ class TestRecovery:
         store = build_store(cat, t=2, k_per_state=5, n_aps=2)
         w_of_tau = joint_vector_table(2)
         for _ in range(25):
-            H = draw_channel(rng)
-            sel = select_mappings(store, cat, H)
+            H = draw_channel([rng])
+            rows = select_mappings(store, cat, H).rows
+            H = H[0]
             taus = np.arange(16)
             xs = []
             for j in range(2):
                 y = H[j, 0] * qam4.points[taus >> 2] + H[j, 1] * qam4.points[taus & 3]
-                ncv = hard_ncv(y, (H[j, 0], H[j, 1]), sel.per_ap[j], qam4)
+                ncv = hard_ncv(y, (H[j, 0], H[j, 1]), BitMatrix.from_row_ints(rows[0, j].tolist(), 4), qam4)
                 xs.append(((ncv[:, None] >> np.arange(2)[None, :]) & 1))
-            w_bits = recover_batch(sel.global_matrix, np.concatenate(xs, axis=1))
+            w_bits = recover_batch(rows.reshape(1, -1), np.concatenate(xs, axis=1)[None])[0]
             w_hat = (w_bits * (1 << np.arange(4))[None, :]).sum(axis=1)
             assert np.array_equal(w_hat, w_of_tau[taus])
 
@@ -194,8 +202,8 @@ class TestRecovery:
     @given(st.sampled_from([4, 8]), st.data())
     def test_chunk_recovers_every_frame(self, mu, data):
         """A chunk of frames, some sharing a stack: every frame recovers its
-        messages, equals the one-stack call, and one flipped NCV bit changes
-        exactly the message it belongs to."""
+        messages, equals the call on a frame axis of one, and one flipped NCV
+        bit changes exactly the message it belongs to."""
         square = st.lists(st.integers(0, (1 << mu) - 1), min_size=mu, max_size=mu).filter(
             lambda rows: rank_rows(rows) == mu
         )
@@ -209,7 +217,7 @@ class TestRecovery:
         got = recover_batch(g, x)
         assert np.array_equal(got, w)
         for f in range(frames):
-            assert np.array_equal(got[f], recover_batch(BitMatrix.from_row_ints(g[f].tolist(), mu), x[f]))
+            assert np.array_equal(got[f : f + 1], recover_batch(g[f : f + 1], x[f : f + 1]))
         f, s, r = (data.draw(st.integers(0, n - 1)) for n in (frames, samples, mu))
         x[f, s, r] ^= 1
         moved = recover_batch(g, x) != w
@@ -220,8 +228,8 @@ class TestRecovery:
     @pytest.mark.parametrize(
         "g, x_shape",
         [
-            (XOR_MAP, (5, 2)),
-            (XOR_MAP.stack(XOR_MAP).stack(XOR_MAP), (5, 6)),
+            (np.array([XOR_MAP.rows]), (1, 5, 2)),
+            (np.array([XOR_MAP.rows * 3]), (1, 5, 6)),
             (np.array([[1, 2, 4, 8, 3, 12]] * 3), (3, 5, 4)),
             (np.array([[1, 2, 4, 8, 3, 12]] * 3), (3, 5, 6)),
             (np.array([XOR_MAP.rows] * 3), (3, 5, 2)),
@@ -237,11 +245,11 @@ class TestCompBaselines:
     def test_ideal_noiseless_exact(self, qam4):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            H = draw_channel(rng)
+            H = draw_channel([rng])
             taus = rng.integers(0, 16, size=30)
             sym = np.stack([qam4.points[taus >> 2], qam4.points[taus & 3]])
-            y = transmit(H, 0.0, sym, rng)
-            got = comp_ideal(y, H, qam4)
+            y = transmit(H, 0.0, sym[None], [rng])
+            got = comp_ideal(y, H, qam4)[0]
             assert np.array_equal(got, taus)
 
     def test_nonideal_quantizer_monotone(self):
@@ -257,10 +265,10 @@ class TestCompBaselines:
     def test_nonideal_matches_unquantized_at_low_noise(self, qam4):
         rng = np.random.default_rng(11)
         spec = QuantizerSpec(bits=4, clip=8.0)
-        H = draw_channel(rng)
+        H = draw_channel([rng])[0]
         taus = rng.integers(0, 16, size=40)
         sym = np.stack([qam4.points[taus >> 2], qam4.points[taus & 3]])
-        y = transmit(H, 1e-5, sym, rng)
+        y = transmit(H[None], 1e-5, sym[None], [rng])[0]
         raw = np.stack(
             [comp_nonideal_llrs(y[j], (H[j, 0], H[j, 1]), qam4, 1e-5) for j in range(2)]
         )
@@ -310,9 +318,9 @@ def test_comp_ideal_matches_hyp_oracle(mod, ebn0_db, n_aps):
     c = make_constellation(mod)
     rng = np.random.default_rng(13)
     nv = noise_variance(ebn0_db, c.bits_per_symbol)
-    H = np.stack([draw_channel(rng, n_aps) for _ in range(4)])
+    H = np.concatenate([draw_channel([rng], n_aps) for _ in range(4)])
     idx = rng.integers(0, c.size, size=(4, 2, 50))
-    ys = np.stack([transmit(H[f], nv, c.points[idx[f]], rng) for f in range(4)])
+    ys = np.concatenate([transmit(H[f : f + 1], nv, c.points[idx[f : f + 1]], [rng]) for f in range(4)])
     stacked = comp_ideal(ys, H, c)
     assert stacked.shape == (4, 50)
     assert np.array_equal(stacked, _comp_ideal_hyp(ys, H, c))
@@ -418,10 +426,10 @@ class TestCompNonidealKernel:
         levels."""
         c = make_constellation("qam16")
         rng = np.random.default_rng(12)
-        H = draw_channel(rng)
+        H = draw_channel([rng])[0]
         idx = rng.integers(0, 16, size=(2, 60))
         nv = noise_variance(26.0, 4)
-        y = transmit(H, nv, c.points[idx], rng)
+        y = transmit(H[None], nv, c.points[idx][None], [rng])[0]
         got = comp_nonideal_llrs(y, H, c, nv)
         want = _comp_nonideal_llrs_logaddexp(y, H, c, nv)
         inf = np.isinf(got)
@@ -434,25 +442,22 @@ class TestCompNonidealKernel:
 @settings(max_examples=40, deadline=None)
 @given(_comp_stacks(), st.booleans(), st.data())
 def test_detect_ncv_one_ap_call_equals_stacked_slice(case, max_log, data):
-    """One AP (a BitMatrix, with a sample array or one sample) gives the
+    """One AP (samples (uses,), a coefficient pair and rows (t,)) gives the
     slice of the stacked call on the same samples bit for bit, in both
-    detection forms.  One sample is compared with a one-sample stack: a
-    one-row product may round differently from a row of a larger one."""
+    detection forms, and so does a frame axis of one."""
     mod, h, y, noise_var = case
     c = make_constellation(mod)
     m = c.bits_per_symbol
     rows = np.array(data.draw(st.lists(st.integers(0, (1 << 2 * m) - 1), min_size=4 * m, max_size=4 * m)))
     rows = rows.reshape(2, 2, m)
     stacked = detect_ncv(y, h, rows, c, noise_var, max_log=max_log)
-    stacked_one = detect_ncv(y[..., 2:3], h, rows, c, noise_var, max_log=max_log)
     assert stacked.shape == (2, 2, 5, m)
     for f in range(2):
+        frame = detect_ncv(y[f : f + 1], h[f : f + 1], rows[f : f + 1], c, noise_var, max_log=max_log)
+        assert frame.tobytes() == stacked[f].tobytes()
         for a in range(2):
-            mat = BitMatrix.from_row_ints(rows[f, a].tolist(), 2 * m)
-            one = detect_ncv(y[f, a], tuple(h[f, a]), mat, c, noise_var, max_log=max_log)
+            one = detect_ncv(y[f, a], tuple(h[f, a]), tuple(rows[f, a].tolist()), c, noise_var, max_log=max_log)
             assert one.tobytes() == stacked[f, a].tobytes()
-            single = detect_ncv(y[f, a, 2], tuple(h[f, a]), mat, c, noise_var, max_log=max_log)
-            assert single.shape == (m,) and single.tobytes() == stacked_one[f, a, 0].tobytes()
 
 
 def _distances_sample_fast(sc, ys):
@@ -540,9 +545,9 @@ def _received_stack(mod, uses, ebn0_db, seed):
     m = c.bits_per_symbol
     rng = np.random.default_rng(seed)
     nv = noise_variance(ebn0_db, m)
-    H = np.stack([draw_channel(rng) for _ in range(2)])
+    H = np.concatenate([draw_channel([rng]) for _ in range(2)])
     idx = rng.integers(0, c.size, size=(2, 2, uses))
-    ys = np.stack([transmit(H[f], nv, c.points[idx[f]], rng) for f in range(2)])
+    ys = np.concatenate([transmit(H[f : f + 1], nv, c.points[idx[f : f + 1]], [rng]) for f in range(2)])
     rows = rng.integers(1, 1 << 2 * m, size=(2, 2, m))
     return c, H, ys, rows, nv
 
@@ -683,7 +688,7 @@ def test_minus_inf_metric_lane_matches_oracle(mod):
     nv = 1e-305                             # far hypotheses: |p - y|^2 / nv overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = detect_ncv(ys, h, BitMatrix.from_row_ints(rows.tolist(), 2 * m), c, nv)
+        got = detect_ncv(ys, h, rows, c, nv)
     with np.errstate(over="ignore"):
         want = _llrs_sample_fast(sc, ys, _ncv_bits(rows, m).astype(float), nv)
         metric = _distances_sample_fast(sc, ys) / -nv

@@ -310,41 +310,48 @@ class TestOnlineSelection:
     def test_always_invertible(self, store4, cat4):
         rng = np.random.default_rng(11)
         for _ in range(300):
-            sel = select_mappings(store4, cat4, draw_channel(rng))
-            assert rank_rows(sel.global_matrix.rows) == store4.mu
+            sel = select_mappings(store4, cat4, draw_channel([rng]))
+            assert rank_rows(sel.rows[0].ravel().tolist()) == store4.mu
 
     def test_deterministic(self, store4, cat4):
         rng = np.random.default_rng(12)
-        H = draw_channel(rng)
+        H = draw_channel([rng])
         a = select_mappings(store4, cat4, H)
         b = select_mappings(store4, cat4, H)
-        assert a == b
+        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.state_indices, b.state_indices)
 
     def test_scale_invariance(self, store4, cat4):
         rng = np.random.default_rng(13)
         for _ in range(40):
-            H = draw_channel(rng)
+            H = draw_channel([rng])
             a = complex(rng.standard_normal() + 1j * rng.standard_normal())
             if abs(a) < 1e-3:
                 continue
             s1 = select_mappings(store4, cat4, H)
             s2 = select_mappings(store4, cat4, a * H)
-            assert [m.encoding for m in s1.per_ap] == [m.encoding for m in s2.per_ap]
+            assert np.array_equal(s1.rows, s2.rows)
 
     def test_silent_terminal_at_one_ap(self, store4, cat4):
         # AP1 barely hears terminal 2, so its state is the zero ratio and
         # the other AP must cover terminal 2 for the stack to invert
-        H = np.array([[1.0, 1e-9], [0.7 + 0.2j, 0.9 - 0.4j]])
+        H = np.array([[[1.0, 1e-9], [0.7 + 0.2j, 0.9 - 0.4j]]])
         sel = select_mappings(store4, cat4, H)
-        assert cat4.entries[sel.state_indices[0]].state.value == pytest.approx(0.0)
-        assert rank_rows(sel.global_matrix.rows) == 4
+        assert cat4.entries[sel.state_indices[0, 0]].state.value == pytest.approx(0.0)
+        assert rank_rows(sel.rows[0].ravel().tolist()) == 4
 
     def test_same_state_at_both_aps(self, store4, cat4):
         v = cat4.entries[3].state.value
-        H = np.array([[1.0, v * 1.001], [1.0, v * 0.999]])
+        H = np.array([[[1.0, v * 1.001], [1.0, v * 0.999]]])
         sel = select_mappings(store4, cat4, H)
-        assert sel.state_indices[0] == sel.state_indices[1] == 3
-        assert rank_rows(sel.global_matrix.rows) == 4
+        assert sel.state_indices[0].tolist() == [3, 3]
+        assert rank_rows(sel.rows[0].ravel().tolist()) == 4
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (2,), (1, 2, 2, 2)])
+    def test_channels_not_a_frame_stack_refused(self, store4, cat4, shape):
+        """A channel array that is not (frames, APs, 2), such as one frame's
+        (APs, 2), is refused by name, not failed on inside the search."""
+        with pytest.raises(ValueError, match=re.escape(f"(frames, APs, 2), not {shape}")):
+            select_mappings(store4, cat4, np.ones(shape, dtype=complex))
 
 
 class TestSelectionTable:
@@ -354,35 +361,52 @@ class TestSelectionTable:
         table = build_selection_table(store, sub, n_aps=2)
         assert len(table) == 25
 
+    @pytest.mark.parametrize("n_aps", [0, 1])
+    def test_too_few_aps_for_rank_refused(self, store4, cat4, n_aps):
+        """n APs of t = 2 rows cannot stack to rank 4 for n < 2: the table
+        build refuses them with certification's message, where it used to
+        fail on a reshape (n = 0) or return a table of markers (n = 1)."""
+        for build in (certify_store, build_selection_table):
+            with pytest.raises(ValueError, match=f"^{n_aps} APs of 2 rows cannot reach rank 4$"):
+                build(store4, n_aps=n_aps)
+
     def test_exact_hits_match_online(self, store4, cat4):
         table = build_selection_table(store4, cat4, n_aps=2)
         for a, b in [(0, 1), (2, 5), (7, 7), (3, 12)]:
             H = np.array(
-                [state_channel(store4.states[a]), state_channel(store4.states[b])]
+                [[state_channel(store4.states[a]), state_channel(store4.states[b])]]
             )
             looked = table_lookup(table, cat4, H)
             online = select_mappings(store4, cat4, H)
-            assert [m.encoding for m in looked.per_ap] == [m.encoding for m in online.per_ap]
+            assert np.array_equal(looked.rows, online.rows)
 
     def test_marker_raises_infeasible(self, store4, cat4):
         table = build_selection_table(store4, cat4, n_aps=2)
         choice = table.choice.astype(np.intp)
         choice[0, 1] = len(table.values)
         patched = dataclasses.replace(table, choice=choice, values=table.values + (None,))
-        H = np.array([state_channel(store4.states[0]), state_channel(store4.states[1])])
+        H = np.array([[state_channel(store4.states[0]), state_channel(store4.states[1])]])
         with pytest.raises(SelectionInfeasibleError):
             table_lookup(patched, cat4, H)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 1, 2), (4, 3, 2), (4, 2, 3)])
+    def test_lookup_channels_not_a_frame_stack_refused(self, store4, cat4, shape):
+        """A channel array that is not (frames, n, 2) for the table's n APs,
+        such as one frame's (APs, 2), is refused by name."""
+        table = build_selection_table(store4, cat4, n_aps=2)
+        with pytest.raises(ValueError, match=re.escape(f"(frames, 2, 2), not {shape}")):
+            table_lookup(table, cat4, np.ones(shape, dtype=complex))
 
     def test_online_dominates_table(self, store4, cat4, qam4):
         """The table combo lives in the on-line search space."""
         table = build_selection_table(store4, cat4, n_aps=2)
 
         def worst_ap_d_min(sel, H):
-            return min(mapping_d_min(m.rows, superimpose(qam4, tuple(h))) for m, h in zip(sel.per_ap, H))
+            return mapping_d_min(sel.rows, superimpose(qam4, H)).min()
 
         rng = np.random.default_rng(21)
         for _ in range(100):
-            H = draw_channel(rng)
+            H = draw_channel([rng])
             online = select_mappings(store4, cat4, H)
             looked = table_lookup(table, cat4, H)
             assert worst_ap_d_min(online, H) >= worst_ap_d_min(looked, H) - 1e-12
@@ -478,7 +502,8 @@ class TestPairTable:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_store_of_no_states_gives_empty_table(self, store4, n):
-        empty = dataclasses.replace(store4, states=(), lists=())
+        # one AP needs t = mu rows to reach rank mu
+        empty = dataclasses.replace(store4, states=(), lists=(), t=store4.mu if n == 1 else store4.t)
         assert build_selection_table(empty, n_aps=n).entries == {}
 
 
@@ -982,7 +1007,7 @@ def test_selection_infeasible_raises(cat4):
     assert store.infeasible
     a, b = next(iter(t for t in store.infeasible if t[0] == t[1]))
     v = store.states[a].value
-    H = np.array([[1.0, v], [1.0, v]])
+    H = np.array([[[1.0, v], [1.0, v]]])
     with pytest.raises(SelectionInfeasibleError):
         select_mappings(store, cat4, H)
 
@@ -1031,17 +1056,23 @@ def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
 
 def _per_frame_selection(store, cat, H):
     """Oracle: the per-frame search, each AP's candidates scored one matrix
-    at a time at its channel, then ``_pick_best``."""
+    at a time at its channel, then ``_pick_best``.  Returns each AP's packed
+    rows and state index, as lists."""
     c = make_constellation(store.modulation)
     states, lists, d_values = [], [], []
     for h in H:
-        idx, _ = nearest_sfs(cat, tuple(h))
+        idx = int(nearest_sfs(cat, tuple(h))[0])
         sc = superimpose(c, tuple(h))
         states.append(idx)
         lists.append(tuple(e.matrix for e in store.lists[idx]))
-        d_values.append(tuple(mapping_d_min(m.rows, sc) for m in lists[-1]))
+        d_values.append(tuple(float(mapping_d_min(m.rows, sc)) for m in lists[-1]))
     combo = _pick_best(tuple(tuple(m.encoding for m in l) for l in lists), tuple(d_values), store.t, store.mu)
-    return tuple(map(operator.getitem, lists, combo)), tuple(states)
+    return [list(m.rows) for m in map(operator.getitem, lists, combo)], states
+
+
+def _frame(batch, f):
+    """Frame f of a SelectionBatch as ``_per_frame_selection`` gives it."""
+    return batch.rows[f].tolist(), batch.state_indices[f].tolist()
 
 
 def _channel_stack(seed, frames, shared):
@@ -1055,7 +1086,7 @@ def _channel_stack(seed, frames, shared):
 
 
 class TestBatchedSelection:
-    """Selection over a stack of frames against the one-frame forms and the
+    """Selection over a stack of frames against frame axes of one and the
     per-frame oracle, frame by frame."""
 
     @settings(max_examples=25, deadline=None)
@@ -1065,11 +1096,10 @@ class TestBatchedSelection:
         cat = request.getfixturevalue(f"cat{modulation}")
         H = _channel_stack(seed, frames, np.arange(frames) % 3 == 0)
         batch = select_mappings(store, cat, H)
-        assert len(batch) == frames and batch.rows.shape == (frames, 2, store.t)
+        assert batch.rows.shape == (frames, 2, store.t) and batch.state_indices.shape == (frames, 2)
         for f in range(frames):
-            one = select_mappings(store, cat, H[f])
-            assert batch[f] == one
-            assert (one.per_ap, one.state_indices) == _per_frame_selection(store, cat, H[f])
+            assert _frame(batch, f) == _frame(select_mappings(store, cat, H[f : f + 1]), 0)
+            assert _frame(batch, f) == _per_frame_selection(store, cat, H[f])
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 24))
@@ -1077,13 +1107,14 @@ class TestBatchedSelection:
         table = build_selection_table(store4, cat4, n_aps=2)
         H = _channel_stack(seed, frames, np.arange(frames) % 2 == 0)
         batch = table_lookup(table, cat4, H)
-        assert [batch[f] for f in range(frames)] == [table_lookup(table, cat4, H[f]) for f in range(frames)]
+        assert [_frame(batch, f) for f in range(frames)] == [
+            _frame(table_lookup(table, cat4, H[f : f + 1]), 0) for f in range(frames)
+        ]
 
     def test_one_ap(self, cat4):
         store = build_store(cat4, t=4, k_per_state=5, n_aps=1)
         H = _channel_stack(5, 12, np.zeros(12, dtype=bool))[:, :1]
         batch = select_mappings(store, cat4, H)
         for f in range(12):
-            one = select_mappings(store, cat4, H[f])
-            assert batch[f] == one
-            assert (one.per_ap, one.state_indices) == _per_frame_selection(store, cat4, H[f])
+            assert _frame(batch, f) == _frame(select_mappings(store, cat4, H[f : f + 1]), 0)
+            assert _frame(batch, f) == _per_frame_selection(store, cat4, H[f])

@@ -340,7 +340,11 @@ class TestRuns:
 
         cat, store, paths = qam4_files
         one_ap = str(tmp_path / "one_ap.tab")
-        save_table(build_selection_table(store, cat, n_aps=1), one_ap)
+        # one AP of t=2 rows cannot reach rank 4, so the build refuses n=1 and
+        # the file is the table it used to write: every state a marker
+        table = replace(build_selection_table(store, cat, n_aps=2), n_aps=1,
+                        choice=np.zeros(len(store.states), dtype=np.int8), values=(None,))
+        save_table(table, one_ap)
         cfg = ExperimentConfig(
             modulation="qam4", scheme="rbmas", catalog_path=paths["catalog"],
             store_path=paths["store"], table_path=one_ap, **FAST,
