@@ -10,12 +10,17 @@ from .search import build_selection_table, build_store, certify_store, load_stor
 from .sim import ExperimentConfig, emit_results, run_experiment
 
 
-def positive(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
+def _at_least(low: int, name: str):
+    """An argparse type: an integer of at least ``low``, called ``name`` in argparse's messages."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
+positive, non_negative = _at_least(1, "positive"), _at_least(0, "non-negative")
 
 
 def _require_square(parser: argparse.ArgumentParser, n: int, t: int, mu: int) -> None:
@@ -34,7 +39,7 @@ def _add_offline(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p.add_argument("--psfs", type=positive, default=None, help="keep only this many principal states")
     p.add_argument("--n", type=positive, default=2, help="APs to certify the store for")
     p.add_argument("--trials", type=positive, default=10**6, help="occurrence-ranking trials")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative, default=0)
     p.add_argument("--out", required=True)
     return p
 
@@ -60,7 +65,7 @@ def _add_sfs(sub: argparse._SubParsersAction) -> None:
     p.add_argument("action", choices=["list"])
     p.add_argument("--mod", default="qam4", choices=["qam4", "qam16"])
     p.add_argument("--trials", type=positive, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative, default=0)
     p.add_argument("--out", default=None, help="also write the catalog file here")
 
 

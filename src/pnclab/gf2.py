@@ -1,9 +1,9 @@
 """Exact linear algebra over the binary field.
 
-Matrices are stored as packed bit rows: row ``r`` is a Python integer whose
-bit ``c`` holds the entry in column ``c``.  XOR on whole rows makes Gaussian
-elimination cheap, which matters because the off-line mapping search touches
-a very large number of small matrices.
+Matrices are stored as packed bit rows: row ``r`` is an integer whose bit
+``c`` holds the entry in column ``c`` (a stack is an int64 array of rows).
+XOR on whole rows makes Gaussian elimination cheap, which matters because
+the off-line mapping search touches a very large number of small matrices.
 
 The canonical integer encoding of a matrix is its row-major bit string read
 as a little-endian integer (bit index ``r * n_cols + c``), and the canonical
@@ -85,15 +85,17 @@ def rank_rows(rows: Iterable[int]) -> int:
     return len(basis)
 
 
-def inverse_f2(a: BitMatrix) -> BitMatrix:
-    """Inverse over F2: Gauss-Jordan on [A | I], the identity in the high bits."""
-    if a.n_rows != a.n_cols:
-        raise ValueError("inverse requires a square matrix")
-    n = a.n_rows
-    reduced, pivots = rref_rows([row | 1 << (n + i) for i, row in enumerate(a.rows)], n)
-    if len(pivots) < n:
+def inverse_f2(rows: np.ndarray) -> np.ndarray:
+    """Inverse over F2 of each matrix in a stack ``(..., n)``: ``rref_stack`` on [A | I] gives [I | A^-1]."""
+    a = np.asarray(rows, dtype=np.int64)
+    n = a.shape[-1]
+    if (a >> n).any():
+        raise ValueError(f"inverse_f2 needs square matrices: a row has bits at or above column {n}")
+    identity = 1 << np.arange(n)
+    work = rref_stack((a | identity << n).reshape(-1, n), n).reshape(a.shape)
+    if ((work & identity.sum()) != identity).any():
         raise SingularMatrixError("matrix is singular over F2")
-    return BitMatrix(n, n, tuple(row >> n for row in reduced))
+    return work >> n
 
 
 def rref_rows(rows: Sequence[int], n_cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

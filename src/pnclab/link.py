@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitMatrix, inverse_f2
+from .gf2 import inverse_f2
 from .mapping import SuperimposedConstellation, _ncv_bits, superimpose
 from .modulation import Constellation
 
@@ -192,28 +192,21 @@ def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
     return (np.asarray(llrs) < 0).astype(np.int64)
 
 
-def recover_batch(g, x_bits: np.ndarray, memo: dict | None = None) -> np.ndarray:
+def recover_batch(g, x_bits: np.ndarray) -> np.ndarray:
     """Vectorized recovery for square invertible stacks.
 
     ``g`` is an integer array (frames, mu) of each frame's stacked packed
     rows and ``x_bits`` has shape (frames, samples, mu).  Returns message
     bits shaped like ``x_bits``, component k in the last axis' column k.
-    Each distinct stack is inverted once into ``memo``, which maps a stack's
-    rows to its unpacked inverse and may be passed again, so a run that
-    keeps one inverts each stack once.
+    One ``inverse_f2`` call inverts every frame's stack; message bit r of a
+    sample is the parity of inverse row r against the sample's packed bits.
     """
     stacks, x = np.asarray(g), np.asarray(x_bits)
     if stacks.shape[-1] != x.shape[-1]:
         raise ValueError("recover_batch needs a square stack")
-    mu = stacks.shape[-1]
-    memo = {} if memo is None else memo
-    keys = [tuple(rows) for rows in stacks.tolist()]
-    for key in keys:
-        if key not in memo:
-            inverse = np.array(inverse_f2(BitMatrix.from_row_ints(key, mu)).rows)
-            # the unpacked transpose: [c, r] is bit c of inverse row r
-            memo[key] = (inverse >> np.arange(mu)[:, None]) & 1
-    return (x @ np.stack([memo[key] for key in keys])) % 2
+    inverse = inverse_f2(stacks)
+    xp = x @ (1 << np.arange(x.shape[-1]))
+    return (np.bitwise_count(inverse[:, None, :] & xp[..., None]) & 1).astype(np.int64)
 
 
 def comp_ideal(ys: np.ndarray, H: np.ndarray, constellation: Constellation) -> np.ndarray:

@@ -16,16 +16,15 @@ those arrays; with pilots, one selection call takes the estimated and the
 true channels stacked.  Sizes are derived, not configured: a chunk is the
 fewest whole frames that reach _CHUNK_SAMPLES = 2^13 received samples (35
 frames at 120 uses and 2 APs); a detector's grid takes its frames in blocks
-within link._GRID_ELEMENTS.  Stack inverses are memoised per run, in the
-run's context.  Neither size can change a result: every batched step is
-elementwise, a reduction along one frame's own axis, or a matrix product
-kept at the one-frame shape, stacked and never flattened into one 2-D
-product, whose blocking could round differently: (frames, APs, terminals)
-@ (frames, terminals, uses) in the front end; comp_ideal's samples-outermost
-grid (frames, APs, uses, 3) @ (frames, APs, 3, 2^mu); and the LLR
-detectors' hypotheses-outermost grid (frames, APs, 2^mu, 3) @ (frames, APs,
-3, uses) with its class sums (frames, APs, t, 2^mu) @ (frames, APs, 2^mu,
-uses).
+within link._GRID_ELEMENTS.  Neither size can change a result: every batched
+step is elementwise, a reduction along one frame's own axis, or a matrix
+product kept at the one-frame shape, stacked and never flattened into one
+2-D product, whose blocking could round differently: (frames, APs,
+terminals) @ (frames, terminals, uses) in the front end; comp_ideal's
+samples-outermost grid (frames, APs, uses, 3) @ (frames, APs, 3, 2^mu); and
+the LLR detectors' hypotheses-outermost grid (frames, APs, 2^mu, 3) @
+(frames, APs, 3, uses) with its class sums (frames, APs, t, 2^mu) @ (frames,
+APs, 2^mu, uses).
 """
 from __future__ import annotations
 
@@ -36,7 +35,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -100,8 +99,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):          # f.type is annotation text: postponed annotations
             value = getattr(self, f.name)
-            if f.type in ("int", "int | None") and value is not None and type(value) is not int:
-                raise ValueError(f"{f.name} must be an integer, not {value!r}")
+            exact = {"int": int, "bool": bool, "str": str}.get(f.type.removesuffix(" | None"))
+            if exact and type(value) is not exact and not (value is None and f.type.endswith("None")):
+                raise ValueError(f"{f.name} must be {f.type}, not {value!r}")
             reals = {"float": (value,), "tuple[float, ...]": value}.get(f.type, ())
             if not isinstance(reals, tuple) or any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in reals):
                 raise ValueError(f"{f.name} must be {f.type} (real numbers, not bool), not {value!r}")
@@ -196,7 +196,6 @@ class _Context:
     catalog: SfsCatalog | None = None
     store: CandidateStore | None = None
     table: SelectionTable | None = None
-    inverses: dict = field(default_factory=dict)   # recover_batch's memo, one per run
 
 
 def _prepare(cfg: ExperimentConfig) -> _Context:
@@ -308,7 +307,7 @@ def _back_end_pnc(ctx: _Context, noise_var: float, H, H_hat, idx, y) -> tuple[in
     llrs = link.detect_ncv(y, H_hat, rows, c, noise_var, max_log=cfg.max_log_detection)
     # (frames, APs, uses, t) -> (frames, uses, APs * t): AP order, as the stack
     bits = link.llrs_to_bits(llrs).transpose(0, 2, 1, 3).reshape(frames, cfg.frame_len, -1)
-    w_bits = link.recover_batch(rows.reshape(frames, -1), bits, ctx.inverses)
+    w_bits = link.recover_batch(rows.reshape(frames, -1), bits)
     w_hat = (w_bits * (1 << np.arange(2 * m))).sum(axis=-1)
     w_true = joint_vector_table(m)[(idx[:, 0] << m) | idx[:, 1]]
     return int(np.any(w_hat != w_true, axis=1).sum()), mismaps

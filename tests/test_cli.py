@@ -141,16 +141,19 @@ def test_simulate_config_not_a_json_object_is_one_line(tmp_path, text, kind):
         ["offline", "--mod", "qam4", "--t", "2", "--n", "3"],
         ["table", "--store", "missing.cat", "--n", "0"],
         ["sfs", "list", "--trials", "0"],
+        ["sfs", "list", "--seed", "-1"],
+        ["offline", "--seed", "-3"],
         ["verify-store", "--store", "missing.cat", "--n", "-1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_counts_refused_with_one_usage_error(tmp_path, capsys, argv):
-    """A count below 1, or an offline --t outside [m, 2m] or whose --n APs
-    do not stack to a square matrix, is a usage error: exit 2, one error
-    line, no traceback and no file.  (--K 0 used to write a store of 14
-    empty lists; --trials 0, --t 5, --n 1 --t 2 and table --n 0 ended in
-    tracebacks; --t 2 --n 3 wrote a store certified for 3 APs.)"""
+    """A count below 1, a negative seed, or an offline --t outside [m, 2m]
+    or whose --n APs do not stack to a square matrix, is a usage error: exit
+    2, one error line, no traceback and no file.  (--K 0 used to write a
+    store of 14 empty lists; --trials 0, --t 5, --n 1 --t 2, table --n 0 and
+    a negative --seed ended in tracebacks; --t 2 --n 3 wrote a store
+    certified for 3 APs.)"""
     out = str(tmp_path / "out")
     with pytest.raises(SystemExit) as exc:
         main(argv + (["--out", out] if argv[0] in ("offline", "table") else []))

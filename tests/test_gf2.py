@@ -32,6 +32,11 @@ def is_identity_product(a, b):
     return all(product(a.rows, product(b.rows, 1 << c)) == 1 << c for c in range(b.n_cols))
 
 
+def inverse_one(a):
+    """inverse_f2 on a frame axis of one, read back as a BitMatrix."""
+    return BitMatrix.from_row_ints(inverse_f2(np.array([a.rows]))[0].tolist(), a.n_cols)
+
+
 class TestDetRank:
     def test_det_examples(self):
         assert full_rank(bm([[1, 0], [0, 1]]))
@@ -40,7 +45,7 @@ class TestDetRank:
 
     def test_det_requires_square(self):
         with pytest.raises(ValueError):
-            inverse_f2(bm([[1, 0, 1]]))
+            inverse_f2(np.array([bm([[1, 0, 1]]).rows]))
 
     def test_rank_examples(self):
         assert rank_rows(bm([[1, 0, 1, 0], [0, 1, 0, 1]]).rows) == 2
@@ -54,24 +59,24 @@ class TestDetRank:
         mats += [BitMatrix.from_encoding(int(rng.integers(0, 1 << 16)), 4, 4) for _ in range(50)]
         for a in mats:
             if full_rank(a):
-                assert is_identity_product(a, inverse_f2(a))
+                assert is_identity_product(a, inverse_one(a))
             else:
                 with pytest.raises(SingularMatrixError):
-                    inverse_f2(a)
+                    inverse_one(a)
 
 
 class TestInverse:
     def test_identity(self):
         identity = BitMatrix.from_row_ints((1, 2, 4, 8), 4)
-        assert inverse_f2(identity) == identity
+        assert inverse_one(identity) == identity
 
     def test_self_inverse(self):
         a = bm([[1, 1], [0, 1]])
-        assert inverse_f2(a) == a
+        assert inverse_one(a) == a
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            inverse_f2(bm([[1, 1], [1, 1]]))
+            inverse_one(bm([[1, 1], [1, 1]]))
 
     def test_roundtrip_random_4x4(self):
         rng = np.random.default_rng(2)
@@ -81,7 +86,7 @@ class TestInverse:
             if not full_rank(a):
                 continue
             found += 1
-            assert is_identity_product(a, inverse_f2(a))
+            assert is_identity_product(a, inverse_one(a))
 
     def test_roundtrip_all_invertible_3x3(self):
         rng = np.random.default_rng(3)
@@ -90,7 +95,7 @@ class TestInverse:
             if not full_rank(a):
                 continue
             count += 1
-            inv = inverse_f2(a)
+            inv = inverse_one(a)
             v = int(rng.integers(0, 8))
             assert product(inv.rows, product(a.rows, v)) == v
         assert count == 168  # |GL(3, F2)|
@@ -289,9 +294,31 @@ class TestInverseSolveProperties:
         a = BitMatrix.from_row_ints(rows, n)
         if rank_rows(rows) < n:
             with pytest.raises(SingularMatrixError):
-                inverse_f2(a)
+                inverse_one(a)
             return
-        inv = inverse_f2(a)
+        inv = inverse_one(a)
         assert is_identity_product(a, inv)
         assert is_identity_product(inv, a)
-        assert inverse_f2(inv) == a
+        assert inverse_one(inv) == a
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 8]), st.data())
+    def test_stack_inverts_each_slice(self, n, data):
+        """Each slice of a stack inverts as it would alone, to A^-1 with
+        A A^-1 = I; one singular slice, or a bit at or above n, refuses the stack."""
+        square = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+        invertible = square.filter(lambda rows: rank_rows(rows) == n)
+        stack = np.array(data.draw(st.lists(invertible, min_size=1, max_size=6)))
+        inv = inverse_f2(stack)
+        assert inv.shape == stack.shape and np.array_equal(inverse_f2(stack[None])[0], inv)
+        for a, b in zip(stack.tolist(), inv.tolist()):
+            assert inverse_f2(np.array([a]))[0].tolist() == b
+            assert all(product(a, product(b, 1 << c)) == 1 << c for c in range(n))
+        singular = data.draw(square.filter(lambda rows: rank_rows(rows) < n))
+        with pytest.raises(SingularMatrixError):
+            inverse_f2(np.insert(stack, data.draw(st.integers(0, len(stack))), singular, axis=0))
+        wide = stack.copy()
+        f, r = data.draw(st.integers(0, len(stack) - 1)), data.draw(st.integers(0, n - 1))
+        wide[f, r] |= 1 << data.draw(st.integers(n, 2 * n))
+        with pytest.raises(ValueError, match="at or above"):
+            inverse_f2(wide)

@@ -90,6 +90,10 @@ class TestConfig:
             dict(scheme="comp_nonideal", store_path="store"),
             dict(scheme="comp_nonideal", table_path="table"),
             dict(scheme="bmas", table_path="table"),
+            dict(scheme="bmas", max_log_detection="false"),  # truthy: it ran max-log
+            dict(scheme="bmas", max_log_detection=1),
+            dict(scheme="bmas", store_path=7),             # open(7) reads and closes that descriptor
+            dict(scheme="comp_ideal", modulation=["qam4"]),  # raised TypeError: unhashable list
         ],
         ids=[
             "bmas-3aps", "rbmas-ncv3", "t-below-bits", "quantizer-bits", "quantizer-clip", "modulation",
@@ -99,7 +103,7 @@ class TestConfig:
             "nan-point", "minus-inf-point", "inf-point", "nan-clip", "inf-clip", "huge-int-clip",
             "float-frames", "float-quantizer-bits",
             "catalog-ideal", "store-ideal", "table-ideal", "catalog-nonideal", "store-nonideal", "table-nonideal",
-            "table-bmas",
+            "table-bmas", "text-bool", "int-bool", "int-path", "list-modulation",
         ],
     )
     def test_rejects_unrunnable_config(self, fields):
@@ -736,20 +740,21 @@ def test_one_selection_call_counts_as_two(scheme, monkeypatch):
     assert (totals > 0).all()       # both counts exercised
 
 
-def test_inverse_f2_once_per_distinct_stack_per_run(monkeypatch):
-    """recover_batch's memo lives in the run's context: within one run
-    each distinct stack is inverted once, and a second run inverts again."""
+def test_inverse_f2_once_per_chunk(monkeypatch):
+    """Recovery keeps no state across chunks or runs: each chunk of frames
+    makes one inverse_f2 call on its whole stack, in every run."""
     seen = []
     inverse_f2 = link.inverse_f2
 
-    def spy(matrix):
-        seen.append(matrix.rows)
-        return inverse_f2(matrix)
+    def spy(stacks):
+        seen.append(len(stacks))
+        return inverse_f2(stacks)
 
     monkeypatch.setattr(link, "inverse_f2", spy)
-    cfg = ExperimentConfig(scheme="bmas", ebn0_db=(6.0, 12.0), frames_per_point=60, frame_len=24, rank_trials=10**4)
+    monkeypatch.delenv("PNCLAB_WORKERS", raising=False)
+    # 35-frame chunks at 120 uses and 2 APs: 35 + 35 + 10 frames per point
+    cfg = ExperimentConfig(scheme="bmas", ebn0_db=(6.0, 12.0), frames_per_point=80, rank_trials=10**4)
     list(run_experiment(cfg))
-    first = list(seen)
-    assert len(first) == len(set(first)) > 1
+    assert seen == [35, 35, 10] * 2
     list(run_experiment(cfg))
-    assert seen == first + first
+    assert seen == [35, 35, 10] * 4
