@@ -499,14 +499,23 @@ def _correlation_grid(sc, ys):
     return (rows @ cols).swapaxes(-1, -2)
 
 
-def _llrs_correlation(sc, ys, bits, noise_var, max_log=False):
-    """Oracle: the likelihood kernel on the correlation metric, the whole
-    stack in one call: the grid hypotheses outermost (..., 2^mu, samples) as
-    one stacked product per slice, each sample's maximum subtracted before
+def _centred_grid(sc, ys):
+    """Oracle: the centred metric -|p - y|^2 (..., samples, 2^mu), the
+    squared distance from the broadcast differences of the real and the
+    imaginary parts."""
+    p, y = sc.points[..., None, :], ys[..., :, None]
+    re, im = p.real - y.real, p.imag - y.imag
+    return -(re * re + im * im)
+
+
+def _llrs_correlation(sc, ys, bits, noise_var, max_log=False, grid=_correlation_grid):
+    """Oracle: the likelihood kernel on the correlation metric (or another
+    ``grid``), the whole stack in one call: the grid hypotheses outermost
+    (..., 2^mu, samples) as one stacked product per slice, each sample's maximum subtracted before
     the division by the noise variance, the dead exp lanes zeroed by a
     putmask before and after exp, every live lane raised by e^50 in exp, and
     the class sums bits^T @ e per slice.  Returns (..., samples, n)."""
-    metric = _correlation_grid(sc, ys)
+    metric = grid(sc, ys)
     if max_log:
         side, metric = bits[..., None, :, :] == 1, metric[..., None]
         return (np.where(side, -np.inf, metric).max(axis=-2) - np.where(side, metric, -np.inf).max(axis=-2)) / noise_var
@@ -560,8 +569,9 @@ GRID_CASES = [("qam4", 120, 10.0), ("qam16", 120, 26.0), ("qam16", 120, 8.0), ("
 @pytest.mark.parametrize("mod, uses, ebn0_db", GRID_CASES)
 class TestShapeChosenGrid:
     """Every detector on the correlation grid: the LLR detectors bit for bit
-    against the correlation oracle and within rounding of the squared-distance
-    oracle, the argmax detector against the squared-distance oracle's argmin."""
+    against the correlation oracle (comp_nonideal_llrs on the centred grid) and
+    within rounding of the squared-distance oracle, the argmax detector against
+    the squared-distance oracle's argmin."""
 
     @pytest.mark.parametrize("max_log", [False, True])
     def test_detect_ncv_matches_oracle(self, mod, uses, ebn0_db, max_log):
@@ -578,7 +588,7 @@ class TestShapeChosenGrid:
         m = c.bits_per_symbol
         got = comp_nonideal_llrs(ys, H, c, nv)
         bits = _ncv_bits(1 << np.arange(2 * m), m).astype(float)
-        want = _llrs_correlation(superimpose(c, H), ys, bits, nv)
+        want = _llrs_correlation(superimpose(c, H), ys, bits, nv, grid=_centred_grid)
         assert np.array_equal(got.view(np.int64), np.moveaxis(want, -1, -2).reshape(2, 2, 2, m, uses).view(np.int64))
         kernel_layout = np.moveaxis(got.reshape(2, 2, 2 * m, uses), -1, -2)
         _assert_near_distance_oracle(kernel_layout, superimpose(c, H), ys, bits, nv)
@@ -721,7 +731,7 @@ def test_exp_reads_only_normal_range(mod, name, monkeypatch):
         bits = _ncv_bits(1 << np.arange(2 * m), m).astype(float)
     monkeypatch.undo()
     assert seen and min(lo for lo, _ in seen) >= -700.0 and max(hi for _, hi in seen) <= 50.0
-    metric = _correlation_grid(superimpose(c, H), ys)
+    metric = (_correlation_grid if name == "detect_ncv" else _centred_grid)(superimpose(c, H), ys)
     shifted = (metric - metric.max(axis=-1, keepdims=True)) / nv
     assert ((shifted > -750) & (shifted < -708.4)).any()         # subnormal without the shift
     live = (shifted >= -750).astype(float)
