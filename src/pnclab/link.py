@@ -13,7 +13,14 @@ argmax over the last axis of the samples-outermost grid (..., samples, 2^mu);
 detect_ncv and comp_nonideal_llrs run the likelihood kernel ``_llrs`` on the
 hypotheses-outermost grid (..., 2^mu, samples), whose reductions over the
 hypotheses run along whole sample rows; comp_nonideal_llrs's grid is centred,
--|p - y|^2 itself, which rounds only by eps of |p - y|^2.
+the squared distance |p - y|^2 itself, which rounds only by eps of |p - y|^2.
+
+After each sample's maximum the kernel makes four passes over detect_ncv's
+grid, a log-likelihood grid (1/noise_var is folded into the hypotheses factor):
+subtract, clamp, exp and one stacked class product.  A floor lane counts
+e^_EXP_FLOOR of its sample's maximum, and a class of floor lanes alone (or none)
+gives L = +-inf.  The centred grid, and a call whose scaled product could
+overflow, divide after the subtraction instead.
 """
 from __future__ import annotations
 
@@ -28,15 +35,17 @@ from .modulation import Constellation
 
 PILOT_SYMBOL = (1.0 + 1.0j) / math.sqrt(2.0)
 
-# exp of anything below this is exactly 0 (the least subnormal is exp(-744.4)),
-# so _llrs counts such a lane dead and writes its zero itself; a bit class with
-# every term below it gives L = +-inf, which quantize_llr saturates.  _llrs adds
-# _EXP_SHIFT to every clamped lane, so exp reads only [-700, 50] and returns
-# normal doubles: numpy's exp is about 15x slower from -708 down, where its
-# results near or enter the subnormals, and about 100x where they are subnormal.
-# 2^(2m) terms of e^50 are far from overflow, and e^50 cancels in the L-value.
+# A lane more than -_EXP_FLOOR below its sample's maximum log-likelihood is clamped
+# there, a floor lane: it counts e^_EXP_FLOOR of that maximum in its class sum, not its
+# own smaller term.  A class of floor lanes alone gives L = +-inf, which quantize_llr
+# saturates; _FLOOR_SUM bounds such a sum per lane, exp(-700) with room for the
+# rounding of up to 2^13 terms.  Every lane is raised by _EXP_SHIFT, so exp reads only
+# [-700, 50] and returns normal doubles: numpy's exp is about 15x slower from -708
+# down, where its results near or enter the subnormals, and about 100x where they are
+# subnormal.  2^(2m) terms of e^50 are far from overflow, and e^50 cancels in L.
 _EXP_FLOOR = -750.0
 _EXP_SHIFT = 50.0
+_FLOOR_SUM = math.exp(_EXP_FLOOR + _EXP_SHIFT) * (1.0 + 2.0**-40)
 
 
 def noise_variance(ebn0_db: float, bits_per_symbol: int) -> float:
@@ -101,82 +110,120 @@ def estimate_channel(y_pilots: np.ndarray, pilot_len: int) -> np.ndarray:
 
 
 _GRID_ELEMENTS = 2**16     # bounds a detector's grid: see _blockwise
+_CENTRED_CHUNKS = 4         # a centred grid adds its squared imaginary parts in this many chunks
 
 
-def _correlations(points: np.ndarray, ys: np.ndarray, samples_outer: bool = False, centred: bool = False) -> np.ndarray:
+def _correlations(points: np.ndarray, ys: np.ndarray, samples_outer: bool = False, centred: bool = False,
+                  scale: float = 1.0) -> np.ndarray:
     """The correlation metric 2 Re(p conj y) - |p|^2 = |y|^2 - |p - y|^2 of the optimum
     detector (Proakis & Salehi, Digital Communications, 5th ed., 2008) for every point p
-    of ``points`` (..., 2^mu) and sample y of ``ys`` (..., samples): one stacked product
-    at the slice shape, [2 Re p, 2 Im p, -|p|^2] @ [Re y; Im y; 1] of shape
-    (..., 2^mu, samples), or with ``samples_outer`` [Re y, Im y, 1] @ [2 Re p; 2 Im p;
-    -|p|^2] of shape (..., samples, 2^mu).
+    of ``points`` (..., 2^mu) and sample y of ``ys`` (..., samples), over ``scale``: one
+    stacked product at the slice shape, [2 Re p, 2 Im p, -|p|^2] / scale @ [Re y; Im y; 1]
+    of shape (..., 2^mu, samples), or with ``samples_outer`` [Re y, Im y, 1] @ [2 Re p;
+    2 Im p; -|p|^2] / scale of shape (..., samples, 2^mu).
 
-    With ``centred`` (hypotheses outermost) each sample's |y|^2 is taken off exactly:
-    the grid is -|p - y|^2, built as a squared distance, so a metric rounds by a few eps
-    of |p - y|^2 rather than of |p||y|, which at high SNR is thousands of times the size
-    of an L-value near a hypothesis.  Its differences are K=2 products [Re p, -1] @
-    [1; Re y] (and the same for Im): exact products and one rounding, so Re p - Re y
-    bit for bit, in about a third of the time of a broadcast subtraction."""
+    With ``centred`` (hypotheses outermost, no scale) the grid is the squared distance
+    |p - y|^2, the negated metric with each sample's |y|^2 taken off exactly, so a value
+    rounds by a few eps of |p - y|^2 rather than of |p||y|, which at high SNR is
+    thousands of times the size of an L-value near a hypothesis.  Its differences are K=2
+    products [Re p, -1] @ [1; Re y] (and the same for Im): exact products and one
+    rounding, so Re p - Re y bit for bit, in about a third of the time of a broadcast
+    subtraction.  The squared imaginary parts are added a quarter of the slices (or of
+    each of fewer slices' hypotheses) at a time, so the grid is the one grid-size buffer."""
     a, b = (-1, -2) if samples_outer else (-2, -1)
     if centred:
-        minus, ones = -np.ones(points.shape), np.ones(ys.shape)
-        d, e = (np.stack([pp, minus], axis=-1) @ np.stack([ones, yy], axis=-2)
-                for pp, yy in ((points.real, ys.real), (points.imag, ys.imag)))
+        ones, minus = np.ones(ys.shape), -np.ones(points.shape)
+        d = np.stack([points.real, minus], axis=-1) @ np.stack([ones, ys.real], axis=-2)
         d *= d
-        e *= e
-        d += e
-        return np.negative(d, out=d)
+        slices, hyps = math.prod(d.shape[:-2]), d.shape[-2]
+        rows = d.reshape(slices, hyps, d.shape[-1])             # a view of d
+        im = np.stack([points.imag, minus], axis=-1).reshape(slices, hyps, 2)
+        cols = np.stack([ones, ys.imag], axis=-2).reshape(slices, 2, d.shape[-1])
+        per = max(1, -(-slices // _CENTRED_CHUNKS))       # slices per chunk, and hypotheses per
+        part = max(1, -(-hyps * min(slices, _CENTRED_CHUNKS) // _CENTRED_CHUNKS))   # slice
+        for i in range(0, slices, per):
+            for j in range(0, hyps, part):
+                e = im[i : i + per, j : j + part] @ cols[i : i + per]
+                e *= e
+                rows[i : i + per, j : j + part] += e
+                del e       # before the next chunk is made
+        return d
     samples = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=a)
-    hypotheses = np.stack([2.0 * points.real, 2.0 * points.imag, -(points.real**2 + points.imag**2)], axis=b)
+    hypotheses = np.stack([2.0 * points.real, 2.0 * points.imag, -(points.real**2 + points.imag**2)], axis=b) / scale
     return samples @ hypotheses if samples_outer else hypotheses @ samples
 
 
-def _blockwise(points: np.ndarray, ys: np.ndarray, score, samples_outer: bool = False, centred: bool = False) -> np.ndarray:
+def _blockwise(points: np.ndarray, ys: np.ndarray, score, samples_outer: bool = False, centred: bool = False,
+               scale: float = 1.0) -> np.ndarray:
     """``score(grid, block)`` for each block of frames of ``ys`` (frames, APs,
     samples), concatenated: the fewest whole frames that reach _GRID_ELEMENTS grid
     elements (18 qam4 or 2 qam16 frames at 2 APs x 120 uses), or one frame where one
-    is larger; one block without a frame axis or with no frames.  Each grid, laid out
-    and centred as ``samples_outer`` and ``centred`` ask _correlations, is freed as its
-    score returns."""
+    is larger; one block without a frame axis or with no frames.  Each grid, laid out,
+    centred and scaled as ``samples_outer``, ``centred`` and ``scale`` ask
+    _correlations, is freed as its score returns."""
     points = np.broadcast_to(points, ys.shape[:-1] + points.shape[-1:])
     step = -(-_GRID_ELEMENTS // max(1, math.prod(ys.shape[1:]) * points.shape[-1])) if ys.ndim > 2 else 0
     blocks = [slice(a, a + step) for a in range(0, len(ys) or 1, step)] if step else [...]
-    return np.concatenate([score(_correlations(points[s], ys[s], samples_outer, centred), s) for s in blocks])
+    return np.concatenate([score(_correlations(points[s], ys[s], samples_outer, centred, scale), s) for s in blocks])
+
+
+def _folds(points: np.ndarray, ys: np.ndarray, noise_var: float) -> bool:
+    """Whether the kernel may divide the hypotheses factor by noise_var: twice the
+    bound (3 a + a^2) max(1, max |y|) / noise_var, a = max |p|, on the terms of a lane
+    of the scaled product is finite, so no lane or partial sum of it overflows."""
+    with np.errstate(all="ignore"):
+        a = np.abs(points).max(initial=0.0)
+        return bool(2.0 * (3.0 + a) * a * np.abs(ys).max(initial=1.0) / noise_var < np.finfo(float).max)
 
 
 def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise_var: float, max_log: bool = False,
           centred: bool = False):
     """The likelihood kernel of every LLR detector: L-values (..., n, samples)
-    of the 0/1 float labels ``bits`` (..., 2^mu, n) of the hypotheses of
-    ``sc`` at samples ``ys`` (..., samples), from log-likelihoods metric / noise_var
-    on the hypotheses-outermost grid, ``centred`` as the caller asks _correlations.
-    The exact form sums exp of those minus each sample's maximum, one matrix product
-    bits^T @ e per slice; it shifts before it divides, so an overflowing lane is -inf,
-    a dead lane.  A lane below _EXP_FLOOR is dead: clamped, raised by _EXP_SHIFT like
-    every lane, and zeroed after exp.  max-log takes each bit's two class maxima in
-    turn, so no temporary outgrows the grid."""
-    bits = np.ascontiguousarray(np.swapaxes(bits, -1, -2))      # (..., n, 2^mu), the left factor of bits^T @ e
-    ones, zeros = (np.broadcast_to(b, ys.shape[:-1] + bits.shape[-2:]) for b in (bits, 1.0 - bits))
+    of the boolean labels ``bits`` (..., 2^mu, n) of the hypotheses of ``sc`` at
+    samples ``ys`` (..., samples), from the log-likelihoods metric / noise_var on
+    the hypotheses-outermost grid, ``centred`` as the caller asks _correlations.
+
+    The exact form: where _folds allows and the grid is not centred, the product is
+    the log-likelihood grid (_correlations divides its hypotheses factor by noise_var),
+    and four passes follow each sample's maximum: subtract that maximum less
+    _EXP_SHIFT, clamp at _EXP_FLOOR + _EXP_SHIFT, exp, and one stacked product
+    [1 - bits; bits]^T @ e per slice for both class sums.  Otherwise each sample's
+    extreme metric is subtracted, and the quotient by noise_var (-inf where it
+    overflows, clamped like any lane) is raised by _EXP_SHIFT.  A class sum of at most
+    its size times exp(_EXP_FLOOR + _EXP_SHIFT), with room for rounding, holds only
+    floor lanes and is set to 0, so its L-value is +-inf, as is an empty class's.
+    max-log takes each bit's two class maxima in turn, so no temporary outgrows the
+    grid."""
+    side = np.swapaxes(bits, -1, -2)                # (..., n, 2^mu)
+    classes = np.concatenate([~side, side], axis=-2).astype(float)     # built before it is broadcast
+    floor = (classes @ np.ones(classes.shape[-1]))[..., None] * _FLOOR_SUM
+    classes, floor = (np.broadcast_to(a, ys.shape[:-1] + a.shape[-2:]) for a in (classes, floor))
+    fold = not (centred or max_log) and _folds(sc.points, ys, noise_var)
+    n = side.shape[-2]
+
     def block(e, s):
         if max_log:     # each class maximum reduces whole sample rows
-            side = ones[s] == 1
-            gap = np.stack([e.max(axis=-2, where=~side[..., j, :, None], initial=-np.inf)
-                            - e.max(axis=-2, where=side[..., j, :, None], initial=-np.inf) for j in range(side.shape[-2])], axis=-2)
+            one = classes[s][..., n:, :] == 1
+            gap = np.stack([e.max(axis=-2, where=~one[..., j, :, None], initial=-np.inf)
+                            - e.max(axis=-2, where=one[..., j, :, None], initial=-np.inf) for j in range(n)], axis=-2)
             with np.errstate(over="ignore"):
                 return gap / noise_var
-        e -= e.max(axis=-2, keepdims=True)
-        with np.errstate(over="ignore"):
-            e /= noise_var
-        live = e < _EXP_FLOOR
-        np.logical_not(live, out=live)      # a NaN lane stays live, and NaN
-        np.maximum(e, _EXP_FLOOR, out=e)    # finite, so a -inf lane times 0 is 0, not NaN
-        e += _EXP_SHIFT
+        if fold:
+            e -= e.max(axis=-2, keepdims=True) - _EXP_SHIFT
+        else:       # a centred grid is |p - y|^2, whose nearest hypothesis is its minimum
+            e -= e.min(axis=-2, keepdims=True) if centred else e.max(axis=-2, keepdims=True)
+            with np.errstate(over="ignore"):
+                e /= -noise_var if centred else noise_var
+            e += _EXP_SHIFT
+        np.maximum(e, _EXP_FLOOR + _EXP_SHIFT, out=e)
         np.exp(e, out=e)
-        e *= live
+        sums = classes[s] @ e
+        sums *= sums > floor[s]
         with np.errstate(divide="ignore"):
-            return np.log(zeros[s] @ e) - np.log(ones[s] @ e)
+            np.log(sums, out=sums)
+        return sums[..., :n, :] - sums[..., n:, :]
 
-    return _blockwise(sc.points, ys, block, centred=centred)
+    return _blockwise(sc.points, ys, block, centred=centred, scale=noise_var if fold else 1.0)
 
 
 def detect_ncv(
@@ -198,10 +245,12 @@ def detect_ncv(
     ``y`` has shape (..., samples), ``h`` (..., 2) and ``matrix`` is an
     integer array of packed matrix rows (..., t), for a stack of frames and
     APs or for one AP; returns (..., samples, t), each slice equal to the
-    call on that slice alone bit for bit.
+    call on that slice alone bit for bit, but near noise_var 1e-305, where
+    _folds may decide the stack and the slice apart (they then agree in signs
+    and infinities).
     """
     ys = np.asarray(y, dtype=complex)
-    bits = _ncv_bits(matrix, constellation.bits_per_symbol).astype(float)
+    bits = _ncv_bits(matrix, constellation.bits_per_symbol)
     return np.swapaxes(_llrs(superimpose(constellation, h), ys, bits, noise_var, max_log), -1, -2)
 
 
@@ -277,13 +326,14 @@ def comp_nonideal_llrs(
     ``y`` (..., uses) and ``h`` (..., 2) give (..., terminals,
     bits_per_symbol, uses).  The kernel is detect_ncv's, called directly (no
     detect_ncv call runs), so an L-value beyond about 745 is +-inf.  Its grid is
-    centred, -|p - y|^2, so each L-value matches the np.logaddexp fold it replaced
-    to 1e-12 of the largest of 1, |L| and the nearest hypothesis' |p - y|^2 / noise_var.
+    centred, |p - y|^2, so while |L| < 720 each L-value matches the np.logaddexp
+    fold it replaced to 1e-12 of the largest of 1, |L| and the nearest hypothesis'
+    |p - y|^2 / noise_var.
     """
     m = constellation.bits_per_symbol
     ys = np.asarray(y, dtype=complex)
     # the identity's NCV bit j is component j of w: label bit j of tau, MSB first
-    bits = _ncv_bits(1 << np.arange(2 * m), m).astype(float)
+    bits = _ncv_bits(1 << np.arange(2 * m), m)
     out = _llrs(superimpose(constellation, h), ys, bits, noise_var, centred=True)
     return out.reshape(out.shape[:-2] + (2, m, ys.shape[-1]))
 

@@ -56,10 +56,19 @@ def _parity_table(mu: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=4)
+def _ncv_table(m: int) -> np.ndarray:
+    """``table[r, tau]``: the NCV bit that packed row ``r`` gives joint message ``tau``."""
+    table = np.ascontiguousarray(_parity_table(2 * m)[:, joint_vector_table(m)])
+    table.flags.writeable = False
+    return table
+
+
 def _ncv_bits(rows, m: int) -> np.ndarray:
     """``bits[..., tau, i]``: bit i of the NCV that the packed rows ``rows``
-    (..., t) give joint message ``tau`` (bool, shape (..., 2^(2m), t))."""
-    return _parity_table(2 * m)[joint_vector_table(m)[:, None], np.asarray(rows)[..., None, :]]
+    (..., t) give joint message ``tau`` (bool, shape (..., 2^(2m), t)), a
+    transposed view of the rows of _ncv_table that ``rows`` picks."""
+    return np.swapaxes(_ncv_table(m).take(np.asarray(rows), axis=0), -1, -2)
 
 
 @dataclass(eq=False)

@@ -330,9 +330,11 @@ def test_comp_ideal_matches_hyp_oracle(mod, ebn0_db, n_aps):
     assert (stacked != (idx[:, 0] << c.bits_per_symbol) | idx[:, 1]).any()   # noisy enough to err
 
 
-def _comp_nonideal_llrs_logaddexp(y, h, constellation, noise_var):
+def _llrs_logaddexp(y, h, constellation, bits, noise_var):
     """Oracle: the Jacobian-logarithm fold comp_nonideal_llrs used before it
-    moved onto the max-shifted kernel (finite for every input)."""
+    moved onto the max-shifted kernel, for the 0/1 labels ``bits`` (..., 2^mu,
+    n) of the joint hypotheses: the exact sum, L-values (..., samples, n),
+    finite for every input but where a class is empty."""
     m = constellation.bits_per_symbol
     size = 1 << m
     hh = np.asarray(h, dtype=complex)
@@ -340,20 +342,24 @@ def _comp_nonideal_llrs_logaddexp(y, h, constellation, noise_var):
     if hh.ndim == 1:
         ys = np.atleast_1d(ys)
     idx = np.arange(size * size)
-    labels = (idx >> m, idx & (size - 1))
-    hyp = hh[..., 0, None] * constellation.points[labels[0]] + hh[..., 1, None] * constellation.points[labels[1]]
+    hyp = hh[..., 0, None] * constellation.points[idx >> m] + hh[..., 1, None] * constellation.points[idx & (size - 1)]
     metric = np.abs(ys[..., :, None] - hyp[..., None, :])
     metric *= metric
     metric /= -noise_var
-    out = np.empty(metric.shape[:-2] + (2, m, ys.shape[-1]))
-    for term in range(2):
-        for i in range(m):
-            bit = (labels[term] >> (m - 1 - i)) & 1
-            out[..., term, i, :] = (
-                np.logaddexp.reduce(metric[..., bit == 0], axis=-1)
-                - np.logaddexp.reduce(metric[..., bit == 1], axis=-1)
-            )
-    return out
+    side = np.asarray(bits)[..., None, :, :] == 1
+    shape = np.broadcast_shapes(metric.shape + (1,), side.shape)
+    metric, side = np.broadcast_to(metric[..., None], shape), np.broadcast_to(side, shape)
+    return (np.logaddexp.reduce(metric, axis=-2, where=~side, initial=-np.inf)
+            - np.logaddexp.reduce(metric, axis=-2, where=side, initial=-np.inf))
+
+
+def _comp_nonideal_llrs_logaddexp(y, h, constellation, noise_var):
+    """Oracle: that fold on the identity's bits, bit j label bit j of tau,
+    MSB first, in comp_nonideal_llrs's layout (..., terminals, bits, uses)."""
+    m = constellation.bits_per_symbol
+    bits = (np.arange(1 << 2 * m)[:, None] >> (2 * m - 1 - np.arange(2 * m))) & 1
+    out = np.moveaxis(_llrs_logaddexp(y, h, constellation, bits, noise_var), -1, -2)
+    return out.reshape(out.shape[:-2] + (2, m, out.shape[-1]))
 
 
 _coord = st.floats(-2.0, 2.0, allow_nan=False)
@@ -460,6 +466,87 @@ def test_detect_ncv_one_ap_call_equals_stacked_slice(case, max_log, data):
             assert one.tobytes() == stacked[f, a].tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(_comp_stacks(), st.data())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_detect_ncv_matches_logaddexp_oracle(case, data):
+    """detect_ncv against the exact sum, the logaddexp fold, for arbitrary
+    packed rows (a zero row, whose one class is empty, gives the oracle's
+    +-inf).  Where the exact |L| < 720 the L-value is within the rounding of
+    the metrics (the near-distance bound) and the fold's 1e-12; every finite
+    L-value is within ln(1 + 2^mu e^(|L| - 750)) more, as each floor lane
+    counts e^-750 of its sample's maximum; and L reads +-inf only where the
+    exact |L| exceeds 744.5.  At noise variances a factor of 4 either side of
+    where the kernel stops folding 1/noise_var into its product, the two
+    kernels give the same signs and the same infinities."""
+    mod, h, y, noise_var = case
+    c = make_constellation(mod)
+    m = c.bits_per_symbol
+    rows = np.array(data.draw(st.lists(st.integers(0, (1 << 2 * m) - 1), min_size=4 * m, max_size=4 * m))).reshape(2, 2, m)
+    got = detect_ncv(y, h, rows, c, noise_var)
+    want = _llrs_logaddexp(y, h, c, _ncv_bits(rows, m), noise_var)
+    assert got.shape == want.shape == (2, 2, 5, m)
+    empty = np.isinf(want)
+    assert np.array_equal(got[empty], want[empty])
+    sc = superimpose(c, h)
+    scale = (np.abs(y) + np.abs(sc.points).max(axis=-1, keepdims=True)) ** 2
+    exact = ~empty
+    l_abs = np.abs(want[exact])
+    tol = 2**6 * np.finfo(float).eps * np.broadcast_to(scale[..., None], got.shape)[exact] / noise_var
+    tol += 1e-12 * np.maximum(1.0, l_abs)
+    g = got[exact]
+    tie = l_abs <= tol
+    assert np.array_equal(np.sign(g)[~tie], np.sign(want[exact])[~tie])
+    finite = np.isfinite(g)
+    err = np.abs(g[finite] - want[exact][finite])
+    floor = np.logaddexp(0.0, 2 * m * np.log(2.0) + l_abs[finite] - 750.0)       # ln(1 + 2^mu e^(|L| - 750))
+    assert np.all(err[l_abs[finite] < 720] <= tol[finite][l_abs[finite] < 720])
+    assert np.all(err <= floor + tol[finite])
+    assert np.all(l_abs[~finite] > 744.5)
+
+    turn = _fold_turn(sc.points, y)
+    if turn / 4 >= np.finfo(float).tiny:
+        folded, divided = detect_ncv(y, h, rows, c, 4 * turn), detect_ncv(y, h, rows, c, turn / 4)
+        # the max-log gap in squared distance: a gap within the metrics' rounding
+        # is a tie, which either kernel may break either way at these variances
+        gap = _llrs_sample_fast(sc, y, _ncv_bits(rows, m), 1.0, max_log=True)
+        apart = ~(np.abs(gap) <= 2**6 * np.finfo(float).eps * scale[..., None])
+        assert np.array_equal(np.sign(folded)[apart], np.sign(divided)[apart])
+        assert np.array_equal(np.isinf(folded)[apart], np.isinf(divided)[apart])
+
+
+def _fold_turn(points, ys):
+    """The noise variance below which _folds keeps the hypotheses factor
+    unscaled: 2 (3 a + a^2) max(1, max |y|) / the largest double, a = max |p|."""
+    a = np.abs(points).max()
+    return 2.0 * (3.0 + a) * a * max(1.0, np.abs(ys).max()) / np.finfo(float).max
+
+
+@pytest.mark.parametrize("mod", ["qam4", "qam16"])
+def test_fold_turns_before_the_scaled_product_overflows(mod, monkeypatch):
+    """Samples at the largest |y| the guard allows: a factor of 4 above the
+    turn the kernel folds 1/noise_var into the hypotheses factor and its
+    log-likelihood grid is finite; a factor of 4 below it scales nothing and
+    divides after the max-subtract.  Both warn of nothing."""
+    c, H, ys, rows, _ = _frame_stack(mod, 2, 24, 10.0, 48)
+    ys = ys * (1e3 / np.abs(ys).max())
+    turn = _fold_turn(superimpose(c, H).points, ys)
+    scales, grids, correlations = [], [], link._correlations
+
+    def spy(points, ys, *layout):
+        scales.append(layout[-1])
+        grids.append(correlations(points, ys, *layout))
+        return grids[-1].copy()
+
+    monkeypatch.setattr(link, "_correlations", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        folded, divided = detect_ncv(ys, H, rows, c, 4 * turn), detect_ncv(ys, H, rows, c, turn / 4)
+    assert scales == [4 * turn, 1.0]
+    assert np.isfinite(grids[0]).all() and np.abs(grids[0]).max() > 1e300
+    assert np.array_equal(np.sign(folded), np.sign(divided)) and np.isinf(folded).any()
+
+
 def _distances_sample_fast(sc, ys):
     """Oracle: the squared-distance grid |p - y|^2 the detectors read before
     the correlation metric, samples on the fast axis: (..., 2^mu, samples)."""
@@ -470,9 +557,10 @@ def _distances_sample_fast(sc, ys):
 
 def _llrs_sample_fast(sc, ys, bits, noise_var, max_log=False):
     """Oracle: the likelihood kernel on that grid, dividing by the noise
-    variance before the shift, with the dead exp lanes zeroed by a putmask
-    before and after exp, and every live lane raised by e^50 in exp, the
-    factor that keeps the kernel's exp results normal."""
+    variance before the shift: a lane more than 750 below its sample's
+    maximum is clamped there and counts e^-750 of it, every lane is raised
+    by e^50 in exp, and a class with no lane above the floor sums to 0, so
+    its L-value is +-inf."""
     metric = _distances_sample_fast(sc, ys)
     metric /= -noise_var
     if max_log:
@@ -480,21 +568,23 @@ def _llrs_sample_fast(sc, ys, bits, noise_var, max_log=False):
         return np.where(side, -np.inf, metric).max(axis=-3) - np.where(side, metric, -np.inf).max(axis=-3)
     e = np.empty(ys.shape + metric.shape[-2:-1])
     np.subtract(metric.swapaxes(-1, -2), metric.max(axis=-2)[..., None], out=e)
-    dead = e < -750.0
-    np.putmask(e, dead, 0.0)
+    np.maximum(e, -750.0, out=e)
+    live = (e > -750.0).astype(float)
     e += 50.0
     np.exp(e, out=e)
-    np.putmask(e, dead, 0.0)
+    zeros, ones = e @ (1.0 - bits), e @ bits
+    zeros[live @ (1.0 - bits) == 0] = 0.0
+    ones[live @ bits == 0] = 0.0
     with np.errstate(divide="ignore"):
-        return np.log(e @ (1.0 - bits)) - np.log(e @ bits)
+        return np.log(zeros) - np.log(ones)
 
 
-def _correlation_grid(sc, ys):
-    """Oracle: the correlation metric (..., samples, 2^mu), the transpose of
-    the kernel's hypotheses-outermost grid: one stacked product
-    [2 Re p, 2 Im p, -|p|^2] @ [Re y; Im y; 1] per slice."""
+def _correlation_grid(sc, ys, scale=1.0):
+    """Oracle: the correlation metric (..., samples, 2^mu) over ``scale``, the
+    transpose of the kernel's hypotheses-outermost grid: one stacked product
+    [2 Re p, 2 Im p, -|p|^2] / scale @ [Re y; Im y; 1] per slice."""
     p = sc.points
-    rows = np.stack([2.0 * p.real, 2.0 * p.imag, -(p.real**2 + p.imag**2)], axis=-1)
+    rows = np.stack([2.0 * p.real, 2.0 * p.imag, -(p.real**2 + p.imag**2)], axis=-1) / scale
     cols = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=-2)
     return (rows @ cols).swapaxes(-1, -2)
 
@@ -510,24 +600,33 @@ def _centred_grid(sc, ys):
 
 def _llrs_correlation(sc, ys, bits, noise_var, max_log=False, grid=_correlation_grid):
     """Oracle: the likelihood kernel on the correlation metric (or another
-    ``grid``), the whole stack in one call: the grid hypotheses outermost
-    (..., 2^mu, samples) as one stacked product per slice, each sample's maximum subtracted before
-    the division by the noise variance, the dead exp lanes zeroed by a
-    putmask before and after exp, every live lane raised by e^50 in exp, and
-    the class sums bits^T @ e per slice.  Returns (..., samples, n)."""
-    metric = grid(sc, ys)
+    ``grid``), the whole stack in one call, the grid hypotheses outermost
+    (..., 2^mu, samples).  On the correlation grid the noise variance is
+    folded into the hypotheses factor, so the grid is the log-likelihood,
+    and each sample's maximum less 50 is subtracted; another grid has its
+    maximum subtracted before the division and 50 added after.  Every lane
+    is clamped at -700 (e^-750 of the sample's maximum), exp is taken, the
+    class sums [1 - bits; bits]^T @ e come from one stacked product per
+    slice, and a class with no lane above the floor sums to 0, so its
+    L-value is +-inf.  max-log divides the gap of the class maxima.
+    Returns (..., samples, n)."""
     if max_log:
-        side, metric = bits[..., None, :, :] == 1, metric[..., None]
+        side, metric = bits[..., None, :, :] == 1, grid(sc, ys)[..., None]
         return (np.where(side, -np.inf, metric).max(axis=-2) - np.where(side, metric, -np.inf).max(axis=-2)) / noise_var
-    metric = metric.swapaxes(-1, -2)
-    e = (metric - metric.max(axis=-2, keepdims=True)) / noise_var
-    dead = e < -750.0
-    np.putmask(e, dead, 0.0)
-    e += 50.0
-    np.exp(e, out=e)
-    np.putmask(e, dead, 0.0)
+    if grid is _correlation_grid:
+        e = grid(sc, ys, noise_var).swapaxes(-1, -2)
+        e -= e.max(axis=-2, keepdims=True) - 50.0
+    else:
+        metric = grid(sc, ys).swapaxes(-1, -2)
+        e = (metric - metric.max(axis=-2, keepdims=True)) / noise_var + 50.0
+    np.maximum(e, -700.0, out=e)
+    live = (e > -700.0).astype(float)
+    classes = np.swapaxes(np.concatenate([1.0 - bits, bits], axis=-1), -1, -2)
+    sums = classes @ np.exp(e)
+    sums[classes @ live == 0] = 0.0
+    n = bits.shape[-1]
     with np.errstate(divide="ignore"):
-        out = np.log(np.swapaxes(1.0 - bits, -1, -2) @ e) - np.log(np.swapaxes(bits, -1, -2) @ e)
+        out = np.log(sums[..., :n, :]) - np.log(sums[..., n:, :])
     return out.swapaxes(-1, -2)
 
 
@@ -756,6 +855,36 @@ def test_one_block_peak_is_a_few_grids(mod, frames, max_log):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * grid
+
+
+@pytest.mark.parametrize("mod, frames", [("qam4", 18), ("qam16", 2)])
+def test_comp_nonideal_one_block_peak_is_a_few_grids(mod, frames, monkeypatch):
+    """A one-block comp_nonideal_llrs call builds its centred grid in one
+    grid-size buffer, adding the squared imaginary parts a quarter of the
+    slices at a time: building it allocates at most 1.5 grids (the real and
+    the imaginary differences once took two), and the whole call at most 2.1."""
+    c, H, ys, _, nv = _frame_stack(mod, frames, 120, 14.0, 47)
+    grid = ys.size * c.size**2 * 8
+    built, correlations = [], link._correlations
+
+    def spy(points, ys, *layout):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = correlations(points, ys, *layout)
+        built.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    comp_nonideal_llrs(ys, H, c, nv)        # fills the memoised tables first
+    tracemalloc.start()
+    try:
+        comp_nonideal_llrs(ys, H, c, nv)
+        peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(link, "_correlations", spy)
+        comp_nonideal_llrs(ys, H, c, nv)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * grid
+    assert len(built) == 1 and built[0] <= 1.5 * grid
 
 
 def test_noise_variance_bookkeeping():

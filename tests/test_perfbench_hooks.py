@@ -110,15 +110,14 @@ def test_baselines_run_no_detect_ncv(tracer, workloads):
     assert calls["link.comp_nonideal_llrs"] > 0
 
 
-def test_traced_qam4_live_run_passes_its_checks(tracer, workloads, bench, tmp_path, monkeypatch):
-    """A traced qam4-live run as ``run.py --trace 1`` makes it, at the
-    workload's own frame counts (about two seconds): the seed-1234 gate
-    matches its recorded CSV digests, every expected hook fires, the hooks'
-    self times cover the frame loop within 1%, the frame loop hook counts
-    every frame, and the traced sweep writes the plain sweep's CSV bytes.
-    So a kernel change that routes around a hook fails here, not only in the
-    bench's own traced run."""
-    wl = workloads.WORKLOADS["qam4-live"]
+def _traced_run(name, tracer, workloads, bench, tmp_path, monkeypatch):
+    """perfbench's own ``traced()`` on workload ``name`` at its own frame
+    counts, as ``run.py --trace 1`` runs it: the seed-1234 gate matches its
+    recorded CSV digests, every expected hook fires, the hooks' self times
+    cover the frame loop within 1%, the frame loop hook counts every frame,
+    and the traced sweep writes the plain sweep's CSV bytes.  Returns the
+    layer metrics."""
+    wl = workloads.WORKLOADS[name]
     with open(os.path.join(PERFBENCH, "digests.json"), encoding="ascii") as f:
         recorded = json.load(f)
     entry = recorded["workloads"][wl.name]
@@ -128,4 +127,22 @@ def test_traced_qam4_live_run_passes_its_checks(tracer, workloads, bench, tmp_pa
     monkeypatch.chdir(tmp_path)                             # and writes its trace file under the working directory
     metrics = bench.traced(wl, 1, runner, workloads.DIGEST_SEED)
     assert runner.attempted > 0 and runner.failed == 0
+    return metrics
+
+
+def test_traced_qam4_live_run_passes_its_checks(tracer, workloads, bench, tmp_path, monkeypatch):
+    """A traced qam4-live run passes perfbench's checks (about two seconds),
+    so a kernel change that routes around a hook fails here, not only in the
+    bench's own traced run."""
+    metrics = _traced_run("qam4-live", tracer, workloads, bench, tmp_path, monkeypatch)
     assert metrics["link.detect_ncv.self_ms_per_frame"]["value"] > 0
+
+
+def test_traced_baselines_run_passes_its_checks(tracer, workloads, bench, tmp_path, monkeypatch):
+    """A traced baselines run passes perfbench's checks (about a second): its
+    seed-1234 gate holds comp_ideal and comp_nonideal on qam4 and qam16 to
+    their recorded CSV digests, so a change to the centred grid that moves a
+    quantized L-value fails here."""
+    metrics = _traced_run("baselines", tracer, workloads, bench, tmp_path, monkeypatch)
+    assert metrics["link.comp_nonideal_llrs.self_ms_per_frame"]["value"] > 0
+    assert metrics["link.comp_ideal.self_ms_per_frame"]["value"] > 0
