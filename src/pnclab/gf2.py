@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,17 +72,12 @@ class BitMatrix:
         return cls.from_encoding(value, int(r), int(c))
 
 
-def rank_rows(rows: Iterable[int]) -> int:
-    """Row rank over F2 by greedy elimination on packed rows."""
-    basis: list[int] = []
-    for row in rows:
-        x = row
-        for b in basis:
-            x = min(x, x ^ b)
-        if x:
-            basis.append(x)
-            basis.sort(reverse=True)
-    return len(basis)
+def rank_rows(rows) -> np.ndarray:
+    """Row rank over F2 of each matrix in a stack ``(..., r)`` of packed rows,
+    from one ``rref_stack`` call; a 1-D sequence of rows gives a 0-d rank."""
+    a = np.asarray(rows, dtype=np.int64)
+    reduced = rref_stack(a.reshape(int(np.prod(a.shape[:-1])), a.shape[-1]), int(a.max(initial=0)).bit_length())
+    return np.count_nonzero(reduced, axis=-1).reshape(a.shape[:-1])
 
 
 def inverse_f2(rows: np.ndarray) -> np.ndarray:

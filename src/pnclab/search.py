@@ -26,9 +26,9 @@ import numpy as np
 
 from ._artifact import check_count, opt_int, read_artifact, records, strip_index, write_artifact
 # The layer tracer (perfbench/tracer.py) wraps these names as attributes of
-# this module: rank_rows, nearest_sfs, difference_profiles, mapping_d_min,
-# superimpose and make_constellation.  Keep each bound here, difference_profiles
-# included, though nothing in this module calls it.
+# this module: rank_rows (one call per stack of verdicts or of loaded entries),
+# nearest_sfs, difference_profiles, mapping_d_min, superimpose and make_constellation.
+# Keep each bound here, difference_profiles included, though nothing here calls it.
 from .fade_states import FadeState, SfsCatalog, nearest_sfs
 from .gf2 import (
     BitMatrix,
@@ -215,9 +215,9 @@ class CandidateStore:
     def _full_rank(self, n: int) -> np.ndarray:
         """Verdict array for ``n`` APs: ``full[c_1, ..., c_n]`` is whether
         the matrices with these codes stack to rank mu (False at the pad
-        slot).  Built on first use for each ``n``, one ``rank_rows`` call per
-        sorted code tuple, which fills all its orders (5,995 calls for 11,881
-        pairs of 109 codes).
+        slot).  Built on first use for each ``n``: ``rank_rows`` ranks each
+        sorted code tuple, which fills all its orders, 2^16 stacks a call
+        (one call for the 5,995 sorted pairs of 109 codes).
 
         A store holds a few distinct matrices (109 for the full qam16
         catalog at K=5), so certification, table building and on-line
@@ -226,11 +226,10 @@ class CandidateStore:
         if n not in self._verdicts:
             distinct, _, _, rows = self._arrays
             u = len(distinct)
-            packed = rows[:u].tolist()
-            combos = list(itertools.combinations_with_replacement(range(u), n))
-            ranks = [rank_rows([r for c in combo for r in packed[c]]) for combo in combos]
+            combos = np.array(list(itertools.combinations_with_replacement(range(u), n)), dtype=np.intp).reshape(-1, n)
             by_sorted = np.zeros((u,) * n, dtype=bool)      # a stack's rank does not depend on its order
-            by_sorted[tuple(np.array(combos, dtype=np.intp).reshape(-1, n).T)] = np.equal(ranks, self.mu)
+            for block in np.split(combos, range(1 << 16, len(combos), 1 << 16)):
+                by_sorted[tuple(block.T)] = rank_rows(rows[block].reshape(len(block), n * self.t)) == self.mu
             full = np.zeros((u + 1,) * n, dtype=bool)
             full[(slice(u),) * n] = by_sorted[tuple(np.sort(np.indices((u,) * n), axis=0))]
             self._verdicts[n] = full
@@ -611,8 +610,9 @@ def load_store(path: str) -> CandidateStore:
 
     The ``certified_n=`` and ``infeasible=`` header is not trusted: a
     certified store is certified again for its ``n``, and a header that
-    disagrees with its lists is refused.  The returned store keeps the
-    verdicts that took, for the table build to read.
+    disagrees with its lists is refused, as is a ``mu=`` other than twice
+    the modulation's bits per symbol, or a list longer than ``K=``.  The
+    returned store keeps the verdicts that took, for the table build to read.
     """
     states = []
     lists = []
@@ -633,11 +633,19 @@ def load_store(path: str) -> CandidateStore:
         states=tuple(states),
         lists=tuple(lists),
     )
+    m = make_constellation(store.modulation).bits_per_symbol
+    if store.mu != 2 * m:
+        raise ValueError(f"{path}: mu={store.mu} is not 2 x the {m} bits per symbol of {store.modulation}")
+    for i, entries in enumerate(store.lists):
+        if len(entries) > store.k_per_state:
+            raise ValueError(f"{path}: state {i} lists {len(entries)} matrices, more than K={store.k_per_state}")
     for matrix in dict.fromkeys(e.matrix for entries in store.lists for e in entries):   # each distinct matrix once
         if (matrix.n_rows, matrix.n_cols) != (store.t, store.mu):
             raise ValueError(f"{path}: store entry {matrix.to_text()} is not {store.t}x{store.mu}")
-        if rank_rows(matrix.rows) != store.t:
-            raise ValueError("store entry violates the rank invariant")
+    distinct, _, _, rows = store._arrays
+    low = np.flatnonzero(rank_rows(rows[:-1]) != store.t)
+    if len(low):
+        raise ValueError(f"{path}: store entry {store.t}x{store.mu}:{distinct[low[0]]:x} has rank below t={store.t}")
     certified_n = opt_int(header["certified_n"])
     claimed = {tuple(map(int, part.split(","))) for part in header["infeasible"].split(";") if part}
     if certified_n is not None:
@@ -691,8 +699,6 @@ def load_table(path: str) -> SelectionTable:
                 raise ValueError(f"{path}: table value {k} lists {len(encs)} matrices, not {n}")
             if encs is not None and any(e >> (t * mu) for e in encs):
                 raise ValueError(f"{path}: table value {k} lists an encoding of more than {t}x{mu} bits")
-            if encs is not None and rank_rows([(e >> (r * mu)) & ((1 << mu) - 1) for e in encs for r in range(t)]) != mu:
-                raise ValueError(f"{path}: table value {k} stacks to a singular global matrix")
             values.append(encs)
         dtype = np.min_scalar_type(-n_values)
         rows = []
@@ -702,7 +708,7 @@ def load_table(path: str) -> SelectionTable:
                 raise ValueError(f"{path}: table row {r} is not {n_states} ids of its {n_values} values")
             rows.append(row.astype(dtype))
         check_count(path, "table rows", len(rows), len(rows) + sum(1 for _ in body))
-    return SelectionTable(
+    table = SelectionTable(
         modulation=header["modulation"],
         labeling_version=header["labeling"],
         t=t,
@@ -712,3 +718,8 @@ def load_table(path: str) -> SelectionTable:
         choice=np.array(rows, dtype=dtype).reshape((n_states,) * n),
         values=tuple(values),
     )
+    listed = np.flatnonzero([v is not None for v in values])
+    singular = listed[rank_rows(table._rows[listed].reshape(len(listed), n * t)) != mu]
+    if len(singular):
+        raise ValueError(f"{path}: table value {singular[0]} stacks to a singular global matrix")
+    return table

@@ -7,9 +7,22 @@ import io
 
 import numpy as np
 
-from pnclab.gf2 import BitMatrix, rank_rows
+from pnclab.gf2 import BitMatrix
 from pnclab.mapping import _ncv_bits, mapping_d_min, superimpose
 from pnclab.sim import emit_results
+
+
+def greedy_rank(rows):
+    """Row rank over F2 of one matrix's packed rows, by greedy elimination."""
+    basis = []
+    for row in rows:
+        x = row
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+    return len(basis)
 
 
 def bit_matrix(rows):
@@ -40,7 +53,7 @@ def exhaustive_matrix_scan(sc, clash, t):
     return [
         (mat, mapping_d_min(mat.rows, sc), clash_consistent(mat, clash, m))
         for mat in all_matrices(t, sc.mu)
-        if rank_rows(mat.rows) == t
+        if greedy_rank(mat.rows) == t
     ]
 
 

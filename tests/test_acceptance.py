@@ -17,7 +17,7 @@ from pnclab.fade_states import (
     save_catalog,
     truncate_catalog,
 )
-from pnclab.gf2 import BitMatrix, rank_rows
+from pnclab.gf2 import BitMatrix
 from pnclab.link import draw_channel, recover_batch
 from pnclab.mapping import joint_vector_table, superimpose
 from pnclab.modulation import make_constellation
@@ -29,7 +29,7 @@ from pnclab.search import (
 )
 from pnclab.sim import ExperimentConfig, run_experiment
 
-from oracles import exhaustive_matrix_scan, hard_ncv, ncv_table
+from oracles import exhaustive_matrix_scan, greedy_rank, hard_ncv, ncv_table
 
 FRAMES = 10_000
 SEED = 20240601
@@ -134,7 +134,7 @@ def test_criterion_04_unambiguous_decodability(qam4, cat4, store4):
         H = draw_channel([rng])
         rows = select_mappings(store4, cat4, H).rows
         H = H[0]
-        if rank_rows(rows.ravel().tolist()) != 4:
+        if greedy_rank(rows.ravel().tolist()) != 4:
             rank_failures += 1
             continue
         xs = []

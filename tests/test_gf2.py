@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from pnclab.gf2 import (
     span,
 )
 
-from oracles import all_matrices, bit_matrix as bm
+from oracles import all_matrices, bit_matrix as bm, greedy_rank
 
 
 def full_rank(a):
@@ -149,10 +151,9 @@ class TestSubspaces:
 
     def test_subspaces_match_bruteforce_rowspaces(self):
         # oracle: distinct row spaces of all rank-2 2x4 matrices
-        spaces = set()
-        for m in all_matrices(2, 4):
-            if rank_rows(m.rows) == 2:
-                spaces.add(frozenset(span(rref_rows(m.rows, 4)[0])))
+        mats = all_matrices(2, 4)
+        ranks = rank_rows([m.rows for m in mats])
+        spaces = {frozenset(span(rref_rows(m.rows, 4)[0])) for m, r in zip(mats, ranks) if r == 2}
         enumerated = {
             frozenset(span(rows)) for rows in enumerate_subspaces(tuple(1 << i for i in range(4)), 2)
         }
@@ -180,7 +181,7 @@ def independent_rows(draw, max_cols=8):
     candidates = draw(st.lists(st.integers(1, (1 << n_cols) - 1), max_size=n_cols + 3))
     basis = []
     for r in candidates:
-        if rank_rows(basis + [r]) > len(basis):
+        if greedy_rank(basis + [r]) > len(basis):
             basis.append(r)
     return tuple(basis), n_cols
 
@@ -203,12 +204,12 @@ class TestSubspaceProperties:
         subspace appears exactly once."""
         basis, _ = basis_cols
         dim = data.draw(st.integers(0, len(basis)))
-        subspaces = enumerate_subspaces(basis, dim).tolist()
+        subspaces = enumerate_subspaces(basis, dim)
         assert len(subspaces) == gaussian_binomial(len(basis), dim)
+        assert (rank_rows(subspaces) == dim).all()
         whole = set(span(basis))
         spans = set()
-        for rows in subspaces:
-            assert rank_rows(rows) == dim
+        for rows in subspaces.tolist():
             members = frozenset(span(rows))
             assert members <= whole
             spans.add(members)
@@ -245,6 +246,22 @@ class TestRankProperties:
             elif i != j:
                 moved[j] ^= moved[i]
         assert rank_rows(moved) == rank
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 4, 8, 63]), st.lists(st.integers(0, 3), max_size=3), st.integers(0, 9), st.data())
+    def test_stack_matches_greedy_oracle(self, n_cols, lead, r, data):
+        """Each slice's rank is the greedy oracle's, over stacks with zero
+        rows, repeated rows, no matrices and matrices of no rows; a 1-D
+        sequence of rows (no leading axes) gives a 0-d rank."""
+        pool = data.draw(st.lists(st.integers(0, (1 << n_cols) - 1), min_size=1, max_size=4))
+        row = st.one_of(st.just(0), st.sampled_from(pool), st.integers(0, (1 << n_cols) - 1))
+        flat = data.draw(st.lists(row, min_size=math.prod(lead) * r, max_size=math.prod(lead) * r))
+        rows = np.array(flat, dtype=np.int64).reshape(tuple(lead) + (r,))
+        ranks = rank_rows(rows if lead else flat)
+        assert ranks.shape == tuple(lead)
+        for idx in np.ndindex(*lead):
+            assert ranks[idx] == greedy_rank(rows[idx].tolist())
 
 
 class TestRrefProperties:
@@ -292,7 +309,7 @@ class TestInverseSolveProperties:
     def test_inverse_round_trip(self, square):
         n, rows = square
         a = BitMatrix.from_row_ints(rows, n)
-        if rank_rows(rows) < n:
+        if greedy_rank(rows) < n:
             with pytest.raises(SingularMatrixError):
                 inverse_one(a)
             return
@@ -307,14 +324,14 @@ class TestInverseSolveProperties:
         """Each slice of a stack inverts as it would alone, to A^-1 with
         A A^-1 = I; one singular slice, or a bit at or above n, refuses the stack."""
         square = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
-        invertible = square.filter(lambda rows: rank_rows(rows) == n)
+        invertible = square.filter(lambda rows: greedy_rank(rows) == n)
         stack = np.array(data.draw(st.lists(invertible, min_size=1, max_size=6)))
         inv = inverse_f2(stack)
         assert inv.shape == stack.shape and np.array_equal(inverse_f2(stack[None])[0], inv)
         for a, b in zip(stack.tolist(), inv.tolist()):
             assert inverse_f2(np.array([a]))[0].tolist() == b
             assert all(product(a, product(b, 1 << c)) == 1 << c for c in range(n))
-        singular = data.draw(square.filter(lambda rows: rank_rows(rows) < n))
+        singular = data.draw(square.filter(lambda rows: greedy_rank(rows) < n))
         with pytest.raises(SingularMatrixError):
             inverse_f2(np.insert(stack, data.draw(st.integers(0, len(stack))), singular, axis=0))
         wide = stack.copy()

@@ -17,7 +17,7 @@ from pnclab.mapping import (
 from pnclab.modulation import make_constellation
 from pnclab.search import state_channel
 
-from oracles import bit_matrix, clash_consistent, ncv_table
+from oracles import bit_matrix, clash_consistent, greedy_rank, ncv_table
 
 XOR_MAP = bit_matrix([[1, 0, 1, 0], [0, 1, 0, 1]])
 
@@ -384,7 +384,7 @@ class TestEvaluateMapping:
     def test_cluster_count_is_two_to_rank(self, qam4):
         for enc in range(256):
             mat = BitMatrix.from_encoding(enc, 2, 4)
-            assert len(set(ncv_table(mat, 2))) == 2 ** rank_rows(mat.rows)
+            assert len(set(ncv_table(mat, 2))) == 2 ** greedy_rank(mat.rows)
 
     def test_ncv_linearity(self, qam4):
         tau_of_w = joint_vector_table(2)

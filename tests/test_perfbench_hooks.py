@@ -146,3 +146,13 @@ def test_traced_baselines_run_passes_its_checks(tracer, workloads, bench, tmp_pa
     metrics = _traced_run("baselines", tracer, workloads, bench, tmp_path, monkeypatch)
     assert metrics["link.comp_nonideal_llrs.self_ms_per_frame"]["value"] > 0
     assert metrics["link.comp_ideal.self_ms_per_frame"]["value"] > 0
+
+
+def test_traced_qam16_regulated_run_passes_its_checks(tracer, workloads, bench, tmp_path, monkeypatch):
+    """A traced qam16-regulated run passes perfbench's checks (a few
+    seconds): it builds, saves and loads the paper-scale catalog, store and
+    table, so store loading, table loading and the rank verdicts run at
+    full scale under the seed-1234 rbmas gate."""
+    metrics = _traced_run("qam16-regulated", tracer, workloads, bench, tmp_path, monkeypatch)
+    assert metrics["search.table_lookup.self_ms_per_frame"]["value"] > 0
+    assert metrics["gf2.rank_rows.calls_setup"]["value"] > 0

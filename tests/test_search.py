@@ -45,7 +45,7 @@ from pnclab.search import (
     table_lookup,
 )
 
-from oracles import exhaustive_matrix_scan
+from oracles import exhaustive_matrix_scan, greedy_rank
 
 
 @pytest.fixture(scope="module")
@@ -157,9 +157,7 @@ class TestMining:
             assert frozenset(span(r.entries[0].matrix.rows)) == scan_space
 
     def test_rank_t_invariant(self, store4):
-        for lst in store4.lists:
-            for e in lst:
-                assert rank_rows(e.matrix.rows) == store4.t
+        assert (rank_rows([e.matrix.rows for lst in store4.lists for e in lst]) == store4.t).all()
 
     @pytest.mark.parametrize(
         "cat_name, t", [("cat4", 2), ("cat4", 3), ("cat16", 4)], ids=["qam4-t2", "qam4-t3", "qam16-t4"]
@@ -185,7 +183,7 @@ class TestCertification:
         n = len(store4.states)
         for a, b in itertools.product(range(n), repeat=2):
             ok = any(
-                rank_rows(ma.rows + mb.rows) == store4.mu
+                greedy_rank(ma.rows + mb.rows) == store4.mu
                 for ma in (e.matrix for e in store4.lists[a])
                 for mb in (e.matrix for e in store4.lists[b])
             )
@@ -256,13 +254,13 @@ def pair_loop_certify(store, n_aps):
 
 
 def _stacked_verdicts(store, n):
-    """Oracle: ``_full_rank(n)`` by one ``rank_rows`` call per combination
+    """Oracle: ``_full_rank(n)`` by one ``greedy_rank`` call per combination
     of distinct encodings, over stacked ``BitMatrix.from_encoding`` rows."""
     distinct = sorted({e.matrix.encoding for l in store.lists for e in l})
     want = np.zeros((len(distinct) + 1,) * n, dtype=bool)
     for combo in itertools.product(range(len(distinct)), repeat=n):
         rows = [r for c in combo for r in BitMatrix.from_encoding(distinct[c], store.t, store.mu).rows]
-        want[combo] = rank_rows(rows) == store.mu
+        want[combo] = greedy_rank(rows) == store.mu
     return want
 
 
@@ -272,16 +270,20 @@ class TestVerdicts:
         "cat_name, t", [("cat4", 2), ("cat4", 3), ("cat16", 4)], ids=["qam4-t2", "qam4-t3", "qam16-t4"]
     )
     def test_match_stacked_rank(self, request, cat_name, t, n, monkeypatch):
-        """The verdicts equal the ordered walk's, from one rank_rows call per
-        unordered combination of the u distinct encodings, C(u + n - 1, n)."""
+        """The verdicts equal the ordered walk's, from one stacked rank_rows
+        call per block of 2^16 of the unordered combinations of the u
+        distinct encodings, each combination ranked once: C(u + n - 1, n)
+        stacks of n t rows."""
         cat = request.getfixturevalue(cat_name)
         store = assemble_store(cat, mine_candidates(cat, t=t, limit=5), t=t, k_per_state=5)
         calls = []
-        monkeypatch.setattr(search, "rank_rows", lambda rows: calls.append(rows) or rank_rows(rows))
+        monkeypatch.setattr(search, "rank_rows", lambda rows: calls.append(rows.shape) or rank_rows(rows))
         got = store._full_rank(n)
         monkeypatch.undo()
         assert np.array_equal(got, _stacked_verdicts(store, n))
-        assert len(calls) == math.comb(len(store._arrays[0]) + n - 1, n)
+        combos = math.comb(len(store._arrays[0]) + n - 1, n)
+        assert len(calls) == -(-combos // (1 << 16))
+        assert all(c[1] == n * t and c[0] <= 1 << 16 for c in calls) and sum(c[0] for c in calls) == combos
 
     @pytest.mark.parametrize("cat_name, t", [("cat4", 2), ("cat16", 4)], ids=["qam4-t2", "qam16-t4"])
     def test_certified_store_takes_verdicts_when_no_encoding_is_pruned(self, request, cat_name, t):
@@ -309,9 +311,8 @@ class TestVerdicts:
 class TestOnlineSelection:
     def test_always_invertible(self, store4, cat4):
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            sel = select_mappings(store4, cat4, draw_channel([rng]))
-            assert rank_rows(sel.rows[0].ravel().tolist()) == store4.mu
+        rows = [select_mappings(store4, cat4, draw_channel([rng])).rows[0].ravel() for _ in range(300)]
+        assert (rank_rows(rows) == store4.mu).all()
 
     def test_deterministic(self, store4, cat4):
         rng = np.random.default_rng(12)
@@ -415,7 +416,7 @@ class TestSelectionTable:
 @functools.cache
 def _stacks_full_rank(encodings, t, mu):
     """Oracle: whether the t x mu matrices with these encodings stack to rank mu."""
-    return rank_rows([r for e in encodings for r in BitMatrix.from_encoding(e, t, mu).rows]) == mu
+    return greedy_rank([r for e in encodings for r in BitMatrix.from_encoding(e, t, mu).rows]) == mu
 
 
 def _pick_best(encodings, d_values, t, mu):
@@ -632,6 +633,41 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not 2x4|bits beyond"):
             load_store(str(path))
 
+    def test_store_list_longer_than_k_refused(self, store4, tmp_path):
+        """A store whose ``K=`` header is edited below its longest list used
+        to load, and a config of that K ran the longer lists under a
+        ``config_hash`` that named the smaller K."""
+        path = tmp_path / "store.cat"
+        save_store(store4, str(path))
+        assert max(map(len, store4.lists)) == len(store4.lists[1]) == 3
+        path.write_text(path.read_text().replace("\nK=5\n", "\nK=2\n", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: state 1 lists 3 matrices, more than K=2")):
+            load_store(str(path))
+
+    def test_store_mu_not_twice_the_bits_refused_before_any_frame(self, tmp_path, monkeypatch):
+        """A qam16 store of 4x6 matrices under ``mu=6``, each list the first
+        and the last four of six bits, certifies for two APs over six
+        states; a bmas run on it used to die in its first frames with
+        SingularMatrixError."""
+        cat = build_catalog("qam16", n_trials=10**4, rng_seed=0, n_principal=6)
+        pair = tuple(CandidateEntry(BitMatrix.from_row_ints(r, 6), 1.0, True, 1.0) for r in ((1, 2, 4, 8), (4, 8, 16, 32)))
+        store = certify_store(
+            search.CandidateStore(
+                modulation="qam16", labeling_version=cat.labeling_version, t=4, mu=6, k_per_state=2,
+                rank_seed=cat.rank_seed, rank_trials=cat.rank_trials,
+                states=tuple(e.state for e in cat.entries), lists=(pair,) * len(cat.entries),
+            ),
+            2,
+        )
+        assert store.infeasible == ()
+        paths = {name: str(tmp_path / name) for name in ("catalog_path", "store_path")}
+        save_catalog(cat, paths["catalog_path"])
+        save_store(store, paths["store_path"])
+        cfg = sim.ExperimentConfig(modulation="qam16", scheme="bmas", ncv_len=4, k_per_state=2, frames_per_point=20, **paths)
+        monkeypatch.setattr(sim, "_run_point", lambda *a: pytest.fail("a frame ran"))
+        with pytest.raises(ValueError, match=re.escape(f"{paths['store_path']}: mu=6 is not 2 x the 4 bits per symbol")):
+            list(sim.run_experiment(cfg))
+
     def test_table_roundtrip(self, store4, cat4, tmp_path):
         table = build_selection_table(store4, cat4, n_aps=2)
         path = str(tmp_path / "table.tab")
@@ -844,7 +880,7 @@ DISTANCES = st.one_of(st.floats(0.0, 100.0), st.just(math.inf))
 
 
 def full_rank_rows(t, mu=4):
-    return st.lists(st.integers(0, (1 << mu) - 1), min_size=t, max_size=t).filter(lambda r: rank_rows(r) == t)
+    return st.lists(st.integers(0, (1 << mu) - 1), min_size=t, max_size=t).filter(lambda r: greedy_rank(r) == t)
 
 
 def _save_load_save(save, load, artifact):
@@ -894,7 +930,7 @@ class TestRoundTripProperties:
         """Markers, one AP and three APs included."""
         n, t = n_t
         stack = st.lists(full_rank_rows(t), min_size=n, max_size=n).filter(
-            lambda ms: rank_rows([r for m in ms for r in m]) == 4
+            lambda ms: greedy_rank([r for m in ms for r in m]) == 4
         )
         pool = data.draw(st.lists(stack, min_size=1, max_size=4))
         values = tuple(tuple(BitMatrix.from_row_ints(m, 4).encoding for m in ms) for ms in pool) + (None,)
@@ -1013,37 +1049,37 @@ def test_selection_infeasible_raises(cat4):
 
 
 def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
-    """Certification and table building share one verdict per pair of
-    distinct matrices: at most (distinct matrices)^2 rank computations.
-    Table loading checks each distinct entry once.  Store loading checks
-    each distinct matrix once and certifies the lists again with as many
-    verdicts as the build took, and a table built from the loaded store
-    reads those verdicts."""
+    """Certification and table building share one verdict per unordered
+    pair of distinct matrices, ranked in one stacked call.  Table loading
+    ranks each distinct entry once, in one call.  Store loading ranks each
+    distinct matrix once, in one call, and certifies the lists again with
+    the calls the build took, and a table built from the loaded store reads
+    those verdicts."""
     cat = cat16
     store = assemble_store(cat, mine_candidates(cat, t=4, limit=5), t=4, k_per_state=5)
     distinct = len({e.matrix for l in store.lists for e in l})
     calls = []
 
     def counting_rank_rows(rows):
-        calls.append(1)
+        calls.append(len(rows))
         return rank_rows(rows)
 
     monkeypatch.setattr(search, "rank_rows", counting_rank_rows)
     store = certify_store(store, 2)
     table = build_selection_table(store, cat, n_aps=2)
-    built = len(calls)
-    assert 0 < built <= distinct**2
+    built = list(calls)
+    assert built == [math.comb(distinct + 1, 2)]
 
     path = tmp_path / "table.tab"
     save_table(table, str(path))
     assert load_table(str(path)).entries == table.entries
-    assert len(calls) == built + len(set(table.entries.values()) - {None})
+    assert calls == built + [len(set(table.entries.values()) - {None})]
 
     store_path = tmp_path / "store.cat"
     save_store(store, str(store_path))
     before = len(calls)
     loaded = load_store(str(store_path))
-    assert len(calls) - before == distinct + built and distinct < sum(map(len, store.lists))
+    assert calls[before:] == [distinct] + built and distinct < sum(map(len, store.lists))
     before = len(calls)
     build_selection_table(loaded, n_aps=2).check_equal(table)
     assert len(calls) == before
