@@ -72,7 +72,7 @@ class BitMatrix:
         return cls.from_encoding(value, int(r), int(c))
 
 
-def rank_rows(rows) -> np.ndarray:
+def rank_rows(rows: np.ndarray | Sequence[int]) -> np.ndarray:
     """Row rank over F2 of each matrix in a stack ``(..., r)`` of packed rows,
     from one ``rref_stack`` call; a 1-D sequence of rows gives a 0-d rank."""
     a = np.asarray(rows, dtype=np.int64)

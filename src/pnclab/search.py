@@ -44,7 +44,7 @@ from .mapping import (
     mapping_d_min,
     superimpose,
 )
-from .modulation import make_constellation
+from .modulation import BITS_PER_SYMBOL, make_constellation
 
 
 class SelectionInfeasibleError(RuntimeError):
@@ -611,7 +611,7 @@ def load_store(path: str) -> CandidateStore:
     The ``certified_n=`` and ``infeasible=`` header is not trusted: a
     certified store is certified again for its ``n``, and a header that
     disagrees with its lists is refused, as is a ``mu=`` other than twice
-    the modulation's bits per symbol, or a list longer than ``K=``.  The
+    a known modulation's bits per symbol, or a list longer than ``K=``.  The
     returned store keeps the verdicts that took, for the table build to read.
     """
     states = []
@@ -633,9 +633,8 @@ def load_store(path: str) -> CandidateStore:
         states=tuple(states),
         lists=tuple(lists),
     )
-    m = make_constellation(store.modulation).bits_per_symbol
-    if store.mu != 2 * m:
-        raise ValueError(f"{path}: mu={store.mu} is not 2 x the {m} bits per symbol of {store.modulation}")
+    if store.mu != 2 * BITS_PER_SYMBOL.get(store.modulation, 0):
+        raise ValueError(f"{path}: mu={store.mu} is not twice the bits per symbol of modulation {store.modulation!r}")
     for i, entries in enumerate(store.lists):
         if len(entries) > store.k_per_state:
             raise ValueError(f"{path}: state {i} lists {len(entries)} matrices, more than K={store.k_per_state}")

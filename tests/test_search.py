@@ -665,8 +665,19 @@ class TestPersistence:
         save_store(store, paths["store_path"])
         cfg = sim.ExperimentConfig(modulation="qam16", scheme="bmas", ncv_len=4, k_per_state=2, frames_per_point=20, **paths)
         monkeypatch.setattr(sim, "_run_point", lambda *a: pytest.fail("a frame ran"))
-        with pytest.raises(ValueError, match=re.escape(f"{paths['store_path']}: mu=6 is not 2 x the 4 bits per symbol")):
+        want = f"{paths['store_path']}: mu=6 is not twice the bits per symbol of modulation 'qam16'"
+        with pytest.raises(ValueError, match=re.escape(want)):
             list(sim.run_experiment(cfg))
+
+    @pytest.mark.parametrize("edit", [("mu=4", "mu=6"), ("modulation=qam4", "modulation=qam8")], ids=["mu", "modulation"])
+    def test_store_header_mu_must_fit_its_modulation(self, store4, tmp_path, edit):
+        """A modulation the package does not know has no bits per symbol, so
+        the same check refuses it, naming the file."""
+        path = tmp_path / "store.cat"
+        save_store(store4, str(path))
+        path.write_text(path.read_text().replace(f"\n{edit[0]}\n", f"\n{edit[1]}\n", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: mu=") + ".* is not twice the bits per symbol"):
+            load_store(str(path))
 
     def test_table_roundtrip(self, store4, cat4, tmp_path):
         table = build_selection_table(store4, cat4, n_aps=2)
