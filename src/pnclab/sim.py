@@ -5,7 +5,12 @@ when any recovered source bit is wrong; frames are uncoded.  Mis-mapping
 counts frames where the matrices selected under estimated CSI differ from
 the ones true CSI would pick.  Every frame derives its random stream from
 (seed, sweep-point index, frame index), so worker splits cannot change
-results.
+results.  A chunk's streams are seeded in one pass: SeedSequence's mixing is
+a fixed 32-bit integer hash (O'Neill's seed_seq design; O'Neill, "PCG: A
+Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+Random Number Generation", HMC-CS-2014-0905), so it runs as uint32 array
+arithmetic over the chunk's frames, and each stream is still
+PCG64(SeedSequence((seed, point, frame))) bit for bit.
 
 Frames run in chunks.  In the front end each frame draws from its own
 stream in the fixed order (its data indices as one raw draw, the values
@@ -28,7 +33,9 @@ APs, 2^mu, uses).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -256,6 +263,111 @@ def _frame_rng(cfg: ExperimentConfig, point: int, frame: int) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, point, frame)))
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator, after O'Neill's
+# seed_seq_fe): its mixing is a fixed 32-bit integer hash, so it runs across
+# a frame axis as uint32 array arithmetic and gives the same words.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(k: int, mult: int, n: int) -> np.ndarray:
+    """The (xor, multiplier) pairs of n successive hashes, (2, n, 1) uint32:
+    each hash xors the running constant in, then multiplies by its next value."""
+    pairs = []
+    for _ in range(n):
+        pairs.append((k, k * mult & _M32))
+        k = pairs[-1][1]
+    return np.array(pairs, dtype=np.uint32).T[..., None]
+
+
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)     # generate_state(4, uint64): 8 words
+
+
+@functools.cache
+def _pool_constants(n_words: int):
+    """SeedSequence's hash constants for an entropy of n_words words: the
+    pool fill (2, 4, 1); the cross mix (2, source, pool word, 1), a source's
+    own word unused; one (2, 4, 1) round per word past the fourth."""
+    k = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(n_words - 4, 0))
+    cross = np.zeros((2, 4, 4, 1), dtype=np.uint32)
+    for src in range(4):
+        cross[:, src, [dst for dst in range(4) if dst != src]] = k[:, 4 + 3 * src : 7 + 3 * src]
+    return k[:, :4], cross, k[:, 16:].reshape(2, -1, 4, 1)
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ out >> 16
+
+
+def _seed_states(entropy: list, frames: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each frame's
+    entropy e, (frames, 4): ``entropy`` holds e's 32-bit words in order, each
+    an int shared by every frame or a (frames,) array."""
+    words = np.zeros((max(len(entropy), 4), frames), dtype=np.uint32)    # zeros: the pool's padding
+    for row, word in zip(words, entropy):
+        row[...] = word
+    fill, cross, rounds = _pool_constants(len(entropy))
+    pool = _hashmix(words[:4], *fill)
+    for src in range(4):
+        own = pool[src].copy()
+        pool = _mix(pool, _hashmix(own, *cross[:, src]))
+        pool[src] = own
+    for word, xor, mult in zip(words[4:], *rounds):
+        pool = _mix(pool, _hashmix(word, xor, mult))
+    state = _hashmix(np.concatenate([pool, pool]), *_STATE_CONSTANTS)
+    return np.ascontiguousarray(state.T).view("<u8").astype(np.uint64, copy=False)
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words SeedSequence splits a non-negative int into, least significant first."""
+    return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A frame's SeedSequence output computed ahead: the four uint64 words
+    PCG64 asks for, so numpy's own code does PCG64's 128-bit seeding."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self.state
+
+
+def _frame_rngs(cfg: ExperimentConfig, point: int, frames: range) -> list[np.random.Generator]:
+    """``[_frame_rng(cfg, point, f) for f in frames]``, every stream bit for
+    bit, with SeedSequence's hash run once over the frames of each run that
+    shares f >> 32.  A frame's low 32-bit word follows the seed's and the
+    point's words and precedes its higher ones; the word count changes only
+    at a multiple of 2^32, and an entropy of more than four words takes extra
+    mixing rounds, so a run is hashed at its own word count."""
+    if frames.step != 1:
+        raise ValueError(f"frames must be consecutive, not {frames}")
+    prefix = _words(cfg.seed) + _words(point)
+    rngs = []
+    start = 0
+    while start < len(frames):
+        high, low = divmod(frames[start], 1 << 32)
+        n = min(len(frames) - start, (1 << 32) - low)
+        lows = np.arange(low, low + n, dtype=np.uint32)
+        states = _seed_states(prefix + [lows] + (_words(high) if high else []), n)
+        rngs += [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in states]
+        start += n
+    return rngs
+
+
 def _data_indices(rngs, n_terminals: int, frame_len: int, m: int) -> np.ndarray:
     """Each frame's data indices (frames, terminals, uses), what
     ``rng.integers(0, 2^m, (terminals, uses))`` draws from each generator, by
@@ -345,9 +457,10 @@ _CHUNK_SAMPLES = 2**13
 def _run_point(ctx: _Context, point: int, ebn0_db: float, frame_range: range) -> tuple[int, int]:
     """Count (outage frames, mismap frames) over a range of frames.
 
-    Frames run in chunks: one front-end call draws each frame from its own
-    generator and returns the chunk's stacked arrays, then the back end
-    takes them in one call.
+    Frames run in chunks: one _frame_rngs call seeds the chunk's
+    generators, one front-end call draws each frame from its own generator
+    and returns the chunk's stacked arrays, then the back end takes them in
+    one call.
     """
     cfg = ctx.cfg
     noise_var = link.noise_variance(ebn0_db, ctx.constellation.bits_per_symbol)
@@ -356,7 +469,7 @@ def _run_point(ctx: _Context, point: int, ebn0_db: float, frame_range: range) ->
     outages = 0
     mismaps = 0
     for start in range(0, len(frame_range), chunk):
-        rngs = [_frame_rng(cfg, point, f) for f in frame_range[start : start + chunk]]
+        rngs = _frame_rngs(cfg, point, frame_range[start : start + chunk])
         outage, mismap = back_end(ctx, noise_var, *_front_end(ctx, noise_var, rngs))
         outages += outage
         mismaps += mismap
@@ -391,33 +504,35 @@ def run_experiment(cfg: ExperimentConfig) -> Iterator[MetricsRecord]:
         raise ValueError(f"PNCLAB_WORKERS must be an integer >= 1, not {text!r}")
     ctx = _prepare(cfg)
     backhaul = backhaul_accounting(cfg)
-    for point, ebn0 in enumerate(cfg.ebn0_db):
-        start = time.perf_counter()
-        n = cfg.frames_per_point
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    n = cfg.frames_per_point
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            bounds = np.linspace(0, n, workers + 1, dtype=int)
-            chunks = [range(bounds[i], bounds[i + 1]) for i in range(workers)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_run_point_star, [(ctx, point, ebn0, ch) for ch in chunks]))
-            outages = sum(p[0] for p in parts)
-            mismaps = sum(p[1] for p in parts)
-        else:
-            outages, mismaps = _run_point(ctx, point, ebn0, range(n))
-        pnc = cfg.scheme in PNC_SCHEMES
-        mismap_rate = (mismaps / n) if (pnc and cfg.pilot_len is not None) else math.nan
-        yield MetricsRecord(
-            ebn0_db=ebn0,
-            scheme=cfg.scheme,
-            outage=outages / n,
-            mismap_rate=mismap_rate,
-            backhaul_bits=backhaul,
-            frames=n,
-            runtime_s=time.perf_counter() - start,
-            seed=cfg.seed,
-            config_hash=cfg.config_hash,
-        )
+        bounds = np.linspace(0, n, workers + 1, dtype=int)
+        splits = [range(bounds[i], bounds[i + 1]) for i in range(workers)]
+    # one pool serves every point; closing the generator shuts it down
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for point, ebn0 in enumerate(cfg.ebn0_db):
+            start = time.perf_counter()
+            if pool is None:
+                outages, mismaps = _run_point(ctx, point, ebn0, range(n))
+            else:
+                parts = list(pool.map(_run_point_star, [(ctx, point, ebn0, split) for split in splits]))
+                outages = sum(p[0] for p in parts)
+                mismaps = sum(p[1] for p in parts)
+            pnc = cfg.scheme in PNC_SCHEMES
+            mismap_rate = (mismaps / n) if (pnc and cfg.pilot_len is not None) else math.nan
+            yield MetricsRecord(
+                ebn0_db=ebn0,
+                scheme=cfg.scheme,
+                outage=outages / n,
+                mismap_rate=mismap_rate,
+                backhaul_bits=backhaul,
+                frames=n,
+                runtime_s=time.perf_counter() - start,
+                seed=cfg.seed,
+                config_hash=cfg.config_hash,
+            )
 
 
 def _run_point_star(args):

@@ -1,5 +1,5 @@
+import concurrent.futures
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -215,15 +215,32 @@ class TestRuns:
         b = [r.outage for r in run_experiment(cfg)]
         assert a == b
 
-    def test_worker_split_matches_serial(self):
-        cfg = ExperimentConfig(modulation="qam4", scheme="bmas", ebn0_db=(12.0,), seed=6, **FAST)
+    def test_worker_split_matches_serial(self, monkeypatch):
+        """Two workers give the serial outages at every point, from one pool
+        built for the sweep and shut down when the generator closes."""
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.closed = False
+                pools.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                self.closed = True
+                super().shutdown(*args, **kwargs)
+
+        cfg = ExperimentConfig(modulation="qam4", scheme="bmas", ebn0_db=(6.0, 9.0, 12.0), seed=6, **FAST)
         serial = [r.outage for r in run_experiment(cfg)]
-        os.environ["PNCLAB_WORKERS"] = "2"
-        try:
-            split = [r.outage for r in run_experiment(cfg)]
-        finally:
-            os.environ.pop("PNCLAB_WORKERS")
-        assert serial == split
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setenv("PNCLAB_WORKERS", "2")
+        split = [r.outage for r in run_experiment(cfg)]
+        assert serial == split and len(set(serial)) == 3
+        assert len(pools) == 1 and pools[0].closed
+        sweep = run_experiment(cfg)
+        next(sweep)
+        sweep.close()
+        assert len(pools) == 2 and pools[1].closed
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
     def test_bad_worker_count_refused_before_prepare(self, value, monkeypatch):
@@ -703,6 +720,59 @@ def test_raw_bit_draw_is_the_integers_draw(mod, seed, point, frame_len):
     want = np.stack([g.integers(0, 1 << m, (2, frame_len)) for g in twins])
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert all(np.array_equal(a.standard_normal(5), b.standard_normal(5)) for a, b in zip(rngs, twins))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(0, 2**32 - 1), (2**32, 2**64 - 1), (2**64, 2**96 - 1)]).flatmap(lambda b: st.integers(*b)),
+    st.integers(0, 2**40),
+    st.sampled_from([0, 2**32, 2**64]),
+    st.integers(-12, 12),
+    st.integers(0, 24),
+)
+def test_frame_rngs_are_the_per_frame_streams(seed, point, base, offset, count):
+    """One pass seeds every frame of a range with the stream _frame_rng
+    gives it: the same PCG64 state and the same draws.  Seeds of 1 to 3
+    words and ranges that cross 2^32 or 2^64 change the entropy's word
+    count mid-range, and past four words SeedSequence mixes in extra
+    rounds."""
+    cfg = ExperimentConfig(seed=seed)
+    frames = range(max(base + offset, 0), max(base + offset, 0) + count)
+    got = sim._frame_rngs(cfg, point, frames)
+    want = [np.random.default_rng(np.random.SeedSequence((seed, point, f))) for f in frames]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.bit_generator.state == b.bit_generator.state
+        assert np.array_equal(a.standard_normal(4), b.standard_normal(4))
+
+
+def test_frame_rngs_seed_state_holds_only_pcg64s_request():
+    """A stream's seed holds the four uint64 words PCG64 asks for, the
+    SeedSequence's own, and refuses any other request; a stepped range is
+    refused."""
+    cfg = ExperimentConfig(seed=2**40)
+    seq = sim._frame_rngs(cfg, 3, range(2**32 - 1, 2**32))[0].bit_generator.seed_seq
+    assert isinstance(seq, np.random.bit_generator.ISeedSequence)
+    want = np.random.SeedSequence((2**40, 3, 2**32 - 1)).generate_state(4, np.uint64)
+    assert np.array_equal(seq.generate_state(4, np.uint64), want)
+    for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)]:
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            seq.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="consecutive"):
+        sim._frame_rngs(cfg, 0, range(0, 10, 2))
+
+
+@pytest.mark.parametrize("frames", [range(2**32 - 20, 2**32 + 20), range(2**32 - 1, 2**32)], ids=["crossing", "one-frame"])
+def test_run_point_with_one_pass_seeding_is_per_frame(frames, monkeypatch):
+    """_run_point over frames that cross 2^32 at seed 2^40, where the frame's
+    word count changes mid-chunk, counts what per-frame seeding counts."""
+    cfg = ExperimentConfig(scheme="bmas", pilot_len=1, frame_len=24, rank_trials=10**4, seed=2**40)
+    ctx = sim._prepare(cfg)
+    got = sim._run_point(ctx, 1, 2.0, frames)
+    monkeypatch.setattr(sim, "_frame_rngs", lambda cfg, point, frames: [sim._frame_rng(cfg, point, f) for f in frames])
+    assert got == sim._run_point(ctx, 1, 2.0, frames)
+    if len(frames) > 1:
+        assert min(got) > 0          # both counts exercised
 
 
 def _back_end_pnc_two_selections(ctx, noise_var, H, H_hat, idx, y):
