@@ -21,7 +21,7 @@ idx = next(
     if not e.state.infinite and abs(e.state.value - 1j) < 1e-9
 )
 entry = cat.entries[idx]
-sc = superimpose(qam4, state_channel(entry.state))
+points = superimpose(qam4, state_channel(entry.state))
 
 # rows that keep every clash on one NCV: the orthogonal complement of the
 # span of the clashing message differences
@@ -41,7 +41,7 @@ print(f"best clash-consistent mapping: {entries} "
 consistent = []
 for v in range(1 << 8):
     mat = BitMatrix.from_encoding(v, 2, 4)
-    d = mapping_d_min(mat.rows, sc)
+    d = mapping_d_min(mat.rows, points)
     if rank_rows(mat.rows) == 2 and d > 0:
         consistent.append(d)
 print(f"literal scan: {len(consistent)} clash-consistent full-rank matrices, "
@@ -50,7 +50,7 @@ print(f"literal scan: {len(consistent)} clash-consistent full-rank matrices, "
 
 # a matrix that splits the origin clash is useless at this state
 splitter = BitMatrix.from_row_ints((0b0001, 0b0010), 4)
-d = mapping_d_min(splitter.rows, sc)
+d = mapping_d_min(splitter.rows, points)
 print(f"terminal-1 extractor at v=j: consistent={d > 0}, d_min={d}")
 
 # two rows per AP always suffice for 4QAM states...

@@ -18,11 +18,7 @@ from .fade_states import (
     save_catalog,
     truncate_catalog,
 )
-from .mapping import (
-    SuperimposedConstellation,
-    coincident_partition,
-    superimpose,
-)
+from .mapping import coincident_partition, superimpose
 from .search import (
     CandidateEntry,
     CandidateStore,

@@ -8,8 +8,11 @@ Reading streams the body, so a large table is never held twice.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 from typing import Iterable, Iterator
+
+from .modulation import BITS_PER_SYMBOL, Constellation, make_constellation
 
 # the command that writes each kind of file, named when a file of another version is refused
 _WRITERS = {"pnclab-sfs-catalog": "pnclab sfs list --out …", "pnclab-store": "pnclab offline --out …",
@@ -24,12 +27,10 @@ def write_artifact(path: str, magic: str, header: dict, body: Iterable[str]) -> 
 
 
 class _Header(dict):
-    """Header values by key; a key the file lacks is refused, naming the file."""
-
-    path = ""
+    """Header values by key; a key the file lacks is refused."""
 
     def __missing__(self, key: str):
-        raise ValueError(f"{self.path}: the header has no {key}= line")
+        raise ValueError(f"the header has no {key}= line")
 
 
 @contextlib.contextmanager
@@ -42,11 +43,10 @@ def read_artifact(path: str, magic: str) -> Iterator[tuple[dict[str, str | None]
         lines = (ln.rstrip("\n") for ln in f if ln.strip())
         found, kind = next(lines, ""), magic.split(" ")[0]
         if found != magic and found.startswith(f"{kind} v"):
-            raise ValueError(f"{path} is a {found} file, not {magic}: rebuild it with `{_WRITERS[kind]}`")
+            raise ValueError(f"it is a {found} file, not {magic}: rebuild it with `{_WRITERS[kind]}`")
         if found != magic:
-            raise ValueError(f"not a {magic} file: {path}")
+            raise ValueError(f"not a {magic} file")
         header = _Header()
-        header.path = path
         for ln in lines:
             key, sep, value = ln.partition("=")
             if not (sep and key.isidentifier()):
@@ -56,24 +56,50 @@ def read_artifact(path: str, magic: str) -> Iterator[tuple[dict[str, str | None]
         yield header, iter(())
 
 
+def names_its_file(load):
+    """The loader ``load(path)`` with every ValueError it raises naming the
+    file, as the prefix of its message; the messages leave the path to it."""
+    @functools.wraps(load)
+    def wrapped(path: str):
+        try:
+            return load(path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return wrapped
+
+
+def constellation_of(header: dict) -> Constellation:
+    """The constellation that a header's ``modulation=`` names.  A ``mu=``
+    other than twice its bits per symbol, in a file that has one, is refused
+    (an unknown modulation has none), and so is a ``labeling=`` other than
+    the constellation's."""
+    modulation = header["modulation"]
+    if "mu" in header and int(header["mu"]) != 2 * BITS_PER_SYMBOL.get(modulation, 0):
+        raise ValueError(f"mu={header['mu']} is not twice the bits per symbol of modulation {modulation!r}")
+    c = make_constellation(modulation)
+    if header["labeling"] != c.labeling_version:
+        raise ValueError(f"labeling {header['labeling']} is not {c.name}'s {c.labeling_version}")
+    return c
+
+
 def opt_int(value: str | None) -> int | None:
     return None if value is None else int(value)
 
 
-def check_count(path: str, what: str, expected: int, found: int) -> None:
+def check_count(what: str, expected: int, found: int) -> None:
     if found != expected:
-        raise ValueError(f"{path}: expected {expected} {what}, found {found}")
+        raise ValueError(f"expected {expected} {what}, found {found}")
 
 
-def strip_index(path: str, line: str, sep: str, position: int) -> str:
+def strip_index(line: str, sep: str, position: int) -> str:
     """The rest of a body line that starts with its record index and ``sep``;
     refuses an index other than the record's position in the file."""
     index, found, rest = line.partition(sep)
     if not found or index.strip() != str(position):
-        raise ValueError(f"{path}: record {position} carries index {index.strip()!r}")
+        raise ValueError(f"record {position} carries index {index.strip()!r}")
     return rest
 
 
-def records(path: str, body: Iterator[str], word: str, count: int) -> Iterator[str]:
+def records(body: Iterator[str], word: str, count: int) -> Iterator[str]:
     """The rest of each of the next ``count`` body lines, ``<word> <index> @ <rest>``."""
-    return (strip_index(path, next(body, "").removeprefix(f"{word} "), " @ ", k) for k in range(count))
+    return (strip_index(next(body, "").removeprefix(f"{word} "), " @ ", k) for k in range(count))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -31,6 +32,19 @@ def _require_square(parser: argparse.ArgumentParser, n: int, t: int, mu: int) ->
                      f"recovery needs it square (n * t == {mu})")
 
 
+def writable(path: str) -> str:
+    """An argparse type: a path that opens for appending, which moves no
+    byte of a file that is there; a file the check makes is removed again."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot write {path}: {exc.strerror}")
+    if not existed:
+        os.remove(path)
+    return path
+
+
 def _add_offline(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p = sub.add_parser("offline", help="run the off-line search and write a candidate store")
     p.add_argument("--mod", default="qam4", choices=["qam4", "qam16"])
@@ -40,7 +54,7 @@ def _add_offline(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p.add_argument("--n", type=positive, default=2, help="APs to certify the store for")
     p.add_argument("--trials", type=positive, default=10**6, help="occurrence-ranking trials")
     p.add_argument("--seed", type=non_negative, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=writable, required=True)
     return p
 
 
@@ -48,7 +62,7 @@ def _add_table(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="build the regulated-selection lookup table from a store")
     p.add_argument("--store", required=True)
     p.add_argument("--n", type=positive, default=2)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=writable, required=True)
     return p
 
 
@@ -57,7 +71,7 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config field (repeatable)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=writable, required=True)
 
 
 def _add_sfs(sub: argparse._SubParsersAction) -> None:
@@ -66,7 +80,7 @@ def _add_sfs(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--mod", default="qam4", choices=["qam4", "qam16"])
     p.add_argument("--trials", type=positive, default=10**6)
     p.add_argument("--seed", type=non_negative, default=0)
-    p.add_argument("--out", default=None, help="also write the catalog file here")
+    p.add_argument("--out", type=writable, default=None, help="also write the catalog file here")
 
 
 def _add_verify(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
@@ -132,7 +146,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "table":
-        store = load_store(args.store)
+        try:
+            store = load_store(args.store)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"pnclab table: {exc}")
         _require_square(table_parser, args.n, store.t, store.mu)
         table = build_selection_table(store, n_aps=args.n)
         save_table(table, args.out)
@@ -140,13 +157,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "simulate":
-        try:
+        try:        # a refused config or artifact: one line, not a traceback, and before any frame
             with open(args.config, "r", encoding="utf-8") as f:
                 cfg = _apply_overrides(ExperimentConfig.from_json(f.read()), args.set)
-        except (TypeError, ValueError) as exc:    # a refused config: one line, not a traceback
+            sweep = run_experiment(cfg)
+        except (OSError, TypeError, ValueError) as exc:
             raise SystemExit(f"pnclab simulate: {exc}")
         records = []
-        for rec in run_experiment(cfg):
+        for rec in sweep:
             records.append(rec)
             print(f"{rec.scheme} @ {rec.ebn0_db:g} dB: outage={rec.outage:.4g} "
                   f"mismap={rec.mismap_rate:.4g} backhaul={rec.backhaul_bits:g} "
@@ -172,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             store = load_store(args.store)
             _require_square(verify, args.n, store.t, store.mu)
             checked = certify_store(store, args.n)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(f"store FAILED verification: {exc}")
             return 1
         if checked.infeasible:

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._artifact import check_count, opt_int, read_artifact, strip_index, write_artifact
+from ._artifact import check_count, constellation_of, names_its_file, opt_int, read_artifact, strip_index, write_artifact
 # superimpose stays bound here for the layer tracer (perfbench/tracer.py),
 # which wraps it as an attribute of this module.
 from .mapping import coincident_partition, superimpose  # noqa: F401
@@ -302,6 +302,7 @@ def save_catalog(cat: SfsCatalog, path: str) -> None:
     write_artifact(path, "pnclab-sfs-catalog v3", header, body)
 
 
+@names_its_file
 def load_catalog(path: str) -> SfsCatalog:
     """Read a catalog file.  Its states, partitions and raw-state count are
     ``enumerate_sfs``' own: each line's state must be one the enumeration
@@ -309,25 +310,23 @@ def load_catalog(path: str) -> SfsCatalog:
     constellation's.  Only the order, the weights and the rank fields come
     from the file."""
     with read_artifact(path, "pnclab-sfs-catalog v3") as (header, body):
-        records = [strip_index(path, ln, ";", i).split(";") for i, ln in enumerate(body)]
-    check_count(path, "entries", int(header["entries"]), len(records))
-    c = make_constellation(header["modulation"])
-    if header["labeling"] != c.labeling_version:
-        raise ValueError(f"{path}: labeling {header['labeling']} is not {c.name}'s {c.labeling_version}")
+        records = [strip_index(ln, ";", i).split(";") for i, ln in enumerate(body)]
+    check_count("entries", int(header["entries"]), len(records))
+    c = constellation_of(header)
     full = enumerate_sfs(c)
     by_state = {e.state: e for e in full.entries}
     entries, first = [], {}
     for i, fields in enumerate(records):
         if len(fields) != 2:
-            raise ValueError(f"{path}: entry {i} has {len(fields)} fields after its index, not 2 (state; weight)")
+            raise ValueError(f"entry {i} has {len(fields)} fields after its index, not 2 (state; weight)")
         state_txt, weight_txt = (f.strip() for f in fields)
         entry = by_state.get(FadeState.from_text(state_txt))
         if entry is None:
-            raise ValueError(f"{path}: entry {i}'s state {state_txt} is not a singular fade state of {c.name}")
+            raise ValueError(f"entry {i}'s state {state_txt} is not a singular fade state of {c.name}")
         if first.setdefault(entry.state, i) != i:
-            raise ValueError(f"{path}: entries {first[entry.state]} and {i} both list state {state_txt}")
+            raise ValueError(f"entries {first[entry.state]} and {i} both list state {state_txt}")
         if not weight_txt.isdecimal():
-            raise ValueError(f"{path}: entry {i} has weight {weight_txt!r}, not a non-negative integer")
+            raise ValueError(f"entry {i} has weight {weight_txt!r}, not a non-negative integer")
         entries.append(replace(entry, weight=int(weight_txt)))
     return replace(
         full,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import inverse_f2
-from .mapping import SuperimposedConstellation, _ncv_bits, superimpose
+from .mapping import _ncv_table, superimpose
 from .modulation import Constellation
 
 PILOT_SYMBOL = (1.0 + 1.0j) / math.sqrt(2.0)
@@ -176,12 +176,13 @@ def _folds(points: np.ndarray, ys: np.ndarray, noise_var: float) -> bool:
         return bool(2.0 * (3.0 + a) * a * np.abs(ys).max(initial=1.0) / noise_var < np.finfo(float).max)
 
 
-def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise_var: float, max_log: bool = False,
+def _llrs(points: np.ndarray, ys: np.ndarray, side: np.ndarray, noise_var: float, max_log: bool = False,
           centred: bool = False):
     """The likelihood kernel of every LLR detector: L-values (..., n, samples)
-    of the boolean labels ``bits`` (..., 2^mu, n) of the hypotheses of ``sc`` at
-    samples ``ys`` (..., samples), from the log-likelihoods metric / noise_var on
-    the hypotheses-outermost grid, ``centred`` as the caller asks _correlations.
+    of the boolean labels ``side`` (..., n, 2^mu), the rows of _ncv_table that
+    the caller takes, of the hypotheses ``points`` (..., 2^mu) at samples ``ys``
+    (..., samples), from the log-likelihoods metric / noise_var on the
+    hypotheses-outermost grid, ``centred`` as the caller asks _correlations.
 
     The exact form: where _folds allows and the grid is not centred, the product is
     the log-likelihood grid (_correlations divides its hypotheses factor by noise_var),
@@ -194,11 +195,10 @@ def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise
     floor lanes and is set to 0, so its L-value is +-inf, as is an empty class's.
     max-log takes each bit's two class maxima in turn, so no temporary outgrows the
     grid."""
-    side = np.swapaxes(bits, -1, -2)                # (..., n, 2^mu)
     classes = np.concatenate([~side, side], axis=-2).astype(float)     # built before it is broadcast
     floor = (classes @ np.ones(classes.shape[-1]))[..., None] * _FLOOR_SUM
     classes, floor = (np.broadcast_to(a, ys.shape[:-1] + a.shape[-2:]) for a in (classes, floor))
-    fold = not (centred or max_log) and _folds(sc.points, ys, noise_var)
+    fold = not (centred or max_log) and _folds(points, ys, noise_var)
     n = side.shape[-2]
 
     def block(e, s):
@@ -223,7 +223,7 @@ def _llrs(sc: SuperimposedConstellation, ys: np.ndarray, bits: np.ndarray, noise
             np.log(sums, out=sums)
         return sums[..., :n, :] - sums[..., n:, :]
 
-    return _blockwise(sc.points, ys, block, centred=centred, scale=noise_var if fold else 1.0)
+    return _blockwise(points, ys, block, centred=centred, scale=noise_var if fold else 1.0)
 
 
 def detect_ncv(
@@ -250,8 +250,8 @@ def detect_ncv(
     and infinities).
     """
     ys = np.asarray(y, dtype=complex)
-    bits = _ncv_bits(matrix, constellation.bits_per_symbol)
-    return np.swapaxes(_llrs(superimpose(constellation, h), ys, bits, noise_var, max_log), -1, -2)
+    side = _ncv_table(constellation.bits_per_symbol).take(matrix, axis=0)
+    return np.swapaxes(_llrs(superimpose(constellation, h), ys, side, noise_var, max_log), -1, -2)
 
 
 def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
@@ -284,7 +284,7 @@ def comp_ideal(ys: np.ndarray, H: np.ndarray, constellation: Constellation) -> n
     bits), shaped (..., uses), minimizing the stacked residual norm: the argmax
     of the correlation metric summed over APs, one block of frames at a time.
     """
-    points = superimpose(constellation, H).points
+    points = superimpose(constellation, H)
     return _blockwise(points, np.asarray(ys), lambda g, s: g.sum(axis=-3).argmax(axis=-1), samples_outer=True)
 
 
@@ -333,8 +333,8 @@ def comp_nonideal_llrs(
     m = constellation.bits_per_symbol
     ys = np.asarray(y, dtype=complex)
     # the identity's NCV bit j is component j of w: label bit j of tau, MSB first
-    bits = _ncv_bits(1 << np.arange(2 * m), m)
-    out = _llrs(superimpose(constellation, h), ys, bits, noise_var, centred=True)
+    side = _ncv_table(m).take(1 << np.arange(2 * m), axis=0)
+    out = _llrs(superimpose(constellation, h), ys, side, noise_var, centred=True)
     return out.reshape(out.shape[:-2] + (2, m, ys.shape[-1]))
 
 

@@ -11,6 +11,11 @@ different clusters.  Everything here is indexed two ways:
   the matrix algebra.  Cluster structure is XOR-translation invariant in
   ``w``, which reduces distance scans from pairs to difference classes.
 
+Everything passes plain arrays: ``superimpose`` gives the points (..., 2^mu)
+indexed by ``tau``, which ``difference_profiles``, ``mapping_d_min`` and the
+detectors in ``link`` read, and ``_ncv_table(m).take(rows, axis=0)`` gives
+the NCV bits (..., t, 2^mu) that packed rows (..., t) assign each ``tau``.
+
 Coincidence is exact: ``coincident_partition`` superimposes the integer
 lattice coordinates with Gaussian-integer coefficients, so every position is
 a small Gaussian integer and points coincide exactly when they compare
@@ -19,7 +24,6 @@ tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -64,38 +68,16 @@ def _ncv_table(m: int) -> np.ndarray:
     return table
 
 
-def _ncv_bits(rows, m: int) -> np.ndarray:
-    """``bits[..., tau, i]``: bit i of the NCV that the packed rows ``rows``
-    (..., t) give joint message ``tau`` (bool, shape (..., 2^(2m), t)), a
-    transposed view of the rows of _ncv_table that ``rows`` picks."""
-    return np.swapaxes(_ncv_table(m).take(np.asarray(rows), axis=0), -1, -2)
-
-
-@dataclass(eq=False)
-class SuperimposedConstellation:
-    """All joint-message superposition points seen by one AP, or by a stack
-    of APs: ``points`` then carries the stack's leading axes."""
-
-    constellation: Constellation
-    points: np.ndarray          # normalized, indexed by joint index tau on the last axis
-    _profile: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def mu(self) -> int:
-        return 2 * self.constellation.bits_per_symbol
-
-
-def superimpose(c: Constellation, h) -> SuperimposedConstellation:
-    """Noiseless received constellation ``h1*s1 + h2*s2`` over all joint messages.
+def superimpose(c: Constellation, h) -> np.ndarray:
+    """Noiseless received points ``h1*s1 + h2*s2`` over all joint messages.
 
     ``h`` is one coefficient pair, or an array of pairs with shape (..., 2);
-    the points then have shape (..., 2^mu).  Every product is the one a
-    single pair gives, bit for bit.
+    the points then have shape (..., 2^mu), indexed by joint index tau on the
+    last axis.  Every product is the one a single pair gives, bit for bit.
     """
     hh = np.asarray(h, dtype=complex)
     h1, h2 = hh[..., 0, None, None], hh[..., 1, None, None]
-    pts = (h1 * c.points[:, None] + h2 * c.points[None, :]).reshape(hh.shape[:-1] + (c.size**2,))
-    return SuperimposedConstellation(constellation=c, points=pts)
+    return (h1 * c.points[:, None] + h2 * c.points[None, :]).reshape(hh.shape[:-1] + (c.size**2,))
 
 
 def coincident_partition(c: Constellation, h) -> tuple[Partition, ...]:
@@ -152,68 +134,64 @@ def _half_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 _PAIR_BLOCK = 1 << 13
 
 
-def difference_profiles(sc: SuperimposedConstellation, clash: Partition | None = None) -> np.ndarray:
-    """Per-difference minimum squared distances.
+def difference_profiles(points: np.ndarray, clash: Partition | None = None) -> np.ndarray:
+    """Per-difference minimum squared distances of ``superimpose``'s points.
 
     Entry ``d`` is the minimum over all point pairs whose message vectors
-    differ by ``d``; with ``clash``, a partition of the joint indices, pairs
-    within one of its blocks are left out (+inf when every pair at that
-    difference is).  Index 0 is +inf by convention.  A stacked ``sc`` gives
-    a profile with its leading axes, each the one its channel alone gives.
-    The plain profile is kept on ``sc`` (a clash call fills it too, from
-    the same distances), so later calls read it.
+    differ by ``d``; index 0 is +inf by convention.  Points (..., 2^mu) give
+    a profile (..., 2^mu), each the one its channel alone gives.  With
+    ``clash``, a partition of the joint indices, both profiles come from one
+    pass over the pairs, stacked (2, ..., 2^mu): the plain one, then the one
+    that leaves out pairs within one of its blocks (+inf where every pair at
+    that difference is).
 
     Each unordered pair is evaluated once: ``x - y`` and ``y - x`` are exact
     negations in IEEE arithmetic, so both orders give the same distance bit
     for bit.
     """
-    if clash is None and sc._profile is not None:
-        return sc._profile
-    a, b = _half_pairs(sc.constellation.bits_per_symbol)
-    size = sc.points.shape[-1]
-    pts = sc.points.reshape(-1, size)
+    size = points.shape[-1]
+    a, b = _half_pairs((size.bit_length() - 1) // 2)
+    pts = points.reshape(-1, size)
     if clash is not None:       # each joint index's block; a pair within one block has equal ids
-        block = [0] * size
+        block = np.zeros(size, dtype=np.intp)
         for k, members in enumerate(clash):
-            for t in members:
-                block[t] = k
-        block = np.array(block)
+            block[list(members)] = k
         same = block[a] == block[b]
-    plain = sc._profile is None
-    out = np.full((plain + (clash is not None), len(pts), len(a) + 1), np.inf)    # [plain,] [clash]
+    out = np.full((1 + (clash is not None), len(pts), len(a) + 1), np.inf)     # plain[, clash]
     rows = max(1, _PAIR_BLOCK // a.size)
     for r0 in range(0, len(pts), rows):
         q = pts[r0 : r0 + rows] if rows > 1 else pts[r0]
         dist = np.abs(q[..., a] - q[..., b]) ** 2
-        if plain:
-            out[0, r0 : r0 + rows, 1:] = dist.min(axis=-1)
+        out[0, r0 : r0 + rows, 1:] = dist.min(axis=-1)
         if clash is not None:
             np.copyto(dist, np.inf, where=same)
-            out[-1, r0 : r0 + rows, 1:] = dist.min(axis=-1)
-    out = out.reshape(out.shape[:1] + sc.points.shape[:-1] + (len(a) + 1,))
-    if plain:
-        sc._profile = out[0]
-    return out[-1]
+            out[1, r0 : r0 + rows, 1:] = dist.min(axis=-1)
+    out = out.reshape(out.shape[:1] + points.shape[:-1] + (len(a) + 1,))
+    return out if clash is not None else out[0]
 
 
-def mapping_d_min(matrix_rows, sc: SuperimposedConstellation, clash: Partition | None = None) -> np.ndarray:
+def mapping_d_min(matrix_rows, points: np.ndarray, clash: Partition | None = None):
     """Minimum squared distance between different-NCV points.
 
     Exploits XOR-translation invariance: two messages get different NCVs iff
     the matrix does not annihilate their difference, so the scan runs over
-    the 2^mu - 1 difference classes instead of all pairs.  With ``clash``,
-    pairs within one of its blocks are ignored: given a fade state's clash
-    partition, this is the distance among the points the state keeps apart.
+    the 2^mu - 1 difference classes of ``difference_profiles`` instead of
+    all pairs.
 
-    ``matrix_rows`` is an integer array of row sets with shape ``(..., t)``;
-    the result has its leading shape, 0-d for one matrix's rows, each value
-    the one that row set alone gives.  A stacked ``sc`` scores row sets
-    against its channels: its leading shape broadcasts against the row
-    sets' one.
+    ``matrix_rows`` is an integer array of row sets with shape ``(..., t)``
+    and ``points`` is ``superimpose``'s (..., 2^mu); their leading shapes
+    broadcast, and the result has the broadcast shape, 0-d for one matrix's
+    rows at one channel, each value the one that row set alone gives at its
+    channel.  With ``clash``, a fade state's clash partition, the result is
+    the pair (d_min, separated d_min) from one profile pass: the second
+    ignores pairs within one of its blocks, so it is the distance among the
+    points the state keeps apart.
     """
-    profile = difference_profiles(sc, clash)
-    parities = _parity_table(sc.mu).take(matrix_rows, axis=0)
-    return np.where(parities.any(axis=-2), profile, np.inf).min(axis=-1)
+    profiles = difference_profiles(points, clash)
+    split = _parity_table(points.shape[-1].bit_length() - 1).take(matrix_rows, axis=0).any(axis=-2)
+    if clash is None:
+        return np.where(split, profiles, np.inf).min(axis=-1)
+    return tuple(np.where(split, p, np.inf).min(axis=-1) for p in profiles)
 
 
 def clash_difference_basis(clash: Partition, m: int) -> tuple[int, ...]:

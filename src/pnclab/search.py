@@ -24,7 +24,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._artifact import check_count, opt_int, read_artifact, records, strip_index, write_artifact
+from ._artifact import (check_count, constellation_of, names_its_file, opt_int, read_artifact, records,
+                        strip_index, write_artifact)
 # The layer tracer (perfbench/tracer.py) wraps these names as attributes of
 # this module: rank_rows (one call per stack of verdicts or of loaded entries),
 # nearest_sfs, difference_profiles, mapping_d_min, superimpose and make_constellation.
@@ -44,7 +45,7 @@ from .mapping import (
     mapping_d_min,
     superimpose,
 )
-from .modulation import BITS_PER_SYMBOL, make_constellation
+from .modulation import make_constellation
 
 
 class SelectionInfeasibleError(RuntimeError):
@@ -120,11 +121,11 @@ def mine_candidates(
     the subspaces F of C lists each such R once.
 
     Scores depend on the row space alone (a difference splits iff it is not
-    in the kernel), so each state's bases are scored by two batched
-    ``mapping_d_min`` calls, one per score kind.  The same calls score the
-    state's two universal extractors (see ``assemble_store``), each one
-    clash-consistent when its d_min is positive.  The sort key is (-d_min,
-    -separated_d_min, canonical encoding).  Let (d_K, s_K) be the
+    in the kernel), so each state's bases are scored by one batched
+    ``mapping_d_min`` call, which gives both score kinds.  The same call
+    scores the state's two universal extractors (see ``assemble_store``),
+    each one clash-consistent when its d_min is positive.  The sort key is
+    (-d_min, -separated_d_min, canonical encoding).  Let (d_K, s_K) be the
     ``limit``-th best score pair: a space whose pair is worse trails at
     least ``limit`` others whatever its encoding, so only the spaces at or
     above (d_K, s_K), ties included, are brought to canonical RREF and
@@ -139,12 +140,10 @@ def mine_candidates(
     extractors = np.array([[1 << b for b in range(t)], [1 << b for b in range(mu - t, mu)]])
     out = []
     for entry in cat.entries:
-        sc = superimpose(c, state_channel(entry.state))
         admissible = nullspace(clash_difference_basis(entry.partition, m), mu)
         resolvable = len(admissible) >= t
         rows = np.vstack((_candidate_rows(admissible, t, mu), extractors))
-        sep = mapping_d_min(rows, sc, clash=entry.partition)     # also keeps the plain profile on sc
-        d = mapping_d_min(rows, sc)
+        d, sep = mapping_d_min(rows, superimpose(c, state_channel(entry.state)), clash=entry.partition)
         ext = tuple(
             CandidateEntry(BitMatrix.from_row_ints(tuple(r), mu), float(dr), bool(dr > 0), float(sr))
             for r, dr, sr in zip(extractors.tolist(), d[-2:], sep[-2:])
@@ -410,8 +409,7 @@ def select_mappings(
     _, code, _, rows = store._arrays
     state, _ = nearest_sfs(cat, H)
     cand = code[state]                                          # (frames, APs, K)
-    sc = superimpose(make_constellation(store.modulation), H[:, :, None, :])
-    d = mapping_d_min(rows[cand], sc)
+    d = mapping_d_min(rows[cand], superimpose(make_constellation(store.modulation), H[:, :, None, :]))
     chosen = _pick_combination(
         store._full_rank(n_aps), [cand[:, j] for j in range(n_aps)], [d[:, j] for j in range(n_aps)]
     )
@@ -605,23 +603,26 @@ def save_store(store: CandidateStore, path: str) -> None:
     write_artifact(path, "pnclab-store v2", header, body)
 
 
+@names_its_file
 def load_store(path: str) -> CandidateStore:
     """Read a store file; a header line it does not read (an old ``d_alpha=``) is ignored.
 
     The ``certified_n=`` and ``infeasible=`` header is not trusted: a
     certified store is certified again for its ``n``, and a header that
-    disagrees with its lists is refused, as is a ``mu=`` other than twice
-    a known modulation's bits per symbol, or a list longer than ``K=``.  The
-    returned store keeps the verdicts that took, for the table build to read.
+    disagrees with its lists is refused, as is a header that does not fit
+    its modulation (``constellation_of``) or a list longer than ``K=``.
+    The returned store keeps the verdicts that took, for the table build to
+    read.
     """
     states = []
     lists = []
     with read_artifact(path, "pnclab-store v2") as (header, body):
         for ln in body:
-            state_txt, entries_txt = (s.strip() for s in strip_index(path, ln, " @ ", len(states)).split(" @ ", 1))
+            state_txt, entries_txt = (s.strip() for s in strip_index(ln, " @ ", len(states)).split(" @ ", 1))
             states.append(FadeState.from_text(state_txt))
             lists.append(tuple(_parse_entry(e) for e in entries_txt.split()))
-    check_count(path, "states", int(header["states"]), len(states))
+    check_count("states", int(header["states"]), len(states))
+    constellation_of(header)
     store = CandidateStore(
         modulation=header["modulation"],
         labeling_version=header["labeling"],
@@ -633,18 +634,16 @@ def load_store(path: str) -> CandidateStore:
         states=tuple(states),
         lists=tuple(lists),
     )
-    if store.mu != 2 * BITS_PER_SYMBOL.get(store.modulation, 0):
-        raise ValueError(f"{path}: mu={store.mu} is not twice the bits per symbol of modulation {store.modulation!r}")
     for i, entries in enumerate(store.lists):
         if len(entries) > store.k_per_state:
-            raise ValueError(f"{path}: state {i} lists {len(entries)} matrices, more than K={store.k_per_state}")
+            raise ValueError(f"state {i} lists {len(entries)} matrices, more than K={store.k_per_state}")
     for matrix in dict.fromkeys(e.matrix for entries in store.lists for e in entries):   # each distinct matrix once
         if (matrix.n_rows, matrix.n_cols) != (store.t, store.mu):
-            raise ValueError(f"{path}: store entry {matrix.to_text()} is not {store.t}x{store.mu}")
+            raise ValueError(f"store entry {matrix.to_text()} is not {store.t}x{store.mu}")
     distinct, _, _, rows = store._arrays
     low = np.flatnonzero(rank_rows(rows[:-1]) != store.t)
     if len(low):
-        raise ValueError(f"{path}: store entry {store.t}x{store.mu}:{distinct[low[0]]:x} has rank below t={store.t}")
+        raise ValueError(f"store entry {store.t}x{store.mu}:{distinct[low[0]]:x} has rank below t={store.t}")
     certified_n = opt_int(header["certified_n"])
     claimed = {tuple(map(int, part.split(","))) for part in header["infeasible"].split(";") if part}
     if certified_n is not None:
@@ -652,7 +651,7 @@ def load_store(path: str) -> CandidateStore:
     wrong = sorted(claimed ^ set(store.infeasible))
     if wrong:
         raise ValueError(
-            f"{path}: the header lists {len(claimed)} infeasible state tuples for n={certified_n}, "
+            f"the header lists {len(claimed)} infeasible state tuples for n={certified_n}, "
             f"the lists give {len(store.infeasible)}; they differ at state tuple {wrong[0]}"
         )
     return store
@@ -680,33 +679,36 @@ def save_table(table: SelectionTable, path: str) -> None:
     ))
 
 
+@names_its_file
 def load_table(path: str) -> SelectionTable:
     """Read a table file: its states, its values, then ``choice`` as
-    ``states**(n-1)`` rows of ``states`` value ids, in C order.  Each value
-    must list ``n`` encodings below 2^(t*mu) whose rows stack to rank mu.
-    Rows are parsed one at a time, so a header that claims more than the
-    file holds is refused when the file runs out, with nothing allocated."""
+    ``states**(n-1)`` rows of ``states`` value ids, in C order.  The header
+    must fit its modulation (``constellation_of``), and each value must
+    list ``n`` encodings below 2^(t*mu) whose rows stack to rank mu.  Rows
+    are parsed one at a time, so a header that claims more than the file
+    holds is refused when the file runs out, with nothing allocated."""
     with read_artifact(path, "pnclab-table v3") as (header, body):
         t, mu, n, n_states, n_values = (int(header[k]) for k in ("t", "mu", "n", "states", "values"))
+        constellation_of(header)
         if n < 1:
-            raise ValueError(f"{path}: a table needs n >= 1 APs, not {n}")
-        states = tuple(map(FadeState.from_text, records(path, body, "state", n_states)))
+            raise ValueError(f"a table needs n >= 1 APs, not {n}")
+        states = tuple(map(FadeState.from_text, records(body, "state", n_states)))
         values: list[tuple[int, ...] | None] = []
-        for k, text in enumerate(records(path, body, "value", n_values)):
+        for k, text in enumerate(records(body, "value", n_values)):
             encs = None if text.strip() == "fallback" else tuple(int(x, 16) for x in text.split())
             if encs is not None and len(encs) != n:
-                raise ValueError(f"{path}: table value {k} lists {len(encs)} matrices, not {n}")
+                raise ValueError(f"table value {k} lists {len(encs)} matrices, not {n}")
             if encs is not None and any(e >> (t * mu) for e in encs):
-                raise ValueError(f"{path}: table value {k} lists an encoding of more than {t}x{mu} bits")
+                raise ValueError(f"table value {k} lists an encoding of more than {t}x{mu} bits")
             values.append(encs)
         dtype = np.min_scalar_type(-n_values)
         rows = []
-        for r, text in enumerate(records(path, body, "row", n_states ** (n - 1))):
+        for r, text in enumerate(records(body, "row", n_states ** (n - 1))):
             row = np.array(text.split(), dtype=np.int64)
             if len(row) != n_states or np.any((row < 0) | (row >= n_values)):
-                raise ValueError(f"{path}: table row {r} is not {n_states} ids of its {n_values} values")
+                raise ValueError(f"table row {r} is not {n_states} ids of its {n_values} values")
             rows.append(row.astype(dtype))
-        check_count(path, "table rows", len(rows), len(rows) + sum(1 for _ in body))
+        check_count("table rows", len(rows), len(rows) + sum(1 for _ in body))
     table = SelectionTable(
         modulation=header["modulation"],
         labeling_version=header["labeling"],
@@ -720,5 +722,5 @@ def load_table(path: str) -> SelectionTable:
     listed = np.flatnonzero([v is not None for v in values])
     singular = listed[rank_rows(table._rows[listed].reshape(len(listed), n * t)) != mu]
     if len(singular):
-        raise ValueError(f"{path}: table value {singular[0]} stacks to a singular global matrix")
+        raise ValueError(f"table value {singular[0]} stacks to a singular global matrix")
     return table

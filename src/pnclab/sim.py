@@ -175,6 +175,9 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}.get(type(data), "a number")
             raise ValueError(f"a config must be a JSON object, not {kind}")
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if isinstance(data.get("ebn0_db"), list):     # JSON's array; anything else is refused by name
             data["ebn0_db"] = tuple(data["ebn0_db"])
         return cls(**data)
@@ -492,17 +495,23 @@ def backhaul_accounting(cfg: ExperimentConfig) -> float:
 
 
 def run_experiment(cfg: ExperimentConfig) -> Iterator[MetricsRecord]:
-    """Run the sweep, yielding one record per Eb/N0 point.
+    """Prepare the sweep, and return an iterator of one record per Eb/N0 point.
 
     Honors the PNCLAB_WORKERS environment variable for frame parallelism;
     results are identical for any worker count.  A value that is not an
-    integer >= 1 is refused before any off-line work.
+    integer >= 1 is refused before any off-line work.  Preparation (loading
+    or building the off-line artifacts) runs in this call, so a refused
+    config or artifact raises here, before any frame runs.
     """
     text = os.environ.get("PNCLAB_WORKERS", "1")
     workers = int(text) if text.strip().isdecimal() else 0
     if workers < 1:
         raise ValueError(f"PNCLAB_WORKERS must be an integer >= 1, not {text!r}")
-    ctx = _prepare(cfg)
+    return _sweep(_prepare(cfg), workers)
+
+
+def _sweep(ctx: _Context, workers: int) -> Iterator[MetricsRecord]:
+    cfg = ctx.cfg
     backhaul = backhaul_accounting(cfg)
     n = cfg.frames_per_point
     if workers > 1:

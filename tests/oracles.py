@@ -8,7 +8,7 @@ import io
 import numpy as np
 
 from pnclab.gf2 import BitMatrix
-from pnclab.mapping import _ncv_bits, mapping_d_min, superimpose
+from pnclab.mapping import _ncv_table, mapping_d_min, superimpose
 from pnclab.sim import emit_results
 
 
@@ -30,9 +30,16 @@ def bit_matrix(rows):
     return BitMatrix.from_row_ints([sum(b << c for c, b in enumerate(row)) for row in rows], len(rows[0]))
 
 
+def ncv_bits(rows, m):
+    """``bits[..., tau, i]``: bit i of the NCV that the packed rows ``rows``
+    (..., t) give joint message ``tau`` (bool, shape (..., 2^(2m), t)), the
+    transpose of the rows of the package's NCV table that ``rows`` picks."""
+    return np.swapaxes(_ncv_table(m).take(np.asarray(rows), axis=0), -1, -2)
+
+
 def ncv_table(matrix, m):
     """Network-coded vector (as packed int) of every joint index."""
-    return _ncv_bits(matrix.rows, m) @ (1 << np.arange(matrix.n_rows))
+    return ncv_bits(matrix.rows, m) @ (1 << np.arange(matrix.n_rows))
 
 
 def all_matrices(n_rows, n_cols):
@@ -46,13 +53,13 @@ def clash_consistent(matrix, clash, m):
     return all(len(set(table[list(block)].tolist())) == 1 for block in clash)
 
 
-def exhaustive_matrix_scan(sc, clash, t):
-    """Literal scan of every t x mu matrix at the channel of ``sc``:
-    (matrix, d_min, clash-consistent) of each full-rank one."""
-    m = sc.constellation.bits_per_symbol
+def exhaustive_matrix_scan(points, clash, t):
+    """Literal scan of every t x mu matrix at the channel of the superposition
+    ``points``: (matrix, d_min, clash-consistent) of each full-rank one."""
+    mu = points.shape[-1].bit_length() - 1
     return [
-        (mat, mapping_d_min(mat.rows, sc), clash_consistent(mat, clash, m))
-        for mat in all_matrices(t, sc.mu)
+        (mat, mapping_d_min(mat.rows, points), clash_consistent(mat, clash, mu // 2))
+        for mat in all_matrices(t, mu)
         if greedy_rank(mat.rows) == t
     ]
 
@@ -63,7 +70,7 @@ def hard_ncv(y, h, matrix, constellation):
     ``y`` (a scalar or a 1-D array), the coefficient pair ``h`` and the
     BitMatrix ``matrix``."""
     ys = np.atleast_1d(np.asarray(y, dtype=complex))
-    d = np.abs(superimpose(constellation, h).points[None, :] - ys[:, None]) ** 2
+    d = np.abs(superimpose(constellation, h)[None, :] - ys[:, None]) ** 2
     return ncv_table(matrix, constellation.bits_per_symbol)[d.argmin(axis=1)]
 
 

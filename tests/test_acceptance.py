@@ -110,8 +110,7 @@ def test_criterion_03_resolvability(qam4):
     for entry in cat.entries:
         if entry.state.infinite:
             continue
-        sc = superimpose(qam4, state_channel(entry.state))
-        scan = exhaustive_matrix_scan(sc, entry.partition, t=2)
+        scan = exhaustive_matrix_scan(superimpose(qam4, state_channel(entry.state)), entry.partition, t=2)
         counts.append(sum(1 for _, d, cc in scan if cc and d > 0))
     elapsed = time.perf_counter() - t0
     ok = all(c >= 5 for c in counts) and elapsed < 10.0
@@ -193,9 +192,8 @@ def test_criterion_07_llr_oracle(qam4, store4):
         y = complex(rng.standard_normal(), rng.standard_normal())
         nv = float(rng.uniform(0.02, 1.0))
         mat = matrices[int(rng.integers(0, len(matrices)))]
-        sc = superimpose(qam4, h)
         table = ncv_table(mat, 2)
-        weights = np.exp(-np.abs(y - sc.points) ** 2 / nv)
+        weights = np.exp(-np.abs(y - superimpose(qam4, h)) ** 2 / nv)
         llr = detect_ncv([y], h, mat.rows, qam4, nv)[0]
         for i in range(mat.n_rows):
             bit = (table >> i) & 1

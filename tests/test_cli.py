@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from pnclab import cli, sim
 from pnclab.cli import main
 from pnclab.search import load_store, load_table
 
@@ -202,3 +203,113 @@ def test_non_square_n_refused_with_one_usage_error(tmp_path, capsys, qam4_t2_sto
     err = capsys.readouterr().err
     assert err.startswith(f"usage: pnclab {command} ") and f"error: --n {n} APs of 2 rows" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def _config(tmp_path, **fields):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"modulation": "qam4", "scheme": "comp_ideal", "ebn0_db": [12.0],
+                                "frames_per_point": 10, **fields}))
+    return str(path)
+
+
+def _one_line_exit(argv, command):
+    """The message of the SystemExit that ``main(argv)`` ends in: one line, for ``command``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message and message.startswith(f"pnclab {command}: ")
+    return message
+
+
+@pytest.mark.parametrize("command", ["offline", "table", "simulate", "sfs"])
+@pytest.mark.parametrize("where", ["missing-folder", "a-folder"])
+def test_unwritable_out_refused_before_any_work(tmp_path, capsys, monkeypatch, qam4_t2_store, command, where):
+    """An --out that cannot be written is a usage error before any work: exit
+    2 and one error line.  simulate and offline used to run the whole sweep
+    or build, then die in a FileNotFoundError traceback and lose the results."""
+    out = str(tmp_path / "missing" / "x.out") if where == "missing-folder" else str(tmp_path)
+    for name in ("build_catalog", "load_store", "run_experiment"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work ran before --out was checked"))
+    argv = {
+        "offline": ["offline", "--mod", "qam4", "--t", "2"],
+        "table": ["table", "--store", qam4_t2_store],
+        "simulate": ["simulate", "--config", _config(tmp_path)],
+        "sfs": ["sfs", "list"],
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert err.startswith(f"usage: pnclab {command} ") and len(errors) == 1 and "Traceback" not in err
+    assert errors[0].startswith(f"pnclab {command}: error: argument --out: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_check_leaves_an_existing_file(tmp_path):
+    """The --out check moves no byte of a file that is there; a config
+    refused after it leaves the file as it was."""
+    out = tmp_path / "o.csv"
+    out.write_text("kept\n")
+    _one_line_exit(["simulate", "--config", _config(tmp_path, frames=1), "--out", str(out)], "simulate")
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "edit, fields, reason",
+    [
+        (("labeling=gray-v1", "labeling=other-v9"), {}, "labeling other-v9 is not qam4's gray-v1"),
+        (None, {"k_per_state": 3}, "store has K=5 matrices per state, the config needs 3"),
+        (None, {"ncv_len": 4, "n_aps": 1}, "store has NCV length t=2, the config needs 4"),
+    ],
+    ids=["relabelled-store", "other-K", "other-t"],
+)
+def test_simulate_refused_store_is_one_line_before_any_frame(tmp_path, monkeypatch, qam4_t2_store, edit, fields,
+                                                             reason):
+    """A store that the load or the preparation refuses ends simulate in one
+    line naming the reason, before any frame, and writes no CSV.  (The
+    relabelled store used to load, then end in a "store and catalog
+    disagree" traceback.)"""
+    store = tmp_path / "store.cat"
+    text = open(qam4_t2_store).read()
+    store.write_text(text.replace(*edit, 1) if edit else text)
+    monkeypatch.setattr(sim, "_run_point", lambda *a: pytest.fail("a frame ran"))
+    cfg = _config(tmp_path, scheme="bmas", seed=0, rank_trials=20000, store_path=str(store), **fields)
+    out = tmp_path / "o.csv"
+    message = _one_line_exit(["simulate", "--config", cfg, "--out", str(out)], "simulate")
+    assert reason in message
+    assert not out.exists()
+
+
+def test_relabelled_store_refused_by_table_and_verify_store(tmp_path, capsys, qam4_t2_store):
+    """verify-store used to print "store OK" for a store relabelled
+    ``other-v9``, and table built a table from it."""
+    store = tmp_path / "store.cat"
+    store.write_text(open(qam4_t2_store).read().replace("labeling=gray-v1", "labeling=other-v9", 1))
+    want = f"{store}: labeling other-v9 is not qam4's gray-v1"
+    out = tmp_path / "t.tab"
+    assert _one_line_exit(["table", "--store", str(store), "--out", str(out)], "table") == f"pnclab table: {want}"
+    assert not out.exists()
+    capsys.readouterr()
+    assert main(["verify-store", "--store", str(store)]) == 1
+    assert capsys.readouterr().out == f"store FAILED verification: {want}\n"
+
+
+@pytest.mark.parametrize("command", ["table", "simulate", "verify-store"])
+def test_missing_input_file_is_one_line(tmp_path, capsys, command):
+    """A --store or --config that is not there ends the command in one line
+    naming it; table and verify-store used to end in a FileNotFoundError
+    traceback."""
+    missing = str(tmp_path / "missing")
+    out = ["--out", str(tmp_path / "o")]
+    argv = {"table": ["table", "--store", missing, *out], "simulate": ["simulate", "--config", missing, *out],
+            "verify-store": ["verify-store", "--store", missing]}[command]
+    if command == "verify-store":
+        assert main(argv) == 1
+        message = capsys.readouterr().out.removesuffix("\n")
+        assert message.startswith("store FAILED verification: ") and "\n" not in message
+    else:
+        message = _one_line_exit(argv, command)
+    assert "No such file or directory" in message and missing in message
+    assert not (tmp_path / "o").exists()

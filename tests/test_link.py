@@ -24,10 +24,10 @@ from pnclab.link import (
     transmit,
     transmit_pilots,
 )
-from pnclab.mapping import _ncv_bits, joint_vector_table, superimpose
+from pnclab.mapping import joint_vector_table, superimpose
 from pnclab.modulation import make_constellation
 
-from oracles import bit_matrix, greedy_rank, hard_ncv, ncv_table
+from oracles import bit_matrix, greedy_rank, hard_ncv, ncv_bits, ncv_table
 
 XOR_MAP = bit_matrix([[1, 0, 1, 0], [0, 1, 0, 1]])
 
@@ -132,10 +132,10 @@ class TestDetectNcv:
         w_of_tau = joint_vector_table(2)
         for _ in range(20):
             h = tuple((rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2))
-            sc = superimpose(qam4, h)
+            pts = superimpose(qam4, h)
             table = ncv_table(XOR_MAP, 2)
             tau = int(rng.integers(0, 16))
-            llr = detect_ncv(sc.points[tau : tau + 1], h, XOR_MAP.rows, qam4, 1e-4)
+            llr = detect_ncv(pts[tau : tau + 1], h, XOR_MAP.rows, qam4, 1e-4)
             bits = llrs_to_bits(llr[0])
             want = np.array([(table[tau] >> i) & 1 for i in range(2)])
             assert np.array_equal(bits, want)
@@ -148,8 +148,8 @@ class TestDetectNcv:
             h = tuple((rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2))
             y = complex(rng.standard_normal(), rng.standard_normal())
             nv = float(rng.uniform(0.05, 1.0))
-            sc = superimpose(qam4, h)
-            weights = np.exp(-np.abs(y - sc.points) ** 2 / nv)
+            pts = superimpose(qam4, h)
+            weights = np.exp(-np.abs(y - pts) ** 2 / nv)
             llr = detect_ncv([y], h, XOR_MAP.rows, qam4, nv)[0]
             for i in range(2):
                 bit = (table >> i) & 1
@@ -484,12 +484,12 @@ def test_detect_ncv_matches_logaddexp_oracle(case, data):
     m = c.bits_per_symbol
     rows = np.array(data.draw(st.lists(st.integers(0, (1 << 2 * m) - 1), min_size=4 * m, max_size=4 * m))).reshape(2, 2, m)
     got = detect_ncv(y, h, rows, c, noise_var)
-    want = _llrs_logaddexp(y, h, c, _ncv_bits(rows, m), noise_var)
+    want = _llrs_logaddexp(y, h, c, ncv_bits(rows, m), noise_var)
     assert got.shape == want.shape == (2, 2, 5, m)
     empty = np.isinf(want)
     assert np.array_equal(got[empty], want[empty])
-    sc = superimpose(c, h)
-    scale = (np.abs(y) + np.abs(sc.points).max(axis=-1, keepdims=True)) ** 2
+    pts = superimpose(c, h)
+    scale = (np.abs(y) + np.abs(pts).max(axis=-1, keepdims=True)) ** 2
     exact = ~empty
     l_abs = np.abs(want[exact])
     tol = 2**6 * np.finfo(float).eps * np.broadcast_to(scale[..., None], got.shape)[exact] / noise_var
@@ -504,12 +504,12 @@ def test_detect_ncv_matches_logaddexp_oracle(case, data):
     assert np.all(err <= floor + tol[finite])
     assert np.all(l_abs[~finite] > 744.5)
 
-    turn = _fold_turn(sc.points, y)
+    turn = _fold_turn(pts, y)
     if turn / 4 >= np.finfo(float).tiny:
         folded, divided = detect_ncv(y, h, rows, c, 4 * turn), detect_ncv(y, h, rows, c, turn / 4)
         # the max-log gap in squared distance: a gap within the metrics' rounding
         # is a tie, which either kernel may break either way at these variances
-        gap = _llrs_sample_fast(sc, y, _ncv_bits(rows, m), 1.0, max_log=True)
+        gap = _llrs_sample_fast(pts, y, ncv_bits(rows, m), 1.0, max_log=True)
         apart = ~(np.abs(gap) <= 2**6 * np.finfo(float).eps * scale[..., None])
         assert np.array_equal(np.sign(folded)[apart], np.sign(divided)[apart])
         assert np.array_equal(np.isinf(folded)[apart], np.isinf(divided)[apart])
@@ -530,7 +530,7 @@ def test_fold_turns_before_the_scaled_product_overflows(mod, monkeypatch):
     divides after the max-subtract.  Both warn of nothing."""
     c, H, ys, rows, _ = _frame_stack(mod, 2, 24, 10.0, 48)
     ys = ys * (1e3 / np.abs(ys).max())
-    turn = _fold_turn(superimpose(c, H).points, ys)
+    turn = _fold_turn(superimpose(c, H), ys)
     scales, grids, correlations = [], [], link._correlations
 
     def spy(points, ys, *layout):
@@ -547,21 +547,21 @@ def test_fold_turns_before_the_scaled_product_overflows(mod, monkeypatch):
     assert np.array_equal(np.sign(folded), np.sign(divided)) and np.isinf(folded).any()
 
 
-def _distances_sample_fast(sc, ys):
+def _distances_sample_fast(pts, ys):
     """Oracle: the squared-distance grid |p - y|^2 the detectors read before
     the correlation metric, samples on the fast axis: (..., 2^mu, samples)."""
-    d = np.abs(sc.points[..., :, None] - ys[..., None, :])
+    d = np.abs(pts[..., :, None] - ys[..., None, :])
     d *= d
     return d
 
 
-def _llrs_sample_fast(sc, ys, bits, noise_var, max_log=False):
+def _llrs_sample_fast(pts, ys, bits, noise_var, max_log=False):
     """Oracle: the likelihood kernel on that grid, dividing by the noise
     variance before the shift: a lane more than 750 below its sample's
     maximum is clamped there and counts e^-750 of it, every lane is raised
     by e^50 in exp, and a class with no lane above the floor sums to 0, so
     its L-value is +-inf."""
-    metric = _distances_sample_fast(sc, ys)
+    metric = _distances_sample_fast(pts, ys)
     metric /= -noise_var
     if max_log:
         side, metric = bits[..., :, None, :] == 1, metric[..., None]
@@ -579,26 +579,25 @@ def _llrs_sample_fast(sc, ys, bits, noise_var, max_log=False):
         return np.log(zeros) - np.log(ones)
 
 
-def _correlation_grid(sc, ys, scale=1.0):
+def _correlation_grid(p, ys, scale=1.0):
     """Oracle: the correlation metric (..., samples, 2^mu) over ``scale``, the
     transpose of the kernel's hypotheses-outermost grid: one stacked product
     [2 Re p, 2 Im p, -|p|^2] / scale @ [Re y; Im y; 1] per slice."""
-    p = sc.points
     rows = np.stack([2.0 * p.real, 2.0 * p.imag, -(p.real**2 + p.imag**2)], axis=-1) / scale
     cols = np.stack([ys.real, ys.imag, np.ones(ys.shape)], axis=-2)
     return (rows @ cols).swapaxes(-1, -2)
 
 
-def _centred_grid(sc, ys):
+def _centred_grid(pts, ys):
     """Oracle: the centred metric -|p - y|^2 (..., samples, 2^mu), the
     squared distance from the broadcast differences of the real and the
     imaginary parts."""
-    p, y = sc.points[..., None, :], ys[..., :, None]
+    p, y = pts[..., None, :], ys[..., :, None]
     re, im = p.real - y.real, p.imag - y.imag
     return -(re * re + im * im)
 
 
-def _llrs_correlation(sc, ys, bits, noise_var, max_log=False, grid=_correlation_grid):
+def _llrs_correlation(pts, ys, bits, noise_var, max_log=False, grid=_correlation_grid):
     """Oracle: the likelihood kernel on the correlation metric (or another
     ``grid``), the whole stack in one call, the grid hypotheses outermost
     (..., 2^mu, samples).  On the correlation grid the noise variance is
@@ -611,13 +610,13 @@ def _llrs_correlation(sc, ys, bits, noise_var, max_log=False, grid=_correlation_
     L-value is +-inf.  max-log divides the gap of the class maxima.
     Returns (..., samples, n)."""
     if max_log:
-        side, metric = bits[..., None, :, :] == 1, grid(sc, ys)[..., None]
+        side, metric = bits[..., None, :, :] == 1, grid(pts, ys)[..., None]
         return (np.where(side, -np.inf, metric).max(axis=-2) - np.where(side, metric, -np.inf).max(axis=-2)) / noise_var
     if grid is _correlation_grid:
-        e = grid(sc, ys, noise_var).swapaxes(-1, -2)
+        e = grid(pts, ys, noise_var).swapaxes(-1, -2)
         e -= e.max(axis=-2, keepdims=True) - 50.0
     else:
-        metric = grid(sc, ys).swapaxes(-1, -2)
+        metric = grid(pts, ys).swapaxes(-1, -2)
         e = (metric - metric.max(axis=-2, keepdims=True)) / noise_var + 50.0
     np.maximum(e, -700.0, out=e)
     live = (e > -700.0).astype(float)
@@ -630,15 +629,15 @@ def _llrs_correlation(sc, ys, bits, noise_var, max_log=False, grid=_correlation_
     return out.swapaxes(-1, -2)
 
 
-def _assert_near_distance_oracle(got, sc, ys, bits, noise_var, max_log=False):
+def _assert_near_distance_oracle(got, pts, ys, bits, noise_var, max_log=False):
     """L-values ``got`` (..., samples, n) against the squared-distance oracle:
     the same hard decisions, the same infinities, and finite values within
     2^6 eps (|y| + max |p|)^2 / noise_var of a sample's.  Each metric's terms
     are at most (|y| + |p|)^2, so either form rounds a metric by a few eps
     of that, and an L-value moves by at most twice a metric's error over
     the noise variance."""
-    want = _llrs_sample_fast(sc, ys, bits, noise_var, max_log)
-    scale = (np.abs(ys) + np.abs(sc.points).max(axis=-1, keepdims=True)) ** 2
+    want = _llrs_sample_fast(pts, ys, bits, noise_var, max_log)
+    scale = (np.abs(ys) + np.abs(pts).max(axis=-1, keepdims=True)) ** 2
     tol = 2**6 * np.finfo(float).eps * scale[..., None] / noise_var
     finite = np.isfinite(want)
     assert np.array_equal(llrs_to_bits(got), llrs_to_bits(want))
@@ -676,7 +675,7 @@ class TestShapeChosenGrid:
     def test_detect_ncv_matches_oracle(self, mod, uses, ebn0_db, max_log):
         c, H, ys, rows, nv = _received_stack(mod, uses, ebn0_db, 31)
         got = detect_ncv(ys, H, rows, c, nv, max_log=max_log)
-        bits = _ncv_bits(rows, c.bits_per_symbol).astype(float)
+        bits = ncv_bits(rows, c.bits_per_symbol).astype(float)
         want = _llrs_correlation(superimpose(c, H), ys, bits, nv, max_log)
         assert got.shape == (2, 2, uses, c.bits_per_symbol)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -686,7 +685,7 @@ class TestShapeChosenGrid:
         c, H, ys, _, nv = _received_stack(mod, uses, ebn0_db, 32)
         m = c.bits_per_symbol
         got = comp_nonideal_llrs(ys, H, c, nv)
-        bits = _ncv_bits(1 << np.arange(2 * m), m).astype(float)
+        bits = ncv_bits(1 << np.arange(2 * m), m).astype(float)
         want = _llrs_correlation(superimpose(c, H), ys, bits, nv, grid=_centred_grid)
         assert np.array_equal(got.view(np.int64), np.moveaxis(want, -1, -2).reshape(2, 2, 2, m, uses).view(np.int64))
         kernel_layout = np.moveaxis(got.reshape(2, 2, 2 * m, uses), -1, -2)
@@ -791,16 +790,16 @@ def test_minus_inf_metric_lane_matches_oracle(mod):
     c = make_constellation(mod)
     m = c.bits_per_symbol
     h = np.array([1e4 + 0j, 1e-4 + 0j])
-    sc = superimpose(c, h)
-    ys = sc.points[[0, 5, 9]]               # on a hypothesis: its lane reads -0
+    pts = superimpose(c, h)
+    ys = pts[[0, 5, 9]]               # on a hypothesis: its lane reads -0
     rows = np.arange(1, m + 1)
     nv = 1e-305                             # far hypotheses: |p - y|^2 / nv overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = detect_ncv(ys, h, rows, c, nv)
     with np.errstate(over="ignore"):
-        want = _llrs_sample_fast(sc, ys, _ncv_bits(rows, m).astype(float), nv)
-        metric = _distances_sample_fast(sc, ys) / -nv
+        want = _llrs_sample_fast(pts, ys, ncv_bits(rows, m).astype(float), nv)
+        metric = _distances_sample_fast(pts, ys) / -nv
     assert np.isneginf(metric).any() and np.isfinite(metric).any()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -824,10 +823,10 @@ def test_exp_reads_only_normal_range(mod, name, monkeypatch):
     monkeypatch.setattr(np, "exp", spy)
     if name == "detect_ncv":
         got = detect_ncv(ys, H, rows, c, nv)
-        bits = _ncv_bits(rows, m).astype(float)
+        bits = ncv_bits(rows, m).astype(float)
     else:
         got = np.moveaxis(comp_nonideal_llrs(ys, H, c, nv).reshape(3, 2, 2 * m, 120), -1, -2)
-        bits = _ncv_bits(1 << np.arange(2 * m), m).astype(float)
+        bits = ncv_bits(1 << np.arange(2 * m), m).astype(float)
     monkeypatch.undo()
     assert seen and min(lo for lo, _ in seen) >= -700.0 and max(hi for _, hi in seen) <= 50.0
     metric = (_correlation_grid if name == "detect_ncv" else _centred_grid)(superimpose(c, H), ys)

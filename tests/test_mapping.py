@@ -57,14 +57,14 @@ def clash_coincident(clash, size):
     return ids[:, None] == ids[None, :]
 
 
-def brute_force_d_min(sc, matrix, clash=None):
+def brute_force_d_min(pts, matrix, clash=None):
     """Oracle: scan of every pair of joint messages on different NCVs,
     skipping pairs within one block of ``clash`` when it is given."""
-    table = ncv_table(matrix, sc.constellation.bits_per_symbol)
-    dist = np.abs(sc.points[:, None] - sc.points[None, :]) ** 2
+    table = ncv_table(matrix, (len(pts).bit_length() - 1) // 2)
+    dist = np.abs(pts[:, None] - pts[None, :]) ** 2
     keep = table[:, None] != table[None, :]
     if clash is not None:
-        keep &= ~clash_coincident(clash, len(sc.points))
+        keep &= ~clash_coincident(clash, len(pts))
     return float(dist[keep].min()) if keep.any() else np.inf
 
 
@@ -112,12 +112,12 @@ def test_ncv_table_matches_loop(m, data):
     assert got.dtype == np.int64 and np.array_equal(got, _ncv_table_loop(matrix, m))
 
 
-def all_pairs_profiles(sc, coincident):
+def all_pairs_profiles(pts, coincident):
     """Oracle: every ordered pair of message vectors at every difference;
     the plain profile, and the one without the pairs that ``coincident``
     (indexed by joint index) marks."""
-    tau_of_w = joint_vector_table(sc.constellation.bits_per_symbol)
-    pts_w = sc.points[tau_of_w]
+    tau_of_w = joint_vector_table((len(pts).bit_length() - 1) // 2)
+    pts_w = pts[tau_of_w]
     idx = np.arange(len(pts_w))
     partner = idx[:, None] ^ idx[None, :]          # [w, d] -> w xor d
     dist = np.abs(pts_w[:, None] - pts_w[partner]) ** 2
@@ -131,10 +131,10 @@ def all_pairs_profiles(sc, coincident):
 def assert_profiles_bit_exact(c, h, clash):
     """The plain profile, and the one without the pairs within a block of
     ``clash``, equal the all-pairs formula bit for bit."""
-    sc = superimpose(c, h)
-    plain, separated = all_pairs_profiles(sc, clash_coincident(clash, len(sc.points)))
-    assert np.array_equal(difference_profiles(sc), plain)
-    assert np.array_equal(difference_profiles(sc, clash), separated)
+    pts = superimpose(c, h)
+    plain, separated = all_pairs_profiles(pts, clash_coincident(clash, len(pts)))
+    assert np.array_equal(difference_profiles(pts), plain)
+    assert np.array_equal(difference_profiles(pts, clash), [plain, separated])
 
 
 def round_partition(c, h, eps=EPS):
@@ -205,8 +205,8 @@ def test_exact_geometry_matches_eps_oracle(modulation):
     for entry in cat.entries:
         h = state_channel(entry.state)
         assert entry.partition == round_partition(c, h)
-        sc = superimpose(c, h)
-        assert np.array_equal(difference_profiles(sc, entry.partition), all_pairs_profiles(sc, eps_coincident(c, h))[1])
+        pts = superimpose(c, h)
+        assert np.array_equal(difference_profiles(pts, entry.partition), all_pairs_profiles(pts, eps_coincident(c, h)))
 
 
 class TestProfilesBitExact:
@@ -258,11 +258,11 @@ class TestBatchedDMin:
         rows = rng.integers(0, 1 << mu, size=(3, 7, int(rng.integers(1, mu + 1))))
         entries = enumerate_sfs(c).entries
         clash = entries[int(rng.integers(len(entries)))].partition if with_clash else None
-        sc = superimpose(c, (h1, h2))
-        got = mapping_d_min(rows, sc, clash)
-        want = [[mapping_d_min(tuple(r), sc, clash) for r in block] for block in rows.tolist()]
-        assert got.shape == (3, 7)
-        assert np.array_equal(got, np.array(want))
+        pts = superimpose(c, (h1, h2))
+        got = np.array(mapping_d_min(rows, pts, clash))
+        want = np.array([[mapping_d_min(tuple(r), pts, clash) for r in block] for block in rows.tolist()])
+        assert got.shape == ((3, 7) if clash is None else (2, 3, 7))
+        assert np.array_equal(got, want if clash is None else np.moveaxis(want, -1, 0))
 
     @pytest.mark.parametrize("modulation", ["qam4", "qam16"])
     def test_singular_states(self, modulation):
@@ -270,17 +270,18 @@ class TestBatchedDMin:
         mu = 2 * c.bits_per_symbol
         rng = np.random.default_rng(4)
         for entry in enumerate_sfs(c).entries[::7]:
-            sc = superimpose(c, state_channel(entry.state))
+            pts = superimpose(c, state_channel(entry.state))
             rows = rng.integers(0, 1 << mu, size=(50, c.bits_per_symbol))
-            for clash in (None, entry.partition):
-                want = [mapping_d_min(tuple(r), sc, clash) for r in rows.tolist()]
-                assert np.array_equal(mapping_d_min(rows, sc, clash), np.array(want))
+            want = [mapping_d_min(tuple(r), pts) for r in rows.tolist()]
+            assert np.array_equal(mapping_d_min(rows, pts), np.array(want))
+            want = [mapping_d_min(tuple(r), pts, entry.partition) for r in rows.tolist()]
+            assert np.array_equal(mapping_d_min(rows, pts, entry.partition), np.array(want).T)
 
 
 class TestSuperimpose:
     def test_single_terminal_visible(self, qam4):
-        sc = superimpose(qam4, (1.0, 0.0))
-        vals = {round(z.real, 9) + 1j * round(z.imag, 9) for z in sc.points}
+        pts = superimpose(qam4, (1.0, 0.0))
+        vals = {round(z.real, 9) + 1j * round(z.imag, 9) for z in pts}
         assert len(vals) == 4
         part = coincident_partition(qam4, (1, 0))[0]
         assert sorted(len(b) for b in part) == [4, 4, 4, 4]
@@ -298,19 +299,19 @@ class TestSuperimpose:
         assert coincident_partition(qam16, (2 - 6j, 6))[0] == round_partition(qam16, (1.0, 0.3 + 0.9j))
 
     def test_generic_16qam_channel_all_distinct(self, qam16):
-        sc = superimpose(qam16, (1.0, 0.3117 + 0.8843j))
-        assert len(sc.points) == 256
+        pts = superimpose(qam16, (1.0, 0.3117 + 0.8843j))
+        assert len(pts) == 256
         # oracle: pairwise distances all positive
-        d = np.abs(sc.points[:, None] - sc.points[None, :])
+        d = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(d, np.inf)
         assert d.min() > 1e-9
 
     def test_joint_index_order(self, qam4):
         # terminal-1 label occupies the high-order index bits
-        sc = superimpose(qam4, (1.0, 0.0))
+        pts = superimpose(qam4, (1.0, 0.0))
         for i1 in range(4):
             for i2 in range(4):
-                assert sc.points[(i1 << 2) | i2] == pytest.approx(qam4.points[i1])
+                assert pts[(i1 << 2) | i2] == pytest.approx(qam4.points[i1])
 
 
 class TestCoincidentPartition:
@@ -343,7 +344,7 @@ class TestCoincidentPartition:
 class TestEvaluateMapping:
     def test_xor_map_at_unit_rotation_oracle(self, qam4):
         """Verdict comes from enumerating the origin clash directly."""
-        sc = superimpose(qam4, (1.0, 1j))
+        pts = superimpose(qam4, (1.0, 1j))
         clash = coincident_partition(qam4, (1, 1j))[0]
         w_of_tau = joint_vector_table(2)
         verdict = True
@@ -353,7 +354,7 @@ class TestEvaluateMapping:
             if len(ncvs) > 1:
                 verdict = False
         assert clash_consistent(XOR_MAP, clash, 2) == verdict
-        assert (mapping_d_min(XOR_MAP.rows, sc) > 0) == verdict
+        assert (mapping_d_min(XOR_MAP.rows, pts) > 0) == verdict
 
     def test_d_min_matches_bruteforce(self, qam4, qam16):
         """Random channels and singular fade states, both profiles."""
@@ -365,10 +366,12 @@ class TestEvaluateMapping:
             random = [tuple((rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2)) for _ in range(15)]
             cases = [(state_channel(e.state), e.partition) for e in singular] + [(h, round_partition(c, h)) for h in random]
             for h, clash in cases:
-                sc = superimpose(c, h)
+                pts = superimpose(c, h)
                 mat = BitMatrix.from_encoding(int(rng.integers(1, 1 << (2 * m * m))), m, 2 * m)
-                assert mapping_d_min(mat.rows, sc) == pytest.approx(brute_force_d_min(sc, mat), rel=1e-12)
-                assert mapping_d_min(mat.rows, sc, clash) == pytest.approx(brute_force_d_min(sc, mat, clash), rel=1e-12)
+                plain, separated = mapping_d_min(mat.rows, pts, clash)
+                assert mapping_d_min(mat.rows, pts) == plain
+                assert plain == pytest.approx(brute_force_d_min(pts, mat), rel=1e-12)
+                assert separated == pytest.approx(brute_force_d_min(pts, mat, clash), rel=1e-12)
 
     def test_zero_row_merges_clusters(self, qam4):
         mat = bit_matrix([[1, 0, 1, 0], [0, 0, 0, 0]])
@@ -376,10 +379,10 @@ class TestEvaluateMapping:
         assert len(set(ncv_table(mat, 2))) == 2 ** rank_rows(mat.rows)
 
     def test_zero_matrix_single_cluster(self, qam4):
-        sc = superimpose(qam4, (1.0, 0.5 + 0.25j))
+        pts = superimpose(qam4, (1.0, 0.5 + 0.25j))
         mat = BitMatrix.from_row_ints((0, 0), 4)
         assert len(set(ncv_table(mat, 2))) == 1
-        assert mapping_d_min(mat.rows, sc) == np.inf
+        assert mapping_d_min(mat.rows, pts) == np.inf
 
     def test_cluster_count_is_two_to_rank(self, qam4):
         for enc in range(256):
@@ -397,11 +400,11 @@ class TestEvaluateMapping:
 
     def test_split_clash_zeroes_d_min(self, qam4):
         # a matrix splitting the origin clash of v = i realizes d_min = 0
-        sc = superimpose(qam4, (1.0, 1j))
+        pts = superimpose(qam4, (1.0, 1j))
         clash = coincident_partition(qam4, (1, 1j))[0]
         mat = bit_matrix([[1, 0, 0, 0], [0, 1, 0, 0]])
         assert not clash_consistent(mat, clash, 2)
-        assert mapping_d_min(mat.rows, sc) == 0.0
+        assert mapping_d_min(mat.rows, pts) == 0.0
 
     def test_d_min_channel_scaling(self, qam4):
         h = (0.9 - 0.2j, 0.4 + 0.6j)
@@ -412,11 +415,9 @@ class TestEvaluateMapping:
         assert scaled == pytest.approx(4 * base, rel=1e-12)
 
     def test_profiles_match_bruteforce(self, qam4):
-        sc = superimpose(qam4, (1.0, 1j))
-        plain = difference_profiles(sc)
-        separated = difference_profiles(sc, coincident_partition(qam4, (1, 1j))[0])
+        plain, separated = difference_profiles(superimpose(qam4, (1.0, 1j)), coincident_partition(qam4, (1, 1j))[0])
         tau_of_w = joint_vector_table(2)
-        pts = sc.points[tau_of_w]
+        pts = superimpose(qam4, (1.0, 1j))[tau_of_w]
         lat = lattice_superposition(qam4, (1, 1j))[tau_of_w]
         for d in range(1, 16):
             dist = np.abs(pts - pts[np.arange(16) ^ d]) ** 2

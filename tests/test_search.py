@@ -68,7 +68,7 @@ def cat16():
     return build_catalog("qam16", n_trials=10**4, rng_seed=0, n_principal=24)
 
 
-def _kernel_scores(kernel_basis, sc, clash):
+def _kernel_scores(kernel_basis, pts, clash):
     """Oracle: (d_min, separated d_min) of the row space with this kernel,
     the second leaving out pairs within a block of ``clash``.
 
@@ -77,7 +77,7 @@ def _kernel_scores(kernel_basis, sc, clash):
     """
     members = set(span(kernel_basis))
     scores = []
-    for profile in (difference_profiles(sc), difference_profiles(sc, clash)):
+    for profile in difference_profiles(pts, clash):
         order = np.argsort(profile, kind="stable")
         scores.append(next((float(profile[d]) for d in order if d not in members), math.inf))
     return tuple(scores)
@@ -97,7 +97,7 @@ def _kernel_mine(cat, t, limit):
     mu = 2 * m
     out = []
     for entry in cat.entries:
-        sc = superimpose(c, state_channel(entry.state))
+        pts = superimpose(c, state_channel(entry.state))
         d_basis = clash_difference_basis(entry.partition, m)
         kernel_dim = mu - t
         resolvable = len(d_basis) <= kernel_dim
@@ -110,9 +110,7 @@ def _kernel_mine(cat, t, limit):
         scored = []
         for kb in kernels:
             rows = rref_rows(nullspace(kb, mu), mu)[0]
-            scored.append(
-                (BitMatrix.from_row_ints(rows, mu), mapping_d_min(rows, sc), mapping_d_min(rows, sc, clash=entry.partition))
-            )
+            scored.append((BitMatrix.from_row_ints(rows, mu), *mapping_d_min(rows, pts, clash=entry.partition)))
         scored.sort(key=lambda e: (-e[1], -e[2], e[0].encoding))
         out.append((resolvable, scored[:limit]))
     return out
@@ -146,8 +144,7 @@ class TestMining:
         """Row-space mining agrees with the literal per-matrix scan."""
         rankings = mine_candidates(cat4, t=2)
         for entry, r in zip(cat4.entries, rankings):
-            sc = superimpose(qam4, state_channel(entry.state))
-            scan = exhaustive_matrix_scan(sc, entry.partition, t=2)
+            scan = exhaustive_matrix_scan(superimpose(qam4, state_channel(entry.state)), entry.partition, t=2)
             consistent = [(m, d) for m, d, cc in scan if cc]
             # six bases of the single admissible row space, equal d_min
             assert len(consistent) == 6
@@ -167,11 +164,11 @@ class TestMining:
         c = make_constellation(cat.modulation)
         mu = 2 * c.bits_per_symbol
         for entry, r in zip(cat.entries, mine_candidates(cat, t)):
-            sc = superimpose(c, state_channel(entry.state))
+            pts = superimpose(c, state_channel(entry.state))
             assert r.entries
             for e in r.entries:
                 kernel = nullspace(e.matrix.rows, mu)
-                assert (e.d_min, e.separated_d_min) == _kernel_scores(kernel, sc, entry.partition)
+                assert (e.d_min, e.separated_d_min) == _kernel_scores(kernel, pts, entry.partition)
 
 
 class TestCertification:
@@ -508,13 +505,13 @@ class TestPairTable:
         assert build_selection_table(empty, n_aps=n).entries == {}
 
 
-def _coordinate_entry(cols, sc, clash):
+def _coordinate_entry(cols, pts, clash):
     """Oracle: the row space spanned by standard vectors on ``cols``,
-    scored at ``sc`` and its state's ``clash`` by one-matrix
-    ``mapping_d_min`` calls."""
+    scored at the superposition ``pts`` and its state's ``clash`` by a
+    one-matrix ``mapping_d_min`` call."""
     rows = tuple(1 << c for c in cols)
-    d = mapping_d_min(rows, sc)
-    return CandidateEntry(BitMatrix.from_row_ints(rows, sc.mu), d, d > 0, mapping_d_min(rows, sc, clash=clash))
+    d, sep = mapping_d_min(rows, pts, clash=clash)
+    return CandidateEntry(BitMatrix.from_row_ints(rows, len(pts).bit_length() - 1), d, d > 0, sep)
 
 
 def _assemble_oracle(cat, rankings, t, k_per_state):
@@ -527,9 +524,9 @@ def _assemble_oracle(cat, rankings, t, k_per_state):
         chosen = list(r.entries[: max(0, k_per_state - 2)])
         have = {e.matrix for e in chosen}
         if k_per_state >= 2:
-            sc = superimpose(c, state_channel(entry.state))
+            pts = superimpose(c, state_channel(entry.state))
             for cols in (tuple(range(t)), tuple(range(mu - t, mu))):
-                cand = _coordinate_entry(cols, sc, entry.partition)
+                cand = _coordinate_entry(cols, pts, entry.partition)
                 if cand.matrix not in have and len(chosen) < k_per_state:
                     chosen.append(cand)
                     have.add(cand.matrix)
@@ -832,6 +829,37 @@ class TestPersistence:
             load(str(path))
 
     @pytest.mark.parametrize(
+        "kind, pattern, new, reason",
+        [
+            ("catalog", r"^modulation=qam4$", "modulation=qam8", "unknown modulation 'qam8'"),
+            ("store", r"^(0 @ \S+ @ [^|]+)\|[^|]+\|", r"\1|x|", "could not convert string to float: 'x'"),
+            ("store", r"^certified_n=2$", "certified_n=0", "0 APs of 2 rows cannot reach rank 4"),
+            ("store", r"^labeling=gray-v1$", "labeling=other-v9", "labeling other-v9 is not qam4's gray-v1"),
+            ("store", r"^t=2$", "t=1", "is not 1x4"),
+            ("table", r"^t=2$", "t=-1", "negative shift count"),
+            ("table", r"^labeling=gray-v1$", "labeling=other-v9", "labeling other-v9 is not qam4's gray-v1"),
+            ("table", r"^modulation=qam4$", "modulation=qam8", "mu=4 is not twice the bits per symbol of"),
+        ],
+        ids=["catalog-modulation", "store-float", "store-certified-n", "store-labeling", "store-t", "table-t",
+             "table-labeling", "table-modulation"],
+    )
+    def test_load_error_names_its_file(self, store4, cat4, tmp_path, kind, pattern, new, reason):
+        """Each edit is refused with a message that starts with the file.  The
+        first three, and a table's t=-1 ("negative shift count"), used to
+        name no file; a relabelled store or table and a qam8 table used to
+        load."""
+        path = tmp_path / kind
+        save = {"catalog": lambda p: save_catalog(cat4, p), "store": lambda p: save_store(store4, p),
+                "table": lambda p: save_table(build_selection_table(store4, cat4, n_aps=2), p)}[kind]
+        save(str(path))
+        text, edits = re.subn(pattern, new, path.read_text(), count=1, flags=re.M)
+        assert edits == 1
+        path.write_text(text)
+        load = {"catalog": load_catalog, "store": load_store, "table": load_table}[kind]
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + ".*" + re.escape(reason)):
+            load(str(path))
+
+    @pytest.mark.parametrize(
         "kind, old, command",
         [("catalog", "pnclab-sfs-catalog v1", "pnclab sfs list"), ("catalog", "pnclab-sfs-catalog v2", "pnclab sfs list"),
          ("store", "pnclab-store v1", "pnclab offline"), ("table", "pnclab-table v2", "pnclab table --store")],
@@ -1109,10 +1137,10 @@ def _per_frame_selection(store, cat, H):
     states, lists, d_values = [], [], []
     for h in H:
         idx = int(nearest_sfs(cat, tuple(h))[0])
-        sc = superimpose(c, tuple(h))
+        pts = superimpose(c, tuple(h))
         states.append(idx)
         lists.append(tuple(e.matrix for e in store.lists[idx]))
-        d_values.append(tuple(float(mapping_d_min(m.rows, sc)) for m in lists[-1]))
+        d_values.append(tuple(float(mapping_d_min(m.rows, pts)) for m in lists[-1]))
     combo = _pick_best(tuple(tuple(m.encoding for m in l) for l in lists), tuple(d_values), store.t, store.mu)
     return [list(m.rows) for m in map(operator.getitem, lists, combo)], states
 

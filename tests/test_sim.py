@@ -175,6 +175,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="^ebn0_db must be "):
             ExperimentConfig.from_json('{"ebn0_db": 10}')
 
+    def test_json_unknown_keys_refused_by_name(self):
+        """This used to raise TypeError: unexpected keyword argument 'bogus'."""
+        with pytest.raises(ValueError, match="^unknown config keys: bogus, frames$"):
+            ExperimentConfig.from_json('{"seed": 2, "frames": 100, "bogus": 1}')
+
     def test_comp_schemes_take_any_stack_shape(self):
         ExperimentConfig(modulation="qam4", scheme="comp_ideal", n_aps=3, ncv_len=3)
 
