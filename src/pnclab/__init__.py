@@ -1,10 +1,6 @@
 """Adaptive binary physical-layer network coding for the N-MIMO uplink."""
 
-from .gf2 import (
-    BitMatrix,
-    SingularMatrixError,
-    inverse_f2,
-)
+from .gf2 import SingularMatrixError, inverse_f2
 from .modulation import Constellation, make_constellation
 from .fade_states import (
     DegenerateChannelError,
@@ -20,7 +16,6 @@ from .fade_states import (
 )
 from .mapping import coincident_partition, superimpose
 from .search import (
-    CandidateEntry,
     CandidateStore,
     SelectionBatch,
     SelectionInfeasibleError,

@@ -74,7 +74,7 @@ def constellation_of(header: dict) -> Constellation:
     (an unknown modulation has none), and so is a ``labeling=`` other than
     the constellation's."""
     modulation = header["modulation"]
-    if "mu" in header and int(header["mu"]) != 2 * BITS_PER_SYMBOL.get(modulation, 0):
+    if "mu" in header and header_int(header, "mu") != 2 * BITS_PER_SYMBOL.get(modulation, 0):
         raise ValueError(f"mu={header['mu']} is not twice the bits per symbol of modulation {modulation!r}")
     c = make_constellation(modulation)
     if header["labeling"] != c.labeling_version:
@@ -82,8 +82,17 @@ def constellation_of(header: dict) -> Constellation:
     return c
 
 
-def opt_int(value: str | None) -> int | None:
-    return None if value is None else int(value)
+def header_int(header: dict, key: str, optional: bool = False) -> int | None:
+    """The integer that a header's ``key=`` holds.  ``none`` reads as None
+    where the key is ``optional``; elsewhere it is refused with the key, as
+    is a value that is not an integer."""
+    value = header[key]
+    if value is None and optional:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key}={'none' if value is None else value} is not an integer") from None
 
 
 def check_count(what: str, expected: int, found: int) -> None:

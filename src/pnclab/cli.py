@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 
 from .fade_states import build_catalog, save_catalog
 from .search import build_selection_table, build_store, certify_store, load_store, save_store, save_table
@@ -115,7 +116,8 @@ def _apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfi
             updates[key] = tuple(float(x) for x in value.split(","))
         else:
             updates[key] = _coerce(value)
-    return replace(cfg, **updates)
+    # the overrides join the config's own JSON object, which from_json checks as it checks a file
+    return ExperimentConfig.from_json(json.dumps({**asdict(cfg), **updates}))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         cat = build_catalog(args.mod, n_trials=args.trials, rng_seed=args.seed, n_principal=args.psfs)
         store = build_store(cat, t=t, k_per_state=args.K, n_aps=args.n)
         save_store(store, args.out)
-        unresolved = sum(1 for lst in store.lists if not any(e.clash_consistent for e in lst))
+        unresolved = int((~store.clash_consistent.any(axis=1)).sum())
         print(f"store written to {args.out}: {len(store.states)} states, "
               f"{unresolved} without a clash-consistent candidate, "
               f"{len(store.infeasible)} infeasible tuples")

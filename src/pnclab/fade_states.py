@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._artifact import check_count, constellation_of, names_its_file, opt_int, read_artifact, strip_index, write_artifact
+from ._artifact import check_count, constellation_of, header_int, names_its_file, read_artifact, strip_index, write_artifact
 # superimpose stays bound here for the layer tracer (perfbench/tracer.py),
 # which wraps it as an attribute of this module.
 from .mapping import coincident_partition, superimpose  # noqa: F401
@@ -311,7 +311,7 @@ def load_catalog(path: str) -> SfsCatalog:
     from the file."""
     with read_artifact(path, "pnclab-sfs-catalog v3") as (header, body):
         records = [strip_index(ln, ";", i).split(";") for i, ln in enumerate(body)]
-    check_count("entries", int(header["entries"]), len(records))
+    check_count("entries", header_int(header, "entries"), len(records))
     c = constellation_of(header)
     full = enumerate_sfs(c)
     by_state = {e.state: e for e in full.entries}
@@ -331,8 +331,8 @@ def load_catalog(path: str) -> SfsCatalog:
     return replace(
         full,
         entries=tuple(entries),
-        rank_seed=opt_int(header["rank_seed"]),
-        rank_trials=opt_int(header["rank_trials"]),
+        rank_seed=header_int(header, "rank_seed", optional=True),
+        rank_trials=header_int(header, "rank_trials", optional=True),
     )
 
 

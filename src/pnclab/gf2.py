@@ -4,15 +4,9 @@ Matrices are stored as packed bit rows: row ``r`` is an integer whose bit
 ``c`` holds the entry in column ``c`` (a stack is an int64 array of rows).
 XOR on whole rows makes Gaussian elimination cheap, which matters because
 the off-line mapping search touches a very large number of small matrices.
-
-The canonical integer encoding of a matrix is its row-major bit string read
-as a little-endian integer (bit index ``r * n_cols + c``), and the canonical
-textual form is ``"{rows}x{cols}:{hex}"``.  Both are stable identities used
-in catalog and store files.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -22,54 +16,6 @@ import numpy as np
 
 class SingularMatrixError(ValueError):
     """Raised when a matrix expected to be invertible over F2 is not."""
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """Dense matrix over F2 stored as packed bit rows (bit ``c`` = column ``c``)."""
-
-    n_rows: int
-    n_cols: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("BitMatrix dimensions must be >= 1")
-        if len(self.rows) != self.n_rows:
-            raise ValueError("row count mismatch")
-        mask = (1 << self.n_cols) - 1
-        if any(r & ~mask for r in self.rows):
-            raise ValueError("row has bits beyond n_cols")
-
-    @classmethod
-    def from_row_ints(cls, rows: Sequence[int], n_cols: int) -> "BitMatrix":
-        return cls(n_rows=len(rows), n_cols=n_cols, rows=tuple(rows))
-
-    @classmethod
-    def from_encoding(cls, value: int, n_rows: int, n_cols: int) -> "BitMatrix":
-        mask = (1 << n_cols) - 1
-        rows = tuple((value >> (r * n_cols)) & mask for r in range(n_rows))
-        return cls(n_rows=n_rows, n_cols=n_cols, rows=rows)
-
-    @property
-    def encoding(self) -> int:
-        """Row-major bits as a little-endian integer (canonical identity)."""
-        value = 0
-        for r, row in enumerate(self.rows):
-            value |= row << (r * self.n_cols)
-        return value
-
-    def to_text(self) -> str:
-        return f"{self.n_rows}x{self.n_cols}:{self.encoding:x}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitMatrix":
-        shape, _, hexpart = text.partition(":")
-        r, _, c = shape.partition("x")
-        value = int(hexpart, 16)
-        if value < 0 or value >> (int(r) * int(c)):
-            raise ValueError(f"{text!r} has bits beyond a {shape} matrix")
-        return cls.from_encoding(value, int(r), int(c))
 
 
 def rank_rows(rows: np.ndarray | Sequence[int]) -> np.ndarray:

@@ -14,7 +14,9 @@ precomputed table keyed by state indices.
 Candidates are handled at row-space granularity: matrices sharing a row
 space induce identical clusters, identical distances, and identical global
 ranks, so each space is represented once by its canonical reduced-row-
-echelon matrix.
+echelon matrix, and that matrix by its encoding: its packed rows read as
+one little-endian integer, row r at bits r * mu and up.  An encoding is an
+unsigned 64-bit integer, since t * mu <= 64 for qam4 and qam16.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._artifact import (check_count, constellation_of, names_its_file, opt_int, read_artifact, records,
+from ._artifact import (check_count, constellation_of, header_int, names_its_file, read_artifact, records,
                         strip_index, write_artifact)
 # The layer tracer (perfbench/tracer.py) wraps these names as attributes of
 # this module: rank_rows (one call per stack of verdicts or of loaded entries),
@@ -32,7 +34,6 @@ from ._artifact import (check_count, constellation_of, names_its_file, opt_int, 
 # Keep each bound here, difference_profiles included, though nothing here calls it.
 from .fade_states import FadeState, SfsCatalog, nearest_sfs
 from .gf2 import (
-    BitMatrix,
     enumerate_subspaces,
     nullspace,
     rank_rows,
@@ -50,25 +51,6 @@ from .modulation import make_constellation
 
 class SelectionInfeasibleError(RuntimeError):
     """No candidate combination stacks to an invertible global matrix."""
-
-
-@dataclass(frozen=True)
-class CandidateEntry:
-    """One candidate row space for one fade state."""
-
-    matrix: BitMatrix           # canonical RREF representative
-    d_min: float                # minimum inter-cluster distance at the state
-    clash_consistent: bool
-    separated_d_min: float      # same, ignoring pairs within a block of the state's clash partition
-
-
-@dataclass(frozen=True)
-class SfsCandidates:
-    """Stage-one output of one fade state: its ranked candidates and its two extractors."""
-
-    resolvable: bool
-    entries: tuple[CandidateEntry, ...]
-    extractors: tuple[CandidateEntry, CandidateEntry]
 
 
 def state_channel(state: FadeState) -> tuple[complex, complex]:
@@ -96,11 +78,34 @@ def _candidate_rows(admissible: tuple[int, ...], t: int, mu: int) -> np.ndarray:
     return np.hstack((np.broadcast_to(np.array(admissible), (len(extra), len(admissible))), extra))
 
 
+def _unpack(encodings: np.ndarray, t: int, mu: int) -> np.ndarray:
+    """The packed rows of each encoding, on a new last axis of length t."""
+    shifts = np.uint64(mu) * np.arange(t, dtype=np.uint64)
+    rows = np.asarray(encodings, dtype=np.uint64)[..., None] >> shifts
+    return (rows & np.uint64((1 << mu) - 1)).astype(np.int64)
+
+
+def _store_arrays(n_states: int, state, enc, d, sep, clash) -> dict[str, np.ndarray]:
+    """``CandidateStore``'s array fields, by name, from one entry per
+    element: its state (ascending, each state's entries in list order), its
+    encoding, its d_min, its separated d_min and its clash flag."""
+    state = np.asarray(state, dtype=np.intp)
+    pos = np.arange(len(state)) - np.searchsorted(state, state)     # slot in its state's list
+    width = int(pos.max(initial=-1)) + 1 or 1
+    encodings, inverse = np.unique(np.asarray(enc, dtype=np.uint64), return_inverse=True)
+    out = {"encodings": encodings, "codes": np.full((n_states, width), len(encodings))}
+    out["codes"][state, pos] = inverse
+    for name, x, dtype in (("d_min", d, float), ("separated_d_min", sep, float), ("clash_consistent", clash, bool)):
+        out[name] = np.zeros((n_states, width), dtype=dtype)
+        out[name][state, pos] = x
+    return out
+
+
 def mine_candidates(
     cat: SfsCatalog,
     t: int,
     limit: int | None = None,
-) -> tuple[SfsCandidates, ...]:
+) -> dict[str, np.ndarray]:
     """Stage one: rank clash-consistent row spaces per state by d_min.
 
     A row space keeps every clash of a state on one NCV iff it lies in the
@@ -123,14 +128,21 @@ def mine_candidates(
     Scores depend on the row space alone (a difference splits iff it is not
     in the kernel), so each state's bases are scored by one batched
     ``mapping_d_min`` call, which gives both score kinds.  The same call
-    scores the state's two universal extractors (see ``assemble_store``),
-    each one clash-consistent when its d_min is positive.  The sort key is
-    (-d_min, -separated_d_min, canonical encoding).  Let (d_K, s_K) be the
-    ``limit``-th best score pair: a space whose pair is worse trails at
-    least ``limit`` others whatever its encoding, so only the spaces at or
-    above (d_K, s_K), ties included, are brought to canonical RREF and
-    sorted by the full key.  The result equals sorting every space by that
-    key and cutting.
+    scores the state's two universal extractors (see ``assemble_store``).
+    The sort key is (-d_min, -separated_d_min, canonical encoding).  Let
+    (d_K, s_K) be the ``limit``-th best score pair: a space whose pair is
+    worse trails at least ``limit`` others whatever its encoding, so only
+    the spaces at or above (d_K, s_K), ties included, are brought to
+    canonical RREF and sorted by the full key.  The result equals sorting
+    every space by that key and cutting.  (One ``rref_stack`` call over
+    every state's kept spaces is faster, but those are about 10^5 rows for
+    qam16 at t=4 and K=5, and the call's temporaries raised the peak RSS
+    of a paper-scale build by 13 MiB.)
+
+    Returns ``CandidateStore``'s array fields, by name: in each state's
+    list, slots 0 and 1 hold its two extractors, each clash-consistent when
+    its d_min is positive, and its ranked spaces follow, best first, each
+    clash-consistent when the state is resolvable.
     """
     c = make_constellation(cat.modulation)
     m = c.bits_per_symbol
@@ -138,41 +150,37 @@ def mine_candidates(
     if not m <= t <= mu:
         raise ValueError(f"t must be in [{m}, {mu}]")
     extractors = np.array([[1 << b for b in range(t)], [1 << b for b in range(mu - t, mu)]])
-    out = []
-    for entry in cat.entries:
+    shifts = np.uint64(mu) * np.arange(t, dtype=np.uint64)
+    entries = []        # per state: state index, encoding, d, sep and clash flag of each list entry
+    for i, entry in enumerate(cat.entries):
         admissible = nullspace(clash_difference_basis(entry.partition, m), mu)
-        resolvable = len(admissible) >= t
-        rows = np.vstack((_candidate_rows(admissible, t, mu), extractors))
+        rows = np.vstack((extractors, _candidate_rows(admissible, t, mu)))
         d, sep = mapping_d_min(rows, superimpose(c, state_channel(entry.state)), clash=entry.partition)
-        ext = tuple(
-            CandidateEntry(BitMatrix.from_row_ints(tuple(r), mu), float(dr), bool(dr > 0), float(sr))
-            for r, dr, sr in zip(extractors.tolist(), d[-2:], sep[-2:])
-        )
-        rows, d, sep = rows[:-2], d[:-2], sep[:-2]
-        if limit is not None and 0 < limit < len(rows):
-            kth = np.lexsort((-sep, -d))[limit - 1]
+        if limit is not None and 0 < limit < len(rows) - 2:
+            kth = 2 + np.lexsort((-sep[2:], -d[2:]))[limit - 1]
             keep = (d > d[kth]) | ((d == d[kth]) & (sep >= sep[kth]))
+            keep[:2] = True
             rows, d, sep = rows[keep], d[keep], sep[keep]
-        canon = rref_stack(rows, mu)
-        # BitMatrix.encoding; t * mu <= 64 bits for qam4 and qam16
-        enc = np.bitwise_or.reduce(canon.astype(np.uint64) << (mu * np.arange(t, dtype=np.uint64)), axis=1)
-        order = np.lexsort((enc, -sep, -d))[:limit]
-        candidates = tuple(
-            CandidateEntry(
-                matrix=BitMatrix.from_row_ints(tuple(canon[k].tolist()), mu),
-                d_min=float(d[k]),
-                clash_consistent=resolvable,
-                separated_d_min=float(sep[k]),
-            )
-            for k in order
-        )
-        out.append(SfsCandidates(resolvable=resolvable, entries=candidates, extractors=ext))
-    return tuple(out)
+        enc = np.bitwise_or.reduce(rref_stack(rows, mu).astype(np.uint64) << shifts, axis=1)
+        group = np.minimum(np.arange(len(rows)), 2)        # 0 and 1: the extractors, 2: the mined spaces
+        order = np.lexsort((enc, -sep, -d, group))[: None if limit is None else 2 + limit]
+        clash = np.r_[d[:2] > 0, np.full(len(rows) - 2, len(admissible) >= t)]
+        entries.append((np.full(len(order), i), enc[order], d[order], sep[order], clash[order]))
+    return _store_arrays(len(entries), *(map(np.concatenate, zip(*entries)) if entries else [()] * 5))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateStore:
-    """Per-state candidate lists shared by the APs and the CPU."""
+    """Per-state candidate lists shared by the APs and the CPU, as arrays.
+
+    ``encodings`` holds the distinct encodings of the listed matrices in
+    ascending unsigned order, shape (u,).  The other arrays have one row per
+    state and one column per list slot, as many as the longest list has
+    (at least one): ``codes`` holds each entry's rank among ``encodings``,
+    the pad slot u past a list's end, then come its stored ``d_min``, its
+    ``separated_d_min`` and its ``clash_consistent`` flag (0, 0 and False
+    past the end).
+    """
 
     modulation: str
     labeling_version: str
@@ -182,34 +190,19 @@ class CandidateStore:
     rank_seed: int | None
     rank_trials: int | None
     states: tuple[FadeState, ...]
-    lists: tuple[tuple[CandidateEntry, ...], ...]
+    encodings: np.ndarray
+    codes: np.ndarray
+    d_min: np.ndarray
+    separated_d_min: np.ndarray
+    clash_consistent: np.ndarray
     certified_n: int | None = None
     infeasible: tuple[tuple[int, ...], ...] = ()
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def _arrays(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-        """The lists as arrays, built on first use.
-
-        Returns the distinct encodings in ascending order, then per state
-        its entries' codes (ranks among those encodings) and stored
-        distances, padded to a common width with the pad slot u = number
-        of distinct encodings and distance 0, then the packed rows of each
-        code's matrix (zeros at the pad slot).
-        """
-        distinct = sorted({e.matrix.encoding for l in self.lists for e in l})
-        u = len(distinct)
-        slot = {e: k for k, e in enumerate(distinct)}
-        width = max((len(l) for l in self.lists), default=0) or 1
-        code = np.full((len(self.lists), width), u)
-        d = np.zeros((len(self.lists), width))
-        for i, l in enumerate(self.lists):
-            code[i, : len(l)] = [slot[e.matrix.encoding] for e in l]
-            d[i, : len(l)] = [e.d_min for e in l]
-        rows = np.zeros((u + 1, self.t), dtype=np.int64)
-        for k, e in enumerate(distinct):
-            rows[k] = BitMatrix.from_encoding(e, self.t, self.mu).rows
-        return distinct, code, d, rows
+    def _rows(self) -> np.ndarray:
+        """The packed rows of each code's matrix, (u + 1, t), zeros at the pad slot."""
+        return _unpack(np.append(self.encodings, np.uint64(0)), self.t, self.mu)
 
     def _full_rank(self, n: int) -> np.ndarray:
         """Verdict array for ``n`` APs: ``full[c_1, ..., c_n]`` is whether
@@ -223,12 +216,11 @@ class CandidateStore:
         selection all read the same few thousand verdicts.
         """
         if n not in self._verdicts:
-            distinct, _, _, rows = self._arrays
-            u = len(distinct)
+            u = len(self.encodings)
             combos = np.array(list(itertools.combinations_with_replacement(range(u), n)), dtype=np.intp).reshape(-1, n)
             by_sorted = np.zeros((u,) * n, dtype=bool)      # a stack's rank does not depend on its order
             for block in np.split(combos, range(1 << 16, len(combos), 1 << 16)):
-                by_sorted[tuple(block.T)] = rank_rows(rows[block].reshape(len(block), n * self.t)) == self.mu
+                by_sorted[tuple(block.T)] = rank_rows(self._rows[block].reshape(len(block), n * self.t)) == self.mu
             full = np.zeros((u + 1,) * n, dtype=bool)
             full[(slice(u),) * n] = by_sorted[tuple(np.sort(np.indices((u,) * n), axis=0))]
             self._verdicts[n] = full
@@ -237,7 +229,7 @@ class CandidateStore:
 
 def assemble_store(
     cat: SfsCatalog,
-    rankings: tuple[SfsCandidates, ...],
+    mined: dict[str, np.ndarray],
     t: int,
     k_per_state: int,
 ) -> CandidateStore:
@@ -253,15 +245,20 @@ def assemble_store(
 
     Nothing is scored here: ``mine_candidates`` scored the extractors with
     each state's candidates.  A list is the first K distinct matrices of the
-    top K - 2 candidates, the extractors (when K >= 2), then the rest.
+    top K - 2 candidates, the extractors (when K >= 2), then the rest.  The
+    mined candidates are distinct, so the first K distinct lie within the
+    first K + 2 of that order.
     """
     cut = max(0, k_per_state - 2)
-    lists = []
-    for r in rankings:
-        first = {}
-        for e in r.entries[:cut] + (r.extractors if k_per_state >= 2 else ()) + r.entries[cut:]:
-            first.setdefault(e.matrix, e)
-        lists.append(tuple(first.values())[:k_per_state])
+    slots = np.array([*range(2, 2 + cut), *((0, 1) if k_per_state >= 2 else ()), *range(2 + cut, 2 + k_per_state)])
+    slots = slots[slots < mined["codes"].shape[1]]
+    codes = mined["codes"][:, slots]
+    # the first slot of each code, short of the pad, and the first K of those
+    first = (codes[:, :, None] == codes[:, None, :]).argmax(axis=2) == np.arange(len(slots))
+    take = first & (codes < len(mined["encodings"]))
+    take &= take.cumsum(axis=1) <= k_per_state
+    state, at = np.nonzero(take)
+    slot = slots[at]
     return CandidateStore(
         modulation=cat.modulation,
         labeling_version=cat.labeling_version,
@@ -271,7 +268,8 @@ def assemble_store(
         rank_seed=cat.rank_seed,
         rank_trials=cat.rank_trials,
         states=tuple(e.state for e in cat.entries),
-        lists=tuple(lists),
+        **_store_arrays(len(codes), state, mined["encodings"][mined["codes"][state, slot]],
+                        *(mined[name][state, slot] for name in ("d_min", "separated_d_min", "clash_consistent"))),
     )
 
 
@@ -297,12 +295,10 @@ def certify_store(store: CandidateStore, n_aps: int) -> CandidateStore:
     False).
     """
     _check_reaches_rank(store, n_aps)
-    _, code, _, _ = store._arrays
     feasible = store._full_rank(n_aps)
     for _ in range(n_aps):          # the leading code axis becomes a trailing state axis
-        feasible = np.moveaxis(feasible[code].any(axis=1), 0, -1)
+        feasible = np.moveaxis(feasible[store.codes].any(axis=1), 0, -1)
     out = replace(store, certified_n=n_aps, infeasible=tuple(map(tuple, np.argwhere(~feasible).tolist())))
-    vars(out)["_arrays"] = store._arrays    # where cached_property keeps it: replace copies fields only
     out._verdicts.update(store._verdicts)
     return out
 
@@ -314,8 +310,8 @@ def build_store(
     n_aps: int = 2,
 ) -> CandidateStore:
     """Mine, assemble, and certify in one call."""
-    rankings = mine_candidates(cat, t, limit=k_per_state)
-    return certify_store(assemble_store(cat, rankings, t, k_per_state), n_aps)
+    mined = mine_candidates(cat, t, limit=k_per_state)
+    return certify_store(assemble_store(cat, mined, t, k_per_state), n_aps)
 
 
 def _check_same_states(a: tuple[FadeState, ...], b: tuple[FadeState, ...], what: str) -> None:
@@ -406,9 +402,9 @@ def select_mappings(
     """
     H = _channel_stack(channels)
     n_aps = H.shape[1]
-    _, code, _, rows = store._arrays
+    rows = store._rows
     state, _ = nearest_sfs(cat, H)
-    cand = code[state]                                          # (frames, APs, K)
+    cand = store.codes[state]                                          # (frames, APs, K)
     d = mapping_d_min(rows[cand], superimpose(make_constellation(store.modulation), H[:, :, None, :]))
     chosen = _pick_combination(
         store._full_rank(n_aps), [cand[:, j] for j in range(n_aps)], [d[:, j] for j in range(n_aps)]
@@ -453,10 +449,10 @@ class SelectionTable:
     @cached_property
     def _rows(self) -> np.ndarray:
         """Each value's packed matrix rows, (values, APs, t); -1 throughout at the marker."""
-        t, mu, n = self.t, self.mu, self.n_aps
-        rows = [[[-1] * t] * n if v is None else [BitMatrix.from_encoding(e, t, mu).rows for e in v]
-                for v in self.values]
-        return np.array(rows, dtype=np.int64).reshape(-1, n, t)
+        n = self.n_aps
+        rows = _unpack(np.array([v or (0,) * n for v in self.values], dtype=np.uint64).reshape(-1, n), self.t, self.mu)
+        rows[[v is None for v in self.values]] = -1
+        return rows
 
     @property
     def markers(self) -> int:
@@ -491,7 +487,7 @@ def _table_entries(store: CandidateStore, n_aps: int) -> tuple[np.ndarray, tuple
     temporary stays near 2^16 elements; each tuple keeps its chosen codes
     as one key, and tuples with equal keys share one value id.
     """
-    distinct, code, d, _ = store._arrays
+    distinct, code, d = store.encodings.tolist(), store.codes, store.d_min
     u = len(distinct)
     full = store._full_rank(n_aps)
     n, width = code.shape
@@ -569,18 +565,21 @@ def table_lookup(
 # persistence
 # ---------------------------------------------------------------------------
 
-def _format_entry(e: CandidateEntry) -> str:
-    return f"{e.matrix.to_text()}|{float(e.d_min)!r}|{int(e.clash_consistent)}|{float(e.separated_d_min)!r}"
+def format_matrix(encoding: int, t: int, mu: int) -> str:
+    """The text ``t x mu : hex`` that store files write for a matrix."""
+    return f"{t}x{mu}:{encoding:x}"
 
 
-def _parse_entry(text: str) -> CandidateEntry:
-    enc, d, cc, sep = text.split("|")
-    return CandidateEntry(
-        matrix=BitMatrix.from_text(enc),
-        d_min=float(d),
-        clash_consistent=bool(int(cc)),
-        separated_d_min=float(sep),
-    )
+def parse_matrix(text: str, t: int, mu: int) -> int:
+    """The encoding of a t x mu matrix from its ``t x mu : hex`` text; a
+    text of another shape, or with bits beyond t * mu, is refused."""
+    shape, _, hexpart = text.partition(":")
+    if shape != f"{t}x{mu}":
+        raise ValueError(f"store entry {text} is not {t}x{mu}")
+    value = int(hexpart, 16)
+    if value < 0 or value >> (t * mu):
+        raise ValueError(f"{text!r} has bits beyond a {shape} matrix")
+    return value
 
 
 def save_store(store: CandidateStore, path: str) -> None:
@@ -596,9 +595,12 @@ def save_store(store: CandidateStore, path: str) -> None:
         "infeasible": ";".join(",".join(map(str, t)) for t in store.infeasible),
         "states": len(store.states),
     }
+    text = [format_matrix(e, store.t, store.mu) for e in store.encodings.tolist()]
+    columns = (a.tolist() for a in (store.codes, store.d_min, store.clash_consistent, store.separated_d_min))
     body = (
-        f"{i} @ {state.to_text()} @ " + " ".join(_format_entry(e) for e in entries)
-        for i, (state, entries) in enumerate(zip(store.states, store.lists))
+        f"{i} @ {state.to_text()} @ "
+        + " ".join(f"{text[c]}|{d!r}|{int(cc)}|{sep!r}" for c, d, cc, sep in zip(*row) if c < len(text))
+        for i, (state, *row) in enumerate(zip(store.states, *columns))
     )
     write_artifact(path, "pnclab-store v2", header, body)
 
@@ -610,41 +612,41 @@ def load_store(path: str) -> CandidateStore:
     The ``certified_n=`` and ``infeasible=`` header is not trusted: a
     certified store is certified again for its ``n``, and a header that
     disagrees with its lists is refused, as is a header that does not fit
-    its modulation (``constellation_of``) or a list longer than ``K=``.
-    The returned store keeps the verdicts that took, for the table build to
-    read.
+    its modulation (``constellation_of``), a t outside [1, mu], a list
+    longer than ``K=`` or an entry that is not t x mu.  The returned store
+    keeps the verdicts that took, for the table build to read.
     """
-    states = []
-    lists = []
+    states, entries = [], []     # entries: (state, encoding, d_min, separated d_min, clash flag)
     with read_artifact(path, "pnclab-store v2") as (header, body):
+        constellation_of(header)
+        t, mu, k = (header_int(header, key) for key in ("t", "mu", "K"))
+        if not 1 <= t <= mu:
+            raise ValueError(f"t={t} is not in [1, mu={mu}]")
         for ln in body:
             state_txt, entries_txt = (s.strip() for s in strip_index(ln, " @ ", len(states)).split(" @ ", 1))
             states.append(FadeState.from_text(state_txt))
-            lists.append(tuple(_parse_entry(e) for e in entries_txt.split()))
-    check_count("states", int(header["states"]), len(states))
-    constellation_of(header)
+            texts = entries_txt.split()
+            if len(texts) > k:
+                raise ValueError(f"state {len(states) - 1} lists {len(texts)} matrices, more than K={k}")
+            for e in texts:
+                matrix, d, cc, sep = e.split("|")
+                entries.append((len(states) - 1, parse_matrix(matrix, t, mu), float(d), float(sep), bool(int(cc))))
+    check_count("states", header_int(header, "states"), len(states))
     store = CandidateStore(
         modulation=header["modulation"],
         labeling_version=header["labeling"],
-        t=int(header["t"]),
-        mu=int(header["mu"]),
-        k_per_state=int(header["K"]),
-        rank_seed=opt_int(header["rank_seed"]),
-        rank_trials=opt_int(header["rank_trials"]),
+        t=t,
+        mu=mu,
+        k_per_state=k,
+        rank_seed=header_int(header, "rank_seed", optional=True),
+        rank_trials=header_int(header, "rank_trials", optional=True),
         states=tuple(states),
-        lists=tuple(lists),
+        **_store_arrays(len(states), *(list(zip(*entries)) or [()] * 5)),
     )
-    for i, entries in enumerate(store.lists):
-        if len(entries) > store.k_per_state:
-            raise ValueError(f"state {i} lists {len(entries)} matrices, more than K={store.k_per_state}")
-    for matrix in dict.fromkeys(e.matrix for entries in store.lists for e in entries):   # each distinct matrix once
-        if (matrix.n_rows, matrix.n_cols) != (store.t, store.mu):
-            raise ValueError(f"store entry {matrix.to_text()} is not {store.t}x{store.mu}")
-    distinct, _, _, rows = store._arrays
-    low = np.flatnonzero(rank_rows(rows[:-1]) != store.t)
+    low = np.flatnonzero(rank_rows(store._rows[:-1]) != t)
     if len(low):
-        raise ValueError(f"store entry {store.t}x{store.mu}:{distinct[low[0]]:x} has rank below t={store.t}")
-    certified_n = opt_int(header["certified_n"])
+        raise ValueError(f"store entry {format_matrix(int(store.encodings[low[0]]), t, mu)} has rank below t={t}")
+    certified_n = header_int(header, "certified_n", optional=True)
     claimed = {tuple(map(int, part.split(","))) for part in header["infeasible"].split(";") if part}
     if certified_n is not None:
         store = certify_store(store, certified_n)
@@ -688,7 +690,7 @@ def load_table(path: str) -> SelectionTable:
     are parsed one at a time, so a header that claims more than the file
     holds is refused when the file runs out, with nothing allocated."""
     with read_artifact(path, "pnclab-table v3") as (header, body):
-        t, mu, n, n_states, n_values = (int(header[k]) for k in ("t", "mu", "n", "states", "values"))
+        t, mu, n, n_states, n_values = (header_int(header, k) for k in ("t", "mu", "n", "states", "values"))
         constellation_of(header)
         if n < 1:
             raise ValueError(f"a table needs n >= 1 APs, not {n}")
@@ -701,6 +703,8 @@ def load_table(path: str) -> SelectionTable:
             if encs is not None and any(e >> (t * mu) for e in encs):
                 raise ValueError(f"table value {k} lists an encoding of more than {t}x{mu} bits")
             values.append(encs)
+        if not 1 <= t <= mu:
+            raise ValueError(f"t={t} is not in [1, mu={mu}]")
         dtype = np.min_scalar_type(-n_values)
         rows = []
         for r, text in enumerate(records(body, "row", n_states ** (n - 1))):

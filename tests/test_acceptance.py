@@ -17,7 +17,6 @@ from pnclab.fade_states import (
     save_catalog,
     truncate_catalog,
 )
-from pnclab.gf2 import BitMatrix
 from pnclab.link import draw_channel, recover_batch
 from pnclab.mapping import joint_vector_table, superimpose
 from pnclab.modulation import make_constellation
@@ -29,7 +28,7 @@ from pnclab.search import (
 )
 from pnclab.sim import ExperimentConfig, run_experiment
 
-from oracles import exhaustive_matrix_scan, greedy_rank, hard_ncv, ncv_table
+from oracles import exhaustive_matrix_scan, greedy_rank, hard_ncv, ncv_table, store_lists, unpack
 
 FRAMES = 10_000
 SEED = 20240601
@@ -139,7 +138,7 @@ def test_criterion_04_unambiguous_decodability(qam4, cat4, store4):
         xs = []
         for j in range(2):
             y = H[j, 0] * qam4.points[taus >> 2] + H[j, 1] * qam4.points[taus & 3]
-            ncv = hard_ncv(y, (H[j, 0], H[j, 1]), BitMatrix.from_row_ints(rows[0, j].tolist(), 4), qam4)
+            ncv = hard_ncv(y, (H[j, 0], H[j, 1]), rows[0, j].tolist(), qam4)
             xs.append((ncv[:, None] >> np.arange(2)[None, :]) & 1)
         w_bits = recover_batch(rows.reshape(1, -1), np.concatenate(xs, axis=1)[None])[0]
         if not np.array_equal((w_bits * weights).sum(axis=1), w_of_tau[taus]):
@@ -184,7 +183,7 @@ def test_criterion_07_llr_oracle(qam4, store4):
     from pnclab.link import detect_ncv
 
     rng = np.random.default_rng(SEED + 1)
-    matrices = [e.matrix for lst in store4.lists for e in lst]
+    matrices = [unpack(e[0], store4.t, store4.mu) for lst in store_lists(store4) for e in lst]
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
@@ -194,8 +193,8 @@ def test_criterion_07_llr_oracle(qam4, store4):
         mat = matrices[int(rng.integers(0, len(matrices)))]
         table = ncv_table(mat, 2)
         weights = np.exp(-np.abs(y - superimpose(qam4, h)) ** 2 / nv)
-        llr = detect_ncv([y], h, mat.rows, qam4, nv)[0]
-        for i in range(mat.n_rows):
+        llr = detect_ncv([y], h, mat, qam4, nv)[0]
+        for i in range(len(mat)):
             bit = (table >> i) & 1
             ref = np.log(weights[bit == 0].sum()) - np.log(weights[bit == 1].sum())
             worst = max(worst, abs(ref - llr[i]))

@@ -7,6 +7,8 @@ from pnclab import cli, sim
 from pnclab.cli import main
 from pnclab.search import load_store, load_table
 
+from oracles import store_lists
+
 
 def test_offline_and_table_and_verify(tmp_path, capsys):
     store_path = str(tmp_path / "store.cat")
@@ -91,15 +93,17 @@ def test_simulate_with_overrides(tmp_path, capsys):
     "extra, overrides, field",
     [
         ({}, ["frames_per_point=1e3"], "frames_per_point"),
-        ({}, ["bogus=1"], "bogus"),
-        ({"frames": 100}, [], "frames"),
+        ({}, ["bogus=1"], "unknown config keys: bogus"),
+        ({"frames": 100}, [], "unknown config keys: frames"),
         ({"ebn0_db": 10}, [], "ebn0_db"),
     ],
     ids=["non-integer", "unknown-override", "unknown-json-key", "scalar-point"],
 )
 def test_simulate_refused_config_is_one_line(tmp_path, extra, overrides, field):
     """A config that construction refuses ends the command with one line
-    naming the field, not a traceback."""
+    naming the field, not a traceback.  An unknown ``--set`` key gets the
+    message an unknown key of the file gets, where it used to get
+    ``dataclasses.replace``'s TypeError."""
     cfg = {"modulation": "qam4", "scheme": "comp_ideal", "ebn0_db": [12.0], "frames_per_point": 10, **extra}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -110,6 +114,16 @@ def test_simulate_refused_config_is_one_line(tmp_path, extra, overrides, field):
     assert isinstance(message, str) and "\n" not in message
     assert re.search(rf"\b{field}\b", message)
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_offline_counts_states_without_a_clash_consistent_candidate(tmp_path, capsys):
+    """The summary line counts the states whose list holds no entry flagged
+    clash-consistent."""
+    path = str(tmp_path / "store.cat")
+    assert main(["offline", "--mod", "qam16", "--t", "4", "--K", "3", "--psfs", "24", "--trials", "20000",
+                 "--out", path]) == 0
+    unresolved = sum(not any(e[2] for e in l) for l in store_lists(load_store(path)))
+    assert unresolved and f"24 states, {unresolved} without a clash-consistent candidate" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

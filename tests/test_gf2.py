@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnclab.gf2 import (
-    BitMatrix,
     SingularMatrixError,
     enumerate_subspaces,
     inverse_f2,
@@ -16,12 +15,13 @@ from pnclab.gf2 import (
     rref_stack,
     span,
 )
+from pnclab.search import _unpack, format_matrix, parse_matrix
 
-from oracles import all_matrices, bit_matrix as bm, greedy_rank
+from oracles import all_matrices, bit_matrix as bm, greedy_rank, unpack
 
 
 def full_rank(a):
-    return rank_rows(a.rows) == a.n_rows
+    return rank_rows(a) == len(a)
 
 
 def product(rows, v):
@@ -30,13 +30,13 @@ def product(rows, v):
 
 
 def is_identity_product(a, b):
-    """Whether a b = I over F2, one column of b at a time."""
-    return all(product(a.rows, product(b.rows, 1 << c)) == 1 << c for c in range(b.n_cols))
+    """Whether a b = I over F2 for square packed rows, one column of b at a time."""
+    return all(product(a, product(b, 1 << c)) == 1 << c for c in range(len(b)))
 
 
 def inverse_one(a):
-    """inverse_f2 on a frame axis of one, read back as a BitMatrix."""
-    return BitMatrix.from_row_ints(inverse_f2(np.array([a.rows]))[0].tolist(), a.n_cols)
+    """inverse_f2 on a frame axis of one, read back as a tuple of packed rows."""
+    return tuple(inverse_f2(np.array([a]))[0].tolist())
 
 
 class TestDetRank:
@@ -47,18 +47,18 @@ class TestDetRank:
 
     def test_det_requires_square(self):
         with pytest.raises(ValueError):
-            inverse_f2(np.array([bm([[1, 0, 1]]).rows]))
+            inverse_f2(np.array([bm([[1, 0, 1]])]))
 
     def test_rank_examples(self):
-        assert rank_rows(bm([[1, 0, 1, 0], [0, 1, 0, 1]]).rows) == 2
-        assert rank_rows(bm([[0, 0, 0]] * 3).rows) == 0
-        assert rank_rows(bm([[1, 0], [0, 1], [1, 1]]).rows) == 2
+        assert rank_rows(bm([[1, 0, 1, 0], [0, 1, 0, 1]])) == 2
+        assert rank_rows(bm([[0, 0, 0]] * 3)) == 0
+        assert rank_rows(bm([[1, 0], [0, 1], [1, 1]])) == 2
 
     def test_det_iff_full_rank(self):
         """A square matrix inverts exactly when its rows have full rank."""
         rng = np.random.default_rng(1)
         mats = all_matrices(2, 2)
-        mats += [BitMatrix.from_encoding(int(rng.integers(0, 1 << 16)), 4, 4) for _ in range(50)]
+        mats += [unpack(int(rng.integers(0, 1 << 16)), 4, 4) for _ in range(50)]
         for a in mats:
             if full_rank(a):
                 assert is_identity_product(a, inverse_one(a))
@@ -69,7 +69,7 @@ class TestDetRank:
 
 class TestInverse:
     def test_identity(self):
-        identity = BitMatrix.from_row_ints((1, 2, 4, 8), 4)
+        identity = (1, 2, 4, 8)
         assert inverse_one(identity) == identity
 
     def test_self_inverse(self):
@@ -84,7 +84,7 @@ class TestInverse:
         rng = np.random.default_rng(2)
         found = 0
         while found < 20:
-            a = BitMatrix.from_encoding(int(rng.integers(0, 1 << 16)), 4, 4)
+            a = unpack(int(rng.integers(0, 1 << 16)), 4, 4)
             if not full_rank(a):
                 continue
             found += 1
@@ -99,7 +99,7 @@ class TestInverse:
             count += 1
             inv = inverse_one(a)
             v = int(rng.integers(0, 8))
-            assert product(inv.rows, product(a.rows, v)) == v
+            assert product(inv, product(a, v)) == v
         assert count == 168  # |GL(3, F2)|
 
 
@@ -111,28 +111,30 @@ class TestEnumeration:
 
 
 class TestEncoding:
+    """A matrix's encoding, which the store unpacks, and its text form in store files."""
+
     def test_little_endian_row_major(self):
         # bit index r * n_cols + c
-        assert BitMatrix.from_encoding(0b0001, 2, 2) == bm([[1, 0], [0, 0]])
-        assert BitMatrix.from_encoding(0b0100, 2, 2) == bm([[0, 0], [1, 0]])
+        assert tuple(_unpack(0b0001, 2, 2).tolist()) == bm([[1, 0], [0, 0]])
+        assert tuple(_unpack(0b0100, 2, 2).tolist()) == bm([[0, 0], [1, 0]])
 
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             enc = int(rng.integers(0, 1 << 8))
-            m = BitMatrix.from_encoding(enc, 2, 4)
-            assert m.encoding == enc
-            assert BitMatrix.from_text(m.to_text()) == m
+            assert tuple(_unpack(enc, 2, 4).tolist()) == unpack(enc, 2, 4)
+            assert parse_matrix(format_matrix(enc, 2, 4), 2, 4) == enc
 
     def test_text_format(self):
-        m = bm([[1, 0, 1, 0], [0, 1, 0, 1]])
-        assert m.to_text() == f"2x4:{m.encoding:x}"
+        rows = bm([[1, 0, 1, 0], [0, 1, 0, 1]])
+        assert format_matrix(rows[0] | rows[1] << 4, 2, 4) == "2x4:a5"
 
     @pytest.mark.parametrize("text", ["2x4:1e1", "2x2:-1"])
     def test_text_bits_beyond_shape_refused(self, text):
         """``2x4:1e1`` used to drop its bit 8 and read as rows 1, 14."""
+        t, mu = map(int, text.partition(":")[0].split("x"))
         with pytest.raises(ValueError, match="bits beyond"):
-            BitMatrix.from_text(text)
+            parse_matrix(text, t, mu)
 
 
 class TestSubspaces:
@@ -152,8 +154,8 @@ class TestSubspaces:
     def test_subspaces_match_bruteforce_rowspaces(self):
         # oracle: distinct row spaces of all rank-2 2x4 matrices
         mats = all_matrices(2, 4)
-        ranks = rank_rows([m.rows for m in mats])
-        spaces = {frozenset(span(rref_rows(m.rows, 4)[0])) for m, r in zip(mats, ranks) if r == 2}
+        ranks = rank_rows(mats)
+        spaces = {frozenset(span(rref_rows(m, 4)[0])) for m, r in zip(mats, ranks) if r == 2}
         enumerated = {
             frozenset(span(rows)) for rows in enumerate_subspaces(tuple(1 << i for i in range(4)), 2)
         }
@@ -308,7 +310,7 @@ class TestInverseSolveProperties:
     @given(_SQUARE)
     def test_inverse_round_trip(self, square):
         n, rows = square
-        a = BitMatrix.from_row_ints(rows, n)
+        a = tuple(rows)
         if greedy_rank(rows) < n:
             with pytest.raises(SingularMatrixError):
                 inverse_one(a)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnclab import link
-from pnclab.gf2 import BitMatrix
 from pnclab.link import (
     QuantizerSpec,
     comp_combine,
@@ -124,7 +123,7 @@ class TestDetectNcv:
         # y at the origin with a single visible terminal: both bit classes
         # sit symmetrically, so every L-value vanishes
         mat = bit_matrix([[1, 0, 0, 0], [0, 1, 0, 0]])
-        llr = detect_ncv([0j], (1.0, 0.0), mat.rows, qam4, 0.5)
+        llr = detect_ncv([0j], (1.0, 0.0), mat, qam4, 0.5)
         assert np.allclose(llr, 0.0, atol=1e-12)
 
     def test_low_noise_concentrates_on_cluster(self, qam4):
@@ -135,7 +134,7 @@ class TestDetectNcv:
             pts = superimpose(qam4, h)
             table = ncv_table(XOR_MAP, 2)
             tau = int(rng.integers(0, 16))
-            llr = detect_ncv(pts[tau : tau + 1], h, XOR_MAP.rows, qam4, 1e-4)
+            llr = detect_ncv(pts[tau : tau + 1], h, XOR_MAP, qam4, 1e-4)
             bits = llrs_to_bits(llr[0])
             want = np.array([(table[tau] >> i) & 1 for i in range(2)])
             assert np.array_equal(bits, want)
@@ -150,7 +149,7 @@ class TestDetectNcv:
             nv = float(rng.uniform(0.05, 1.0))
             pts = superimpose(qam4, h)
             weights = np.exp(-np.abs(y - pts) ** 2 / nv)
-            llr = detect_ncv([y], h, XOR_MAP.rows, qam4, nv)[0]
+            llr = detect_ncv([y], h, XOR_MAP, qam4, nv)[0]
             for i in range(2):
                 bit = (table >> i) & 1
                 want = np.log(weights[bit == 0].sum()) - np.log(weights[bit == 1].sum())
@@ -158,20 +157,20 @@ class TestDetectNcv:
 
     def test_degenerate_row_flags_infinity(self, qam4):
         mat = bit_matrix([[1, 0, 1, 0], [0, 0, 0, 0]])
-        llr = detect_ncv([0.3 + 0.1j], (1.0, 0.5), mat.rows, qam4, 0.5)[0]
+        llr = detect_ncv([0.3 + 0.1j], (1.0, 0.5), mat, qam4, 0.5)[0]
         assert llr[1] == np.inf  # zero row: bit is always 0
 
     def test_vector_input_shape(self, qam4):
         y = np.array([0.1 + 0.2j, -0.4 + 1j, 0.9j])
-        llr = detect_ncv(y, (1.0, 0.5), XOR_MAP.rows, qam4, 0.3)
+        llr = detect_ncv(y, (1.0, 0.5), XOR_MAP, qam4, 0.3)
         assert llr.shape == (3, 2)
 
     def test_max_log_signs_agree_at_low_noise(self, qam4):
         rng = np.random.default_rng(7)
         h = (0.8 - 0.1j, 0.3 + 0.5j)
         y = np.array([complex(rng.standard_normal(), rng.standard_normal()) for _ in range(32)])
-        exact = detect_ncv(y, h, XOR_MAP.rows, qam4, 1e-3)
-        approx = detect_ncv(y, h, XOR_MAP.rows, qam4, 1e-3, max_log=True)
+        exact = detect_ncv(y, h, XOR_MAP, qam4, 1e-3)
+        approx = detect_ncv(y, h, XOR_MAP, qam4, 1e-3, max_log=True)
         assert np.array_equal(np.sign(exact), np.sign(approx))
 
 
@@ -192,7 +191,7 @@ class TestRecovery:
             xs = []
             for j in range(2):
                 y = H[j, 0] * qam4.points[taus >> 2] + H[j, 1] * qam4.points[taus & 3]
-                ncv = hard_ncv(y, (H[j, 0], H[j, 1]), BitMatrix.from_row_ints(rows[0, j].tolist(), 4), qam4)
+                ncv = hard_ncv(y, (H[j, 0], H[j, 1]), rows[0, j].tolist(), qam4)
                 xs.append(((ncv[:, None] >> np.arange(2)[None, :]) & 1))
             w_bits = recover_batch(rows.reshape(1, -1), np.concatenate(xs, axis=1)[None])[0]
             w_hat = (w_bits * (1 << np.arange(4))[None, :]).sum(axis=1)
@@ -228,11 +227,11 @@ class TestRecovery:
     @pytest.mark.parametrize(
         "g, x_shape",
         [
-            (np.array([XOR_MAP.rows]), (1, 5, 2)),
-            (np.array([XOR_MAP.rows * 3]), (1, 5, 6)),
+            (np.array([XOR_MAP]), (1, 5, 2)),
+            (np.array([XOR_MAP * 3]), (1, 5, 6)),
             (np.array([[1, 2, 4, 8, 3, 12]] * 3), (3, 5, 4)),
             (np.array([[1, 2, 4, 8, 3, 12]] * 3), (3, 5, 6)),
-            (np.array([XOR_MAP.rows] * 3), (3, 5, 2)),
+            (np.array([XOR_MAP] * 3), (3, 5, 2)),
         ],
         ids=["one-2x4", "one-6x4", "chunk-6-rows-4-bits", "chunk-6x4", "chunk-2x4"],
     )
@@ -695,7 +694,7 @@ class TestShapeChosenGrid:
         c, H, ys, rows, _ = _received_stack(mod, uses, ebn0_db, 33)
         grid = _distances_sample_fast(superimpose(c, H), ys)
         assert np.array_equal(comp_ideal(ys, H, c), grid.sum(axis=-3).argmin(axis=-2))
-        mat = BitMatrix.from_row_ints(rows[0, 0].tolist(), 2 * c.bits_per_symbol)
+        mat = rows[0, 0].tolist()
         want = ncv_table(mat, c.bits_per_symbol)[grid[0, 0].argmin(axis=0)]
         assert np.array_equal(hard_ncv(ys[0, 0], tuple(H[0, 0]), mat, c), want)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnclab.fade_states import enumerate_sfs
-from pnclab.gf2 import BitMatrix, rank_rows
+from pnclab.gf2 import rank_rows
 from pnclab.mapping import (
     coincident_partition,
     difference_profiles,
@@ -17,7 +17,7 @@ from pnclab.mapping import (
 from pnclab.modulation import make_constellation
 from pnclab.search import state_channel
 
-from oracles import bit_matrix, clash_consistent, greedy_rank, ncv_table
+from oracles import bit_matrix, clash_consistent, greedy_rank, ncv_table, unpack
 
 XOR_MAP = bit_matrix([[1, 0, 1, 0], [0, 1, 0, 1]])
 
@@ -88,7 +88,7 @@ def _ncv_table_loop(matrix, m):
     gather from the parity table."""
     w_of_tau = _w_of_tau_loop(m)
     out = np.zeros(len(w_of_tau), dtype=np.int64)
-    for i, row in enumerate(matrix.rows):
+    for i, row in enumerate(matrix):
         out |= (np.bitwise_count(w_of_tau & row).astype(np.int64) & 1) << i
     return out
 
@@ -107,9 +107,8 @@ def test_joint_vector_table_matches_loop(m):
 def test_ncv_table_matches_loop(m, data):
     t = data.draw(st.integers(1, 2 * m))
     rows = data.draw(st.lists(st.integers(0, (1 << 2 * m) - 1), min_size=t, max_size=t))
-    matrix = BitMatrix.from_row_ints(rows, 2 * m)
-    got = ncv_table(matrix, m)
-    assert got.dtype == np.int64 and np.array_equal(got, _ncv_table_loop(matrix, m))
+    got = ncv_table(rows, m)
+    assert got.dtype == np.int64 and np.array_equal(got, _ncv_table_loop(rows, m))
 
 
 def all_pairs_profiles(pts, coincident):
@@ -350,11 +349,11 @@ class TestEvaluateMapping:
         verdict = True
         for block in clash:
             # the NCV of w is the parity of each row against it
-            ncvs = {tuple((row & int(w_of_tau[t])).bit_count() & 1 for row in XOR_MAP.rows) for t in block}
+            ncvs = {tuple((row & int(w_of_tau[t])).bit_count() & 1 for row in XOR_MAP) for t in block}
             if len(ncvs) > 1:
                 verdict = False
         assert clash_consistent(XOR_MAP, clash, 2) == verdict
-        assert (mapping_d_min(XOR_MAP.rows, pts) > 0) == verdict
+        assert (mapping_d_min(XOR_MAP, pts) > 0) == verdict
 
     def test_d_min_matches_bruteforce(self, qam4, qam16):
         """Random channels and singular fade states, both profiles."""
@@ -367,27 +366,27 @@ class TestEvaluateMapping:
             cases = [(state_channel(e.state), e.partition) for e in singular] + [(h, round_partition(c, h)) for h in random]
             for h, clash in cases:
                 pts = superimpose(c, h)
-                mat = BitMatrix.from_encoding(int(rng.integers(1, 1 << (2 * m * m))), m, 2 * m)
-                plain, separated = mapping_d_min(mat.rows, pts, clash)
-                assert mapping_d_min(mat.rows, pts) == plain
+                mat = unpack(int(rng.integers(1, 1 << (2 * m * m))), m, 2 * m)
+                plain, separated = mapping_d_min(mat, pts, clash)
+                assert mapping_d_min(mat, pts) == plain
                 assert plain == pytest.approx(brute_force_d_min(pts, mat), rel=1e-12)
                 assert separated == pytest.approx(brute_force_d_min(pts, mat, clash), rel=1e-12)
 
     def test_zero_row_merges_clusters(self, qam4):
         mat = bit_matrix([[1, 0, 1, 0], [0, 0, 0, 0]])
-        assert rank_rows(mat.rows) < 2
-        assert len(set(ncv_table(mat, 2))) == 2 ** rank_rows(mat.rows)
+        assert rank_rows(mat) < 2
+        assert len(set(ncv_table(mat, 2))) == 2 ** rank_rows(mat)
 
     def test_zero_matrix_single_cluster(self, qam4):
         pts = superimpose(qam4, (1.0, 0.5 + 0.25j))
-        mat = BitMatrix.from_row_ints((0, 0), 4)
+        mat = (0, 0)
         assert len(set(ncv_table(mat, 2))) == 1
-        assert mapping_d_min(mat.rows, pts) == np.inf
+        assert mapping_d_min(mat, pts) == np.inf
 
     def test_cluster_count_is_two_to_rank(self, qam4):
         for enc in range(256):
-            mat = BitMatrix.from_encoding(enc, 2, 4)
-            assert len(set(ncv_table(mat, 2))) == 2 ** greedy_rank(mat.rows)
+            mat = unpack(enc, 2, 4)
+            assert len(set(ncv_table(mat, 2))) == 2 ** greedy_rank(mat)
 
     def test_ncv_linearity(self, qam4):
         tau_of_w = joint_vector_table(2)
@@ -404,13 +403,13 @@ class TestEvaluateMapping:
         clash = coincident_partition(qam4, (1, 1j))[0]
         mat = bit_matrix([[1, 0, 0, 0], [0, 1, 0, 0]])
         assert not clash_consistent(mat, clash, 2)
-        assert mapping_d_min(mat.rows, pts) == 0.0
+        assert mapping_d_min(mat, pts) == 0.0
 
     def test_d_min_channel_scaling(self, qam4):
         h = (0.9 - 0.2j, 0.4 + 0.6j)
-        base = mapping_d_min(XOR_MAP.rows, superimpose(qam4, h))
-        rotated = mapping_d_min(XOR_MAP.rows, superimpose(qam4, (h[0] * 1j, h[1] * 1j)))
-        scaled = mapping_d_min(XOR_MAP.rows, superimpose(qam4, (2 * h[0], 2 * h[1])))
+        base = mapping_d_min(XOR_MAP, superimpose(qam4, h))
+        rotated = mapping_d_min(XOR_MAP, superimpose(qam4, (h[0] * 1j, h[1] * 1j)))
+        scaled = mapping_d_min(XOR_MAP, superimpose(qam4, (2 * h[0], 2 * h[1])))
         assert rotated == pytest.approx(base, rel=1e-12)
         assert scaled == pytest.approx(4 * base, rel=1e-12)
 

@@ -24,17 +24,17 @@ from pnclab.fade_states import (
     save_catalog,
     truncate_catalog,
 )
-from pnclab.gf2 import BitMatrix, enumerate_subspaces, nullspace, rank_rows, rref_rows, span
+from pnclab.gf2 import enumerate_subspaces, nullspace, rank_rows, rref_rows, span
 from pnclab.link import draw_channel
 from pnclab.mapping import clash_difference_basis, difference_profiles, mapping_d_min, superimpose
 from pnclab.modulation import make_constellation
 from pnclab.search import (
-    CandidateEntry,
     SelectionInfeasibleError,
     assemble_store,
     build_selection_table,
     build_store,
     certify_store,
+    format_matrix,
     load_store,
     load_table,
     mine_candidates,
@@ -45,7 +45,7 @@ from pnclab.search import (
     table_lookup,
 )
 
-from oracles import exhaustive_matrix_scan, greedy_rank
+from oracles import exhaustive_matrix_scan, greedy_rank, pack, store_content, store_lists, unpack, with_lists
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ def _kernel_mine(cat, t, limit):
     a standard-vector complement of D; an unresolvable state's kernels are
     the (mu - t)-dim subspaces of D.  Every candidate is the RREF of its
     kernel's nullspace, scored one ``mapping_d_min`` call at a time.
-    Returns (resolvable, [(matrix, d_min, separated_d_min)]) per state.
+    Returns (resolvable, [(encoding, d_min, separated_d_min)]) per state.
     """
     c = make_constellation(cat.modulation)
     m = c.bits_per_symbol
@@ -110,8 +110,8 @@ def _kernel_mine(cat, t, limit):
         scored = []
         for kb in kernels:
             rows = rref_rows(nullspace(kb, mu), mu)[0]
-            scored.append((BitMatrix.from_row_ints(rows, mu), *mapping_d_min(rows, pts, clash=entry.partition)))
-        scored.sort(key=lambda e: (-e[1], -e[2], e[0].encoding))
+            scored.append((pack(rows, mu), *mapping_d_min(rows, pts, clash=entry.partition)))
+        scored.sort(key=lambda e: (-e[1], -e[2], e[0]))
         out.append((resolvable, scored[:limit]))
     return out
 
@@ -125,36 +125,33 @@ class TestMining:
     )
     def test_matches_kernel_miner(self, request, cat_name, t, limit):
         """Row spaces enumerated directly, scored in batches and reduced
-        only when they can reach the cut: the same ranked lists."""
+        only when they can reach the cut: the same ranked lists, after each
+        state's two extractors."""
         cat = request.getfixturevalue(cat_name)
-        for r, (resolvable, want) in zip(mine_candidates(cat, t, limit=limit), _kernel_mine(cat, t, limit)):
-            assert r.resolvable == resolvable
-            assert all(e.clash_consistent == resolvable for e in r.entries)
-            assert [(e.matrix, e.d_min, e.separated_d_min) for e in r.entries] == want
+        for lst, (resolvable, want) in zip(store_lists(mine_candidates(cat, t, limit=limit)), _kernel_mine(cat, t, limit)):
+            assert all(e[2] == resolvable for e in lst[2:])
+            assert [(e[0], e[1], e[3]) for e in lst[2:]] == want
 
 
     def test_all_4qam_states_resolvable(self, cat4):
-        rankings = mine_candidates(cat4, t=2)
-        assert all(r.resolvable for r in rankings)
-        for r in rankings:
-            assert len(r.entries) >= 1
-            assert all(e.clash_consistent and e.d_min > 0 for e in r.entries)
+        for lst in store_lists(mine_candidates(cat4, t=2)):
+            assert len(lst) >= 3
+            assert all(e[2] and e[1] > 0 for e in lst[2:])
 
     def test_matches_exhaustive_scan(self, cat4, qam4):
         """Row-space mining agrees with the literal per-matrix scan."""
-        rankings = mine_candidates(cat4, t=2)
-        for entry, r in zip(cat4.entries, rankings):
+        for entry, lst in zip(cat4.entries, store_lists(mine_candidates(cat4, t=2))):
             scan = exhaustive_matrix_scan(superimpose(qam4, state_channel(entry.state)), entry.partition, t=2)
             consistent = [(m, d) for m, d, cc in scan if cc]
             # six bases of the single admissible row space, equal d_min
             assert len(consistent) == 6
             best_scan = max(d for _, d in consistent)
-            assert r.entries[0].d_min == pytest.approx(best_scan, rel=1e-12)
-            scan_space = frozenset(span(consistent[0][0].rows))
-            assert frozenset(span(r.entries[0].matrix.rows)) == scan_space
+            assert lst[2][1] == pytest.approx(best_scan, rel=1e-12)
+            scan_space = frozenset(span(consistent[0][0]))
+            assert frozenset(span(unpack(lst[2][0], 2, 4))) == scan_space
 
     def test_rank_t_invariant(self, store4):
-        assert (rank_rows([e.matrix.rows for lst in store4.lists for e in lst]) == store4.t).all()
+        assert (rank_rows([unpack(e[0], 2, 4) for lst in store_lists(store4) for e in lst]) == store4.t).all()
 
     @pytest.mark.parametrize(
         "cat_name, t", [("cat4", 2), ("cat4", 3), ("cat16", 4)], ids=["qam4-t2", "qam4-t3", "qam16-t4"]
@@ -163,12 +160,12 @@ class TestMining:
         cat = request.getfixturevalue(cat_name)
         c = make_constellation(cat.modulation)
         mu = 2 * c.bits_per_symbol
-        for entry, r in zip(cat.entries, mine_candidates(cat, t)):
+        for entry, lst in zip(cat.entries, store_lists(mine_candidates(cat, t))):
             pts = superimpose(c, state_channel(entry.state))
-            assert r.entries
-            for e in r.entries:
-                kernel = nullspace(e.matrix.rows, mu)
-                assert (e.d_min, e.separated_d_min) == _kernel_scores(kernel, pts, entry.partition)
+            assert lst[2:]
+            for e in lst:
+                kernel = nullspace(unpack(e[0], t, mu), mu)
+                assert (e[1], e[3]) == _kernel_scores(kernel, pts, entry.partition)
 
 
 class TestCertification:
@@ -177,23 +174,18 @@ class TestCertification:
         assert store4.infeasible == ()
 
     def test_every_ordered_pair_has_invertible_stack(self, store4):
-        n = len(store4.states)
-        for a, b in itertools.product(range(n), repeat=2):
-            ok = any(
-                greedy_rank(ma.rows + mb.rows) == store4.mu
-                for ma in (e.matrix for e in store4.lists[a])
-                for mb in (e.matrix for e in store4.lists[b])
-            )
+        lists = [[unpack(e[0], 2, 4) for e in l] for l in store_lists(store4)]
+        for a, b in itertools.product(range(len(lists)), repeat=2):
+            ok = any(greedy_rank(ma + mb) == store4.mu for ma in lists[a] for mb in lists[b])
             assert ok, (a, b)
 
     def test_k1_store_reports_infeasible_tuples(self, cat4):
-        rankings = mine_candidates(cat4, t=2, limit=1)
-        store = certify_store(assemble_store(cat4, rankings, t=2, k_per_state=1), 2)
+        store = certify_store(assemble_store(cat4, mine_candidates(cat4, t=2, limit=1), t=2, k_per_state=1), 2)
         # a single candidate per state cannot serve two APs in the same fade
         assert any(a == b for a, b in store.infeasible)
 
     def test_list_cap(self, store4):
-        assert all(len(l) <= store4.k_per_state for l in store4.lists)
+        assert all(len(l) <= store4.k_per_state for l in store_lists(store4))
 
     @pytest.mark.parametrize(
         "cat_name, t, k, n",
@@ -212,7 +204,7 @@ class TestCertification:
         cat = request.getfixturevalue(cat_name)
         store = assemble_store(cat, mine_candidates(cat, t=t, limit=k), t=t, k_per_state=k)
         got = certify_store(store, n)
-        assert got.lists == store.lists
+        assert store_lists(got) == store_lists(store)
         assert got.infeasible == pair_loop_certify(store, n)
         assert got.certified_n == n
         if k == 1:
@@ -224,13 +216,10 @@ class TestCertification:
         test used to drop span{e0 + e2, e1 + e3} at state 1, which no pair
         of entries needs but three APs do: the store reported 12 infeasible
         tuples and its lists had 15, (1, 1, 3) and its two rotations more."""
-        def entry(*rows):
-            return CandidateEntry(BitMatrix.from_row_ints(rows, 4), 1.0, True, 1.0)
-
         rows = [[(1, 4)], [(2, 8), (5, 10)], [(3, 12), (1, 10)], [(10, 4)]]
-        lists = tuple(tuple(entry(*r) for r in l) for l in rows)
-        got = certify_store(dataclasses.replace(store4, states=store4.states[:4], lists=lists), 3)
-        assert got.lists == lists
+        lists = [[(pack(r, 4), 1.0, True, 1.0) for r in l] for l in rows]
+        got = certify_store(with_lists(dataclasses.replace(store4, states=store4.states[:4]), lists), 3)
+        assert store_lists(got) == lists
         assert len(got.infeasible) == 12
         assert certify_store(got, 3).infeasible == got.infeasible
         assert build_selection_table(got, n_aps=3).markers == 12
@@ -240,7 +229,7 @@ def pair_loop_certify(store, n_aps):
     """Oracle: certification one tuple at a time.  Returns the tuples with
     no full-rank combination of their states' matrices, in lexicographic
     order."""
-    encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
+    encodings = [tuple(e[0] for e in l) for l in store_lists(store)]
     return tuple(
         tup
         for tup in itertools.product(range(len(store.states)), repeat=n_aps)
@@ -252,11 +241,11 @@ def pair_loop_certify(store, n_aps):
 
 def _stacked_verdicts(store, n):
     """Oracle: ``_full_rank(n)`` by one ``greedy_rank`` call per combination
-    of distinct encodings, over stacked ``BitMatrix.from_encoding`` rows."""
-    distinct = sorted({e.matrix.encoding for l in store.lists for e in l})
+    of distinct encodings, over their stacked rows."""
+    distinct = sorted({e[0] for l in store_lists(store) for e in l})
     want = np.zeros((len(distinct) + 1,) * n, dtype=bool)
     for combo in itertools.product(range(len(distinct)), repeat=n):
-        rows = [r for c in combo for r in BitMatrix.from_encoding(distinct[c], store.t, store.mu).rows]
+        rows = [r for c in combo for r in unpack(distinct[c], store.t, store.mu)]
         want[combo] = greedy_rank(rows) == store.mu
     return want
 
@@ -278,7 +267,7 @@ class TestVerdicts:
         got = store._full_rank(n)
         monkeypatch.undo()
         assert np.array_equal(got, _stacked_verdicts(store, n))
-        combos = math.comb(len(store._arrays[0]) + n - 1, n)
+        combos = math.comb(len(store.encodings) + n - 1, n)
         assert len(calls) == -(-combos // (1 << 16))
         assert all(c[1] == n * t and c[0] <= 1 << 16 for c in calls) and sum(c[0] for c in calls) == combos
 
@@ -289,20 +278,18 @@ class TestVerdicts:
         cat = request.getfixturevalue(cat_name)
         store = assemble_store(cat, mine_candidates(cat, t=t, limit=5), t=t, k_per_state=5)
         got = certify_store(store, 2)
-        assert got._arrays[0] == store._arrays[0]
+        assert np.array_equal(got.encodings, store.encodings)
         assert got._verdicts[2] is store._verdicts[2]
         assert np.array_equal(got._full_rank(2), _stacked_verdicts(got, 2))
 
-    def test_certified_store_does_not_rebuild_arrays(self, cat4, monkeypatch):
-        """The certified store carries the store's arrays over, as it does
-        the verdicts, so a run's selection and table build read them without
-        building them again (4.9 ms on the qam16 K=5 store)."""
-        builds = []
-        build = search.CandidateStore._arrays.func
-        monkeypatch.setattr(search.CandidateStore._arrays, "func", lambda store: builds.append(1) or build(store))
+    def test_certified_store_does_not_rebuild_arrays(self, cat4):
+        """The certified store holds the store's own arrays, as it does the
+        verdicts, so a run's selection and table build read them as they
+        are."""
         store = assemble_store(cat4, mine_candidates(cat4, t=2, limit=5), t=2, k_per_state=5)
         got = certify_store(certify_store(store, 2), 2)
-        assert got._arrays is store._arrays and len(builds) == 1
+        for name in ("encodings", "codes", "d_min", "separated_d_min", "clash_consistent"):
+            assert getattr(got, name) is getattr(store, name)
 
 
 class TestOnlineSelection:
@@ -413,7 +400,7 @@ class TestSelectionTable:
 @functools.cache
 def _stacks_full_rank(encodings, t, mu):
     """Oracle: whether the t x mu matrices with these encodings stack to rank mu."""
-    return greedy_rank([r for e in encodings for r in BitMatrix.from_encoding(e, t, mu).rows]) == mu
+    return greedy_rank([r for e in encodings for r in unpack(e, t, mu)]) == mu
 
 
 def _pick_best(encodings, d_values, t, mu):
@@ -440,8 +427,9 @@ def _pick_best(encodings, d_values, t, mu):
 
 def _tuplewise_entries(store, n_aps):
     """Oracle: ``_pick_best`` called once per ordered state tuple."""
-    encodings = [tuple(e.matrix.encoding for e in l) for l in store.lists]
-    d_values = [tuple(e.d_min for e in l) for l in store.lists]
+    lists = store_lists(store)
+    encodings = [tuple(e[0] for e in l) for l in lists]
+    d_values = [tuple(e[1] for e in l) for l in lists]
     out = {}
     for tup in itertools.product(range(len(store.states)), repeat=n_aps):
         encs = tuple(encodings[i] for i in tup)
@@ -458,13 +446,12 @@ def store16(cat16):
 def _short_lists(store):
     """Lists cut to 1, 2, ... entries in turn: some tuples lose every
     full-rank combination."""
-    return dataclasses.replace(store, lists=tuple(l[: 1 + i % len(l)] for i, l in enumerate(store.lists)))
+    return with_lists(store, [l[: 1 + i % len(l)] for i, l in enumerate(store_lists(store))])
 
 
 def _flat_distances(store):
     """Every distance equal: the choice falls to the encoding tie-break."""
-    lists = tuple(tuple(dataclasses.replace(e, d_min=1.0) for e in l) for l in store.lists)
-    return dataclasses.replace(store, lists=lists)
+    return with_lists(store, [[(e[0], 1.0, *e[2:]) for e in l] for l in store_lists(store)])
 
 
 class TestPairTable:
@@ -499,9 +486,10 @@ class TestPairTable:
         assert list(entries) == list(itertools.product(range(len(store.states)), repeat=n))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_store_of_no_states_gives_empty_table(self, store4, n):
+    def test_store_of_no_states_gives_empty_table(self, cat4, n):
         # one AP needs t = mu rows to reach rank mu
-        empty = dataclasses.replace(store4, states=(), lists=(), t=store4.mu if n == 1 else store4.t)
+        empty = build_store(truncate_catalog(cat4, 0), t=4 if n == 1 else 2, k_per_state=5, n_aps=n)
+        assert empty.states == () and empty.infeasible == ()
         assert build_selection_table(empty, n_aps=n).entries == {}
 
 
@@ -511,33 +499,34 @@ def _coordinate_entry(cols, pts, clash):
     one-matrix ``mapping_d_min`` call."""
     rows = tuple(1 << c for c in cols)
     d, sep = mapping_d_min(rows, pts, clash=clash)
-    return CandidateEntry(BitMatrix.from_row_ints(rows, len(pts).bit_length() - 1), d, d > 0, sep)
+    return pack(rows, len(pts).bit_length() - 1), d, d > 0, sep
 
 
-def _assemble_oracle(cat, rankings, t, k_per_state):
+def _assemble_oracle(cat, mined, t, k_per_state):
     """Oracle: the assembly loop that scored the two extractors itself, at a
     constellation it superimposed for each state.  Returns the lists."""
     c = make_constellation(cat.modulation)
     mu = 2 * c.bits_per_symbol
     lists = []
-    for r, entry in zip(rankings, cat.entries):
-        chosen = list(r.entries[: max(0, k_per_state - 2)])
-        have = {e.matrix for e in chosen}
+    for lst, entry in zip(store_lists(mined), cat.entries):
+        ranked = lst[2:]
+        chosen = ranked[: max(0, k_per_state - 2)]
+        have = {e[0] for e in chosen}
         if k_per_state >= 2:
             pts = superimpose(c, state_channel(entry.state))
             for cols in (tuple(range(t)), tuple(range(mu - t, mu))):
                 cand = _coordinate_entry(cols, pts, entry.partition)
-                if cand.matrix not in have and len(chosen) < k_per_state:
+                if cand[0] not in have and len(chosen) < k_per_state:
                     chosen.append(cand)
-                    have.add(cand.matrix)
-        for e in r.entries[max(0, k_per_state - 2):]:
+                    have.add(cand[0])
+        for e in ranked[max(0, k_per_state - 2):]:
             if len(chosen) >= k_per_state:
                 break
-            if e.matrix not in have:
+            if e[0] not in have:
                 chosen.append(e)
-                have.add(e.matrix)
-        lists.append(tuple(chosen))
-    return tuple(lists)
+                have.add(e[0])
+        lists.append(chosen)
+    return lists
 
 
 class TestAssembly:
@@ -549,10 +538,10 @@ class TestAssembly:
         """Entry for entry (matrix, both scores, clash_consistent), the
         picks equal the loop that scored the extractors on its own path."""
         cat = request.getfixturevalue(cat_name)
-        rankings = mine_candidates(cat, t=t, limit=k)
+        mined = mine_candidates(cat, t=t, limit=k)
         if cat_name == "cat4" and t == 4:    # both extractors are the identity
-            assert all(r.extractors[0].matrix == r.extractors[1].matrix for r in rankings)
-        assert assemble_store(cat, rankings, t=t, k_per_state=k).lists == _assemble_oracle(cat, rankings, t, k)
+            assert all(l[0][0] == l[1][0] for l in store_lists(mined))
+        assert store_lists(assemble_store(cat, mined, t=t, k_per_state=k)) == _assemble_oracle(cat, mined, t, k)
 
     def test_assembly_scores_nothing(self, cat16, monkeypatch):
         """Mining superimposes each state once and scores its extractors
@@ -567,9 +556,9 @@ class TestAssembly:
 
         for name in ("make_constellation", "superimpose", "mapping_d_min"):
             monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
-        rankings = mine_candidates(cat16, t=4, limit=5)
+        mined = mine_candidates(cat16, t=4, limit=5)
         calls.clear()
-        assemble_store(cat16, rankings, t=4, k_per_state=5)
+        assemble_store(cat16, mined, t=4, k_per_state=5)
         assert not calls
         build_store(cat16, t=4, k_per_state=5)
         assert calls["superimpose"] == len(cat16.entries)
@@ -583,16 +572,16 @@ class TestPersistence:
         assert loaded.t == store4.t and loaded.mu == store4.mu
         assert loaded.certified_n == 2
         assert len(loaded.states) == len(store4.states)
-        for la, lb in zip(loaded.lists, store4.lists):
-            assert [e.matrix for e in la] == [e.matrix for e in lb]
-            assert [e.d_min for e in la] == pytest.approx([e.d_min for e in lb], rel=1e-9)
+        for la, lb in zip(store_lists(loaded), store_lists(store4)):
+            assert [e[0] for e in la] == [e[0] for e in lb]
+            assert [e[1] for e in la] == pytest.approx([e[1] for e in lb], rel=1e-9)
 
     def test_store_load_rejects_rank_violation(self, store4, tmp_path):
         path = str(tmp_path / "store.cat")
         save_store(store4, path)
         text = open(path).read()
-        good = store4.lists[0][0].matrix.to_text()
-        bad = BitMatrix.from_row_ints((0, 0), 4).to_text()
+        good = format_matrix(store_lists(store4)[0][0][0], 2, 4)
+        bad = format_matrix(0, 2, 4)
         (tmp_path / "bad.cat").write_text(text.replace(good, bad))
         with pytest.raises(ValueError):
             load_store(str(tmp_path / "bad.cat"))
@@ -625,7 +614,7 @@ class TestPersistence:
         read as rows 13, 1; ``2x4:1e1`` has a bit past its 8."""
         path = tmp_path / "store.cat"
         save_store(store4, str(path))
-        good = store4.lists[0][0].matrix.to_text()
+        good = format_matrix(store_lists(store4)[0][0][0], 2, 4)
         path.write_text(path.read_text().replace(f"@ {good}|", f"@ {bad}|", 1))
         with pytest.raises(ValueError, match="not 2x4|bits beyond"):
             load_store(str(path))
@@ -636,26 +625,24 @@ class TestPersistence:
         ``config_hash`` that named the smaller K."""
         path = tmp_path / "store.cat"
         save_store(store4, str(path))
-        assert max(map(len, store4.lists)) == len(store4.lists[1]) == 3
+        lists = store_lists(store4)
+        assert max(map(len, lists)) == len(lists[1]) == 3
         path.write_text(path.read_text().replace("\nK=5\n", "\nK=2\n", 1))
         with pytest.raises(ValueError, match=re.escape(f"{path}: state 1 lists 3 matrices, more than K=2")):
             load_store(str(path))
 
-    def test_store_mu_not_twice_the_bits_refused_before_any_frame(self, tmp_path, monkeypatch):
+    def test_store_mu_not_twice_the_bits_refused_before_any_frame(self, store4, tmp_path, monkeypatch):
         """A qam16 store of 4x6 matrices under ``mu=6``, each list the first
         and the last four of six bits, certifies for two APs over six
         states; a bmas run on it used to die in its first frames with
         SingularMatrixError."""
         cat = build_catalog("qam16", n_trials=10**4, rng_seed=0, n_principal=6)
-        pair = tuple(CandidateEntry(BitMatrix.from_row_ints(r, 6), 1.0, True, 1.0) for r in ((1, 2, 4, 8), (4, 8, 16, 32)))
-        store = certify_store(
-            search.CandidateStore(
-                modulation="qam16", labeling_version=cat.labeling_version, t=4, mu=6, k_per_state=2,
-                rank_seed=cat.rank_seed, rank_trials=cat.rank_trials,
-                states=tuple(e.state for e in cat.entries), lists=(pair,) * len(cat.entries),
-            ),
-            2,
+        pair = [(pack(r, 6), 1.0, True, 1.0) for r in ((1, 2, 4, 8), (4, 8, 16, 32))]
+        header = dataclasses.replace(
+            store4, modulation="qam16", labeling_version=cat.labeling_version, t=4, mu=6, k_per_state=2,
+            rank_seed=cat.rank_seed, rank_trials=cat.rank_trials, states=tuple(e.state for e in cat.entries),
         )
+        store = certify_store(with_lists(header, [pair] * len(cat.entries)), 2)
         assert store.infeasible == ()
         paths = {name: str(tmp_path / name) for name in ("catalog_path", "store_path")}
         save_catalog(cat, paths["catalog_path"])
@@ -721,7 +708,7 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         loaded = load_store(str(path))
         assert loaded.states == store4.states
-        assert [[e.matrix for e in l] for l in loaded.lists] == [[e.matrix for e in l] for l in store4.lists]
+        assert store_lists(loaded) == store_lists(store4)
 
     def test_truncated_store_refused(self, store4, tmp_path):
         path = tmp_path / "store.cat"
@@ -811,6 +798,58 @@ class TestPersistence:
         path.write_text(path.read_text().replace("pnclab-table v3\n", "pnclab-table v1\n", 1))
         with pytest.raises(ValueError, match=r"is a pnclab-table v1 file.*`pnclab table --store"):
             load_table(str(path))
+
+    @pytest.mark.parametrize("value", ["none", "2.5"])
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("catalog", "entries")] + [("store", k) for k in ("t", "mu", "K", "states")]
+        + [("table", k) for k in ("t", "mu", "n", "states", "values")],
+    )
+    def test_header_integer_refused_by_key(self, store4, cat4, tmp_path, kind, key, value):
+        """Each integer a reader needs, written ``none`` or not an integer, is
+        refused with the file and the key.  ``none`` used to raise
+        TypeError from ``int()``, naming neither."""
+        path = tmp_path / kind
+        if kind == "catalog":
+            save_catalog(cat4, str(path))
+        elif kind == "store":
+            save_store(store4, str(path))
+        else:
+            save_table(build_selection_table(store4, cat4, n_aps=2), str(path))
+        text, edits = re.subn(rf"(?m)^{key}=.*$", f"{key}={value}", path.read_text(), count=1)
+        assert edits == 1
+        path.write_text(text)
+        load = {"catalog": load_catalog, "store": load_store, "table": load_table}[kind]
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {key}={value} is not an integer") + "$"):
+            load(str(path))
+
+    def test_64_bit_encoding(self, tmp_path):
+        """qam16 at t=8 lists one matrix, the 8x8 identity, whose encoding
+        8040201008040201 has bit 63 set: its store and table files read
+        back and save to the same bytes, and the table built from the loaded
+        store is the one built in memory.  Beside a matrix of the same
+        distances whose bit 63 is clear, it sorts last, as an unsigned
+        integer does, so the tie goes to the other matrix; a signed sort
+        would put it first and pick it."""
+        cat = build_catalog("qam16", n_principal=6)
+        store = build_store(cat, t=8, k_per_state=3, n_aps=1)
+        table = build_selection_table(store, cat, n_aps=1)
+        identity = 0x8040201008040201
+        assert store.encodings.tolist() == [identity] and set(table.values) == {(identity,)}
+        first, second, loaded = _save_load_save(save_store, load_store, store)
+        assert first == second and f" @ 8x8:{identity:x}|".encode() in first
+        build_selection_table(loaded, cat, n_aps=1).check_equal(table)
+        first, second, loaded = _save_load_save(save_table, load_table, table)
+        assert first == second
+        loaded.check_equal(table)
+
+        swapped = pack((1, 2, 4, 8, 16, 32, 128, 64), 8)      # the identity's last two rows swapped
+        assert swapped < 1 << 63 <= identity
+        entries = [(identity, 1.0, True, 1.0), (swapped, 1.0, True, 1.0)]
+        save_store(with_lists(store, [entries] * len(store.states)), str(tmp_path / "tied"))
+        tied = load_store(str(tmp_path / "tied"))
+        assert tied.encodings.dtype == np.uint64 and tied.encodings.tolist() == [swapped, identity]
+        assert set(build_selection_table(tied, cat, n_aps=1).values) == {(swapped,)}
 
     @pytest.mark.parametrize("kind, key", [("catalog", "labeling"), ("store", "K"), ("table", "values")])
     def test_missing_header_key_refused(self, store4, cat4, tmp_path, kind, key):
@@ -938,29 +977,22 @@ class TestRoundTripProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4), st.data())
     def test_store(self, store4, t, data):
-        entries = st.builds(
-            CandidateEntry,
-            full_rank_rows(t).map(lambda r: BitMatrix.from_row_ints(r, 4)),
-            DISTANCES,
-            st.booleans(),
-            DISTANCES,
-        )
-        lists = data.draw(st.lists(st.lists(entries, min_size=1, max_size=5).map(tuple), min_size=1, max_size=6))
-        store = dataclasses.replace(
+        entries = st.tuples(full_rank_rows(t).map(lambda r: pack(r, 4)), DISTANCES, st.booleans(), DISTANCES)
+        lists = data.draw(st.lists(st.lists(entries, min_size=1, max_size=5), min_size=1, max_size=6))
+        store = with_lists(dataclasses.replace(
             store4,
             t=t,
             states=tuple(data.draw(FADE_STATES) for _ in lists),
-            lists=tuple(lists),
             certified_n=None,
             infeasible=(),
             rank_seed=data.draw(st.one_of(st.none(), st.integers(0, 2**31))),
-        )
+        ), lists)
         n = data.draw(st.one_of(st.none(), st.integers(math.ceil(4 / t), 3)))
         if n is not None:       # load_store certifies again, so the certificate must be the lists' own
             store = certify_store(store, n)
         first, second, loaded = _save_load_save(save_store, load_store, store)
         assert first == second
-        assert loaded.states == store.states and loaded.lists == store.lists
+        assert loaded.states == store.states and store_lists(loaded) == lists
         assert (loaded.certified_n, loaded.infeasible) == (store.certified_n, store.infeasible)
 
     @settings(max_examples=40, deadline=None)
@@ -972,7 +1004,7 @@ class TestRoundTripProperties:
             lambda ms: greedy_rank([r for m in ms for r in m]) == 4
         )
         pool = data.draw(st.lists(stack, min_size=1, max_size=4))
-        values = tuple(tuple(BitMatrix.from_row_ints(m, 4).encoding for m in ms) for ms in pool) + (None,)
+        values = tuple(tuple(pack(m, 4) for m in ms) for ms in pool) + (None,)
         ids = st.integers(0, len(values) - 1)
         table = search.SelectionTable(
             modulation=store4.modulation,
@@ -1006,8 +1038,8 @@ class TestRoundTripProperties:
         save_table(table, paths[2])
         loaded_cat, loaded_store, loaded_table = load_catalog(paths[0]), load_store(paths[1]), load_table(paths[2])
         assert loaded_cat == cat
-        assert loaded_store == store
-        assert build_store(loaded_cat, t=4, k_per_state=5, n_aps=2) == store
+        assert store_content(loaded_store) == store_content(store)
+        assert store_content(build_store(loaded_cat, t=4, k_per_state=5, n_aps=2)) == store_content(store)
         for other in (loaded_table, build_selection_table(loaded_store, loaded_cat, 2)):
             other.check_equal(table)
 
@@ -1017,7 +1049,7 @@ def _edited_tables(store, table, seed, count=60):
     under a new value id, or to stacks of stored, foreign or misplaced
     encodings, each with the oracle's verdict: whether the walk over every
     state tuple finds the same entry as in ``table``."""
-    encodings = sorted({e.matrix.encoding for l in store.lists for e in l}) + [0xABC]
+    encodings = sorted({e[0] for l in store_lists(store) for e in l}) + [0xABC]
     entries = table.entries
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -1077,8 +1109,7 @@ def test_edited_table_refused_exactly_when_it_differs(cat4, n, t, tmp_path, monk
 
 
 def test_selection_infeasible_raises(cat4):
-    rankings = mine_candidates(cat4, t=2, limit=1)
-    store = certify_store(assemble_store(cat4, rankings, t=2, k_per_state=1), 2)
+    store = certify_store(assemble_store(cat4, mine_candidates(cat4, t=2, limit=1), t=2, k_per_state=1), 2)
     assert store.infeasible
     a, b = next(iter(t for t in store.infeasible if t[0] == t[1]))
     v = store.states[a].value
@@ -1096,7 +1127,7 @@ def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
     those verdicts."""
     cat = cat16
     store = assemble_store(cat, mine_candidates(cat, t=4, limit=5), t=4, k_per_state=5)
-    distinct = len({e.matrix for l in store.lists for e in l})
+    distinct = len(store.encodings)
     calls = []
 
     def counting_rank_rows(rows):
@@ -1118,7 +1149,7 @@ def test_rank_checks_are_memoized(cat16, monkeypatch, tmp_path):
     save_store(store, str(store_path))
     before = len(calls)
     loaded = load_store(str(store_path))
-    assert calls[before:] == [distinct] + built and distinct < sum(map(len, store.lists))
+    assert calls[before:] == [distinct] + built and distinct < sum(map(len, store_lists(store)))
     before = len(calls)
     build_selection_table(loaded, n_aps=2).check_equal(table)
     assert len(calls) == before
@@ -1134,15 +1165,16 @@ def _per_frame_selection(store, cat, H):
     at a time at its channel, then ``_pick_best``.  Returns each AP's packed
     rows and state index, as lists."""
     c = make_constellation(store.modulation)
+    held = store_lists(store)
     states, lists, d_values = [], [], []
     for h in H:
         idx = int(nearest_sfs(cat, tuple(h))[0])
         pts = superimpose(c, tuple(h))
         states.append(idx)
-        lists.append(tuple(e.matrix for e in store.lists[idx]))
-        d_values.append(tuple(float(mapping_d_min(m.rows, pts)) for m in lists[-1]))
-    combo = _pick_best(tuple(tuple(m.encoding for m in l) for l in lists), tuple(d_values), store.t, store.mu)
-    return [list(m.rows) for m in map(operator.getitem, lists, combo)], states
+        lists.append(tuple(e[0] for e in held[idx]))
+        d_values.append(tuple(float(mapping_d_min(unpack(e, store.t, store.mu), pts)) for e in lists[-1]))
+    combo = _pick_best(tuple(lists), tuple(d_values), store.t, store.mu)
+    return [list(unpack(e, store.t, store.mu)) for e in map(operator.getitem, lists, combo)], states
 
 
 def _frame(batch, f):

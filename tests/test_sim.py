@@ -16,7 +16,7 @@ from pnclab.sim import (
     run_experiment,
 )
 
-from oracles import results_csv_text
+from oracles import results_csv_text, store_lists, with_lists
 
 FAST = dict(frames_per_point=120, frame_len=24, rank_trials=10**4)
 
@@ -430,7 +430,7 @@ class TestRuns:
         from pnclab.search import load_store, mine_candidates
 
         cat, store, paths = qam4_files
-        mined = replace(store, k_per_state=2, lists=tuple(r.entries[:2] for r in mine_candidates(cat, t=2)))
+        mined = with_lists(replace(store, k_per_state=2), [l[2:4] for l in store_lists(mine_candidates(cat, t=2))])
         assert (mined.certified_n, mined.infeasible) == (2, ())
         path = self._save_store(mined, tmp_path)
         with pytest.raises(ValueError, match="header lists 0 infeasible state tuples for n=2, the lists give 66"):
@@ -494,7 +494,7 @@ class TestRuns:
         from pnclab.search import load_table
 
         _, store, paths = qam4_files
-        held = [{e.matrix.encoding for e in l} for l in store.lists]
+        held = [{e[0] for e in l} for l in store_lists(store)]
         entries = load_table(paths["table"]).entries
         tup, (a, b) = next((tup, v) for tup, v in entries.items() if v is not None and v[1] not in held[tup[0]])
         cfg = ExperimentConfig(
@@ -511,7 +511,7 @@ class TestRuns:
         from pnclab.search import load_table
 
         _, store, paths = qam4_files
-        held = [{e.matrix.encoding for e in l} for l in store.lists]
+        held = [{e[0] for e in l} for l in store_lists(store)]
         entries = load_table(paths["table"]).entries
         tup, (a, b) = next((tup, v) for tup, v in entries.items()
                            if v is not None and v[0] != v[1] and v[1] in held[tup[0]] and v[0] in held[tup[1]])
